@@ -11,6 +11,13 @@ use crate::params::CkksContext;
 use ark_math::cfft::C64;
 use ark_math::poly::RnsPoly;
 
+/// Magnitude bound on a scaled coefficient before it is rounded into
+/// `i64` (just under `2^63`). `encode`, `add_const` and `mul_const`
+/// assert it; the engine's metadata front rejects with a typed error
+/// against the same constant, so an admitted program never trips the
+/// asserts.
+pub const ENCODE_LIMIT: f64 = 9.0e18;
+
 impl CkksContext {
     /// Encodes complex slots into a plaintext at `level` and `scale`.
     ///
@@ -35,7 +42,7 @@ impl CkksContext {
             let re = z.re * scale;
             let im = z.im * scale;
             assert!(
-                re.abs() < 9.0e18 && im.abs() < 9.0e18,
+                re.abs() < ENCODE_LIMIT && im.abs() < ENCODE_LIMIT,
                 "scaled coefficient overflows i64; lower the scale"
             );
             coeffs[j] = re.round() as i64;

@@ -8,6 +8,7 @@
 //! ciphertext scale exactly.
 
 use crate::ciphertext::{Ciphertext, Plaintext};
+use crate::encoding::ENCODE_LIMIT;
 use crate::error::{ArkError, ArkResult};
 use crate::keys::{EvalKey, RotationKeys};
 use crate::keyswitch::HoistedDigits;
@@ -149,7 +150,7 @@ impl CkksContext {
     pub fn add_const(&self, ct: &Ciphertext, c: f64) -> Ciphertext {
         let mut out = ct.clone();
         let v = c * ct.scale;
-        assert!(v.abs() < 9.0e18, "constant overflows at this scale");
+        assert!(v.abs() < ENCODE_LIMIT, "constant overflows at this scale");
         let vi = v.round() as i64;
         out.b.par_update_limbs(self.basis(), |_pos, idx, row| {
             let q = self.basis().modulus(idx);
@@ -168,7 +169,7 @@ impl CkksContext {
     pub fn mul_const(&self, ct: &Ciphertext, c: f64) -> Ciphertext {
         let q_top = self.basis().modulus(ct.level).value() as f64;
         let v = c * q_top;
-        assert!(v.abs() < 9.0e18, "constant overflows at this scale");
+        assert!(v.abs() < ENCODE_LIMIT, "constant overflows at this scale");
         let vi = v.round() as i64;
         let mut out = ct.clone();
         let scalars: Vec<u64> = out

@@ -78,6 +78,34 @@ impl CkksParams {
         2f64.powi(self.scale_bits as i32)
     }
 
+    /// Ciphertext-equivalents of one hoisted digit decomposition:
+    /// `dnum` digits over the extended basis (`L+1+α` limbs) against a
+    /// `2·(L+1)`-limb ciphertext, `⌈dnum·(L+1+α) / 2(L+1)⌉` — the
+    /// transient weight memory budgets give a fused rotate-sum.
+    pub fn digit_units(&self) -> usize {
+        let l1 = self.max_level + 1;
+        (self.dnum * (l1 + self.alpha())).div_ceil(2 * l1)
+    }
+
+    /// The chain primes `q_0..q_L` (`q_0` has `q0_bits`, the rest
+    /// `scale_bits`) — a pure function of the parameter set. This is
+    /// the chain [`CkksContext`] materializes; the engine's metadata
+    /// front range-checks top-prime-scale encodings (`mul_const`,
+    /// `mul_plain`) against it without building any NTT table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bit width lies outside the prime scan's `(2, 62)`
+    /// range or its window holds too few NTT primes for `N`.
+    pub fn chain_primes(&self) -> Vec<u64> {
+        let n = self.n();
+        let mut chain = generate_ntt_primes(n, self.q0_bits, 1);
+        let scale_primes =
+            generate_ntt_primes_excluding(n, self.scale_bits, self.max_level, &chain);
+        chain.extend_from_slice(&scale_primes);
+        chain
+    }
+
     /// **Paper Table III, row "ARK"**: `N=2^16, L=23, dnum=4, α=6`.
     pub fn ark() -> Self {
         Self {
@@ -299,11 +327,7 @@ impl CkksContext {
     pub fn with_pool(params: CkksParams, pool: ThreadPool) -> Self {
         let n = params.n();
         let alpha = params.alpha();
-        let q0 = generate_ntt_primes(n, params.q0_bits, 1);
-        let scale_primes =
-            generate_ntt_primes_excluding(n, params.scale_bits, params.max_level, &q0);
-        let mut chain = q0;
-        chain.extend_from_slice(&scale_primes);
+        let chain = params.chain_primes();
         let special = generate_ntt_primes_excluding(n, params.special_bits, alpha, &chain);
         let mut all = chain;
         all.extend_from_slice(&special);

@@ -61,9 +61,9 @@ use ark_ckks::error::{ArkError, ArkResult};
 use ark_ckks::wire as ckks_wire;
 use ark_ckks::Ciphertext;
 use ark_core::wire as core_wire;
-use ark_fhe::engine::{Engine, HeEvaluator};
-use ark_fhe::verify::AbstractInput;
-use ark_fhe::workloads::trace::TraceSummary;
+use ark_fhe::engine::Engine;
+use ark_fhe::verify::{AbstractInput, VerifyReport};
+use ark_fhe::workloads::trace::{Trace, TraceSummary};
 use ark_math::wire::{put_u16, read_frame, write_frame, Cursor};
 use ark_net::{FrameBuf, Interest, OutBuf, Poller, Token, Waker};
 use std::cell::Cell;
@@ -121,13 +121,6 @@ pub struct ServerConfig {
     /// last job completes during shutdown, before abandoning unread
     /// responses.
     pub drain_grace: Duration,
-    /// Whether submitted programs are statically verified at admission
-    /// (level/scale flow, key surface, bootstrap placement — see
-    /// `ark_fhe::verify`). On by default: a statically-invalid program
-    /// is rejected with a typed `VERIFY` error before it charges the
-    /// session budget or touches a shard evaluator, instead of failing
-    /// mid-evaluation after NTTs already burned shard time.
-    pub verify_programs: bool,
     /// Newest protocol version this server accepts (default
     /// [`PROTOCOL_VERSION`]). Lowering it to 3 emulates an
     /// old pre-pipelining deployment — newer clients are rejected with
@@ -150,7 +143,6 @@ impl Default for ServerConfig {
             allow_remote_shutdown: false,
             poll_interval: Duration::from_millis(25),
             drain_grace: Duration::from_secs(1),
-            verify_programs: true,
             max_protocol_version: PROTOCOL_VERSION,
         }
     }
@@ -363,6 +355,35 @@ impl OpCounters {
 }
 
 impl Shared {
+    fn new(engines: Vec<Engine>, config: ServerConfig, waker: Waker) -> Self {
+        let n_shards = config.effective_shards();
+        let info = engines
+            .iter()
+            .map(|e| EngineInfo {
+                fingerprint: e.fingerprint(),
+                software: e.keychain().is_some(),
+                log_n: e.params().log_n as u8,
+                max_level: e.params().max_level as u32,
+                keychain_bytes: e.keychain().map_or(0, |kc| kc.byte_len() as u64),
+            })
+            .collect();
+        Self {
+            engines,
+            info,
+            config,
+            shards: (0..n_shards).map(|_| Shard::new()).collect(),
+            completions: Mutex::new(Vec::new()),
+            waker,
+            shutdown: AtomicBool::new(false),
+            active_workers: AtomicUsize::new(n_shards),
+            sessions_accepted: AtomicU64::new(0),
+            sessions_shed: AtomicU64::new(0),
+            jobs_shed: AtomicU64::new(0),
+            next_session: AtomicU64::new(1),
+            ops: OpCounters::default(),
+        }
+    }
+
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
@@ -465,33 +486,8 @@ impl Server {
         let mut poller = Poller::new()?;
         poller.register(&listener, LISTENER_TOKEN, Interest::READ)?;
         let waker = poller.waker();
-        let info: Vec<EngineInfo> = self
-            .engines
-            .iter()
-            .map(|e| EngineInfo {
-                fingerprint: e.fingerprint(),
-                software: e.keychain().is_some(),
-                log_n: e.params().log_n as u8,
-                max_level: e.params().max_level as u32,
-                keychain_bytes: e.keychain().map_or(0, |kc| kc.byte_len() as u64),
-            })
-            .collect();
-        let n_shards = self.config.effective_shards();
-        let shared = Arc::new(Shared {
-            engines: self.engines,
-            info,
-            config: self.config,
-            shards: (0..n_shards).map(|_| Shard::new()).collect(),
-            completions: Mutex::new(Vec::new()),
-            waker,
-            shutdown: AtomicBool::new(false),
-            active_workers: AtomicUsize::new(n_shards),
-            sessions_accepted: AtomicU64::new(0),
-            sessions_shed: AtomicU64::new(0),
-            jobs_shed: AtomicU64::new(0),
-            next_session: AtomicU64::new(1),
-            ops: OpCounters::default(),
-        });
+        let shared = Arc::new(Shared::new(self.engines, self.config, waker));
+        let n_shards = shared.shards.len();
         let mut workers = Vec::with_capacity(n_shards);
         for i in 0..n_shards {
             let shared = Arc::clone(&shared);
@@ -727,19 +723,29 @@ fn ark_err_code(e: &ArkError) -> u16 {
     }
 }
 
-/// Admission-time static verification: abstractly interprets the
-/// program over the inputs' levels/scales against the engine's
-/// declared key surface, with zero evaluator work. A finding maps to
-/// the typed `VERIFY` error code carrying the op index and the exact
-/// runtime error class evaluation would have hit.
-fn verify_admission(
+/// Admission: the one abstract pass a request gets. Interprets the
+/// program over the inputs' levels/scales against the engine's session
+/// shape, with zero evaluator work, and hands back everything the
+/// handlers need from it — the liveness report (EVALUATE charges its
+/// `peak_live_units`) and the recorded trace (SIMULATE costs it). A
+/// finding maps to the typed `VERIFY` error code carrying the op index
+/// and the exact error evaluation would have hit; a malformed *input*
+/// (a level beyond the chain) answers `input_code` — `VERIFY` on
+/// EVALUATE, `EVALUATION` on SIMULATE, as the two kinds always have.
+fn admit(
     engine: &Engine,
     program: &Program,
-    inputs: &[AbstractInput],
-) -> Result<(), (u16, String)> {
-    let report = engine.verify_context().verify(inputs, program);
+    inputs: impl Iterator<Item = AbstractInput>,
+    input_code: u16,
+) -> Result<(VerifyReport, Trace), (u16, String)> {
+    let mut eval = engine.verify_context().evaluator();
+    let cts = inputs
+        .map(|i| eval.input_at(i.level, i.scale))
+        .collect::<ArkResult<Vec<_>>>()
+        .map_err(|e| (input_code, e.to_string()))?;
+    let (report, trace) = eval.run(program, &cts);
     match report.finding {
-        None => Ok(()),
+        None => Ok((report, trace)),
         Some(f) => Err((
             code::VERIFY,
             format!("program rejected by static verification at {f}"),
@@ -790,27 +796,23 @@ fn run_evaluate(shared: &Shared, job: &Job, charge: &ChargeGuard<'_>) -> Handled
             format!("{} trailing bytes after the last input", rest.len() - off),
         ));
     }
-    if shared.config.verify_programs {
-        let specs: Vec<AbstractInput> = inputs
+    let (report, _) = admit(
+        engine,
+        &program,
+        inputs
             .iter()
-            .map(|ct| AbstractInput::with_scale(ct.level, ct.scale))
-            .collect();
-        verify_admission(engine, &program, &specs)?;
-    }
+            .map(|ct| AbstractInput::with_scale(ct.level, ct.scale)),
+        code::VERIFY,
+    )?;
     // evaluation holds the borrowed inputs, the liveness-live
-    // registers, and each op's transient working set — a fused
-    // RotateSum's per-amount rotations plus the hoisted digits, which
-    // charge_units() weighs in. The digit scratch in
-    // ciphertext-equivalents depends on the hosting parameter set:
-    // dnum digits over the extended basis (L+1+α limbs) vs a
-    // 2·(L+1)-limb ciphertext. Levels only ever drop, so peak units ×
-    // the largest input is an upper bound on the working set — charge
-    // it up front so the session budget covers memory the request will
-    // grow into, not just its wire size
-    let p = engine.params();
-    let digit_units = (p.dnum * (p.max_level + 1 + p.alpha())).div_ceil(2 * (p.max_level + 1));
+    // registers, and each op's transient working set (a fused
+    // RotateSum's per-amount rotations plus the hoisted digits).
+    // Levels only ever drop, so peak units × the largest input is an
+    // upper bound on the working set — charge it up front so the
+    // session budget covers memory the request will grow into, not
+    // just its wire size
     let max_input = inputs.iter().map(Ciphertext::byte_len).max().unwrap_or(0);
-    charge.charge(program.charge_units(digit_units).saturating_mul(max_input))?;
+    charge.charge(report.peak_live_units.saturating_mul(max_input))?;
     let mut eval = engine
         .shared_evaluator()
         .map_err(|e| (ark_err_code(&e), e.to_string()))?;
@@ -845,34 +847,13 @@ fn run_simulate(shared: &Shared, job: &Job) -> Handled {
     let program = Program::decode(&mut cur).map_err(|e| (ark_err_code(&e), e.to_string()))?;
     check_program_size(shared, &program)?;
     let n_inputs = cur.u16().map_err(wire_err)? as usize;
-    let max_level = engine.params().max_level;
-    let mut levels = Vec::with_capacity(n_inputs.min(256));
+    let mut specs = Vec::with_capacity(n_inputs.min(256));
     for _ in 0..n_inputs {
         let level = cur.u32().map_err(wire_err)? as usize;
-        if level > max_level {
-            return Err((
-                code::EVALUATION,
-                format!("input level {level} exceeds the chain maximum {max_level}"),
-            ));
-        }
-        levels.push(level);
+        specs.push(AbstractInput::at_level(level));
     }
     cur.finish().map_err(|e| (code::PROTOCOL, e.to_string()))?;
-    if shared.config.verify_programs {
-        let specs: Vec<AbstractInput> =
-            levels.iter().map(|&l| AbstractInput::at_level(l)).collect();
-        verify_admission(engine, &program, &specs)?;
-    }
-    let mut eval = engine.trace_evaluator();
-    let cts = levels
-        .iter()
-        .map(|&l| eval.input(&[], l))
-        .collect::<ArkResult<Vec<_>>>()
-        .map_err(|e| (ark_err_code(&e), e.to_string()))?;
-    program
-        .apply(&mut eval, &cts)
-        .map_err(|e| (ark_err_code(&e), e.to_string()))?;
-    let trace = eval.into_trace();
+    let (_, trace) = admit(engine, &program, specs.into_iter(), code::EVALUATION)?;
     shared
         .ops
         .accumulate(&trace.summary(), program.rotate_sum_terms() as u64);
@@ -1524,6 +1505,93 @@ fn find_engine(shared: &Shared, fingerprint: u64) -> Result<(usize, &Engine), (u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ark_ckks::params::CkksParams;
+    use ark_core::config::ArkConfig;
+    use ark_fhe::engine::Backend;
+    use ark_math::wire::put_u32;
+
+    /// A SIMULATE job for `x + x` on one input at `level`.
+    fn simulate_job(engine_idx: usize, request_id: u64, level: u32) -> Job {
+        let mut program = Program::new(1);
+        let x = program.reg(0);
+        let sum = program.add(x, x);
+        program.output(sum);
+        let mut payload = Vec::new();
+        program.encode(&mut payload);
+        put_u16(&mut payload, 1);
+        put_u32(&mut payload, level);
+        Job {
+            conn_token: 0,
+            request_id: Some(request_id),
+            engine_idx,
+            kind: msg::SIMULATE,
+            fingerprint: 0,
+            payload,
+            session: Arc::new(SessionState {
+                id: 1,
+                in_flight_bytes: AtomicUsize::new(0),
+            }),
+        }
+    }
+
+    fn frame_kind(frame: &[u8]) -> u16 {
+        read_frame(frame).unwrap().0.kind
+    }
+
+    fn error_of(frame: &[u8]) -> (u16, String) {
+        let (f, _) = read_frame(frame).unwrap();
+        assert_eq!(f.kind, msg::ERROR);
+        protocol::decode_error(&mut Cursor::new(f.payload)).unwrap()
+    }
+
+    #[test]
+    fn panicking_evaluation_degrades_to_typed_error_and_worker_survives() {
+        let engine = Engine::builder()
+            .params(CkksParams::tiny())
+            .backend(Backend::Simulated(ArkConfig::base()))
+            .build()
+            .unwrap();
+        let config = ServerConfig {
+            shards: 1,
+            ..ServerConfig::default()
+        };
+        let waker = Poller::new().unwrap().waker();
+        let shared = Arc::new(Shared::new(vec![engine], config, waker));
+        let worker = {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || worker_loop(&shared, 0))
+        };
+        // admission validates everything a wire Program can carry, so
+        // the remaining way to make a handler panic is a job the
+        // reactor would never build: one naming an engine slot that
+        // does not exist (an index-out-of-bounds inside the handler)
+        shared.submit(simulate_job(7, 1, 2)).ok().unwrap();
+        // an input level beyond the chain is an ordinary typed failure
+        shared.submit(simulate_job(0, 2, 99)).ok().unwrap();
+        shared.submit(simulate_job(0, 3, 2)).ok().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while shared.completions.lock().unwrap().len() < 3 {
+            assert!(Instant::now() < deadline, "worker stopped serving");
+            thread::sleep(Duration::from_millis(2));
+        }
+        shared.begin_shutdown();
+        worker.join().expect("the panic must not escape the worker");
+        let mut done = std::mem::take(&mut *shared.completions.lock().unwrap());
+        done.sort_by_key(|c| c.request_id);
+
+        let (c, reason) = error_of(&done[0].frame);
+        assert_eq!(c, code::EVALUATION);
+        assert!(
+            reason.starts_with("evaluation aborted: ") && reason.contains("index out of bounds"),
+            "got {reason}"
+        );
+        let (c, reason) = error_of(&done[1].frame);
+        assert_eq!(c, code::EVALUATION);
+        assert!(!reason.contains("aborted"), "got {reason}");
+        // the same worker went on to serve a good request
+        assert_eq!(frame_kind(&done[2].frame), msg::RESULT_REPORT);
+        assert_eq!(shared.shards[0].jobs_executed.load(Ordering::Relaxed), 3);
+    }
 
     #[test]
     fn engine_is_shareable_across_threads() {

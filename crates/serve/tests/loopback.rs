@@ -273,16 +273,17 @@ fn wrong_backend_and_unknown_engine_are_typed() {
 }
 
 #[test]
-fn panicking_evaluation_degrades_to_typed_error_and_server_survives() {
+fn overflowing_constant_bounces_at_admission_and_server_survives() {
     let (handle, sw_fp, _) = start_server(ServerConfig::default());
     let mut local = software_engine();
     let ctx = CkksContext::new(CkksParams::tiny());
     let slots = local.params().slots();
     let mut client = Client::connect(handle.addr()).unwrap();
 
-    // a finite-but-huge constant passes decode validation yet trips the
-    // scheme's constant-overflow assert; the server must contain the
-    // panic, answer with a typed error, and keep serving
+    // a finite-but-huge constant passes decode validation and would
+    // trip the scheme's constant-overflow assert; it used to surface as
+    // a contained shard panic ("evaluation aborted"), now admission
+    // answers with the typed verify error and the server keeps serving
     let mut evil = Program::new(1);
     let x = evil.reg(0);
     let c = evil.add_const(x, 1.0e300);
@@ -290,7 +291,8 @@ fn panicking_evaluation_degrades_to_typed_error_and_server_survives() {
     let ct = local.encrypt(&[C64::new(1.0, 0.0)], 2).unwrap();
     let err = client.evaluate(sw_fp, &evil, &[ct], &ctx).unwrap_err();
     assert!(
-        matches!(err, ArkError::Serve { ref reason } if reason.contains("aborted")),
+        matches!(err, ArkError::Serve { ref reason }
+            if reason.contains("(verify)") && reason.contains("overflows")),
         "got {err}"
     );
 

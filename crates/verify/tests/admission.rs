@@ -74,11 +74,29 @@ fn statically_invalid_programs_bounce_with_zero_evaluator_ops() {
         bad_rot.output(out);
     }
 
+    // encoding overflow: both programs used to pass admission and then
+    // trip an `ark-ckks` assert inside the shard (a contained panic)
+    let mut const_at_delta_squared = Program::new(1);
+    {
+        let x = const_at_delta_squared.reg(0);
+        let sq = const_at_delta_squared.mul(x, x);
+        let out = const_at_delta_squared.add_const(sq, 1.0);
+        const_at_delta_squared.output(out);
+    }
+    let mut huge_mul_const = Program::new(1);
+    {
+        let x = huge_mul_const.reg(0);
+        let out = huge_mul_const.mul_const(x, 1e9);
+        huge_mul_const.output(out);
+    }
+
     let mut client = Client::connect(handle.addr()).unwrap();
     for (name, program) in [
         ("level-underflow", &underflow),
         ("scale-mismatch", &scale_mix),
         ("undeclared-rotation", &bad_rot),
+        ("add-const-overflow", &const_at_delta_squared),
+        ("mul-const-overflow", &huge_mul_const),
     ] {
         let err = client
             .evaluate(fp, program, std::slice::from_ref(&input), &ctx)
@@ -89,6 +107,7 @@ fn statically_invalid_programs_bounce_with_zero_evaluator_ops() {
             "{name}: expected the typed verify rejection, got: {reason}"
         );
         assert!(reason.contains("static verification"), "{name}: {reason}");
+        assert!(!reason.contains("evaluation aborted"), "{name}: {reason}");
     }
 
     // not a single evaluator op ran — admission rejected before any
@@ -141,9 +160,7 @@ fn liveness_budget_admits_long_straight_line_programs() {
         }
         chain.output(r);
     }
-    let p = local.params().clone();
-    let digit_units = (p.dnum * (p.max_level + 1 + p.alpha())).div_ceil(2 * (p.max_level + 1));
-    let worst = chain.worst_case_units(digit_units) * ct_bytes;
+    let worst = chain.worst_case_units(local.params().digit_units()) * ct_bytes;
     // a budget the old charge would blow through, with head-room for
     // the decoded input, the live registers, and the response
     let budget = 32 * ct_bytes;

@@ -1,24 +1,26 @@
 //! Analyzer/runtime error-parity: on randomly generated programs at
-//! random start levels, the static verifier and both runtime backends
-//! must agree — analyzer-accepts ⇒ the backend succeeds, and
-//! analyzer-rejects ⇒ the backend fails with the *same* [`ArkError`]
-//! class. Run at 1 and 4 software threads (the shared evaluator's
-//! limb fan-out must not change admission semantics).
+//! random start levels, the static verifier, the software evaluator
+//! and the simulated backend must agree — analyzer-accepts ⇒ the
+//! backend succeeds, and analyzer-rejects ⇒ the backend fails with the
+//! *same* [`ArkError`] class. Run at 1 and 4 software threads (the
+//! shared evaluator's limb fan-out must not change admission
+//! semantics).
 //!
-//! The generator tracks each register's scale exponent (count of `Δ`
-//! factors) along the no-error path and never emits `add_const` /
-//! `add_plain` on a register holding more than one `Δ` — those encode
-//! the constant at the ciphertext scale, which overflows the i64
-//! plaintext domain (a debug assert, not a typed error) instead of
-//! failing admission. Everything else is fair game: level underflow,
-//! scale mismatch, undeclared rotations, chain exhaustion,
+//! All three run the same `(level, scale)` front, so the classes agree
+//! by construction; what this suite still earns is the other half —
+//! the software evaluator is driven *directly* (not through
+//! `Engine::execute`, whose pre-flight would answer first), so every
+//! op the front admits goes on into `ark-ckks`, which must compute it
+//! without tripping one of its own asserts. Nothing is steered around:
+//! level underflow, scale mismatch, undeclared rotations, chain
+//! exhaustion, constants that overflow the encoding domain at `Δ²`,
 //! conjugation, fused rotate-sums, mod-drops and bootstrap misuse all
 //! appear with useful frequency.
 
 use ark_ckks::error::ArkError;
 use ark_ckks::params::CkksParams;
 use ark_fhe::arch::ArkConfig;
-use ark_fhe::engine::{Backend, Engine, ProgramInput, RotateSumTerm};
+use ark_fhe::engine::{Backend, Engine, HeEvaluator, ProgramInput, RotateSumTerm};
 use ark_math::cfft::C64;
 use ark_serve::Program;
 use ark_verify::{AbstractInput, VerifyContext};
@@ -39,47 +41,34 @@ fn pick_strategy() -> impl Strategy<Value = Vec<Pick>> {
     )
 }
 
-/// Materializes picks into a `Program`, steering around the runtime's
-/// constant-encoding asserts (see module docs) but nothing else.
+/// Materializes picks into a `Program`.
 fn build_program(picks: &[Pick], slots: usize) -> Program {
     let mut p = Program::new(N_INPUTS);
-    // scale exponent (count of Δ factors) per register, exact along
-    // the no-error path; runtime and analyzer both stop at the first
-    // error, so tracking beyond it is irrelevant
-    let mut k: Vec<i32> = vec![1; N_INPUTS as usize];
     let mut regs: Vec<_> = (0..N_INPUTS).map(|i| p.reg(i)).collect();
     for &(op, s1, s2, (amount, drop_level)) in picks {
-        let (ia, ib) = (s1 % regs.len(), s2 % regs.len());
-        let (a, b) = (regs[ia], regs[ib]);
-        let (r, kr) = match op {
-            0 => (p.add(a, b), k[ia]),
-            1 => (p.sub(a, b), k[ia]),
-            2 => (p.mul_const(a, 0.5), k[ia] + 1),
-            3 if k[ia] <= 1 => (p.add_const(a, 1.0), k[ia]),
-            4 => (p.mul(a, b), k[ia] + k[ib]),
-            5 => (p.rescale(a), k[ia] - 1),
-            6 => (p.mul_rescale(a, b), k[ia] + k[ib] - 1),
-            7 => (p.rotate(a, amount), k[ia]),
-            8 => (p.conjugate(a), k[ia]),
-            9 => (p.mod_drop_to(a, drop_level), k[ia]),
-            10 => (p.mul_plain(a, vec![C64::new(0.5, 0.25); slots]), k[ia] + 1),
-            11 => (
-                p.rotate_sum(
-                    a,
-                    vec![
-                        RotateSumTerm::new(amount, vec![C64::new(1.0, 0.0); slots]),
-                        RotateSumTerm::new(1, vec![C64::new(0.5, -0.5); slots]),
-                    ],
-                ),
-                k[ia] + 1,
+        let (a, b) = (regs[s1 % regs.len()], regs[s2 % regs.len()]);
+        let r = match op {
+            0 => p.add(a, b),
+            1 => p.sub(a, b),
+            2 => p.mul_const(a, 0.5),
+            3 => p.add_const(a, 1.0),
+            4 => p.mul(a, b),
+            5 => p.rescale(a),
+            6 => p.mul_rescale(a, b),
+            7 => p.rotate(a, amount),
+            8 => p.conjugate(a),
+            9 => p.mod_drop_to(a, drop_level),
+            10 => p.mul_plain(a, vec![C64::new(0.5, 0.25); slots]),
+            11 => p.rotate_sum(
+                a,
+                vec![
+                    RotateSumTerm::new(amount, vec![C64::new(1.0, 0.0); slots]),
+                    RotateSumTerm::new(1, vec![C64::new(0.5, -0.5); slots]),
+                ],
             ),
-            12 => (p.bootstrap(a), 1),
-            // re-route the skipped add_const into a harmless negate so
-            // program length stays as generated
-            _ => (p.negate(a), k[ia]),
+            _ => p.bootstrap(a),
         };
         regs.push(r);
-        k.push(kr);
     }
     p.output(*regs.last().unwrap());
     p
@@ -89,8 +78,8 @@ fn err_class(e: &ArkError) -> std::mem::Discriminant<ArkError> {
     std::mem::discriminant(e)
 }
 
-/// The parity assertion: analyzer verdict vs. software backend (at
-/// `threads`) vs. trace/simulated backend, same program, same levels.
+/// The parity assertion: analyzer verdict vs. software evaluator (at
+/// `threads`) vs. simulated backend, same program, same levels.
 fn assert_parity(picks: &[Pick], start_level: usize, threads: usize) {
     let params = CkksParams::tiny();
     let slots = params.slots();
@@ -118,7 +107,15 @@ fn assert_parity(picks: &[Pick], start_level: usize, threads: usize) {
             ProgramInput::new(v, start_level)
         })
         .collect();
-    let sw_result = sw.execute(&inputs, &program);
+    // the software evaluator itself, not `execute` (whose metadata
+    // pre-flight would reject first and hide what ark-ckks does)
+    let sw_result = sw.evaluator().and_then(|mut eval| {
+        let cts = inputs
+            .iter()
+            .map(|i| eval.input(&i.values, i.level))
+            .collect::<Result<Vec<_>, _>>()?;
+        program.apply(&mut eval, &cts)
+    });
 
     let mut sim = build(Backend::Simulated(ArkConfig::base()));
     let sym: Vec<ProgramInput> = (0..N_INPUTS as usize)

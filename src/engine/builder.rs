@@ -1,0 +1,225 @@
+//! [`EngineBuilder`]: declares a session and builds its shape, keys
+//! and backend state once.
+
+use super::keys::{KeyChain, DEFAULT_RUNTIME_KEY_CAPACITY};
+use super::software::SoftwareState;
+use super::{Backend, BackendState, Engine, SimulatedState};
+use crate::error::{ArkError, ArkResult};
+use crate::verify::VerifyContext;
+use ark_ckks::bootstrap::{BootstrapConfig, Bootstrapper};
+use ark_ckks::params::{CkksContext, CkksParams};
+use ark_core::compile::CompileOptions;
+use ark_math::par::{self, ThreadPool};
+use ark_workloads::bootstrap::BootstrapTraceConfig;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Derives the analytic bootstrap sub-trace configuration a session
+/// with `cfg` would fix at build time — the same derivation
+/// [`EngineBuilder::build`] performs, exposed so key-free consumers
+/// (static verification, the `ark-verify` CLI) can model bootstrap
+/// level consumption without constructing an engine.
+pub fn bootstrap_trace_config(params: &CkksParams, cfg: &BootstrapConfig) -> BootstrapTraceConfig {
+    BootstrapTraceConfig {
+        slots_log2: params.log_n - 1,
+        radix_log2: cfg.radix_log2.max(1) as u32,
+        strategy: cfg.strategy,
+        evalmod_degree: cfg.evalmod.degree,
+        spare_levels: None,
+    }
+}
+
+/// Builder for [`Engine`] — declare the parameter set, backend, key
+/// set and (optionally) bootstrapping support, then [`build`](Self::build).
+#[derive(Debug, Clone)]
+#[must_use = "a builder does nothing until `.build()` is called"]
+pub struct EngineBuilder {
+    params: Option<CkksParams>,
+    backend: Backend,
+    seed: u64,
+    rotations: Vec<i64>,
+    conjugation: bool,
+    runtime_keys: bool,
+    runtime_key_capacity: usize,
+    bootstrapping: Option<BootstrapConfig>,
+    compile: CompileOptions,
+    threads: Option<usize>,
+}
+
+impl Default for EngineBuilder {
+    fn default() -> Self {
+        Self {
+            params: None,
+            backend: Backend::Software,
+            seed: 0,
+            rotations: Vec::new(),
+            conjugation: false,
+            runtime_keys: false,
+            runtime_key_capacity: DEFAULT_RUNTIME_KEY_CAPACITY,
+            bootstrapping: None,
+            compile: CompileOptions::all_on(),
+            threads: None,
+        }
+    }
+}
+
+impl EngineBuilder {
+    /// Sets the CKKS parameter set (required).
+    pub fn params(mut self, params: CkksParams) -> Self {
+        self.params = Some(params);
+        self
+    }
+
+    /// Selects the backend (default: [`Backend::Software`]).
+    pub fn backend(mut self, backend: Backend) -> Self {
+        self.backend = backend;
+        self
+    }
+
+    /// Seeds key generation and encryption randomness (default 0).
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// Declares rotation amounts the session will use; keys are
+    /// generated once at build time.
+    pub fn rotations(mut self, amounts: &[i64]) -> Self {
+        self.rotations.extend_from_slice(amounts);
+        self
+    }
+
+    /// Declares the conjugation key.
+    pub fn conjugation(mut self, on: bool) -> Self {
+        self.conjugation = on;
+        self
+    }
+
+    /// Enables runtime rotation-key generation (default **off**, the
+    /// eager-declaration compatibility mode): on a software-backend
+    /// rotate or conjugate whose key was never declared, the session
+    /// derives the key on demand from the chain's master seed into a
+    /// bounded LRU cache ([`Self::runtime_key_capacity`]) instead of
+    /// returning [`ArkError::MissingRotationKey`]. Derivation is
+    /// deterministic per `(seed, Galois element)`, so a runtime key is
+    /// bit-identical to the key an eager declaration would have
+    /// produced — results do not depend on which mode generated the
+    /// key. The trace backend mirrors the policy (undeclared rotations
+    /// record instead of erroring), keeping cross-backend parity.
+    pub fn runtime_keys(mut self, on: bool) -> Self {
+        self.runtime_keys = on;
+        self
+    }
+
+    /// Bounds the runtime rotation-key LRU (entries; default
+    /// [`DEFAULT_RUNTIME_KEY_CAPACITY`], clamped to ≥ 1). Only
+    /// meaningful with [`Self::runtime_keys`]. Evicted keys cost one
+    /// keygen to re-derive — size the cache to the working set of
+    /// distinct Galois elements your programs touch between reuses.
+    pub fn runtime_key_capacity(mut self, entries: usize) -> Self {
+        self.runtime_key_capacity = entries.max(1);
+        self
+    }
+
+    /// Enables [`super::HeEvaluator::bootstrap`]: generates the transform
+    /// rotation keys (software) and fixes the analytic bootstrap
+    /// sub-trace (both backends). Implies the conjugation key.
+    pub fn bootstrapping(mut self, config: BootstrapConfig) -> Self {
+        self.bootstrapping = Some(config);
+        self
+    }
+
+    /// Compiler switches for the simulated backend (default: Min-KS
+    /// era, OF-Limb on).
+    pub fn compile_options(mut self, opts: CompileOptions) -> Self {
+        self.compile = opts;
+        self
+    }
+
+    /// Threads the software backend fans limb-level hot loops out on
+    /// (NTT, base conversion, key-switching, element-wise arithmetic).
+    /// Defaults to the host's available parallelism; `threads(1)` is the
+    /// strictly serial path and any width is bit-identical to it —
+    /// thread count changes throughput, never results or recorded
+    /// traces. The trace backend records symbolically and ignores the
+    /// setting.
+    ///
+    /// `threads(0)` is **silently clamped to 1** rather than rejected:
+    /// a zero often arrives from a computed value (host probing, a
+    /// config file defaulting to "unset"), and the serial session it
+    /// yields is always correct — so the builder stays infallible here
+    /// and `threads(0)` builds an engine observably identical to
+    /// `threads(1)` ([`Engine::threads`] reports `1`, and all outputs
+    /// are bit-identical; see the `threads_zero_clamps_to_one`
+    /// regression test).
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = Some(threads.max(1));
+        self
+    }
+
+    /// Builds the engine, generating the [`KeyChain`] on the software
+    /// backend.
+    ///
+    /// # Errors
+    ///
+    /// [`ArkError::InvalidParams`] if no parameter set was given or the
+    /// set is internally inconsistent (`dnum` must divide `L+1`, chain
+    /// primes must be 3 to 61 bits wide, a bootstrap configuration must
+    /// fit the chain).
+    pub fn build(self) -> ArkResult<Engine> {
+        let params = self.params.ok_or(ArkError::InvalidParams {
+            reason: "EngineBuilder::params was never called".into(),
+        })?;
+        let shape = VerifyContext::new(
+            params,
+            &self.rotations,
+            self.conjugation,
+            self.bootstrapping.as_ref(),
+            self.runtime_keys,
+        )?;
+        let mut threads = self.threads.unwrap_or_else(par::available_parallelism);
+        let state = match self.backend {
+            Backend::Software => {
+                let pool = ThreadPool::new(threads);
+                // worker spawning is best-effort; report the width the
+                // pool actually obtained, not the one requested
+                threads = pool.threads();
+                let ctx = CkksContext::with_pool(shape.params().clone(), pool);
+                let mut rng = StdRng::seed_from_u64(self.seed);
+                let declared = shape.declared().clone();
+                let mut keygen_rotations: Vec<i64> = declared.rotations().collect();
+                let boot = self.bootstrapping.map(|cfg| {
+                    let bootstrapper = Bootstrapper::new(&ctx, cfg);
+                    // transform keys are generated but NOT added to the
+                    // declared set: they are internal to bootstrap, and
+                    // every evaluator must resolve the same user-facing
+                    // rotation set
+                    keygen_rotations.extend(bootstrapper.required_rotations());
+                    bootstrapper
+                });
+                let keys = KeyChain::generate(
+                    &ctx,
+                    declared,
+                    &keygen_rotations,
+                    self.runtime_keys.then_some(self.runtime_key_capacity),
+                    &mut rng,
+                );
+                BackendState::Software(Box::new(SoftwareState {
+                    ctx,
+                    keys,
+                    rng,
+                    boot,
+                }))
+            }
+            Backend::Simulated(cfg) => BackendState::Simulated(SimulatedState {
+                cfg,
+                compile: self.compile,
+            }),
+        };
+        Ok(Engine {
+            shape,
+            state,
+            threads,
+        })
+    }
+}

@@ -12,7 +12,8 @@
 //!   [`ArkError::ScaleMismatch`], [`ArkError::MissingRotationKey`],
 //!   [`ArkError::MissingConjugationKey`], [`ArkError::ModulusChainExhausted`],
 //!   [`ArkError::LevelOutOfRange`] — raised by `ark-ckks` entry points
-//!   and mirrored by the trace-recording backend;
+//!   and, for every evaluator of a session, by the one `(level, scale)`
+//!   front in [`crate::verify`];
 //! - **session errors** — [`ArkError::KeyChainMissing`],
 //!   [`ArkError::UnsupportedOnBackend`] — raised by [`crate::engine::Engine`]
 //!   when an operation needs material or a backend the session was not

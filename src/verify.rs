@@ -1,51 +1,61 @@
-//! Static program verification: an abstract interpreter over
-//! [`HeProgram`]s that runs without keys or ciphertexts.
+//! The one `(level, scale)` interpreter: session shape, per-op transfer
+//! function, and the static verifier built on it.
 //!
 //! The accelerator the paper models only pays off because every HE
 //! program's depth, bootstrap placement and key surface are known
-//! *before* execution. This module makes that knowledge a first-class
-//! artifact: [`AbstractEvaluator`] implements [`HeEvaluator`] with a
-//! metadata-only ciphertext handle ([`AbstractCt`]), so any program —
-//! a hand-written [`HeProgram`] or an `ark-serve` wire `Program` — can
-//! be interpreted abstractly against a declared key surface in
-//! microseconds, yielding a [`VerifyReport`] with:
+//! *before* execution. This module is where that knowledge lives, in
+//! two layers:
 //!
-//! - **acceptance or a typed rejection** whose error is the *same*
-//!   [`ArkError`] class the runtime backends would raise
-//!   mid-evaluation (level mismatch, scale mismatch, chain exhaustion,
-//!   missing rotation/conjugation key, bootstrap misuse, oversized
-//!   plaintexts) — the checks are literally shared with the runtime
-//!   (`check_levels`, `check_scales_match`, `check_rotate_sum_terms`),
-//!   so agreement is by construction, and the error-parity proptests
-//!   in `ark-verify` pin it;
-//! - **def-use liveness**: per abstract register the defining and last
-//!   using event, and from those the peak live-set size in
-//!   ciphertext-units ([`VerifyReport::peak_live_units`]) — the
-//!   liveness-exact memory budget `ark-serve` charges sessions instead
-//!   of the old every-op-forever worst case;
+//! - **the front** — [`VerifyContext`] is the *session shape*
+//!   (parameter set, declared key surface, runtime-key policy,
+//!   bootstrap trace configuration; built once by
+//!   [`crate::engine::EngineBuilder::build`] or key-free via
+//!   [`VerifyContext::new`]) and carries one `pub(crate)` method per
+//!   [`HeEvaluator`] op. Each method checks the operands' `(level,
+//!   scale)`, pushes the op's [`HeOp`] records and returns the result's
+//!   `(level, scale)`. It is the only place in the crate where a
+//!   level/scale/slot/declared-key/encoding-range rule or a trace
+//!   record is spelled; fused ops compose the unfused rules.
+//! - **the evaluators on top of it** — [`AbstractEvaluator`] implements
+//!   [`HeEvaluator`] with a metadata-only handle ([`AbstractCt`]): it
+//!   calls the front and adds def-use bookkeeping, so it is at once the
+//!   static verifier, the trace-recording backend
+//!   ([`crate::engine::Backend::Simulated`]) and `ark-serve`'s
+//!   admission pass. [`crate::engine::SoftwareEvaluator`] calls the same
+//!   front method on `(ct.level, ct.scale)` before it touches a
+//!   polynomial. A program therefore fails with the same typed
+//!   [`ArkError`], and records the same [`Trace`], on every evaluator —
+//!   by construction, not by a parity suite.
+//!
+//! One abstract pass yields a [`VerifyReport`] and the trace:
+//!
+//! - **acceptance or a typed rejection** (level or scale mismatch,
+//!   chain exhaustion, missing rotation/conjugation key, bootstrap
+//!   misuse, oversized plaintexts, constants that overflow the `i64`
+//!   encoding domain at their scale);
+//! - **def-use liveness**: per register the defining and last using
+//!   event, and from those the peak live-set size in ciphertext-units
+//!   ([`VerifyReport::peak_live_units`]) — the memory budget `ark-serve`
+//!   charges sessions;
 //! - **the key surface**: every normalized rotation amount (including
 //!   those inside fused `rotate_sum` terms) and whether conjugation is
 //!   used, as Galois elements;
 //! - **bootstrap placement** vs. depth exhaustion, and the level/scale
 //!   schedule for reporting ([`VerifyReport::schedule`]).
 //!
-//! The abstract domain per register is `(level, scale)` — exactly the
-//! metadata [`crate::engine::TraceEvaluator`] tracks. Scale is an f64
-//! carrying the scheme scale `Δ = 2^scale_bits`: `Δ` is a power of
-//! two, so multiplying and dividing by it is *exact* in f64 and the
-//! abstract scale equals the trace backend's scale bit-for-bit; the
-//! software backend's per-prime scales drift from `Δ` by < 1% per
-//! prime (chain primes are chosen within 1% of `Δ`), far inside the
-//! `1e-6`-relative `check_scales_match` tolerance after the
-//! `mul_const`/`mul_plain` top-prime-encoding + rescale cancellation,
-//! so accept/reject agreement holds across all three interpreters.
+//! Abstract scale is an f64 carrying the scheme scale `Δ =
+//! 2^scale_bits`: `Δ` is a power of two, so multiplying and dividing by
+//! it is *exact* in f64. The software backend's per-prime scales drift
+//! from `Δ` by < 1% per prime (chain primes are chosen within 1% of
+//! `Δ`), far inside the `1e-6`-relative `check_scales_match` tolerance
+//! after the `mul_const`/`mul_plain` top-prime-encoding + rescale
+//! cancellation, so accept/reject agreement holds between the abstract
+//! and the software run of one program.
 
-use crate::engine::{
-    bootstrap_trace_config, check_levels, check_rotate_sum_terms, check_slots, DeclaredKeys,
-    HeEvaluator, HeProgram, RotateSumTerm,
-};
+use crate::engine::{bootstrap_trace_config, DeclaredKeys, HeEvaluator, HeProgram, RotateSumTerm};
 use crate::error::{ArkError, ArkResult};
 use ark_ckks::bootstrap::BootstrapConfig;
+use ark_ckks::encoding::ENCODE_LIMIT;
 use ark_ckks::ops::check_scales_match as check_scales;
 use ark_ckks::params::CkksParams;
 use ark_math::automorphism::GaloisElement;
@@ -56,8 +66,8 @@ use std::collections::BTreeSet;
 
 /// A statically-known program input: its encryption level, and
 /// optionally its scale (defaults to the scheme scale `Δ`, which is
-/// what both backends' `input` produces; `ark-serve` admission passes
-/// the decoded wire ciphertext's actual scale).
+/// what `input` produces on every evaluator; `ark-serve` admission
+/// passes the decoded wire ciphertext's actual scale).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbstractInput {
     /// Multiplicative level the input arrives at.
@@ -81,24 +91,454 @@ impl AbstractInput {
     }
 }
 
+// ---------------------------------------------------------------------
+// the front: session shape + per-op (level, scale) transfer function
+// ---------------------------------------------------------------------
+
+/// The abstract state of one ciphertext — all the front reads or
+/// produces.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CtMeta {
+    pub(crate) level: usize,
+    pub(crate) scale: f64,
+}
+
+/// The session shape every evaluator resolves against: parameter set,
+/// declared key surface, bootstrap trace configuration, and the
+/// runtime-key policy. Build one key-free via [`VerifyContext::new`]
+/// (the `ark-verify` CLI path) or borrow a live session's via
+/// [`crate::engine::Engine::verify_context`].
+#[derive(Debug, Clone)]
+pub struct VerifyContext {
+    params: CkksParams,
+    /// The chain primes `q_0..q_L` as the scales `mul_const` and
+    /// `mul_plain` encode their operand at.
+    top_primes: Vec<f64>,
+    declared: DeclaredKeys,
+    trace_cfg: Option<BootstrapTraceConfig>,
+    runtime_keys: bool,
+}
+
+impl VerifyContext {
+    /// A key-free session shape. This is the validation
+    /// [`crate::engine::EngineBuilder::build`] runs (dnum must divide
+    /// `L+1`; chain primes must be 3 to 61 bits wide; a bootstrap
+    /// configuration must fit the chain), so a context that constructs
+    /// here describes an engine that would build.
+    ///
+    /// # Errors
+    ///
+    /// [`ArkError::InvalidParams`] on an inconsistent parameter set or
+    /// an over-deep bootstrap configuration.
+    pub fn new(
+        params: CkksParams,
+        rotations: &[i64],
+        conjugation: bool,
+        bootstrapping: Option<&BootstrapConfig>,
+        runtime_keys: bool,
+    ) -> ArkResult<Self> {
+        if params.dnum == 0 || !(params.max_level + 1).is_multiple_of(params.dnum) {
+            return Err(ArkError::InvalidParams {
+                reason: format!(
+                    "dnum {} must divide L+1 = {}",
+                    params.dnum,
+                    params.max_level + 1
+                ),
+            });
+        }
+        if let Some(bits) = [params.q0_bits, params.scale_bits]
+            .into_iter()
+            .find(|bits| !(3..62).contains(bits))
+        {
+            return Err(ArkError::InvalidParams {
+                reason: format!("{bits}-bit chain primes: widths must be 3 to 61 bits"),
+            });
+        }
+        let top_primes = params.chain_primes().iter().map(|&q| q as f64).collect();
+        let declared = DeclaredKeys::declare(
+            rotations,
+            conjugation || bootstrapping.is_some(),
+            params.slots(),
+        );
+        let trace_cfg = bootstrapping.map(|cfg| bootstrap_trace_config(&params, cfg));
+        if let Some(cfg) = &trace_cfg {
+            if cfg.levels_consumed() > params.max_level {
+                return Err(ArkError::InvalidParams {
+                    reason: format!(
+                        "bootstrapping consumes {} levels but the chain has only {}",
+                        cfg.levels_consumed(),
+                        params.max_level
+                    ),
+                });
+            }
+        }
+        Ok(Self {
+            params,
+            top_primes,
+            declared,
+            trace_cfg,
+            runtime_keys,
+        })
+    }
+
+    /// The parameter set verification runs under.
+    pub fn params(&self) -> &CkksParams {
+        &self.params
+    }
+
+    /// The declared, user-visible key surface.
+    pub(crate) fn declared(&self) -> &DeclaredKeys {
+        &self.declared
+    }
+
+    /// A fresh abstract evaluator over this shape, for driving
+    /// [`HeProgram::run`] by hand.
+    pub fn evaluator(&self) -> AbstractEvaluator<'_> {
+        AbstractEvaluator {
+            shape: self,
+            trace: new_trace(),
+            n_inputs: 0,
+            cts: Vec::new(),
+            events: Vec::new(),
+            rotations_used: BTreeSet::new(),
+            conjugation_used: false,
+            bootstraps: 0,
+            min_level: self.params.max_level,
+        }
+    }
+
+    /// Verifies `program` over inputs at the given levels/scales,
+    /// returning the full report. Never touches key material; cost is
+    /// proportional to the op count plus the plaintext operands' size.
+    pub fn verify<P: HeProgram>(&self, inputs: &[AbstractInput], program: &P) -> VerifyReport {
+        let mut eval = self.evaluator();
+        let cts: ArkResult<Vec<_>> = inputs
+            .iter()
+            .map(|spec| eval.input_at(spec.level, spec.scale))
+            .collect();
+        match cts {
+            Ok(cts) => eval.run(program, &cts).0,
+            Err(e) => eval.report(Some(e), &[]),
+        }
+    }
+}
+
+/// The trace every evaluator of a session records into.
+pub(crate) fn new_trace() -> Trace {
+    Trace::new("engine-session")
+}
+
+fn check_levels(a: usize, b: usize) -> ArkResult<()> {
+    if a == b {
+        Ok(())
+    } else {
+        Err(ArkError::LevelMismatch {
+            expected: a,
+            found: b,
+        })
+    }
+}
+
+/// The slot-capacity rule of every op that encodes a plaintext vector.
+fn check_slots(len: usize, slots: usize) -> ArkResult<()> {
+    if len > slots {
+        return Err(ArkError::InvalidParams {
+            reason: format!("{len} values exceed {slots} slots"),
+        });
+    }
+    Ok(())
+}
+
+fn encoding_overflow(what: &str, scale: f64) -> ArkError {
+    ArkError::InvalidParams {
+        reason: format!(
+            "{what} overflows the plaintext domain at scale 2^{:.1}; rescale first or shrink it",
+            scale.log2()
+        ),
+    }
+}
+
+/// The encoding-domain rule for a scalar: `c·scale` must round into an
+/// `i64`. A NaN product compares false, so it is rejected too.
+fn check_const_fits(c: f64, scale: f64) -> ArkResult<()> {
+    if c.abs() * scale < ENCODE_LIMIT {
+        Ok(())
+    } else {
+        Err(encoding_overflow("constant", scale))
+    }
+}
+
+/// The encoding-domain rule for a slot vector. Every encoded
+/// coefficient is an average of the slot values times unit-modulus
+/// twiddles, so `max|z|·scale` bounds them all — up to the inverse
+/// FFT's rounding, which the `1e-9` relative margin absorbs. The
+/// padding slots encode zero, which must fit as well — it does not
+/// once the scale itself has overflowed to infinity.
+fn check_plain_fits(values: &[C64], scale: f64) -> ArkResult<()> {
+    let bound = ENCODE_LIMIT * (1.0 - 1e-9) / scale;
+    let padding = std::iter::once(0.0);
+    let mut norms = padding.chain(values.iter().map(|z| z.re * z.re + z.im * z.im));
+    if norms.all(|norm| norm < bound * bound) {
+        Ok(())
+    } else {
+        Err(encoding_overflow("plaintext vector", scale))
+    }
+}
+
+/// The per-op rules. Each takes the trace to record into and the
+/// operands' abstract state, and returns the result's; an `Err` leaves
+/// whatever the op recorded before failing in the trace, which is what
+/// an aborted run executed.
+impl VerifyContext {
+    /// A fresh input of `n_values` slot values at `level` (and `scale`,
+    /// defaulting to `Δ`).
+    pub(crate) fn input(
+        &self,
+        n_values: usize,
+        level: usize,
+        scale: Option<f64>,
+    ) -> ArkResult<CtMeta> {
+        let max = self.params.max_level;
+        if level > max {
+            return Err(ArkError::LevelOutOfRange { level, max });
+        }
+        check_slots(n_values, self.params.slots())?;
+        Ok(CtMeta {
+            level,
+            scale: scale.unwrap_or_else(|| self.params.scale()),
+        })
+    }
+
+    pub(crate) fn add(&self, t: &mut Trace, a: CtMeta, b: CtMeta) -> ArkResult<CtMeta> {
+        check_levels(a.level, b.level)?;
+        check_scales(a.scale, b.scale)?;
+        t.push(HeOp::HAdd { level: a.level });
+        Ok(a)
+    }
+
+    /// The trace IR costs `HSub` as `HAdd` (identical element-wise work).
+    pub(crate) fn sub(&self, t: &mut Trace, a: CtMeta, b: CtMeta) -> ArkResult<CtMeta> {
+        self.add(t, a, b)
+    }
+
+    pub(crate) fn negate(&self, t: &mut Trace, ct: CtMeta) -> ArkResult<CtMeta> {
+        t.push(HeOp::CMult { level: ct.level });
+        Ok(ct)
+    }
+
+    /// The constant is encoded at the ciphertext's own scale.
+    pub(crate) fn add_const(&self, t: &mut Trace, ct: CtMeta, c: f64) -> ArkResult<CtMeta> {
+        check_const_fits(c, ct.scale)?;
+        t.push(HeOp::CAdd { level: ct.level });
+        Ok(ct)
+    }
+
+    /// Result scale of a top-prime-encoded multiplicand (`q_top ≈ Δ`).
+    fn times_top_prime(&self, ct: CtMeta) -> CtMeta {
+        CtMeta {
+            level: ct.level,
+            scale: ct.scale * self.params.scale(),
+        }
+    }
+
+    pub(crate) fn mul_const(&self, t: &mut Trace, ct: CtMeta, c: f64) -> ArkResult<CtMeta> {
+        check_const_fits(c, self.top_primes[ct.level])?;
+        t.push(HeOp::CMult { level: ct.level });
+        Ok(self.times_top_prime(ct))
+    }
+
+    pub(crate) fn add_plain(&self, t: &mut Trace, ct: CtMeta, v: &[C64]) -> ArkResult<CtMeta> {
+        check_slots(v.len(), self.params.slots())?;
+        check_plain_fits(v, ct.scale)?;
+        t.push(HeOp::PAdd {
+            level: ct.level,
+            fresh_plaintext: true,
+        });
+        Ok(ct)
+    }
+
+    pub(crate) fn mul_plain(&self, t: &mut Trace, ct: CtMeta, v: &[C64]) -> ArkResult<CtMeta> {
+        check_slots(v.len(), self.params.slots())?;
+        check_plain_fits(v, self.top_primes[ct.level])?;
+        t.push(HeOp::PMult {
+            level: ct.level,
+            fresh_plaintext: true,
+        });
+        Ok(self.times_top_prime(ct))
+    }
+
+    pub(crate) fn mul(&self, t: &mut Trace, a: CtMeta, b: CtMeta) -> ArkResult<CtMeta> {
+        check_levels(a.level, b.level)?;
+        t.push(HeOp::HMult { level: a.level });
+        Ok(CtMeta {
+            level: a.level,
+            scale: a.scale * b.scale,
+        })
+    }
+
+    pub(crate) fn square(&self, t: &mut Trace, ct: CtMeta) -> ArkResult<CtMeta> {
+        self.mul(t, ct, ct)
+    }
+
+    /// True if a key for this normalized non-identity rotation is
+    /// declared or runtime-derivable.
+    fn rotation_available(&self, reduced: i64) -> bool {
+        self.runtime_keys || self.declared.has_rotation(reduced)
+    }
+
+    /// Returns the amount normalized through the single choke point
+    /// ([`GaloisElement::normalize_rotation`]), so `r` and `r − n_slots`
+    /// are the same rotation everywhere (key lookup, runtime
+    /// derivation, trace). `0` is the keyless identity: nothing is
+    /// recorded and the result is the operand. Rotations resolve
+    /// against the *declared* set, not the key material — bootstrapping
+    /// holds internal transform keys a program may not use.
+    pub(crate) fn rotate(&self, t: &mut Trace, ct: CtMeta, amount: i64) -> ArkResult<i64> {
+        let reduced = GaloisElement::normalize_rotation(amount, self.params.slots());
+        if reduced != 0 {
+            if !self.rotation_available(reduced) {
+                return Err(ArkError::MissingRotationKey { amount });
+            }
+            t.push(HeOp::HRot {
+                level: ct.level,
+                amount: reduced,
+                key: KeyId::Rot(reduced),
+            });
+        }
+        Ok(reduced)
+    }
+
+    /// The hoisted rotation group over the distinct non-identity
+    /// normalized amounts, ascending (digits paid by the first member),
+    /// then the `mul_plain`/`add` multiply-accumulate chain over the
+    /// terms. Besides the result state, returns those distinct amounts
+    /// — the rotations the software backend evaluates.
+    pub(crate) fn rotate_sum(
+        &self,
+        t: &mut Trace,
+        ct: CtMeta,
+        terms: &[RotateSumTerm],
+    ) -> ArkResult<(CtMeta, Vec<i64>)> {
+        let slots = self.params.slots();
+        let mut distinct = BTreeSet::new();
+        for term in terms {
+            let reduced = GaloisElement::normalize_rotation(term.amount, slots);
+            if reduced != 0 {
+                if !self.rotation_available(reduced) {
+                    return Err(ArkError::MissingRotationKey {
+                        amount: term.amount,
+                    });
+                }
+                distinct.insert(reduced);
+            }
+        }
+        let distinct: Vec<i64> = distinct.into_iter().collect();
+        for (i, &r) in distinct.iter().enumerate() {
+            t.push(HeOp::HRotHoisted {
+                level: ct.level,
+                amount: r,
+                key: KeyId::Rot(r),
+                fresh_digits: i == 0,
+            });
+        }
+        let mut acc: Option<CtMeta> = None;
+        for term in terms {
+            let product = self.mul_plain(t, ct, &term.weights)?;
+            acc = Some(match acc {
+                None => product,
+                Some(sum) => self.add(t, sum, product)?,
+            });
+        }
+        let sum = acc.ok_or_else(|| ArkError::InvalidParams {
+            reason: "rotate_sum needs at least one term".into(),
+        })?;
+        Ok((sum, distinct))
+    }
+
+    pub(crate) fn conjugate(&self, t: &mut Trace, ct: CtMeta) -> ArkResult<CtMeta> {
+        if !self.runtime_keys && !self.declared.has_conjugation() {
+            return Err(ArkError::MissingConjugationKey);
+        }
+        t.push(HeOp::HConj { level: ct.level });
+        Ok(ct)
+    }
+
+    pub(crate) fn rescale(&self, t: &mut Trace, ct: CtMeta) -> ArkResult<CtMeta> {
+        if ct.level == 0 {
+            return Err(ArkError::ModulusChainExhausted);
+        }
+        t.push(HeOp::HRescale { level: ct.level });
+        Ok(CtMeta {
+            level: ct.level - 1,
+            scale: ct.scale / self.params.scale(),
+        })
+    }
+
+    /// Limb dropping is pure bookkeeping — no trace op.
+    pub(crate) fn mod_drop_to(&self, ct: CtMeta, level: usize) -> ArkResult<CtMeta> {
+        if level > ct.level {
+            return Err(ArkError::LevelMismatch {
+                expected: ct.level,
+                found: level,
+            });
+        }
+        Ok(CtMeta {
+            level,
+            scale: ct.scale,
+        })
+    }
+
+    /// Records the analytic bootstrap sub-trace and lands on the
+    /// analytic post-bootstrap level at scale `Δ`.
+    pub(crate) fn bootstrap(&self, t: &mut Trace, ct: CtMeta) -> ArkResult<CtMeta> {
+        let cfg = self.trace_cfg.ok_or(ArkError::KeyChainMissing {
+            what: "bootstrapping keys (build the engine with EngineBuilder::bootstrapping)",
+        })?;
+        check_levels(0, ct.level)?;
+        t.extend(&bootstrap_trace(&self.params, &cfg));
+        Ok(CtMeta {
+            level: post_bootstrap_level(&self.params, &cfg),
+            scale: self.params.scale(),
+        })
+    }
+
+    pub(crate) fn mul_rescale(&self, t: &mut Trace, a: CtMeta, b: CtMeta) -> ArkResult<CtMeta> {
+        let product = self.mul(t, a, b)?;
+        self.rescale(t, product)
+    }
+
+    pub(crate) fn mul_plain_rescale(
+        &self,
+        t: &mut Trace,
+        ct: CtMeta,
+        v: &[C64],
+    ) -> ArkResult<CtMeta> {
+        let product = self.mul_plain(t, ct, v)?;
+        self.rescale(t, product)
+    }
+}
+
+// ---------------------------------------------------------------------
+// the metadata evaluator: the front + def-use liveness
+// ---------------------------------------------------------------------
+
 /// Metadata-only ciphertext handle of the abstract interpreter: a
 /// register id plus the `(level, scale)` abstract state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbstractCt {
     id: usize,
-    level: usize,
-    scale: f64,
+    meta: CtMeta,
 }
 
 impl AbstractCt {
     /// Multiplicative level of the abstract register.
     pub fn level(&self) -> usize {
-        self.level
+        self.meta.level
     }
 
     /// Scale of the abstract register.
     pub fn scale(&self) -> f64 {
-        self.scale
+        self.meta.scale
     }
 }
 
@@ -122,15 +562,15 @@ struct EventRec {
 }
 
 /// Where a program failed static verification: the op index (events
-/// successfully interpreted before it) and the typed runtime error the
-/// backends would raise at the same point.
+/// successfully interpreted before it) and the typed error every
+/// evaluator raises at the same point.
 #[derive(Debug, Clone)]
 pub struct VerifyFinding {
     /// Index of the failing op in interpretation order (equals the
     /// number of ops that verified before it; `0` also covers
     /// input-stage rejections).
     pub op_index: usize,
-    /// The error, one-for-one the runtime [`ArkError`] class.
+    /// The error, one-for-one the runtime [`ArkError`].
     pub error: ArkError,
 }
 
@@ -176,7 +616,7 @@ pub struct VerifyReport {
     /// Event index where the peak occurs (`ops` = the output epilogue).
     pub peak_event: usize,
     /// Ciphertext-equivalents of one hoisted digit decomposition under
-    /// this parameter set: `⌈dnum·(L+1+α) / (2·(L+1))⌉`.
+    /// this parameter set ([`CkksParams::digit_units`]).
     pub digit_units: usize,
     /// Normalized rotation amounts the program uses (including inside
     /// `rotate_sum` terms), ascending.
@@ -196,7 +636,7 @@ pub struct VerifyReport {
     /// Scales of the program outputs, in output order.
     pub output_scales: Vec<f64>,
     /// Recorded trace length (bootstraps expand to their analytic
-    /// sub-trace, exactly like the runtime backends).
+    /// sub-trace).
     pub trace_len: usize,
     /// Per-op level/liveness rows, in interpretation order.
     pub schedule: Vec<ScheduleRow>,
@@ -214,133 +654,15 @@ impl VerifyReport {
     }
 }
 
-/// Everything the abstract interpreter resolves against: parameter
-/// set, declared key surface, bootstrap trace configuration, and the
-/// runtime-key policy. Build one key-free via [`VerifyContext::new`]
-/// (the `ark-verify` CLI path) or from a live session via
-/// [`crate::engine::Engine::verify_context`].
-#[derive(Debug, Clone)]
-pub struct VerifyContext {
-    params: CkksParams,
-    declared: DeclaredKeys,
-    trace_cfg: Option<BootstrapTraceConfig>,
-    runtime_keys: bool,
-}
-
-impl VerifyContext {
-    /// A key-free verification context, validated exactly like
-    /// [`crate::engine::EngineBuilder::build`] (dnum must divide
-    /// `L+1`; a bootstrap configuration must fit the chain) so a
-    /// context that constructs here describes an engine that would
-    /// build.
-    ///
-    /// # Errors
-    ///
-    /// [`ArkError::InvalidParams`] on an inconsistent parameter set or
-    /// an over-deep bootstrap configuration.
-    pub fn new(
-        params: CkksParams,
-        rotations: &[i64],
-        conjugation: bool,
-        bootstrapping: Option<&BootstrapConfig>,
-        runtime_keys: bool,
-    ) -> ArkResult<Self> {
-        if params.dnum == 0 || !(params.max_level + 1).is_multiple_of(params.dnum) {
-            return Err(ArkError::InvalidParams {
-                reason: format!(
-                    "dnum {} must divide L+1 = {}",
-                    params.dnum,
-                    params.max_level + 1
-                ),
-            });
-        }
-        let declared = DeclaredKeys::declare(
-            rotations,
-            conjugation || bootstrapping.is_some(),
-            params.slots(),
-        );
-        let trace_cfg = bootstrapping.map(|cfg| bootstrap_trace_config(&params, cfg));
-        if let Some(cfg) = &trace_cfg {
-            if cfg.levels_consumed() > params.max_level {
-                return Err(ArkError::InvalidParams {
-                    reason: format!(
-                        "bootstrapping consumes {} levels but the chain has only {}",
-                        cfg.levels_consumed(),
-                        params.max_level
-                    ),
-                });
-            }
-        }
-        Ok(Self {
-            params,
-            declared,
-            trace_cfg,
-            runtime_keys,
-        })
-    }
-
-    /// Assembles a context from already-validated engine parts.
-    pub(crate) fn from_parts(
-        params: CkksParams,
-        declared: DeclaredKeys,
-        trace_cfg: Option<BootstrapTraceConfig>,
-        runtime_keys: bool,
-    ) -> Self {
-        Self {
-            params,
-            declared,
-            trace_cfg,
-            runtime_keys,
-        }
-    }
-
-    /// The parameter set verification runs under.
-    pub fn params(&self) -> &CkksParams {
-        &self.params
-    }
-
-    /// A fresh abstract evaluator over this context, for driving
-    /// [`HeProgram::run`] by hand.
-    pub fn evaluator(&self) -> AbstractEvaluator<'_> {
-        AbstractEvaluator::new(
-            &self.params,
-            &self.declared,
-            self.trace_cfg,
-            self.runtime_keys,
-        )
-    }
-
-    /// Verifies `program` over inputs at the given levels/scales,
-    /// returning the full report. Never touches key material; cost is
-    /// proportional to the op count.
-    pub fn verify<P: HeProgram>(&self, inputs: &[AbstractInput], program: &P) -> VerifyReport {
-        let mut eval = self.evaluator();
-        let mut cts = Vec::with_capacity(inputs.len());
-        for spec in inputs {
-            match eval.input_at(spec.level, spec.scale) {
-                Ok(ct) => cts.push(ct),
-                Err(e) => return eval.finish_err(e),
-            }
-        }
-        match program.run(&mut eval, &cts) {
-            Ok(outputs) => eval.finish(&outputs),
-            Err(e) => eval.finish_err(e),
-        }
-    }
-}
-
-/// [`HeEvaluator`] over the abstract `(level, scale)` domain: performs
-/// every check the runtime backends perform — via the *same* shared
-/// check functions — records the same trace ops, and additionally
-/// tracks def-use events per register for liveness. No keys, no
-/// polynomial data, no randomness.
+/// [`HeEvaluator`] over the abstract `(level, scale)` domain: every
+/// check and trace record comes from the front ([`VerifyContext`]'s
+/// per-op methods); this type adds a register id per result and the
+/// def-use events liveness is computed from. No keys, no polynomial
+/// data, no randomness — it is the static verifier and the
+/// trace-recording backend in one.
 pub struct AbstractEvaluator<'a> {
-    params: &'a CkksParams,
-    declared: &'a DeclaredKeys,
-    trace_cfg: Option<BootstrapTraceConfig>,
-    runtime_keys: bool,
+    shape: &'a VerifyContext,
     trace: Trace,
-    digit_units: usize,
     n_inputs: usize,
     cts: Vec<CtRecord>,
     events: Vec<EventRec>,
@@ -350,31 +672,7 @@ pub struct AbstractEvaluator<'a> {
     min_level: usize,
 }
 
-impl<'a> AbstractEvaluator<'a> {
-    fn new(
-        params: &'a CkksParams,
-        declared: &'a DeclaredKeys,
-        trace_cfg: Option<BootstrapTraceConfig>,
-        runtime_keys: bool,
-    ) -> Self {
-        let l1 = params.max_level + 1;
-        Self {
-            params,
-            declared,
-            trace_cfg,
-            runtime_keys,
-            trace: Trace::new("verify"),
-            digit_units: (params.dnum * (l1 + params.alpha())).div_ceil(2 * l1),
-            n_inputs: 0,
-            cts: Vec::new(),
-            events: Vec::new(),
-            rotations_used: BTreeSet::new(),
-            conjugation_used: false,
-            bootstraps: 0,
-            min_level: params.max_level,
-        }
-    }
-
+impl AbstractEvaluator<'_> {
     /// Creates an abstract input register at `level` (and `scale`,
     /// defaulting to `Δ`) — the admission-side mirror of
     /// [`HeEvaluator::input`], taking the decoded wire ciphertext's
@@ -384,65 +682,69 @@ impl<'a> AbstractEvaluator<'a> {
     ///
     /// [`ArkError::LevelOutOfRange`] beyond the chain.
     pub fn input_at(&mut self, level: usize, scale: Option<f64>) -> ArkResult<AbstractCt> {
-        let max = self.params.max_level;
-        if level > max {
-            return Err(ArkError::LevelOutOfRange { level, max });
-        }
-        let scale = scale.unwrap_or_else(|| self.params.scale());
+        let meta = self.shape.input(0, level, scale)?;
+        Ok(self.define_input(meta))
+    }
+
+    fn define_input(&mut self, meta: CtMeta) -> AbstractCt {
         self.n_inputs += 1;
         let id = self.cts.len();
         self.cts.push(CtRecord {
             def: None,
             last_use: None,
         });
-        self.min_level = self.min_level.min(level);
-        Ok(AbstractCt { id, level, scale })
+        self.min_level = self.min_level.min(meta.level);
+        AbstractCt { id, meta }
     }
 
-    /// Marks `ct` read by the event being built.
-    fn touch(&mut self, ct: &AbstractCt) {
-        self.cts[ct.id].last_use = Some(self.events.len());
-    }
-
-    /// Closes the event being built and defines its result register.
+    /// Closes one op event: marks `operands` read by it, charges its
+    /// `transient` units, and defines the result register. The event
+    /// executes at the first operand's level.
     fn emit(
         &mut self,
         op: &'static str,
-        at_level: usize,
+        operands: &[&AbstractCt],
         transient: usize,
-        level: usize,
-        scale: f64,
+        meta: CtMeta,
     ) -> AbstractCt {
+        let event = self.events.len();
+        for ct in operands {
+            self.cts[ct.id].last_use = Some(event);
+        }
         let id = self.cts.len();
         self.cts.push(CtRecord {
-            def: Some(self.events.len()),
+            def: Some(event),
             last_use: None,
         });
         self.events.push(EventRec {
             op,
-            level: at_level,
+            level: operands[0].meta.level,
             transient,
         });
-        self.min_level = self.min_level.min(level);
-        AbstractCt { id, level, scale }
+        self.min_level = self.min_level.min(meta.level);
+        AbstractCt { id, meta }
     }
 
-    /// Builds the acceptance report. `outputs` (the value
-    /// [`HeProgram::run`] returned) stay live through the output
-    /// epilogue, where each is additionally cloned once for the
-    /// caller.
-    pub fn finish(self, outputs: &[AbstractCt]) -> VerifyReport {
-        self.report(None, outputs)
+    /// Interprets `program` over `inputs` (registers this evaluator
+    /// defined) to the end or its first error: the one pass that
+    /// yields the verdict, the liveness budget and the recorded trace.
+    pub fn run<P: HeProgram>(
+        mut self,
+        program: &P,
+        inputs: &[AbstractCt],
+    ) -> (VerifyReport, Trace) {
+        let report = match program.run(&mut self, inputs) {
+            Ok(outputs) => self.report(None, &outputs),
+            Err(e) => self.report(Some(e), &[]),
+        };
+        (report, self.trace)
     }
 
-    /// Builds the rejection report for `error`, raised by the op after
-    /// the last interpreted event.
-    pub fn finish_err(self, error: ArkError) -> VerifyReport {
-        let op_index = self.events.len();
-        self.report(Some(VerifyFinding { op_index, error }), &[])
-    }
-
-    fn report(mut self, finding: Option<VerifyFinding>, outputs: &[AbstractCt]) -> VerifyReport {
+    /// Builds the report: acceptance with `outputs` (which stay live
+    /// through the output epilogue, where each is additionally cloned
+    /// once for the caller), or the rejection `error` raised by the op
+    /// after the last interpreted event.
+    fn report(&mut self, error: Option<ArkError>, outputs: &[AbstractCt]) -> VerifyReport {
         let end = self.events.len();
         for o in outputs {
             self.cts[o.id].last_use = Some(end);
@@ -489,7 +791,7 @@ impl<'a> AbstractEvaluator<'a> {
             peak = epilogue;
             peak_event = end;
         }
-        let n = self.params.n();
+        let n = self.shape.params.n();
         let mut galois: Vec<u64> = self
             .rotations_used
             .iter()
@@ -499,20 +801,23 @@ impl<'a> AbstractEvaluator<'a> {
             galois.push(GaloisElement::conjugation(n).0);
         }
         VerifyReport {
-            finding,
+            finding: error.map(|error| VerifyFinding {
+                op_index: end,
+                error,
+            }),
             ops: end,
             registers: self.cts.len(),
             n_inputs: self.n_inputs,
             peak_live_units: peak,
             peak_event,
-            digit_units: self.digit_units,
+            digit_units: self.shape.params.digit_units(),
             rotations: self.rotations_used.iter().copied().collect(),
             galois_elements: galois,
             conjugation: self.conjugation_used,
             bootstraps: self.bootstraps,
             min_level: self.min_level,
-            output_levels: outputs.iter().map(|o| o.level).collect(),
-            output_scales: outputs.iter().map(|o| o.scale).collect(),
+            output_levels: outputs.iter().map(|o| o.meta.level).collect(),
+            output_scales: outputs.iter().map(|o| o.meta.scale).collect(),
             trace_len: self.trace.len(),
             schedule,
         }
@@ -523,7 +828,7 @@ impl HeEvaluator for AbstractEvaluator<'_> {
     type Ct = AbstractCt;
 
     fn params(&self) -> &CkksParams {
-        self.params
+        &self.shape.params
     }
 
     fn trace(&self) -> &Trace {
@@ -531,225 +836,118 @@ impl HeEvaluator for AbstractEvaluator<'_> {
     }
 
     fn input(&mut self, values: &[C64], level: usize) -> ArkResult<Self::Ct> {
-        let max = self.params.max_level;
-        if level > max {
-            return Err(ArkError::LevelOutOfRange { level, max });
-        }
-        check_slots(values.len(), self.params.slots())?;
-        self.input_at(level, None)
+        let meta = self.shape.input(values.len(), level, None)?;
+        Ok(self.define_input(meta))
     }
 
     fn level(&self, ct: &Self::Ct) -> usize {
-        ct.level
+        ct.meta.level
     }
 
     fn scale(&self, ct: &Self::Ct) -> f64 {
-        ct.scale
+        ct.meta.scale
     }
 
     fn add(&mut self, a: &Self::Ct, b: &Self::Ct) -> ArkResult<Self::Ct> {
-        check_levels(a.level, b.level)?;
-        check_scales(a.scale, b.scale)?;
-        self.trace.push(HeOp::HAdd { level: a.level });
-        self.touch(a);
-        self.touch(b);
-        Ok(self.emit("add", a.level, 0, a.level, a.scale))
+        let meta = self.shape.add(&mut self.trace, a.meta, b.meta)?;
+        Ok(self.emit("add", &[a, b], 0, meta))
     }
 
     fn sub(&mut self, a: &Self::Ct, b: &Self::Ct) -> ArkResult<Self::Ct> {
-        check_levels(a.level, b.level)?;
-        check_scales(a.scale, b.scale)?;
-        self.trace.push(HeOp::HAdd { level: a.level });
-        self.touch(a);
-        self.touch(b);
-        Ok(self.emit("sub", a.level, 0, a.level, a.scale))
+        let meta = self.shape.sub(&mut self.trace, a.meta, b.meta)?;
+        Ok(self.emit("sub", &[a, b], 0, meta))
     }
 
     fn negate(&mut self, ct: &Self::Ct) -> ArkResult<Self::Ct> {
-        self.trace.push(HeOp::CMult { level: ct.level });
-        self.touch(ct);
-        Ok(self.emit("negate", ct.level, 0, ct.level, ct.scale))
+        let meta = self.shape.negate(&mut self.trace, ct.meta)?;
+        Ok(self.emit("negate", &[ct], 0, meta))
     }
 
-    fn add_const(&mut self, ct: &Self::Ct, _c: f64) -> ArkResult<Self::Ct> {
-        self.trace.push(HeOp::CAdd { level: ct.level });
-        self.touch(ct);
-        Ok(self.emit("add_const", ct.level, 0, ct.level, ct.scale))
+    fn add_const(&mut self, ct: &Self::Ct, c: f64) -> ArkResult<Self::Ct> {
+        let meta = self.shape.add_const(&mut self.trace, ct.meta, c)?;
+        Ok(self.emit("add_const", &[ct], 0, meta))
     }
 
-    fn mul_const(&mut self, ct: &Self::Ct, _c: f64) -> ArkResult<Self::Ct> {
-        self.trace.push(HeOp::CMult { level: ct.level });
-        self.touch(ct);
-        let scale = ct.scale * self.params.scale();
-        Ok(self.emit("mul_const", ct.level, 0, ct.level, scale))
+    fn mul_const(&mut self, ct: &Self::Ct, c: f64) -> ArkResult<Self::Ct> {
+        let meta = self.shape.mul_const(&mut self.trace, ct.meta, c)?;
+        Ok(self.emit("mul_const", &[ct], 0, meta))
     }
 
     fn add_plain(&mut self, ct: &Self::Ct, values: &[C64]) -> ArkResult<Self::Ct> {
-        check_slots(values.len(), self.params.slots())?;
-        self.trace.push(HeOp::PAdd {
-            level: ct.level,
-            fresh_plaintext: true,
-        });
-        self.touch(ct);
-        Ok(self.emit("add_plain", ct.level, 0, ct.level, ct.scale))
+        let meta = self.shape.add_plain(&mut self.trace, ct.meta, values)?;
+        Ok(self.emit("add_plain", &[ct], 0, meta))
     }
 
     fn mul_plain(&mut self, ct: &Self::Ct, values: &[C64]) -> ArkResult<Self::Ct> {
-        check_slots(values.len(), self.params.slots())?;
-        self.trace.push(HeOp::PMult {
-            level: ct.level,
-            fresh_plaintext: true,
-        });
-        self.touch(ct);
-        let scale = ct.scale * self.params.scale();
-        Ok(self.emit("mul_plain", ct.level, 0, ct.level, scale))
+        let meta = self.shape.mul_plain(&mut self.trace, ct.meta, values)?;
+        Ok(self.emit("mul_plain", &[ct], 0, meta))
     }
 
     fn mul(&mut self, a: &Self::Ct, b: &Self::Ct) -> ArkResult<Self::Ct> {
-        check_levels(a.level, b.level)?;
-        self.trace.push(HeOp::HMult { level: a.level });
-        self.touch(a);
-        self.touch(b);
-        Ok(self.emit("mul", a.level, 0, a.level, a.scale * b.scale))
+        let meta = self.shape.mul(&mut self.trace, a.meta, b.meta)?;
+        Ok(self.emit("mul", &[a, b], 0, meta))
     }
 
     fn square(&mut self, ct: &Self::Ct) -> ArkResult<Self::Ct> {
-        self.trace.push(HeOp::HMult { level: ct.level });
-        self.touch(ct);
-        Ok(self.emit("square", ct.level, 0, ct.level, ct.scale * ct.scale))
+        let meta = self.shape.square(&mut self.trace, ct.meta)?;
+        Ok(self.emit("square", &[ct], 0, meta))
     }
 
     fn rotate(&mut self, ct: &Self::Ct, amount: i64) -> ArkResult<Self::Ct> {
-        let reduced = GaloisElement::normalize_rotation(amount, self.params.slots());
+        let reduced = self.shape.rotate(&mut self.trace, ct.meta, amount)?;
         if reduced == 0 {
-            // keyless identity — but apply() still materializes a new
-            // register (the runtime clones), so it costs a definition
-            self.touch(ct);
-            return Ok(self.emit("rotate(id)", ct.level, 0, ct.level, ct.scale));
-        }
-        if !self.declared.has_rotation(reduced) && !self.runtime_keys {
-            return Err(ArkError::MissingRotationKey { amount });
+            // keyless identity — but the runtime still materializes a
+            // new register (it clones), so it costs a definition
+            return Ok(self.emit("rotate(id)", &[ct], 0, ct.meta));
         }
         self.rotations_used.insert(reduced);
-        self.trace.push(HeOp::HRot {
-            level: ct.level,
-            amount: reduced,
-            key: KeyId::Rot(reduced),
-        });
-        self.touch(ct);
-        Ok(self.emit("rotate", ct.level, 0, ct.level, ct.scale))
+        Ok(self.emit("rotate", &[ct], 0, ct.meta))
     }
 
     fn rotate_sum(&mut self, ct: &Self::Ct, terms: &[RotateSumTerm]) -> ArkResult<Self::Ct> {
-        let slots = self.params.slots();
-        let distinct = check_rotate_sum_terms(terms, slots, self.declared, self.runtime_keys)?;
-        for (i, &r) in distinct.iter().enumerate() {
-            self.rotations_used.insert(r);
-            self.trace.push(HeOp::HRotHoisted {
-                level: ct.level,
-                amount: r,
-                key: KeyId::Rot(r),
-                fresh_digits: i == 0,
-            });
-        }
-        for k in 0..terms.len() {
-            self.trace.push(HeOp::PMult {
-                level: ct.level,
-                fresh_plaintext: true,
-            });
-            if k > 0 {
-                self.trace.push(HeOp::HAdd { level: ct.level });
-            }
-        }
-        self.touch(ct);
+        let (meta, distinct) = self.shape.rotate_sum(&mut self.trace, ct.meta, terms)?;
+        self.rotations_used.extend(distinct);
         // transient working set: one rotated ciphertext per term (≤
         // distinct amounts, bounded by terms), the hoisted digit spine,
-        // and the in-flight product — same weights Program::charge_units
-        // assigns, so the analyzer's peak equals the serve-side charge
-        let transient = terms.len() + self.digit_units + 1;
-        let scale = ct.scale * self.params.scale();
-        Ok(self.emit("rotate_sum", ct.level, transient, ct.level, scale))
+        // and the in-flight product
+        let transient = terms.len() + self.shape.params.digit_units() + 1;
+        Ok(self.emit("rotate_sum", &[ct], transient, meta))
     }
 
     fn conjugate(&mut self, ct: &Self::Ct) -> ArkResult<Self::Ct> {
-        if !self.declared.has_conjugation() && !self.runtime_keys {
-            return Err(ArkError::MissingConjugationKey);
-        }
+        let meta = self.shape.conjugate(&mut self.trace, ct.meta)?;
         self.conjugation_used = true;
-        self.trace.push(HeOp::HConj { level: ct.level });
-        self.touch(ct);
-        Ok(self.emit("conjugate", ct.level, 0, ct.level, ct.scale))
+        Ok(self.emit("conjugate", &[ct], 0, meta))
     }
 
     fn rescale(&mut self, ct: &Self::Ct) -> ArkResult<Self::Ct> {
-        if ct.level == 0 {
-            return Err(ArkError::ModulusChainExhausted);
-        }
-        self.trace.push(HeOp::HRescale { level: ct.level });
-        self.touch(ct);
-        let scale = ct.scale / self.params.scale();
-        Ok(self.emit("rescale", ct.level, 0, ct.level - 1, scale))
+        let meta = self.shape.rescale(&mut self.trace, ct.meta)?;
+        Ok(self.emit("rescale", &[ct], 0, meta))
     }
 
     fn mod_drop_to(&mut self, ct: &Self::Ct, level: usize) -> ArkResult<Self::Ct> {
-        if level > ct.level {
-            return Err(ArkError::LevelMismatch {
-                expected: ct.level,
-                found: level,
-            });
-        }
-        self.touch(ct);
-        Ok(self.emit("mod_drop", ct.level, 0, level, ct.scale))
+        let meta = self.shape.mod_drop_to(ct.meta, level)?;
+        Ok(self.emit("mod_drop", &[ct], 0, meta))
     }
 
     fn bootstrap(&mut self, ct: &Self::Ct) -> ArkResult<Self::Ct> {
-        let cfg = self.trace_cfg.ok_or(ArkError::KeyChainMissing {
-            what: "bootstrapping keys (build the engine with EngineBuilder::bootstrapping)",
-        })?;
-        if ct.level != 0 {
-            return Err(ArkError::LevelMismatch {
-                expected: 0,
-                found: ct.level,
-            });
-        }
+        let meta = self.shape.bootstrap(&mut self.trace, ct.meta)?;
         self.bootstraps += 1;
-        self.trace.extend(&bootstrap_trace(self.params, &cfg));
-        self.touch(ct);
-        let level = post_bootstrap_level(self.params, &cfg);
-        let scale = self.params.scale();
-        Ok(self.emit("bootstrap", ct.level, 0, level, scale))
+        Ok(self.emit("bootstrap", &[ct], 0, meta))
     }
 
-    // one event per fused op, mirroring `Program::apply`'s one-register
-    // cost model; checks and trace records stay identical to the
-    // default mul-then-rescale expansion
+    // one event per fused op (the unrescaled product is its transient),
+    // mirroring `Program::apply`'s one-register cost model
     fn mul_rescale(&mut self, a: &Self::Ct, b: &Self::Ct) -> ArkResult<Self::Ct> {
-        check_levels(a.level, b.level)?;
-        self.trace.push(HeOp::HMult { level: a.level });
-        if a.level == 0 {
-            return Err(ArkError::ModulusChainExhausted);
-        }
-        self.trace.push(HeOp::HRescale { level: a.level });
-        self.touch(a);
-        self.touch(b);
-        let scale = (a.scale * b.scale) / self.params.scale();
-        Ok(self.emit("mul_rescale", a.level, 1, a.level - 1, scale))
+        let meta = self.shape.mul_rescale(&mut self.trace, a.meta, b.meta)?;
+        Ok(self.emit("mul_rescale", &[a, b], 1, meta))
     }
 
     fn mul_plain_rescale(&mut self, ct: &Self::Ct, values: &[C64]) -> ArkResult<Self::Ct> {
-        check_slots(values.len(), self.params.slots())?;
-        self.trace.push(HeOp::PMult {
-            level: ct.level,
-            fresh_plaintext: true,
-        });
-        if ct.level == 0 {
-            return Err(ArkError::ModulusChainExhausted);
-        }
-        self.trace.push(HeOp::HRescale { level: ct.level });
-        self.touch(ct);
-        // PMult encodes at the top prime, so the following rescale
-        // cancels exactly: the result scale is the input scale
-        Ok(self.emit("mul_plain_rescale", ct.level, 1, ct.level - 1, ct.scale))
+        let meta = self
+            .shape
+            .mul_plain_rescale(&mut self.trace, ct.meta, values)?;
+        Ok(self.emit("mul_plain_rescale", &[ct], 1, meta))
     }
 }
 
@@ -825,6 +1023,58 @@ mod tests {
             ctx.verify(&ins, &BadRot).error(),
             Some(ArkError::MissingRotationKey { amount: 5 })
         ));
+
+        // constants that overflow the i64 encoding domain: one typed
+        // error from the verifier, the metadata evaluator and the
+        // software evaluator, never the ark-ckks assert
+        struct AddConstAtDeltaSquared;
+        impl HeProgram for AddConstAtDeltaSquared {
+            fn run<E: HeEvaluator>(&self, e: &mut E, i: &[E::Ct]) -> ArkResult<Vec<E::Ct>> {
+                let sq = e.mul(&i[0], &i[0])?; // scale Δ² = 2^72
+                Ok(vec![e.add_const(&sq, 1.0)?])
+            }
+        }
+        struct HugeMulConst;
+        impl HeProgram for HugeMulConst {
+            fn run<E: HeEvaluator>(&self, e: &mut E, i: &[E::Ct]) -> ArkResult<Vec<E::Ct>> {
+                Ok(vec![e.mul_const(&i[0], 1e9)?])
+            }
+        }
+        fn overflows<P: HeProgram>(ctx: &VerifyContext, p: &P, ops_before: usize) {
+            let report = ctx.verify(&[AbstractInput::at_level(2)], p);
+            let finding = report.finding.expect("verifier must reject");
+            assert_eq!(finding.op_index, ops_before);
+            assert!(finding.error.to_string().contains("overflows"));
+
+            let mut eval = ctx.evaluator();
+            let x = eval.input_at(2, None).unwrap();
+            assert_eq!(p.run(&mut eval, &[x]).unwrap_err(), finding.error);
+
+            let mut engine = Engine::builder()
+                .params(CkksParams::tiny())
+                .build()
+                .unwrap();
+            let mut eval = engine.evaluator().unwrap();
+            let x = eval.input(&[C64::new(0.5, 0.0)], 2).unwrap();
+            assert_eq!(p.run(&mut eval, &[x]).unwrap_err(), finding.error);
+        }
+        overflows(&ctx, &AddConstAtDeltaSquared, 1);
+        overflows(&ctx, &HugeMulConst, 0);
+
+        // the top-prime bound is the library's own, not a coarser one:
+        // at every level the largest constant ark-ckks takes is admitted
+        // (and really multiplies), the next one up is not
+        let mut engine = Engine::builder()
+            .params(CkksParams::tiny())
+            .build()
+            .unwrap();
+        let mut eval = engine.evaluator().unwrap();
+        for (level, &q) in CkksParams::tiny().chain_primes().iter().enumerate() {
+            let edge = ENCODE_LIMIT / q as f64;
+            let x = eval.input(&[C64::new(0.5, 0.0)], level).unwrap();
+            assert!(eval.mul_const(&x, edge * (1.0 - 1e-12)).is_ok());
+            assert!(eval.mul_const(&x, edge * (1.0 + 1e-12)).is_err());
+        }
     }
 
     #[test]
@@ -861,17 +1111,31 @@ mod tests {
                 Ok(vec![q])
             }
         }
-        let mut engine = Engine::builder()
-            .params(CkksParams::tiny())
-            .backend(Backend::Simulated(crate::arch::ArkConfig::base()))
-            .build()
-            .unwrap();
-        let outcome = engine.execute(&[ProgramInput::symbolic(2)], &Mix).unwrap();
-        let ctx = engine.verify_context();
-        let report = ctx.verify(&[AbstractInput::at_level(2)], &Mix);
+        let build = |backend| {
+            Engine::builder()
+                .params(CkksParams::tiny())
+                .backend(backend)
+                .build()
+                .unwrap()
+        };
+        let mut sim = build(Backend::Simulated(crate::arch::ArkConfig::base()));
+        let simulated = sim.execute(&[ProgramInput::symbolic(2)], &Mix).unwrap();
+        // the software evaluator driven directly, so the records are
+        // its own front calls and not the execute pre-flight's
+        let mut sw = build(Backend::Software);
+        let mut eval = sw.evaluator().unwrap();
+        let x = eval.input(&[C64::new(0.5, 0.0)], 2).unwrap();
+        Mix.run(&mut eval, &[x]).unwrap();
+        let software = eval.into_trace();
+
+        let mut eval = sim.verify_context().evaluator();
+        let x = eval.input_at(2, None).unwrap();
+        let (report, metadata) = eval.run(&Mix, &[x]);
         assert!(report.is_ok());
-        // identical trace contents (op-for-op) and exact scale
-        assert_eq!(report.trace_len, outcome.trace().len());
+        // one trace, op for op, on every evaluator
+        assert_eq!(metadata.ops(), simulated.trace().ops());
+        assert_eq!(metadata.ops(), software.ops());
+        assert_eq!(report.trace_len, metadata.len());
         let delta = CkksParams::tiny().scale();
         assert_eq!(report.output_scales, vec![delta]);
         assert_eq!(report.output_levels, vec![0]);
@@ -887,7 +1151,6 @@ mod tests {
         }
         let mut engine = Engine::builder()
             .params(CkksParams::tiny())
-            .verify(true)
             .build()
             .unwrap();
         let slots = engine.params().slots();
