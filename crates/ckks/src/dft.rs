@@ -11,7 +11,14 @@
 //! We build the radix-2 butterfly stages of the special FFT symbolically
 //! (three diagonals each: `0, ±len/2`) and *group* consecutive stages by
 //! composition to reach any radix `2^k` — grouping all stages recovers
-//! the dense single-level transform. The bit-reversal that a plain FFT
+//! the dense single-level transform. A group whose smallest butterfly
+//! distance is `s` has its diagonals at `{u·s mod n : |u| ≤ 2^k − 1}`:
+//! a progression of stride `s` that starts *below* zero and therefore
+//! wraps around the slot cycle (`{0, 8, …, 56, 456, …, 504}` at 512
+//! slots, `s = 8`). [`LinearTransform`] plans its BSGS split over that
+//! progression — 15 units wide, not 505 indices — and the edge group,
+//! where `2^k·s = n`, collapses onto `2^k` diagonals because `+u·s` and
+//! `−(2^k − u)·s` coincide mod `n`. The bit-reversal that a plain FFT
 //! would need is avoided by letting CoeffToSlot emit the coefficients in
 //! bit-reversed slot order and having SlotToCoeff consume that order;
 //! slot-wise EvalMod in between is order-agnostic.
@@ -79,7 +86,8 @@ impl SparseDiagonals {
         Self { n, diags: out }
     }
 
-    /// Lowers to a BSGS-evaluable [`LinearTransform`].
+    /// Lowers to a BSGS-evaluable [`LinearTransform`], which plans the
+    /// split over the amounts' progression.
     pub fn to_linear_transform(&self) -> LinearTransform {
         LinearTransform::from_diagonals(self.n, self.diags.clone())
     }

@@ -74,6 +74,30 @@ impl ChebyshevPoly {
         u * b1 - b2 + self.coeffs[0]
     }
 
+    /// Multiplicative levels [`CkksContext::eval_chebyshev`] consumes on
+    /// this expansion: the affine input map, the deepest basis entry a
+    /// base case reads, and one level per base case and per giant
+    /// product on the way up — the evaluator's level arithmetic, on
+    /// levels alone (it depends on which coefficients vanish, so it is
+    /// not a function of the degree).
+    pub fn depth(&self) -> usize {
+        let d = self.degree();
+        if d == 0 {
+            return 2;
+        }
+        let plan = ChebyBasisPlan::for_degree(d);
+        // levels[j]: how far below the input `T_j` lands
+        let mut levels = vec![0usize; plan.baby.max(d) + 1];
+        levels[1] = 1;
+        for j in 2..=plan.baby {
+            levels[j] = levels[j.div_ceil(2)].max(levels[j / 2]) + 1;
+        }
+        for &g in &plan.giants {
+            levels[g] = levels[g / 2] + 1;
+        }
+        cheby_depth(&self.coeffs, &levels, plan.baby)
+    }
+
     /// Maximum interpolation error sampled on a grid (diagnostics).
     pub fn max_error_on(&self, f: impl Fn(f64) -> f64, samples: usize) -> f64 {
         (0..samples)
@@ -110,6 +134,36 @@ fn cheby_divide(p: &[f64], g: usize) -> (Vec<f64>, Vec<f64>) {
     (quo, rem)
 }
 
+/// The giant `T_g` a degree-`d ≥ m` polynomial is divided by: the
+/// largest `m·2^k ≤ d`.
+fn largest_giant(m: usize, d: usize) -> usize {
+    let mut g = m;
+    while 2 * g <= d {
+        g *= 2;
+    }
+    g
+}
+
+/// Base-case terms `c_j·T_j`, `j ≥ 1`, that are actually evaluated.
+fn used_terms(coeffs: &[f64]) -> impl Iterator<Item = usize> + '_ {
+    (1..coeffs.len()).filter(|&j| coeffs[j].abs() > 1e-13)
+}
+
+/// `eval_cheby_recursive` on levels alone (see
+/// [`ChebyshevPoly::depth`]).
+fn cheby_depth(coeffs: &[f64], levels: &[usize], m: usize) -> usize {
+    let d = coeffs.len() - 1;
+    if d < m {
+        // a constant burns a level of T_1
+        let deepest = used_terms(coeffs).map(|j| levels[j]).max();
+        return deepest.unwrap_or(levels[1]) + 1;
+    }
+    let g = largest_giant(m, d);
+    let (q, r) = cheby_divide(coeffs, g);
+    let product = cheby_depth(&q, levels, m).max(levels[g]) + 1;
+    product.max(cheby_depth(&r, levels, m))
+}
+
 /// Plan of which Chebyshev basis ciphertexts `T_j` the evaluator
 /// materializes: babies `T_1..T_m` and giants `T_{2m}, T_{4m}, …`.
 #[derive(Debug, Clone)]
@@ -134,13 +188,6 @@ impl ChebyBasisPlan {
             g <<= 1;
         }
         Self { baby: m, giants }
-    }
-
-    /// Multiplicative depth of basis construction + recursion — the level
-    /// budget EvalMod consumes (excluding the affine input map).
-    pub fn depth(&self) -> usize {
-        let baby_depth = self.baby.trailing_zeros() as usize;
-        baby_depth + self.giants.len() + self.giants.len().min(1)
     }
 }
 
@@ -238,11 +285,7 @@ impl CkksContext {
         if d < m {
             return self.eval_cheby_base(coeffs, basis);
         }
-        // divide by the largest power-of-two giant ≤ d
-        let mut g = m;
-        while 2 * g <= d {
-            g *= 2;
-        }
+        let g = largest_giant(m, d);
         let (q, r) = cheby_divide(coeffs, g);
         let ct_q = self.eval_cheby_recursive(&q, basis, m, evk);
         let ct_r = self.eval_cheby_recursive(&r, basis, m, evk);
@@ -254,12 +297,11 @@ impl CkksContext {
             .expect("Chebyshev terms share one scale by construction")
     }
 
-    /// Base case: `Σ_{j<m} c_j T_j` via constant multiplications.
+    /// Base case: `Σ_{j<m} c_j T_j` via constant multiplications. Every
+    /// term sits at one level and one scale, so the terms are summed
+    /// first and rescaled once.
     fn eval_cheby_base(&self, coeffs: &[f64], basis: &[Option<Ciphertext>]) -> Ciphertext {
-        // align all used T_j to the minimum level among them
-        let used: Vec<usize> = (1..coeffs.len())
-            .filter(|&j| coeffs[j].abs() > 1e-13)
-            .collect();
+        let used: Vec<usize> = used_terms(coeffs).collect();
         let template = basis[1].as_ref().expect("T_1 exists");
         if used.is_empty() {
             // constant polynomial: 0·T_1 + c_0 (burn one level for scale)
@@ -268,6 +310,7 @@ impl CkksContext {
                 .expect("chain long enough for Chebyshev depth");
             return self.add_const(&z, coeffs[0]);
         }
+        // align all used T_j to the minimum level among them
         let min_level = used
             .iter()
             .map(|&j| basis[j].as_ref().expect("basis entry").level)
@@ -278,9 +321,7 @@ impl CkksContext {
             let t = self
                 .mod_drop_to(basis[j].as_ref().expect("basis entry"), min_level)
                 .expect("min_level is a lower bound");
-            let term = self
-                .rescale(&self.mul_const(&t, coeffs[j]))
-                .expect("chain long enough for Chebyshev depth");
+            let term = self.mul_const(&t, coeffs[j]);
             acc = Some(match acc {
                 Some(a) => self
                     .add(&a, &term)
@@ -288,8 +329,10 @@ impl CkksContext {
                 None => term,
             });
         }
-        let acc = acc.expect("at least one term");
-        self.add_const(&acc, coeffs[0])
+        let sum = self
+            .rescale(&acc.expect("at least one term"))
+            .expect("chain long enough for Chebyshev depth");
+        self.add_const(&sum, coeffs[0])
     }
 }
 
@@ -498,6 +541,7 @@ mod tests {
         );
         let p = ChebyshevPoly::interpolate(|x| x * x, -1.0, 1.0, 7);
         let out_ct = ctx.eval_chebyshev(&ct, &p, &evk);
+        assert_eq!(out_ct.level, ct.level - p.depth());
         let out = ctx.decrypt_decode(&out_ct, &sk);
         let want: Vec<C64> = msg.iter().map(|z| C64::new(z.re * z.re, 0.0)).collect();
         let err = max_error(&want, &out);
@@ -579,9 +623,19 @@ mod tests {
         let p = ChebyshevPoly::interpolate(f, -2.0, 2.0, 23);
         assert!(p.max_error_on(f, 200) < 1e-8);
         let out_ct = ctx.eval_chebyshev(&ct, &p, &evk);
+        assert_eq!(out_ct.level, ct.level - p.depth());
         let out = ctx.decrypt_decode(&out_ct, &sk);
         let want: Vec<C64> = msg.iter().map(|z| C64::new(z.re.sin(), 0.0)).collect();
         let err = max_error(&want, &out);
         assert!(err < 2e-2, "err={err}");
+        // m = 8 here, so the base cases sum up to seven `c_j·T_j` terms
+        // before their one rescale: the sum must still be the Clenshaw
+        // value of the same expansion
+        let clear: Vec<C64> = msg
+            .iter()
+            .map(|z| C64::new(p.eval_clear(z.re), 0.0))
+            .collect();
+        let err = max_error(&clear, &out);
+        assert!(err < 2e-2, "against eval_clear: err={err}");
     }
 }

@@ -1,34 +1,115 @@
-//! Homomorphic linear transforms with BSGS and selectable key strategy.
+//! Homomorphic linear transforms with a progression-aware BSGS plan and
+//! selectable key strategy.
 //!
 //! A slot-space linear map `y = M·z` decomposes into generalized
-//! diagonals, `y = Σ_d diag_d ⊙ rot(z, d)`, and is evaluated with the
-//! baby-step giant-step split of Eq. 8: rotation `d = i + j·g` becomes a
-//! baby rotation by `i` inside a giant rotation by `j·g`, shrinking the
-//! rotation count from `O(D)` to `O(√D)`. The *key strategy* decides
-//! which evaluation keys the pass loads (see [`crate::minks`]):
-//! baseline needs one per distinct amount, Min-KS needs exactly two
-//! (`evk^{(1)}` and `evk^{(g)}`), because both baby and giant amounts
-//! form arithmetic progressions.
+//! diagonals, `y = Σ_d D_d ⊙ rot(z, d)`. The rotation amounts of an
+//! H-(I)DFT stage are not an index *range* but an arithmetic
+//! *progression* that wraps around the slot cycle — `{0, ±s, …, ±7s}` at
+//! radix 2^3 — so the plan is made over the progression (§IV-A):
+//!
+//! - **stride** `s = gcd(n, all nonzero indices)`; the indices become
+//!   units `u = d/s` on the cycle `Z_{n/s}`;
+//! - **window**: the units are covered by the shortest cyclic interval,
+//!   the one that starts at `k0`, just after their largest cyclic gap
+//!   (`{0..7, 57..63}` on `Z_64` is the contiguous span `−7..7`, 15
+//!   units, not `0..63`); `span` is its length;
+//! - **split** `g = 2^⌈log2 √span⌉` baby steps, `⌈span/g⌉` giant steps.
+//!
+//! With `w = i + g·j` the position inside the window and
+//! `z' = rot(z, k0·s)`, Eq. 8 becomes
+//!
+//! ```text
+//! y = Σ_j rot_{j·g·s}( Σ_i rot(D_{(k0+i+g·j)·s}, −j·g·s) ⊙ rot(z', i·s) )
+//! ```
+//!
+//! (the diagonals are rotated clear-side, for free): babies step by `s`,
+//! giants by `g·s`, so a `2^{k+1}−1`-diagonal stage costs
+//! `(g−1) + (⌈span/g⌉−1)` key-switches. A dense or band transform has
+//! `s = 1`, `k0 = 0` and plans over its index range.
+//!
+//! The *key strategy* decides how `z'` and the two progressions are
+//! reached (Fig. 1, see [`crate::minks`]):
+//!
+//! - [`KeyStrategy::Baseline`] rotates the input directly by every
+//!   occurring `(k0+i)·s` (hoisted: one shared digit decomposition) and
+//!   every inner sum by its `j·g·s` — one key per amount;
+//! - [`KeyStrategy::HoistedMinimal`] pre-rotates by `k0·s` with a key of
+//!   its own, then iterates `evk^{(s)}` and `evk^{(g·s)}` — 3 keys;
+//! - [`KeyStrategy::MinKs`] evaluates the same chains; the pre-rotation
+//!   is removed *between* transforms, by [`LinearTransform::re_anchored`]
+//!   (which [`crate::bootstrap::Bootstrapper`] applies to every stage),
+//!   leaving 2 keys. A lone un-anchored transform has no neighbour to
+//!   cancel against and pays the pre-rotation like `HoistedMinimal`.
+//!
+//! [`LinearTransform::plan`] is the one description of all of this: the
+//! evaluator executes it and [`LinearTransform::required_rotations`] /
+//! [`LinearTransform::evk_loads`] read it, so accounting cannot drift
+//! from execution.
 
 use crate::ciphertext::Ciphertext;
 use crate::keys::RotationKeys;
 use crate::minks::KeyStrategy;
 use crate::params::CkksContext;
 use ark_math::cfft::C64;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// A slot-space linear transform in diagonal form.
+/// A slot-space linear transform in diagonal form, with its BSGS plan.
 #[derive(Debug, Clone)]
 pub struct LinearTransform {
     n: usize,
     /// Nonzero generalized diagonals: rotation amount (mod `n`) → vector.
     diagonals: BTreeMap<usize, Vec<C64>>,
-    /// Baby-step count `g` for the BSGS split.
+    /// Stride `s`: the gcd of `n` and every nonzero rotation amount.
+    stride: usize,
+    /// Window start `k0`, in units of `s` on the cycle `Z_{n/s}`.
+    offset: usize,
+    /// Window length in units.
+    span: usize,
+    /// Baby-step count `g`, in units.
     baby: usize,
 }
 
+/// What one evaluation of a [`LinearTransform`] costs under one
+/// [`KeyStrategy`]: the read-only view of the plan the evaluator runs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BsgsPlan {
+    /// Stride `s` of the rotation progression, in slots.
+    pub stride: usize,
+    /// Window start `k0`, in units of `s` on the cycle `Z_{n/s}`.
+    pub offset: usize,
+    /// Window length in units (at least the diagonal count).
+    pub span: usize,
+    /// Key-switches that bring the input to the window start: 1 under
+    /// the iterated strategies when `k0·s ≢ 0`, else 0 (`Baseline` folds
+    /// the offset into its baby amounts).
+    pub pre_rotations: usize,
+    /// Baby key-switches.
+    pub babies: usize,
+    /// Giant key-switches.
+    pub giants: usize,
+    /// The distinct rotation amounts (in `1..n`, ascending) whose keys
+    /// the evaluation loads.
+    pub keys: Vec<i64>,
+}
+
+impl BsgsPlan {
+    /// Total rotation key-switches of one evaluation.
+    pub fn key_switches(&self) -> usize {
+        self.pre_rotations + self.babies + self.giants
+    }
+}
+
+fn gcd(mut a: usize, mut b: usize) -> usize {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
 impl LinearTransform {
-    /// Builds from an explicit diagonal map.
+    /// Builds from an explicit diagonal map and plans the BSGS split
+    /// over the indices' progression (stride, window, `g ≈ √span`; see
+    /// the module docs).
     ///
     /// # Panics
     ///
@@ -39,8 +120,34 @@ impl LinearTransform {
             assert!(d < n, "diagonal index {d} out of range");
             assert_eq!(v.len(), n, "diagonal {d} has wrong length");
         }
-        let baby = Self::default_baby(n, diagonals.keys().copied().max().unwrap_or(0));
-        Self { n, diagonals, baby }
+        let stride = diagonals.keys().fold(n, |s, &d| gcd(s, d));
+        let cycle = n / stride;
+        let units: Vec<usize> = diagonals.keys().map(|&d| d / stride).collect();
+        // The window starts just after the largest cyclic gap. The gap
+        // that wraps past the cycle's end wins ties, so an index range
+        // that already starts at 0 keeps `k0 = 0`.
+        let (mut offset, mut gap) = match (units.first(), units.last()) {
+            (Some(&first), Some(&last)) => (first, first + cycle - last),
+            _ => (0, cycle),
+        };
+        for pair in units.windows(2) {
+            if pair[1] - pair[0] > gap {
+                (offset, gap) = (pair[1], pair[1] - pair[0]);
+            }
+        }
+        let span = cycle - gap + 1;
+        let mut baby = 1usize;
+        while baby * baby < span {
+            baby <<= 1;
+        }
+        Self {
+            n,
+            diagonals,
+            stride,
+            offset,
+            span,
+            baby,
+        }
     }
 
     /// Extracts diagonals from a dense matrix (`rows[k][j] = M[k][j]`),
@@ -71,16 +178,9 @@ impl LinearTransform {
         Self::from_diagonals(n, diagonals)
     }
 
-    fn default_baby(n: usize, dmax: usize) -> usize {
-        let span = (dmax + 1).max(1);
-        let mut g = 1usize;
-        while g * g < span {
-            g <<= 1;
-        }
-        g.min(n).max(1)
-    }
-
-    /// Overrides the baby-step count (must be a power of two ≤ n).
+    /// Overrides the baby-step count `g`, counted in progression units
+    /// (one baby step rotates by the stride `s`, one giant step by
+    /// `g·s`); must be a power of two ≤ n.
     pub fn with_baby_count(mut self, g: usize) -> Self {
         assert!(g.is_power_of_two() && g <= self.n);
         self.baby = g;
@@ -92,7 +192,8 @@ impl LinearTransform {
         self.n
     }
 
-    /// Baby-step count `g`.
+    /// Baby-step count `g`, in progression units: the window positions
+    /// `0..g` are reached by baby rotations of `0..g` strides.
     pub fn baby_count(&self) -> usize {
         self.baby
     }
@@ -102,10 +203,11 @@ impl LinearTransform {
         self.diagonals.len()
     }
 
-    /// Giant-step count for the current split.
+    /// Giant-step count `⌈span/g⌉` of the current split, in progression
+    /// units: giant `j` covers the window positions `j·g..(j+1)·g`, and
+    /// giant 0 needs no rotation.
     pub fn giant_count(&self) -> usize {
-        let dmax = self.diagonals.keys().copied().max().unwrap_or(0);
-        dmax / self.baby + 1
+        self.span.div_ceil(self.baby)
     }
 
     /// Applies the transform to a clear vector (test oracle).
@@ -120,69 +222,158 @@ impl LinearTransform {
         out
     }
 
-    /// The rotation amounts a homomorphic evaluation loads keys for,
-    /// under the given strategy. Feed this to
-    /// [`CkksContext::gen_rotation_keys`].
-    pub fn required_rotations(&self, strategy: KeyStrategy) -> Vec<i64> {
-        let g = self.baby;
-        match strategy {
+    /// Window position of diagonal `d` as `(baby i, giant j)`:
+    /// `d = (k0 + i + g·j)·s mod n`.
+    fn cell(&self, d: usize) -> (usize, usize) {
+        let cycle = self.n / self.stride;
+        let w = (d / self.stride + cycle - self.offset) % cycle;
+        (w % self.baby, w / self.baby)
+    }
+
+    /// [`Self::cell`] of every stored diagonal, in index order.
+    fn cells(&self) -> Vec<(usize, usize)> {
+        self.diagonals.keys().map(|&d| self.cell(d)).collect()
+    }
+
+    /// The rotation `k0·s mod n` that brings the input to the window
+    /// start (0 when the window starts at the main diagonal).
+    fn pre_rotation(&self) -> usize {
+        self.offset * self.stride % self.n
+    }
+
+    /// `Baseline`'s direct amount for baby `i`: `(k0 + i)·s mod n`.
+    fn baby_amount(&self, i: usize) -> usize {
+        (self.offset + i) * self.stride % self.n
+    }
+
+    /// The giant progression's common difference `g·s`.
+    fn giant_step(&self) -> usize {
+        self.baby * self.stride
+    }
+
+    /// The plan an evaluation under `strategy` executes: how many
+    /// key-switches of each kind, and which keys they load.
+    pub fn plan(&self, strategy: KeyStrategy) -> BsgsPlan {
+        let cells = self.cells();
+        let mut keys = BTreeSet::new();
+        let (pre_rotations, babies, giants) = match strategy {
             KeyStrategy::Baseline => {
-                let mut set = std::collections::BTreeSet::new();
-                for &d in self.diagonals.keys() {
-                    let i = d % g;
-                    let j = d / g;
-                    if i != 0 {
-                        set.insert(i as i64);
-                    }
-                    if j != 0 {
-                        set.insert((j * g) as i64);
-                    }
-                }
-                set.into_iter().collect()
+                // one direct rotation per occurring baby and giant amount
+                let babies: BTreeSet<usize> = cells
+                    .iter()
+                    .map(|&(i, _)| self.baby_amount(i))
+                    .filter(|&amount| amount != 0)
+                    .collect();
+                let giants: BTreeSet<usize> = cells
+                    .iter()
+                    .filter(|&&(_, j)| j != 0)
+                    .map(|&(_, j)| j * self.giant_step())
+                    .collect();
+                let counts = (0, babies.len(), giants.len());
+                keys.extend(babies);
+                keys.extend(giants);
+                counts
             }
-            // Min-KS / hoisted-minimal: baby chain by 1, giant chain by g.
             KeyStrategy::HoistedMinimal | KeyStrategy::MinKs => {
-                if g == 1 {
-                    vec![1]
-                } else {
-                    vec![1, g as i64]
+                // iterate evk^{(s)} up to the last occurring baby and
+                // evk^{(g·s)} up to the last occurring giant
+                let pre = self.pre_rotation();
+                let babies = cells.iter().map(|&(i, _)| i).max().unwrap_or(0);
+                let giants = cells.iter().map(|&(_, j)| j).max().unwrap_or(0);
+                if pre != 0 {
+                    keys.insert(pre);
                 }
+                if babies != 0 {
+                    keys.insert(self.stride);
+                }
+                if giants != 0 {
+                    keys.insert(self.giant_step());
+                }
+                (usize::from(pre != 0), babies, giants)
             }
+        };
+        BsgsPlan {
+            stride: self.stride,
+            offset: self.offset,
+            span: self.span,
+            pre_rotations,
+            babies,
+            giants,
+            keys: keys.into_iter().map(|amount| amount as i64).collect(),
         }
+    }
+
+    /// Exactly the rotation amounts a homomorphic evaluation asks
+    /// [`RotationKeys`] for under the given strategy — `{s, g·s}` (and
+    /// `k0·s` while the transform is not anchored) for the iterated
+    /// strategies, every occurring `(k0+i)·s` and `j·g·s` for
+    /// `Baseline`. Feed this to [`CkksContext::gen_rotation_keys`].
+    pub fn required_rotations(&self, strategy: KeyStrategy) -> Vec<i64> {
+        self.plan(strategy).keys
     }
 
     /// Number of distinct evk loads the strategy incurs — the Fig. 2
     /// accounting hook.
     pub fn evk_loads(&self, strategy: KeyStrategy) -> usize {
-        match strategy {
-            KeyStrategy::Baseline => self.required_rotations(strategy).len(),
-            KeyStrategy::HoistedMinimal => 3,
-            KeyStrategy::MinKs => 2,
-        }
+        self.plan(strategy).keys.len()
+    }
+
+    /// Min-KS's clear-side removal of the pre-rotation. Returns
+    /// `(M̃, c)` with
+    ///
+    /// ```text
+    /// M ∘ rot_pending = rot_c ∘ M̃,    c = pending + k0·s  (mod n)
+    /// ```
+    ///
+    /// where `M̃` is anchored (its window starts at the main diagonal, so
+    /// it plans no pre-rotation). Two identities compose: a pending
+    /// input rotation moves to the output side, `M ∘ rot_p = rot_p ∘ M'`
+    /// with `M'` keeping `M`'s indices and holding `rot(D_d, −p)`
+    /// (rotations commute with each other and distribute over `⊙`); and
+    /// the window offset `a = k0·s` factors out, `M' = rot_a ∘ M̃` with
+    /// diagonal `d` moved to `d − a` and rotated by a further `−a`. A
+    /// pipeline threads `c` into the next transform's `pending` and
+    /// rotates once at the end, by the final `c`, if that is nonzero.
+    pub fn re_anchored(&self, pending: usize) -> (Self, usize) {
+        let n = self.n;
+        let anchor = self.pre_rotation();
+        let c = (pending + anchor) % n;
+        let diagonals = self
+            .diagonals
+            .iter()
+            .map(|(&d, diag)| {
+                let moved: Vec<C64> = (0..n).map(|k| diag[(k + n - c) % n]).collect();
+                ((d + n - anchor) % n, moved)
+            })
+            .collect();
+        (Self::from_diagonals(n, diagonals), c)
     }
 }
 
 impl CkksContext {
-    /// Evaluates `M·z` homomorphically with the BSGS algorithm under the
-    /// chosen key strategy, consuming one multiplicative level.
+    /// Evaluates `M·z` homomorphically by the transform's BSGS plan
+    /// under the chosen key strategy, consuming one multiplicative
+    /// level.
     ///
     /// All strategies produce the same message; they differ only in which
     /// rotation keys they touch (and, on ARK, in how much evk traffic
     /// they generate). Under [`KeyStrategy::Baseline`] the baby loop is
-    /// *hoisted*: every `rot(ct, i)` is evaluated from one shared digit
-    /// decomposition of `ct` ([`CkksContext::hoisted_rotate_many`]),
-    /// which is bit-identical to per-rotation evaluation (see
+    /// *hoisted*: every `rot(ct, (k0+i)·s)` is evaluated from one shared
+    /// digit decomposition of `ct`
+    /// ([`CkksContext::hoisted_rotate_many`]), which is bit-identical to
+    /// per-rotation evaluation (see
     /// [`Self::eval_linear_transform_per_rotation`]) but pays the
-    /// `dnum'` mod-up BConvRoutines once instead of once per baby.
-    /// Min-KS babies iterate a single `evk^{(1)}` — a serial chain whose
-    /// inputs change every step, so there is nothing to hoist there; the
-    /// giant loop is likewise unchanged (each giant rotation has a
-    /// distinct input).
+    /// `dnum'` mod-up BConvRoutines once instead of once per baby. The
+    /// iterated strategies' babies step a single `evk^{(s)}` — a serial
+    /// chain whose inputs change every step, so there is nothing to
+    /// hoist there; giant rotations each have a distinct input under
+    /// every strategy.
     ///
     /// # Panics
     ///
-    /// Panics if a required rotation key is missing or the ciphertext has
-    /// no level to spend.
+    /// Panics if a key in [`LinearTransform::required_rotations`] is
+    /// missing, the transform has no diagonal, or the ciphertext has no
+    /// level to spend.
     pub fn eval_linear_transform(
         &self,
         ct: &Ciphertext,
@@ -219,52 +410,63 @@ impl CkksContext {
     ) -> Ciphertext {
         assert_eq!(lt.n(), self.params().slots(), "transform/slot mismatch");
         assert!(ct.level >= 1, "linear transform needs one level");
-        let g = lt.baby;
         let n = lt.n;
         let level = ct.level;
+        let cells = lt.cells();
+        let max_baby = cells
+            .iter()
+            .map(|&(i, _)| i)
+            .max()
+            .expect("transform has at least one diagonal");
+        let max_giant = cells.iter().map(|&(_, j)| j).max().unwrap_or(0);
 
-        // Baby rotations rot(ct, i) for i = 0..g.
-        let max_baby = lt.diagonals.keys().map(|&d| d % g).max().unwrap_or(0);
+        // Baby rotations rot(z', i·s) with z' = rot(ct, k0·s).
         let babies: Vec<Option<Ciphertext>> = match strategy {
             KeyStrategy::Baseline => {
-                // only rotate the baby residues that actually occur
-                let needed: std::collections::BTreeSet<usize> =
-                    lt.diagonals.keys().map(|&d| d % g).collect();
-                if hoist_babies {
+                // only the occurring babies, each straight from `ct` by
+                // (k0+i)·s — the window offset costs no extra rotation
+                let needed: BTreeSet<usize> = cells.iter().map(|&(i, _)| i).collect();
+                let amounts: Vec<i64> = needed.iter().map(|&i| lt.baby_amount(i) as i64).collect();
+                let rotated = if hoist_babies {
                     // one decomposition serves every occurring baby
-                    let amounts: Vec<i64> = needed.iter().map(|&i| i as i64).collect();
-                    let rotated = self
-                        .hoisted_rotate_many(ct, &amounts, keys)
-                        .expect("caller provides baseline baby keys");
-                    let mut by_amount: std::collections::BTreeMap<usize, Ciphertext> =
-                        needed.iter().copied().zip(rotated).collect();
-                    (0..=max_baby).map(|i| by_amount.remove(&i)).collect()
+                    self.hoisted_rotate_many(ct, &amounts, keys)
+                        .expect("caller provides baseline baby keys")
                 } else {
-                    (0..=max_baby)
-                        .map(|i| {
-                            needed.contains(&i).then(|| {
-                                self.rotate(ct, i as i64, keys)
-                                    .expect("caller provides baseline baby keys")
-                            })
+                    amounts
+                        .iter()
+                        .map(|&r| {
+                            self.rotate(ct, r, keys)
+                                .expect("caller provides baseline baby keys")
                         })
                         .collect()
-                }
+                };
+                let mut by_index: BTreeMap<usize, Ciphertext> =
+                    needed.into_iter().zip(rotated).collect();
+                (0..=max_baby).map(|i| by_index.remove(&i)).collect()
             }
-            KeyStrategy::HoistedMinimal | KeyStrategy::MinKs => self
-                .rotate_chain(ct, 1, max_baby, keys)
-                .into_iter()
-                .map(Some)
-                .collect(),
+            KeyStrategy::HoistedMinimal | KeyStrategy::MinKs => {
+                let anchored;
+                let start = match lt.pre_rotation() {
+                    0 => ct,
+                    pre => {
+                        anchored = self
+                            .rotate(ct, pre as i64, keys)
+                            .expect("caller provides the pre-rotation key");
+                        &anchored
+                    }
+                };
+                self.rotate_chain(start, lt.stride as i64, max_baby, keys)
+                    .into_iter()
+                    .map(Some)
+                    .collect()
+            }
         };
 
-        // Inner sums per giant step j: Σ_i rot(diag, -jg) ⊙ rot(ct, i).
-        let giant_count = lt.giant_count();
-        let mut inners: Vec<Option<Ciphertext>> = vec![None; giant_count];
-        for (&d, diag) in &lt.diagonals {
-            let i = d % g;
-            let j = d / g;
-            // rotate the diagonal left by -(j·g): clear-side, free
-            let shift = (j * g) % n;
+        // Inner sums per giant step j: Σ_i rot(diag, −j·g·s) ⊙ baby_i.
+        let mut inners: Vec<Option<Ciphertext>> = vec![None; max_giant + 1];
+        for (diag, &(i, j)) in lt.diagonals.values().zip(&cells) {
+            // rotate the diagonal by −(j·g·s): clear-side, free
+            let shift = j * lt.giant_step() % n;
             let rotated_diag: Vec<C64> = (0..n).map(|k| diag[(k + n - shift) % n]).collect();
             let pt = self.encode_for_mul(&rotated_diag, level);
             let baby = babies[i].as_ref().expect("baby rotation computed");
@@ -275,14 +477,14 @@ impl CkksContext {
             });
         }
 
-        // Giant accumulation: Σ_j rot(inner_j, j·g).
+        // Giant accumulation: Σ_j rot(inner_j, j·g·s), empty giants skipped.
         let result = match strategy {
             KeyStrategy::Baseline => {
                 let mut acc: Option<Ciphertext> = None;
                 for (j, inner) in inners.iter().enumerate() {
                     if let Some(inner) = inner {
                         let rotated = self
-                            .rotate(inner, (j * g) as i64, keys)
+                            .rotate(inner, (j * lt.giant_step()) as i64, keys)
                             .expect("caller provides baseline giant keys");
                         acc = Some(match acc {
                             Some(a) => self.add(&a, &rotated).expect("giant terms share one scale"),
@@ -293,32 +495,7 @@ impl CkksContext {
                 acc.expect("transform has at least one diagonal")
             }
             KeyStrategy::HoistedMinimal | KeyStrategy::MinKs => {
-                // Min-KS giant chain (Eq. 10/11): fill gaps with zero
-                // ciphertexts of matching shape if a giant index is empty.
-                let template = inners
-                    .iter()
-                    .flatten()
-                    .next()
-                    .expect("transform has at least one diagonal");
-                let zero = Ciphertext {
-                    b: ark_math::poly::RnsPoly::zero(
-                        self.basis(),
-                        template.b.limb_indices(),
-                        ark_math::poly::Representation::Evaluation,
-                    ),
-                    a: ark_math::poly::RnsPoly::zero(
-                        self.basis(),
-                        template.a.limb_indices(),
-                        ark_math::poly::Representation::Evaluation,
-                    ),
-                    level: template.level,
-                    scale: template.scale,
-                };
-                let terms: Vec<Ciphertext> = inners
-                    .into_iter()
-                    .map(|x| x.unwrap_or_else(|| zero.clone()))
-                    .collect();
-                self.rotate_accumulate(&terms, g as i64, keys)
+                self.rotate_accumulate(&inners, lt.giant_step() as i64, keys)
             }
         };
         self.rescale(&result)
@@ -372,12 +549,132 @@ mod tests {
         let lt = LinearTransform::from_matrix(&random_matrix(n, &mut rng));
         let g = lt.baby_count();
         assert_eq!(g, 4); // sqrt(16)
+        assert_eq!(lt.giant_count(), 4);
         let minks = lt.required_rotations(KeyStrategy::MinKs);
         assert_eq!(minks, vec![1, g as i64]);
         let baseline = lt.required_rotations(KeyStrategy::Baseline);
-        assert!(baseline.len() > minks.len());
+        assert_eq!(baseline, vec![1, 2, 3, 4, 8, 12]);
+        // a dense transform's window starts at the main diagonal, so no
+        // strategy pre-rotates: the iterated ones load {s, g·s} alone
+        for strategy in [
+            KeyStrategy::Baseline,
+            KeyStrategy::HoistedMinimal,
+            KeyStrategy::MinKs,
+        ] {
+            let plan = lt.plan(strategy);
+            assert_eq!((plan.stride, plan.offset, plan.span), (1, 0, 16));
+            assert_eq!(plan.pre_rotations, 0);
+            assert_eq!((plan.babies, plan.giants), (3, 3));
+            assert_eq!(lt.evk_loads(strategy), plan.keys.len());
+        }
         assert_eq!(lt.evk_loads(KeyStrategy::MinKs), 2);
-        assert_eq!(lt.evk_loads(KeyStrategy::HoistedMinimal), 3);
+        assert_eq!(lt.evk_loads(KeyStrategy::HoistedMinimal), 2);
+        assert_eq!(lt.evk_loads(KeyStrategy::Baseline), 6);
+    }
+
+    /// Diagonals `{u·s}` for the given units, deterministic values.
+    fn strided(n: usize, s: usize, units: &[i64]) -> LinearTransform {
+        let diagonals = units
+            .iter()
+            .map(|&u| {
+                let d = (u * s as i64).rem_euclid(n as i64) as usize;
+                let v = (0..n)
+                    .map(|k| {
+                        let x = ((d * 13 + k * 7) % 31) as f64 / 31.0 - 0.5;
+                        C64::new(x, 0.25 - x)
+                    })
+                    .collect();
+                (d, v)
+            })
+            .collect();
+        LinearTransform::from_diagonals(n, diagonals)
+    }
+
+    #[test]
+    fn dft_stage_plans_over_the_wrapped_progression() {
+        // a radix-2^3 H-(I)DFT stage at 512 slots: {0, ±8, …, ±56}
+        let units: Vec<i64> = (-7..=7).collect();
+        let lt = strided(512, 8, &units);
+        assert_eq!(lt.diagonal_count(), 15);
+        assert_eq!((lt.baby_count(), lt.giant_count()), (4, 4));
+        let minimal = lt.plan(KeyStrategy::HoistedMinimal);
+        assert_eq!((minimal.stride, minimal.offset, minimal.span), (8, 57, 15));
+        assert_eq!(
+            (minimal.pre_rotations, minimal.babies, minimal.giants),
+            (1, 3, 3)
+        );
+        assert_eq!(minimal.keys, vec![8, 32, 456]); // s, g·s, k0·s = −56
+        assert_eq!(minimal.key_switches(), 7);
+        // Baseline folds the offset into its four baby amounts −56..−32
+        let baseline = lt.plan(KeyStrategy::Baseline);
+        assert_eq!(
+            (baseline.pre_rotations, baseline.babies, baseline.giants),
+            (0, 4, 3)
+        );
+        assert_eq!(baseline.keys, vec![32, 64, 96, 456, 464, 472, 480]);
+        // the edge stage: ±k·64 mod 512 collapses to 8 diagonals
+        let edge = strided(512, 64, &units);
+        assert_eq!(edge.diagonal_count(), 8);
+        let plan = edge.plan(KeyStrategy::MinKs);
+        assert_eq!((plan.stride, plan.offset, plan.span), (64, 0, 8));
+        assert_eq!((plan.pre_rotations, plan.babies, plan.giants), (0, 3, 1));
+        assert_eq!(plan.keys, vec![64, 256]);
+        // degenerate: one off-centre diagonal is a window of one unit
+        let single = strided(16, 1, &[5]);
+        let plan = single.plan(KeyStrategy::Baseline);
+        assert_eq!((plan.babies, plan.giants, plan.keys), (1, 0, vec![5]));
+        let plan = single.plan(KeyStrategy::MinKs);
+        assert_eq!((plan.pre_rotations, plan.babies, plan.giants), (1, 0, 0));
+        // and the identity needs no key at all
+        let identity = strided(16, 1, &[0]);
+        assert!(identity.required_rotations(KeyStrategy::MinKs).is_empty());
+    }
+
+    #[test]
+    fn re_anchoring_moves_the_offset_to_the_output_side() {
+        let n = 64;
+        let rot = |z: &[C64], r: usize| -> Vec<C64> { (0..n).map(|k| z[(k + r) % n]).collect() };
+        let z: Vec<C64> = (0..n)
+            .map(|i| C64::new((i as f64 * 0.3).sin(), (i as f64 * 0.7).cos()))
+            .collect();
+        let lt = strided(n, 4, &[-3, -2, -1, 0, 1, 3]);
+        for pending in [0usize, 5, 63] {
+            let (anchored, c) = lt.re_anchored(pending);
+            assert_eq!(c, (pending + n - 12) % n);
+            // M ∘ rot_pending = rot_c ∘ M̃
+            let want = lt.apply_clear(&rot(&z, pending));
+            let got = rot(&anchored.apply_clear(&z), c);
+            assert!(max_error(&want, &got) < 1e-12, "pending {pending}");
+            let plan = anchored.plan(KeyStrategy::MinKs);
+            assert_eq!((plan.offset, plan.span, plan.pre_rotations), (0, 7, 0));
+            assert_eq!(plan.keys, vec![4, 16]);
+        }
+    }
+
+    #[test]
+    fn wrapped_transform_matches_clear_on_exactly_the_planned_keys() {
+        let (ctx, sk, mut rng) = setup();
+        let n = ctx.params().slots();
+        // units {−2, −1, 0, 1} at stride 2: indices {12, 14, 0, 2}
+        let lt = strided(n, 2, &[-2, -1, 0, 1]);
+        let z: Vec<C64> = (0..n)
+            .map(|i| C64::new((i as f64 * 0.2).sin(), (i as f64 * 0.4).cos()))
+            .collect();
+        let want = lt.apply_clear(&z);
+        let ct = ctx.encrypt(&ctx.encode(&z, 2, ctx.params().scale()), &sk, &mut rng);
+        for strategy in [
+            KeyStrategy::Baseline,
+            KeyStrategy::HoistedMinimal,
+            KeyStrategy::MinKs,
+        ] {
+            let rots = lt.required_rotations(strategy);
+            let keys = ctx.gen_rotation_keys(&rots, false, &sk, &mut rng);
+            assert_eq!(keys.len(), lt.evk_loads(strategy));
+            let out =
+                ctx.decrypt_decode(&ctx.eval_linear_transform(&ct, &lt, strategy, &keys), &sk);
+            let err = max_error(&want, &out);
+            assert!(err < 2e-2, "{strategy:?}: err={err}");
+        }
     }
 
     #[test]

@@ -3,15 +3,31 @@
 //!
 //! H-(I)DFT and similar kernels rotate by amounts in arithmetic
 //! progression (Eq. 9: rotate one ciphertext by `i·r`; Eq. 10: rotate and
-//! accumulate many ciphertexts by `i·r`). The baseline loads a distinct
-//! `evk_rot^{(i·r)}` per amount; \[42\] iterates previous results so one
-//! `evk^{(r)}` serves a whole pattern (Eq. 11), needing 3 keys per BSGS
-//! pass (pre-rotation, baby, giant); **Min-KS** folds the pre-rotation
-//! into the iteration, needing only 2.
+//! accumulate many ciphertexts by `i·r`). A radix-`2^k` stage's
+//! progression is `{u·s : −(2^k−1) ≤ u ≤ 2^k−1}` for the stage's stride
+//! `s` — it starts *below* zero, so a BSGS pass first has to reach the
+//! window start `k0·s` (the pre-rotation) and then walks `i·s` (babies)
+//! and `j·g·s` (giants). The three strategies of Fig. 1 differ in how:
+//!
+//! - the baseline loads a distinct `evk_rot^{(amount)}` per rotation and
+//!   folds the pre-rotation into its baby amounts `(k0+i)·s`;
+//! - \[42\] iterates previous results so one `evk^{(r)}` serves a whole
+//!   pattern (Eq. 11), needing 3 keys per pass (pre-rotation `k0·s`,
+//!   baby `s`, giant `g·s`);
+//! - **Min-KS** cancels the pre-rotation between iterations, needing
+//!   only 2. In software the cancellation is done clear-side, once, when
+//!   the pipeline is built: each stage `M` is re-anchored as
+//!   `M = rot_c ∘ M̃` with `M̃`'s window starting at zero, and the
+//!   left-over `rot_c` is pushed through every later stage
+//!   (`N ∘ rot_c = rot_c ∘ N'`, `N'` being `N` with its diagonal vectors
+//!   rotated by `−c`) — see
+//!   [`crate::lintrans::LinearTransform::re_anchored`] and
+//!   [`crate::bootstrap::Bootstrapper`].
 //!
 //! This module provides the pattern detector, the per-strategy key-count
 //! accounting used by the traffic analysis (Fig. 2), and the iterated
-//! rotation primitives the functional evaluator uses.
+//! rotation primitives the functional evaluator uses; the plan itself
+//! (stride, window, split) lives in [`crate::lintrans`].
 
 use crate::ciphertext::Ciphertext;
 use crate::keys::RotationKeys;
@@ -105,25 +121,33 @@ impl CkksContext {
     }
 
     /// Eq. 10 with Min-KS: `Σ_i HRot(x_i, i·r)` computed as a nested
-    /// rotate-and-add chain using only `evk^{(r)}`.
+    /// rotate-and-add chain using only `evk^{(r)}`. A `None` term is an
+    /// absent (all-zero) `x_i`: the chain rotates through it without
+    /// materializing or adding anything, trailing `None`s cost nothing,
+    /// and a lone `x_0` issues no rotation at all.
     ///
     /// # Panics
     ///
-    /// Panics if `terms` is empty or the key for `r` is missing.
+    /// Panics if no term is present or the key for `r` is missing.
     pub fn rotate_accumulate(
         &self,
-        terms: &[Ciphertext],
+        terms: &[Option<Ciphertext>],
         r: i64,
         keys: &RotationKeys,
     ) -> Ciphertext {
-        assert!(!terms.is_empty(), "need at least one term");
         // Σ_i rot(x_i, i·r) = x_0 + rot(x_1 + rot(x_2 + …, r), r)
-        let mut acc = terms.last().expect("non-empty").clone();
-        for x in terms.iter().rev().skip(1) {
+        let last = terms
+            .iter()
+            .rposition(Option::is_some)
+            .expect("need at least one term");
+        let mut acc = terms[last].clone().expect("position of a present term");
+        for x in terms[..last].iter().rev() {
             acc = self
                 .rotate(&acc, r, keys)
                 .expect("caller provides the chain's rotation key");
-            acc = self.add(&acc, x).expect("terms share one scale");
+            if let Some(x) = x {
+                acc = self.add(&acc, x).expect("terms share one scale");
+            }
         }
         acc
     }
@@ -203,16 +227,32 @@ mod tests {
                 ctx.encrypt(&ctx.encode(&m, 2, scale), &sk, &mut rng)
             })
             .collect();
-        // baseline: Σ_i rot(x_i, i·1) with distinct keys
-        let mut want = terms[0].clone();
-        for (i, x) in terms.iter().enumerate().skip(1) {
-            want = ctx
-                .add(&want, &ctx.rotate(x, i as i64, &keys).unwrap())
-                .unwrap();
-        }
-        let got = ctx.rotate_accumulate(&terms, 1, &keys);
-        let a = ctx.decrypt_decode(&got, &sk);
-        let b = ctx.decrypt_decode(&want, &sk);
-        assert!(max_error(&a, &b) < 1e-3);
+        // baseline: Σ_i rot(x_i, i·1) with distinct keys, over the
+        // present terms only
+        let check = |present: [bool; 4]| {
+            let sparse: Vec<Option<Ciphertext>> = terms
+                .iter()
+                .zip(present)
+                .map(|(x, keep)| keep.then(|| x.clone()))
+                .collect();
+            let want = sparse
+                .iter()
+                .enumerate()
+                .filter_map(|(i, x)| Some(ctx.rotate(x.as_ref()?, i as i64, &keys).unwrap()))
+                .reduce(|acc, x| ctx.add(&acc, &x).unwrap())
+                .expect("a term is present");
+            let got = ctx.rotate_accumulate(&sparse, 1, &keys);
+            let a = ctx.decrypt_decode(&got, &sk);
+            let b = ctx.decrypt_decode(&want, &sk);
+            assert!(max_error(&a, &b) < 1e-3, "present = {present:?}");
+        };
+        check([true, true, true, true]);
+        // the chain rotates through absent terms and ignores trailing ones
+        check([true, false, false, true]);
+        check([false, true, false, false]);
+        // a lone x_0 needs no rotation, hence no key
+        let lone = [Some(terms[0].clone()), None, None];
+        let got = ctx.rotate_accumulate(&lone, 1, &RotationKeys::new());
+        assert_eq!(got, terms[0]);
     }
 }

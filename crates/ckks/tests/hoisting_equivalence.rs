@@ -118,6 +118,67 @@ fn transform_from(n: usize, picks: &[(usize, (f64, f64))]) -> LinearTransform {
     LinearTransform::from_diagonals(n, diagonals)
 }
 
+/// A strided, wrapped diagonal set on 16 slots: stride `2^a`, a window
+/// of up to `2^{k+1} − 1 = 7` units starting anywhere on the cycle
+/// (wrap-around past `n` included), and a non-empty subset of it.
+fn strided_transform(a: u32, offset: usize, mask: u32, values: &[(f64, f64)]) -> LinearTransform {
+    let n = 16usize;
+    let s = 1usize << a;
+    let cycle = n / s;
+    let mut diagonals = std::collections::BTreeMap::new();
+    for w in (0..7usize).filter(|w| mask >> w & 1 == 1) {
+        let (re, im) = values[w];
+        let d = (offset + w) % cycle * s;
+        let v: Vec<C64> = (0..n)
+            .map(|k| C64::new(re * (1.0 + k as f64) / 16.0, im))
+            .collect();
+        diagonals.insert(d, v);
+    }
+    LinearTransform::from_diagonals(n, diagonals)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    // The progression-aware plan on strided, wrapped diagonal sets:
+    // every strategy, holding exactly the keys its plan names, matches
+    // the clear transform; Baseline's hoisted babies stay bit-identical
+    // to per-rotation ones; serial and pooled evaluation agree bitwise.
+    #[test]
+    fn strided_wrapped_transforms_run_on_exactly_the_planned_keys(
+        m in msg_strategy(16),
+        a in 0u32..=2,
+        // the k0 = 0 and single-diagonal corners, then the general case
+        offset in prop_oneof![Just(0usize), 0usize..16],
+        mask in prop_oneof![(0u32..7).prop_map(|b| 1u32 << b), 1u32..128],
+        values in proptest::collection::vec((-0.5f64..0.5, -0.5f64..0.5), 7),
+        seed in 0u64..1000,
+    ) {
+        let f = fixtures();
+        let m = to_c64(&m);
+        let lt = strided_transform(a, offset, mask, &values);
+        let want = lt.apply_clear(&m);
+        let [ct_s, ct_p] = encrypt_pair(f, &m, 2, seed);
+        for strategy in [KeyStrategy::Baseline, KeyStrategy::HoistedMinimal, KeyStrategy::MinKs] {
+            let rots = lt.required_rotations(strategy);
+            prop_assert_eq!(rots.len(), lt.evk_loads(strategy));
+            let [keys_s, keys_p] = [&f.0, &f.1].map(|fx| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                fx.ctx.gen_rotation_keys(&rots, false, &fx.sk, &mut rng)
+            });
+            prop_assert_eq!(keys_s.len(), rots.len());
+            let out_s = f.0.ctx.eval_linear_transform(&ct_s, &lt, strategy, &keys_s);
+            let out_p = f.1.ctx.eval_linear_transform(&ct_p, &lt, strategy, &keys_p);
+            prop_assert_eq!(&out_s, &out_p, "{:?}: 1 vs 4 threads diverged", strategy);
+            let per_rot = f.0.ctx.eval_linear_transform_per_rotation(&ct_s, &lt, strategy, &keys_s);
+            prop_assert_eq!(&out_s, &per_rot, "{:?}: hoisted vs per-rotation diverged", strategy);
+            let got = f.0.ctx.decrypt_decode(&out_s, &f.0.sk);
+            let err = ark_ckks::encoding::max_error(&want, &got);
+            prop_assert!(err < 5e-2, "{:?} on {:?}: err {}", strategy, lt.plan(strategy), err);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 

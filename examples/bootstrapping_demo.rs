@@ -1,18 +1,113 @@
-//! One encrypted HELR training iteration, bootstrap included, through
-//! the scenario framework: the model ciphertext runs a full forward
-//! pass (hoisted-BSGS inner products), a degree-7 polynomial sigmoid,
-//! the gradient update — and lands at level 0, where the iteration
-//! ends in a real CKKS bootstrap. The same description then replays on
-//! the simulated ARK and through an `ark-serve` loopback server.
+//! The bootstrap the HELR iteration ends in, first on its own and then
+//! inside the scenario framework.
+//!
+//! Part 1 prints the software bootstrapper's H-(I)DFT plan — per stage:
+//! level, stride, window span, baby / giant key-switches, keys — next to
+//! the measured wall time of every pipeline step, and **exits non-zero**
+//! if one bootstrap spends more rotation key-switches than the cycle
+//! model's description of the same bootstrap counts `HRot`s.
+//!
+//! Part 2 runs one encrypted HELR training iteration: the model
+//! ciphertext runs a full forward pass (hoisted-BSGS inner products), a
+//! degree-7 polynomial sigmoid, the gradient update — and lands at
+//! level 0, where the iteration ends in a real CKKS bootstrap. The same
+//! description then replays on the simulated ARK and through an
+//! `ark-serve` loopback server.
 //!
 //! ```sh
 //! cargo run --release --example bootstrapping_demo
 //! ```
 
+use ark_fhe::ckks::bootstrap::{BootstrapConfig, BootstrapStep, Bootstrapper};
+use ark_fhe::ckks::params::{CkksContext, CkksParams};
+use ark_fhe::engine::bootstrap_trace_config;
 use ark_fhe::error::ArkError;
+use ark_fhe::math::cfft::C64;
+use ark_fhe::math::par::ThreadPool;
+use ark_fhe::workloads::bootstrap::bootstrap_trace;
 use ark_scenarios::{run_local, run_remote, run_trace, HelrScenario, Scenario};
+use rand::SeedableRng;
+
+/// One bootstrap at the HELR scenario's parameters (`boot-test`, default
+/// [`BootstrapConfig`], one thread): the plan beside the measured steps.
+fn stage_breakdown() -> Result<(), ArkError> {
+    let params = CkksParams::boot_test();
+    let config = BootstrapConfig::default();
+    let ctx = CkksContext::with_pool(params.clone(), ThreadPool::serial());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let sk = ctx.gen_secret_key(&mut rng);
+    let evk = ctx.gen_mult_key(&sk, &mut rng);
+    let boot = Bootstrapper::new(&ctx, config.clone());
+    let keys = ctx.gen_rotation_keys(&boot.required_rotations(), true, &sk, &mut rng);
+    let message: Vec<C64> = (0..params.slots())
+        .map(|i| C64::new(0.3 * ((i % 16) as f64 / 16.0 - 0.5), 0.0))
+        .collect();
+    let ct = ctx.encrypt(&ctx.encode(&message, 0, params.scale()), &sk, &mut rng);
+
+    // the first pass warms arenas, converters and permutation tables
+    let mut steps = Vec::new();
+    for _ in 0..2 {
+        steps.clear();
+        boot.bootstrap_observed(&ctx, &ct, &evk, &keys, |step, level, elapsed| {
+            steps.push((step, level, elapsed));
+        })?;
+    }
+
+    let plans = boot.stage_plans();
+    println!(
+        "bootstrap plan ({}, radix 2^{}, {:?}), one thread:",
+        params.name, config.radix_log2, config.strategy
+    );
+    println!(
+        "  {:<18} {:>5} {:>6} {:>5} {:>4} {:>6} {:>6} {:>4}  {:<14} {:>4} {:>9}",
+        "step", "level", "stride", "span", "pre", "babies", "giants", "ks", "keys", "out", "ms"
+    );
+    let mut total_ms = 0.0;
+    for &(step, out_level, elapsed) in &steps {
+        let ms = elapsed.as_secs_f64() * 1e3;
+        total_ms += ms;
+        let name = format!("{step:?}");
+        let plan = match plans.iter().find(|p| p.step == step) {
+            Some(p) => format!(
+                "{:>5} {:>6} {:>5} {:>4} {:>6} {:>6} {:>4}  {:?}",
+                p.level,
+                p.bsgs.stride,
+                p.bsgs.span,
+                p.bsgs.pre_rotations,
+                p.bsgs.babies,
+                p.bsgs.giants,
+                p.bsgs.key_switches(),
+                p.bsgs.keys
+            ),
+            None if step == BootstrapStep::ClosingRotation => {
+                let key: Vec<i64> = boot.closing_rotation().into_iter().collect();
+                format!("{:>37} {:>4}  {key:?}", "", 1)
+            }
+            None => String::new(),
+        };
+        println!("  {name:<18} {plan:<58} {out_level:>4} {ms:>9.2}");
+    }
+    let spent = boot.rotation_key_switches();
+    let model = bootstrap_trace(&params, &bootstrap_trace_config(&params, &config))
+        .summary()
+        .hrot;
+    println!(
+        "  total {total_ms:.1} ms; {spent} rotation key-switches on {} rotation keys \
+         (the cycle model's trace of this bootstrap counts {model} HRots)",
+        boot.required_rotations().len()
+    );
+    if spent > model {
+        eprintln!(
+            "FAIL: the software bootstrap spends {spent} rotation key-switches, the model {model}"
+        );
+        std::process::exit(1);
+    }
+    Ok(())
+}
 
 fn main() -> Result<(), ArkError> {
+    stage_breakdown()?;
+
     let scenario = HelrScenario::default();
     println!("scenario: {}", scenario.name());
 

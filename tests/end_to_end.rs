@@ -74,6 +74,112 @@ fn minks_preserves_messages_and_cuts_traffic() {
     assert!(minks.cycles < base.cycles);
 }
 
+/// Claim 1, the other direction: the software bootstrapper and the
+/// cycle model describe the *same* H-(I)DFT. At `boot-test`, radix 2^3
+/// and the `(k1, k2) = (2, 2)` split the engine's analytic trace uses,
+/// every full stage's plan equals `hdft_trace`'s stage — key-switches
+/// per key, keys per pass — the collapsed edge stage never exceeds it,
+/// and one bootstrap never spends more rotations than the model counts.
+#[test]
+fn software_bootstrap_plan_matches_the_hdft_model() {
+    use ark_fhe::ckks::minks::keys_per_bsgs_pass;
+    use ark_fhe::engine::bootstrap_trace_config;
+    use ark_fhe::workloads::trace::HeOp;
+    use std::collections::BTreeMap;
+
+    let params = CkksParams::boot_test();
+    let ctx = CkksContext::new(params.clone());
+    // (strategy, model HRots per bootstrap, software key-switches)
+    for (strategy, model_total, software_total) in [
+        (KeyStrategy::MinKs, 36, 32 + 1),
+        (KeyStrategy::HoistedMinimal, 42, 32 + 4),
+        (KeyStrategy::Baseline, 36, 32 + 4),
+    ] {
+        let config = BootstrapConfig {
+            radix_log2: 3,
+            strategy,
+            ..BootstrapConfig::default()
+        };
+        let boot = Bootstrapper::new(&ctx, config.clone());
+        let stages = boot.stage_plans();
+        assert_eq!(stages.len(), 6);
+
+        for (direction, inverse) in [(&stages[..3], true), (&stages[3..], false)] {
+            let model = hdft_trace(&HdftConfig {
+                slots_log2: params.log_n - 1,
+                radix_log2: 3,
+                k1: 2,
+                k2: 2,
+                strategy,
+                start_level: direction[0].level,
+                inverse,
+                hoisting: false,
+            });
+            for stage in direction {
+                // the model's rotations at this stage's level, per key
+                let mut model_per_key: BTreeMap<_, usize> = BTreeMap::new();
+                for op in model.ops() {
+                    if let HeOp::HRot { level, key, .. } = op {
+                        if *level == stage.level {
+                            *model_per_key.entry(*key).or_default() += 1;
+                        }
+                    }
+                }
+                let model_switches: usize = model_per_key.values().sum();
+                let plan = &stage.bsgs;
+                let full = stage.diagonals == 15;
+                assert!(full || stage.diagonals == 8, "{:?}", stage.step);
+                if strategy == KeyStrategy::Baseline {
+                    // one key per amount on both sides; the software
+                    // folds the window offset into a fourth baby amount,
+                    // the pre-rotation Fig. 1(a) counts and the trace omits
+                    assert_eq!(plan.keys.len(), plan.key_switches());
+                    assert_eq!(model_per_key.len(), model_switches);
+                    let fig1 = keys_per_bsgs_pass(strategy, 4, 4);
+                    assert!(plan.key_switches() <= fig1, "{:?}", stage.step);
+                    assert_eq!(fig1, model_switches + 1);
+                    assert_eq!(full, plan.key_switches() == fig1, "{:?}", stage.step);
+                    continue;
+                }
+                // iterated strategies: [pre-rotation,] babies, giants —
+                // each group on its own key
+                let mut model_groups: Vec<usize> = model_per_key.into_values().collect();
+                model_groups.sort_unstable();
+                let mut groups = vec![plan.babies, plan.giants];
+                groups.extend((plan.pre_rotations != 0).then_some(plan.pre_rotations));
+                groups.sort_unstable();
+                if full {
+                    assert_eq!(groups, model_groups, "{strategy:?} {:?}", stage.step);
+                    assert_eq!(plan.keys.len(), keys_per_bsgs_pass(strategy, 4, 4));
+                } else {
+                    // stride 64: ±k·64 mod 512 leaves 8 diagonals, a
+                    // window that starts at zero under every strategy
+                    assert_eq!((plan.stride, plan.span, plan.pre_rotations), (64, 8, 0));
+                    assert!(plan.key_switches() <= model_switches);
+                    assert!(plan.keys.len() <= keys_per_bsgs_pass(strategy, 4, 4));
+                }
+                // (2^k1 − 1) + (2^k2 − 1), +1 only where [42] pre-rotates
+                let pre = usize::from(strategy == KeyStrategy::HoistedMinimal);
+                assert!(plan.key_switches() <= 3 + 3 + pre, "{:?}", stage.step);
+            }
+        }
+
+        // per bootstrap, against the trace the engine records for it
+        let recorded = bootstrap_trace(&params, &bootstrap_trace_config(&params, &config));
+        assert_eq!(recorded.summary().hrot, model_total, "{strategy:?}");
+        assert_eq!(boot.rotation_key_switches(), software_total, "{strategy:?}");
+        assert!(software_total <= model_total);
+        if strategy == KeyStrategy::MinKs {
+            // two keys per pass, shared by the two directions, plus the
+            // one closing key: {1,4}, {8,32}, {64,256} and −126
+            assert_eq!(boot.closing_rotation(), Some(512 - 126));
+            assert_eq!(boot.required_rotations().len(), 6 + 1);
+        } else {
+            assert_eq!(boot.closing_rotation(), None);
+        }
+    }
+}
+
 /// Claim 2: OF-Limb is bit-exact functionally and trades HBM words for
 /// NTT work in the model.
 #[test]
