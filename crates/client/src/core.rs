@@ -1,7 +1,7 @@
 //! The sans-I/O client core: a protocol state machine with no socket.
 //!
 //! [`ClientCore`] never touches `std::net`, `std::thread`, or a clock.
-//! A transport — blocking TCP (`ark_serve::client::Client`), an async
+//! A transport — blocking TCP (`ark_serve::Client`), an async
 //! runtime, or a browser's WebSocket glue compiled to wasm32 — owns the
 //! byte stream and drives the core through three verbs:
 //!
@@ -14,19 +14,23 @@
 //!    messages under the `max_frame_bytes` allocation cap, and turns
 //!    them into typed [`Event`]s pulled via [`ClientCore::next_event`].
 //!
-//! The core owns everything protocol-shaped: the `HELLO`/`SERVER_INFO`
-//! handshake, the v3 serial vs v4 request-id-envelope framing, pending
-//! request bookkeeping (out-of-order completion on v4), typed `ERROR`
-//! and `BUSY` surfacing, and retry of a parked request after a load
-//! shed ([`ClientCore::retry`] re-sends under the *same* request id —
-//! the id namespace is client-chosen, the server only echoes).
+//! The core owns everything protocol-shaped: the bare
+//! `HELLO`/`SERVER_INFO` handshake, the request-id envelope on every
+//! later message, pending-request bookkeeping (responses complete in
+//! any order), typed `ERROR` and `BUSY` surfacing, and retry of a
+//! parked request after a load shed ([`ClientCore::retry`] re-sends
+//! under the *same* request id — the id namespace is client-chosen,
+//! the server only echoes).
 //!
 //! Malformed input never panics: every decode failure surfaces as a
 //! typed [`ArkError`] from `ingest`, after which the core is *closed*
-//! (every further call fails fast). Buffered reassembly bytes are
-//! bounded by `4 + max_frame_bytes` plus the largest single `ingest`
-//! chunk, observable via [`ClientCore::buffered_bytes`] — a hostile
-//! length prefix is rejected before any proportional allocation.
+//! (every further call fails fast). `max_frame_bytes` bounds one wire
+//! *frame*, so a message may be [`ENVELOPE_LEN`] bytes longer — the
+//! same definition the server applies. Buffered reassembly bytes are
+//! bounded by `4 + max_frame_bytes + ENVELOPE_LEN` plus the largest
+//! single `ingest` chunk, observable via
+//! [`ClientCore::buffered_bytes`] — a hostile length prefix is rejected
+//! before any proportional allocation.
 //!
 //! Responses that carry ciphertexts or keys are returned as validated
 //! frame payloads (the event holds raw bytes); decode them against the
@@ -38,7 +42,7 @@
 
 use crate::program::Program;
 use crate::protocol::{
-    self, code, msg, EngineInfo, DEFAULT_MAX_FRAME_BYTES, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    self, code, msg, EngineInfo, DEFAULT_MAX_FRAME_BYTES, ENVELOPE_LEN, PROTOCOL_VERSION,
 };
 use ark_ckks::error::{ArkError, ArkResult};
 use ark_ckks::params::CkksContext;
@@ -257,41 +261,43 @@ struct Pending {
 #[must_use = "a builder does nothing until `.build()` is called"]
 #[derive(Debug, Clone)]
 pub struct CoreConfig {
-    protocol_version: u16,
     max_frame_bytes: usize,
 }
 
 impl Default for CoreConfig {
     fn default() -> Self {
         Self {
-            protocol_version: PROTOCOL_VERSION,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
         }
     }
 }
 
 impl CoreConfig {
-    /// Speaks an explicit protocol version: 4 (default, pipelined) or
-    /// 3 (bare serial, for old servers).
-    pub fn protocol_version(mut self, version: u16) -> Self {
-        self.protocol_version = version;
-        self
-    }
-
-    /// Largest message this core accepts (allocation bound).
+    /// Largest wire frame this core accepts (allocation bound; a
+    /// message may add the [`ENVELOPE_LEN`]-byte request id on top).
     pub fn max_frame_bytes(mut self, bytes: usize) -> Self {
         self.max_frame_bytes = bytes;
         self
     }
 
     /// Builds the core. The `HELLO` frame is already queued as egress.
-    ///
-    /// # Errors
-    ///
-    /// [`ArkError::VersionMismatch`] if this build does not speak the
-    /// requested version.
-    pub fn build(self) -> ArkResult<ClientCore> {
-        ClientCore::with_config(self)
+    pub fn build(self) -> ClientCore {
+        let mut core = ClientCore {
+            max_frame_bytes: self.max_frame_bytes,
+            phase: Phase::AwaitServerInfo,
+            engines: Vec::new(),
+            assembler: FrameAssembler::new(self.max_frame_bytes + ENVELOPE_LEN),
+            egress: Vec::new(),
+            events: VecDeque::new(),
+            next_request_id: 1,
+            pending: HashMap::new(),
+        };
+        // the handshake is bare: the envelope starts with the first
+        // message after it
+        let mut hello = Vec::new();
+        put_u16(&mut hello, PROTOCOL_VERSION);
+        core.queue_message(&write_frame(msg::HELLO, 0, &hello));
+        core
     }
 }
 
@@ -299,7 +305,6 @@ impl CoreConfig {
 /// the ingest/egress lifecycle.
 #[derive(Debug)]
 pub struct ClientCore {
-    version: u16,
     max_frame_bytes: usize,
     phase: Phase,
     engines: Vec<EngineInfo>,
@@ -308,65 +313,23 @@ pub struct ClientCore {
     events: VecDeque<Event>,
     next_request_id: u64,
     pending: HashMap<u64, Pending>,
-    /// v3 completes strictly in submission order (no envelope carries
-    /// an id), so the wire order is remembered here.
-    serial_order: VecDeque<u64>,
 }
 
 impl ClientCore {
-    /// A core speaking the default protocol version with the default
-    /// frame cap, `HELLO` already queued.
+    /// A core with the default frame cap, `HELLO` already queued.
     pub fn new() -> Self {
-        CoreConfig::default()
-            .build()
-            .expect("default config is always valid")
+        CoreConfig::default().build()
     }
 
-    /// A configuration builder (version and frame-cap knobs).
+    /// A configuration builder (the frame cap).
     pub fn config() -> CoreConfig {
         CoreConfig::default()
     }
 
-    fn with_config(config: CoreConfig) -> ArkResult<Self> {
-        if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&config.protocol_version) {
-            return Err(ArkError::VersionMismatch {
-                client: config.protocol_version,
-                reason: format!(
-                    "this build speaks protocol versions \
-                     {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}"
-                ),
-            });
-        }
-        let mut core = Self {
-            version: config.protocol_version,
-            max_frame_bytes: config.max_frame_bytes,
-            phase: Phase::AwaitServerInfo,
-            engines: Vec::new(),
-            assembler: FrameAssembler::new(config.max_frame_bytes),
-            egress: Vec::new(),
-            events: VecDeque::new(),
-            next_request_id: 1,
-            pending: HashMap::new(),
-            serial_order: VecDeque::new(),
-        };
-        // the handshake is bare in every version: the envelope starts
-        // with the first post-negotiation message
-        let mut hello = Vec::new();
-        put_u16(&mut hello, core.version);
-        let frame = write_frame(msg::HELLO, 0, &hello);
-        core.queue_message(&frame);
-        Ok(core)
-    }
-
     // -- observers ----------------------------------------------------
 
-    /// The protocol version this core speaks.
-    pub fn protocol_version(&self) -> u16 {
-        self.version
-    }
-
-    /// Largest message this core accepts (the allocation bound its
-    /// reassembly enforces).
+    /// Largest wire frame this core accepts
+    /// ([`CoreConfig::max_frame_bytes`]).
     pub fn max_frame_bytes(&self) -> usize {
         self.max_frame_bytes
     }
@@ -398,8 +361,9 @@ impl ClientCore {
     }
 
     /// Reassembly bytes currently buffered. Bounded by
-    /// `4 + max_frame_bytes` plus the largest single [`ingest`] chunk
-    /// (hostile length prefixes are rejected before allocation).
+    /// `4 + max_frame_bytes + ENVELOPE_LEN` plus the largest single
+    /// [`ingest`] chunk (hostile length prefixes are rejected before
+    /// allocation).
     ///
     /// [`ingest`]: ClientCore::ingest
     pub fn buffered_bytes(&self) -> usize {
@@ -487,7 +451,7 @@ impl ClientCore {
             // side" from transport loss
             if c == code::PROTOCOL {
                 return Err(ArkError::VersionMismatch {
-                    client: self.version,
+                    client: PROTOCOL_VERSION,
                     reason: m,
                 });
             }
@@ -515,16 +479,7 @@ impl ClientCore {
     }
 
     fn handle_response(&mut self, message: &[u8]) -> ArkResult<()> {
-        let (request_id, frame_bytes) = if self.pipelines() {
-            let (id, frame) = protocol::split_envelope(message)?;
-            (id, frame)
-        } else {
-            // v3 has no envelope: responses answer requests in order
-            let id = *self.serial_order.front().ok_or_else(|| ArkError::Serve {
-                reason: "protocol violation: response with no request in flight".into(),
-            })?;
-            (id, message)
-        };
+        let (request_id, frame_bytes) = protocol::split_envelope(message)?;
         let pending = self
             .pending
             .get(&request_id)
@@ -541,11 +496,6 @@ impl ClientCore {
                 .get_mut(&request_id)
                 .expect("looked up above")
                 .parked = true;
-            // the shed response consumed the v3 wire slot; a retry
-            // re-queues the request and re-enters the serial order
-            if !self.pipelines() {
-                self.serial_order.pop_front();
-            }
             self.events.push_back(Event::Busy {
                 request_id,
                 retry_after_ms,
@@ -554,7 +504,7 @@ impl ClientCore {
         }
 
         // every non-BUSY response completes the request
-        self.complete(request_id);
+        self.pending.remove(&request_id);
         if frame.kind == msg::ERROR {
             let (c, m) = protocol::decode_error(&mut Cursor::new(frame.payload))?;
             self.events.push_back(Event::ServerError {
@@ -607,22 +557,10 @@ impl ClientCore {
         Ok(())
     }
 
-    fn complete(&mut self, request_id: u64) {
-        self.pending.remove(&request_id);
-        if !self.pipelines() {
-            self.serial_order.retain(|&id| id != request_id);
-        }
-    }
-
     // -- submission ---------------------------------------------------
 
-    fn pipelines(&self) -> bool {
-        self.version >= 4
-    }
-
-    /// Queues one request frame, returning its ticket. On v3 the wire
-    /// is serial: submitting while another request is in flight is a
-    /// typed error (pipelining needs v4).
+    /// Queues one request frame under a fresh id, returning its
+    /// ticket.
     fn submit(&mut self, expect: u16, fingerprint: u64, frame: Vec<u8>) -> ArkResult<Ticket> {
         self.fail_if_closed()?;
         if !self.is_ready() {
@@ -630,20 +568,9 @@ impl ClientCore {
                 reason: "handshake incomplete: ingest SERVER_INFO before submitting".into(),
             });
         }
-        if !self.pipelines() && !self.pending.is_empty() {
-            return Err(ArkError::Serve {
-                reason: "request pipelining needs protocol v4 (this session speaks v3)".into(),
-            });
-        }
         let id = self.next_request_id;
         self.next_request_id += 1;
-        if self.pipelines() {
-            let body = protocol::envelope(id, &frame);
-            self.queue_message(&body);
-        } else {
-            self.queue_message(&frame);
-            self.serial_order.push_back(id);
-        }
+        self.queue_message(&protocol::envelope(id, &frame));
         self.pending.insert(
             id,
             Pending {
@@ -725,14 +652,8 @@ impl ClientCore {
             });
         }
         pending.parked = false;
-        let frame = pending.frame.clone();
-        if self.pipelines() {
-            let body = protocol::envelope(ticket.id, &frame);
-            self.queue_message(&body);
-        } else {
-            self.queue_message(&frame);
-            self.serial_order.push_back(ticket.id);
-        }
+        let body = protocol::envelope(ticket.id, &pending.frame);
+        self.queue_message(&body);
         Ok(())
     }
 
@@ -740,7 +661,7 @@ impl ClientCore {
     /// frame. A late response for an abandoned id is a protocol
     /// violation.
     pub fn abandon(&mut self, ticket: Ticket) {
-        self.complete(ticket.id);
+        self.pending.remove(&ticket.id);
     }
 }
 
@@ -851,11 +772,11 @@ mod tests {
         }]
     }
 
-    fn handshaken(version: u16) -> ClientCore {
-        let mut core = ClientCore::config()
-            .protocol_version(version)
-            .build()
-            .unwrap();
+    fn handshaken() -> ClientCore {
+        handshake(ClientCore::new())
+    }
+
+    fn handshake(mut core: ClientCore) -> ClientCore {
         let hello = core.take_egress();
         assert!(!hello.is_empty(), "HELLO must be queued at construction");
         core.ingest(&message(&server_info_frame(&some_engines())))
@@ -867,7 +788,7 @@ mod tests {
 
     #[test]
     fn handshake_lifecycle() {
-        let core = handshaken(PROTOCOL_VERSION);
+        let core = handshaken();
         assert_eq!(core.engines().len(), 1);
         assert!(core.engine(0xabcd).is_some());
         assert!(core.engine(0x1234).is_none());
@@ -877,29 +798,15 @@ mod tests {
     fn handshake_version_rejection_is_typed() {
         let mut core = ClientCore::new();
         let _ = core.take_egress();
-        let reject = protocol::error_frame(code::PROTOCOL, "server speaks 3..=3");
+        let reject = protocol::error_frame(code::PROTOCOL, "server speaks protocol 5");
         let err = core.ingest(&message(&reject)).unwrap_err();
         assert!(matches!(err, ArkError::VersionMismatch { client: 4, .. }));
         assert!(core.is_closed());
     }
 
     #[test]
-    fn unsupported_local_version_is_typed() {
-        let err = ClientCore::config()
-            .protocol_version(2)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ArkError::VersionMismatch { client: 2, .. }));
-        let err = ClientCore::config()
-            .protocol_version(99)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ArkError::VersionMismatch { client: 99, .. }));
-    }
-
-    #[test]
-    fn v4_responses_complete_out_of_order() {
-        let mut core = handshaken(4);
+    fn responses_complete_out_of_order() {
+        let mut core = handshaken();
         let t1 = core.submit_get_stats().unwrap();
         let t2 = core.submit_get_stats().unwrap();
         assert_ne!(t1.id(), t2.id());
@@ -926,26 +833,8 @@ mod tests {
     }
 
     #[test]
-    fn v3_is_serial_and_unenveloped() {
-        let mut core = handshaken(3);
-        let t = core.submit_get_stats().unwrap();
-        // second submit while one is in flight is a typed error
-        let err = core.submit_get_stats().unwrap_err();
-        assert!(matches!(err, ArkError::Serve { .. }));
-        // the egress carries a bare frame (no request-id envelope)
-        let egress = core.take_egress();
-        let body = &egress[4..];
-        let (frame, _) = read_frame(body).unwrap();
-        assert_eq!(frame.kind, msg::GET_STATS);
-        // a bare response completes the front request
-        core.ingest(&message(&stats_frame(&[]))).unwrap();
-        let event = core.next_event().unwrap();
-        assert_eq!(event.request_id(), Some(t.id()));
-    }
-
-    #[test]
     fn busy_parks_and_retry_resends_same_id() {
-        let mut core = handshaken(4);
+        let mut core = handshaken();
         let t = core.submit_get_stats().unwrap();
         let first_egress = core.take_egress();
         core.ingest(&message(&protocol::envelope(
@@ -979,7 +868,7 @@ mod tests {
 
     #[test]
     fn abandon_frees_a_parked_request() {
-        let mut core = handshaken(4);
+        let mut core = handshaken();
         let t = core.submit_get_stats().unwrap();
         let _ = core.take_egress();
         core.ingest(&message(&protocol::envelope(
@@ -995,7 +884,7 @@ mod tests {
 
     #[test]
     fn server_error_is_an_event_not_a_poison() {
-        let mut core = handshaken(4);
+        let mut core = handshaken();
         let t = core.submit_get_stats().unwrap();
         let _ = core.take_egress();
         core.ingest(&message(&protocol::envelope(
@@ -1022,7 +911,7 @@ mod tests {
 
     #[test]
     fn unknown_request_id_poisons() {
-        let mut core = handshaken(4);
+        let mut core = handshaken();
         let _ = core.submit_get_stats().unwrap();
         let _ = core.take_egress();
         let err = core
@@ -1036,7 +925,7 @@ mod tests {
 
     #[test]
     fn kind_mismatch_poisons() {
-        let mut core = handshaken(4);
+        let mut core = handshaken();
         let t = core.submit_get_stats().unwrap();
         let _ = core.take_egress();
         let err = core
@@ -1063,21 +952,43 @@ mod tests {
 
     #[test]
     fn hostile_length_prefix_is_rejected_before_allocation() {
-        let mut core = ClientCore::config().max_frame_bytes(1024).build().unwrap();
+        let mut core = ClientCore::config().max_frame_bytes(1024).build();
         let _ = core.take_egress();
         let err = core.ingest(&u32::MAX.to_le_bytes()).unwrap_err();
         assert!(matches!(err, ArkError::Wire(_)));
         assert!(core.is_closed());
         assert!(core.buffered_bytes() <= 8);
         // zero-length messages are equally malformed
-        let mut core = ClientCore::config().max_frame_bytes(1024).build().unwrap();
+        let mut core = ClientCore::config().max_frame_bytes(1024).build();
         let _ = core.take_egress();
         assert!(core.ingest(&0u32.to_le_bytes()).is_err());
     }
 
     #[test]
+    fn frame_cap_bounds_the_frame_not_the_message() {
+        // a response whose frame is exactly `max_frame_bytes` is what a
+        // server with the same setting may legitimately send: the
+        // envelope rides on top of the cap
+        let frame = protocol::error_frame(code::EVALUATION, &"x".repeat(200));
+        let cap = frame.len();
+        let mut core = handshake(ClientCore::config().max_frame_bytes(cap).build());
+        let t = core.submit_get_stats().unwrap();
+        let _ = core.take_egress();
+        core.ingest(&message(&protocol::envelope(t.id(), &frame)))
+            .unwrap();
+        assert!(matches!(core.next_event(), Some(Event::ServerError { .. })));
+        // one byte more is refused on the prefix alone, before any
+        // body byte could be buffered
+        let prefix = ((cap + ENVELOPE_LEN + 1) as u32).to_le_bytes();
+        let err = core.ingest(&prefix).unwrap_err();
+        assert!(matches!(err, ArkError::Wire(WireError::Malformed { .. })));
+        assert!(core.is_closed());
+        assert!(core.buffered_bytes() <= 4);
+    }
+
+    #[test]
     fn bye_closes_the_core() {
-        let mut core = handshaken(4);
+        let mut core = handshaken();
         let t = core.submit_shutdown().unwrap();
         let _ = core.take_egress();
         core.ingest(&message(&protocol::envelope(

@@ -10,8 +10,8 @@
 //! it compiles for `wasm32-unknown-unknown` as-is — a browser client
 //! encrypts locally, moves bytes through `fetch`/WebSocket glue, and
 //! drives the exact state machine the native client uses. The blocking
-//! TCP transport lives in `ark_serve::client::Client`, rebuilt as a
-//! thin adapter over [`core::ClientCore`].
+//! TCP transport is `ark_serve::Client`, a thin adapter over
+//! [`core::ClientCore`].
 //!
 //! Every decoder in this crate is *total* over untrusted bytes:
 //! malformed input yields a typed [`ark_ckks::error::ArkError`], never
@@ -34,6 +34,6 @@ pub mod prelude {
         Ticket,
     };
     pub use crate::program::{Program, Reg};
-    pub use crate::protocol::{EngineInfo, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+    pub use crate::protocol::{EngineInfo, PROTOCOL_VERSION};
     pub use ark_ckks::error::{ArkError, ArkResult};
 }

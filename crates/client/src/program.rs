@@ -82,7 +82,7 @@ impl Op {
 /// [`Program::encode`].
 ///
 /// ```
-/// use ark_serve::program::Program;
+/// use ark_client::program::Program;
 ///
 /// let mut p = Program::new(2);
 /// let [x, y] = [p.reg(0), p.reg(1)];

@@ -1,34 +1,30 @@
 //! Pure codecs for the `ark-serve` request/response protocol: message
-//! kinds, error codes, the v4 request-id envelope, and the
-//! encode/decode pairs for every control payload.
+//! kinds, error codes, the request-id envelope, and the encode/decode
+//! pairs for every control payload.
 //!
 //! Everything here is sans-I/O — functions map byte slices to typed
 //! values and back, so the module compiles anywhere (wasm32 included).
-//! The transport halves live with their owners: the blocking
-//! length-prefix reader/writer (`send_message`/`recv_message`) stays in
-//! `ark_serve::protocol`, and the incremental, allocation-capped
-//! reassembly used by [`ClientCore`](crate::core::ClientCore) lives in
-//! [`crate::core`].
+//! Reassembling messages from a byte stream belongs to the two ends of
+//! the connection: the allocation-capped assembler inside
+//! [`ClientCore`](crate::core::ClientCore) on the client, `ark-net`'s
+//! `FrameBuf`/`OutBuf` under the server's reactor.
 //!
 //! # Transport shape
 //!
 //! Each message is a `u32` little-endian byte count followed by the
 //! message body. The prefix lets a receiver take the whole message off
 //! the stream before parsing (and bound it against `max_frame_bytes`
-//! *before* allocating); the frame's own checksum then covers content
-//! integrity.
+//! plus the envelope *before* allocating); the frame's own checksum
+//! then covers content integrity.
 //!
-//! The message body depends on the negotiated protocol version:
-//!
-//! - **v3** — the body is exactly one wire frame, and requests and
-//!   responses alternate strictly (synchronous per session;
-//!   concurrency comes from many sessions).
-//! - **v4** — after the `HELLO`/`SERVER_INFO` exchange (which stays in
-//!   the v3 shape, since no version is negotiated yet), every body is
-//!   `u64` request id ‖ one wire frame. Requests *pipeline*: a client
-//!   may have many in flight on one connection, and responses carry
-//!   the id of the request they answer — order is not guaranteed.
-//!   The id namespace is chosen by the client; the server only echoes.
+//! There is one protocol version ([`PROTOCOL_VERSION`]). A session
+//! opens with a bare exchange — the body of `HELLO` and of its reply
+//! (`SERVER_INFO`, or an `ERROR` refusing the version) is exactly one
+//! wire frame. Every later body is `u64` request id ‖ one wire frame.
+//! Requests *pipeline*: a client may have many in flight on one
+//! connection, and responses carry the id of the request they answer —
+//! order is not guaranteed. The id namespace is chosen by the client;
+//! the server only echoes.
 //!
 //! # Message kinds (`0x10..=0x1F`, the serve namespace of the shared
 //! kind-tag space)
@@ -48,9 +44,9 @@
 //! | `ERROR` | s→c | `u16` code ‖ `u32 len` ‖ UTF-8 message |
 //! | `SHUTDOWN` | c→s | empty — acked with `BYE` and honored only when `ServerConfig::allow_remote_shutdown` is set (refused with `ERROR` otherwise) |
 //! | `BYE` | s→c | empty |
-//! | `GET_STATS` | c→s | empty (v4) |
-//! | `STATS` | s→c | `u16 n` × (`u16 len` ‖ UTF-8 name ‖ `u64` value) (v4) |
-//! | `BUSY` | s→c | `u32` retry-after hint in milliseconds (v4) |
+//! | `GET_STATS` | c→s | empty |
+//! | `STATS` | s→c | `u16 n` × (`u16 len` ‖ UTF-8 name ‖ `u64` value) |
+//! | `BUSY` | s→c | `u32` retry-after hint in milliseconds |
 //!
 //! Engine descriptor: `u64` fingerprint ‖ `u8` backend (0 = software,
 //! 1 = simulated) ‖ `u8 log N` ‖ `u32 L` ‖ `u64` resident key bytes.
@@ -58,21 +54,12 @@
 use ark_ckks::error::{ArkError, ArkResult};
 use ark_math::wire::{put_u16, put_u32, put_u64, write_frame, Cursor, WireError};
 
-/// Protocol version spoken by this build (negotiated in `HELLO`).
-/// Version 2: key distribution ships seed-compressed frames
-/// (`PUBLIC_KEY` payload changed; `GET_EVAL_KEYS`/`EVAL_KEYS` added).
-/// Version 3: the `Program` IR gained the fused `RotateSum` opcode
-/// (16) — bumped so a capability gap surfaces as a clean handshake
-/// mismatch instead of an opaque decode error mid-session.
-/// Version 4: post-handshake messages carry a `u64` request id so one
-/// connection can pipeline requests (framing change ⇒ version bump);
-/// `GET_STATS`/`STATS` expose the server counters and `BUSY` is the
-/// typed load-shed response. Servers still accept v3 clients
-/// ([`MIN_PROTOCOL_VERSION`]) with the old serial, id-less behavior.
+/// The one protocol version. A client sends it in `HELLO`; the server
+/// serves exactly this number and refuses any other with a typed
+/// `PROTOCOL` error, so a wire-format change is a bump here and a clean
+/// handshake failure against an old peer, never a mid-session decode
+/// error.
 pub const PROTOCOL_VERSION: u16 = 4;
-
-/// Oldest client version the server still speaks.
-pub const MIN_PROTOCOL_VERSION: u16 = 3;
 
 /// Serve-namespace frame kinds.
 pub mod msg {
@@ -103,14 +90,14 @@ pub mod msg {
     pub const GET_EVAL_KEYS: u16 = 0x1B;
     /// Evaluation-key response (server → client).
     pub const EVAL_KEYS: u16 = 0x1C;
-    /// Server-counter fetch (client → server, v4).
+    /// Server-counter fetch (client → server).
     pub const GET_STATS: u16 = 0x1D;
-    /// Server-counter response (server → client, v4): a wire-encoded
+    /// Server-counter response (server → client): a wire-encoded
     /// name → value map.
     pub const STATS: u16 = 0x1E;
-    /// Typed load-shed response (server → client, v4): every shard
-    /// queue (or the connection's pipeline window) was full; the
-    /// payload hints how long to back off before retrying.
+    /// Typed load-shed response (server → client): every shard queue
+    /// was full; the payload hints how long to back off before
+    /// retrying.
     pub const BUSY: u16 = 0x1F;
 }
 
@@ -134,18 +121,18 @@ pub mod code {
     pub const VERIFY: u16 = 7;
 }
 
-/// Default cap on one message's frame bytes (64 MiB — a full-chain
+/// Default cap on one wire frame's bytes (64 MiB — a full-chain
 /// `small`-params rotation-key set fits with room to spare).
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 64 << 20;
 
 // ---------------------------------------------------------------------
-// v4 request-id envelope
+// request-id envelope
 // ---------------------------------------------------------------------
 
-/// Bytes of the v4 request-id prefix inside a message body.
+/// Bytes of the request-id prefix inside a post-handshake message body.
 pub const ENVELOPE_LEN: usize = 8;
 
-/// Wraps a wire frame in the v4 envelope: `u64` request id, then the
+/// Wraps a wire frame in the envelope: `u64` request id, then the
 /// frame.
 pub fn envelope(request_id: u64, frame: &[u8]) -> Vec<u8> {
     let mut body = Vec::with_capacity(ENVELOPE_LEN + frame.len());
@@ -154,7 +141,8 @@ pub fn envelope(request_id: u64, frame: &[u8]) -> Vec<u8> {
     body
 }
 
-/// Splits a v4 message body into its request id and the wire frame.
+/// Splits a post-handshake message body into its request id and the
+/// wire frame.
 ///
 /// # Errors
 ///

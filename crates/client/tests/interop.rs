@@ -1,20 +1,21 @@
-//! Cross-version interop: `ClientCore` (v3 and v4) round-tripped
-//! against the *real* server framing — the same `send_message` /
-//! `recv_message` the server runtime uses — byte-for-byte, plus the
-//! version-skew regression (a v4 core against a v3-only server must
-//! fail with a typed version error, never hang).
+//! Interop: `ClientCore` round-tripped against the *real* server
+//! framing — `ark_net::OutBuf` on the way out, `ark_net::FrameBuf` on
+//! the way in, exactly what the reactor runs — byte-for-byte, plus the
+//! version-skew regression (a core refused by a server that speaks a
+//! different version must fail with a typed version error, never
+//! hang).
 //!
-//! `ark-serve` is a dev-only dependency here: the library under test
-//! stays sans-I/O, the tests borrow the server's transport.
+//! `ark-net` is a dev-only dependency here: the library under test
+//! stays sans-I/O, the tests borrow the server's transport buffers.
 
 use ark_ckks::error::ArkError;
 use ark_client::core::{ClientCore, Event};
 use ark_client::protocol::{
     busy_frame, code, envelope, error_frame, msg, server_info_frame, stats_frame, EngineInfo,
-    PROTOCOL_VERSION,
+    DEFAULT_MAX_FRAME_BYTES, ENVELOPE_LEN, PROTOCOL_VERSION,
 };
 use ark_math::wire::write_frame;
-use ark_serve::protocol as srv;
+use ark_net::{FrameBuf, OutBuf};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,41 +30,46 @@ fn engines() -> Vec<EngineInfo> {
     }]
 }
 
-/// Server-side write of one message, exactly as the runtime does it.
-fn server_send(wire: &mut Vec<u8>, frame: &[u8]) {
-    srv::send_message(wire, frame).expect("Vec<u8> writes are infallible");
+/// Server-side write of one message, exactly as the reactor does it:
+/// queued on the connection's outbox, flushed to the socket. Returns
+/// the bytes that reached the wire.
+fn server_send(body: Vec<u8>) -> Vec<u8> {
+    let mut outbox = OutBuf::new();
+    outbox.push_message(body).expect("within the u32 prefix");
+    let mut wire = Vec::new();
+    assert!(outbox
+        .flush(&mut wire)
+        .expect("Vec<u8> writes are infallible"));
+    wire
 }
 
 /// Reads every complete message the core queued, through the server's
-/// own receive path (prefix parse + allocation bound).
+/// own receive path (prefix parse + allocation bound), and checks no
+/// torn tail is left.
 fn server_recv_all(egress: &[u8]) -> Vec<Vec<u8>> {
-    let mut r = std::io::Cursor::new(egress);
+    let mut inbox = FrameBuf::new(DEFAULT_MAX_FRAME_BYTES + ENVELOPE_LEN);
+    inbox.push_bytes(egress);
     let mut out = Vec::new();
-    loop {
-        match srv::recv_message(&mut r, srv::DEFAULT_MAX_FRAME_BYTES, &|| false)
-            .expect("core egress parses as server messages")
-        {
-            srv::Recv::Frame(f) => out.push(f),
-            srv::Recv::Closed => return out,
-            srv::Recv::Idle => unreachable!("no timeout on a buffer"),
-        }
+    while let Some(message) = inbox
+        .next_message()
+        .expect("core egress parses as server messages")
+    {
+        out.push(message);
     }
+    assert_eq!(inbox.buffered(), 0, "core egress ends mid-message");
+    out
 }
 
-fn handshaken(version: u16) -> ClientCore {
-    let mut core = ClientCore::config()
-        .protocol_version(version)
-        .build()
-        .expect("supported version");
+fn handshaken() -> ClientCore {
+    let mut core = ClientCore::new();
     // the HELLO the core emits must parse through the server transport
     // as exactly one bare frame
     let hello = server_recv_all(&core.take_egress());
     assert_eq!(hello.len(), 1);
     let (frame, _) = ark_math::wire::read_frame(&hello[0]).expect("well-formed HELLO");
     assert_eq!(frame.kind, msg::HELLO);
-    let mut wire = Vec::new();
-    server_send(&mut wire, &server_info_frame(&engines()));
-    core.ingest(&wire).expect("valid handshake");
+    core.ingest(&server_send(server_info_frame(&engines())))
+        .expect("valid handshake");
     assert!(matches!(core.next_event(), Some(Event::Handshake { .. })));
     assert!(core.is_ready());
     core
@@ -113,16 +119,10 @@ fn ingest_chunked(core: &mut ClientCore, wire: &[u8], rng: &mut StdRng) {
     }
 }
 
-/// Wraps a response frame the way the server would for this session's
-/// version: enveloped under the request id on v4, bare on v3.
-fn respond(core: &ClientCore, id: u64, frame: &[u8]) -> Vec<u8> {
-    let mut wire = Vec::new();
-    if core.protocol_version() >= 4 {
-        server_send(&mut wire, &envelope(id, frame));
-    } else {
-        server_send(&mut wire, frame);
-    }
-    wire
+/// Sends a response frame the way the server does: enveloped under the
+/// request id.
+fn respond(id: u64, frame: &[u8]) -> Vec<u8> {
+    server_send(envelope(id, frame))
 }
 
 fn expect_stats(core: &mut ClientCore, id: u64, counters: &[(String, u64)]) {
@@ -142,25 +142,19 @@ fn expect_stats(core: &mut ClientCore, id: u64, counters: &[(String, u64)]) {
 /// matches the scripted reply exactly.
 fn exchange(core: &mut ClientCore, reply: &Reply, chunk_rng: &mut StdRng) {
     let ticket = core.submit_get_stats().expect("ready core accepts");
-    let v4 = core.protocol_version() >= 4;
 
-    // byte-for-byte: the request the core queued is exactly the frame
-    // the server's own decode stack expects — a bare GET_STATS frame,
-    // enveloped iff v4
+    // byte-for-byte: the request the core queued is exactly the message
+    // the server's own decode stack expects — a GET_STATS frame
+    // enveloped under the ticket's id
     let sent = server_recv_all(&core.take_egress());
     assert_eq!(sent.len(), 1);
-    let bare = write_frame(msg::GET_STATS, 0, &[]);
-    let expect_msg = if v4 {
-        envelope(ticket.id(), &bare)
-    } else {
-        bare.clone()
-    };
+    let expect_msg = envelope(ticket.id(), &write_frame(msg::GET_STATS, 0, &[]));
     assert_eq!(
         sent[0], expect_msg,
         "request bytes diverge from server framing"
     );
 
-    let wire = respond(core, ticket.id(), &reply_frame(reply));
+    let wire = respond(ticket.id(), &reply_frame(reply));
     ingest_chunked(core, &wire, chunk_rng);
 
     match reply {
@@ -194,7 +188,7 @@ fn exchange(core: &mut ClientCore, reply: &Reply, chunk_rng: &mut StdRng) {
             core.retry(ticket).expect("parked request retries");
             let resent = server_recv_all(&core.take_egress());
             assert_eq!(resent, vec![expect_msg], "retry re-emits the same bytes");
-            let wire = respond(core, ticket.id(), &stats_frame(counters));
+            let wire = respond(ticket.id(), &stats_frame(counters));
             ingest_chunked(core, &wire, chunk_rng);
             expect_stats(core, ticket.id(), counters);
         }
@@ -206,29 +200,15 @@ fn exchange(core: &mut ClientCore, reply: &Reply, chunk_rng: &mut StdRng) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    // v4: scripted request/reply sequences round-trip through the
-    // server transport byte-for-byte, under arbitrary chunking, with
+    // scripted request/reply sequences round-trip through the server
+    // transport byte-for-byte, under arbitrary chunking, with
     // pipelined ids echoed exactly.
     #[test]
     fn v4_core_roundtrips_server_framing(
         replies in proptest::collection::vec(reply_strategy(), 1..6usize),
         chunk_seed in any::<u64>(),
     ) {
-        let mut core = handshaken(PROTOCOL_VERSION);
-        let mut rng = StdRng::seed_from_u64(chunk_seed);
-        for reply in &replies {
-            exchange(&mut core, reply, &mut rng);
-        }
-        prop_assert!(core.is_ready());
-    }
-
-    // v3: the same exchanges, bare-framed and strictly serial.
-    #[test]
-    fn v3_core_roundtrips_server_framing(
-        replies in proptest::collection::vec(reply_strategy(), 1..6usize),
-        chunk_seed in any::<u64>(),
-    ) {
-        let mut core = handshaken(3);
+        let mut core = handshaken();
         let mut rng = StdRng::seed_from_u64(chunk_seed);
         for reply in &replies {
             exchange(&mut core, reply, &mut rng);
@@ -237,42 +217,22 @@ proptest! {
     }
 }
 
-/// A BUSY park on v3 frees the serial slot: the retry goes out bare
-/// and the follow-up response still maps to the parked id.
+/// Regression: a core handed the handshake rejection of a server that
+/// speaks only a different version surfaces a typed
+/// [`ArkError::VersionMismatch`] — the failure mode is an error
+/// return, not a hang on a reply that will never come.
 #[test]
-fn v3_busy_retry_keeps_serial_bookkeeping() {
-    let mut core = handshaken(3);
-    let mut rng = StdRng::seed_from_u64(7);
-    exchange(
-        &mut core,
-        &Reply::BusyThenStats(25, vec![("jobs".into(), 3)]),
-        &mut rng,
-    );
-    // the slot is genuinely free: a fresh request is accepted
-    let _ = core.submit_get_stats().expect("serial slot released");
-}
-
-/// Regression: a v4 core handed a v3-only server's handshake
-/// rejection surfaces a typed [`ArkError::VersionMismatch`] — the
-/// failure mode is an error return, not a hang on a reply that will
-/// never come.
-#[test]
-fn v4_core_rejected_by_v3_server_is_typed() {
+fn v4_core_rejected_by_other_version_server_is_typed() {
     let mut core = ClientCore::new();
-    assert_eq!(core.protocol_version(), PROTOCOL_VERSION);
     let _ = core.take_egress();
-    let mut wire = Vec::new();
-    server_send(
-        &mut wire,
-        &error_frame(
-            code::PROTOCOL,
-            "client speaks protocol 4, server speaks 3..=3",
-        ),
-    );
+    let wire = server_send(error_frame(
+        code::PROTOCOL,
+        "client speaks protocol 4, server speaks protocol 5",
+    ));
     match core.ingest(&wire) {
         Err(ArkError::VersionMismatch { client, reason }) => {
             assert_eq!(client, PROTOCOL_VERSION);
-            assert!(reason.contains("3..=3"), "reason: {reason}");
+            assert!(reason.contains("server speaks protocol 5"), "{reason}");
         }
         other => panic!("expected VersionMismatch, got {other:?}"),
     }

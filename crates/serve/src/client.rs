@@ -1,11 +1,11 @@
 //! The blocking client: connect, pick an engine by fingerprint, ship
 //! ciphertexts, get results.
 //!
-//! Since the client split, [`Client`] is a *thin transport adapter*: a
-//! [`TcpStream`] plus timeout/backoff policy wrapped around the
-//! sans-I/O [`ClientCore`] state machine from `ark-client`, which owns
-//! every protocol decision (handshake, v3/v4 framing, pending-request
-//! bookkeeping, typed `ERROR`/`BUSY` surfacing). Anything that can run
+//! [`Client`] is a *thin transport adapter*: a [`TcpStream`] plus
+//! timeout/backoff policy wrapped around the sans-I/O [`ClientCore`]
+//! state machine from `ark-client`, which owns every protocol decision
+//! (handshake, request-id framing, pending-request bookkeeping, typed
+//! `ERROR`/`BUSY` surfacing). Anything that can run
 //! on wasm32 lives in the core; only the socket, the clock, and the
 //! retry policy live here.
 //!
@@ -17,18 +17,16 @@
 //! different parameters is rejected by fingerprint before any payload
 //! byte is interpreted).
 //!
-//! # Pipelining (protocol v4)
+//! # Pipelining
 //!
-//! By default the client speaks v4: every post-handshake message
-//! carries a `u64` request id, so several requests can be in flight on
-//! one connection. [`Client::submit_evaluate`]/[`Client::submit_simulate`]
-//! return a [`Ticket`] without waiting; [`Client::wait_evaluate`]/
+//! Every post-handshake message carries a `u64` request id, so several
+//! requests can be in flight on one connection.
+//! [`Client::submit_evaluate`]/[`Client::submit_simulate`] return a
+//! [`Ticket`] without waiting; [`Client::wait_evaluate`]/
 //! [`Client::wait_simulate`] collect results in any order (responses
 //! that arrive for other tickets are stashed until asked for). The
-//! plain [`Client::evaluate`]/[`Client::simulate`] calls remain
-//! synchronous submit-then-wait pairs. Building with
-//! [`ClientBuilder::protocol_version`]`(3)` restores the bare serial
-//! protocol for old servers.
+//! plain [`Client::evaluate`]/[`Client::simulate`] calls are
+//! synchronous submit-then-wait pairs.
 //!
 //! # Load shed and automatic retry
 //!
@@ -41,13 +39,12 @@
 //! under its original id up to `n` times before the `Busy` error is
 //! surfaced.
 
-use crate::protocol::{DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use ark_ckks::error::{ArkError, ArkResult};
 use ark_ckks::params::CkksContext;
 use ark_ckks::{Ciphertext, EvalKey, PublicKey, RotationKeys};
 use ark_client::core::{decode_eval_keys, decode_public_key, decode_result_cts, ClientCore, Event};
 use ark_client::program::Program;
-use ark_client::protocol::code_label;
+use ark_client::protocol::{code_label, DEFAULT_MAX_FRAME_BYTES};
 use ark_core::sched::SimReport;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -73,7 +70,6 @@ const MAX_BACKOFF: Duration = Duration::from_secs(5);
 pub struct ClientBuilder {
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
-    protocol_version: u16,
     max_frame_bytes: usize,
     busy_retries: u32,
 }
@@ -83,7 +79,6 @@ impl Default for ClientBuilder {
         Self {
             read_timeout: None,
             write_timeout: None,
-            protocol_version: PROTOCOL_VERSION,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             busy_retries: 0,
         }
@@ -106,14 +101,7 @@ impl ClientBuilder {
         self
     }
 
-    /// Speaks an explicit protocol version: 4 (default, pipelined) or
-    /// 3 (bare serial, for old servers).
-    pub fn protocol_version(mut self, version: u16) -> Self {
-        self.protocol_version = version;
-        self
-    }
-
-    /// Largest message this client accepts (allocation bound).
+    /// Largest wire frame this client accepts (allocation bound).
     pub fn max_frame_bytes(mut self, bytes: usize) -> Self {
         self.max_frame_bytes = bytes;
         self
@@ -134,13 +122,12 @@ impl ClientBuilder {
     /// # Errors
     ///
     /// [`ArkError::Serve`] on transport failure or a handshake
-    /// rejection; [`ArkError::VersionMismatch`] when client and server
-    /// share no protocol version.
+    /// rejection; [`ArkError::VersionMismatch`] when the server speaks
+    /// a different protocol version.
     pub fn connect(self, addr: impl ToSocketAddrs) -> ArkResult<Client> {
         let core = ClientCore::config()
-            .protocol_version(self.protocol_version)
             .max_frame_bytes(self.max_frame_bytes)
-            .build()?;
+            .build();
         let stream = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
         let _ = stream.set_nodelay(true);
         stream
@@ -197,7 +184,7 @@ pub struct Client {
 }
 
 impl Client {
-    /// A connection builder with timeout, protocol, and retry knobs.
+    /// A connection builder with timeout, frame-cap, and retry knobs.
     pub fn builder() -> ClientBuilder {
         ClientBuilder::default()
     }
@@ -216,11 +203,6 @@ impl Client {
     /// The advertised engine with the given fingerprint, if any.
     pub fn engine(&self, fingerprint: u64) -> Option<&EngineInfo> {
         self.core.engine(fingerprint)
-    }
-
-    /// The protocol version this session negotiated.
-    pub fn protocol_version(&self) -> u16 {
-        self.core.protocol_version()
     }
 
     /// `BUSY` sheds this session absorbed — retried after backoff
@@ -302,8 +284,8 @@ impl Client {
         }
     }
 
-    /// Submits an evaluation without waiting (pipelining; v4 only).
-    /// Redeem the ticket with [`Client::wait_evaluate`].
+    /// Submits an evaluation without waiting (pipelining). Redeem the
+    /// ticket with [`Client::wait_evaluate`].
     pub fn submit_evaluate(
         &mut self,
         fingerprint: u64,
@@ -311,7 +293,6 @@ impl Client {
         inputs: &[Ciphertext],
         ctx: &CkksContext,
     ) -> ArkResult<Ticket> {
-        self.require_pipelining()?;
         let ticket = self
             .core
             .submit_evaluate(fingerprint, program, inputs, ctx)?;
@@ -319,15 +300,14 @@ impl Client {
         Ok(ticket)
     }
 
-    /// Submits a simulation without waiting (pipelining; v4 only).
-    /// Redeem the ticket with [`Client::wait_simulate`].
+    /// Submits a simulation without waiting (pipelining). Redeem the
+    /// ticket with [`Client::wait_simulate`].
     pub fn submit_simulate(
         &mut self,
         fingerprint: u64,
         program: &Program,
         levels: &[usize],
     ) -> ArkResult<Ticket> {
-        self.require_pipelining()?;
         let ticket = self.core.submit_simulate(fingerprint, program, levels)?;
         self.flush_egress()?;
         Ok(ticket)
@@ -376,15 +356,6 @@ impl Client {
     }
 
     // -- transport ----------------------------------------------------
-
-    fn require_pipelining(&self) -> ArkResult<()> {
-        if self.core.protocol_version() < 4 {
-            return Err(ArkError::Serve {
-                reason: "request pipelining needs protocol v4 (this session speaks v3)".into(),
-            });
-        }
-        Ok(())
-    }
 
     /// Writes everything the core has queued.
     fn flush_egress(&mut self) -> ArkResult<()> {

@@ -5,15 +5,13 @@
 //! multiplex onto one server process, and evaluation rides the
 //! engine's limb-parallel thread pool.
 //!
-//! - [`program::Program`] — a wire-serializable register-based HE
-//!   program (the transportable counterpart of
-//!   [`ark_fhe::engine::HeProgram`]); since the client split it lives
-//!   in `ark_client::program` and is re-exported here;
-//! - [`protocol`] — the length-prefixed request/response protocol over
-//!   TCP (`std::net` only, like everything in this workspace), v4 of
-//!   which envelopes every post-handshake message with a request id so
-//!   one connection can pipeline. The sans-I/O codecs live in
-//!   `ark_client::protocol`; this module adds the blocking transport;
+//! - [`Program`] — a wire-serializable register-based HE program (the
+//!   transportable counterpart of [`ark_fhe::engine::HeProgram`]),
+//!   defined in `ark_client::program` and re-exported here;
+//! - the protocol — length-prefixed messages over TCP (`std::net`
+//!   only, like everything in this workspace), every post-handshake
+//!   message enveloped with a request id so one connection can
+//!   pipeline. Its sans-I/O codecs are `ark_client::protocol`;
 //! - [`server::Server`] — an event-driven serving fabric: one
 //!   `ark-net` reactor thread owns every connection, N shard workers
 //!   (work-stealing, bounded queues, typed `BUSY` load-shedding)
@@ -30,11 +28,8 @@
 //! architecture.
 
 pub mod client;
-pub mod program;
-pub mod protocol;
 pub mod server;
 
+pub use ark_client::{EngineInfo, Program, Reg};
 pub use client::{Client, ClientBuilder, Ticket};
-pub use program::{Program, Reg};
-pub use protocol::EngineInfo;
 pub use server::{Server, ServerConfig, ServerHandle};

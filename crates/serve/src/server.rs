@@ -35,13 +35,16 @@
 //!
 //! # Sessions and pipelining
 //!
-//! A v4 session envelopes every post-handshake message with a `u64`
-//! request id and may pipeline many requests; responses come back in
-//! completion order, not submission order. A v3 session keeps the old
-//! serial contract: the reactor defers buffered frames while one
-//! request is in flight, so responses still alternate. Either way a
-//! slow-reading peer cannot wedge anything: responses queue in that
-//! connection's outbox, and an outbox that outgrows
+//! A session opens with a bare `HELLO` carrying exactly
+//! [`PROTOCOL_VERSION`] (any other version, or any other first message,
+//! is refused with a typed `PROTOCOL` error and the connection stays
+//! un-handshaken). From then on every message is `u64` request id ‖
+//! frame; a session may pipeline up to [`ServerConfig::max_pipeline`]
+//! jobs, and responses come back in completion order, not submission
+//! order. A connection at its window is simply not read until a
+//! completion frees a slot (TCP back-pressure). A slow-reading peer
+//! cannot wedge anything: responses queue in that connection's outbox,
+//! and an outbox that outgrows
 //! [`ServerConfig::max_conn_outbox_bytes`] sheds the connection.
 //!
 //! # Shutdown
@@ -52,14 +55,13 @@
 //! completions, makes a bounded final flush pass, and every thread is
 //! joined before `shutdown` returns.
 
-use crate::program::Program;
-use crate::protocol::{
-    self, code, msg, EngineInfo, DEFAULT_MAX_FRAME_BYTES, ENVELOPE_LEN, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-};
 use ark_ckks::error::{ArkError, ArkResult};
 use ark_ckks::wire as ckks_wire;
 use ark_ckks::Ciphertext;
+use ark_client::program::Program;
+use ark_client::protocol::{
+    self, code, msg, EngineInfo, DEFAULT_MAX_FRAME_BYTES, ENVELOPE_LEN, PROTOCOL_VERSION,
+};
 use ark_core::wire as core_wire;
 use ark_fhe::engine::Engine;
 use ark_fhe::verify::{AbstractInput, VerifyReport};
@@ -86,7 +88,8 @@ pub struct ServerConfig {
     /// shedding (a request is shed only when *every* shard is full —
     /// submission picks the shallowest queue and workers steal).
     pub queue_capacity: usize,
-    /// Largest message a peer may send (allocation bound).
+    /// Largest wire frame a peer may send (allocation bound; a message
+    /// may add the request-id envelope on top).
     pub max_frame_bytes: usize,
     /// Ciphertext bytes (inputs + worst-case intermediates + outputs)
     /// one session may have in flight; exceeding it fails the request
@@ -97,8 +100,11 @@ pub struct ServerConfig {
     /// intermediate register live, so this (together with
     /// `max_session_bytes`) bounds a request's working set.
     pub max_program_ops: usize,
-    /// Most requests one v4 connection may have in flight; the excess
-    /// is answered with `BUSY` rather than queued without bound.
+    /// Most jobs one connection may have queued or executing. A
+    /// connection at this window is not read until a completion frees
+    /// a slot, so the excess waits in the peer's socket (TCP
+    /// back-pressure), not in server memory; `BUSY` is sent only when
+    /// every shard queue is full.
     pub max_pipeline: usize,
     /// Unwritten response bytes one connection's outbox may hold. A
     /// peer that stops reading its responses gets its connection shed
@@ -121,12 +127,6 @@ pub struct ServerConfig {
     /// last job completes during shutdown, before abandoning unread
     /// responses.
     pub drain_grace: Duration,
-    /// Newest protocol version this server accepts (default
-    /// [`PROTOCOL_VERSION`]). Lowering it to 3 emulates an
-    /// old pre-pipelining deployment — newer clients are rejected with
-    /// a typed `PROTOCOL` error at the handshake instead of failing
-    /// obscurely mid-session; used by cross-version interop tests.
-    pub max_protocol_version: u16,
 }
 
 impl Default for ServerConfig {
@@ -143,7 +143,6 @@ impl Default for ServerConfig {
             allow_remote_shutdown: false,
             poll_interval: Duration::from_millis(25),
             drain_grace: Duration::from_secs(1),
-            max_protocol_version: PROTOCOL_VERSION,
         }
     }
 }
@@ -164,7 +163,7 @@ impl ServerConfig {
 /// Memory accounting of one session: ciphertext bytes currently held on
 /// the session's behalf (decoded request inputs, worst-case
 /// intermediates, produced outputs), bounded by
-/// [`ServerConfig::max_session_bytes`]. Atomic because a v4 session's
+/// [`ServerConfig::max_session_bytes`]. Atomic because a session's
 /// pipelined jobs charge concurrently from several shard workers.
 struct SessionState {
     #[allow(dead_code)]
@@ -228,8 +227,8 @@ impl Drop for ChargeGuard<'_> {
 /// still wire bytes (decode happens on the worker, off the reactor).
 struct Job {
     conn_token: u64,
-    /// `Some` on v4 sessions (echoed in the response envelope).
-    request_id: Option<u64>,
+    /// Echoed in the response envelope.
+    request_id: u64,
     engine_idx: usize,
     kind: u16,
     fingerprint: u64,
@@ -240,7 +239,7 @@ struct Job {
 /// A finished job's response frame, routed back through the reactor.
 struct Completion {
     conn_token: u64,
-    request_id: Option<u64>,
+    request_id: u64,
     frame: Vec<u8>,
 }
 
@@ -876,8 +875,9 @@ struct Conn {
     session: Arc<SessionState>,
     inbox: FrameBuf,
     outbox: OutBuf,
-    /// Negotiated protocol version; `None` until `HELLO` lands.
-    version: Option<u16>,
+    /// A `HELLO` carrying [`PROTOCOL_VERSION`] has been answered with
+    /// `SERVER_INFO`: every later message is enveloped.
+    handshaken: bool,
     /// Jobs of this connection currently on shard queues or executing.
     in_flight: usize,
     /// The peer half-closed its write side; finish in-flight work,
@@ -889,18 +889,14 @@ struct Conn {
 }
 
 impl Conn {
-    fn pipelines(&self) -> bool {
-        self.version.is_some_and(|v| v >= 4)
-    }
-
-    /// How many requests this connection may have in flight: unbounded
-    /// pre-handshake (nothing dispatches then anyway), one on a serial
-    /// v3 session, the pipeline window on v4.
+    /// How many jobs this connection may have in flight: unbounded
+    /// before `HELLO` (nothing dispatches then anyway), the pipeline
+    /// window after.
     fn window(&self, max_pipeline: usize) -> usize {
-        match self.version {
-            None => usize::MAX,
-            Some(v) if v >= 4 => max_pipeline,
-            Some(_) => 1,
+        if self.handshaken {
+            max_pipeline
+        } else {
+            usize::MAX
         }
     }
 }
@@ -912,8 +908,8 @@ struct Reactor {
     conns: HashMap<u64, Conn>,
     next_token: u64,
     /// Connections to drive again this or next iteration without
-    /// waiting for a kernel edge (deferred v3 frames after a
-    /// completion, paused fills).
+    /// waiting for a kernel edge (messages buffered behind a full
+    /// window after a completion, paused fills).
     revisit: Vec<u64>,
 }
 
@@ -993,8 +989,8 @@ impl Reactor {
             };
             conn.in_flight -= 1;
             self.respond(c.conn_token, c.request_id, c.frame);
-            // a v3 session may have deferred frames buffered behind the
-            // request that just finished
+            // messages may be buffered behind the window slot that just
+            // freed
             self.revisit.push(c.conn_token);
         }
     }
@@ -1031,7 +1027,7 @@ impl Reactor {
                             }),
                             inbox: FrameBuf::new(max_message),
                             outbox: OutBuf::new(),
-                            version: None,
+                            handshaken: false,
                             in_flight: 0,
                             eof: false,
                             paused: false,
@@ -1089,8 +1085,7 @@ impl Reactor {
     }
 
     /// Drains complete messages out of the connection's inbox,
-    /// dispatching each. Stops early on a v3 session with a request in
-    /// flight (serial contract).
+    /// dispatching each. Stops early at the pipeline window.
     fn drive_inbox(&mut self, tok: u64) {
         loop {
             let message = {
@@ -1119,27 +1114,22 @@ impl Reactor {
         self.maybe_close(tok);
     }
 
-    /// Handles one transport message: bare frame on v3 (and during the
-    /// handshake), `request id ‖ frame` on v4.
+    /// Handles one transport message: a bare frame until the handshake
+    /// completes, `request id ‖ frame` after.
     fn dispatch_message(&mut self, tok: u64, message: &[u8]) {
-        let enveloped = self.conns.get(&tok).is_some_and(|c| c.pipelines());
-        let (request_id, frame_bytes) = if enveloped {
-            match protocol::split_envelope(message) {
-                Ok((id, frame)) => (Some(id), frame),
-                Err(_) => {
-                    // a v4 peer that stops enveloping has lost framing;
-                    // nothing later on the stream can be trusted
-                    self.respond(
-                        tok,
-                        None,
-                        protocol::error_frame(code::PROTOCOL, "missing v4 request-id envelope"),
-                    );
-                    self.close_conn(tok);
-                    return;
-                }
-            }
-        } else {
-            (None, message)
+        if !self.conns.get(&tok).is_some_and(|c| c.handshaken) {
+            self.handle_handshake(tok, message);
+            return;
+        }
+        let Ok((request_id, frame_bytes)) = protocol::split_envelope(message) else {
+            // a peer that stops enveloping has lost framing; nothing
+            // later on the stream can be trusted
+            self.send(
+                tok,
+                protocol::error_frame(code::PROTOCOL, "missing v4 request-id envelope"),
+            );
+            self.close_conn(tok);
+            return;
         };
         let frame = match read_frame(frame_bytes) {
             Ok((frame, _)) => frame,
@@ -1152,18 +1142,11 @@ impl Reactor {
                 return;
             }
         };
-        let negotiated = self.conns.get(&tok).and_then(|c| c.version);
         match frame.kind {
-            msg::HELLO if negotiated.is_none() => self.handle_hello(tok, frame.payload),
             msg::HELLO => self.respond(
                 tok,
                 request_id,
                 protocol::error_frame(code::PROTOCOL, "HELLO after the handshake"),
-            ),
-            _ if negotiated.is_none() => self.respond(
-                tok,
-                request_id,
-                protocol::error_frame(code::PROTOCOL, "expected HELLO before any other message"),
             ),
             msg::GET_PUBLIC_KEY => {
                 let response = self.handle_get_public_key(tok, frame.fingerprint);
@@ -1207,40 +1190,38 @@ impl Reactor {
         }
     }
 
-    fn handle_hello(&mut self, tok: u64, payload: &[u8]) {
-        let version = match Cursor::new(payload).u16() {
-            Ok(v) => v,
-            Err(e) => {
-                self.respond(tok, None, protocol::error_frame(code::WIRE, &e.to_string()));
-                return;
+    /// The bare pre-handshake exchange: `HELLO` carrying exactly
+    /// [`PROTOCOL_VERSION`] is answered with `SERVER_INFO`, anything
+    /// else with a typed `ERROR` — and the connection stays open and
+    /// un-handshaken, so a peer may try again.
+    fn handle_handshake(&mut self, tok: u64, message: &[u8]) {
+        let hello = read_frame(message)
+            .map_err(wire_err)
+            .and_then(|(frame, _)| {
+                if frame.kind != msg::HELLO {
+                    return Err((
+                        code::PROTOCOL,
+                        "expected HELLO before any other message".to_string(),
+                    ));
+                }
+                Cursor::new(frame.payload).u16().map_err(wire_err)
+            });
+        let reply = match hello {
+            Ok(PROTOCOL_VERSION) => {
+                if let Some(conn) = self.conns.get_mut(&tok) {
+                    conn.handshaken = true;
+                }
+                protocol::server_info_frame(&self.shared.info)
             }
-        };
-        let max_version = self
-            .shared
-            .config
-            .max_protocol_version
-            .min(PROTOCOL_VERSION);
-        if !(MIN_PROTOCOL_VERSION..=max_version).contains(&version) {
-            self.respond(
-                tok,
-                None,
-                protocol::error_frame(
-                    code::PROTOCOL,
-                    &format!(
-                        "client speaks protocol {version}, server speaks \
-                         {MIN_PROTOCOL_VERSION}..={max_version}"
-                    ),
+            Ok(version) => protocol::error_frame(
+                code::PROTOCOL,
+                &format!(
+                    "client speaks protocol {version}, server speaks protocol {PROTOCOL_VERSION}"
                 ),
-            );
-            return;
-        }
-        if let Some(conn) = self.conns.get_mut(&tok) {
-            conn.version = Some(version);
-        }
-        // SERVER_INFO stays bare even on v4: the envelope starts with
-        // the first post-handshake message
-        let info = protocol::server_info_frame(&self.shared.info);
-        self.respond(tok, None, info);
+            ),
+            Err((c, m)) => protocol::error_frame(c, &m),
+        };
+        self.send(tok, reply);
     }
 
     /// Key distribution ships *seed-compressed* frames (runtime data
@@ -1307,12 +1288,13 @@ impl Reactor {
     }
 
     /// Admits an `EVALUATE`/`SIMULATE` to a shard queue, or sheds it
-    /// with a typed `BUSY` when every queue (or this connection's
-    /// pipeline window) is full.
+    /// with a typed `BUSY` when every queue is full. (The connection's
+    /// pipeline window never sheds: `drive_inbox` stops popping
+    /// messages at the window, so a job only gets here under it.)
     fn admit_job(
         &mut self,
         tok: u64,
-        request_id: Option<u64>,
+        request_id: u64,
         kind: u16,
         fingerprint: u64,
         payload: &[u8],
@@ -1353,23 +1335,11 @@ impl Reactor {
                     conn.in_flight += 1;
                 }
             }
-            Err(_) => self.shed(tok, request_id),
+            Err(_) => {
+                let retry = self.shared.config.busy_retry_after_ms;
+                self.respond(tok, request_id, protocol::busy_frame(retry));
+            }
         }
-    }
-
-    /// Answers a load-shed: typed `BUSY` on v4, a retryable `ERROR` on
-    /// v3 (which predates the `BUSY` kind).
-    fn shed(&mut self, tok: u64, request_id: Option<u64>) {
-        let retry = self.shared.config.busy_retry_after_ms;
-        let frame = if self.conns.get(&tok).is_some_and(Conn::pipelines) {
-            protocol::busy_frame(retry)
-        } else {
-            protocol::error_frame(
-                code::EVALUATION,
-                &format!("server busy: retry after {retry} ms"),
-            )
-        };
-        self.respond(tok, request_id, frame);
     }
 
     fn collect_stats(&self) -> Vec<(String, u64)> {
@@ -1415,17 +1385,19 @@ impl Reactor {
         out
     }
 
-    /// Queues one response (enveloped on v4) and flushes what the
-    /// socket accepts. An outbox past its budget sheds the connection:
-    /// a peer that will not read its responses does not get to hold
-    /// server memory.
-    fn respond(&mut self, tok: u64, request_id: Option<u64>, frame: Vec<u8>) {
+    /// Queues the response to request `request_id`, enveloped under it.
+    fn respond(&mut self, tok: u64, request_id: u64, frame: Vec<u8>) {
+        self.send(tok, protocol::envelope(request_id, &frame));
+    }
+
+    /// Queues one message body and flushes what the socket accepts.
+    /// Called directly only for the bare messages: the handshake
+    /// replies and the lost-framing error. An outbox past its budget
+    /// sheds the connection: a peer that will not read its responses
+    /// does not get to hold server memory.
+    fn send(&mut self, tok: u64, body: Vec<u8>) {
         let Some(conn) = self.conns.get_mut(&tok) else {
             return;
-        };
-        let body = match (conn.pipelines(), request_id) {
-            (true, Some(id)) => protocol::envelope(id, &frame),
-            _ => frame,
         };
         if conn.outbox.push_message(body).is_err() {
             self.close_conn(tok);
@@ -1522,7 +1494,7 @@ mod tests {
         put_u32(&mut payload, level);
         Job {
             conn_token: 0,
-            request_id: Some(request_id),
+            request_id,
             engine_idx,
             kind: msg::SIMULATE,
             fingerprint: 0,

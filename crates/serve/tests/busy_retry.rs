@@ -2,14 +2,16 @@
 //! scripted stub server: a shed request is retried under its original
 //! id with jittered exponential backoff, up to the configured budget.
 
+mod common;
+
 use ark_ckks::error::ArkError;
-use ark_math::wire::read_frame;
-use ark_serve::protocol::{
-    busy_frame, envelope, msg, recv_message, send_message, server_info_frame, split_envelope,
-    stats_frame, EngineInfo, Recv, DEFAULT_MAX_FRAME_BYTES,
+use ark_client::protocol::{
+    busy_frame, envelope, msg, server_info_frame, split_envelope, stats_frame, EngineInfo,
 };
+use ark_math::wire::read_frame;
 use ark_serve::Client;
-use std::net::{TcpListener, TcpStream};
+use common::{recv, send};
+use std::net::TcpListener;
 use std::time::Instant;
 
 /// Serves one connection: handshake, then answers each request with
@@ -17,8 +19,10 @@ use std::time::Instant;
 fn stub_server(listener: TcpListener, sheds: u32, retry_after_ms: u32) {
     let (mut stream, _) = listener.accept().expect("client connects");
     stream.set_nodelay(true).expect("nodelay");
-    expect_frame(&mut stream, msg::HELLO);
-    send_message(
+    let hello = recv(&mut stream).expect("client opens with a message");
+    let (parsed, _) = read_frame(&hello).expect("well-formed frame");
+    assert_eq!(parsed.kind, msg::HELLO);
+    send(
         &mut stream,
         &server_info_frame(&[EngineInfo {
             fingerprint: 0xabc,
@@ -32,11 +36,10 @@ fn stub_server(listener: TcpListener, sheds: u32, retry_after_ms: u32) {
 
     let mut remaining = sheds;
     loop {
-        let message = match recv_message(&mut stream, DEFAULT_MAX_FRAME_BYTES, &|| false) {
-            Ok(Recv::Frame(m)) => m,
-            _ => return, // client gave up or closed — that is a valid script end
+        let Ok(message) = recv(&mut stream) else {
+            return; // client gave up or closed — that is a valid script end
         };
-        let (id, frame) = split_envelope(&message).expect("v4 client envelopes requests");
+        let (id, frame) = split_envelope(&message).expect("the client envelopes requests");
         let (parsed, _) = read_frame(frame).expect("well-formed request");
         assert_eq!(parsed.kind, msg::GET_STATS);
         let reply = if remaining > 0 {
@@ -45,17 +48,7 @@ fn stub_server(listener: TcpListener, sheds: u32, retry_after_ms: u32) {
         } else {
             stats_frame(&[("jobs_executed".to_string(), 1)])
         };
-        send_message(&mut stream, &envelope(id, &reply)).expect("reply sent");
-    }
-}
-
-fn expect_frame(stream: &mut TcpStream, kind: u16) {
-    match recv_message(stream, DEFAULT_MAX_FRAME_BYTES, &|| false).expect("message") {
-        Recv::Frame(m) => {
-            let (parsed, _) = read_frame(&m).expect("well-formed frame");
-            assert_eq!(parsed.kind, kind);
-        }
-        other => panic!("expected frame, got {other:?}"),
+        send(&mut stream, &envelope(id, &reply)).expect("reply sent");
     }
 }
 

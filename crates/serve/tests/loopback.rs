@@ -1,17 +1,22 @@
 //! End-to-end loopback tests of the serving runtime: real TCP on
 //! localhost, real ciphertext bytes, hostile inputs.
 
+mod common;
+
 use ark_ckks::error::ArkError;
 use ark_ckks::params::{CkksContext, CkksParams};
+use ark_client::protocol::{self, code, msg, ENVELOPE_LEN, PROTOCOL_VERSION};
 use ark_fhe::arch::ArkConfig;
 use ark_fhe::ckks::encoding::max_error;
 use ark_fhe::engine::{Backend, Engine};
 use ark_fhe::math::cfft::C64;
-use ark_math::wire::{read_frame, write_frame};
-use ark_serve::protocol::{self, msg, Recv, DEFAULT_MAX_FRAME_BYTES};
+use ark_math::wire::{put_u16, read_frame, write_frame, Cursor};
 use ark_serve::server::ServerConfig;
 use ark_serve::{Client, Program, Server, ServerHandle};
-use std::net::TcpStream;
+use common::{recv, send};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 const SEED: u64 = 97;
 
@@ -195,12 +200,8 @@ fn malformed_frames_get_typed_errors_not_panics() {
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
 
     // a length-prefixed message whose body is garbage (bad magic)
-    protocol::send_message(&mut stream, &[0xde; 64]).unwrap();
-    let Recv::Frame(resp) =
-        protocol::recv_message(&mut stream, DEFAULT_MAX_FRAME_BYTES, &|| false).unwrap()
-    else {
-        panic!("expected an ERROR frame");
-    };
+    send(&mut stream, &[0xde; 64]).unwrap();
+    let resp = recv(&mut stream).unwrap();
     let (frame, _) = read_frame(&resp).unwrap();
     assert_eq!(frame.kind, msg::ERROR);
 
@@ -208,12 +209,8 @@ fn malformed_frames_get_typed_errors_not_panics() {
     let mut evil = write_frame(msg::EVALUATE, sw_fp, &[1, 2, 3, 4]);
     let last = evil.len() - 9; // inside the payload
     evil[last] ^= 0xff;
-    protocol::send_message(&mut stream, &evil).unwrap();
-    let Recv::Frame(resp) =
-        protocol::recv_message(&mut stream, DEFAULT_MAX_FRAME_BYTES, &|| false).unwrap()
-    else {
-        panic!("expected an ERROR frame");
-    };
+    send(&mut stream, &evil).unwrap();
+    let resp = recv(&mut stream).unwrap();
     let (frame, _) = read_frame(&resp).unwrap();
     assert_eq!(frame.kind, msg::ERROR);
 
@@ -364,38 +361,146 @@ fn oversized_program_is_rejected_before_execution() {
     handle.shutdown();
 }
 
-#[test]
-fn v4_client_against_v3_only_server_fails_typed_not_hung() {
-    // a server pinned to protocol 3 must reject a default (v4) client
-    // during the handshake with a typed version error — the failure
-    // mode is a prompt Err from connect, never a hang
-    let (handle, sw_fp, _) = start_server(ServerConfig {
-        max_protocol_version: 3,
-        ..ServerConfig::default()
-    });
-    let (tx, rx) = std::sync::mpsc::channel();
-    let addr = handle.addr();
-    std::thread::spawn(move || {
-        let _ = tx.send(Client::connect(addr).map(|_| ()));
-    });
-    let result = rx
-        .recv_timeout(std::time::Duration::from_secs(10))
-        .expect("connect returned instead of hanging");
-    match result {
-        Err(ArkError::VersionMismatch { client, reason }) => {
-            assert_eq!(client, protocol::PROTOCOL_VERSION);
-            assert!(reason.contains("3..=3"), "reason: {reason}");
-        }
-        other => panic!("expected VersionMismatch, got {other:?}"),
-    }
-    // a client that downgrades to v3 still gets full service
-    let mut client = Client::builder()
-        .protocol_version(3)
-        .connect(handle.addr())
+// ---------------------------------------------------------------------
+// the handshake state table, over a raw socket
+// ---------------------------------------------------------------------
+
+/// A raw peer whose reads fail after 10 s: a server that hangs instead
+/// of answering fails the test, it does not wedge it.
+fn raw_peer(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
+    stream
+}
+
+fn hello(version: u16) -> Vec<u8> {
+    let mut payload = Vec::new();
+    put_u16(&mut payload, version);
+    write_frame(msg::HELLO, 0, &payload)
+}
+
+/// Sends `HELLO(PROTOCOL_VERSION)` and expects the bare `SERVER_INFO`.
+fn handshake(stream: &mut TcpStream) {
+    send(stream, &hello(PROTOCOL_VERSION)).unwrap();
+    let reply = recv(stream).expect("the handshake is answered");
+    assert_eq!(read_frame(&reply).unwrap().0.kind, msg::SERVER_INFO);
+}
+
+/// Receives one enveloped response: `(request id, frame)`.
+fn recv_enveloped(stream: &mut TcpStream) -> (u64, Vec<u8>) {
+    let reply = recv(stream).expect("a response within the deadline");
+    let (id, frame) = protocol::split_envelope(&reply).expect("an enveloped response");
+    (id, frame.to_vec())
+}
+
+/// Decodes a bare `ERROR` frame into `(code, message)`.
+fn error_of(frame: &[u8]) -> (u16, String) {
+    let (frame, _) = read_frame(frame).expect("a well-formed bare frame");
+    assert_eq!(frame.kind, msg::ERROR);
+    protocol::decode_error(&mut Cursor::new(frame.payload)).unwrap()
+}
+
+#[test]
+fn other_protocol_versions_are_refused_typed_not_hung() {
+    let (handle, sw_fp, _) = start_server(ServerConfig::default());
+    for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+        let mut peer = raw_peer(handle.addr());
+        send(&mut peer, &hello(version)).unwrap();
+        let reply = recv(&mut peer).expect("a refusal within the deadline, never a hang");
+        let (c, reason) = error_of(&reply);
+        assert_eq!(c, code::PROTOCOL);
+        assert!(
+            reason.contains(&format!("client speaks protocol {version}"))
+                && reason.contains(&format!("server speaks protocol {PROTOCOL_VERSION}")),
+            "reason: {reason}"
+        );
+        // the refusal did not cost the connection: the right version
+        // still handshakes on it
+        handshake(&mut peer);
+    }
+    // and a fresh client gets full service
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert!(client.engine(sw_fp).is_some());
     let stats = client.stats().unwrap();
     assert!(stats.iter().any(|(k, _)| k == "sessions_accepted"));
-    assert!(client.engine(sw_fp).is_some());
+    handle.shutdown();
+}
+
+#[test]
+fn handshake_order_violations_are_typed() {
+    let (handle, _, _) = start_server(ServerConfig::default());
+    let get_stats = write_frame(msg::GET_STATS, 0, &[]);
+
+    // any first message but HELLO is refused, bare
+    let mut peer = raw_peer(handle.addr());
+    send(&mut peer, &get_stats).unwrap();
+    let (c, reason) = error_of(&recv(&mut peer).unwrap());
+    assert_eq!(c, code::PROTOCOL);
+    assert!(reason.contains("expected HELLO"), "reason: {reason}");
+
+    // a second HELLO after the handshake is refused under its id, and
+    // the session goes on
+    handshake(&mut peer);
+    send(&mut peer, &protocol::envelope(7, &hello(PROTOCOL_VERSION))).unwrap();
+    let (id, frame) = recv_enveloped(&mut peer);
+    assert_eq!(id, 7);
+    let (c, reason) = error_of(&frame);
+    assert_eq!(c, code::PROTOCOL);
+    assert!(reason.contains("HELLO after the handshake"), "{reason}");
+    send(&mut peer, &protocol::envelope(8, &get_stats)).unwrap();
+    let (id, frame) = recv_enveloped(&mut peer);
+    assert_eq!(id, 8);
+    assert_eq!(read_frame(&frame).unwrap().0.kind, msg::STATS);
+    handle.shutdown();
+}
+
+#[test]
+fn unenveloped_messages_after_the_handshake_are_typed() {
+    let (handle, _, sim_fp) = start_server(ServerConfig::default());
+    let get_stats = write_frame(msg::GET_STATS, 0, &[]);
+
+    // a bare frame — what a peer of the previous protocol version
+    // would send — is split at byte 8 like any message: what follows is
+    // no frame, so the answer is a typed WIRE error under whatever id
+    // the first 8 bytes spell, and the session stays usable
+    let mut peer = raw_peer(handle.addr());
+    handshake(&mut peer);
+    send(&mut peer, &get_stats).unwrap();
+    let (id, frame) = recv_enveloped(&mut peer);
+    let spelled = u64::from_le_bytes(get_stats[..ENVELOPE_LEN].try_into().unwrap());
+    assert_eq!(id, spelled);
+    assert_eq!(error_of(&frame).0, code::WIRE);
+    send(&mut peer, &protocol::envelope(9, &get_stats)).unwrap();
+    let (id, frame) = recv_enveloped(&mut peer);
+    assert_eq!(id, 9);
+    assert_eq!(read_frame(&frame).unwrap().0.kind, msg::STATS);
+
+    // a message too short to hold an id and a frame has lost framing:
+    // one bare PROTOCOL error, then the connection is closed
+    send(&mut peer, &[0xab; ENVELOPE_LEN]).unwrap();
+    let (c, reason) = error_of(&recv(&mut peer).unwrap());
+    assert_eq!(c, code::PROTOCOL);
+    assert!(
+        reason.contains("missing v4 request-id envelope"),
+        "{reason}"
+    );
+    let closed = recv(&mut peer).unwrap_err().kind();
+    assert!(
+        matches!(
+            closed,
+            ErrorKind::UnexpectedEof | ErrorKind::ConnectionReset
+        ),
+        "expected a closed connection, got {closed:?}"
+    );
+
+    // every other session is untouched
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let report = client
+        .simulate(sim_fp, &sample_program(), &[23, 23])
+        .unwrap();
+    assert!(report.cycles > 0);
     handle.shutdown();
 }
 

@@ -1,20 +1,22 @@
 //! Soak and stress tests of the sharded serving fabric: many
 //! concurrent pipelined sessions, induced overload, stalled readers,
-//! dead servers — plus property tests of the v4 request-id framing and
+//! dead servers — plus property tests of the request-id framing and
 //! the transport's partial-frame reassembly.
 //!
 //! The quick variants run in the normal suite; the 64-session soak is
 //! `#[ignore]`d and runs in the nightly slow-tests lane
 //! (`cargo test -p ark-serve -- --ignored`).
 
+mod common;
+
 use ark_ckks::error::ArkError;
 use ark_ckks::params::{CkksContext, CkksParams};
+use ark_client::protocol::{self, msg, PROTOCOL_VERSION};
 use ark_fhe::arch::ArkConfig;
 use ark_fhe::engine::{Backend, Engine};
 use ark_fhe::math::cfft::C64;
 use ark_math::wire::{put_u16, write_frame};
 use ark_net::FrameBuf;
-use ark_serve::protocol::{self, msg, PROTOCOL_VERSION};
 use ark_serve::server::ServerConfig;
 use ark_serve::{Client, Program, Server, ServerHandle};
 use proptest::prelude::*;
@@ -89,7 +91,7 @@ fn ct_bytes(ctx: &CkksContext, cts: &[ark_ckks::Ciphertext]) -> Vec<u8> {
     out
 }
 
-/// Runs `sessions` concurrent pipelined v4 clients, each interleaving
+/// Runs `sessions` concurrent pipelined clients, each interleaving
 /// both programs on both backends, asserting every response is
 /// bit-identical to the single-connection reference and that no
 /// protocol error ever surfaces (`BUSY` is retried, not counted as an
@@ -135,7 +137,6 @@ fn soak(sessions: usize, rounds: usize, config: ServerConfig) {
             let (ref_sample, ref_other) = (ref_sample.clone(), ref_other.clone());
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
-                assert_eq!(client.protocol_version(), PROTOCOL_VERSION);
                 for round in 0..rounds {
                     // pipeline a mixed batch, redeem out of order
                     let t1 = client
@@ -319,20 +320,19 @@ fn stalled_reader_does_not_block_other_sessions() {
     });
     let addr = handle.addr();
 
-    // the stalled reader: a raw v3 socket that handshakes, then floods
+    // the stalled reader: a raw socket that handshakes, then floods
     // key-fetch requests without ever reading a response
     let mut stalled = TcpStream::connect(addr).unwrap();
     let mut hello = Vec::new();
-    put_u16(&mut hello, 3);
-    protocol::send_message(&mut stalled, &write_frame(msg::HELLO, 0, &hello)).unwrap();
+    put_u16(&mut hello, PROTOCOL_VERSION);
+    common::send(&mut stalled, &write_frame(msg::HELLO, 0, &hello)).unwrap();
     // each EVAL_KEYS response is ~6 KiB; thousands of unread ones
     // overflow loopback kernel buffering (a few MiB) and then the
     // 64 KiB outbox budget
-    for _ in 0..4096 {
+    let fetch = write_frame(msg::GET_EVAL_KEYS, sw_fp, &[]);
+    for id in 0..4096 {
         // write errors just mean the server already shed us — success
-        if protocol::send_message(&mut stalled, &write_frame(msg::GET_EVAL_KEYS, sw_fp, &[]))
-            .is_err()
-        {
+        if common::send(&mut stalled, &protocol::envelope(id, &fetch)).is_err() {
             break;
         }
     }
@@ -470,7 +470,7 @@ fn stats_counters_track_work() {
 }
 
 // ---------------------------------------------------------------------
-// property tests: v4 framing and partial-frame reassembly
+// property tests: request-id framing and partial-frame reassembly
 // ---------------------------------------------------------------------
 
 proptest! {

@@ -5,7 +5,7 @@
 //! length prefix must not drive allocation).
 
 use ark_client::core::ClientCore;
-use ark_client::protocol::{server_info_frame, EngineInfo, PROTOCOL_VERSION};
+use ark_client::protocol::{server_info_frame, EngineInfo, ENVELOPE_LEN};
 
 const MAX_FRAME: usize = 1 << 16;
 const CHUNK: usize = 4096;
@@ -29,16 +29,7 @@ fn main() {
     let mut round = 0u64;
     ark_fuzz::run("ingest", &opts, |data| {
         round += 1;
-        let version = if round.is_multiple_of(3) {
-            3
-        } else {
-            PROTOCOL_VERSION
-        };
-        let mut core = ClientCore::config()
-            .protocol_version(version)
-            .max_frame_bytes(MAX_FRAME)
-            .build()
-            .expect("supported version");
+        let mut core = ClientCore::config().max_frame_bytes(MAX_FRAME).build();
         let _ = core.take_egress();
         // half the rounds start from a completed handshake with a few
         // requests in flight, so enveloped-response paths are reachable
@@ -58,7 +49,7 @@ fn main() {
             // the buffer never exceeds the cap by more than one
             // in-flight chunk, whatever the declared lengths say
             assert!(
-                core.buffered_bytes() <= 4 + MAX_FRAME + CHUNK,
+                core.buffered_bytes() <= 4 + MAX_FRAME + ENVELOPE_LEN + CHUNK,
                 "reassembly buffer exceeded its cap: {}",
                 core.buffered_bytes()
             );

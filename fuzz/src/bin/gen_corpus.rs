@@ -155,10 +155,15 @@ fn main() {
     )));
     write(&dir, "001-v4-session.bin", &session);
 
-    let mut v3 = hello_reply;
-    v3.extend_from_slice(&message(&stats_frame(&counters)));
-    write(&dir, "002-v3-session.bin", &v3);
+    // a bare response on a handshaken session: hostile input that must
+    // end in a typed error and a poisoned core
+    let mut bare = hello_reply;
+    bare.extend_from_slice(&message(&stats_frame(&counters)));
+    write(&dir, "002-bare-after-handshake.bin", &bare);
 
-    let reject = message(&error_frame(code::PROTOCOL, "server speaks 3..=3"));
+    let reject = message(&error_frame(
+        code::PROTOCOL,
+        "client speaks protocol 4, server speaks protocol 5",
+    ));
     write(&dir, "003-version-reject.bin", &reject);
 }
