@@ -5,12 +5,18 @@
 //! band matrix, baby count 8) under the Baseline key strategy twice —
 //! with the hoisted baby loop (`eval_linear_transform`) and with the
 //! per-rotation baby loop (`eval_linear_transform_per_rotation`) — plus
-//! the raw `hoisted_rotate_many` primitive against per-amount `rotate`.
-//! Emits `BENCH_PR5.json` and **fails** (non-zero exit) if
+//! the raw `hoisted_rotate_many` primitive against per-amount `rotate`,
+//! plus the ModDown-deferred `rotate_sum` (7 weighted rotations, two
+//! ModDowns) against its `hoisted_rotate_many` + `mul_plain` + `add`
+//! spelling (fourteen). Emits `BENCH_PR5.json` and **fails** (non-zero
+//! exit) if
 //!
-//! - the two paths' output ciphertexts are not bit-identical, or
+//! - the hoisted and per-rotation outputs are not bit-identical,
+//! - the fused `rotate_sum` is off the exact sum by more than 1.25× its
+//!   spelling's error (or either is off it by 1e-6), or
 //! - `--check-speedup MIN` is given on a multi-core host and the
-//!   hoisted transform does not beat the per-rotation one by `MIN`×.
+//!   hoisted transform does not beat the per-rotation one — or the
+//!   fused `rotate_sum` its spelling — by `MIN`×.
 //!
 //! ```text
 //! cargo run --release -p ark-bench --bin hoisting            # N = 2^14
@@ -22,6 +28,7 @@
 //! host and build are directly comparable.
 
 use ark_bench::{json_escape, time_reps};
+use ark_ckks::encoding::max_error;
 use ark_ckks::lintrans::LinearTransform;
 use ark_ckks::minks::KeyStrategy;
 use ark_ckks::params::{CkksContext, CkksParams};
@@ -187,6 +194,56 @@ fn main() {
             .expect("keys held")
     });
 
+    // the deferred rotate-sum over the same 7 amounts: the fused op vs
+    // its spelling (one shared decomposition on both sides, so the
+    // ratio isolates 2 ModDowns against 14)
+    let weights: Vec<Vec<C64>> = (0..baby_amounts.len())
+        .map(|t| {
+            (0..slots)
+                .map(|k| C64::new(((t * 13 + k * 5) % 101) as f64 / 101.0 - 0.5, 0.0))
+                .collect()
+        })
+        .collect();
+    let terms: Vec<(i64, &[C64])> = baby_amounts
+        .iter()
+        .zip(&weights)
+        .map(|(&r, w)| (r, w.as_slice()))
+        .collect();
+    let sum_spelled = time_op(&mut samples, "rotate_sum_7_spelled", reps, || {
+        ctx.hoisted_rotate_many(&ct, &baby_amounts, &keys)
+            .expect("keys held")
+            .iter()
+            .zip(&weights)
+            .map(|(rot, w)| ctx.mul_plain(rot, &ctx.encode_for_mul(w, level)))
+            .reduce(|acc, prod| ctx.add(&acc, &prod).expect("equal scales"))
+            .expect("seven terms")
+    });
+    let sum_fused = time_op(&mut samples, "rotate_sum_7", reps, || {
+        ctx.rotate_sum(&ct, &terms, |g| keys.get(g))
+            .expect("keys held")
+    });
+    // the reference is the weighted sum of what `ct` holds, so the
+    // input's own encryption noise (common to both) is not in the errors
+    let held = ctx.decrypt_decode(&ct, &sk);
+    let sum_exact: Vec<C64> = (0..slots)
+        .map(|i| {
+            terms.iter().fold(C64::zero(), |acc, (r, w)| {
+                acc + w[i] * held[(i + *r as usize) % slots]
+            })
+        })
+        .collect();
+    let decoded = |out| ctx.decrypt_decode(&ctx.rescale(out).expect("level > 0"), &sk);
+    let (got_fused, got_spelled) = (decoded(&sum_fused), decoded(&sum_spelled));
+    let fused_err = max_error(&sum_exact, &got_fused);
+    let spelled_err = max_error(&sum_exact, &got_spelled);
+    // both are the sum to 1e-6, and deferring the ModDown removes
+    // rounding noise (fused is 15–20× closer at these N), so a fused
+    // error a quarter above the spelling's is a regression, not a draw
+    let rotate_sum_agrees = spelled_err < 1e-6 && fused_err <= 1.25 * spelled_err;
+    if !rotate_sum_agrees {
+        eprintln!("!! fused rotate_sum err {fused_err:e} vs its spelling's {spelled_err:e}");
+    }
+
     // ---- bit-identity, asserted in-run on the timed runs' outputs
     // (deterministic inputs: every rep computes the same bits)
     let bit_identical = hoisted_out == per_rot_out && rotations_hoisted == rotations_direct;
@@ -209,6 +266,7 @@ fn main() {
     };
     let speedup = min_of("lintrans_per_rotation") / min_of("lintrans_hoisted");
     let rotate_speedup = min_of("rotate_many_per_rotation") / min_of("rotate_many_hoisted");
+    let rotate_sum_speedup = min_of("rotate_sum_7_spelled") / min_of("rotate_sum_7");
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -246,6 +304,9 @@ fn main() {
     json.push_str(&format!(
         "  \"hoisted_speedup\": {speedup:.3},\n  \"rotate_many_speedup\": {rotate_speedup:.3},\n"
     ));
+    json.push_str(&format!(
+        "  \"rotate_sum_speedup\": {rotate_sum_speedup:.3},\n  \"rotate_sum_agrees\": {rotate_sum_agrees},\n  \"rotate_sum_max_abs_err\": {{\"fused\": {fused_err:e}, \"spelled\": {spelled_err:e}}},\n"
+    ));
     json.push_str("  \"results\": [\n");
     for (i, s) in samples.iter().enumerate() {
         let comma = if i + 1 == samples.len() { "" } else { "," };
@@ -267,6 +328,12 @@ fn main() {
         eprintln!("FAIL: hoisted evaluation must be bit-identical to the per-rotation path");
         std::process::exit(1);
     }
+    if !rotate_sum_agrees {
+        eprintln!(
+            "FAIL: the fused rotate_sum must be no further from the exact sum than its spelling"
+        );
+        std::process::exit(1);
+    }
     if let Some(min_speedup) = mode.check_speedup {
         if threads < 2 {
             eprintln!("--check-speedup skipped: host has a single hardware thread");
@@ -279,6 +346,16 @@ fn main() {
             );
             std::process::exit(1);
         }
-        eprintln!("speedup gate passed: {speedup:.2}x >= {min_speedup:.2}x");
+        if rotate_sum_speedup < min_speedup {
+            eprintln!(
+                "FAIL: fused rotate_sum is {rotate_sum_speedup:.2}x vs its spelling \
+                 (< required {min_speedup:.2}x) — the deferred ModDown has regressed"
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "speedup gates passed: lintrans {speedup:.2}x, rotate_sum {rotate_sum_speedup:.2}x \
+             >= {min_speedup:.2}x"
+        );
     }
 }

@@ -31,6 +31,25 @@ impl CkksContext {
     /// coefficient overflows the `i64` rounding range (scale too large
     /// for the message magnitude).
     pub fn encode(&self, values: &[C64], level: usize, scale: f64) -> Plaintext {
+        Plaintext {
+            poly: self.encode_on(values, self.chain_indices(level), scale),
+            level,
+            scale,
+        }
+    }
+
+    /// The one encode body: the plaintext polynomial of `values` at
+    /// `scale`, reduced into an explicit limb set — the chain of a level
+    /// for [`Self::encode`], the extended set `C_ℓ ∪ B` where a
+    /// plaintext multiplies a key-switch result that is still in `R_PQ`
+    /// ([`Self::rotate_sum`]). The integer coefficients do not depend
+    /// on the limb set, so the same values encoded on a superset agree
+    /// limb for limb on the common ones.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Self::encode`].
+    pub(crate) fn encode_on(&self, values: &[C64], limbs: &[usize], scale: f64) -> RnsPoly {
         let slots = self.params().slots();
         assert!(values.len() <= slots, "too many values for {slots} slots");
         let mut v = vec![C64::zero(); slots];
@@ -48,10 +67,9 @@ impl CkksContext {
             coeffs[j] = re.round() as i64;
             coeffs[j + slots] = im.round() as i64;
         }
-        let idx = self.chain_indices(level);
-        let mut poly = RnsPoly::from_signed_coeffs(self.basis(), idx, &coeffs);
+        let mut poly = RnsPoly::from_signed_coeffs(self.basis(), limbs, &coeffs);
         poly.to_eval(self.basis());
-        Plaintext { poly, level, scale }
+        poly
     }
 
     /// Encodes a real-valued vector (imaginary parts zero).

@@ -14,9 +14,12 @@
 //! 1. [`CkksContext::hoisted_decompose`] — digit decomposition + ModUp
 //!    (`dnum'` BConvRoutines), a function of the *input polynomial
 //!    only*;
-//! 2. [`CkksContext::hoisted_apply`] — a Galois permutation of the
-//!    raised digits, the evk inner product, and the ModDown, a function
-//!    of the *rotation* (Galois element + key).
+//! 2. [`CkksContext::hoisted_apply`] — a function of the *rotation*
+//!    (Galois element + key), itself two halves:
+//!    [`CkksContext::hoisted_inner_product_with`] (a Galois permutation
+//!    of the raised digits and the evk inner product, result left in
+//!    `R_PQ`) and [`CkksContext::mod_down`] (two BConvRoutines back to
+//!    `R_Q`, dividing by `P`).
 //!
 //! Because the Galois map is a signed coefficient permutation applied
 //! identically to every limb, it commutes with the per-coefficient
@@ -24,8 +27,13 @@
 //! same ciphertext (Halevi–Shoup hoisting): rotation-heavy kernels
 //! (the BSGS baby loop of Eq. 8, H-(I)DFT stages) pay the `dnum'`
 //! mod-up BConvRoutines once instead of once per rotation. The ModDown
-//! cannot be hoisted — its input already mixes in the per-rotation evk
-//! product, so each rotation pays its own two BConvRoutines.
+//! cannot be *shared* — its input already mixes in the per-rotation evk
+//! product, so a rotation whose result is needed on its own
+//! ([`CkksContext::hoisted_apply`]) pays its own two BConvRoutines. It
+//! can be *deferred*: ModDown is linear up to one rounding, so a
+//! weighted sum of rotations ([`CkksContext::rotate_sum`]) accumulates
+//! the inner products in `R_PQ` and pays two ModDowns for the whole
+//! sum — `dnum' + 2` BConvRoutines instead of `dnum' + 2k`.
 
 use crate::keys::EvalKey;
 use crate::params::CkksContext;
@@ -189,11 +197,9 @@ impl CkksContext {
     }
 
     /// Phase 2: applies the Galois automorphism `g` to the raised
-    /// digits (a per-limb permutation in the evaluation representation
-    /// — exact, because the signed coefficient permutation commutes
-    /// with the per-coefficient ModUp), runs the evk inner product and
-    /// the ModDown. Returns `(kb, ka)` over the chain at the digits'
-    /// level with `kb − ka·s ≈ ψ_g(x)·ψ_g(s')`.
+    /// digits, runs the evk inner product and the ModDown. Returns
+    /// `(kb, ka)` over the chain at the digits' level with
+    /// `kb − ka·s ≈ ψ_g(x)·ψ_g(s')`.
     ///
     /// The evk must be the switching key for `ψ_g(s') → s` — for
     /// rotations, the rotation key of `g` — and needs at least
@@ -212,11 +218,41 @@ impl CkksContext {
         self.hoisted_apply_with(digits, g, evk, &mut arena)
     }
 
-    /// [`Self::hoisted_apply`] with every temporary drawn from `arena`.
-    /// The evk rows are read *in place* through the digit's limb set
-    /// (no per-digit subset copies), and the returned pair is
+    /// [`Self::hoisted_apply`] with every temporary drawn from `arena`:
+    /// [`Self::hoisted_inner_product_with`] followed by one
+    /// [`Self::mod_down_with`] per half. The returned pair is
     /// arena-backed.
     pub fn hoisted_apply_with(
+        &self,
+        digits: &HoistedDigits,
+        g: GaloisElement,
+        evk: &EvalKey,
+        arena: &mut ScratchArena,
+    ) -> (RnsPoly, RnsPoly) {
+        let (acc_b, acc_a) = self.hoisted_inner_product_with(digits, g, evk, arena);
+        let out_b = self.mod_down_with(&acc_b, digits.level, arena);
+        let out_a = self.mod_down_with(&acc_a, digits.level, arena);
+        acc_b.recycle(arena);
+        acc_a.recycle(arena);
+        (out_b, out_a)
+    }
+
+    /// The rotation-dependent half of a key-switch that stays in
+    /// `R_PQ`: applies the Galois automorphism `g` to the raised digits
+    /// (a per-limb permutation in the evaluation representation —
+    /// exact, because the signed coefficient permutation commutes with
+    /// the per-coefficient ModUp) and runs the evk inner product.
+    /// Returns `(ub, ua)` over `C_ℓ ∪ B` with
+    /// `ub − ua·s ≈ P·ψ_g(x)·ψ_g(s')`; a [`Self::mod_down`] of each
+    /// half finishes the key-switch, and a caller summing several
+    /// rotations may take it once, after the sum. The evk rows are read
+    /// *in place* through the digit's limb set (no per-digit subset
+    /// copies), and the returned pair is arena-backed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the evk has fewer pieces than digits.
+    pub fn hoisted_inner_product_with(
         &self,
         digits: &HoistedDigits,
         g: GaloisElement,
@@ -227,7 +263,6 @@ impl CkksContext {
             digits.len() <= evk.pieces.len(),
             "evk has too few decomposition pieces"
         );
-        let level = digits.level;
         let ext = &digits.ext;
         // one permutation table serves every digit (identity skips the
         // copy entirely)
@@ -245,11 +280,7 @@ impl CkksContext {
                 r.recycle(arena);
             }
         }
-        let out_b = self.mod_down_with(&acc_b, level, arena);
-        let out_a = self.mod_down_with(&acc_a, level, arena);
-        acc_b.recycle(arena);
-        acc_a.recycle(arena);
-        (out_b, out_a)
+        (acc_b, acc_a)
     }
 
     /// Generalized key-switching: returns `(kb, ka)` over the chain at
@@ -289,7 +320,40 @@ impl CkksContext {
 mod tests {
     use super::*;
     use crate::params::CkksParams;
+    use ark_math::cfft::C64;
     use rand::SeedableRng;
+
+    /// Largest centered coefficient magnitude of `poly` (any
+    /// representation) over the chain limbs `chain`.
+    fn max_magnitude(ctx: &CkksContext, mut poly: RnsPoly, chain: &[usize]) -> f64 {
+        poly.to_coeff(ctx.basis());
+        let crt = ctx.crt(chain);
+        let mut residues = vec![0u64; chain.len()];
+        let mut max_mag = 0f64;
+        for k in 0..ctx.params().n() {
+            for (pos, r) in residues.iter_mut().enumerate() {
+                *r = poly.limb(pos)[k];
+            }
+            let (_, mag) = crt.reconstruct_signed(&residues);
+            max_mag = max_mag.max(mag.to_f64());
+        }
+        max_mag
+    }
+
+    /// `kb − ka·s` over `chain`.
+    fn phase(
+        ctx: &CkksContext,
+        kb: &RnsPoly,
+        ka: &RnsPoly,
+        s: &RnsPoly,
+        chain: &[usize],
+    ) -> RnsPoly {
+        let mut got = ka.clone();
+        got.mul_assign(&s.subset(chain), ctx.basis());
+        got.negate(ctx.basis());
+        got.add_assign(kb, ctx.basis());
+        got
+    }
 
     /// Direct test of the key-switch identity: kb − ka·s ≈ x·s'.
     #[test]
@@ -309,24 +373,10 @@ mod tests {
         // expected = x * s' (eval rep)
         let mut expected = x.clone();
         expected.mul_assign(&other.s.subset(chain), ctx.basis());
-        // got = kb - ka*s
-        let mut got = ka.clone();
-        got.mul_assign(&sk.s.subset(chain), ctx.basis());
-        got.negate(ctx.basis());
-        got.add_assign(&kb, ctx.basis());
-
         // difference must be a *small* polynomial (key-switching noise)
-        let mut diff = got;
+        let mut diff = phase(&ctx, &kb, &ka, &sk.s, chain);
         diff.sub_assign(&expected, ctx.basis());
-        diff.to_coeff(ctx.basis());
-        let crt = ctx.crt(chain);
-        let n = ctx.params().n();
-        let mut max_mag = 0f64;
-        for k in 0..n {
-            let residues: Vec<u64> = (0..chain.len()).map(|p| diff.limb(p)[k]).collect();
-            let (_, mag) = crt.reconstruct_signed(&residues);
-            max_mag = max_mag.max(mag.to_f64());
-        }
+        let max_mag = max_magnitude(&ctx, diff, chain);
         // Noise bound: heuristically q_top * small; assert far below Δ·q0
         // but nonzero structure allowed. Use a generous 2^30 bound
         // relative to the 2^36 scale primes of the tiny set.
@@ -351,20 +401,9 @@ mod tests {
         let (kb, ka) = ctx.key_switch(&x, &evk, level);
         let mut expected = x.clone();
         expected.mul_assign(&other.s.subset(chain), ctx.basis());
-        let mut got = ka.clone();
-        got.mul_assign(&sk.s.subset(chain), ctx.basis());
-        got.negate(ctx.basis());
-        got.add_assign(&kb, ctx.basis());
-        let mut diff = got;
+        let mut diff = phase(&ctx, &kb, &ka, &sk.s, chain);
         diff.sub_assign(&expected, ctx.basis());
-        diff.to_coeff(ctx.basis());
-        let crt = ctx.crt(chain);
-        let mut max_mag = 0f64;
-        for k in 0..ctx.params().n() {
-            let residues: Vec<u64> = (0..chain.len()).map(|p| diff.limb(p)[k]).collect();
-            let (_, mag) = crt.reconstruct_signed(&residues);
-            max_mag = max_mag.max(mag.to_f64());
-        }
+        let max_mag = max_magnitude(&ctx, diff, chain);
         assert!(max_mag < 2f64.powi(33), "noise 2^{}", max_mag.log2());
     }
 
@@ -380,7 +419,6 @@ mod tests {
         let chain = ctx.chain_indices(level);
         let x = RnsPoly::random_uniform(ctx.basis(), chain, Representation::Evaluation, &mut rng);
         let digits = ctx.hoisted_decompose(&x, level);
-        let crt = ctx.crt(chain);
         for r in [1i64, 2, -3] {
             let g = GaloisElement::from_rotation(r, ctx.params().n());
             let key = ctx.gen_galois_key(g, &sk, &mut rng);
@@ -390,19 +428,9 @@ mod tests {
             let mut expected = x.automorphism(g, ctx.basis());
             let rotated_s = sk.s.subset(chain).automorphism(g, ctx.basis());
             expected.mul_assign(&rotated_s, ctx.basis());
-            let mut got = ka.clone();
-            got.mul_assign(&sk.s.subset(chain), ctx.basis());
-            got.negate(ctx.basis());
-            got.add_assign(&kb, ctx.basis());
-            let mut diff = got;
+            let mut diff = phase(&ctx, &kb, &ka, &sk.s, chain);
             diff.sub_assign(&expected, ctx.basis());
-            diff.to_coeff(ctx.basis());
-            let mut max_mag = 0f64;
-            for k in 0..ctx.params().n() {
-                let residues: Vec<u64> = (0..chain.len()).map(|p| diff.limb(p)[k]).collect();
-                let (_, mag) = crt.reconstruct_signed(&residues);
-                max_mag = max_mag.max(mag.to_f64());
-            }
+            let max_mag = max_magnitude(&ctx, diff, chain);
             assert!(max_mag < 2f64.powi(33), "r={r}: noise 2^{}", max_mag.log2());
         }
     }
@@ -434,6 +462,101 @@ mod tests {
         let b2 = ctx.hoisted_apply(&ctx.hoisted_decompose(&x, level), g2, &k2);
         assert_eq!(a1, b1);
         assert_eq!(a2, b2);
+    }
+
+    /// `hoisted_apply` is literally `mod_down ∘ hoisted_inner_product`:
+    /// the split the deferred rotate-sum builds on changes no bit of
+    /// `rotate`, `conjugate`, `key_switch` or `mul`.
+    #[test]
+    fn hoisted_apply_is_mod_down_of_the_inner_product() {
+        let ctx = CkksContext::new(CkksParams::tiny());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let sk = ctx.gen_secret_key(&mut rng);
+        // full level, and one whose last decomposition group is partial
+        for level in [ctx.params().max_level, 2] {
+            let chain = ctx.chain_indices(level);
+            let x =
+                RnsPoly::random_uniform(ctx.basis(), chain, Representation::Evaluation, &mut rng);
+            let digits = ctx.hoisted_decompose(&x, level);
+            for g in [
+                GaloisElement::identity(),
+                GaloisElement::from_rotation(3, ctx.params().n()),
+                GaloisElement::conjugation(ctx.params().n()),
+            ] {
+                let key = ctx.gen_galois_key(g, &sk, &mut rng);
+                let (ub, ua) = ctx.hoisted_inner_product_with(&digits, g, &key, &mut ctx.arena());
+                assert_eq!(ub.limb_indices(), ctx.extended_indices(level));
+                let composed = (ctx.mod_down(&ub, level), ctx.mod_down(&ua, level));
+                assert_eq!(composed, ctx.hoisted_apply(&digits, g, &key));
+            }
+        }
+    }
+
+    /// Deferred identity: the fused rotate-sum of a pair `(b, a)` with
+    /// phase `m = b − a·s` has phase `Σ_t pt_t·ψ_t(m)` up to noise. The
+    /// `rotate`/`mul_plain`/`add` spelling multiplies each rotation's
+    /// key-switch noise (the `2^33` bound above) by its plaintext, so
+    /// its noise is bounded by `2^33 · Σ_t ‖pt_t‖₁`; the fused sum must
+    /// stay under that same bound.
+    #[test]
+    fn fused_rotate_sum_switches_the_weighted_rotations() {
+        let ctx = CkksContext::new(CkksParams::tiny());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let sk = ctx.gen_secret_key(&mut rng);
+        let slots = ctx.params().slots();
+        // −2 and 14 alias at 16 slots; 16 and 0 are identities
+        let amounts = [1i64, 0, -2, 14, 5, 16];
+        let keys = ctx.gen_rotation_keys(&amounts, false, &sk, &mut rng);
+        let weights: Vec<Vec<C64>> = (0..amounts.len())
+            .map(|t| {
+                (0..slots)
+                    .map(|i| C64::new(0.1 * (t + 1) as f64, 0.02 * i as f64 - 0.1))
+                    .collect()
+            })
+            .collect();
+        let terms: Vec<(i64, &[C64])> = amounts
+            .iter()
+            .zip(&weights)
+            .map(|(&r, w)| (r, w.as_slice()))
+            .collect();
+        for level in [ctx.params().max_level, 2] {
+            let chain = ctx.chain_indices(level);
+            let mut uniform = || {
+                RnsPoly::random_uniform(ctx.basis(), chain, Representation::Evaluation, &mut rng)
+            };
+            let ct = crate::Ciphertext {
+                b: uniform(),
+                a: uniform(),
+                level,
+                scale: ctx.params().scale(),
+            };
+            let m = phase(&ctx, &ct.b, &ct.a, &sk.s, chain);
+            let out = ctx.rotate_sum(&ct, &terms, |g| keys.get(g)).unwrap();
+            assert_eq!((out.level, out.b.limb_indices()), (level, chain));
+
+            let q_top = ctx.basis().modulus(level).value() as f64;
+            let mut expected = RnsPoly::zero(ctx.basis(), chain, Representation::Evaluation);
+            let mut pt_l1 = 0f64;
+            for (r, w) in &terms {
+                let g = GaloisElement::from_rotation(*r, ctx.params().n());
+                let pt = ctx.encode_on(w, chain, q_top);
+                expected.mul_add_assign(&m.automorphism(g, ctx.basis()), &pt, ctx.basis());
+                // ‖pt‖₁ ≤ N · ‖pt‖_∞
+                pt_l1 += ctx.params().n() as f64 * max_magnitude(&ctx, pt, chain);
+            }
+            let mut diff = phase(&ctx, &out.b, &out.a, &sk.s, chain);
+            diff.sub_assign(&expected, ctx.basis());
+            let max_mag = max_magnitude(&ctx, diff, chain);
+            assert!(
+                max_mag < 2f64.powi(33) * pt_l1,
+                "level {level}: noise 2^{} vs bound 2^{}",
+                max_mag.log2(),
+                (2f64.powi(33) * pt_l1).log2()
+            );
+            // and it is *one* rounding: far below a single plaintext's
+            // magnitude, which `k` multiplied roundings are not
+            assert!(max_mag < q_top, "noise 2^{}", max_mag.log2());
+        }
     }
 
     #[test]

@@ -15,10 +15,26 @@ use crate::keyswitch::HoistedDigits;
 use crate::params::CkksContext;
 use ark_math::automorphism::GaloisElement;
 use ark_math::cfft::C64;
+use ark_math::poly::{Representation, RnsPoly};
+use ark_math::scratch::ScratchArena;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Deref;
 
 /// Relative scale mismatch tolerated by additive ops. Scale drift from
 /// `q_i ≈ Δ` is ~2^-30 per level; anything larger is a usage bug.
 pub const SCALE_TOLERANCE: f64 = 1e-6;
+
+/// Ciphertext-units of [`CkksContext::rotate_sum`]'s working set beyond
+/// the hoisted digits ([`crate::params::CkksParams::digit_units`]),
+/// independent of the term count, in max-level ciphertexts (`2(L+1)`
+/// limbs) with `e = L+1+α ≤ 2(L+1)` the extended limb count: the running
+/// `R_PQ` sum pair (`2e` limbs, ≤ 2 units), the in-flight `R_PQ` inner
+/// product pair (≤ 2), the `Q`-side pair that becomes the result (1),
+/// one plaintext encoded over the extended set (`e`, ≤ 1) and the
+/// permuted `b` half (½, rounded up to 1). The permuted digit inside
+/// an inner product and the ModDown temporaries are alive only while
+/// the plaintext and permuted half are not, and are no larger.
+pub const ROTATE_SUM_FIXED_UNITS: usize = 7;
 
 /// Checks two operand scales agree within [`SCALE_TOLERANCE`] — shared
 /// by the scheme ops and the engine layer so both backends agree on
@@ -195,7 +211,7 @@ impl CkksContext {
         let mut coeffs = vec![0i64; n];
         coeffs[n / 2] = if negative { -1 } else { 1 };
         let idx = self.chain_indices(ct.level);
-        let mut mono = ark_math::poly::RnsPoly::from_signed_coeffs(self.basis(), idx, &coeffs);
+        let mut mono = RnsPoly::from_signed_coeffs(self.basis(), idx, &coeffs);
         mono.to_eval(self.basis());
         let mut out = ct.clone();
         out.b.mul_assign(&mono, self.basis());
@@ -292,14 +308,18 @@ impl CkksContext {
     /// where rotation-heavy kernels (BSGS baby loops, H-(I)DFT stages)
     /// save their `dnum'` mod-up BConvRoutines per extra rotation.
     pub fn hoist_ciphertext(&self, ct: &Ciphertext) -> HoistedDigits {
-        let mut arena = self.arena();
-        let mut pa = ct.a.clone_in(&mut arena);
+        self.hoist_ciphertext_with(ct, &mut self.arena())
+    }
+
+    /// [`Self::hoist_ciphertext`] drawing every digit from `arena`.
+    fn hoist_ciphertext_with(&self, ct: &Ciphertext, arena: &mut ScratchArena) -> HoistedDigits {
+        let mut pa = ct.a.clone_in(arena);
         // kb − ka·s ≈ ψ(−a)·ψ(s) after the apply, so the result decrypts
         // to ψ(b) − ψ(a)·ψ(s) = ψ(b − a·s); negating *before* the
         // decomposition keeps the negation rotation-independent
         pa.negate(self.basis());
-        let digits = self.hoisted_decompose_with(&pa, ct.level, &mut arena);
-        pa.recycle(&mut arena);
+        let digits = self.hoisted_decompose_with(&pa, ct.level, arena);
+        pa.recycle(arena);
         digits
     }
 
@@ -325,7 +345,9 @@ impl CkksContext {
         );
         let mut arena = self.arena();
         let (kb, ka) = self.hoisted_apply_with(digits, g, key, &mut arena);
-        let mut b = ct.b.automorphism(g, self.basis());
+        // the table the digits were just permuted with, not a rebuild
+        let mut b =
+            ct.b.permute_eval_in(&mut arena, &self.eval_perm(g), self.basis());
         b.add_assign(&kb, self.basis());
         kb.recycle(&mut arena);
         Ciphertext {
@@ -383,26 +405,139 @@ impl CkksContext {
         }
         // pay the decomposition only if something actually rotates, and
         // each distinct Galois element only once — amounts that alias
-        // (duplicates, `r` vs `r − n_slots`) clone the computed result
+        // (duplicates, `r` vs `r − n_slots`) clone the computed result,
+        // which itself moves into the last slot that wants it
         let digits = resolved
             .iter()
             .any(Option::is_some)
             .then(|| self.hoist_ciphertext(ct));
-        let mut computed: std::collections::HashMap<u64, Ciphertext> =
-            std::collections::HashMap::new();
+        let mut last_slot: HashMap<u64, usize> = HashMap::new();
+        for (i, slot) in resolved.iter().enumerate() {
+            if let Some((g, _)) = slot {
+                last_slot.insert(g.0, i);
+            }
+        }
+        let mut pending: HashMap<u64, Ciphertext> = HashMap::new();
         Ok(resolved
             .into_iter()
-            .map(|slot| match slot {
+            .enumerate()
+            .map(|(i, slot)| match slot {
                 None => ct.clone(),
-                Some((g, key)) => computed
-                    .entry(g.0)
-                    .or_insert_with(|| {
+                Some((g, key)) => {
+                    let out = pending.remove(&g.0).unwrap_or_else(|| {
                         let digits = digits.as_ref().expect("digits exist for rotations");
                         self.apply_galois_hoisted(ct, digits, g, key)
-                    })
-                    .clone(),
+                    });
+                    if last_slot[&g.0] != i {
+                        pending.insert(g.0, out.clone());
+                    }
+                    out
+                }
             })
             .collect())
+    }
+
+    /// Fused weighted rotate-sum `Σ_t pt_t ⊙ rot(ct, r_t)`, each
+    /// `pt_t` the weights of term `t = (r_t, weights_t)` encoded at the
+    /// top-prime scale (as [`Self::encode_for_mul`] does, so a following
+    /// [`Self::rescale`] restores the scale): one digit decomposition
+    /// for the whole set, and — because ModDown is linear up to one
+    /// rounding, `Σ_t pt_t ⊙ ModDown(u_t) ≈ ModDown(Σ_t pt_t ⊙ u_t)` —
+    /// two ModDowns for the whole *sum* instead of two per rotation.
+    ///
+    /// Per distinct non-identity amount (ascending, aliases such as `r`
+    /// and `r − n_slots` merged) the evk inner product `(u_b, u_a)`
+    /// stays in `R_PQ`; every term of that amount encodes its weights
+    /// over `C_ℓ ∪ B` and multiply-accumulates into one `R_PQ` pair,
+    /// while the key-switch-free parts — `pt ⊙ ψ_g(b)`, and `pt ⊙ (b, a)`
+    /// of identity terms — accumulate exactly in a `Q`-side pair that
+    /// never meets `P`. The result is numerically the
+    /// `rotate`/`mul_plain`/`add` spelling with one ModDown rounding in
+    /// place of `k` roundings that each got multiplied by a plaintext;
+    /// it is not bit-identical to that spelling.
+    ///
+    /// Keys resolve lazily through `key_for`, one amount at a time, so
+    /// a bounded runtime-key cache never has to hold the whole set. The
+    /// working set is the digits plus [`ROTATE_SUM_FIXED_UNITS`]
+    /// ciphertexts, whatever the term count.
+    ///
+    /// # Errors
+    ///
+    /// [`ArkError::InvalidParams`] for an empty term list;
+    /// [`ArkError::MissingRotationKey`] if `key_for` has no key for a
+    /// term's rotation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a term carries more weights than slots or a weight
+    /// overflows the top-prime scale (see [`Self::encode`]).
+    pub fn rotate_sum<K: Deref<Target = EvalKey>>(
+        &self,
+        ct: &Ciphertext,
+        terms: &[(i64, &[C64])],
+        mut key_for: impl FnMut(GaloisElement) -> Option<K>,
+    ) -> ArkResult<Ciphertext> {
+        if terms.is_empty() {
+            return Err(ArkError::InvalidParams {
+                reason: "rotate_sum needs at least one term".into(),
+            });
+        }
+        let basis = self.basis();
+        let level = ct.level;
+        let chain = self.chain_indices(level);
+        let ext = self.extended_indices(level);
+        let q_top = basis.modulus(level).value() as f64;
+        // term indices per normalized amount, program order within one
+        let mut by_amount: BTreeMap<i64, Vec<usize>> = BTreeMap::new();
+        for (t, (amount, _)) in terms.iter().enumerate() {
+            let reduced = GaloisElement::normalize_rotation(*amount, self.params().slots());
+            by_amount.entry(reduced).or_default().push(t);
+        }
+        let mut guard = self.arena();
+        let arena = &mut *guard;
+        // the Q-side pair: everything that needs no key-switch
+        let mut sum_b = RnsPoly::zero_in(arena, basis, chain, Representation::Evaluation);
+        let mut sum_a = RnsPoly::zero_in(arena, basis, chain, Representation::Evaluation);
+        for t in by_amount.remove(&0).unwrap_or_default() {
+            let pt = self.encode_on(terms[t].1, chain, q_top);
+            sum_b.mul_add_assign(&ct.b, &pt, basis);
+            sum_a.mul_add_assign(&ct.a, &pt, basis);
+        }
+        if !by_amount.is_empty() {
+            let digits = self.hoist_ciphertext_with(ct, arena);
+            let mut acc_b = RnsPoly::zero_in(arena, basis, ext, Representation::Evaluation);
+            let mut acc_a = RnsPoly::zero_in(arena, basis, ext, Representation::Evaluation);
+            for (&reduced, members) in &by_amount {
+                let g = GaloisElement::from_rotation(reduced, self.params().n());
+                let key = key_for(g).ok_or(ArkError::MissingRotationKey {
+                    amount: terms[members[0]].0,
+                })?;
+                let (ub, ua) = self.hoisted_inner_product_with(&digits, g, &key, arena);
+                let rb = ct.b.permute_eval_in(arena, &self.eval_perm(g), basis);
+                for &t in members {
+                    let pt = self.encode_on(terms[t].1, ext, q_top);
+                    acc_b.mul_add_assign(&ub, &pt, basis);
+                    acc_a.mul_add_assign(&ua, &pt, basis);
+                    sum_b.mul_add_assign_select(&rb, &pt, basis);
+                }
+                ub.recycle(arena);
+                ua.recycle(arena);
+                rb.recycle(arena);
+            }
+            digits.recycle(arena);
+            for (sum, acc) in [(&mut sum_b, acc_b), (&mut sum_a, acc_a)] {
+                let down = self.mod_down_with(&acc, level, arena);
+                acc.recycle(arena);
+                sum.add_assign(&down, basis);
+                down.recycle(arena);
+            }
+        }
+        Ok(Ciphertext {
+            b: sum_b,
+            a: sum_a,
+            level,
+            scale: ct.scale * q_top,
+        })
     }
 
     /// `HRot`: circular left shift of the slots by `r` (negative `r`
@@ -469,11 +604,11 @@ impl CkksContext {
     /// and scale by `q_last^{-1}` in place.
     fn rescale_poly_with(
         &self,
-        poly: &ark_math::poly::RnsPoly,
+        poly: &RnsPoly,
         out_level: usize,
         q_last_idx: usize,
-        arena: &mut ark_math::scratch::ScratchArena,
-    ) -> ark_math::poly::RnsPoly {
+        arena: &mut ScratchArena,
+    ) -> RnsPoly {
         let q_last = *self.basis().modulus(q_last_idx);
         let half = q_last.value() / 2;
         let n = poly.n();
@@ -703,6 +838,42 @@ mod tests {
             .hoisted_rotate_many(&ct, &[0], &RotationKeys::new())
             .unwrap();
         assert_eq!(out[0], ct);
+    }
+
+    #[test]
+    fn rotate_sum_working_set_stays_under_its_charge() {
+        // the arena of a fresh context records the high-water mark of
+        // the scratch an 18-term sum holds at once (result included);
+        // the one plaintext alive at a time is heap storage, counted by
+        // hand
+        for (dnum, max_level) in [(1, 3), (2, 3), (4, 3), (2, 9)] {
+            let params = CkksParams {
+                log_n: 8,
+                dnum,
+                max_level,
+                ..CkksParams::tiny()
+            };
+            let keygen = CkksContext::new(params.clone());
+            let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+            let sk = keygen.gen_secret_key(&mut rng);
+            let amounts: Vec<i64> = (0..18).map(|t| t % 9).collect();
+            let keys = keygen.gen_rotation_keys(&amounts, false, &sk, &mut rng);
+            let w = msg(&keygen, |i| C64::new(0.01 * (i % 7) as f64, 0.1));
+            let pt = keygen.encode(&w, max_level, params.scale());
+            let ct = keygen.encrypt(&pt, &sk, &mut rng);
+            let terms: Vec<(i64, &[C64])> = amounts.iter().map(|&r| (r, w.as_slice())).collect();
+
+            let fresh = CkksContext::new(params.clone());
+            let out = fresh.rotate_sum(&ct, &terms, |g| keys.get(g)).unwrap();
+            let plaintext = fresh.extended_indices(max_level).len() * params.n();
+            let taken = fresh.arena().peak_in_use_words() + plaintext;
+            let ct_words = out.b.words() + out.a.words();
+            let charge = params.digit_units() + ROTATE_SUM_FIXED_UNITS;
+            assert!(
+                taken <= charge * ct_words,
+                "dnum {dnum}, L {max_level}: took {taken} words, charged {charge} × {ct_words}"
+            );
+        }
     }
 
     #[test]

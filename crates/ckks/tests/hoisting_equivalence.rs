@@ -4,8 +4,10 @@
 //! across random levels, random rotation sets, all three
 //! [`KeyStrategy`] variants, and serial vs pooled execution. This is
 //! the contract that lets `eval_linear_transform` hoist its baby loop
-//! unconditionally and the engine fuse `rotate_sum` nodes: hoisting is
-//! a pure cost optimization, never a numerics change.
+//! unconditionally: sharing the *ModUp* is a pure cost optimization,
+//! never a numerics change. (The fused `rotate_sum` additionally
+//! *defers* its ModDown past the sum, which does change the rounding —
+//! one instead of one per rotation; `tests/rotate_sum.rs` covers it.)
 
 use ark_ckks::keys::{RotationKeys, SecretKey};
 use ark_ckks::lintrans::LinearTransform;

@@ -15,6 +15,7 @@
 //! hostile program cannot index out of bounds at execution time.
 
 use ark_ckks::error::{ArkError, ArkResult};
+use ark_ckks::ops::ROTATE_SUM_FIXED_UNITS;
 use ark_fhe::engine::{HeEvaluator, HeProgram, RotateSumTerm};
 use ark_math::cfft::C64;
 use ark_math::wire::{put_f64, put_i64, put_u16, put_u32, Cursor, WireError};
@@ -324,7 +325,8 @@ impl Program {
 
     /// The pre-liveness budget weight: every op's register charged
     /// forever (one unit each; a fused `RotateSum` at its full working
-    /// set). Kept as the conservative bound the liveness-exact budget
+    /// set — digits plus the fixed accumulators, whatever its term
+    /// count). Kept as the conservative bound the liveness-exact budget
     /// (`VerifyReport::peak_live_units`, what sessions are charged) is
     /// measured against — for any program, `peak_live_units ≤
     /// n_inputs + worst_case_units(d) + outputs`, with `d` the
@@ -333,7 +335,7 @@ impl Program {
         self.ops
             .iter()
             .map(|op| match op {
-                Op::RotateSum(_, terms) => terms.len() + digit_units + 3,
+                Op::RotateSum(..) => digit_units + ROTATE_SUM_FIXED_UNITS + 2,
                 _ => 1,
             })
             .sum()
@@ -715,11 +717,11 @@ mod tests {
         let p = sample();
         assert_eq!(p.len(), 5);
         // peak is the rotate_sum event: 2 borrowed inputs + 3 live
-        // registers (the sum output, the operand, the result) + 2
-        // terms + digits + 1 in-flight product
+        // registers (the sum output, the operand, the result) + digits
+        // + the fused sum's fixed accumulators
         let report = verified(&p, CkksParams::tiny());
         let d = report.digit_units;
-        assert_eq!(report.peak_live_units, 2 + 3 + (2 + d + 1));
+        assert_eq!(report.peak_live_units, 2 + 3 + (d + ROTATE_SUM_FIXED_UNITS));
         // the digit weight scales with the hosting parameter set
         let wide = CkksParams {
             dnum: 4,
@@ -727,10 +729,27 @@ mod tests {
         };
         assert!(wide.digit_units() > d);
         let report = verified(&p, wide);
-        assert_eq!(report.peak_live_units, 2 + 3 + (2 + report.digit_units + 1));
+        assert_eq!(
+            report.peak_live_units,
+            2 + 3 + (report.digit_units + ROTATE_SUM_FIXED_UNITS)
+        );
         // liveness-exact stays under the old every-op-forever bound
-        assert_eq!(p.worst_case_units(3), 4 + (2 + 3 + 3));
+        assert_eq!(p.worst_case_units(3), 4 + (3 + ROTATE_SUM_FIXED_UNITS + 2));
         assert!(report.peak_live_units < p.worst_case_units(report.digit_units));
+        // the charge does not grow with the term count: rotations are
+        // folded into the running sum as they are produced
+        let peak_of = |terms: usize| {
+            let mut p = Program::new(1);
+            let x = p.reg(0);
+            let terms = (0..terms)
+                .map(|t| RotateSumTerm::new(1 + t as i64 % 2, vec![C64::new(0.5, 0.0); 4]))
+                .collect();
+            let h = p.rotate_sum(x, terms);
+            p.output(h);
+            verified(&p, CkksParams::tiny()).peak_live_units
+        };
+        assert_eq!(peak_of(1), 1 + 2 + d + ROTATE_SUM_FIXED_UNITS);
+        assert_eq!(peak_of(18), peak_of(1));
     }
 
     #[test]

@@ -44,6 +44,10 @@ pub struct ScratchArena {
     /// Cap on total words retained across all pools (u128 counts as 2).
     cap_words: usize,
     pooled_words: usize,
+    /// Words currently checked out (taken and not yet put back), and
+    /// the high-water mark of that figure.
+    in_use_words: usize,
+    peak_in_use_words: usize,
     stats: ArenaStats,
 }
 
@@ -85,6 +89,8 @@ impl ScratchArena {
             polys: Vec::new(),
             cap_words,
             pooled_words: 0,
+            in_use_words: 0,
+            peak_in_use_words: 0,
             stats: ArenaStats::default(),
         }
     }
@@ -93,7 +99,7 @@ impl ScratchArena {
     /// contents (callers overwrite). Reuses a pooled buffer when one has
     /// the capacity, otherwise allocates.
     pub fn take(&mut self, len: usize) -> Vec<u64> {
-        if let Some(i) = self.bufs.iter().position(|b| b.capacity() >= len) {
+        let buf = if let Some(i) = self.bufs.iter().position(|b| b.capacity() >= len) {
             let mut buf = self.bufs.swap_remove(i);
             self.pooled_words -= buf.capacity();
             self.stats.reused += 1;
@@ -105,7 +111,9 @@ impl ScratchArena {
         } else {
             self.stats.fresh += 1;
             vec![0u64; len]
-        }
+        };
+        self.checked_out(buf.capacity());
+        buf
     }
 
     /// Takes a `u64` buffer of `len` zeros.
@@ -118,6 +126,7 @@ impl ScratchArena {
     /// Returns a `u64` buffer to the pool (dropped if over the cap).
     pub fn put(&mut self, buf: Vec<u64>) {
         let words = buf.capacity();
+        self.in_use_words = self.in_use_words.saturating_sub(words);
         if words == 0 || self.pooled_words + words > self.cap_words {
             return;
         }
@@ -128,7 +137,7 @@ impl ScratchArena {
     /// Takes a `u128` accumulator buffer of `len` elements, zeroed (MAC
     /// kernels accumulate into it).
     pub fn take_acc(&mut self, len: usize) -> Vec<u128> {
-        if let Some(i) = self.accs.iter().position(|b| b.capacity() >= len) {
+        let buf = if let Some(i) = self.accs.iter().position(|b| b.capacity() >= len) {
             let mut buf = self.accs.swap_remove(i);
             self.pooled_words -= 2 * buf.capacity();
             self.stats.reused += 1;
@@ -138,12 +147,15 @@ impl ScratchArena {
         } else {
             self.stats.fresh += 1;
             vec![0u128; len]
-        }
+        };
+        self.checked_out(2 * buf.capacity());
+        buf
     }
 
     /// Returns a `u128` buffer to the pool.
     pub fn put_acc(&mut self, buf: Vec<u128>) {
         let words = 2 * buf.capacity();
+        self.in_use_words = self.in_use_words.saturating_sub(words);
         if words == 0 || self.pooled_words + words > self.cap_words {
             return;
         }
@@ -221,6 +233,22 @@ impl ScratchArena {
         self.pooled_words
     }
 
+    /// Test probe, not API: the high-water mark of the `u64`/`u128`
+    /// buffer words checked out at once (by capacity; a `u128` counts
+    /// as 2). Only meaningful on a *fresh* arena that has served one op
+    /// which returns exactly the buffers it took — the working-set
+    /// tests' case: a result that leaves for good stays counted for
+    /// ever, and putting a heap-born buffer lowers the figure.
+    #[doc(hidden)]
+    pub fn peak_in_use_words(&self) -> usize {
+        self.peak_in_use_words
+    }
+
+    fn checked_out(&mut self, words: usize) {
+        self.in_use_words += words;
+        self.peak_in_use_words = self.peak_in_use_words.max(self.in_use_words);
+    }
+
     /// Drops every pooled buffer (counters are kept).
     pub fn clear(&mut self) {
         self.bufs.clear();
@@ -253,6 +281,25 @@ mod tests {
             }
         );
         assert_eq!(arena.pooled_words(), 0);
+    }
+
+    #[test]
+    fn peak_in_use_is_the_high_water_mark_of_checked_out_words() {
+        let mut arena = ScratchArena::new();
+        let a = arena.take(100);
+        let acc = arena.take_acc(10);
+        let held = a.capacity() + 2 * acc.capacity();
+        assert_eq!(arena.peak_in_use_words(), held);
+        arena.put(a);
+        arena.put_acc(acc);
+        // everything is back: a smaller take reuses and moves no peak
+        let b = arena.take(50);
+        assert_eq!(arena.peak_in_use_words(), held);
+        // a heap-born buffer that is only ever put cannot underflow it
+        arena.put(vec![0u64; 4096]);
+        arena.put(b);
+        let c = arena.take(8192);
+        assert_eq!(arena.peak_in_use_words(), held.max(c.capacity()));
     }
 
     #[test]

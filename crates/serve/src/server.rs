@@ -805,7 +805,7 @@ fn run_evaluate(shared: &Shared, job: &Job, charge: &ChargeGuard<'_>) -> Handled
     )?;
     // evaluation holds the borrowed inputs, the liveness-live
     // registers, and each op's transient working set (a fused
-    // RotateSum's per-amount rotations plus the hoisted digits).
+    // RotateSum's hoisted digits plus its fixed accumulators).
     // Levels only ever drop, so peak units × the largest input is an
     // upper bound on the working set — charge it up front so the
     // session budget covers memory the request will grow into, not

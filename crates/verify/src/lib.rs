@@ -75,8 +75,8 @@ mod tests {
     #[test]
     fn liveness_peak_beats_worst_case_on_scenario_programs() {
         for (s, peak) in [
-            (&HelrScenario::default() as &dyn Scenario, 15),
-            (&ResNetScenario::default() as &dyn Scenario, 24),
+            (&HelrScenario::default() as &dyn Scenario, 13),
+            (&ResNetScenario::default() as &dyn Scenario, 12),
         ] {
             let report = verify_scenario(s).unwrap();
             let p = s.program();

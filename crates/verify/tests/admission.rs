@@ -1,12 +1,15 @@
 //! Serve-side admission control backed by the static verifier: a
 //! statically-invalid program bounces off the server with the typed
 //! `VERIFY` error code and *zero* evaluator ops executed (checked via
-//! `GET_STATS` op counters), and the liveness-exact budget admits long
-//! straight-line programs the old worst-case charge rejected.
+//! `GET_STATS` op counters), the liveness-exact budget admits long
+//! straight-line programs the old worst-case charge rejected, and the
+//! fused sum's term-independent charge still admits short sums.
 
+use ark_ckks::ops::ROTATE_SUM_FIXED_UNITS;
 use ark_ckks::params::{CkksContext, CkksParams};
-use ark_fhe::engine::{Backend, Engine};
+use ark_fhe::engine::{Backend, Engine, RotateSumTerm};
 use ark_fhe::math::cfft::C64;
+use ark_fhe::verify::{AbstractInput, VerifyContext};
 use ark_serve::{Client, Program, Server, ServerConfig, ServerHandle};
 
 const SEED: u64 = 41;
@@ -180,4 +183,68 @@ fn liveness_budget_admits_long_straight_line_programs() {
     assert!((got[0].re - (0.01 + 0.5)).abs() < 1e-3, "{:?}", got[0]);
 
     handle.shutdown();
+}
+
+/// A fused sum is charged `digit_units + ROTATE_SUM_FIXED_UNITS` (= 7)
+/// whatever its term count — its real working set — where the per-term
+/// body it replaced was charged `terms + digit_units + 1`. Long sums
+/// got cheaper (ResNet's 18 terms: 24 → 12 units); sums of one to five
+/// terms are charged up to five units more. The worst case of that
+/// increase, a one-term sum, must still be served at the default
+/// session budget, and must fit it with room to spare at the largest
+/// set this repository serves (N = 2^15, L = 5, dnum = 3).
+#[test]
+fn short_rotate_sums_fit_the_default_session_budget() {
+    let one_term = |slots: usize| {
+        let mut p = Program::new(1);
+        let x = p.reg(0);
+        let w = vec![C64::new(0.5, 0.0); slots];
+        let sum = p.rotate_sum(x, vec![RotateSumTerm::new(1, w)]);
+        p.output(sum);
+        p
+    };
+
+    let mut local = software_engine();
+    let slots = local.params().slots();
+    let input = local.encrypt(&vec![C64::new(0.2, 0.0); slots], 2).unwrap();
+    let (handle, fp) = start_server(ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let ctx = CkksContext::new(CkksParams::tiny());
+    let outs = client
+        .evaluate(fp, &one_term(slots), &[input], &ctx)
+        .unwrap();
+    let got = local.decrypt(&outs[0]).unwrap();
+    assert!((got[0].re - 0.1).abs() < 1e-3, "{:?}", got[0]);
+    handle.shutdown();
+
+    let large = CkksParams {
+        log_n: 15,
+        max_level: 5,
+        dnum: 3,
+        q0_bits: 55,
+        scale_bits: 45,
+        special_bits: 55,
+        ..CkksParams::tiny()
+    };
+    let ct_bytes = 2 * (large.max_level + 1) * large.n() * 8;
+    let report = VerifyContext::new(large.clone(), &[1], false, None, false)
+        .unwrap()
+        .verify(
+            &[AbstractInput::at_level(large.max_level)],
+            &one_term(large.slots()),
+        );
+    assert!(report.is_ok(), "{:?}", report.finding);
+    // the borrowed input, the operand and result registers, and the
+    // sum's working set
+    assert_eq!(
+        report.peak_live_units,
+        1 + 2 + large.digit_units() + ROTATE_SUM_FIXED_UNITS
+    );
+    // admission charges the decoded input, the peak and the response
+    let charged = (report.peak_live_units + 2) * ct_bytes;
+    let budget = ServerConfig::default().max_session_bytes;
+    assert!(
+        4 * charged <= budget,
+        "a one-term sum at N = 2^15 is charged {charged} of {budget} bytes"
+    );
 }

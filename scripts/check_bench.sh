@@ -37,8 +37,9 @@ CONTRACTS = {
         "keys": [
             "schema", "params", "results", "decompose_counts",
             "evk_loads_per_strategy", "hoisted_speedup",
+            "rotate_sum_speedup",
         ],
-        "flags": ["bit_identical"],
+        "flags": ["bit_identical", "rotate_sum_agrees"],
     },
     "BENCH_PR6.json": {
         "keys": ["schema", "params", "results", "host_parallelism"],

@@ -12,7 +12,6 @@ use ark_math::automorphism::GaloisElement;
 use ark_math::cfft::C64;
 use ark_workloads::trace::Trace;
 use rand::rngs::StdRng;
-use std::collections::HashMap;
 
 #[derive(Debug)]
 pub(super) struct SoftwareState {
@@ -178,29 +177,13 @@ impl HeEvaluator for SoftwareEvaluator<'_> {
 
     fn rotate_sum(&mut self, ct: &Self::Ct, terms: &[RotateSumTerm]) -> ArkResult<Self::Ct> {
         let ctx = self.ctx;
-        let (_, distinct) = self.shape.rotate_sum(&mut self.trace, meta(ct), terms)?;
-        // one digit decomposition serves every rotation in the set
-        let digits = (!distinct.is_empty()).then(|| ctx.hoist_ciphertext(ct));
-        let mut rotated: HashMap<i64, Ciphertext> = HashMap::with_capacity(distinct.len());
-        for &r in &distinct {
-            let g = GaloisElement::from_rotation(r, ctx.params().n());
-            let key = self.keys.galois_key(ctx, g);
-            let digits = digits.as_ref().expect("digits exist when a rotation does");
-            rotated.insert(r, ctx.apply_galois_hoisted(ct, digits, g, &key));
-        }
-        let slots = ctx.params().slots();
-        let mut acc: Option<Ciphertext> = None;
-        for term in terms {
-            let reduced = GaloisElement::normalize_rotation(term.amount, slots);
-            let base = if reduced == 0 { ct } else { &rotated[&reduced] };
-            let pt = ctx.encode_for_mul(&term.weights, ct.level);
-            let prod = ctx.mul_plain(base, &pt);
-            acc = Some(match acc.take() {
-                None => prod,
-                Some(a) => ctx.add(&a, &prod)?,
-            });
-        }
-        Ok(acc.expect("the front rejects an empty term list"))
+        self.shape.rotate_sum(&mut self.trace, meta(ct), terms)?;
+        // one digit decomposition and two ModDowns serve the whole sum
+        let terms: Vec<(i64, &[C64])> = terms
+            .iter()
+            .map(|t| (t.amount, t.weights.as_slice()))
+            .collect();
+        ctx.rotate_sum(ct, &terms, |g| Some(self.keys.galois_key(ctx, g)))
     }
 
     fn conjugate(&mut self, ct: &Self::Ct) -> ArkResult<Self::Ct> {

@@ -56,7 +56,7 @@ use crate::engine::{bootstrap_trace_config, DeclaredKeys, HeEvaluator, HeProgram
 use crate::error::{ArkError, ArkResult};
 use ark_ckks::bootstrap::BootstrapConfig;
 use ark_ckks::encoding::ENCODE_LIMIT;
-use ark_ckks::ops::check_scales_match as check_scales;
+use ark_ckks::ops::{check_scales_match as check_scales, ROTATE_SUM_FIXED_UNITS};
 use ark_ckks::params::CkksParams;
 use ark_math::automorphism::GaloisElement;
 use ark_math::cfft::C64;
@@ -557,7 +557,7 @@ struct EventRec {
     op: &'static str,
     level: usize,
     /// Extra ciphertext-units alive only during this event (hoisted
-    /// digits, rotated copies, unrescaled products).
+    /// digits, `R_PQ` accumulators, unrescaled products).
     transient: usize,
 }
 
@@ -907,10 +907,10 @@ impl HeEvaluator for AbstractEvaluator<'_> {
     fn rotate_sum(&mut self, ct: &Self::Ct, terms: &[RotateSumTerm]) -> ArkResult<Self::Ct> {
         let (meta, distinct) = self.shape.rotate_sum(&mut self.trace, ct.meta, terms)?;
         self.rotations_used.extend(distinct);
-        // transient working set: one rotated ciphertext per term (≤
-        // distinct amounts, bounded by terms), the hoisted digit spine,
-        // and the in-flight product
-        let transient = terms.len() + self.shape.params.digit_units() + 1;
+        // transient working set: the hoisted digit spine plus the fused
+        // sum's fixed accumulators — independent of the term count,
+        // because rotations are consumed as they are produced
+        let transient = self.shape.params.digit_units() + ROTATE_SUM_FIXED_UNITS;
         Ok(self.emit("rotate_sum", &[ct], transient, meta))
     }
 
