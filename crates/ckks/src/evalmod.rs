@@ -189,6 +189,39 @@ impl ChebyBasisPlan {
         }
         Self { baby: m, giants }
     }
+
+    /// Which basis entries evaluating `coeffs` reads, `needed[j]` for
+    /// `T_j`: the base-case terms and the giant of every division in
+    /// the recursion, closed over what building each takes
+    /// (`T_j ← T_⌈j/2⌉, T_⌊j/2⌋, T_1`). An odd expansion such as the
+    /// sine keeps odd quotients and remainders, so it never reads most
+    /// even babies — and the evaluator does not build them.
+    fn needed(&self, coeffs: &[f64]) -> Vec<bool> {
+        let mut needed = vec![false; self.baby.max(coeffs.len() - 1) + 1];
+        mark_read(coeffs, self.baby, &mut needed);
+        needed[1] = true;
+        for j in (2..needed.len()).rev() {
+            if needed[j] {
+                needed[j.div_ceil(2)] = true;
+                needed[j / 2] = true;
+            }
+        }
+        needed
+    }
+}
+
+/// Marks the basis entries `eval_cheby_recursive` reads on `coeffs`.
+fn mark_read(coeffs: &[f64], m: usize, read: &mut [bool]) {
+    let d = coeffs.len() - 1;
+    if d < m {
+        used_terms(coeffs).for_each(|j| read[j] = true);
+        return;
+    }
+    let g = largest_giant(m, d);
+    read[g] = true;
+    let (q, r) = cheby_divide(coeffs, g);
+    mark_read(&q, m, read);
+    mark_read(&r, m, read);
 }
 
 impl CkksContext {
@@ -224,49 +257,36 @@ impl CkksContext {
         }
         let plan = ChebyBasisPlan::for_degree(d);
         let m = plan.baby;
+        let needed = plan.needed(&poly.coeffs);
+        let depth = "chain long enough for Chebyshev depth";
+        let one_scale = "Chebyshev terms share one scale by construction";
 
-        // Babies T_1..T_m (index 0 unused).
+        // Babies T_1..T_m (index 0 unused), those the expansion reads.
         let mut basis: Vec<Option<Ciphertext>> = vec![None; m.max(d) + 1];
-        basis[1] = Some(u.clone());
-        for j in 2..=m {
+        basis[1] = Some(u);
+        for j in (2..=m).filter(|&j| needed[j]) {
+            let entry = |k: usize| basis[k].as_ref().expect("needed baby computed in order");
             let t = if j % 2 == 0 {
                 // T_{2k} = 2 T_k² − 1
-                let k = j / 2;
-                let tk = basis[k].clone().expect("baby computed in order");
-                let sq = self
-                    .rescale(&self.square(&tk, evk))
-                    .expect("chain long enough for Chebyshev depth");
-                let two = self
-                    .add(&sq, &sq)
-                    .expect("Chebyshev terms share one scale by construction");
+                let sq = self.rescale(&self.square(entry(j / 2), evk)).expect(depth);
+                let two = self.add(&sq, &sq).expect(one_scale);
                 self.add_const(&two, -1.0)
             } else {
                 // T_{i+j} = 2 T_i T_j − T_{i−j} with i = (j+1)/2, j' = j/2
-                let hi = j.div_ceil(2);
-                let lo = j / 2;
-                let a = basis[hi].clone().expect("baby computed in order");
-                let b = basis[lo].clone().expect("baby computed in order");
+                let (hi, lo) = (j.div_ceil(2), j / 2);
                 let prod = self
-                    .rescale(&self.mul(&a, &b, evk))
-                    .expect("chain long enough for Chebyshev depth");
-                let two = self
-                    .add(&prod, &prod)
-                    .expect("Chebyshev terms share one scale by construction");
-                let diff = basis[hi - lo].clone().expect("difference term");
-                self.sub(&two, &diff)
-                    .expect("Chebyshev terms share one scale by construction")
+                    .rescale(&self.mul(entry(hi), entry(lo), evk))
+                    .expect(depth);
+                let two = self.add(&prod, &prod).expect(one_scale);
+                self.sub(&two, entry(hi - lo)).expect(one_scale)
             };
             basis[j] = Some(t);
         }
         // Giants T_{2m}, T_{4m}, …
-        for &g in &plan.giants {
-            let half = basis[g / 2].clone().expect("giant halves exist");
-            let sq = self
-                .rescale(&self.square(&half, evk))
-                .expect("chain long enough for Chebyshev depth");
-            let two = self
-                .add(&sq, &sq)
-                .expect("Chebyshev terms share one scale by construction");
+        for &g in plan.giants.iter().filter(|&&g| needed[g]) {
+            let half = basis[g / 2].as_ref().expect("needed giant halves exist");
+            let sq = self.rescale(&self.square(half, evk)).expect(depth);
+            let two = self.add(&sq, &sq).expect(one_scale);
             basis[g] = Some(self.add_const(&two, -1.0));
         }
 
@@ -521,6 +541,29 @@ mod tests {
         let plan = ChebyBasisPlan::for_degree(15);
         assert_eq!(plan.baby, 4);
         assert_eq!(plan.giants, vec![8]);
+    }
+
+    #[test]
+    fn basis_holds_only_what_the_expansion_reads() {
+        let built = |coeffs: &[f64]| -> Vec<usize> {
+            let needed = ChebyBasisPlan::for_degree(coeffs.len() - 1).needed(coeffs);
+            (1..needed.len()).filter(|&j| needed[j]).collect()
+        };
+        // the odd degree-119 sine reads T_1, T_3, …, T_15 and the giants
+        // T_16, T_32, T_64; building those takes T_2, T_4, T_6, T_8 —
+        // never T_10, T_12, T_14
+        let sine = EvalModParams::for_sparse_secret().sine_poly();
+        let mut want: Vec<usize> = (1..=9).collect();
+        want.extend([11, 13, 15, 16, 32, 64]);
+        assert_eq!(built(&sine.coeffs), want);
+        // a dense expansion reads every baby
+        let dense: Vec<f64> = (0..120).map(|j| 1.0 / (1 + j) as f64).collect();
+        let mut want: Vec<usize> = (1..=16).collect();
+        want.extend([32, 64]);
+        assert_eq!(built(&dense), want);
+        // a term past the babies comes out of the division by a giant,
+        // not out of the basis: T_3 = 2·T_2·T_1 − T_1 with m = 2
+        assert_eq!(built(&[0.5, 0.0, 0.0, 1.0]), vec![1, 2]);
     }
 
     #[test]

@@ -38,8 +38,8 @@ use crate::params::{CkksContext, CkksParams};
 use ark_math::automorphism::GaloisElement;
 use ark_math::poly::{Representation, RnsPoly};
 use ark_math::wire::{
-    self, checksum, decode_poly, encode_poly, kind, put_f64, put_u16, put_u32, put_u64,
-    read_frame_expecting, write_frame, Cursor, WireError,
+    self, checksum, decode_poly, encode_poly, kind, put_f64, put_u16, put_u32, put_u64, read_frame,
+    read_frame_expecting, Cursor, Frame, FrameWriter, WireError,
 };
 
 /// Upper bound on rotation keys in one [`RotationKeys`] frame — far
@@ -373,9 +373,11 @@ macro_rules! frame_codec {
     ($write:ident, $read:ident, $ty:ty, $kind:expr, $enc:ident, $dec:ident, $doc:expr) => {
         #[doc = concat!("Serializes a ", $doc, " as a standalone frame.")]
         pub fn $write(ctx: &CkksContext, value: &$ty) -> Vec<u8> {
-            let mut payload = Vec::new();
-            $enc(&mut payload, value);
-            write_frame($kind, param_fingerprint(ctx.params()), &payload)
+            let mut out = Vec::new();
+            let mut frame = FrameWriter::begin(&mut out, $kind, param_fingerprint(ctx.params()));
+            $enc(frame.payload(), value);
+            frame.finish();
+            out
         }
 
         #[doc = concat!("Reads a standalone ", $doc, " frame, verifying kind, ")]
@@ -464,16 +466,65 @@ frame_codec!(
     "seed-compressed rotation key set"
 );
 
+macro_rules! nest_codec {
+    ($nest:ident, $ty:ty, $kind:expr, $enc:ident, $doc:expr) => {
+        #[doc = concat!("Nests a ", $doc, " frame in the payload of `frame`; it is ")]
+        #[doc = "sealed with the enclosing frame, in the same hashing pass."]
+        pub fn $nest(frame: &mut FrameWriter<'_>, ctx: &CkksContext, value: &$ty) {
+            frame.nest($kind, param_fingerprint(ctx.params()), |out| {
+                $enc(out, value)
+            });
+        }
+    };
+}
+
+nest_codec!(
+    nest_ciphertext,
+    Ciphertext,
+    kind::CIPHERTEXT,
+    encode_ciphertext,
+    "ciphertext"
+);
+nest_codec!(
+    nest_compressed_public_key,
+    CompressedPublicKey,
+    kind::COMPRESSED_PUBLIC_KEY,
+    encode_compressed_public_key,
+    "seed-compressed public key"
+);
+nest_codec!(
+    nest_compressed_eval_key,
+    CompressedEvalKey,
+    kind::COMPRESSED_EVAL_KEY,
+    encode_compressed_eval_key,
+    "seed-compressed evaluation key"
+);
+nest_codec!(
+    nest_compressed_rotation_keys,
+    CompressedRotationKeys,
+    kind::COMPRESSED_ROTATION_KEYS,
+    encode_compressed_rotation_keys,
+    "seed-compressed rotation key set"
+);
+
 /// Reads a ciphertext frame from the *front* of `bytes`, returning the
 /// ciphertext and the bytes consumed — the shape `ark-serve` uses to
 /// walk a payload of concatenated frames.
 pub fn read_ciphertext_prefix(ctx: &CkksContext, bytes: &[u8]) -> ArkResult<(Ciphertext, usize)> {
-    let fp = param_fingerprint(ctx.params());
-    let (frame, used) = read_frame_expecting(bytes, kind::CIPHERTEXT, fp)?;
+    let (frame, used) = read_frame(bytes)?;
+    Ok((ciphertext_from_frame(ctx, frame)?, used))
+}
+
+/// Decodes a ciphertext from a frame whose checksum is already
+/// verified — one of the nested frames of
+/// [`ark_math::wire::read_nested_frames`] — checking kind,
+/// fingerprint and payload invariants.
+pub fn ciphertext_from_frame(ctx: &CkksContext, frame: Frame<'_>) -> ArkResult<Ciphertext> {
+    let frame = frame.expecting(kind::CIPHERTEXT, param_fingerprint(ctx.params()))?;
     let mut cur = Cursor::new(frame.payload);
     let ct = decode_ciphertext(&mut cur, ctx)?;
     cur.finish().map_err(ArkError::Wire)?;
-    Ok((ct, used))
+    Ok(ct)
 }
 
 /// Exact wire size of a ciphertext frame (header + payload + checksum).
@@ -487,6 +538,7 @@ mod tests {
     use super::*;
     use crate::encoding::max_error;
     use ark_math::cfft::C64;
+    use ark_math::wire::write_frame;
     use rand::SeedableRng;
 
     #[test]

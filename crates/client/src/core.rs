@@ -50,7 +50,10 @@ use ark_ckks::wire as ckks_wire;
 use ark_ckks::{Ciphertext, EvalKey, PublicKey, RotationKeys};
 use ark_core::sched::SimReport;
 use ark_core::wire as core_wire;
-use ark_math::wire::{put_u16, put_u32, read_frame, write_frame, Cursor, WireError};
+use ark_math::wire::{
+    put_u16, put_u32, put_u64, read_frame, write_frame, Cursor, FrameWriter, WireError,
+    CHECKSUM_LEN,
+};
 use std::collections::{HashMap, VecDeque};
 
 /// A ticket for a request in flight; redeem it against the matching
@@ -294,9 +297,11 @@ impl CoreConfig {
         };
         // the handshake is bare: the envelope starts with the first
         // message after it
-        let mut hello = Vec::new();
-        put_u16(&mut hello, PROTOCOL_VERSION);
-        core.queue_message(&write_frame(msg::HELLO, 0, &hello));
+        let at = open_message(&mut core.egress, None);
+        let mut hello = FrameWriter::begin(&mut core.egress, msg::HELLO, 0);
+        put_u16(hello.payload(), PROTOCOL_VERSION);
+        hello.finish();
+        close_message(&mut core.egress, at);
         core
     }
 }
@@ -382,12 +387,6 @@ impl ClientCore {
     /// Empty when nothing is queued.
     pub fn take_egress(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.egress)
-    }
-
-    fn queue_message(&mut self, body: &[u8]) {
-        let len = u32::try_from(body.len()).expect("encoder bounds message length");
-        self.egress.extend_from_slice(&len.to_le_bytes());
-        self.egress.extend_from_slice(body);
     }
 
     // -- ingest -------------------------------------------------------
@@ -559,9 +558,17 @@ impl ClientCore {
 
     // -- submission ---------------------------------------------------
 
-    /// Queues one request frame under a fresh id, returning its
-    /// ticket.
-    fn submit(&mut self, expect: u16, fingerprint: u64, frame: Vec<u8>) -> ArkResult<Ticket> {
+    /// Queues the request frame `write` appends under a fresh id,
+    /// returning its ticket. The request is written once, where the
+    /// transport takes it from: prefix, id, then the frame, sealed in
+    /// place. (The copy retained for a `BUSY` retry costs a fiftieth of
+    /// what hashing the frame does.)
+    fn submit(
+        &mut self,
+        expect: u16,
+        fingerprint: u64,
+        write: impl FnOnce(&mut Vec<u8>) -> ArkResult<()>,
+    ) -> ArkResult<Ticket> {
         self.fail_if_closed()?;
         if !self.is_ready() {
             return Err(ArkError::Serve {
@@ -569,18 +576,33 @@ impl ClientCore {
             });
         }
         let id = self.next_request_id;
+        let at = open_message(&mut self.egress, Some(id));
+        let frame_at = self.egress.len();
+        if let Err(e) = write(&mut self.egress) {
+            self.egress.truncate(at);
+            return Err(e);
+        }
+        close_message(&mut self.egress, at);
         self.next_request_id += 1;
-        self.queue_message(&protocol::envelope(id, &frame));
         self.pending.insert(
             id,
             Pending {
                 expect,
                 fingerprint,
-                frame,
+                frame: self.egress[frame_at..].to_vec(),
                 parked: false,
             },
         );
         Ok(Ticket { id, fingerprint })
+    }
+
+    /// Submits a request that is all header: an empty frame of kind
+    /// `request`.
+    fn submit_empty(&mut self, request: u16, expect: u16, fingerprint: u64) -> ArkResult<Ticket> {
+        self.submit(expect, fingerprint, |out| {
+            FrameWriter::begin(out, request, fingerprint).finish();
+            Ok(())
+        })
     }
 
     /// Submits an evaluation of `program` over locally-encrypted
@@ -593,8 +615,9 @@ impl ClientCore {
         inputs: &[Ciphertext],
         ctx: &CkksContext,
     ) -> ArkResult<Ticket> {
-        let frame = evaluate_frame(fingerprint, program, inputs, ctx)?;
-        self.submit(msg::RESULT_CTS, fingerprint, frame)
+        self.submit(msg::RESULT_CTS, fingerprint, |out| {
+            write_evaluate(out, fingerprint, program, inputs, ctx)
+        })
     }
 
     /// Submits a simulated costing of `program` with symbolic inputs
@@ -605,34 +628,32 @@ impl ClientCore {
         program: &Program,
         levels: &[usize],
     ) -> ArkResult<Ticket> {
-        let frame = simulate_frame(fingerprint, program, levels)?;
-        self.submit(msg::RESULT_REPORT, fingerprint, frame)
+        self.submit(msg::RESULT_REPORT, fingerprint, |out| {
+            out.extend_from_slice(&simulate_frame(fingerprint, program, levels)?);
+            Ok(())
+        })
     }
 
     /// Requests the seed-compressed public key of engine `fingerprint`.
     pub fn submit_get_public_key(&mut self, fingerprint: u64) -> ArkResult<Ticket> {
-        let frame = write_frame(msg::GET_PUBLIC_KEY, fingerprint, &[]);
-        self.submit(msg::PUBLIC_KEY, fingerprint, frame)
+        self.submit_empty(msg::GET_PUBLIC_KEY, msg::PUBLIC_KEY, fingerprint)
     }
 
     /// Requests the seed-compressed evaluation keys (mult + rotation
     /// set) of engine `fingerprint`.
     pub fn submit_get_eval_keys(&mut self, fingerprint: u64) -> ArkResult<Ticket> {
-        let frame = write_frame(msg::GET_EVAL_KEYS, fingerprint, &[]);
-        self.submit(msg::EVAL_KEYS, fingerprint, frame)
+        self.submit_empty(msg::GET_EVAL_KEYS, msg::EVAL_KEYS, fingerprint)
     }
 
     /// Requests the server's observability counters.
     pub fn submit_get_stats(&mut self) -> ArkResult<Ticket> {
-        let frame = write_frame(msg::GET_STATS, 0, &[]);
-        self.submit(msg::STATS, 0, frame)
+        self.submit_empty(msg::GET_STATS, msg::STATS, 0)
     }
 
     /// Asks the server to shut down gracefully; completion is
     /// [`Event::Bye`], after which the core is closed.
     pub fn submit_shutdown(&mut self) -> ArkResult<Ticket> {
-        let frame = write_frame(msg::SHUTDOWN, 0, &[]);
-        self.submit(msg::BYE, 0, frame)
+        self.submit_empty(msg::SHUTDOWN, msg::BYE, 0)
     }
 
     /// Re-sends a request the server parked with `BUSY`, under its
@@ -652,8 +673,9 @@ impl ClientCore {
             });
         }
         pending.parked = false;
-        let body = protocol::envelope(ticket.id, &pending.frame);
-        self.queue_message(&body);
+        let at = open_message(&mut self.egress, Some(ticket.id));
+        self.egress.extend_from_slice(&pending.frame);
+        close_message(&mut self.egress, at);
         Ok(())
     }
 
@@ -684,6 +706,24 @@ fn count_u16(n: usize) -> ArkResult<u16> {
     })
 }
 
+/// Opens one transport message at the end of `egress`: the `u32`
+/// length prefix ([`close_message`] fills it in) and, past the
+/// handshake, the request id. The frame is appended after it.
+fn open_message(egress: &mut Vec<u8>, request_id: Option<u64>) -> usize {
+    let at = egress.len();
+    egress.extend_from_slice(&[0; 4]);
+    if let Some(id) = request_id {
+        put_u64(egress, id);
+    }
+    at
+}
+
+/// Fills in the length prefix of the message opened at `at`.
+fn close_message(egress: &mut [u8], at: usize) {
+    let len = u32::try_from(egress.len() - at - 4).expect("encoder bounds message length");
+    egress[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
 /// Encodes an `EVALUATE` request frame.
 pub fn evaluate_frame(
     fingerprint: u64,
@@ -691,13 +731,32 @@ pub fn evaluate_frame(
     inputs: &[Ciphertext],
     ctx: &CkksContext,
 ) -> ArkResult<Vec<u8>> {
-    let mut payload = Vec::new();
-    program.encode(&mut payload);
-    put_u16(&mut payload, count_u16(inputs.len())?);
+    let mut out = Vec::new();
+    write_evaluate(&mut out, fingerprint, program, inputs, ctx)?;
+    Ok(out)
+}
+
+/// Appends an `EVALUATE` request frame to `out`: every ciphertext is
+/// encoded once, where it ships from, and hashed once — into its own
+/// checksum and the request's in the same pass.
+fn write_evaluate(
+    out: &mut Vec<u8>,
+    fingerprint: u64,
+    program: &Program,
+    inputs: &[Ciphertext],
+    ctx: &CkksContext,
+) -> ArkResult<()> {
+    let count = count_u16(inputs.len())?;
+    let mut frame = FrameWriter::begin(out, msg::EVALUATE, fingerprint);
+    program.encode(frame.payload());
+    put_u16(frame.payload(), count);
+    let input_bytes: usize = inputs.iter().map(ckks_wire::ciphertext_frame_len).sum();
+    frame.payload().reserve(input_bytes + CHECKSUM_LEN);
     for ct in inputs {
-        payload.extend_from_slice(&ckks_wire::write_ciphertext(ctx, ct));
+        ckks_wire::nest_ciphertext(&mut frame, ctx, ct);
     }
-    Ok(write_frame(msg::EVALUATE, fingerprint, &payload))
+    frame.finish();
+    Ok(())
 }
 
 /// Encodes a `SIMULATE` request frame.

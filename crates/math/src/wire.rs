@@ -22,6 +22,19 @@
 //! 24+len     8  FNV-1a 64 checksum over bytes [0, 24+len)
 //! ```
 //!
+//! # One hashing pass
+//!
+//! FNV-1a is a serial xor-multiply chain, about four cycles a byte —
+//! an order of magnitude dearer than copying the byte. A frame nested
+//! in another frame's payload (a ciphertext inside an `EVALUATE`) sits
+//! in two chains, but two independent chains interleave for free on an
+//! out-of-order core, so every producer and consumer here walks a
+//! buffer **once**, whatever its nesting: [`FrameWriter`] seals an
+//! outer frame and the frames nested in it in one pass,
+//! [`read_nested_frames`] verifies them in one pass, and [`checksum`],
+//! [`write_frame`] and [`read_frame`] are the same pass with nothing
+//! nested.
+//!
 //! # Versioning rules
 //!
 //! The version covers the *frame container and every payload codec*: any
@@ -38,6 +51,7 @@
 //! buffer before any vector is reserved).
 
 use crate::poly::{Representation, RnsBasis, RnsPoly};
+use std::ops::Range;
 
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"ARKW";
@@ -180,15 +194,69 @@ pub type WireResult<T> = Result<T, WireError>;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+#[cfg(test)]
+thread_local! {
+    /// Iterations of the FNV loop run on this thread — lets a test pin
+    /// "every byte is hashed in exactly one loop".
+    static HASH_STEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The one FNV-1a loop: advances two chains over the same bytes in
+/// lock-step. The chains are independent, so the second rides in the
+/// multiplier latency of the first; a caller with one chain passes a
+/// dummy and drops it.
+#[inline]
+fn advance(mut outer: u64, mut inner: u64, bytes: &[u8]) -> (u64, u64) {
+    #[cfg(test)]
+    HASH_STEPS.with(|s| s.set(s.get() + bytes.len()));
+    for &b in bytes {
+        outer = (outer ^ b as u64).wrapping_mul(FNV_PRIME);
+        inner = (inner ^ b as u64).wrapping_mul(FNV_PRIME);
+    }
+    (outer, inner)
+}
+
+/// One pass over a frame's bytes: the outer frame's chain, and where
+/// the pass crosses a nested frame, that frame's chain beside it.
+struct Chains {
+    outer: u64,
+    /// Bytes `[0, pos)` are in the outer chain.
+    pos: usize,
+}
+
+impl Chains {
+    fn new() -> Self {
+        Self {
+            outer: FNV_OFFSET,
+            pos: 0,
+        }
+    }
+
+    /// Advances the outer chain alone to `end` and returns it.
+    fn outer_to(&mut self, bytes: &[u8], end: usize) -> u64 {
+        self.outer = advance(self.outer, 0, &bytes[self.pos..end]).0;
+        self.pos = end;
+        self.outer
+    }
+
+    /// Advances the outer chain to the nested frame at `frame`, then
+    /// both chains over its header and payload. Returns the nested
+    /// chain and stops *at* its checksum slot, which the outer chain
+    /// hashes next — after a sealer has filled it.
+    fn nested(&mut self, bytes: &[u8], frame: &Range<usize>) -> u64 {
+        self.outer_to(bytes, frame.start);
+        let slot = frame.end - CHECKSUM_LEN;
+        let (outer, inner) = advance(self.outer, FNV_OFFSET, &bytes[frame.start..slot]);
+        self.outer = outer;
+        self.pos = slot;
+        inner
+    }
+}
+
 /// FNV-1a 64 over `bytes` — fast, dependency-free corruption detection
 /// (not a MAC; authenticity is out of scope for the wire layer).
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    Chains::new().outer_to(bytes, bytes.len())
 }
 
 // ---------------------------------------------------------------------
@@ -303,34 +371,128 @@ impl<'a> Cursor<'a> {
 // ---------------------------------------------------------------------
 
 /// A decoded frame header plus a borrowed view of its payload.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame<'a> {
     /// Kind tag of the payload.
     pub kind: u16,
     /// Parameter-set fingerprint the frame was produced under.
     pub fingerprint: u64,
-    /// The payload bytes (checksum already verified).
+    /// The payload bytes (checksum verified, unless the frame came
+    /// from [`peek_frame`]).
     pub payload: &'a [u8],
+}
+
+impl<'a> Frame<'a> {
+    /// Checks the kind tag and the parameter fingerprint — the common
+    /// opening of every typed decoder.
+    pub fn expecting(self, kind: u16, fingerprint: u64) -> WireResult<Self> {
+        if self.kind != kind {
+            return Err(WireError::WrongKind {
+                expected: kind,
+                found: self.kind,
+            });
+        }
+        if self.fingerprint != fingerprint {
+            return Err(WireError::FingerprintMismatch {
+                expected: fingerprint,
+                found: self.fingerprint,
+            });
+        }
+        Ok(self)
+    }
+}
+
+/// Writes one frame, and the frames nested in its payload, straight
+/// into a caller's buffer, then seals every checksum in one hashing
+/// pass ([`FrameWriter::finish`]). Payload encoders append through
+/// [`FrameWriter::payload`]; until `finish` the checksum slots are
+/// blank, so a writer that is dropped instead leaves no valid frame.
+#[must_use = "a frame is not sealed until `.finish()` is called"]
+#[derive(Debug)]
+pub struct FrameWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// Where the outer frame starts in `out`.
+    start: usize,
+    /// The nested frames, relative to `start`.
+    nested: Vec<Range<usize>>,
+}
+
+impl<'a> FrameWriter<'a> {
+    /// Appends a frame header to `out`; the payload follows.
+    pub fn begin(out: &'a mut Vec<u8>, kind: u16, fingerprint: u64) -> Self {
+        let start = out.len();
+        put_header(out, kind, fingerprint);
+        Self {
+            out,
+            start,
+            nested: Vec::new(),
+        }
+    }
+
+    /// The buffer, for appending payload bytes.
+    pub fn payload(&mut self) -> &mut Vec<u8> {
+        self.out
+    }
+
+    /// Appends a whole frame to the payload: header, whatever `body`
+    /// appends, and a checksum slot that [`FrameWriter::finish`] fills
+    /// in the same pass as the outer one.
+    pub fn nest(&mut self, kind: u16, fingerprint: u64, body: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.out.len();
+        put_header(self.out, kind, fingerprint);
+        body(self.out);
+        close_frame(self.out, start);
+        self.nested
+            .push(start - self.start..self.out.len() - self.start);
+    }
+
+    /// Closes the frame and seals it and every nested frame: each byte
+    /// is hashed in one loop, a nested byte into both of its chains.
+    pub fn finish(self) {
+        close_frame(self.out, self.start);
+        let frame = &mut self.out[self.start..];
+        let mut chains = Chains::new();
+        for n in &self.nested {
+            let sum = chains.nested(frame, n);
+            frame[n.end - CHECKSUM_LEN..n.end].copy_from_slice(&sum.to_le_bytes());
+        }
+        let slot = frame.len() - CHECKSUM_LEN;
+        let sum = chains.outer_to(frame, slot);
+        frame[slot..].copy_from_slice(&sum.to_le_bytes());
+    }
+}
+
+fn put_header(out: &mut Vec<u8>, kind: u16, fingerprint: u64) {
+    out.extend_from_slice(&MAGIC);
+    put_u16(out, VERSION);
+    put_u16(out, kind);
+    put_u64(out, fingerprint);
+    put_u64(out, 0); // payload length, patched by `close_frame`
+}
+
+/// Patches the payload length of the frame begun at `start` and
+/// reserves its checksum slot.
+fn close_frame(out: &mut Vec<u8>, start: usize) {
+    let len = (out.len() - start - HEADER_LEN) as u64;
+    out[start + 16..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&[0; CHECKSUM_LEN]);
 }
 
 /// Wraps a payload in a full frame: header, payload, checksum.
 pub fn write_frame(kind: u16, fingerprint: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    out.extend_from_slice(&MAGIC);
-    put_u16(&mut out, VERSION);
-    put_u16(&mut out, kind);
-    put_u64(&mut out, fingerprint);
-    put_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    let sum = checksum(&out);
-    put_u64(&mut out, sum);
+    let mut frame = FrameWriter::begin(&mut out, kind, fingerprint);
+    frame.payload().extend_from_slice(payload);
+    frame.finish();
     out
 }
 
-/// Parses one frame from the front of `bytes`, verifying magic, version
-/// and checksum. Returns the frame and the total bytes it consumed (so
-/// frames can be concatenated).
-pub fn read_frame(bytes: &[u8]) -> WireResult<(Frame<'_>, usize)> {
+/// Parses the header of the frame at the front of `bytes` and bounds
+/// its declared length against the buffer — every check of
+/// [`read_frame`] but the checksum, and not a payload byte touched. The
+/// frame it returns is **unverified**: good for routing on the kind
+/// tag and for finding where nested frames lie, nothing else.
+pub fn peek_frame(bytes: &[u8]) -> WireResult<(Frame<'_>, usize)> {
     // the smallest well-formed frame is an empty payload between the
     // header and the checksum; anything shorter cannot hold both
     // (found by fuzz_frame: a buffer in HEADER_LEN..HEADER_LEN+CHECKSUM_LEN
@@ -357,7 +519,7 @@ pub fn read_frame(bytes: &[u8]) -> WireResult<(Frame<'_>, usize)> {
     let payload_len = u64::from_le_bytes(bytes[16..24].try_into().expect("len 8"));
     // bound the length against the buffer *before* any arithmetic that
     // could overflow or any allocation an attacker could inflate
-    let body = bytes.len().saturating_sub(HEADER_LEN + CHECKSUM_LEN);
+    let body = bytes.len() - (HEADER_LEN + CHECKSUM_LEN);
     if payload_len > body as u64 {
         return Err(WireError::Truncated {
             needed: HEADER_LEN + CHECKSUM_LEN + payload_len.min(u64::MAX - 1024) as usize,
@@ -365,24 +527,96 @@ pub fn read_frame(bytes: &[u8]) -> WireResult<(Frame<'_>, usize)> {
         });
     }
     let payload_len = payload_len as usize;
-    let total = HEADER_LEN + payload_len + CHECKSUM_LEN;
-    let stored = u64::from_le_bytes(
-        bytes[total - CHECKSUM_LEN..total]
-            .try_into()
-            .expect("len 8"),
-    );
-    let computed = checksum(&bytes[..total - CHECKSUM_LEN]);
-    if computed != stored {
-        return Err(WireError::ChecksumMismatch { computed, stored });
-    }
     Ok((
         Frame {
             kind,
             fingerprint,
             payload: &bytes[HEADER_LEN..HEADER_LEN + payload_len],
         },
-        total,
+        HEADER_LEN + payload_len + CHECKSUM_LEN,
     ))
+}
+
+/// A verified frame together with the frames nested in its payload.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NestedFrames<'a> {
+    /// The outer frame.
+    pub frame: Frame<'a>,
+    /// Total bytes the outer frame occupies.
+    pub used: usize,
+    /// What [`read_frame`] would return on each nested frame, in
+    /// order. A malformed header ends the list with its error: nothing
+    /// says where the next frame would start.
+    pub nested: Vec<WireResult<(Frame<'a>, usize)>>,
+}
+
+/// [`read_frame`] for a frame whose payload holds `count` frames back
+/// to back from payload offset `first`: verifies the outer checksum and
+/// every nested one in a single pass over the bytes. A header-only walk
+/// finds the nested frames first, each declared length bounded by the
+/// enclosing payload before a byte is hashed. An outer failure is the
+/// error, as it would be from `read_frame`; nested failures are
+/// reported per frame, so a consumer meets them in payload order.
+///
+/// # Panics
+///
+/// If `first` lies beyond the payload.
+pub fn read_nested_frames(
+    bytes: &[u8],
+    first: usize,
+    count: usize,
+) -> WireResult<NestedFrames<'_>> {
+    let (frame, used) = peek_frame(bytes)?;
+    let mut nested = Vec::new();
+    let mut at = first;
+    for _ in 0..count {
+        let walked = peek_frame(&frame.payload[at..]);
+        let len = walked.as_ref().map(|(_, len)| *len).ok();
+        nested.push(walked);
+        match len {
+            Some(len) => at += len,
+            None => break,
+        }
+    }
+    let mut chains = Chains::new();
+    let mut start = HEADER_LEN + first;
+    for result in &mut nested {
+        let Ok((_, len)) = *result else { break };
+        let computed = chains.nested(bytes, &(start..start + len));
+        start += len;
+        if let Err(e) = check_slot(bytes, start, computed) {
+            *result = Err(e);
+        }
+    }
+    let computed = chains.outer_to(bytes, used - CHECKSUM_LEN);
+    check_slot(bytes, used, computed)?;
+    Ok(NestedFrames {
+        frame,
+        used,
+        nested,
+    })
+}
+
+/// Compares a chain with the checksum stored in the slot ending at
+/// `frame_end`.
+fn check_slot(bytes: &[u8], frame_end: usize, computed: u64) -> WireResult<()> {
+    let stored = u64::from_le_bytes(
+        bytes[frame_end - CHECKSUM_LEN..frame_end]
+            .try_into()
+            .expect("len 8"),
+    );
+    if computed != stored {
+        return Err(WireError::ChecksumMismatch { computed, stored });
+    }
+    Ok(())
+}
+
+/// Parses one frame from the front of `bytes`, verifying magic, version
+/// and checksum. Returns the frame and the total bytes it consumed (so
+/// frames can be concatenated).
+pub fn read_frame(bytes: &[u8]) -> WireResult<(Frame<'_>, usize)> {
+    let read = read_nested_frames(bytes, 0, 0)?;
+    Ok((read.frame, read.used))
 }
 
 /// Like [`read_frame`], but additionally checks the kind tag and the
@@ -393,19 +627,7 @@ pub fn read_frame_expecting(
     fingerprint: u64,
 ) -> WireResult<(Frame<'_>, usize)> {
     let (frame, used) = read_frame(bytes)?;
-    if frame.kind != kind {
-        return Err(WireError::WrongKind {
-            expected: kind,
-            found: frame.kind,
-        });
-    }
-    if frame.fingerprint != fingerprint {
-        return Err(WireError::FingerprintMismatch {
-            expected: fingerprint,
-            found: frame.fingerprint,
-        });
-    }
-    Ok((frame, used))
+    Ok((frame.expecting(kind, fingerprint)?, used))
 }
 
 // ---------------------------------------------------------------------
@@ -686,6 +908,124 @@ mod tests {
             poly_from_frame(&framed, &b, 0).unwrap_err(),
             WireError::Malformed { .. }
         ));
+    }
+
+    /// `prefix ‖ children ‖ suffix` as one frame through the one-pass
+    /// writer, and where the first child starts in its payload.
+    fn nested_frame(prefix: &[u8], children: &[&[u8]], suffix: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut frame = FrameWriter::begin(&mut out, 0x14, 7);
+        frame.payload().extend_from_slice(prefix);
+        for (i, child) in children.iter().enumerate() {
+            frame.nest(kind::CIPHERTEXT, i as u64, |out| {
+                out.extend_from_slice(child)
+            });
+        }
+        frame.payload().extend_from_slice(suffix);
+        frame.finish();
+        out
+    }
+
+    fn hash_steps(f: impl FnOnce()) -> usize {
+        HASH_STEPS.with(|s| s.set(0));
+        f();
+        HASH_STEPS.with(|s| s.get())
+    }
+
+    #[test]
+    fn every_byte_is_hashed_in_exactly_one_loop() {
+        // sealing or verifying a B-byte request is one loop over the B
+        // bytes in front of the outer checksum — the nested frames' own
+        // chains ride in that loop, not in a second pass
+        let (a, b) = (vec![0xa5u8; 1000], vec![0x3cu8; 333]);
+        let mut bytes = Vec::new();
+        let sealing = hash_steps(|| bytes = nested_frame(b"program", &[&a, &b], b""));
+        assert_eq!(sealing, bytes.len() - CHECKSUM_LEN);
+        let verifying = hash_steps(|| {
+            let read = read_nested_frames(&bytes, 7, 2).unwrap();
+            assert!(read.nested.iter().all(Result::is_ok));
+        });
+        assert_eq!(verifying, bytes.len() - CHECKSUM_LEN);
+        // with nothing nested it is the same loop
+        let plain = write_frame(kind::RNS_POLY, 0, &a);
+        let reading = hash_steps(|| assert!(read_frame(&plain).is_ok()));
+        assert_eq!(reading, plain.len() - CHECKSUM_LEN);
+        assert_eq!(hash_steps(|| assert_ne!(checksum(&a), 0)), a.len());
+    }
+
+    #[test]
+    fn one_pass_writer_spells_nested_write_frame() {
+        let (a, b) = (vec![1u8; 13], Vec::new());
+        let mut payload = b"head".to_vec();
+        payload.extend_from_slice(&write_frame(kind::CIPHERTEXT, 0, &a));
+        payload.extend_from_slice(&write_frame(kind::CIPHERTEXT, 1, &b));
+        payload.extend_from_slice(b"tail");
+        assert_eq!(
+            nested_frame(b"head", &[&a, &b], b"tail"),
+            write_frame(0x14, 7, &payload)
+        );
+    }
+
+    #[test]
+    fn nested_failures_are_reported_per_frame_and_outer_failures_first() {
+        let (a, b) = (vec![1u8; 40], vec![2u8; 24]);
+        let good = nested_frame(b"xy", &[&a, &b], b"");
+        let first_child = HEADER_LEN + 2;
+        let reseal = |bytes: &mut Vec<u8>| {
+            let end = bytes.len() - CHECKSUM_LEN;
+            let sum = checksum(&bytes[..end]);
+            bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        };
+
+        // a flipped nested payload byte under a valid outer checksum:
+        // that frame fails, its neighbour still verifies
+        let mut bytes = good.clone();
+        bytes[first_child + HEADER_LEN + 3] ^= 1;
+        reseal(&mut bytes);
+        let read = read_nested_frames(&bytes, 2, 2).unwrap();
+        let failure = read.nested[0].clone().unwrap_err();
+        assert!(matches!(failure, WireError::ChecksumMismatch { .. }));
+        assert_eq!(failure, read_frame(&bytes[first_child..]).unwrap_err());
+        assert_eq!(read.nested[1].as_ref().unwrap().0.payload, &b[..]);
+
+        // the same flip without resealing: the outer mismatch is the
+        // error, exactly `read_frame`'s
+        let mut bytes = good.clone();
+        bytes[first_child + HEADER_LEN + 3] ^= 1;
+        assert_eq!(
+            read_nested_frames(&bytes, 2, 2).unwrap_err(),
+            read_frame(&bytes).unwrap_err()
+        );
+
+        // a nested header that cannot be walked ends the list
+        let mut bytes = good.clone();
+        bytes[first_child] ^= 0xff;
+        reseal(&mut bytes);
+        let read = read_nested_frames(&bytes, 2, 2).unwrap();
+        assert_eq!(read.nested.len(), 1);
+        assert!(matches!(read.nested[0], Err(WireError::BadMagic { .. })));
+
+        // a nested length reaching past the enclosing payload is
+        // refused on the header, before a byte is hashed
+        let mut bytes = good.clone();
+        bytes[first_child + 16..first_child + 24].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        reseal(&mut bytes);
+        let steps = hash_steps(|| {
+            let read = read_nested_frames(&bytes, 2, 2).unwrap();
+            assert!(matches!(read.nested[0], Err(WireError::Truncated { .. })));
+        });
+        assert_eq!(steps, bytes.len() - CHECKSUM_LEN);
+
+        // more frames claimed than the payload holds
+        let read = read_nested_frames(&good, 2, 9).unwrap();
+        assert_eq!(read.nested.len(), 3);
+        assert_eq!(
+            read.nested[2],
+            Err(WireError::Truncated {
+                needed: HEADER_LEN + CHECKSUM_LEN,
+                available: 0
+            })
+        );
     }
 
     #[test]

@@ -19,11 +19,19 @@
 //!        │  when every queue is full)
 //!        ▼
 //!      N shard workers: each pops its own queue first, then steals
-//!      the oldest job from the deepest sibling — decode, account the
-//!      session budget, evaluate on a shared evaluator over the ONE
-//!      resident KeyChain, and push the response frame onto the
-//!      completion queue, waking the reactor to route it back
+//!      the oldest job from the deepest sibling — verify and decode,
+//!      account the session budget, evaluate on a shared evaluator
+//!      over the ONE resident KeyChain, and push the response frame
+//!      onto the completion queue, waking the reactor to route it back
 //! ```
+//!
+//! The reactor hashes no job payload: it routes an `EVALUATE` /
+//! `SIMULATE` on the frame *header* and hands the assembled message to
+//! the shard, whose worker verifies the request's checksum and those of
+//! the ciphertext frames nested in it in one pass
+//! ([`ark_math::wire::read_nested_frames`]). Hashing a request takes
+//! hundreds of microseconds, routing it none, and the reactor is one
+//! thread for every connection.
 //!
 //! Key material is the serving-layer analogue of ARK's inter-operation
 //! key reuse: the server holds **one** [`KeyChain`](ark_fhe::KeyChain)
@@ -66,7 +74,10 @@ use ark_core::wire as core_wire;
 use ark_fhe::engine::Engine;
 use ark_fhe::verify::{AbstractInput, VerifyReport};
 use ark_fhe::workloads::trace::{Trace, TraceSummary};
-use ark_math::wire::{put_u16, read_frame, write_frame, Cursor};
+use ark_math::wire::{
+    peek_frame, put_u16, read_frame, read_nested_frames, write_frame, Cursor, FrameWriter,
+    CHECKSUM_LEN,
+};
 use ark_net::{FrameBuf, Interest, OutBuf, Poller, Token, Waker};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -223,17 +234,27 @@ impl Drop for ChargeGuard<'_> {
     }
 }
 
-/// A decoded-enough request bound for a shard worker: the payload is
-/// still wire bytes (decode happens on the worker, off the reactor).
+/// A routed request bound for a shard worker. It owns the message as
+/// the connection's inbox assembled it, still wire bytes: the reactor
+/// read the frame header to route it and nothing more — verifying and
+/// decoding happen on the worker.
 struct Job {
     conn_token: u64,
     /// Echoed in the response envelope.
     request_id: u64,
     engine_idx: usize,
+    /// The header's kind tag, unverified until the worker has hashed
+    /// the frame.
     kind: u16,
-    fingerprint: u64,
-    payload: Vec<u8>,
+    /// `request id ‖ frame`.
+    message: Vec<u8>,
     session: Arc<SessionState>,
+}
+
+impl Job {
+    fn frame_bytes(&self) -> &[u8] {
+        &self.message[ENVELOPE_LEN..]
+    }
 }
 
 /// A finished job's response frame, routed back through the reactor.
@@ -246,6 +267,8 @@ struct Completion {
 struct Shard {
     queue: Mutex<VecDeque<Job>>,
     ready: Condvar,
+    /// Jobs whose request verified — its checksum and those of the
+    /// frames nested in it — and so ran, to a result or a typed error.
     jobs_executed: AtomicU64,
     jobs_stolen: AtomicU64,
     queue_depth_hwm: AtomicU64,
@@ -607,10 +630,7 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
     }
     let _exit = ExitFlag(shared);
     while let Some(job) = next_job(shared, idx) {
-        let frame = execute_job(shared, &job);
-        shared.shards[idx]
-            .jobs_executed
-            .fetch_add(1, Ordering::Relaxed);
+        let frame = execute_job(shared, &shared.shards[idx], &job);
         shared
             .completions
             .lock()
@@ -682,13 +702,13 @@ fn next_job(shared: &Shared, idx: usize) -> Option<Job> {
 /// errors, evaluation errors, even panics the decode validators did
 /// not anticipate — degrades to a typed `ERROR` frame instead of
 /// killing the worker.
-fn execute_job(shared: &Shared, job: &Job) -> Vec<u8> {
+fn execute_job(shared: &Shared, shard: &Shard, job: &Job) -> Vec<u8> {
     let charge = ChargeGuard::new(&job.session, shared.config.max_session_bytes);
     // AssertUnwindSafe: jobs borrow the engine immutably and its only
     // interior mutability (context caches) is Mutex-guarded
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match job.kind {
-        msg::EVALUATE => run_evaluate(shared, job, &charge),
-        msg::SIMULATE => run_simulate(shared, job),
+        msg::EVALUATE => run_evaluate(shared, shard, job, &charge),
+        msg::SIMULATE => run_simulate(shared, shard, job),
         k => Err((code::PROTOCOL, format!("unexpected job kind {k:#x}"))),
     }));
     match outcome {
@@ -709,6 +729,10 @@ type Handled = Result<Vec<u8>, (u16, String)>;
 
 fn wire_err(e: impl std::fmt::Display) -> (u16, String) {
     (code::WIRE, e.to_string())
+}
+
+fn ark_err(e: ArkError) -> (u16, String) {
+    (ark_err_code(&e), e.to_string())
 }
 
 fn ark_err_code(e: &ArkError) -> u16 {
@@ -766,7 +790,26 @@ fn check_program_size(shared: &Shared, program: &Program) -> Result<(), (u16, St
     Ok(())
 }
 
-fn run_evaluate(shared: &Shared, job: &Job, charge: &ChargeGuard<'_>) -> Handled {
+fn run_evaluate(shared: &Shared, shard: &Shard, job: &Job, charge: &ChargeGuard<'_>) -> Handled {
+    // Finding the input frames takes reading the program in front of
+    // them before its bytes are verified. The decoders are total, and
+    // nothing read here is used unless the pass below then verifies
+    // the bytes it was read from.
+    let (unverified, _) = peek_frame(job.frame_bytes()).map_err(wire_err)?;
+    let mut cur = Cursor::new(unverified.payload);
+    let head = (|| {
+        let program = Program::decode(&mut cur).map_err(ark_err)?;
+        check_program_size(shared, &program)?;
+        let n_inputs = cur.u16().map_err(wire_err)? as usize;
+        Ok((program, n_inputs))
+    })();
+    let first = unverified.payload.len() - cur.remaining();
+    let n_inputs = head.as_ref().map_or(0, |(_, n)| *n);
+    // the request's checksum and its inputs' checksums, in one pass
+    let request = read_nested_frames(job.frame_bytes(), first, n_inputs).map_err(wire_err)?;
+    if request.nested.iter().all(Result::is_ok) {
+        shard.jobs_executed.fetch_add(1, Ordering::Relaxed);
+    }
     let engine = &shared.engines[job.engine_idx];
     let Some(ctx) = engine.context() else {
         return Err((
@@ -774,25 +817,24 @@ fn run_evaluate(shared: &Shared, job: &Job, charge: &ChargeGuard<'_>) -> Handled
             "EVALUATE needs a software engine; use SIMULATE here".into(),
         ));
     };
-    let mut cur = Cursor::new(&job.payload);
-    let program = Program::decode(&mut cur).map_err(|e| (ark_err_code(&e), e.to_string()))?;
-    check_program_size(shared, &program)?;
-    let n_inputs = cur.u16().map_err(wire_err)? as usize;
-    let rest = cur.take(cur.remaining()).map_err(wire_err)?;
-    let mut inputs = Vec::with_capacity(n_inputs.min(256));
-    let mut off = 0;
-    for _ in 0..n_inputs {
-        let (ct, used) = ckks_wire::read_ciphertext_prefix(ctx, &rest[off..])
-            .map_err(|e| (ark_err_code(&e), e.to_string()))?;
+    let (program, _) = head?;
+    let mut inputs = Vec::with_capacity(request.nested.len());
+    let mut off = first;
+    for input in request.nested {
+        let (frame, used) = input.map_err(|e| ark_err(e.into()))?;
+        let ct = ckks_wire::ciphertext_from_frame(ctx, frame).map_err(ark_err)?;
         off += used;
         // account every decoded input against the session budget
         charge.charge(ct.byte_len())?;
         inputs.push(ct);
     }
-    if off != rest.len() {
+    if off != request.frame.payload.len() {
         return Err((
             code::PROTOCOL,
-            format!("{} trailing bytes after the last input", rest.len() - off),
+            format!(
+                "{} trailing bytes after the last input",
+                request.frame.payload.len() - off
+            ),
         ));
     }
     let (report, _) = admit(
@@ -812,12 +854,8 @@ fn run_evaluate(shared: &Shared, job: &Job, charge: &ChargeGuard<'_>) -> Handled
     // just its wire size
     let max_input = inputs.iter().map(Ciphertext::byte_len).max().unwrap_or(0);
     charge.charge(report.peak_live_units.saturating_mul(max_input))?;
-    let mut eval = engine
-        .shared_evaluator()
-        .map_err(|e| (ark_err_code(&e), e.to_string()))?;
-    let outputs = program
-        .apply(&mut eval, &inputs)
-        .map_err(|e| (ark_err_code(&e), e.to_string()))?;
+    let mut eval = engine.shared_evaluator().map_err(ark_err)?;
+    let outputs = program.apply(&mut eval, &inputs).map_err(ark_err)?;
     shared.ops.accumulate(
         &eval.into_trace().summary(),
         program.rotate_sum_terms() as u64,
@@ -826,15 +864,23 @@ fn run_evaluate(shared: &Shared, job: &Job, charge: &ChargeGuard<'_>) -> Handled
     for ct in &outputs {
         charge.charge(ct.byte_len())?;
     }
-    let mut out_payload = Vec::new();
-    put_u16(&mut out_payload, outputs.len() as u16);
+    // each output is encoded once, where it ships from, and hashed
+    // once — into its own checksum and the response's
+    let mut out = Vec::new();
+    let mut response = FrameWriter::begin(&mut out, msg::RESULT_CTS, request.frame.fingerprint);
+    put_u16(response.payload(), outputs.len() as u16);
+    let output_bytes: usize = outputs.iter().map(ckks_wire::ciphertext_frame_len).sum();
+    response.payload().reserve(output_bytes + CHECKSUM_LEN);
     for ct in &outputs {
-        out_payload.extend_from_slice(&ckks_wire::write_ciphertext(ctx, ct));
+        ckks_wire::nest_ciphertext(&mut response, ctx, ct);
     }
-    Ok(write_frame(msg::RESULT_CTS, job.fingerprint, &out_payload))
+    response.finish();
+    Ok(out)
 }
 
-fn run_simulate(shared: &Shared, job: &Job) -> Handled {
+fn run_simulate(shared: &Shared, shard: &Shard, job: &Job) -> Handled {
+    let (request, _) = read_frame(job.frame_bytes()).map_err(wire_err)?;
+    shard.jobs_executed.fetch_add(1, Ordering::Relaxed);
     let engine = &shared.engines[job.engine_idx];
     if engine.context().is_some() {
         return Err((
@@ -842,8 +888,8 @@ fn run_simulate(shared: &Shared, job: &Job) -> Handled {
             "SIMULATE needs a simulated engine; use EVALUATE here".into(),
         ));
     }
-    let mut cur = Cursor::new(&job.payload);
-    let program = Program::decode(&mut cur).map_err(|e| (ark_err_code(&e), e.to_string()))?;
+    let mut cur = Cursor::new(request.payload);
+    let program = Program::decode(&mut cur).map_err(ark_err)?;
     check_program_size(shared, &program)?;
     let n_inputs = cur.u16().map_err(wire_err)? as usize;
     let mut specs = Vec::with_capacity(n_inputs.min(256));
@@ -856,11 +902,13 @@ fn run_simulate(shared: &Shared, job: &Job) -> Handled {
     shared
         .ops
         .accumulate(&trace.summary(), program.rotate_sum_terms() as u64);
-    let report = engine
-        .simulate_trace(&trace)
-        .map_err(|e| (ark_err_code(&e), e.to_string()))?;
-    let nested = core_wire::write_sim_report(&report, job.fingerprint);
-    Ok(write_frame(msg::RESULT_REPORT, job.fingerprint, &nested))
+    let report = engine.simulate_trace(&trace).map_err(ark_err)?;
+    let nested = core_wire::write_sim_report(&report, request.fingerprint);
+    Ok(write_frame(
+        msg::RESULT_REPORT,
+        request.fingerprint,
+        &nested,
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -1109,19 +1157,19 @@ impl Reactor {
                     }
                 }
             };
-            self.dispatch_message(tok, &message);
+            self.dispatch_message(tok, message);
         }
         self.maybe_close(tok);
     }
 
     /// Handles one transport message: a bare frame until the handshake
     /// completes, `request id ‖ frame` after.
-    fn dispatch_message(&mut self, tok: u64, message: &[u8]) {
+    fn dispatch_message(&mut self, tok: u64, message: Vec<u8>) {
         if !self.conns.get(&tok).is_some_and(|c| c.handshaken) {
-            self.handle_handshake(tok, message);
+            self.handle_handshake(tok, &message);
             return;
         }
-        let Ok((request_id, frame_bytes)) = protocol::split_envelope(message) else {
+        let Ok((request_id, frame_bytes)) = protocol::split_envelope(&message) else {
             // a peer that stops enveloping has lost framing; nothing
             // later on the stream can be trusted
             self.send(
@@ -1131,6 +1179,15 @@ impl Reactor {
             self.close_conn(tok);
             return;
         };
+        // a job is routed on its header and verified by the shard worker
+        // that runs it; this thread hashes control frames only, which
+        // are all header
+        if let Ok((header, _)) = peek_frame(frame_bytes) {
+            if matches!(header.kind, msg::EVALUATE | msg::SIMULATE) {
+                self.admit_job(tok, request_id, header.kind, header.fingerprint, message);
+                return;
+            }
+        }
         let frame = match read_frame(frame_bytes) {
             Ok((frame, _)) => frame,
             Err(e) => {
@@ -1175,13 +1232,6 @@ impl Reactor {
                     );
                 }
             }
-            msg::EVALUATE | msg::SIMULATE => self.admit_job(
-                tok,
-                request_id,
-                frame.kind,
-                frame.fingerprint,
-                frame.payload,
-            ),
             k => self.respond(
                 tok,
                 request_id,
@@ -1246,8 +1296,11 @@ impl Reactor {
             let session = &self.conns[&tok].session;
             let charge = ChargeGuard::new(session, shared.config.max_session_bytes);
             charge.charge(compressed.byte_len())?;
-            let nested = ckks_wire::write_compressed_public_key(ctx, &compressed);
-            Ok(write_frame(msg::PUBLIC_KEY, fingerprint, &nested))
+            let mut out = Vec::new();
+            let mut frame = FrameWriter::begin(&mut out, msg::PUBLIC_KEY, fingerprint);
+            ckks_wire::nest_compressed_public_key(&mut frame, ctx, &compressed);
+            frame.finish();
+            Ok(out)
         })();
         result.unwrap_or_else(|(c, m)| protocol::error_frame(c, &m))
     }
@@ -1280,9 +1333,12 @@ impl Reactor {
             let session = &self.conns[&tok].session;
             let charge = ChargeGuard::new(session, shared.config.max_session_bytes);
             charge.charge(mult.byte_len() + rotations.byte_len())?;
-            let mut payload = ckks_wire::write_compressed_eval_key(ctx, &mult);
-            payload.extend_from_slice(&ckks_wire::write_compressed_rotation_keys(ctx, &rotations));
-            Ok(write_frame(msg::EVAL_KEYS, fingerprint, &payload))
+            let mut out = Vec::new();
+            let mut frame = FrameWriter::begin(&mut out, msg::EVAL_KEYS, fingerprint);
+            ckks_wire::nest_compressed_eval_key(&mut frame, ctx, &mult);
+            ckks_wire::nest_compressed_rotation_keys(&mut frame, ctx, &rotations);
+            frame.finish();
+            Ok(out)
         })();
         result.unwrap_or_else(|(c, m)| protocol::error_frame(c, &m))
     }
@@ -1291,25 +1347,30 @@ impl Reactor {
     /// with a typed `BUSY` when every queue is full. (The connection's
     /// pipeline window never sheds: `drive_inbox` stops popping
     /// messages at the window, so a job only gets here under it.)
+    ///
+    /// `kind` and `fingerprint` come from a header nobody has verified
+    /// yet. A request turned away on them is therefore hashed first —
+    /// corruption has always answered `WIRE`, whatever else is wrong.
     fn admit_job(
         &mut self,
         tok: u64,
         request_id: u64,
         kind: u16,
         fingerprint: u64,
-        payload: &[u8],
+        message: Vec<u8>,
     ) {
-        if self.shared.shutting_down() {
-            self.respond(
-                tok,
-                request_id,
-                protocol::error_frame(code::EVALUATION, "server is shutting down"),
-            );
-            return;
-        }
-        let engine_idx = match find_engine(&self.shared, fingerprint) {
-            Ok((idx, _)) => idx,
-            Err((c, m)) => {
+        let routed = if self.shared.shutting_down() {
+            Err((code::EVALUATION, "server is shutting down".to_string()))
+        } else {
+            find_engine(&self.shared, fingerprint).map(|(idx, _)| idx)
+        };
+        let engine_idx = match routed {
+            Ok(idx) => idx,
+            Err(refusal) => {
+                let (c, m) = match read_frame(&message[ENVELOPE_LEN..]) {
+                    Ok(_) => refusal,
+                    Err(e) => wire_err(e),
+                };
                 self.respond(tok, request_id, protocol::error_frame(c, &m));
                 return;
             }
@@ -1325,8 +1386,7 @@ impl Reactor {
             request_id,
             engine_idx,
             kind,
-            fingerprint,
-            payload: payload.to_vec(),
+            message,
             session,
         };
         match self.shared.submit(job) {
@@ -1497,8 +1557,7 @@ mod tests {
             request_id,
             engine_idx,
             kind: msg::SIMULATE,
-            fingerprint: 0,
-            payload,
+            message: protocol::envelope(request_id, &write_frame(msg::SIMULATE, 0, &payload)),
             session: Arc::new(SessionState {
                 id: 1,
                 in_flight_bytes: AtomicUsize::new(0),

@@ -5,12 +5,14 @@ mod common;
 
 use ark_ckks::error::ArkError;
 use ark_ckks::params::{CkksContext, CkksParams};
+use ark_ckks::wire as ckks_wire;
+use ark_client::core::{decode_result_cts, evaluate_frame};
 use ark_client::protocol::{self, code, msg, ENVELOPE_LEN, PROTOCOL_VERSION};
 use ark_fhe::arch::ArkConfig;
 use ark_fhe::ckks::encoding::max_error;
 use ark_fhe::engine::{Backend, Engine};
 use ark_fhe::math::cfft::C64;
-use ark_math::wire::{put_u16, read_frame, write_frame, Cursor};
+use ark_math::wire::{checksum, put_u16, read_frame, write_frame, Cursor, CHECKSUM_LEN};
 use ark_serve::server::ServerConfig;
 use ark_serve::{Client, Program, Server, ServerHandle};
 use common::{recv, send};
@@ -501,6 +503,90 @@ fn unenveloped_messages_after_the_handshake_are_typed() {
         .simulate(sim_fp, &sample_program(), &[23, 23])
         .unwrap();
     assert!(report.cycles > 0);
+    handle.shutdown();
+}
+
+/// Sends `frame` under `id` and returns the one response, which must
+/// echo the id.
+fn exchange(peer: &mut TcpStream, id: u64, frame: &[u8]) -> Vec<u8> {
+    send(peer, &protocol::envelope(id, frame)).unwrap();
+    let (echoed, response) = recv_enveloped(peer);
+    assert_eq!(echoed, id);
+    response
+}
+
+#[test]
+fn corrupted_evaluate_checksums_answer_wire_and_execute_nothing() {
+    let mut local = software_engine();
+    let ctx = CkksContext::new(CkksParams::tiny());
+    let ct_x = local.encrypt(&[C64::new(0.5, 0.0)], 2).unwrap();
+    let ct_y = local.encrypt(&[C64::new(0.25, 0.0)], 2).unwrap();
+    // room for one request's charges (two inputs, the working set, one
+    // output), not for what twenty rejected requests would leak
+    let (handle, sw_fp, _) = start_server(ServerConfig {
+        shards: 2,
+        max_session_bytes: 12 * ct_x.byte_len(),
+        ..ServerConfig::default()
+    });
+    let mut program = Program::new(2);
+    let sum = program.add(program.reg(0), program.reg(1));
+    program.output(sum);
+    let good = evaluate_frame(sw_fp, &program, &[ct_x, ct_y.clone()], &ctx).unwrap();
+
+    // one flipped residue byte in the second input: as it is, the
+    // request's checksum fails; resealed, only the nested frame's does
+    let second_input = good.len() - CHECKSUM_LEN - ckks_wire::ciphertext_frame_len(&ct_y);
+    let mut outer_bad = good.clone();
+    outer_bad[good.len() - 2 * CHECKSUM_LEN - 5] ^= 0x10;
+    let mut inner_bad = outer_bad.clone();
+    let end = inner_bad.len() - CHECKSUM_LEN;
+    let sum = checksum(&inner_bad[..end]);
+    inner_bad[end..].copy_from_slice(&sum.to_le_bytes());
+    let outer_error = read_frame(&outer_bad).unwrap_err();
+    assert!(read_frame(&inner_bad).is_ok());
+    let inner_error = ArkError::Wire(read_frame(&inner_bad[second_input..]).unwrap_err());
+
+    let mut peer = raw_peer(handle.addr());
+    handshake(&mut peer);
+    for round in 0..20 {
+        let id = 100 + 2 * round;
+        assert_eq!(
+            error_of(&exchange(&mut peer, id, &outer_bad)),
+            (code::WIRE, outer_error.to_string())
+        );
+        // the first input decoded and was charged before the second
+        // failed: the guard gives it back
+        assert_eq!(
+            error_of(&exchange(&mut peer, id + 1, &inner_bad)),
+            (code::WIRE, inner_error.to_string())
+        );
+    }
+    let get_stats = write_frame(msg::GET_STATS, 0, &[]);
+    let stats = |peer: &mut TcpStream, id: u64| {
+        let response = exchange(peer, id, &get_stats);
+        let counters =
+            protocol::decode_stats(&mut Cursor::new(read_frame(&response).unwrap().0.payload))
+                .unwrap();
+        let sum = |suffix: &str| -> u64 {
+            counters
+                .iter()
+                .filter(|(name, _)| name.ends_with(suffix))
+                .map(|(_, v)| v)
+                .sum()
+        };
+        (sum(".jobs_executed"), sum("ops.hadd"))
+    };
+    assert_eq!(stats(&mut peer, 1), (0, 0), "a rejected request ran");
+
+    // the connection is still in step, and the budget is whole: the
+    // intact request runs
+    let response = exchange(&mut peer, 2, &good);
+    let (frame, _) = read_frame(&response).unwrap();
+    assert_eq!(frame.kind, msg::RESULT_CTS);
+    let outputs = decode_result_cts(&ctx, frame.payload).unwrap();
+    let got = local.decrypt(&outputs[0]).unwrap();
+    assert!((got[0].re - 0.75).abs() < 1e-4, "got {}", got[0].re);
+    assert_eq!(stats(&mut peer, 3), (1, 1));
     handle.shutdown();
 }
 
