@@ -1,7 +1,8 @@
 //! # ark-bench — regenerates every table and figure of the ARK paper.
 //!
-//! Each `src/bin/` target prints one experiment's rows; `benches/` holds
-//! the criterion kernel benchmarks for the functional library. The
+//! The one binary, `paper`, prints each experiment's rows (`paper NAME…`,
+//! or all of them for no argument); this library is what it shares with
+//! the `paper_model` workload of the repo's benchmark (`benchmark/`). The
 //! simulated-accelerator results come from `ark-core`; comparisons
 //! against Lattigo/100x/F1/CraterLake/BTS use the numbers those systems
 //! reported (exactly as the paper does — they are inputs, not outputs,
@@ -30,7 +31,7 @@ pub mod reported {
     /// ARK's own reported value, ns (Table VII).
     pub const TAS_ARK_NS: f64 = 14.3;
 
-    /// HELR ms per 30-iteration run (Table V).
+    /// HELR ms per iteration, averaged over 30 (Table V).
     pub const HELR_LATTIGO_MS: f64 = 23_293.0;
     /// 100x.
     pub const HELR_100X_MS: f64 = 775.0;
@@ -186,6 +187,8 @@ pub fn workload_trace(w: Workload, params: &CkksParams, strategy: KeyStrategy) -
 
 /// Simulates a workload under an algorithm variant; returns
 /// `(seconds, report)` with the sorting scale factor applied to time.
+/// HELR's seconds are the total over all `HelrConfig::paper(..)`
+/// iterations; the `reported::HELR_*` figures are per iteration.
 pub fn simulate_workload(w: Workload, variant: AlgoVariant) -> (f64, SimReport) {
     let params = CkksParams::ark();
     let (trace, scale) = workload_trace(w, &params, variant.strategy());
@@ -225,33 +228,6 @@ pub fn t_amortized_per_slot(cfg: &ArkConfig) -> f64 {
     (boot_s + mults) / usable as f64 / params.slots() as f64
 }
 
-/// Escapes a string for embedding in a hand-written JSON literal —
-/// shared by every `BENCH_*.json`-emitting bin so the artifacts stay
-/// consistent with the `scripts/check_bench.sh` contract.
-pub fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Times `reps` runs of `f` after one warmup, returning
-/// `(mean_us, min_us, last_output)`. Shared by the `BENCH_*.json`
-/// regression bins so the timing methodology (warmup discipline,
-/// mean/min definitions) stays uniform across artifacts, and so
-/// callers can assert on the last output without paying for an extra
-/// evaluation.
-pub fn time_reps<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, f64, R) {
-    let mut last = f(); // warmup
-    let mut total = 0.0f64;
-    let mut min = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        last = f();
-        let us = t0.elapsed().as_secs_f64() * 1e6;
-        total += us;
-        min = min.min(us);
-    }
-    (total / reps as f64, min, last)
-}
-
 /// Formats seconds with an adaptive unit.
 pub fn fmt_time(s: f64) -> String {
     if s < 1e-6 {
@@ -283,6 +259,14 @@ mod tests {
         let tas = t_amortized_per_slot(&ArkConfig::base());
         let ns = tas * 1e9;
         assert!((3.0..80.0).contains(&ns), "T_A.S. = {ns:.1} ns");
+    }
+
+    #[test]
+    fn helr_per_iteration_in_paper_order_of_magnitude() {
+        // paper: 7.421 ms per iteration, averaged over the 30 traced
+        let (total_s, _) = simulate_workload(Workload::Helr, AlgoVariant::MinKsOfLimb);
+        let ms = total_s * 1e3 / HelrConfig::paper(KeyStrategy::MinKs).iterations as f64;
+        assert!((1.5..40.0).contains(&ms), "HELR = {ms:.2} ms per iteration");
     }
 
     #[test]

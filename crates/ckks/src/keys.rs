@@ -87,13 +87,6 @@ impl EvalKey {
         self.pieces.len()
     }
 
-    /// The `(B_i, A_i)` pairs over the extended basis, one per
-    /// decomposition piece — read-only access for reference
-    /// implementations and benches that replay the evk inner product.
-    pub fn pieces(&self) -> &[(RnsPoly, RnsPoly)] {
-        &self.pieces
-    }
-
     /// Storage in words: `dnum · 2 · (α+L+1) · N` (Table III).
     pub fn words(&self) -> usize {
         self.pieces.iter().map(|(b, a)| b.words() + a.words()).sum()

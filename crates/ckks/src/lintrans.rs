@@ -361,13 +361,12 @@ impl CkksContext {
     /// *hoisted*: every `rot(ct, (k0+i)·s)` is evaluated from one shared
     /// digit decomposition of `ct`
     /// ([`CkksContext::hoisted_rotate_many`]), which is bit-identical to
-    /// per-rotation evaluation (see
-    /// [`Self::eval_linear_transform_per_rotation`]) but pays the
-    /// `dnum'` mod-up BConvRoutines once instead of once per baby. The
-    /// iterated strategies' babies step a single `evk^{(s)}` — a serial
-    /// chain whose inputs change every step, so there is nothing to
-    /// hoist there; giant rotations each have a distinct input under
-    /// every strategy.
+    /// per-rotation evaluation (`tests/hoisting_equivalence.rs`) but
+    /// pays the `dnum'` mod-up BConvRoutines once instead of once per
+    /// baby. The iterated strategies' babies step a single `evk^{(s)}`
+    /// — a serial chain whose inputs change every step, so there is
+    /// nothing to hoist there; giant rotations each have a distinct
+    /// input under every strategy.
     ///
     /// # Panics
     ///
@@ -384,12 +383,12 @@ impl CkksContext {
         self.eval_linear_transform_impl(ct, lt, strategy, keys, true)
     }
 
-    /// [`Self::eval_linear_transform`] with hoisting disabled: every
-    /// baby rotation pays its own digit decomposition. Exists as the
-    /// benchmarking baseline (the `hoisting` bench gates on hoisted
-    /// strictly beating this) and as the bit-identity oracle — both
-    /// paths must produce identical ciphertexts at every strategy and
-    /// thread count.
+    /// Test oracle, not API: [`Self::eval_linear_transform`] with
+    /// hoisting disabled, so every baby rotation pays its own digit
+    /// decomposition. Both paths must produce identical ciphertexts at
+    /// every strategy and thread count
+    /// (`tests/hoisting_equivalence.rs`).
+    #[doc(hidden)]
     pub fn eval_linear_transform_per_rotation(
         &self,
         ct: &Ciphertext,

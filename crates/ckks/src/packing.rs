@@ -5,9 +5,8 @@
 //! block (HELR), an image packs channels of row-major pixels (ResNet),
 //! and hoisted rotate-and-sum trees need *selector* weight vectors that
 //! keep exactly one residue class (or block range) per term. These are
-//! pure `Vec<C64>` constructors — no context or key material — shared
-//! by `ark-scenarios`, the examples and the benches so every consumer
-//! agrees on the layout.
+//! pure `Vec<C64>` constructors — no context or key material — kept
+//! here, below `ark-scenarios`, so every consumer agrees on the layout.
 
 use ark_math::cfft::C64;
 

@@ -50,7 +50,6 @@ pub mod bconv;
 pub mod cfft;
 pub mod crt;
 pub mod modulus;
-pub mod nested;
 pub mod ntt;
 pub mod ntt4step;
 pub mod par;

@@ -8,8 +8,8 @@
 //! instead: an op *takes* flat buffers sized for its working set, and
 //! *puts* them back when the intermediate values die, so the steady
 //! state of `mul_rescale`/key-switching performs **zero** heap
-//! allocations (measured by the `core_ops` bench with a counting
-//! allocator on the serial pool).
+//! allocations (asserted by `ark-ckks`' `tests/zero_alloc.rs` with a
+//! counting allocator on the serial pool).
 //!
 //! The arena is deliberately dumb: a LIFO stack of free buffers per
 //! element type, first-fit by capacity, with a configurable cap on the

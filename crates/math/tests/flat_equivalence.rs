@@ -1,19 +1,23 @@
 //! Equivalence suite for the flat limb-major redesign: every production
 //! kernel (flat storage, lazy reduction, pool fan-out) is pinned
-//! bit-for-bit against the [`ark_math::nested`] reference oracle —
-//! serial, eager, one heap row per limb — at 1 and 4 threads.
+//! bit-for-bit against the [`nested`] reference oracle (the support
+//! module beside this file) — serial, eager, one heap row per limb —
+//! at 1 and 4 threads.
 //!
 //! Shapes deliberately include non-power-of-two limb counts (3, 5) and
 //! dropped-limb / non-contiguous subsets of the basis (the shapes
 //! `mod_drop_to` and decomposition produce), because those exercise the
 //! `limb_idx → storage position` indirection the flat layout added.
 
+#[path = "support/nested.rs"]
+mod nested;
+
 use ark_math::automorphism::GaloisElement;
 use ark_math::bconv::BaseConverter;
-use ark_math::nested::{bconv_reference, NestedPoly};
 use ark_math::par::ThreadPool;
 use ark_math::poly::{Representation, RnsBasis, RnsPoly};
 use ark_math::primes::generate_ntt_primes;
+use nested::{bconv_reference, NestedPoly};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use std::sync::OnceLock;

@@ -1,19 +1,19 @@
-//! Nested-row reference implementation of the RNS polynomial ops.
+//! Nested-row reference implementation of the RNS polynomial ops —
+//! the support module of `tests/flat_equivalence.rs`.
 //!
-//! Before the flat limb-major redesign, [`crate::poly::RnsPoly`] stored
-//! one heap `Vec<u64>` per limb. This module preserves that shape as an
-//! *oracle*: every operation is written in the simplest possible style —
-//! serial loops, eager per-element reduction through the scalar
-//! [`Modulus`] ops, fresh allocations everywhere — so the equivalence
-//! suite (`tests/flat_equivalence.rs`) and the `core_ops` bench can pin
-//! the production flat/lazy/parallel kernels against an independent
-//! implementation, bit for bit. Nothing here is a hot path; clarity
-//! beats speed on purpose.
+//! Before the flat limb-major redesign, [`ark_math::poly::RnsPoly`]
+//! stored one heap `Vec<u64>` per limb. This module preserves that
+//! shape as an *oracle*: every operation is written in the simplest
+//! possible style — serial loops, eager per-element reduction through
+//! the scalar [`Modulus`] ops, fresh allocations everywhere — so the
+//! equivalence suite can pin the production flat/lazy/parallel kernels
+//! against an independent implementation, bit for bit. Nothing here is
+//! a hot path; clarity beats speed on purpose.
 
-use crate::automorphism::{self, GaloisElement};
-use crate::bconv::BaseConverter;
-use crate::modulus::Modulus;
-use crate::poly::{Representation, RnsBasis, RnsPoly};
+use ark_math::automorphism::{self, GaloisElement};
+use ark_math::bconv::BaseConverter;
+use ark_math::modulus::Modulus;
+use ark_math::poly::{Representation, RnsBasis, RnsPoly};
 
 /// An RNS polynomial as one heap-allocated row per limb — the
 /// pre-refactor storage layout, kept as a reference shape.
@@ -29,6 +29,9 @@ pub struct NestedPoly {
     pub rows: Vec<Vec<u64>>,
 }
 
+// `to_eval` / `to_coeff` keep the in-place `&mut self` shape of the
+// `RnsPoly` methods they mirror, so the two read in lockstep in a test
+#[allow(clippy::wrong_self_convention)]
 impl NestedPoly {
     /// Snapshots a flat polynomial into nested rows.
     pub fn from_poly(p: &RnsPoly) -> Self {
@@ -262,7 +265,7 @@ pub fn bconv_reference(bc: &BaseConverter, poly: &NestedPoly, basis: &RnsBasis) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::primes::generate_ntt_primes;
+    use ark_math::primes::generate_ntt_primes;
     use rand::SeedableRng;
 
     #[test]

@@ -151,8 +151,7 @@ impl Trace {
 
     /// Number of digit decompositions (ModUps) the trace pays: every
     /// non-hoisted key-switch runs its own, while hoisted rotations
-    /// only pay on `fresh_digits` — the quantity hoisting minimizes,
-    /// and the "decompose count" the `hoisting` bench reports.
+    /// only pay on `fresh_digits` — the quantity hoisting minimizes.
     pub fn decompose_count(&self) -> usize {
         self.ops
             .iter()
