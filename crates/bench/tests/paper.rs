@@ -1,6 +1,9 @@
 //! The `paper` binary, run as CI and a reader would: every name in its
-//! list is unique and resolves, every section prints something, and no
-//! figure in the full output is `NaN` or infinite.
+//! list is unique and resolves, every section prints something, no
+//! figure in the full output is `NaN` or infinite, and the full output
+//! is `paper.golden.txt` byte for byte — the cycle model is
+//! deterministic and prints no host timing, so a diff there is a change
+//! to the model (or to a table's layout), never noise.
 
 use std::process::{Command, Output};
 
@@ -45,4 +48,12 @@ fn every_listed_section_resolves_and_prints_finite_numbers() {
     let all = paper(&[]);
     assert!(all.status.success());
     assert_eq!(String::from_utf8(all.stdout).expect("UTF-8"), full);
+
+    assert!(
+        full == include_str!("paper.golden.txt"),
+        "`paper` no longer prints crates/bench/tests/paper.golden.txt. If the model was \
+         meant to change, say so in the PR and regenerate it:\n  \
+         cargo run --release -q -p ark-bench --bin paper > crates/bench/tests/paper.golden.txt\n\
+         it printed:\n{full}"
+    );
 }

@@ -98,14 +98,46 @@ impl EvkCache {
     }
 }
 
-/// Raised digits shared by a contiguous hoisted rotation group: the
-/// ModUp end nodes every member's automorphism+inner-product depends
-/// on, valid while the group stays contiguous at one level.
-struct HoistedState {
-    level: usize,
-    piece_ends: Vec<NodeId>,
+/// A node on a compute or NoC resource (no HBM data kind).
+fn pf(resource: Resource, work: u64, latency: u64) -> PfNode {
+    PfNode {
+        resource,
+        work,
+        data: None,
+        latency,
+    }
 }
 
+/// An HBM load of `words` words.
+fn hbm_load(kind: DataKind, words: u64) -> PfNode {
+    PfNode {
+        resource: Resource::Hbm,
+        work: words,
+        data: Some(kind),
+        latency: 100,
+    }
+}
+
+/// Upper bound on the `(nodes, edges)` that lowering `op` emits: what
+/// the graph is reserved from, once, before lowering.
+fn size_bound(op: &HeOp, alpha: usize) -> (usize, usize) {
+    if op.is_key_switch() {
+        // ModUp: one BConvRoutine (4 nodes, ≤ 5 edges) per piece; then
+        // the permutation or product, the evk load, the inner product
+        // over all pieces, the NoC node, two ModDown routines and the
+        // end node
+        let pieces = pieces_at_level(op.level(), alpha);
+        (4 * pieces + 13, 6 * pieces + 16)
+    } else {
+        // at most load → NTT → MADU (PMult/PAdd), or the three nodes
+        // of a rescale
+        (3, 3)
+    }
+}
+
+/// Lowering allocates nothing per node: dependency lists are stack
+/// slices, `last.as_slice()`, or assembled in `gathered`, and every
+/// buffer here is reused from op to op.
 struct Compiler<'a> {
     g: PfGraph,
     params: &'a CkksParams,
@@ -113,12 +145,19 @@ struct Compiler<'a> {
     opts: CompileOptions,
     /// End node of the previous HE op (program-order serialization).
     last: Option<NodeId>,
-    /// End nodes of completed key-switches, for prefetch pacing.
-    ks_ends: Vec<NodeId>,
+    /// End nodes of the last `PREFETCH_DEPTH` completed key-switches,
+    /// oldest first, for prefetch pacing.
+    ks_ends: [Option<NodeId>; PREFETCH_DEPTH],
     evk_cache: EvkCache,
-    /// Live hoisted digits (`HRotHoisted` groups); any other op
-    /// invalidates them.
-    hoisted: Option<HoistedState>,
+    /// End node of each decomposition piece of the latest ModUp. A
+    /// hoisted rotation group raises its digits once and every member's
+    /// automorphism + inner product depends on these ends.
+    piece_ends: Vec<NodeId>,
+    /// Level of the live hoisted digits in `piece_ends` (`HRotHoisted`
+    /// groups); any other op invalidates them.
+    hoisted_level: Option<usize>,
+    /// Scratch for a dependency list with more than one source.
+    gathered: Vec<NodeId>,
 }
 
 impl<'a> Compiler<'a> {
@@ -131,99 +170,85 @@ impl<'a> Compiler<'a> {
         (limbs * (n / 2) * n.trailing_zeros() as usize) as u64
     }
 
-    fn dep_last(&self) -> Vec<NodeId> {
-        self.last.into_iter().collect()
-    }
-
-    fn push(&mut self, resource: Resource, work: u64, latency: u64, deps: Vec<NodeId>) -> NodeId {
-        self.g.push(
-            PfNode {
-                resource,
-                work,
-                data: None,
-                latency,
-            },
-            deps,
-        )
-    }
-
-    fn push_load(&mut self, kind: DataKind, words: u64, deps: Vec<NodeId>) -> NodeId {
-        self.g.push(
-            PfNode {
-                resource: Resource::Hbm,
-                work: words,
-                data: Some(kind),
-                latency: 100,
-            },
-            deps,
-        )
+    /// An (I)NTT over `limbs` limbs.
+    fn ntt(&self, limbs: usize) -> PfNode {
+        pf(Resource::Nttu, self.butterflies(limbs), 64)
     }
 
     /// One BConvRoutine (Alg. 1): INTT → all-to-all → BConv → NTT.
     /// Returns the end node.
-    fn bconv_routine(&mut self, from: usize, to: usize, deps: Vec<NodeId>) -> NodeId {
+    fn bconv_routine(&mut self, from: usize, to: usize, deps: &[NodeId]) -> NodeId {
         let n = self.n() as u64;
-        let intt = self.push(Resource::Nttu, self.butterflies(from), 64, deps);
+        let intt = self.g.push(self.ntt(from), deps);
         let pre = if self.cfg.distribution == DataDistribution::Alternating {
             // switch to coefficient-wise: (from + to)·N words all-to-all
-            self.push(Resource::Noc, (from + to) as u64 * n, 32, vec![intt])
+            let words = (from + to) as u64 * n;
+            self.g.push(pf(Resource::Noc, words, 32), &[intt])
         } else {
             intt
         };
-        let bconv = self.push(
-            Resource::BconvU,
-            (from * to) as u64 * n + from as u64 * n, // MAC matmul + step 1
-            32,
-            vec![pre],
-        );
-        self.push(Resource::Nttu, self.butterflies(to), 64, vec![bconv])
+        // MAC matmul + step 1
+        let macs = (from * to) as u64 * n + from as u64 * n;
+        let bconv = self.g.push(pf(Resource::BconvU, macs, 32), &[pre]);
+        self.g.push(self.ntt(to), &[bconv])
     }
 
     /// The evk HBM load (on cache miss), paced `PREFETCH_DEPTH`
     /// key-switches back (double-buffering).
     fn evk_load(&mut self, level: usize, key: KeyId) -> Option<NodeId> {
         let evk_bytes = evk_words_at_level(self.params, level) * 8;
-        if self.evk_cache.access(key, evk_bytes, level) {
+        let hit = self.evk_cache.access(key, evk_bytes, level);
+        self.g.count_evk_access(hit);
+        if hit {
             return None;
         }
-        let pace = if self.ks_ends.len() >= PREFETCH_DEPTH {
-            vec![self.ks_ends[self.ks_ends.len() - PREFETCH_DEPTH]]
-        } else {
-            vec![]
-        };
-        Some(self.push_load(DataKind::Evk, (evk_bytes / 8) as u64, pace))
+        let words = (evk_bytes / 8) as u64;
+        let pace = self.ks_ends[0];
+        Some(self.g.push(hbm_load(DataKind::Evk, words), pace.as_slice()))
     }
 
     /// ModUp (Alg. 2 lines 1–3): one BConvRoutine per decomposition
-    /// piece, returning each piece's end node. A hoisted rotation group
-    /// runs this once and fans every member out of the same ends.
-    fn mod_up(&mut self, level: usize, extra_deps: &[NodeId]) -> Vec<NodeId> {
+    /// piece, each after the previous op and `input`; the pieces' end
+    /// nodes are left in `piece_ends`. A hoisted rotation group runs
+    /// this once and fans every member out of the same ends.
+    fn mod_up(&mut self, level: usize, input: Option<NodeId>) {
         let alpha = self.params.alpha();
         let ext = level + 1 + alpha;
-        let mut piece_ends = Vec::with_capacity(pieces_at_level(level, alpha));
+        let mut deps = [0; 2];
+        let mut count = 0;
+        for d in self.last.into_iter().chain(input) {
+            deps[count] = d;
+            count += 1;
+        }
+        self.piece_ends.clear();
         let mut start = 0usize;
         while start <= level {
             let sz = alpha.min(level + 1 - start);
-            let mut deps = self.dep_last();
-            deps.extend(extra_deps.iter().copied());
-            piece_ends.push(self.bconv_routine(sz, ext - sz, deps));
+            let end = self.bconv_routine(sz, ext - sz, &deps[..count]);
+            self.piece_ends.push(end);
             start += alpha;
         }
-        piece_ends
     }
 
     /// Everything after the ModUp: evk inner product on the MADUs
     /// (plus the limb-wise-only redistribution) and the per-rotation
     /// ModDown — the half of a key-switch hoisting can *not* share.
-    fn ks_tail(&mut self, level: usize, load: Option<NodeId>, mut deps: Vec<NodeId>) -> NodeId {
+    /// The product reads `permuted` when a hoisted member's
+    /// automorphism produced its digits, else every end in
+    /// `piece_ends`; and the evk, when it was loaded.
+    fn ks_tail(&mut self, level: usize, load: Option<NodeId>, permuted: Option<NodeId>) -> NodeId {
         let alpha = self.params.alpha();
         let ext = level + 1 + alpha;
         let pieces = pieces_at_level(level, alpha);
         let n = self.n() as u64;
-        if let Some(l) = load {
-            deps.push(l);
+        self.gathered.clear();
+        match permuted {
+            Some(auto) => self.gathered.push(auto),
+            None => self.gathered.extend_from_slice(&self.piece_ends),
         }
-        let mul = self.push(Resource::Madu, (2 * pieces * ext) as u64 * n, 8, deps);
+        self.gathered.extend(load);
+        let product = pf(Resource::Madu, (2 * pieces * ext) as u64 * n, 8);
+        let mul = self.g.push(product, &self.gathered);
 
         // limb-wise-only: redistribute for accumulation (Section V-B)
         let mul = if self.cfg.distribution == DataDistribution::LimbWiseOnly {
@@ -232,41 +257,51 @@ impl<'a> Compiler<'a> {
             } else {
                 (ext as u64) * n
             };
-            self.push(Resource::Noc, words, 32, vec![mul])
+            self.g.push(pf(Resource::Noc, words, 32), &[mul])
         } else {
             mul
         };
 
         // ModDown: two polynomials back to R_Q, then ×P^{-1}
-        let down_b = self.bconv_routine(alpha, level + 1, vec![mul]);
-        let down_a = self.bconv_routine(alpha, level + 1, vec![mul]);
-        let end = self.push(
-            Resource::Madu,
-            (2 * (level + 1)) as u64 * n,
-            8,
-            vec![down_b, down_a],
-        );
-        self.ks_ends.push(end);
+        let down_b = self.bconv_routine(alpha, level + 1, &[mul]);
+        let down_a = self.bconv_routine(alpha, level + 1, &[mul]);
+        let scale = pf(Resource::Madu, (2 * (level + 1)) as u64 * n, 8);
+        let end = self.g.push(scale, &[down_b, down_a]);
+        self.ks_ends.rotate_left(1);
+        self.ks_ends[PREFETCH_DEPTH - 1] = Some(end);
         end
     }
 
-    /// Generalized key-switching (Alg. 2) at `level` using `key`.
-    fn key_switch(&mut self, level: usize, key: KeyId, extra_deps: Vec<NodeId>) -> NodeId {
+    /// Generalized key-switching (Alg. 2) at `level` using `key`, on
+    /// the polynomial node `input` produced.
+    fn key_switch(&mut self, level: usize, key: KeyId, input: NodeId) -> NodeId {
         let load = self.evk_load(level, key);
-        let piece_ends = self.mod_up(level, &extra_deps);
-        self.ks_tail(level, load, piece_ends)
+        self.mod_up(level, Some(input));
+        self.ks_tail(level, load, None)
     }
 
     fn plaintext_operand(&mut self, level: usize) -> NodeId {
         let words = plaintext_words_at_level(self.params, level, self.opts.of_limb) as u64;
-        let load = self.push_load(DataKind::Plaintext, words, vec![]);
+        let load = self.g.push(hbm_load(DataKind::Plaintext, words), &[]);
         if self.opts.of_limb && level > 0 {
             // Eq. 12: regenerate ℓ limbs with NTTs (plus a cheap mod-reduce
             // on the MADUs, folded into the NTT node's latency)
-            self.push(Resource::Nttu, self.butterflies(level), 64, vec![load])
+            self.g.push(self.ntt(level), &[load])
         } else {
             load
         }
+    }
+
+    /// `PMult`/`PAdd`: `words` on the MADUs, after the previous op and
+    /// the plaintext operand when it is not already on chip.
+    fn plaintext_op(&mut self, level: usize, fresh_plaintext: bool, words: u64) -> NodeId {
+        self.gathered.clear();
+        self.gathered.extend(self.last);
+        if fresh_plaintext {
+            let operand = self.plaintext_operand(level);
+            self.gathered.push(operand);
+        }
+        self.g.push(pf(Resource::Madu, words, 8), &self.gathered)
     }
 
     fn lower(&mut self, op: &HeOp) {
@@ -274,8 +309,9 @@ impl<'a> Compiler<'a> {
         // hoisted digits belong to one contiguous group over one input;
         // any other op invalidates them
         if !matches!(op, HeOp::HRotHoisted { .. }) {
-            self.hoisted = None;
+            self.hoisted_level = None;
         }
+        let last = self.last;
         let end = match *op {
             HeOp::HRotHoisted {
                 level,
@@ -283,21 +319,11 @@ impl<'a> Compiler<'a> {
                 fresh_digits,
                 ..
             } => {
-                let stale = self.hoisted.as_ref().is_none_or(|h| h.level != level);
-                if fresh_digits || stale {
+                if fresh_digits || self.hoisted_level != Some(level) {
                     // the shared ModUp — paid once per hoisted group
-                    let ends = self.mod_up(level, &[]);
-                    self.hoisted = Some(HoistedState {
-                        level,
-                        piece_ends: ends,
-                    });
+                    self.mod_up(level, None);
+                    self.hoisted_level = Some(level);
                 }
-                let digits = self
-                    .hoisted
-                    .as_ref()
-                    .expect("hoisted digits just ensured")
-                    .piece_ends
-                    .clone();
                 let alpha = self.params.alpha();
                 let ext = level + 1 + alpha;
                 let pieces = pieces_at_level(level, alpha);
@@ -306,93 +332,55 @@ impl<'a> Compiler<'a> {
                 // (ℓ+1 limbs) — more permutation work than plain HRot's
                 // 2·(ℓ+1), the compute hoisting trades for its saved
                 // BConvRoutines
-                let mut deps = self.dep_last();
-                deps.extend(digits);
-                let auto = self.push(
-                    Resource::AutoU,
-                    (pieces * ext + level + 1) as u64 * n,
-                    16,
-                    deps,
-                );
+                self.gathered.clear();
+                self.gathered.extend(last);
+                self.gathered.extend_from_slice(&self.piece_ends);
+                let words = (pieces * ext + level + 1) as u64 * n;
+                let auto = self.g.push(pf(Resource::AutoU, words, 16), &self.gathered);
                 let load = self.evk_load(level, key);
-                self.ks_tail(level, load, vec![auto])
+                self.ks_tail(level, load, Some(auto))
             }
             HeOp::HRot { level, key, .. } => {
-                let auto = self.push(
-                    Resource::AutoU,
-                    (2 * (level + 1)) as u64 * n,
-                    16,
-                    self.dep_last(),
-                );
-                self.key_switch(level, key, vec![auto])
+                let words = (2 * (level + 1)) as u64 * n;
+                let auto = self.g.push(pf(Resource::AutoU, words, 16), last.as_slice());
+                self.key_switch(level, key, auto)
             }
             HeOp::HConj { level } => {
-                let auto = self.push(
-                    Resource::AutoU,
-                    (2 * (level + 1)) as u64 * n,
-                    16,
-                    self.dep_last(),
-                );
-                self.key_switch(level, KeyId::Conj, vec![auto])
+                let words = (2 * (level + 1)) as u64 * n;
+                let auto = self.g.push(pf(Resource::AutoU, words, 16), last.as_slice());
+                self.key_switch(level, KeyId::Conj, auto)
             }
             HeOp::HMult { level } => {
-                let products = self.push(
-                    Resource::Madu,
-                    (4 * (level + 1)) as u64 * n,
-                    8,
-                    self.dep_last(),
-                );
-                self.key_switch(level, KeyId::Mult, vec![products])
+                let words = (4 * (level + 1)) as u64 * n;
+                let products = self.g.push(pf(Resource::Madu, words, 8), last.as_slice());
+                self.key_switch(level, KeyId::Mult, products)
             }
             HeOp::PMult {
                 level,
                 fresh_plaintext,
-            } => {
-                let mut deps = self.dep_last();
-                if fresh_plaintext {
-                    deps.push(self.plaintext_operand(level));
-                }
-                self.push(Resource::Madu, (2 * (level + 1)) as u64 * n, 8, deps)
-            }
+            } => self.plaintext_op(level, fresh_plaintext, (2 * (level + 1)) as u64 * n),
             HeOp::PAdd {
                 level,
                 fresh_plaintext,
-            } => {
-                let mut deps = self.dep_last();
-                if fresh_plaintext {
-                    deps.push(self.plaintext_operand(level));
-                }
-                self.push(Resource::Madu, (level + 1) as u64 * n, 8, deps)
+            } => self.plaintext_op(level, fresh_plaintext, (level + 1) as u64 * n),
+            HeOp::HAdd { level } | HeOp::CMult { level } => {
+                let words = (2 * (level + 1)) as u64 * n;
+                self.g.push(pf(Resource::Madu, words, 8), last.as_slice())
             }
-            HeOp::HAdd { level } => self.push(
-                Resource::Madu,
-                (2 * (level + 1)) as u64 * n,
-                8,
-                self.dep_last(),
-            ),
-            HeOp::CMult { level } => self.push(
-                Resource::Madu,
-                (2 * (level + 1)) as u64 * n,
-                8,
-                self.dep_last(),
-            ),
             HeOp::CAdd { level } => {
-                self.push(Resource::Madu, (level + 1) as u64 * n, 8, self.dep_last())
+                let words = (level + 1) as u64 * n;
+                self.g.push(pf(Resource::Madu, words, 8), last.as_slice())
             }
             HeOp::HRescale { level } => {
-                let intt = self.push(Resource::Nttu, self.butterflies(2), 64, self.dep_last());
-                let ntt = self.push(Resource::Nttu, self.butterflies(2 * level), 64, vec![intt]);
-                self.push(Resource::Madu, (2 * level) as u64 * n, 8, vec![ntt])
+                let intt = self.g.push(self.ntt(2), last.as_slice());
+                let ntt = self.g.push(self.ntt(2 * level), &[intt]);
+                let words = (2 * level) as u64 * n;
+                self.g.push(pf(Resource::Madu, words, 8), &[ntt])
             }
             HeOp::ModRaise => {
                 let l = self.params.max_level;
-                let intt = self.push(Resource::Nttu, self.butterflies(2), 64, self.dep_last());
-                self.push(
-                    Resource::Nttu,
-                    self.butterflies(2 * (l + 1)),
-                    64,
-                    vec![intt],
-                )
+                let intt = self.g.push(self.ntt(2), last.as_slice());
+                self.g.push(self.ntt(2 * (l + 1)), &[intt])
             }
         };
         self.last = Some(end);
@@ -408,19 +396,29 @@ pub fn compile(
     opts: CompileOptions,
 ) -> PfGraph {
     let max_limbs = params.max_level + 1 + params.alpha();
+    let (nodes, edges) = trace.ops().iter().fold((0, 0), |(nodes, edges), op| {
+        let (n, e) = size_bound(op, params.alpha());
+        (nodes + n, edges + e)
+    });
     let mut c = Compiler {
-        g: PfGraph::new(),
+        g: PfGraph::with_capacity(nodes, edges),
         params,
         cfg,
         opts,
         last: None,
-        ks_ends: Vec::new(),
+        ks_ends: [None; PREFETCH_DEPTH],
         evk_cache: EvkCache::new(cfg.evk_cache_bytes(params.n(), max_limbs)),
-        hoisted: None,
+        piece_ends: Vec::with_capacity(params.dnum),
+        hoisted_level: None,
+        gathered: Vec::with_capacity(params.dnum + 2),
     };
     for op in trace.ops() {
         c.lower(op);
     }
+    debug_assert!(
+        c.g.len() <= nodes && c.g.edge_count() <= edges,
+        "size_bound must bound what lower emits"
+    );
     c.g
 }
 
@@ -428,6 +426,7 @@ pub fn compile(
 mod tests {
     use super::*;
     use ark_ckks::minks::KeyStrategy;
+    use ark_workloads::bootstrap::{bootstrap_trace, BootstrapTraceConfig};
     use ark_workloads::hdft::{hdft_trace, HdftConfig};
 
     fn params() -> CkksParams {
@@ -483,6 +482,65 @@ mod tests {
             small.hbm_words(DataKind::Evk) > big.hbm_words(DataKind::Evk),
             "smaller scratchpad must reload evks"
         );
+    }
+
+    /// ROADMAP item 2, "scratchpad capacity never binds in the model":
+    /// it does bind — but under the `Baseline` key order, the only one
+    /// Fig. 7 pairs with ½ SRAM, it has almost nothing left to take
+    /// away. The measured hit counts are the explanation (DESIGN.md
+    /// "Layer 3").
+    #[test]
+    fn half_sram_binds_under_minks_and_barely_under_baseline_keys() {
+        let p = params();
+        let max_limbs = p.max_level + 1 + p.alpha();
+        let (half, base) = (ArkConfig::half_sram(), ArkConfig::base());
+        let mib = |bytes: usize| bytes >> 20;
+
+        // ½ SRAM leaves 76 MiB for keys: no evk above level 17 fits
+        // (120 MiB at the top, 100 at level 18, 72 at level 17), so the
+        // H-IDFT (levels 23..21) streams every key, while EvalMod's one
+        // `Mult` key (69 MiB at level 16) still stays resident
+        assert_eq!(mib(half.evk_cache_bytes(p.n(), max_limbs)), 76);
+        assert_eq!(mib(base.evk_cache_bytes(p.n(), max_limbs)), 332);
+        assert_eq!(mib(evk_words_at_level(&p, p.max_level) * 8), 120);
+        assert_eq!(mib(evk_words_at_level(&p, 18) * 8), 100);
+        assert_eq!(mib(evk_words_at_level(&p, 17) * 8), 72);
+
+        let hits = |strategy, cfg: &ArkConfig| {
+            let t = bootstrap_trace(&p, &BootstrapTraceConfig::full(&p, strategy));
+            assert_eq!(
+                (t.key_switch_count(), t.distinct_keys()),
+                (125, keys(strategy))
+            );
+            let g = compile(&t, &p, cfg, CompileOptions::baseline());
+            assert_eq!(g.evk_hits() + g.evk_misses(), 125);
+            g.evk_hits()
+        };
+        fn keys(strategy: KeyStrategy) -> usize {
+            match strategy {
+                KeyStrategy::MinKs => 14,
+                _ => 82,
+            }
+        }
+
+        // Baseline keys: 125 key-switches over 82 distinct keys leave 43
+        // re-references, 39 of them EvalMod's `Mult` key, which fits in
+        // either scratchpad. Each H-(I)DFT stage uses a rotation key
+        // once, so the full scratchpad saves just two more loads (a
+        // giant-step key shared by adjacent H-DFT stages): Fig. 7's
+        // 10.21 vs 10.14 GB.
+        assert_eq!(hits(KeyStrategy::Baseline, &base), 41);
+        assert_eq!(hits(KeyStrategy::Baseline, &half), 39);
+
+        // Min-KS is where residency pays — every re-reference hits at
+        // base — and where ½ SRAM would cost 36 of them (all of the
+        // H-IDFT's: 5.5 GB of evk traffic against 1.1). No figure of the
+        // paper runs that pair.
+        assert_eq!(hits(KeyStrategy::MinKs, &base), 125 - 14);
+        assert_eq!(hits(KeyStrategy::MinKs, &half), 75);
+        let hidft = hdft_trace(&HdftConfig::paper_hidft(&p, KeyStrategy::MinKs));
+        let streamed = compile(&hidft, &p, &half, CompileOptions::all_on());
+        assert_eq!((streamed.evk_hits(), streamed.evk_misses()), (0, 42));
     }
 
     #[test]

@@ -117,6 +117,41 @@ impl ArkConfig {
         }
     }
 
+    /// Checks that the configuration describes a machine: every unit
+    /// count at least 1, both bandwidths and the clock finite and
+    /// positive. The fields are public, and a zero or non-finite rate
+    /// has no schedule — [`crate::simulate`] panics on one.
+    ///
+    /// # Errors
+    ///
+    /// A sentence naming the first offending field and its value.
+    pub fn validate(&self) -> Result<(), String> {
+        let counts = [
+            ("clusters", self.clusters),
+            ("lanes", self.lanes),
+            ("macs_per_bconv_lane", self.macs_per_bconv_lane),
+            ("madus_per_cluster", self.madus_per_cluster),
+        ];
+        if let Some((field, _)) = counts.iter().find(|(_, count)| *count == 0) {
+            return Err(format!(
+                "ArkConfig `{}`: {field} must be at least 1",
+                self.name
+            ));
+        }
+        let rates = [
+            ("hbm_gbps", self.hbm_gbps),
+            ("noc_gbps", self.noc_gbps),
+            ("clock_ghz", self.clock_ghz),
+        ];
+        match rates.iter().find(|(_, x)| !(x.is_finite() && *x > 0.0)) {
+            Some((field, x)) => Err(format!(
+                "ArkConfig `{}`: {field} = {x} must be finite and positive",
+                self.name
+            )),
+            None => Ok(()),
+        }
+    }
+
     // ---- aggregate throughputs (work units per cycle, chip-wide) ----
 
     /// NTT butterflies per cycle: each cluster's pipelined 2D NTTU
@@ -195,6 +230,38 @@ mod tests {
             ArkConfig::limb_wise_only().distribution,
             DataDistribution::LimbWiseOnly
         );
+    }
+
+    #[test]
+    fn validate_accepts_the_shipped_configs_and_names_the_bad_field() {
+        for cfg in [
+            ArkConfig::base(),
+            ArkConfig::half_sram(),
+            ArkConfig::two_x_clusters(),
+            ArkConfig::two_x_hbm(),
+            ArkConfig::limb_wise_only(),
+            ArkConfig::with_scratchpad(128),
+            ArkConfig::with_bconv_macs(1),
+        ] {
+            assert_eq!(cfg.validate(), Ok(()), "{}", cfg.name);
+        }
+        let no_compute = ArkConfig {
+            clusters: 0,
+            ..ArkConfig::base()
+        };
+        assert!(no_compute.validate().unwrap_err().contains("clusters"));
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let no_memory = ArkConfig {
+                hbm_gbps: bad,
+                ..ArkConfig::base()
+            };
+            assert!(no_memory.validate().unwrap_err().contains("hbm_gbps"));
+            let no_clock = ArkConfig {
+                clock_ghz: bad,
+                ..ArkConfig::base()
+            };
+            assert!(no_clock.validate().unwrap_err().contains("clock_ghz"));
+        }
     }
 
     #[test]

@@ -54,11 +54,24 @@ pub type NodeId = usize;
 /// A dependence graph of primary functions in program order.
 ///
 /// Dependencies always point backwards (to earlier nodes), so a single
-/// in-order pass is a valid topological traversal.
-#[derive(Debug, Default)]
+/// in-order pass is a valid topological traversal. Edges are stored in
+/// compressed-sparse-row form: node `id` depends on
+/// `deps[dep_start[id]..dep_start[id + 1]]`, so the whole graph is three
+/// flat arrays however many nodes it has.
+#[derive(Debug)]
 pub struct PfGraph {
     nodes: Vec<PfNode>,
-    deps: Vec<Vec<NodeId>>,
+    /// `nodes.len() + 1` offsets into `deps`, the first of them 0.
+    dep_start: Vec<usize>,
+    deps: Vec<NodeId>,
+    evk_hits: u64,
+    evk_misses: u64,
+}
+
+impl Default for PfGraph {
+    fn default() -> Self {
+        Self::with_capacity(0, 0)
+    }
 }
 
 impl PfGraph {
@@ -67,18 +80,32 @@ impl PfGraph {
         Self::default()
     }
 
+    /// An empty graph with room for `nodes` nodes and `edges` edges.
+    pub fn with_capacity(nodes: usize, edges: usize) -> Self {
+        let mut dep_start = Vec::with_capacity(nodes + 1);
+        dep_start.push(0);
+        Self {
+            nodes: Vec::with_capacity(nodes),
+            dep_start,
+            deps: Vec::with_capacity(edges),
+            evk_hits: 0,
+            evk_misses: 0,
+        }
+    }
+
     /// Adds a node with dependencies on earlier nodes.
     ///
     /// # Panics
     ///
     /// Panics if a dependency refers to this or a later node.
-    pub fn push(&mut self, node: PfNode, deps: Vec<NodeId>) -> NodeId {
+    pub fn push(&mut self, node: PfNode, deps: &[NodeId]) -> NodeId {
         let id = self.nodes.len();
-        for &d in &deps {
+        for &d in deps {
             assert!(d < id, "dependency {d} must precede node {id}");
         }
         self.nodes.push(node);
-        self.deps.push(deps);
+        self.deps.extend_from_slice(deps);
+        self.dep_start.push(self.deps.len());
         id
     }
 
@@ -89,7 +116,12 @@ impl PfGraph {
 
     /// Dependencies of a node.
     pub fn deps(&self, id: NodeId) -> &[NodeId] {
-        &self.deps[id]
+        &self.deps[self.dep_start[id]..self.dep_start[id + 1]]
+    }
+
+    /// Edge count.
+    pub fn edge_count(&self) -> usize {
+        self.deps.len()
     }
 
     /// Node count.
@@ -119,6 +151,26 @@ impl PfGraph {
             .map(|n| n.work)
             .sum()
     }
+
+    /// Key-switches whose evaluation key the compiler found resident in
+    /// the scratchpad (no HBM load emitted).
+    pub fn evk_hits(&self) -> u64 {
+        self.evk_hits
+    }
+
+    /// Key-switches that had to load their evaluation key from HBM.
+    pub fn evk_misses(&self) -> u64 {
+        self.evk_misses
+    }
+
+    /// Records the outcome of one evk-cache access during lowering.
+    pub(crate) fn count_evk_access(&mut self, hit: bool) {
+        if hit {
+            self.evk_hits += 1;
+        } else {
+            self.evk_misses += 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -137,20 +189,23 @@ mod tests {
     #[test]
     fn graph_accounting() {
         let mut g = PfGraph::new();
-        let a = g.push(node(Resource::Nttu, 100), vec![]);
-        let b = g.push(node(Resource::BconvU, 200), vec![a]);
-        g.push(node(Resource::Nttu, 50), vec![b]);
+        let a = g.push(node(Resource::Nttu, 100), &[]);
+        let b = g.push(node(Resource::BconvU, 200), &[a]);
+        g.push(node(Resource::Nttu, 50), &[b]);
         assert_eq!(g.len(), 3);
         assert_eq!(g.total_work(Resource::Nttu), 150);
         assert_eq!(g.total_work(Resource::BconvU), 200);
+        assert_eq!(g.deps(0), &[] as &[NodeId]);
         assert_eq!(g.deps(1), &[0]);
+        assert_eq!(g.deps(2), &[1]);
+        assert_eq!(g.edge_count(), 2);
     }
 
     #[test]
     #[should_panic(expected = "must precede")]
     fn forward_dependency_rejected() {
         let mut g = PfGraph::new();
-        g.push(node(Resource::Nttu, 1), vec![5]);
+        g.push(node(Resource::Nttu, 1), &[5]);
     }
 
     #[test]
@@ -163,7 +218,7 @@ mod tests {
                 data: Some(DataKind::Evk),
                 latency: 0,
             },
-            vec![],
+            &[],
         );
         g.push(
             PfNode {
@@ -172,7 +227,7 @@ mod tests {
                 data: Some(DataKind::Plaintext),
                 latency: 0,
             },
-            vec![],
+            &[],
         );
         assert_eq!(g.hbm_words(DataKind::Evk), 1000);
         assert_eq!(g.hbm_words(DataKind::Plaintext), 500);

@@ -80,10 +80,22 @@ impl std::fmt::Display for SimReport {
     }
 }
 
-/// Simulates a compiled graph on a configuration.
-pub fn simulate(graph: &PfGraph, cfg: &ArkConfig, n: usize) -> SimReport {
-    let rate = |r: Resource| -> f64 {
-        match r {
+/// Every resource, in `Resource as usize` order: the index space of
+/// the scheduler's per-resource arrays.
+const RESOURCES: [Resource; 6] = [
+    Resource::Nttu,
+    Resource::BconvU,
+    Resource::AutoU,
+    Resource::Madu,
+    Resource::Hbm,
+    Resource::Noc,
+];
+
+/// Work units per cycle of every resource, indexed by `Resource as
+/// usize`; asserts each is finite and positive (see [`simulate`]).
+fn rates(cfg: &ArkConfig, n: usize) -> [f64; 6] {
+    RESOURCES.map(|r| {
+        let rate = match r {
             Resource::Nttu => cfg.ntt_butterflies_per_cycle(n),
             Resource::BconvU => cfg.bconv_macs_per_cycle(),
             Resource::AutoU => cfg.auto_words_per_cycle(),
@@ -100,11 +112,31 @@ pub fn simulate(graph: &PfGraph, cfg: &ArkConfig, n: usize) -> SimReport {
                 };
                 cfg.noc_words_per_cycle() * derate
             }
-        }
-    };
+        };
+        assert!(
+            rate.is_finite() && rate > 0.0,
+            "{r:?} rate {rate} per cycle is not finite and positive: {cfg:?}"
+        );
+        rate
+    })
+}
+
+/// Simulates a compiled graph on a configuration.
+///
+/// # Panics
+///
+/// Panics if the configuration gives a resource a throughput that is
+/// not finite and positive (a zero count, a zero or non-finite
+/// bandwidth or clock — what [`ArkConfig::validate`] rejects): such a
+/// machine has no schedule, and the duration arithmetic would saturate
+/// and wrap into a plausible-looking cycle count.
+pub fn simulate(graph: &PfGraph, cfg: &ArkConfig, n: usize) -> SimReport {
+    let rate = rates(cfg, n);
     let mut finish = vec![0u64; graph.len()];
-    let mut resource_free: HashMap<Resource, u64> = HashMap::new();
-    let mut busy: HashMap<Resource, u64> = HashMap::new();
+    let mut resource_free = [0u64; 6];
+    let mut busy = [0u64; 6];
+    // a resource gets a `busy` entry in the report once a node ran on it
+    let mut used = [false; 6];
     let mut makespan = 0u64;
     let mut evk = 0u64;
     let mut pt = 0u64;
@@ -113,14 +145,17 @@ pub fn simulate(graph: &PfGraph, cfg: &ArkConfig, n: usize) -> SimReport {
     let mut mults = 0u64;
 
     for (id, node) in graph.nodes().iter().enumerate() {
+        let r = node.resource as usize;
         let dep_ready = graph.deps(id).iter().map(|&d| finish[d]).max().unwrap_or(0);
-        let res_free = *resource_free.get(&node.resource).unwrap_or(&0);
-        let start = dep_ready.max(res_free);
-        let duration = (node.work as f64 / rate(node.resource)).ceil() as u64 + node.latency;
+        let start = dep_ready.max(resource_free[r]);
+        // a true division: multiplying by a reciprocal can round a
+        // cycle differently
+        let duration = (node.work as f64 / rate[r]).ceil() as u64 + node.latency;
         let end = start + duration;
         finish[id] = end;
-        resource_free.insert(node.resource, end);
-        *busy.entry(node.resource).or_insert(0) += duration;
+        resource_free[r] = end;
+        busy[r] += duration;
+        used[r] = true;
         makespan = makespan.max(end);
         match node.resource {
             Resource::Hbm => match node.data {
@@ -137,7 +172,11 @@ pub fn simulate(graph: &PfGraph, cfg: &ArkConfig, n: usize) -> SimReport {
     SimReport {
         cycles: makespan,
         seconds: makespan as f64 / (cfg.clock_ghz * 1e9),
-        busy,
+        busy: RESOURCES
+            .into_iter()
+            .filter(|&r| used[r as usize])
+            .map(|r| (r, busy[r as usize]))
+            .collect(),
         hbm_evk_words: evk,
         hbm_plaintext_words: pt,
         hbm_other_words: other,
@@ -165,6 +204,27 @@ mod tests {
     use ark_ckks::params::CkksParams;
     use ark_workloads::bootstrap::{bootstrap_trace, BootstrapTraceConfig};
     use ark_workloads::hdft::{hdft_trace, HdftConfig};
+
+    #[test]
+    fn resource_arrays_are_indexed_in_enum_order() {
+        for (i, r) in RESOURCES.into_iter().enumerate() {
+            assert_eq!(r as usize, i, "{r:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Hbm rate 0 per cycle is not finite and positive")]
+    fn a_machine_without_memory_bandwidth_has_no_schedule() {
+        // at the parent this returned 2 485 294 cycles: the f64 → u64
+        // cast saturated and `start + duration` wrapped
+        let p = CkksParams::ark();
+        let cfg = ArkConfig {
+            hbm_gbps: 0.0,
+            ..ArkConfig::base()
+        };
+        let t = hdft_trace(&HdftConfig::paper_hidft(&p, KeyStrategy::MinKs));
+        run(&t, &p, &cfg, CompileOptions::all_on());
+    }
 
     #[test]
     fn baseline_hidft_is_memory_bound() {

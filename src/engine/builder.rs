@@ -165,7 +165,8 @@ impl EngineBuilder {
     /// [`ArkError::InvalidParams`] if no parameter set was given or the
     /// set is internally inconsistent (`dnum` must divide `L+1`, chain
     /// primes must be 3 to 61 bits wide, a bootstrap configuration must
-    /// fit the chain).
+    /// fit the chain), or if a [`Backend::Simulated`] configuration
+    /// fails [`ArkConfig::validate`](crate::arch::ArkConfig::validate).
     pub fn build(self) -> ArkResult<Engine> {
         let params = self.params.ok_or(ArkError::InvalidParams {
             reason: "EngineBuilder::params was never called".into(),
@@ -211,10 +212,14 @@ impl EngineBuilder {
                     boot,
                 }))
             }
-            Backend::Simulated(cfg) => BackendState::Simulated(SimulatedState {
-                cfg,
-                compile: self.compile,
-            }),
+            Backend::Simulated(cfg) => {
+                cfg.validate()
+                    .map_err(|reason| ArkError::InvalidParams { reason })?;
+                BackendState::Simulated(SimulatedState {
+                    cfg,
+                    compile: self.compile,
+                })
+            }
         };
         Ok(Engine {
             shape,

@@ -220,6 +220,40 @@ fn builder_without_params_is_invalid_params() {
 }
 
 #[test]
+fn simulated_backend_with_a_nonsense_config_is_invalid_params() {
+    // `ArkConfig`'s fields are public: a machine with no memory
+    // bandwidth, or no compute, must be refused when the engine is
+    // built, not wrapped into a plausible cycle count by the scheduler
+    let no_memory = ArkConfig {
+        hbm_gbps: 0.0,
+        ..ArkConfig::base()
+    };
+    let no_compute = ArkConfig {
+        clusters: 0,
+        ..ArkConfig::base()
+    };
+    let no_clock = ArkConfig {
+        clock_ghz: f64::NAN,
+        ..ArkConfig::base()
+    };
+    for (cfg, field) in [
+        (no_memory, "hbm_gbps"),
+        (no_compute, "clusters"),
+        (no_clock, "clock_ghz"),
+    ] {
+        let err = Engine::builder()
+            .params(CkksParams::tiny())
+            .backend(Backend::Simulated(cfg))
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(&err, ArkError::InvalidParams { reason } if reason.contains(field)),
+            "{field}: {err:?}"
+        );
+    }
+}
+
+#[test]
 fn bootstrap_without_config_is_key_chain_missing() {
     for backend in both_backends() {
         let mut engine = tiny_engine(backend);
