@@ -214,11 +214,6 @@ impl Bootstrapper {
         self.c2s.len() + self.s2c.len() + evalmod_depth
     }
 
-    /// Number of homomorphic-DFT passes (`log_{2^k} n` per direction).
-    pub fn dft_stage_counts(&self) -> (usize, usize) {
-        (self.c2s.len(), self.s2c.len())
-    }
-
     /// Runs the full pipeline on a low-level ciphertext.
     ///
     /// # Errors

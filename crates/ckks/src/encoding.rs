@@ -72,12 +72,6 @@ impl CkksContext {
         poly
     }
 
-    /// Encodes a real-valued vector (imaginary parts zero).
-    pub fn encode_real(&self, values: &[f64], level: usize, scale: f64) -> Plaintext {
-        let v: Vec<C64> = values.iter().map(|&x| C64::new(x, 0.0)).collect();
-        self.encode(&v, level, scale)
-    }
-
     /// Decodes a plaintext back to complex slots.
     ///
     /// Works at any level; reconstruction uses the CRT over the

@@ -364,37 +364,16 @@ pub struct EvalModParams {
     pub k: usize,
     /// Degree of the sine interpolant.
     pub degree: usize,
-    /// Double-angle iterations `r`: approximate `sin(2πu/2^r)` at a much
-    /// lower degree, then apply `sin 2x = 2·sin x·cos x` homomorphically
-    /// `r` times (each costs one level and two multiplications but the
-    /// interpolation degree shrinks ~2^r-fold) — the standard
-    /// degree-vs-depth trade of the bootstrapping literature [16, 22].
-    pub double_angle: usize,
 }
 
 impl EvalModParams {
     /// A default sized for sparse secrets (`h ≤ 64`).
     pub fn for_sparse_secret() -> Self {
-        Self {
-            k: 12,
-            degree: 119,
-            double_angle: 0,
-        }
-    }
-
-    /// A double-angle configuration with the same target interval:
-    /// degree-31 base interpolants plus two angle doublings.
-    pub fn for_sparse_secret_double_angle() -> Self {
-        Self {
-            k: 12,
-            degree: 47,
-            double_angle: 2,
-        }
+        Self { k: 12, degree: 119 }
     }
 
     /// The scaled-sine interpolant `sin(2πu)/(2π)` on `[−K, K]` — the
     /// approximation to `u − round(u)` away from half-integers.
-    /// (Direct path, `double_angle == 0`.)
     pub fn sine_poly(&self) -> ChebyshevPoly {
         let k = self.k as f64;
         ChebyshevPoly::interpolate(
@@ -403,60 +382,6 @@ impl EvalModParams {
             k,
             self.degree,
         )
-    }
-
-    /// Base interpolants for the double-angle path:
-    /// `sin(2πu/2^r)` and `cos(2πu/2^r)` on `[−K, K]`.
-    pub fn half_angle_polys(&self) -> (ChebyshevPoly, ChebyshevPoly) {
-        let k = self.k as f64;
-        let scale = 2.0 * std::f64::consts::PI / 2f64.powi(self.double_angle as i32);
-        (
-            ChebyshevPoly::interpolate(|u| (scale * u).sin(), -k, k, self.degree),
-            ChebyshevPoly::interpolate(|u| (scale * u).cos(), -k, k, self.degree),
-        )
-    }
-}
-
-impl CkksContext {
-    /// EvalMod via double angle: evaluates `sin` and `cos` of the halved
-    /// angle at low degree, then doubles `r` times:
-    /// `sin 2x = 2 sin x cos x`, `cos 2x = 1 − 2 sin²x`; finally scales
-    /// by `1/(2π)` so the output approximates `u − round(u)` like
-    /// [`EvalModParams::sine_poly`] does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.double_angle == 0` (use the direct Chebyshev
-    /// path) or if levels run out.
-    pub fn eval_mod_double_angle(
-        &self,
-        ct: &crate::ciphertext::Ciphertext,
-        params: &EvalModParams,
-        evk: &crate::keys::EvalKey,
-    ) -> crate::ciphertext::Ciphertext {
-        assert!(params.double_angle > 0, "double_angle must be positive");
-        let (sin_p, cos_p) = params.half_angle_polys();
-        let mut s = self.eval_chebyshev(ct, &sin_p, evk);
-        let mut c = self.eval_chebyshev(ct, &cos_p, evk);
-        for _ in 0..params.double_angle {
-            // s' = 2 s c ; c' = 1 − 2 s²   (consume one level together)
-            let sc = self
-                .mul_rescale(&s, &c, evk)
-                .expect("chain long enough for Chebyshev depth");
-            let s2 = self
-                .rescale(&self.square(&s, evk))
-                .expect("chain long enough for Chebyshev depth");
-            let two_sc = self
-                .add(&sc, &sc)
-                .expect("Chebyshev terms share one scale by construction");
-            let two_s2 = self
-                .add(&s2, &s2)
-                .expect("Chebyshev terms share one scale by construction");
-            c = self.add_const(&self.negate(&two_s2), 1.0);
-            s = two_sc;
-        }
-        self.rescale(&self.mul_const(&s, 1.0 / (2.0 * std::f64::consts::PI)))
-            .expect("chain long enough for Chebyshev depth")
     }
 }
 
@@ -514,11 +439,7 @@ mod tests {
 
     #[test]
     fn sine_poly_approximates_mod_one() {
-        let em = EvalModParams {
-            k: 5,
-            degree: 63,
-            double_angle: 0,
-        };
+        let em = EvalModParams { k: 5, degree: 63 };
         let p = em.sine_poly();
         // near integers i, sin(2πu)/(2π) ≈ u − i
         for i in -4i32..=4 {
@@ -589,62 +510,6 @@ mod tests {
         let want: Vec<C64> = msg.iter().map(|z| C64::new(z.re * z.re, 0.0)).collect();
         let err = max_error(&want, &out);
         assert!(err < 1e-2, "err={err}");
-    }
-
-    #[test]
-    fn double_angle_matches_direct_evalmod() {
-        // both paths compute sin(2πu)/(2π) on the same inputs
-        let ctx = CkksContext::new(CkksParams::boot_test());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(57);
-        let sk = ctx.gen_secret_key(&mut rng);
-        let evk = ctx.gen_mult_key(&sk, &mut rng);
-        let slots = ctx.params().slots();
-        // inputs near integers (the bootstrapping regime)
-        let msg: Vec<C64> = (0..slots)
-            .map(|i| C64::new((i % 7) as f64 - 3.0 + 0.02 * ((i % 5) as f64 - 2.0), 0.0))
-            .collect();
-        let ct = ctx.encrypt(
-            &ctx.encode(&msg, ctx.params().max_level, ctx.params().scale()),
-            &sk,
-            &mut rng,
-        );
-        let direct_params = EvalModParams {
-            k: 4,
-            degree: 63,
-            double_angle: 0,
-        };
-        let da_params = EvalModParams {
-            k: 4,
-            degree: 31,
-            double_angle: 2,
-        };
-        let direct = ctx.eval_chebyshev(&ct, &direct_params.sine_poly(), &evk);
-        let doubled = ctx.eval_mod_double_angle(&ct, &da_params, &evk);
-        let a = ctx.decrypt_decode(&direct, &sk);
-        let b = ctx.decrypt_decode(&doubled, &sk);
-        let err = max_error(&a, &b);
-        assert!(err < 5e-3, "paths disagree by {err}");
-        // and both approximate the fractional part
-        let want: Vec<C64> = msg
-            .iter()
-            .map(|z| C64::new(z.re - z.re.round(), 0.0))
-            .collect();
-        assert!(max_error(&want, &b) < 5e-3);
-    }
-
-    #[test]
-    fn double_angle_uses_fewer_interpolation_levels() {
-        // degree 31 basis is 1 level shallower than degree 63; the two
-        // doublings cost 1 level each — net equal here, but the basis
-        // construction work (HMult count) drops substantially.
-        let da = EvalModParams {
-            k: 12,
-            degree: 47,
-            double_angle: 2,
-        };
-        let (sin_p, cos_p) = da.half_angle_polys();
-        assert_eq!(sin_p.degree(), 47);
-        assert!(cos_p.max_error_on(|u| (2.0 * std::f64::consts::PI / 4.0 * u).cos(), 200) < 1e-6);
     }
 
     #[test]

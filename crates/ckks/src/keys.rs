@@ -72,9 +72,8 @@ pub struct EvalKey {
 }
 
 /// Equality is over the key *material* (`pieces`) only: `a_seed` is
-/// provenance, and the materialized wire codec drops it — a key
-/// round-tripped through `write_eval_key`/`read_eval_key` must still
-/// compare equal to the generator's copy.
+/// provenance — a key drawn from a live RNG and a seeded key with the
+/// same pieces are the same key.
 impl PartialEq for EvalKey {
     fn eq(&self, other: &Self) -> bool {
         self.pieces == other.pieces
@@ -306,7 +305,7 @@ pub struct PublicKey {
 }
 
 /// Equality is over the key *material* (`b`, `a`) only: `a_seed` is
-/// provenance, and the materialized wire codec drops it.
+/// provenance.
 impl PartialEq for PublicKey {
     fn eq(&self, other: &Self) -> bool {
         self.b == other.b && self.a == other.a

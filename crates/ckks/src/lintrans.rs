@@ -178,15 +178,6 @@ impl LinearTransform {
         Self::from_diagonals(n, diagonals)
     }
 
-    /// Overrides the baby-step count `g`, counted in progression units
-    /// (one baby step rotates by the stride `s`, one giant step by
-    /// `g·s`); must be a power of two ≤ n.
-    pub fn with_baby_count(mut self, g: usize) -> Self {
-        assert!(g.is_power_of_two() && g <= self.n);
-        self.baby = g;
-        self
-    }
-
     /// Slot count.
     pub fn n(&self) -> usize {
         self.n

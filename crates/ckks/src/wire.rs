@@ -1,9 +1,11 @@
-//! Wire codecs for the scheme types: ciphertexts, plaintexts and key
+//! Wire codecs for the scheme types: ciphertexts and seed-compressed key
 //! material as [`ark_math::wire`] frames.
 //!
 //! Everything a CKKS deployment ships — the ciphertexts clients upload,
 //! the results they download, the public/evaluation/rotation keys a
-//! server caches across sessions — encodes here. The *secret* key has
+//! server hands out — encodes here. Keys travel only seed-compressed
+//! (the `A` halves re-derive from a seed on arrival); the materialized
+//! key and plaintext kinds are retired. The *secret* key has
 //! deliberately no codec: secret material never crosses the wire in
 //! this system, and leaving the encoder out makes that a type-level
 //! property rather than a convention.
@@ -28,21 +30,17 @@
 //! exactly `dnum` decomposition pieces. Attacker-controlled bytes thus
 //! yield typed [`ArkError::Wire`] errors, never panics.
 
-use crate::ciphertext::{Ciphertext, Plaintext};
+use crate::ciphertext::Ciphertext;
 use crate::error::{ArkError, ArkResult};
-use crate::keys::{
-    CompressedEvalKey, CompressedPublicKey, CompressedRotationKeys, EvalKey, PublicKey,
-    RotationKeys,
-};
+use crate::keys::{CompressedEvalKey, CompressedPublicKey, CompressedRotationKeys};
 use crate::params::{CkksContext, CkksParams};
-use ark_math::automorphism::GaloisElement;
 use ark_math::poly::{Representation, RnsPoly};
 use ark_math::wire::{
     self, checksum, decode_poly, encode_poly, kind, put_f64, put_u16, put_u32, put_u64, read_frame,
     read_frame_expecting, Cursor, Frame, FrameWriter, WireError,
 };
 
-/// Upper bound on rotation keys in one [`RotationKeys`] frame — far
+/// Upper bound on rotation keys in one [`CompressedRotationKeys`] frame — far
 /// above any real set (Min-KS needs ~2 per transform iteration, the
 /// baseline ~40 per transform) but low enough that a hostile count
 /// field cannot drive large allocations.
@@ -119,134 +117,6 @@ pub fn decode_ciphertext(cur: &mut Cursor<'_>, ctx: &CkksContext) -> ArkResult<C
     check_chain_poly(ctx, &b, level, scale)?;
     check_chain_poly(ctx, &a, level, scale)?;
     Ok(Ciphertext { b, a, level, scale })
-}
-
-/// Appends the plaintext payload: `u32 level | f64 scale | poly`.
-pub fn encode_plaintext(out: &mut Vec<u8>, pt: &Plaintext) {
-    put_u32(out, pt.level as u32);
-    put_f64(out, pt.scale);
-    encode_poly(out, &pt.poly);
-}
-
-/// Decodes and validates a plaintext payload.
-pub fn decode_plaintext(cur: &mut Cursor<'_>, ctx: &CkksContext) -> ArkResult<Plaintext> {
-    let level = cur.u32()? as usize;
-    let scale = cur.f64()?;
-    let poly = decode_poly(cur, ctx.basis())?;
-    check_chain_poly(ctx, &poly, level, scale)?;
-    Ok(Plaintext { poly, level, scale })
-}
-
-fn encode_key_pair(out: &mut Vec<u8>, b: &RnsPoly, a: &RnsPoly) {
-    encode_poly(out, b);
-    encode_poly(out, a);
-}
-
-/// Decodes an RLWE pair over the expected limb set, in evaluation
-/// representation (the resident form of all key material).
-fn decode_key_pair(
-    cur: &mut Cursor<'_>,
-    ctx: &CkksContext,
-    expect_limbs: &[usize],
-) -> ArkResult<(RnsPoly, RnsPoly)> {
-    let b = decode_poly(cur, ctx.basis())?;
-    let a = decode_poly(cur, ctx.basis())?;
-    for p in [&b, &a] {
-        if p.limb_indices() != expect_limbs {
-            return Err(malformed("key component has the wrong limb set"));
-        }
-        if p.representation() != Representation::Evaluation {
-            return Err(malformed(
-                "key material must be in evaluation representation",
-            ));
-        }
-    }
-    Ok((b, a))
-}
-
-/// Appends the public-key payload: `poly B | poly A` over the full chain.
-pub fn encode_public_key(out: &mut Vec<u8>, pk: &PublicKey) {
-    encode_key_pair(out, &pk.b, &pk.a);
-}
-
-/// Decodes and validates a public-key payload.
-pub fn decode_public_key(cur: &mut Cursor<'_>, ctx: &CkksContext) -> ArkResult<PublicKey> {
-    let expect = ctx.chain_indices(ctx.params().max_level);
-    let (b, a) = decode_key_pair(cur, ctx, expect)?;
-    // a materialized frame does not carry provenance: the decoded key
-    // works but cannot re-compress
-    Ok(PublicKey { b, a, a_seed: None })
-}
-
-/// Appends the evaluation-key payload: `u16 dnum | dnum × (poly B | poly A)`
-/// over the extended basis `D`.
-pub fn encode_eval_key(out: &mut Vec<u8>, evk: &EvalKey) {
-    put_u16(out, evk.pieces.len() as u16);
-    for (b, a) in &evk.pieces {
-        encode_key_pair(out, b, a);
-    }
-}
-
-/// Decodes and validates an evaluation-key payload (`dnum` pieces over
-/// the full extended basis).
-pub fn decode_eval_key(cur: &mut Cursor<'_>, ctx: &CkksContext) -> ArkResult<EvalKey> {
-    let count = cur.u16()? as usize;
-    if count != ctx.params().dnum {
-        return Err(malformed(format!(
-            "evaluation key has {count} pieces, parameter set requires dnum = {}",
-            ctx.params().dnum
-        )));
-    }
-    let expect = ctx.extended_indices(ctx.params().max_level);
-    let mut pieces = Vec::with_capacity(count);
-    for _ in 0..count {
-        pieces.push(decode_key_pair(cur, ctx, expect)?);
-    }
-    Ok(EvalKey {
-        pieces,
-        a_seed: None,
-    })
-}
-
-/// Appends the rotation-key-set payload:
-/// `u16 count | count × (u64 galois | eval-key payload)`, sorted by
-/// Galois element so encoding is deterministic.
-pub fn encode_rotation_keys(out: &mut Vec<u8>, keys: &RotationKeys) {
-    let elements = keys.galois_elements();
-    put_u16(out, elements.len() as u16);
-    for g in elements {
-        put_u64(out, g);
-        encode_eval_key(out, keys.get_raw(g).expect("listed element present"));
-    }
-}
-
-/// Decodes and validates a rotation-key-set payload. Galois elements
-/// must be odd, in `1..2N`, and strictly ascending (so duplicates and
-/// non-canonical orderings are rejected).
-pub fn decode_rotation_keys(cur: &mut Cursor<'_>, ctx: &CkksContext) -> ArkResult<RotationKeys> {
-    let count = cur.u16()? as usize;
-    if count > MAX_ROTATION_KEYS {
-        return Err(malformed(format!(
-            "rotation key count {count} exceeds the {MAX_ROTATION_KEYS} cap"
-        )));
-    }
-    let two_n = 2 * ctx.params().n() as u64;
-    let mut keys = RotationKeys::new();
-    let mut prev: Option<u64> = None;
-    for _ in 0..count {
-        let g = cur.u64()?;
-        if g % 2 == 0 || g == 0 || g >= two_n {
-            return Err(malformed(format!(
-                "invalid Galois element {g} for 2N = {two_n}"
-            )));
-        }
-        if prev.is_some_and(|p| g <= p) {
-            return Err(malformed("Galois elements must be strictly ascending"));
-        }
-        prev = Some(g);
-        keys.insert(GaloisElement(g), decode_eval_key(cur, ctx)?);
-    }
-    Ok(keys)
 }
 
 // ---------------------------------------------------------------------
@@ -401,42 +271,6 @@ frame_codec!(
     encode_ciphertext,
     decode_ciphertext,
     "ciphertext"
-);
-frame_codec!(
-    write_plaintext,
-    read_plaintext,
-    Plaintext,
-    kind::PLAINTEXT,
-    encode_plaintext,
-    decode_plaintext,
-    "plaintext"
-);
-frame_codec!(
-    write_public_key,
-    read_public_key,
-    PublicKey,
-    kind::PUBLIC_KEY,
-    encode_public_key,
-    decode_public_key,
-    "public key"
-);
-frame_codec!(
-    write_eval_key,
-    read_eval_key,
-    EvalKey,
-    kind::EVAL_KEY,
-    encode_eval_key,
-    decode_eval_key,
-    "evaluation key"
-);
-frame_codec!(
-    write_rotation_keys,
-    read_rotation_keys,
-    RotationKeys,
-    kind::ROTATION_KEYS,
-    encode_rotation_keys,
-    decode_rotation_keys,
-    "rotation key set"
 );
 frame_codec!(
     write_compressed_eval_key,
@@ -602,48 +436,12 @@ mod tests {
     }
 
     #[test]
-    fn keys_roundtrip_and_still_work() {
-        let ctx = CkksContext::new(CkksParams::tiny());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let sk = ctx.gen_secret_key(&mut rng);
-        let pk = ctx.gen_public_key(&sk, &mut rng);
-        let evk = ctx.gen_mult_key(&sk, &mut rng);
-        let rot = ctx.gen_rotation_keys(&[1, -2], true, &sk, &mut rng);
-
-        let pk2 = read_public_key(&ctx, &write_public_key(&ctx, &pk)).unwrap();
-        let evk2 = read_eval_key(&ctx, &write_eval_key(&ctx, &evk)).unwrap();
-        let rot2 = read_rotation_keys(&ctx, &write_rotation_keys(&ctx, &rot)).unwrap();
-        assert_eq!(rot2.len(), rot.len());
-        assert_eq!(rot2.words(), rot.words());
-        assert_eq!(evk2.words(), evk.words());
-        assert_eq!(pk2.byte_len(), pk.byte_len());
-
-        // the round-tripped keys must be *functionally* intact:
-        // encrypt under pk2, square with evk2, rotate with rot2
-        let msg: Vec<C64> = (0..ctx.params().slots())
-            .map(|i| C64::new(0.2 + 0.01 * i as f64, 0.0))
-            .collect();
-        let pt = ctx.encode(&msg, 2, ctx.params().scale());
-        let ct = ctx.encrypt_public(&pt, &pk2, &mut rng);
-        let sq = ctx.rescale(&ctx.square(&ct, &evk2)).unwrap();
-        let rotated = ctx.rotate(&sq, 1, &rot2).unwrap();
-        let out = ctx.decrypt_decode(&rotated, &sk);
-        let want: Vec<C64> = (0..msg.len())
-            .map(|i| {
-                let z = msg[(i + 1) % msg.len()];
-                z * z
-            })
-            .collect();
-        assert!(max_error(&want, &out) < 1e-3);
-    }
-
-    #[test]
     fn wrong_kind_rejected() {
         let ctx = CkksContext::new(CkksParams::tiny());
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let sk = ctx.gen_secret_key(&mut rng);
-        let pk = ctx.gen_public_key(&sk, &mut rng);
-        let bytes = write_public_key(&ctx, &pk);
+        let pk = ctx.gen_public_key_seeded(&sk, 0x5eed, 0x9015e);
+        let bytes = write_compressed_public_key(&ctx, &pk.compress().unwrap());
         assert!(matches!(
             read_ciphertext(&ctx, &bytes).unwrap_err(),
             ArkError::Wire(WireError::WrongKind { .. })

@@ -7,7 +7,7 @@
 //! wire format changed and `VERSION` must be bumped instead.
 
 use ark_ckks::params::{CkksContext, CkksParams};
-use ark_ckks::wire::{param_fingerprint, read_ciphertext, write_ciphertext, write_plaintext};
+use ark_ckks::wire::{param_fingerprint, read_ciphertext, write_ciphertext};
 use ark_math::cfft::C64;
 use ark_math::wire::{MAGIC, VERSION};
 use rand::SeedableRng;
@@ -54,21 +54,6 @@ fn ciphertext_wire_bytes_are_pinned() {
 }
 
 #[test]
-fn plaintext_wire_bytes_are_pinned() {
-    let ctx = CkksContext::new(CkksParams::tiny());
-    let m: Vec<C64> = (0..ctx.params().slots())
-        .map(|i| C64::new(1.0 / (1.0 + i as f64), 0.25))
-        .collect();
-    let pt = ctx.encode(&m, 1, ctx.params().scale());
-    let bytes = write_plaintext(&ctx, &pt);
-    assert_eq!(
-        (bytes.len(), fnv1a(&bytes)),
-        (GOLDEN_PT_LEN, GOLDEN_PT_FNV),
-        "ARKW plaintext byte stream changed — wire compatibility broken"
-    );
-}
-
-#[test]
 fn param_fingerprints_are_pinned() {
     // The fingerprint binds frames to a parameter set; a silent change
     // would let old blobs decode under different parameters.
@@ -82,8 +67,6 @@ fn param_fingerprints_are_pinned() {
 // printing test below and update.
 const GOLDEN_CT_LEN: usize = 1618;
 const GOLDEN_CT_FNV: u64 = 0x2287_af26_693f_7733;
-const GOLDEN_PT_LEN: usize = 571;
-const GOLDEN_PT_FNV: u64 = 0xf741_6301_8306_7ab5;
 const GOLDEN_FP_TINY: u64 = 0xa51f_0498_1cc7_1f5b;
 const GOLDEN_FP_SMALL: u64 = 0x9c03_d5fd_5f9b_c992;
 const GOLDEN_FP_ARK: u64 = 0xd7bd_1e9f_96d9_a2d4;
@@ -92,15 +75,8 @@ const GOLDEN_FP_ARK: u64 = 0xd7bd_1e9f_96d9_a2d4;
 #[ignore = "utility: prints current golden values for re-pinning"]
 fn print_golden_values() {
     let (_, ct_bytes) = golden_ciphertext_bytes();
-    let ctx = CkksContext::new(CkksParams::tiny());
-    let m: Vec<C64> = (0..ctx.params().slots())
-        .map(|i| C64::new(1.0 / (1.0 + i as f64), 0.25))
-        .collect();
-    let pt_bytes = write_plaintext(&ctx, &ctx.encode(&m, 1, ctx.params().scale()));
     println!("GOLDEN_CT_LEN: usize = {};", ct_bytes.len());
     println!("GOLDEN_CT_FNV: u64 = {:#018x};", fnv1a(&ct_bytes));
-    println!("GOLDEN_PT_LEN: usize = {};", pt_bytes.len());
-    println!("GOLDEN_PT_FNV: u64 = {:#018x};", fnv1a(&pt_bytes));
     println!(
         "GOLDEN_FP_TINY: u64 = {:#018x};",
         param_fingerprint(&CkksParams::tiny())

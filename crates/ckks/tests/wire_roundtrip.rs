@@ -7,14 +7,13 @@ use ark_ckks::error::ArkError;
 use ark_ckks::params::{CkksContext, CkksParams};
 use ark_ckks::wire::{
     param_fingerprint, read_ciphertext, read_compressed_eval_key, read_compressed_public_key,
-    read_compressed_rotation_keys, read_eval_key, read_plaintext, write_ciphertext,
-    write_compressed_eval_key, write_compressed_public_key, write_compressed_rotation_keys,
-    write_plaintext,
+    read_compressed_rotation_keys, write_ciphertext, write_compressed_eval_key,
+    write_compressed_public_key, write_compressed_rotation_keys,
 };
 use ark_ckks::{Ciphertext, SecretKey};
 use ark_math::automorphism::GaloisElement;
 use ark_math::cfft::C64;
-use ark_math::wire::{WireError, HEADER_LEN, MAGIC, VERSION};
+use ark_math::wire::{kind, write_frame, WireError, CHECKSUM_LEN, HEADER_LEN, MAGIC, VERSION};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use std::sync::OnceLock;
@@ -79,20 +78,6 @@ proptest! {
                 prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
                 prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
             }
-        }
-    }
-
-    // Plaintexts round-trip bit-exactly too.
-    #[test]
-    fn plaintext_roundtrips(
-        m in msg_strategy(16),
-        level in 1usize..=3,
-    ) {
-        for f in [&fixtures().0, &fixtures().1] {
-            let mv: Vec<C64> = m.iter().map(|&(re, im)| C64::new(re, im)).collect();
-            let pt = f.ctx.encode(&mv, level, f.ctx.params().scale());
-            let back = read_plaintext(&f.ctx, &write_plaintext(&f.ctx, &pt)).unwrap();
-            prop_assert_eq!(back, pt);
         }
     }
 
@@ -165,10 +150,9 @@ proptest! {
                 &f.ctx,
                 &eager.compress().expect("seeded keys compress"),
             );
-            // the compressed frame is at most 55% of the materialized one
-            let full = ark_ckks::wire::write_eval_key(&f.ctx, &eager);
-            prop_assert!(bytes.len() * 100 <= full.len() * 55,
-                "{} vs {}", bytes.len(), full.len());
+            // the compressed frame is at most 55% of the in-memory key
+            prop_assert!(bytes.len() * 100 <= eager.byte_len() * 55,
+                "{} vs {}", bytes.len(), eager.byte_len());
             let back = read_compressed_eval_key(&f.ctx, &bytes).unwrap();
             prop_assert_eq!(back.materialize(&f.ctx), eager);
         }
@@ -242,26 +226,39 @@ proptest! {
 #[test]
 fn compressed_and_materialized_kinds_do_not_cross_decode() {
     let f = &fixtures().0;
+    let fp = param_fingerprint(f.ctx.params());
     let key = f.ctx.gen_mult_key_seeded(&f.sk, 0xabcd, 0xef01);
     let compressed = write_compressed_eval_key(&f.ctx, &key.compress().unwrap());
-    // a compressed frame is not a materialized eval-key frame, and
-    // vice versa: the kind tags keep the decoders apart
+    let ct = write_ciphertext(&f.ctx, &encrypt(f, &[(0.5, 0.0); 16], 2, 23));
+    // a compressed frame is not a ciphertext, and vice versa: the kind
+    // tags keep the decoders apart
     assert!(matches!(
-        read_eval_key(&f.ctx, &compressed).unwrap_err(),
+        read_ciphertext(&f.ctx, &compressed).unwrap_err(),
         ArkError::Wire(WireError::WrongKind { .. })
     ));
-    let materialized = ark_ckks::wire::write_eval_key(&f.ctx, &key);
     assert!(matches!(
-        read_compressed_eval_key(&f.ctx, &materialized).unwrap_err(),
+        read_compressed_eval_key(&f.ctx, &ct).unwrap_err(),
         ArkError::Wire(WireError::WrongKind { .. })
     ));
-    // a materialized frame decodes without provenance: it works but
-    // cannot re-compress — and still compares equal to the original
-    // (equality is over key material, not the a_seed provenance)
-    let back = read_eval_key(&f.ctx, &materialized).unwrap();
-    assert_eq!(back.a_seed(), None);
-    assert!(back.compress().is_none());
-    assert_eq!(back, key);
+    // the retired materialized tags (2 plaintext, 4 public key, 5 eval
+    // key, 6 rotation keys) around payloads that decode under the right
+    // tag: well-formed frames every remaining reader refuses by kind
+    for retired in [2u16, 4, 5, 6] {
+        for frame in [&compressed, &ct] {
+            let payload = &frame[HEADER_LEN..frame.len() - CHECKSUM_LEN];
+            let bytes = write_frame(retired, fp, payload);
+            assert!(matches!(
+                read_compressed_eval_key(&f.ctx, &bytes).unwrap_err(),
+                ArkError::Wire(WireError::WrongKind { expected: kind::COMPRESSED_EVAL_KEY, found })
+                    if found == retired
+            ));
+            assert!(matches!(
+                read_ciphertext(&f.ctx, &bytes).unwrap_err(),
+                ArkError::Wire(WireError::WrongKind { expected: kind::CIPHERTEXT, found })
+                    if found == retired
+            ));
+        }
+    }
 }
 
 #[test]

@@ -375,12 +375,6 @@ impl ClientCore {
         self.assembler.buffered()
     }
 
-    /// True if [`take_egress`](ClientCore::take_egress) would return
-    /// bytes.
-    pub fn has_egress(&self) -> bool {
-        !self.egress.is_empty()
-    }
-
     // -- egress -------------------------------------------------------
 
     /// Drains the bytes the transport must now write to the peer.

@@ -14,7 +14,6 @@
 //! storage/traffic accounting that backs the paper's OF-Twist claims.
 
 use crate::modulus::Modulus;
-use crate::par::ThreadPool;
 use crate::primes::primitive_root_of_unity;
 
 /// Cyclic NTT of size `m` with natural-order input and output.
@@ -124,8 +123,6 @@ pub struct FourStepNtt {
     omega_inv: u64,
     col_ntt: CyclicNtt,
     row_ntt: CyclicNtt,
-    n_inv: u64,
-    pool: ThreadPool,
 }
 
 impl FourStepNtt {
@@ -137,17 +134,6 @@ impl FourStepNtt {
     /// Panics if `n < 4` or not a power of two, or if the modulus lacks a
     /// `2n`-th root of unity.
     pub fn new(modulus: Modulus, n: usize) -> Self {
-        Self::with_pool(modulus, n, ThreadPool::serial())
-    }
-
-    /// Builds a 4-step transform whose column/row passes fan out across
-    /// `pool` — the intra-limb analogue of the NTTU's `√N` lanes. Any
-    /// pool width is bit-identical to [`FourStepNtt::new`].
-    ///
-    /// # Panics
-    ///
-    /// As for [`FourStepNtt::new`].
-    pub fn with_pool(modulus: Modulus, n: usize, pool: ThreadPool) -> Self {
         assert!(
             n.is_power_of_two() && n >= 4,
             "n must be a power of two >= 4"
@@ -170,8 +156,6 @@ impl FourStepNtt {
             omega_inv: modulus.inv(omega),
             col_ntt,
             row_ntt,
-            n_inv: modulus.inv(n as u64),
-            pool,
         }
     }
 
@@ -221,67 +205,52 @@ impl FourStepNtt {
 
     /// Cyclic DFT_n via column DFTs → twiddle → transpose → row DFTs.
     /// Input index `j = j1*n2 + j2`; output index `k = k2*n1 + k1`.
-    /// Columns, twist rows and row DFTs each fan out across the pool
-    /// (they are mutually independent within a step).
     fn cyclic_4step(&self, a: &mut [u64], inverse: bool) {
         let (n1, n2) = (self.n1, self.n2);
         let q = &self.modulus;
         let omega = if inverse { self.omega_inv } else { self.omega };
-        // below the dispatch floor the whole transform runs inline
-        let pool = self.pool.for_work(self.n);
 
         // Step 1: n2 column DFTs of length n1 (stride n2). The strided
         // access forces a gather → transform → scatter through one flat
-        // transposed scratch: each worker transforms contiguous rows of
-        // the scratch in place, so nothing is cloned when stealing.
+        // transposed scratch, whose contiguous rows transform in place.
         let mut colbuf = vec![0u64; self.n];
-        {
-            let a_ref: &[u64] = a;
-            pool.par_for_each_row(&mut colbuf, n1, |j2, col| {
-                for (j1, c) in col.iter_mut().enumerate() {
-                    *c = a_ref[j1 * n2 + j2];
-                }
-                self.col_ntt.transform(col, inverse);
-            });
+        for (j2, col) in colbuf.chunks_exact_mut(n1).enumerate() {
+            for (j1, c) in col.iter_mut().enumerate() {
+                *c = a[j1 * n2 + j2];
+            }
+            self.col_ntt.transform(col, inverse);
         }
-        {
-            let col_ref: &[u64] = &colbuf;
-            pool.par_for_each_row(a, n2, |k1, row| {
-                for (j2, x) in row.iter_mut().enumerate() {
-                    *x = col_ref[j2 * n1 + k1];
-                }
-            });
+        for (k1, row) in a.chunks_exact_mut(n2).enumerate() {
+            for (j2, x) in row.iter_mut().enumerate() {
+                *x = colbuf[j2 * n1 + k1];
+            }
         }
 
         // Step 2: twisting factors ω^{j2·k1}. For each k1 (a hardware
         // vector of n2 elements) the factors are geometric with ratio
         // ω^{k1}: generated on the fly from (start=1, ratio).
-        pool.par_for_each_row(a, n2, |k1, row| {
+        for (k1, row) in a.chunks_exact_mut(n2).enumerate() {
             let ratio = q.pow(omega, k1 as u64);
             let mut tw = 1u64;
             for x in row.iter_mut() {
                 *x = q.mul(*x, tw);
                 tw = q.mul(tw, ratio);
             }
-        });
+        }
 
         // Step 3 + 4: n1 row DFTs of length n2 — rows are contiguous, so
         // they transform in place — then the transpose into the output
-        // layout (a data-layout step in hardware).
-        pool.par_for_each_row(a, n2, |_k1, row| self.row_ntt.transform(row, inverse));
-        let mut out = colbuf; // reuse the step-1 scratch
-        {
-            let a_ref: &[u64] = a;
-            pool.par_for_each_row(&mut out, n1, |k2, orow| {
-                for (k1, x) in orow.iter_mut().enumerate() {
-                    *x = a_ref[k1 * n2 + k2];
-                }
-            });
+        // layout (a data-layout step in hardware). The two small inverse
+        // transforms each divided by their own size; together that is
+        // exactly n — nothing left to scale.
+        for row in a.chunks_exact_mut(n2) {
+            self.row_ntt.transform(row, inverse);
         }
-        if inverse {
-            // The two small inverse transforms each divided by their own
-            // size; together that is exactly n — nothing left to scale.
-            let _ = self.n_inv;
+        let mut out = colbuf; // reuse the step-1 scratch
+        for (k2, orow) in out.chunks_exact_mut(n1).enumerate() {
+            for (k1, x) in orow.iter_mut().enumerate() {
+                *x = a[k1 * n2 + k2];
+            }
         }
         a.copy_from_slice(&out);
     }

@@ -235,11 +235,6 @@ impl ThreadPool {
         Self::new(1)
     }
 
-    /// A pool sized to the host's available parallelism (1 if unknown).
-    pub fn with_available_parallelism() -> Self {
-        Self::new(available_parallelism())
-    }
-
     /// Total threads participating in a fan-out (callers included).
     pub fn threads(&self) -> usize {
         self.threads

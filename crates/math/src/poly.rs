@@ -107,11 +107,6 @@ impl RnsBasis {
         &self.pool
     }
 
-    /// Replaces the limb-loop thread pool (the basis data is unchanged).
-    pub fn set_pool(&mut self, pool: ThreadPool) {
-        self.pool = pool;
-    }
-
     /// Polynomial degree `N`.
     pub fn n(&self) -> usize {
         self.n
@@ -342,18 +337,6 @@ impl RnsPoly {
     /// `flat()[pos*N..(pos+1)*N]`).
     pub fn flat(&self) -> &[u64] {
         &self.data
-    }
-
-    /// Mutable access to the whole flat buffer.
-    pub fn flat_mut(&mut self) -> &mut [u64] {
-        &mut self.data
-    }
-
-    /// Decomposes into `(limb_indices, flat_data)` — the inverse of
-    /// [`RnsPoly::from_parts`], used to recycle storage into an arena or
-    /// hand the buffer to a codec.
-    pub fn into_parts(self) -> (Vec<usize>, Vec<u64>) {
-        (self.limb_idx, self.data)
     }
 
     /// Assembles a polynomial from owned parts without copying — the

@@ -67,21 +67,19 @@ pub const HEADER_LEN: usize = 4 + 2 + 2 + 8 + 8;
 pub const CHECKSUM_LEN: usize = 8;
 
 /// Well-known kind tags. The namespace is append-only and shared by all
-/// layers: `ark-math` owns 1, `ark-ckks` 2–6 and 8–10, `ark-core` 7,
+/// layers: `ark-math` owns 1, `ark-ckks` 3 and 8–10, `ark-core` 7,
 /// and the `ark-serve` protocol 0x10–0x1F.
+///
+/// Tags 2, 4, 5 and 6 — the materialized plaintext, public-key,
+/// evaluation-key and rotation-key-set frames — are *retired, never
+/// reused*: keys ship only seed-compressed (8–10) and no peer sends a
+/// plaintext, so a frame carrying one of them is a typed
+/// [`WireError::WrongKind`] to every reader.
 pub mod kind {
     /// A bare [`super::RnsPoly`](crate::poly::RnsPoly).
     pub const RNS_POLY: u16 = 1;
-    /// An `ark-ckks` plaintext.
-    pub const PLAINTEXT: u16 = 2;
     /// An `ark-ckks` ciphertext.
     pub const CIPHERTEXT: u16 = 3;
-    /// An `ark-ckks` public key.
-    pub const PUBLIC_KEY: u16 = 4;
-    /// An `ark-ckks` evaluation (relinearization/Galois) key.
-    pub const EVAL_KEY: u16 = 5;
-    /// An `ark-ckks` rotation-key set.
-    pub const ROTATION_KEYS: u16 = 6;
     /// An `ark-core` simulation report.
     pub const SIM_REPORT: u16 = 7;
     /// An `ark-ckks` seed-compressed evaluation key (`a` halves

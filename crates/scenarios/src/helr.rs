@@ -39,7 +39,7 @@ use ark_ckks::bootstrap::BootstrapConfig;
 use ark_ckks::error::ArkResult;
 use ark_ckks::packing::{pack_block_broadcast, pack_rows, pack_tiled, range_selector, uniform};
 use ark_ckks::params::CkksParams;
-use ark_fhe::engine::{ProgramInput, RotateSumTerm};
+use ark_fhe::engine::{bootstrap_trace_config, ProgramInput, RotateSumTerm};
 use ark_fhe::workloads::bootstrap::{bootstrap_trace, BootstrapTraceConfig};
 use ark_fhe::workloads::trace::{Trace, TraceSummary};
 use ark_math::cfft::C64;
@@ -127,15 +127,7 @@ impl HelrScenario {
     /// derives for this scenario's setup (used to isolate the
     /// program's own op histogram in [`Scenario::check_trace`]).
     fn boot_trace_cfg(&self) -> BootstrapTraceConfig {
-        let params = CkksParams::boot_test();
-        let cfg = BootstrapConfig::default();
-        BootstrapTraceConfig {
-            slots_log2: params.log_n - 1,
-            radix_log2: cfg.radix_log2.max(1) as u32,
-            strategy: cfg.strategy,
-            evalmod_degree: cfg.evalmod.degree,
-            spare_levels: None,
-        }
+        bootstrap_trace_config(&CkksParams::boot_test(), &BootstrapConfig::default())
     }
 }
 

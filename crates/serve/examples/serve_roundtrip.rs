@@ -94,10 +94,9 @@ fn main() -> Result<(), ArkError> {
     // sanity: the server's public key, fetched over the wire, is the
     // very key the same-seed local session derived
     let remote_pk = client.public_key(sw_fp, &ctx)?;
-    let local_pk_bytes = ckks_wire::write_public_key(&ctx, local.keychain().unwrap().public_key());
     assert_eq!(
-        ckks_wire::write_public_key(&ctx, &remote_pk),
-        local_pk_bytes,
+        &remote_pk,
+        local.keychain().unwrap().public_key(),
         "same-seed sessions must derive the same public key"
     );
     println!(

@@ -574,11 +574,6 @@ impl ServerHandle {
         self.shared.shards.len()
     }
 
-    /// True once a shutdown (local or client-requested) has begun.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutting_down()
-    }
-
     /// Gracefully stops the server: no new sessions, in-flight requests
     /// complete, queues drain, all threads join.
     pub fn shutdown(mut self) {

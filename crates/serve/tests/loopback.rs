@@ -178,16 +178,15 @@ fn key_distribution_ships_compressed_and_materializes_bit_identically() {
         assert_eq!(rotations.get_raw(g), kc.rotation_keys().get_raw(g));
     }
 
-    // the compressed frames that traveled are at most 55% of what the
-    // materialized codecs would have shipped
+    // the compressed frame that traveled is at most 55% of the
+    // in-memory key it materializes to
     use ark_fhe::ckks::wire as ckks_wire2;
     let compressed = ckks_wire2::write_compressed_eval_key(&ctx, &mult.compress().unwrap());
-    let materialized = ckks_wire2::write_eval_key(&ctx, &mult);
     assert!(
-        compressed.len() * 100 <= materialized.len() * 55,
+        compressed.len() * 100 <= mult.byte_len() * 55,
         "{} vs {}",
         compressed.len(),
-        materialized.len()
+        mult.byte_len()
     );
 
     // the simulated backend holds no key material

@@ -1,5 +1,5 @@
-//! Drive the cycle-level ARK model through the engine: simulate
-//! bootstrapping with and without the paper's algorithms and print the
+//! Drive the cycle-level ARK model directly: simulate bootstrapping
+//! with and without the paper's algorithms and print the
 //! performance/power story.
 //!
 //! ```sh
@@ -7,14 +7,12 @@
 //! ```
 
 use ark_fhe::arch::power::average_power;
-use ark_fhe::arch::{ArkConfig, CompileOptions};
+use ark_fhe::arch::{run, ArkConfig, CompileOptions};
 use ark_fhe::ckks::minks::KeyStrategy;
 use ark_fhe::ckks::params::CkksParams;
-use ark_fhe::engine::{Backend, Engine};
-use ark_fhe::error::ArkError;
 use ark_fhe::workloads::bootstrap::{bootstrap_trace, BootstrapTraceConfig};
 
-fn main() -> Result<(), ArkError> {
+fn main() {
     let params = CkksParams::ark();
     let cfg = ArkConfig::base();
     println!(
@@ -30,15 +28,8 @@ fn main() -> Result<(), ArkError> {
     ];
     let mut baseline_s = None;
     for (label, strategy, of_limb) in cases {
-        // one engine per compile configuration: the backend owns the
-        // hardware model and compiler switches
-        let engine = Engine::builder()
-            .params(params.clone())
-            .backend(Backend::Simulated(cfg.clone()))
-            .compile_options(CompileOptions { of_limb })
-            .build()?;
         let trace = bootstrap_trace(&params, &BootstrapTraceConfig::full(&params, strategy));
-        let report = engine.simulate_trace(&trace)?;
+        let report = run(&trace, &params, &cfg, CompileOptions { of_limb });
         let power = average_power(&report, &cfg);
         if baseline_s.is_none() {
             baseline_s = Some(report.seconds);
@@ -64,5 +55,4 @@ fn main() -> Result<(), ArkError> {
         );
     }
     println!("paper (Fig. 7a): Min-KS 1.9x, Min-KS + OF-Limb 2.36x on bootstrapping");
-    Ok(())
 }

@@ -1,8 +1,9 @@
 //! Fuzz target: wire-frame decoding — the outermost untrusted
 //! boundary. Drives [`ark_math::wire::read_frame`] plus every typed
 //! decoder that consumes a frame's payload (polys, ciphertexts,
-//! compressed keys, serve control payloads). Malformed bytes must
-//! yield typed errors, never panics.
+//! compressed keys, the client's decoders of server responses, serve
+//! control payloads). Malformed bytes must yield typed errors, never
+//! panics.
 //!
 //! Differential on top: the one-pass verifier
 //! ([`ark_math::wire::read_nested_frames`]) must agree with `read_frame`
@@ -11,6 +12,7 @@
 
 use ark_ckks::params::{CkksContext, CkksParams};
 use ark_ckks::wire as ckks_wire;
+use ark_client::core::{decode_eval_keys, decode_result_cts};
 use ark_client::protocol;
 use ark_math::wire::{self, Cursor};
 
@@ -73,6 +75,13 @@ fn main() {
         let _ = ckks_wire::read_ciphertext_prefix(&ctx, data);
         let _ = ckks_wire::read_compressed_public_key(&ctx, data);
         let _ = ckks_wire::read_compressed_rotation_keys(&ctx, data);
+        // the client's decoders of server bytes (an `EVAL_KEYS` payload
+        // is nested key frames, a `RESULT_CTS` one counted ciphertexts),
+        // over the input and over the payload of the frame it opens with
+        for bytes in [data, payload] {
+            let _ = decode_eval_keys(&ctx, bytes);
+            let _ = decode_result_cts(&ctx, bytes);
+        }
         // serve control codecs over a raw payload cursor
         let _ = protocol::decode_server_info(&mut Cursor::new(data));
         let _ = protocol::decode_stats(&mut Cursor::new(data));

@@ -3,12 +3,11 @@
 
 use super::keys::{KeyChain, DEFAULT_RUNTIME_KEY_CAPACITY};
 use super::software::SoftwareState;
-use super::{Backend, BackendState, Engine, SimulatedState};
+use super::{Backend, BackendState, Engine};
 use crate::error::{ArkError, ArkResult};
 use crate::verify::VerifyContext;
 use ark_ckks::bootstrap::{BootstrapConfig, Bootstrapper};
 use ark_ckks::params::{CkksContext, CkksParams};
-use ark_core::compile::CompileOptions;
 use ark_math::par::{self, ThreadPool};
 use ark_workloads::bootstrap::BootstrapTraceConfig;
 use rand::rngs::StdRng;
@@ -42,7 +41,6 @@ pub struct EngineBuilder {
     runtime_keys: bool,
     runtime_key_capacity: usize,
     bootstrapping: Option<BootstrapConfig>,
-    compile: CompileOptions,
     threads: Option<usize>,
 }
 
@@ -57,7 +55,6 @@ impl Default for EngineBuilder {
             runtime_keys: false,
             runtime_key_capacity: DEFAULT_RUNTIME_KEY_CAPACITY,
             bootstrapping: None,
-            compile: CompileOptions::all_on(),
             threads: None,
         }
     }
@@ -126,13 +123,6 @@ impl EngineBuilder {
     /// sub-trace (both backends). Implies the conjugation key.
     pub fn bootstrapping(mut self, config: BootstrapConfig) -> Self {
         self.bootstrapping = Some(config);
-        self
-    }
-
-    /// Compiler switches for the simulated backend (default: Min-KS
-    /// era, OF-Limb on).
-    pub fn compile_options(mut self, opts: CompileOptions) -> Self {
-        self.compile = opts;
         self
     }
 
@@ -215,10 +205,7 @@ impl EngineBuilder {
             Backend::Simulated(cfg) => {
                 cfg.validate()
                     .map_err(|reason| ArkError::InvalidParams { reason })?;
-                BackendState::Simulated(SimulatedState {
-                    cfg,
-                    compile: self.compile,
-                })
+                BackendState::Simulated(cfg)
             }
         };
         Ok(Engine {

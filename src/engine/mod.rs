@@ -313,15 +313,9 @@ pub trait HeEvaluator {
 }
 
 #[derive(Debug)]
-struct SimulatedState {
-    cfg: ArkConfig,
-    compile: CompileOptions,
-}
-
-#[derive(Debug)]
 enum BackendState {
     Software(Box<SoftwareState>),
-    Simulated(SimulatedState),
+    Simulated(ArkConfig),
 }
 
 /// One HE session: its shape (parameter set, declared keys, runtime-key
@@ -468,19 +462,20 @@ impl Engine {
         &self.shape
     }
 
-    /// Compiles and simulates an HE-op trace on the session's
-    /// accelerator configuration.
+    /// Compiles (with every paper algorithm on,
+    /// [`CompileOptions::all_on`]) and simulates an HE-op trace on the
+    /// session's accelerator configuration.
     ///
     /// # Errors
     ///
     /// [`ArkError::UnsupportedOnBackend`] on the software backend.
     pub fn simulate_trace(&self, trace: &Trace) -> ArkResult<SimReport> {
         match &self.state {
-            BackendState::Simulated(sim) => Ok(ark_core::sched::run(
+            BackendState::Simulated(cfg) => Ok(ark_core::sched::run(
                 trace,
                 self.params(),
-                &sim.cfg,
-                sim.compile,
+                cfg,
+                CompileOptions::all_on(),
             )),
             BackendState::Software(_) => Err(ArkError::UnsupportedOnBackend {
                 op: "simulate_trace",
