@@ -19,13 +19,30 @@
 //! secret and no error, so it never needs to be stored or shipped: any
 //! party can re-derive it from a public 64-bit seed via
 //! [`RnsPoly::from_seed`] (the paper's runtime data generation,
-//! Section IV-A). The `*_seeded` generators here split randomness into
-//! a **public** `a_seed` (expands the uniform halves, safe to
-//! publish) and a **secret** `noise_seed` (drives the error sampler;
-//! the error must never be derivable from shipped bytes, or `B − E =
-//! A·S` hands an attacker exact linear equations in the secret). The
-//! resulting [`EvalKey`]/[`PublicKey`] remembers its `a_seed`, so
-//! [`EvalKey::compress`] can drop the `A_i` halves and
+//! Section IV-A). Every key here is generated from seeds, by one
+//! schedule. Two masters split the randomness: a **public**
+//! `a_master` (its children expand the uniform halves and ship inside
+//! compressed frames) and a **secret** `noise_master` (its children
+//! drive the error sampler; the error must never be derivable from
+//! shipped bytes, or `B − E = A·S` hands an attacker exact linear
+//! equations in the secret). [`derive_seed`] fans each master into
+//! one child per key — tagged by key kind: public key, multiplication
+//! key, or Galois element `g` — and each key's child into one seed per
+//! decomposition piece.
+//!
+//! The `*_seeded` generators take the two masters (the generic
+//! [`CkksContext::gen_switching_key_seeded`] takes one key's seeds
+//! directly: its source key has no kind to tag). The RNG front
+//! (`gen_public_key`, `gen_mult_key`, `gen_galois_key`,
+//! `gen_rotation_keys`, `gen_switching_key`) draws `a_master` then
+//! `noise_master` from its RNG and calls its seeded twin, so a library
+//! caller and an engine session share one generator and one schedule.
+//! Key-generation noise therefore has the same posture on both fronts:
+//! each error is expanded from a 64-bit noise seed, not drawn from the
+//! caller's RNG stream.
+//!
+//! Every [`EvalKey`]/[`PublicKey`] remembers its `a_seed`, so
+//! [`EvalKey::compress`] drops the `A_i` halves and
 //! [`CompressedEvalKey::materialize`] regenerates them bit-exactly —
 //! halving key storage and wire traffic. `B_i` cannot be compressed
 //! the same way: it is `A_i·s + e_i + gadget`, a secret- and
@@ -40,6 +57,27 @@ use std::collections::HashMap;
 
 /// Standard deviation of the RLWE error distribution.
 pub const ERROR_STD_DEV: f64 = 3.2;
+
+// Domain tags separating the masters' per-key children. Galois
+// elements (the other tweak family) are odd and `< 2N ≤ 2^18`, so tags
+// at or above `1 << 32` cannot collide with them.
+const SEED_TAG_PUBLIC_KEY: u64 = 1 << 32;
+const SEED_TAG_MULT_KEY: u64 = (1 << 32) + 1;
+
+/// Draws the two masters the RNG front generates from: `a_master`
+/// first, then `noise_master`.
+fn draw_masters<R: Rng>(rng: &mut R) -> (u64, u64) {
+    (rng.gen(), rng.gen())
+}
+
+/// One key's `(a_seed, noise_seed)`: both masters' children under the
+/// key's tweak.
+fn key_seeds(a_master: u64, noise_master: u64, tweak: u64) -> (u64, u64) {
+    (
+        derive_seed(a_master, tweak),
+        derive_seed(noise_master, tweak),
+    )
+}
 
 /// A ternary secret key, stored in evaluation representation over the
 /// full basis `D` so key-switching keys for any level can be derived.
@@ -62,22 +100,11 @@ impl SecretKey {
 
 /// One evaluation key: `dnum` RLWE pairs `(B_i, A_i)` over `R_PQ`,
 /// with `B_i = A_i·s + e_i + (P·T_i)·s'`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalKey {
     pub(crate) pieces: Vec<(RnsPoly, RnsPoly)>,
-    /// Public seed the `A_i` halves were expanded from, when the key
-    /// was produced by a `*_seeded` generator (or a materialization).
-    /// `None` for keys drawn from a live RNG — those cannot compress.
-    pub(crate) a_seed: Option<u64>,
-}
-
-/// Equality is over the key *material* (`pieces`) only: `a_seed` is
-/// provenance — a key drawn from a live RNG and a seeded key with the
-/// same pieces are the same key.
-impl PartialEq for EvalKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.pieces == other.pieces
-    }
+    /// Public seed the `A_i` halves were expanded from.
+    pub(crate) a_seed: u64,
 }
 
 impl EvalKey {
@@ -96,22 +123,13 @@ impl EvalKey {
         self.words() * 8
     }
 
-    /// The public seed the uniform halves derive from, if the key was
-    /// generated seeded.
-    pub fn a_seed(&self) -> Option<u64> {
-        self.a_seed
-    }
-
     /// Drops the re-derivable `A_i` halves, keeping the seed and the
-    /// `B_i` limbs — the form that ships and sleeps. Returns `None`
-    /// for keys generated without a seed (nothing records how to
-    /// regenerate their `A_i`).
-    pub fn compress(&self) -> Option<CompressedEvalKey> {
-        let a_seed = self.a_seed?;
-        Some(CompressedEvalKey {
-            a_seed,
+    /// `B_i` limbs — the form that ships and sleeps.
+    pub fn compress(&self) -> CompressedEvalKey {
+        CompressedEvalKey {
+            a_seed: self.a_seed,
             b_pieces: self.pieces.iter().map(|(b, _)| b.clone()).collect(),
-        })
+        }
     }
 }
 
@@ -165,7 +183,7 @@ impl CompressedEvalKey {
             .collect();
         EvalKey {
             pieces,
-            a_seed: Some(self.a_seed),
+            a_seed: self.a_seed,
         }
     }
 }
@@ -227,31 +245,34 @@ impl RotationKeys {
         self.keys.get(&g)
     }
 
-    /// Compresses every held key, or `None` if any key was generated
-    /// without a seed (all-or-nothing: a partially compressed set
-    /// would silently ship at the wrong size).
-    pub fn compress(&self) -> Option<CompressedRotationKeys> {
+    /// Compresses every held key.
+    pub fn compress(&self) -> CompressedRotationKeys {
         self.compress_subset(&self.galois_elements())
     }
 
     /// Compresses only the keys for the given Galois elements — the
     /// shape key distribution uses to ship a declared subset without
-    /// cloning the re-derivable `A` halves of the full set. `None` if
-    /// any listed element is missing or its key carries no seed.
-    pub fn compress_subset(&self, elements: &[u64]) -> Option<CompressedRotationKeys> {
+    /// cloning the re-derivable `A` halves of the full set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed element holds no key: a partially compressed
+    /// set would silently ship at the wrong size.
+    pub fn compress_subset(&self, elements: &[u64]) -> CompressedRotationKeys {
         let mut elements = elements.to_vec();
         elements.sort_unstable();
         elements.dedup();
         let entries = elements
             .into_iter()
             .map(|g| {
-                self.keys
+                let key = self
+                    .keys
                     .get(&g)
-                    .and_then(EvalKey::compress)
-                    .map(|ck| (g, ck))
+                    .expect("compress_subset: element holds no key");
+                (g, key.compress())
             })
-            .collect::<Option<Vec<_>>>()?;
-        Some(CompressedRotationKeys { entries })
+            .collect();
+        CompressedRotationKeys { entries }
     }
 }
 
@@ -296,20 +317,12 @@ impl CompressedRotationKeys {
 
 /// An RLWE public key `(B, A)` with `B = A·s + e` over the full chain:
 /// anyone holding it can encrypt; only the secret key decrypts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PublicKey {
     pub(crate) b: RnsPoly,
     pub(crate) a: RnsPoly,
-    /// Public seed `A` was expanded from, if generated seeded.
-    pub(crate) a_seed: Option<u64>,
-}
-
-/// Equality is over the key *material* (`b`, `a`) only: `a_seed` is
-/// provenance.
-impl PartialEq for PublicKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.b == other.b && self.a == other.a
-    }
+    /// Public seed `A` was expanded from.
+    pub(crate) a_seed: u64,
 }
 
 impl PublicKey {
@@ -323,19 +336,12 @@ impl PublicKey {
         self.words() * 8
     }
 
-    /// The public seed `A` derives from, if the key was generated
-    /// seeded.
-    pub fn a_seed(&self) -> Option<u64> {
-        self.a_seed
-    }
-
-    /// Drops the re-derivable `A` half (`None` for unseeded keys).
-    pub fn compress(&self) -> Option<CompressedPublicKey> {
-        let a_seed = self.a_seed?;
-        Some(CompressedPublicKey {
-            a_seed,
+    /// Drops the re-derivable `A` half.
+    pub fn compress(&self) -> CompressedPublicKey {
+        CompressedPublicKey {
+            a_seed: self.a_seed,
             b: self.b.clone(),
-        })
+        }
     }
 }
 
@@ -369,7 +375,7 @@ impl CompressedPublicKey {
         PublicKey {
             b: self.b.clone(),
             a,
-            a_seed: Some(self.a_seed),
+            a_seed: self.a_seed,
         }
     }
 }
@@ -439,19 +445,24 @@ impl CkksContext {
         }
     }
 
-    /// Derives the public key `(A·s + e, A)` over the full chain.
+    /// Derives the public key `(A·s + e, A)` over the full chain from
+    /// masters drawn from `rng` (see [`Self::gen_public_key_seeded`]).
     pub fn gen_public_key<R: Rng>(&self, sk: &SecretKey, rng: &mut R) -> PublicKey {
-        let idx = self.chain_indices(self.params().max_level);
-        let a = RnsPoly::random_uniform(self.basis(), idx, Representation::Evaluation, rng);
-        let e = self.sample_error_poly(idx, rng);
-        self.assemble_public_key(sk, a, e, None)
+        let (a_master, noise_master) = draw_masters(rng);
+        self.gen_public_key_seeded(sk, a_master, noise_master)
     }
 
     /// Seeded public-key generation: `A` expands from the **public**
-    /// `a_seed` (so the key compresses to seed + `B`), the error from
-    /// the **secret** `noise_seed`. The same `(a_seed, noise_seed)`
-    /// pair always yields bit-identical keys.
-    pub fn gen_public_key_seeded(&self, sk: &SecretKey, a_seed: u64, noise_seed: u64) -> PublicKey {
+    /// `a_master`'s public-key child (so the key compresses to seed +
+    /// `B`), the error from the **secret** `noise_master`'s. The same
+    /// masters always yield bit-identical keys.
+    pub fn gen_public_key_seeded(
+        &self,
+        sk: &SecretKey,
+        a_master: u64,
+        noise_master: u64,
+    ) -> PublicKey {
+        let (a_seed, noise_seed) = key_seeds(a_master, noise_master, SEED_TAG_PUBLIC_KEY);
         let idx = self.chain_indices(self.params().max_level);
         let a = RnsPoly::from_seed(
             self.basis(),
@@ -461,19 +472,8 @@ impl CkksContext {
         );
         let mut erng = rand::rngs::StdRng::seed_from_u64(derive_seed(noise_seed, 0));
         let e = self.sample_error_poly(idx, &mut erng);
-        self.assemble_public_key(sk, a, e, Some(a_seed))
-    }
-
-    fn assemble_public_key(
-        &self,
-        sk: &SecretKey,
-        a: RnsPoly,
-        e: RnsPoly,
-        a_seed: Option<u64>,
-    ) -> PublicKey {
-        let s = sk.s.subset(a.limb_indices());
         let mut b = a.clone();
-        b.mul_assign(&s, self.basis());
+        b.mul_assign(&sk.s.subset(idx), self.basis());
         b.add_assign(&e, self.basis());
         PublicKey { b, a, a_seed }
     }
@@ -527,14 +527,32 @@ impl CkksContext {
         self.decode(&self.decrypt(ct, sk))
     }
 
-    /// The shared body of switching-key generation: `pair_for(ext, i)`
-    /// supplies the `(A_i, e_i)` pair for decomposition piece `i`.
-    fn gen_switching_key_impl(
+    /// Generates a key-switching key from source key `s'` (given in
+    /// evaluation representation over the full basis) to `sk`, from
+    /// seeds drawn from `rng` (see [`Self::gen_switching_key_seeded`]).
+    pub fn gen_switching_key<R: Rng>(
         &self,
         source: &RnsPoly,
         sk: &SecretKey,
-        mut pair_for: impl FnMut(&[usize], usize) -> (RnsPoly, RnsPoly),
-        a_seed: Option<u64>,
+        rng: &mut R,
+    ) -> EvalKey {
+        let (a_seed, noise_seed) = (rng.gen(), rng.gen());
+        self.gen_switching_key_seeded(source, sk, a_seed, noise_seed)
+    }
+
+    /// Seeded switching-key generation: piece `i`'s uniform `A_i`
+    /// expands from `derive_seed(a_seed, i)` (public — the key
+    /// compresses to seed + `B_i` limbs), its error from
+    /// `derive_seed(noise_seed, i)` (secret). Deterministic: the same
+    /// `(source, sk, a_seed, noise_seed)` always yields bit-identical
+    /// keys, which is what lets eval keys be *re-derived at runtime*
+    /// instead of stored.
+    pub fn gen_switching_key_seeded(
+        &self,
+        source: &RnsPoly,
+        sk: &SecretKey,
+        a_seed: u64,
+        noise_seed: u64,
     ) -> EvalKey {
         let l = self.params().max_level;
         let ext = self.extended_indices(l); // all of D
@@ -549,12 +567,19 @@ impl CkksContext {
                 })
             })
             .collect();
+        let s = sk.s.subset(ext);
         let pieces = groups
             .iter()
             .enumerate()
             .map(|(i, group)| {
-                let (a, e) = pair_for(ext, i);
-                let s = sk.s.subset(ext);
+                let a = RnsPoly::from_seed(
+                    self.basis(),
+                    ext,
+                    Representation::Evaluation,
+                    derive_seed(a_seed, i as u64),
+                );
+                let mut erng = rand::rngs::StdRng::seed_from_u64(derive_seed(noise_seed, i as u64));
+                let e = self.sample_error_poly(ext, &mut erng);
                 let mut b = a.clone();
                 b.mul_assign(&s, self.basis());
                 b.add_assign(&e, self.basis());
@@ -573,106 +598,48 @@ impl CkksContext {
         EvalKey { pieces, a_seed }
     }
 
-    /// Generates a key-switching key from source key `s'` (given in
-    /// evaluation representation over the full basis) to `sk`.
-    pub fn gen_switching_key<R: Rng>(
-        &self,
-        source: &RnsPoly,
-        sk: &SecretKey,
-        rng: &mut R,
-    ) -> EvalKey {
-        self.gen_switching_key_impl(
-            source,
-            sk,
-            |ext, _| {
-                let a = RnsPoly::random_uniform(self.basis(), ext, Representation::Evaluation, rng);
-                let e = self.sample_error_poly(ext, rng);
-                (a, e)
-            },
-            None,
-        )
-    }
-
-    /// Seeded switching-key generation: piece `i`'s uniform `A_i`
-    /// expands from `derive_seed(a_seed, i)` (public — the key
-    /// compresses to seed + `B_i` limbs), its error from
-    /// `derive_seed(noise_seed, i)` (secret). Deterministic: the same
-    /// `(source, sk, a_seed, noise_seed)` always yields bit-identical
-    /// keys, which is what lets eval keys be *re-derived at runtime*
-    /// instead of stored.
-    pub fn gen_switching_key_seeded(
-        &self,
-        source: &RnsPoly,
-        sk: &SecretKey,
-        a_seed: u64,
-        noise_seed: u64,
-    ) -> EvalKey {
-        self.gen_switching_key_impl(
-            source,
-            sk,
-            |ext, i| {
-                let a = RnsPoly::from_seed(
-                    self.basis(),
-                    ext,
-                    Representation::Evaluation,
-                    derive_seed(a_seed, i as u64),
-                );
-                let mut erng = rand::rngs::StdRng::seed_from_u64(derive_seed(noise_seed, i as u64));
-                let e = self.sample_error_poly(ext, &mut erng);
-                (a, e)
-            },
-            Some(a_seed),
-        )
-    }
-
-    /// The multiplication key `evk_mult` (source key `s²`).
+    /// The multiplication key `evk_mult` (source key `s²`), from
+    /// masters drawn from `rng`.
     pub fn gen_mult_key<R: Rng>(&self, sk: &SecretKey, rng: &mut R) -> EvalKey {
-        let mut s2 = sk.s.clone();
-        s2.mul_assign(&sk.s, self.basis());
-        self.gen_switching_key(&s2, sk, rng)
+        let (a_master, noise_master) = draw_masters(rng);
+        self.gen_mult_key_seeded(sk, a_master, noise_master)
     }
 
-    /// Seeded multiplication key (see [`Self::gen_switching_key_seeded`]).
-    pub fn gen_mult_key_seeded(&self, sk: &SecretKey, a_seed: u64, noise_seed: u64) -> EvalKey {
+    /// Seeded multiplication key: the masters' multiplication-key
+    /// children seed [`Self::gen_switching_key_seeded`].
+    pub fn gen_mult_key_seeded(&self, sk: &SecretKey, a_master: u64, noise_master: u64) -> EvalKey {
         let mut s2 = sk.s.clone();
         s2.mul_assign(&sk.s, self.basis());
+        let (a_seed, noise_seed) = key_seeds(a_master, noise_master, SEED_TAG_MULT_KEY);
         self.gen_switching_key_seeded(&s2, sk, a_seed, noise_seed)
     }
 
-    /// A rotation key `evk_rot^{(r)}` (source key `ψ_r(s)`).
-    pub fn gen_rotation_key<R: Rng>(&self, r: i64, sk: &SecretKey, rng: &mut R) -> EvalKey {
-        let g = GaloisElement::from_rotation(r, self.params().n());
-        self.gen_galois_key(g, sk, rng)
-    }
-
-    /// The conjugation key (source key `ψ(s)` with `g = 2N−1`).
-    pub fn gen_conjugation_key<R: Rng>(&self, sk: &SecretKey, rng: &mut R) -> EvalKey {
-        self.gen_galois_key(GaloisElement::conjugation(self.params().n()), sk, rng)
-    }
-
-    /// A Galois key for an arbitrary element.
+    /// A Galois key for an arbitrary element (source key `ψ_g(s)`),
+    /// from masters drawn from `rng`.
     pub fn gen_galois_key<R: Rng>(&self, g: GaloisElement, sk: &SecretKey, rng: &mut R) -> EvalKey {
-        let rotated = sk.s.automorphism(g, self.basis());
-        self.gen_switching_key(&rotated, sk, rng)
+        let (a_master, noise_master) = draw_masters(rng);
+        self.gen_galois_key_seeded(g, sk, a_master, noise_master)
     }
 
-    /// Seeded Galois key (see [`Self::gen_switching_key_seeded`]).
+    /// Seeded Galois key: the masters' children under `g` seed
+    /// [`Self::gen_switching_key_seeded`]. Each element's key derives
+    /// without any other key existing, so a key generated eagerly and
+    /// one derived on demand later are bit-identical.
     pub fn gen_galois_key_seeded(
         &self,
         g: GaloisElement,
         sk: &SecretKey,
-        a_seed: u64,
-        noise_seed: u64,
+        a_master: u64,
+        noise_master: u64,
     ) -> EvalKey {
         let rotated = sk.s.automorphism(g, self.basis());
+        let (a_seed, noise_seed) = key_seeds(a_master, noise_master, g.0);
         self.gen_switching_key_seeded(&rotated, sk, a_seed, noise_seed)
     }
 
     /// Generates rotation keys for a set of amounts plus conjugation,
-    /// returning the populated [`RotationKeys`]. Amounts are reduced
-    /// through [`GaloisElement::normalize_rotation`]; amounts ≡ 0 mod
-    /// the slot count are skipped entirely (rotation by 0 is the
-    /// identity and needs no key).
+    /// from masters drawn from `rng` (see
+    /// [`Self::gen_rotation_keys_seeded`]).
     pub fn gen_rotation_keys<R: Rng>(
         &self,
         rotations: &[i64],
@@ -680,21 +647,36 @@ impl CkksContext {
         sk: &SecretKey,
         rng: &mut R,
     ) -> RotationKeys {
+        let (a_master, noise_master) = draw_masters(rng);
+        self.gen_rotation_keys_seeded(rotations, include_conjugation, sk, a_master, noise_master)
+    }
+
+    /// Seeded rotation keys for a set of amounts plus conjugation, one
+    /// [`Self::gen_galois_key_seeded`] per distinct Galois element.
+    /// Amounts are reduced through
+    /// [`GaloisElement::normalize_rotation`]; amounts ≡ 0 mod the slot
+    /// count are skipped entirely (rotation by 0 is the identity and
+    /// needs no key).
+    pub fn gen_rotation_keys_seeded(
+        &self,
+        rotations: &[i64],
+        include_conjugation: bool,
+        sk: &SecretKey,
+        a_master: u64,
+        noise_master: u64,
+    ) -> RotationKeys {
         let n = self.params().n();
         let slots = self.params().slots();
+        let rotation_elements = rotations
+            .iter()
+            .filter(|&&r| GaloisElement::normalize_rotation(r, slots) != 0)
+            .map(|&r| GaloisElement::from_rotation(r, n));
+        let conjugation = include_conjugation.then(|| GaloisElement::conjugation(n));
         let mut set = RotationKeys::new();
-        for &r in rotations {
-            if GaloisElement::normalize_rotation(r, slots) == 0 {
-                continue;
-            }
-            let g = GaloisElement::from_rotation(r, n);
+        for g in rotation_elements.chain(conjugation) {
             if set.get(g).is_none() {
-                set.insert(g, self.gen_rotation_key(r, sk, rng));
+                set.insert(g, self.gen_galois_key_seeded(g, sk, a_master, noise_master));
             }
-        }
-        if include_conjugation {
-            let g = GaloisElement::conjugation(n);
-            set.insert(g, self.gen_conjugation_key(sk, rng));
         }
         set
     }
@@ -821,21 +803,19 @@ mod tests {
         let k2 = ctx.gen_mult_key_seeded(&sk, 0xaaaa, 0xbbbb);
         assert_eq!(k1, k2, "same seeds must yield bit-identical keys");
         assert_ne!(k1, ctx.gen_mult_key_seeded(&sk, 0xaaab, 0xbbbb));
-        assert_eq!(k1.a_seed(), Some(0xaaaa));
 
-        // compress → materialize is the identity
-        let ck = k1.compress().expect("seeded keys compress");
-        assert_eq!(ck.materialize(&ctx), k1);
-        // materialize(compress) of a compressed key is also stable
-        assert_eq!(ck.materialize(&ctx).compress().unwrap(), ck);
-        // the compressed form stores the b halves plus the seed only
-        assert_eq!(ck.byte_len(), k1.byte_len() / 2 + 8);
-
-        // rng-generated keys carry no seed and refuse to compress
+        // an RNG-drawn key is seed-derived too: it compresses like one
         let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        let unseeded = ctx.gen_mult_key(&sk, &mut rng);
-        assert_eq!(unseeded.a_seed(), None);
-        assert!(unseeded.compress().is_none());
+        let drawn = ctx.gen_mult_key(&sk, &mut rng);
+        for key in [k1, drawn] {
+            // compress → materialize is the identity
+            let ck = key.compress();
+            assert_eq!(ck.materialize(&ctx), key);
+            // materialize(compress) of a compressed key is also stable
+            assert_eq!(ck.materialize(&ctx).compress(), ck);
+            // the compressed form stores the b halves plus the seed only
+            assert_eq!(ck.byte_len(), key.byte_len() / 2 + 8);
+        }
     }
 
     #[test]
@@ -845,7 +825,7 @@ mod tests {
         let g = GaloisElement::from_rotation(1, ctx.params().n());
         let key = ctx.gen_galois_key_seeded(g, &sk, 0x5eed, 0x401e);
         // round the key through compression before using it
-        let key = key.compress().unwrap().materialize(&ctx);
+        let key = key.compress().materialize(&ctx);
         let msg: Vec<ark_math::cfft::C64> = (0..slots)
             .map(|i| ark_math::cfft::C64::new(0.01 * i as f64, 0.0))
             .collect();
@@ -862,7 +842,7 @@ mod tests {
         let (ctx, sk, mut rng) = setup();
         let pk = ctx.gen_public_key_seeded(&sk, 0x1111, 0x2222);
         assert_eq!(pk, ctx.gen_public_key_seeded(&sk, 0x1111, 0x2222));
-        let cpk = pk.compress().expect("seeded pk compresses");
+        let cpk = pk.compress();
         assert_eq!(cpk.byte_len(), pk.byte_len() / 2 + 8);
         let back = cpk.materialize(&ctx);
         assert_eq!(back, pk);
@@ -873,31 +853,17 @@ mod tests {
     }
 
     #[test]
-    fn rotation_key_set_compresses_all_or_nothing() {
-        let (ctx, sk, mut rng) = setup();
-        let mut set = RotationKeys::new();
-        let n = ctx.params().n();
-        for r in [1i64, 2] {
-            let g = GaloisElement::from_rotation(r, n);
-            set.insert(
-                g,
-                ctx.gen_galois_key_seeded(g, &sk, 100 + r as u64, 200 + r as u64),
-            );
-        }
-        let compressed = set.compress().expect("all keys seeded");
-        assert_eq!(compressed.len(), 2);
+    fn rotation_key_set_compresses_and_materializes() {
+        let (ctx, sk, _) = setup();
+        let set = ctx.gen_rotation_keys_seeded(&[1, 2], true, &sk, 100, 200);
+        let compressed = set.compress();
+        assert_eq!(compressed.len(), 3);
         assert_eq!(compressed.galois_elements(), set.galois_elements());
         let back = compressed.materialize(&ctx);
         assert_eq!(back.words(), set.words());
         for g in set.galois_elements() {
             assert_eq!(back.get_raw(g), set.get_raw(g));
         }
-        // one unseeded key poisons the set
-        set.insert(
-            GaloisElement::conjugation(n),
-            ctx.gen_conjugation_key(&sk, &mut rng),
-        );
-        assert!(set.compress().is_none());
     }
 
     #[test]

@@ -441,7 +441,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let sk = ctx.gen_secret_key(&mut rng);
         let pk = ctx.gen_public_key_seeded(&sk, 0x5eed, 0x9015e);
-        let bytes = write_compressed_public_key(&ctx, &pk.compress().unwrap());
+        let bytes = write_compressed_public_key(&ctx, &pk.compress());
         assert!(matches!(
             read_ciphertext(&ctx, &bytes).unwrap_err(),
             ArkError::Wire(WireError::WrongKind { .. })

@@ -11,7 +11,6 @@ use ark_ckks::wire::{
     write_compressed_public_key, write_compressed_rotation_keys,
 };
 use ark_ckks::{Ciphertext, SecretKey};
-use ark_math::automorphism::GaloisElement;
 use ark_math::cfft::C64;
 use ark_math::wire::{kind, write_frame, WireError, CHECKSUM_LEN, HEADER_LEN, MAGIC, VERSION};
 use proptest::prelude::*;
@@ -138,18 +137,15 @@ proptest! {
 
     // compress → wire encode → decode → materialize is bit-identical
     // to the eagerly generated key, on both parameter sets and for
-    // arbitrary seed pairs.
+    // arbitrary master pairs.
     #[test]
     fn compressed_eval_key_roundtrips_on_both_parameter_sets(
-        a_seed in 0u64..u64::MAX,
-        noise_seed in 0u64..u64::MAX,
+        a_master in 0u64..u64::MAX,
+        noise_master in 0u64..u64::MAX,
     ) {
         for f in [&fixtures().0, &fixtures().1] {
-            let eager = f.ctx.gen_mult_key_seeded(&f.sk, a_seed, noise_seed);
-            let bytes = write_compressed_eval_key(
-                &f.ctx,
-                &eager.compress().expect("seeded keys compress"),
-            );
+            let eager = f.ctx.gen_mult_key_seeded(&f.sk, a_master, noise_master);
+            let bytes = write_compressed_eval_key(&f.ctx, &eager.compress());
             // the compressed frame is at most 55% of the in-memory key
             prop_assert!(bytes.len() * 100 <= eager.byte_len() * 55,
                 "{} vs {}", bytes.len(), eager.byte_len());
@@ -161,33 +157,20 @@ proptest! {
     // same round-trip for a rotation-key set and the public key.
     #[test]
     fn compressed_key_set_and_public_key_roundtrip(
-        a_seed in 0u64..u64::MAX,
-        noise_seed in 0u64..u64::MAX,
+        a_master in 0u64..u64::MAX,
+        noise_master in 0u64..u64::MAX,
     ) {
         for f in [&fixtures().0, &fixtures().1] {
-            let n = f.ctx.params().n();
-            let mut set = ark_ckks::RotationKeys::new();
-            for r in [1i64, 2] {
-                let g = GaloisElement::from_rotation(r, n);
-                set.insert(
-                    g,
-                    f.ctx.gen_galois_key_seeded(
-                        g,
-                        &f.sk,
-                        a_seed.wrapping_add(r as u64),
-                        noise_seed.wrapping_add(r as u64),
-                    ),
-                );
-            }
-            let bytes = write_compressed_rotation_keys(&f.ctx, &set.compress().unwrap());
+            let set = f.ctx.gen_rotation_keys_seeded(&[1, 2], false, &f.sk, a_master, noise_master);
+            let bytes = write_compressed_rotation_keys(&f.ctx, &set.compress());
             let back = read_compressed_rotation_keys(&f.ctx, &bytes).unwrap().materialize(&f.ctx);
             prop_assert_eq!(back.galois_elements(), set.galois_elements());
             for g in set.galois_elements() {
                 prop_assert_eq!(back.get_raw(g), set.get_raw(g));
             }
 
-            let pk = f.ctx.gen_public_key_seeded(&f.sk, a_seed, noise_seed);
-            let pk_bytes = write_compressed_public_key(&f.ctx, &pk.compress().unwrap());
+            let pk = f.ctx.gen_public_key_seeded(&f.sk, a_master, noise_master);
+            let pk_bytes = write_compressed_public_key(&f.ctx, &pk.compress());
             let pk_back = read_compressed_public_key(&f.ctx, &pk_bytes).unwrap();
             prop_assert_eq!(pk_back.materialize(&f.ctx), pk);
         }
@@ -199,7 +182,7 @@ proptest! {
     fn compressed_eval_key_truncation_is_typed(cut_frac in 0.0f64..1.0) {
         let f = &fixtures().0;
         let key = f.ctx.gen_mult_key_seeded(&f.sk, 0x5eed, 0xe401);
-        let bytes = write_compressed_eval_key(&f.ctx, &key.compress().unwrap());
+        let bytes = write_compressed_eval_key(&f.ctx, &key.compress());
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
         let err = read_compressed_eval_key(&f.ctx, &bytes[..cut]).unwrap_err();
         prop_assert!(matches!(err, ArkError::Wire(WireError::Truncated { .. })),
@@ -215,7 +198,7 @@ proptest! {
     ) {
         let f = &fixtures().0;
         let key = f.ctx.gen_mult_key_seeded(&f.sk, 0x5eed, 0xe402);
-        let mut bytes = write_compressed_eval_key(&f.ctx, &key.compress().unwrap());
+        let mut bytes = write_compressed_eval_key(&f.ctx, &key.compress());
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= 1 << bit;
         let err = read_compressed_eval_key(&f.ctx, &bytes).unwrap_err();
@@ -228,7 +211,7 @@ fn compressed_and_materialized_kinds_do_not_cross_decode() {
     let f = &fixtures().0;
     let fp = param_fingerprint(f.ctx.params());
     let key = f.ctx.gen_mult_key_seeded(&f.sk, 0xabcd, 0xef01);
-    let compressed = write_compressed_eval_key(&f.ctx, &key.compress().unwrap());
+    let compressed = write_compressed_eval_key(&f.ctx, &key.compress());
     let ct = write_ciphertext(&f.ctx, &encrypt(f, &[(0.5, 0.0); 16], 2, 23));
     // a compressed frame is not a ciphertext, and vice versa: the kind
     // tags keep the decoders apart

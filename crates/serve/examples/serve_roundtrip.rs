@@ -103,7 +103,7 @@ fn main() -> Result<(), ArkError> {
         "\nfetched server public key: {} bytes materialized, {} bytes on the wire \
          (seed-compressed), matches the local session",
         remote_pk.byte_len(),
-        remote_pk.compress().expect("seeded").byte_len()
+        remote_pk.compress().byte_len()
     );
 
     // evaluation keys travel the same way: seed + B halves only,
@@ -115,9 +115,7 @@ fn main() -> Result<(), ArkError> {
         remote_mult.byte_len() >> 10,
         remote_rot.len(),
         remote_rot.byte_len() >> 10,
-        (remote_mult.compress().expect("seeded").byte_len()
-            + remote_rot.compress().expect("seeded").byte_len())
-            >> 10
+        (remote_mult.compress().byte_len() + remote_rot.compress().byte_len()) >> 10
     );
 
     // the program, written once, serialized for the wire:

@@ -102,14 +102,17 @@ pub struct ServerConfig {
     /// Largest wire frame a peer may send (allocation bound; a message
     /// may add the request-id envelope on top).
     pub max_frame_bytes: usize,
-    /// Ciphertext bytes (inputs + worst-case intermediates + outputs)
-    /// one session may have in flight; exceeding it fails the request
-    /// with a typed `SESSION_LIMIT` error instead of growing server
-    /// memory. Pipelined requests of one session charge concurrently.
+    /// Ciphertext bytes one session may have in flight: decoded
+    /// inputs, the evaluation working set (charged up front as the
+    /// program's peak live units × the largest input's size) and
+    /// produced outputs. Exceeding it fails the request with a typed
+    /// `SESSION_LIMIT` error instead of growing server memory.
+    /// Pipelined requests of one session charge concurrently.
     pub max_session_bytes: usize,
-    /// Most ops a submitted program may carry. Evaluation keeps every
-    /// intermediate register live, so this (together with
-    /// `max_session_bytes`) bounds a request's working set.
+    /// Most ops a submitted program may carry — a bound on the work
+    /// one request can ask of admission and evaluation. Memory is
+    /// bounded separately: evaluation drops each register after its
+    /// last use, and `max_session_bytes` covers the peak.
     pub max_program_ops: usize,
     /// Most jobs one connection may have queued or executing. A
     /// connection at this window is not read until a completion frees
@@ -172,13 +175,12 @@ impl ServerConfig {
 // ---------------------------------------------------------------------
 
 /// Memory accounting of one session: ciphertext bytes currently held on
-/// the session's behalf (decoded request inputs, worst-case
-/// intermediates, produced outputs), bounded by
-/// [`ServerConfig::max_session_bytes`]. Atomic because a session's
-/// pipelined jobs charge concurrently from several shard workers.
+/// the session's behalf (decoded request inputs, the working set of
+/// peak live units × the largest input's size, produced outputs),
+/// bounded by [`ServerConfig::max_session_bytes`]. Atomic because a
+/// session's pipelined jobs charge concurrently from several shard
+/// workers.
 struct SessionState {
-    #[allow(dead_code)]
-    id: u64,
     in_flight_bytes: AtomicUsize,
 }
 
@@ -300,7 +302,6 @@ struct Shared {
     sessions_accepted: AtomicU64,
     sessions_shed: AtomicU64,
     jobs_shed: AtomicU64,
-    next_session: AtomicU64,
     ops: OpCounters,
 }
 
@@ -401,7 +402,6 @@ impl Shared {
             sessions_accepted: AtomicU64::new(0),
             sessions_shed: AtomicU64::new(0),
             jobs_shed: AtomicU64::new(0),
-            next_session: AtomicU64::new(1),
             ops: OpCounters::default(),
         }
     }
@@ -1055,7 +1055,6 @@ impl Reactor {
                     {
                         continue;
                     }
-                    let id = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
                     self.shared
                         .sessions_accepted
                         .fetch_add(1, Ordering::Relaxed);
@@ -1065,7 +1064,6 @@ impl Reactor {
                         Conn {
                             stream,
                             session: Arc::new(SessionState {
-                                id,
                                 in_flight_bytes: AtomicUsize::new(0),
                             }),
                             inbox: FrameBuf::new(max_message),
@@ -1284,10 +1282,7 @@ impl Reactor {
                     "the simulated backend holds no key material".into(),
                 ));
             };
-            let compressed = kc.public_key().compress().ok_or((
-                code::UNSUPPORTED,
-                "the hosted public key was generated without a seed and cannot compress".into(),
-            ))?;
+            let compressed = kc.public_key().compress();
             let session = &self.conns[&tok].session;
             let charge = ChargeGuard::new(session, shared.config.max_session_bytes);
             charge.charge(compressed.byte_len())?;
@@ -1316,15 +1311,8 @@ impl Reactor {
             // ship the declared surface only — a bootstrapping engine
             // also holds internal transform keys, which stay
             // server-side
-            let (Some(mult), Some(rotations)) =
-                (kc.mult_key().compress(), kc.compressed_declared_keys())
-            else {
-                return Err((
-                    code::UNSUPPORTED,
-                    "the hosted evaluation keys were generated without seeds and cannot compress"
-                        .into(),
-                ));
-            };
+            let mult = kc.mult_key().compress();
+            let rotations = kc.compressed_declared_keys();
             let session = &self.conns[&tok].session;
             let charge = ChargeGuard::new(session, shared.config.max_session_bytes);
             charge.charge(mult.byte_len() + rotations.byte_len())?;
@@ -1554,7 +1542,6 @@ mod tests {
             kind: msg::SIMULATE,
             message: protocol::envelope(request_id, &write_frame(msg::SIMULATE, 0, &payload)),
             session: Arc::new(SessionState {
-                id: 1,
                 in_flight_bytes: AtomicUsize::new(0),
             }),
         }
@@ -1630,7 +1617,6 @@ mod tests {
     #[test]
     fn session_accounting_enforces_the_cap() {
         let s = SessionState {
-            id: 1,
             in_flight_bytes: AtomicUsize::new(0),
         };
         s.charge(600, 1000).unwrap();
@@ -1649,7 +1635,6 @@ mod tests {
     #[test]
     fn charge_guard_releases_on_drop() {
         let s = SessionState {
-            id: 1,
             in_flight_bytes: AtomicUsize::new(0),
         };
         {

@@ -181,7 +181,7 @@ fn key_distribution_ships_compressed_and_materializes_bit_identically() {
     // the compressed frame that traveled is at most 55% of the
     // in-memory key it materializes to
     use ark_fhe::ckks::wire as ckks_wire2;
-    let compressed = ckks_wire2::write_compressed_eval_key(&ctx, &mult.compress().unwrap());
+    let compressed = ckks_wire2::write_compressed_eval_key(&ctx, &mult.compress());
     assert!(
         compressed.len() * 100 <= mult.byte_len() * 55,
         "{} vs {}",

@@ -59,9 +59,9 @@ fn main() -> Result<(), ArkError> {
     // the uniform halves travel as one 64-bit seed each
     println!(
         "  seed-compressed: public {} KiB, mult {} KiB, rotations {} KiB",
-        kc.public_key().compress().expect("seeded").byte_len() >> 10,
-        kc.mult_key().compress().expect("seeded").byte_len() >> 10,
-        kc.rotation_keys().compress().expect("seeded").byte_len() >> 10,
+        kc.public_key().compress().byte_len() >> 10,
+        kc.mult_key().compress().byte_len() >> 10,
+        kc.rotation_keys().compress().byte_len() >> 10,
     );
 
     let x: Vec<C64> = (0..slots)

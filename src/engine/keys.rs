@@ -5,7 +5,6 @@
 use ark_ckks::keys::{CompressedRotationKeys, EvalKey, PublicKey, RotationKeys, SecretKey};
 use ark_ckks::params::CkksContext;
 use ark_math::automorphism::GaloisElement;
-use ark_math::poly::derive_seed;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
@@ -77,12 +76,6 @@ impl DeclaredKeys {
 /// one full [`EvalKey`]). Sized for a couple of concurrent BSGS
 /// passes: Min-KS needs 2 keys per pass, the baseline `O(√D)`.
 pub const DEFAULT_RUNTIME_KEY_CAPACITY: usize = 64;
-
-// Domain tags separating the key-seed masters' children. Galois
-// elements (the other tweak family) are odd and `< 2N ≤ 2^18`, so tags
-// at or above `1 << 32` cannot collide with them.
-const SEED_TAG_PUBLIC_KEY: u64 = 1 << 32;
-const SEED_TAG_MULT_KEY: u64 = (1 << 32) + 1;
 
 /// Bounded LRU of runtime-derived Galois keys, keyed by Galois
 /// element. Interior-mutable (and `Sync`) so evaluation-only shared
@@ -189,33 +182,16 @@ impl std::ops::Deref for ResolvedKey<'_> {
     }
 }
 
-/// Derives the seeded Galois key for `g` from the chain's master
-/// seeds — the same derivation whether it runs eagerly at build time
-/// or lazily on a runtime miss, hence bit-identical keys.
-fn derive_galois_key(
-    ctx: &CkksContext,
-    sk: &SecretKey,
-    a_master: u64,
-    noise_master: u64,
-    g: GaloisElement,
-) -> EvalKey {
-    ctx.gen_galois_key_seeded(
-        g,
-        sk,
-        derive_seed(a_master, g.0),
-        derive_seed(noise_master, g.0),
-    )
-}
-
 /// Every key a software session needs: the secret/public pair, the
 /// multiplication key, and rotation keys for all declared amounts,
 /// generated once at build time. Operations resolve keys internally —
 /// no call site threads key material.
 ///
 /// Key material follows the paper's *runtime data generation*: every
-/// uniform `A` half derives from a public per-key seed
-/// (`derive_seed(a_master, galois)`), so any Galois key can be
-/// re-derived bit-identically at any time. With
+/// key comes from `ark-ckks`'s one seed schedule over the chain's two
+/// masters (see [`ark_ckks::keys`]), so any Galois key can be
+/// re-derived bit-identically at any time
+/// ([`CkksContext::gen_galois_key_seeded`]). With
 /// [`super::EngineBuilder::runtime_keys`] the chain exploits that at runtime:
 /// a rotation miss derives the key on demand into a bounded LRU
 /// instead of failing, keyed by Galois element so BSGS passes reuse
@@ -240,8 +216,9 @@ impl KeyChain {
     /// Generates the full chain for a context. `keygen_rotations` may
     /// exceed the declared set (bootstrapping transform keys are
     /// generated but stay internal — they are not part of the declared,
-    /// user-visible rotation surface). All evaluation keys derive from
-    /// per-key seeds fanned out of the two masters, independent of
+    /// user-visible rotation surface). `rng` supplies `sk`, then
+    /// `a_master`, then `noise_master`; every key derives from the two
+    /// masters through `ark-ckks`'s seed schedule, independent of
     /// `rng`'s further stream position, so eagerly generated keys are
     /// bit-identical to their runtime-derived counterparts.
     pub(super) fn generate<R: rand::Rng>(
@@ -264,32 +241,15 @@ impl KeyChain {
         // `vendor/rand`.)
         let a_master = rng.gen::<u64>();
         let noise_master = rng.gen::<u64>();
-        let pk = ctx.gen_public_key_seeded(
+        let pk = ctx.gen_public_key_seeded(&sk, a_master, noise_master);
+        let evk_mult = ctx.gen_mult_key_seeded(&sk, a_master, noise_master);
+        let rotations = ctx.gen_rotation_keys_seeded(
+            keygen_rotations,
+            declared.conjugation,
             &sk,
-            derive_seed(a_master, SEED_TAG_PUBLIC_KEY),
-            derive_seed(noise_master, SEED_TAG_PUBLIC_KEY),
+            a_master,
+            noise_master,
         );
-        let evk_mult = ctx.gen_mult_key_seeded(
-            &sk,
-            derive_seed(a_master, SEED_TAG_MULT_KEY),
-            derive_seed(noise_master, SEED_TAG_MULT_KEY),
-        );
-        let n = ctx.params().n();
-        let slots = ctx.params().slots();
-        let mut rotations = RotationKeys::new();
-        for &r in keygen_rotations {
-            if GaloisElement::normalize_rotation(r, slots) == 0 {
-                continue; // identity rotations are keyless
-            }
-            let g = GaloisElement::from_rotation(r, n);
-            if rotations.get(g).is_none() {
-                rotations.insert(g, derive_galois_key(ctx, &sk, a_master, noise_master, g));
-            }
-        }
-        if declared.conjugation {
-            let g = GaloisElement::conjugation(n);
-            rotations.insert(g, derive_galois_key(ctx, &sk, a_master, noise_master, g));
-        }
         Self {
             sk,
             pk,
@@ -346,7 +306,7 @@ impl KeyChain {
             .as_ref()
             .expect("the front admitted an op whose key is neither declared nor derivable");
         ResolvedKey::Runtime(cache.get_or_derive(g, || {
-            derive_galois_key(ctx, &self.sk, self.a_master, self.noise_master, g)
+            ctx.gen_galois_key_seeded(g, &self.sk, self.a_master, self.noise_master)
         }))
     }
 
@@ -373,7 +333,8 @@ impl KeyChain {
     /// key downloads far beyond what the session asked for).
     /// Compresses straight off the eager material, so only the `B`
     /// halves are copied — the re-derivable `A` halves never are.
-    pub fn compressed_declared_keys(&self) -> Option<CompressedRotationKeys> {
+    /// Declared keys are generated eagerly, so every one is held.
+    pub fn compressed_declared_keys(&self) -> CompressedRotationKeys {
         let n = 2 * self.declared.slots.max(1); // slots = N/2
         let mut elements: Vec<u64> = self
             .declared

@@ -663,7 +663,7 @@ mod tests {
         // bootstrapping session has (internal transform keys)
         let kc = KeyChain::generate(&ctx, declared, &[1, 2, 4, 7], None, &mut rng);
         assert_eq!(kc.rotation_keys().len(), 5); // 4 rotations + conj
-        let shipped = kc.compressed_declared_keys().unwrap();
+        let shipped = kc.compressed_declared_keys();
         assert_eq!(shipped.len(), 2); // declared rotation + conj only
         let g1 = GaloisElement::from_rotation(1, ctx.params().n());
         let conj = GaloisElement::conjugation(ctx.params().n());
