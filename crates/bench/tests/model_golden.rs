@@ -109,23 +109,23 @@ fn paper_workloads_are_pinned() {
         (
             Workload::Helr,
             Pin {
-                nodes: 84693,
-                edges: 99183,
-                graph_fnv: 15423209707349412069,
-                cycles: 84464797,
+                nodes: 79563,
+                edges: 93903,
+                graph_fnv: 11672362107207270440,
+                cycles: 96322387,
                 busy: [
-                    Some(23447040),
-                    Some(11323080),
-                    Some(3007200),
-                    Some(26408400),
-                    Some(32811403),
-                    Some(16495950),
+                    Some(22410240),
+                    Some(11270490),
+                    Some(3575040),
+                    Some(23937600),
+                    Some(56614273),
+                    Some(16311540),
                 ],
-                hbm_evk_words: 3759144960,
+                hbm_evk_words: 6731857920,
                 hbm_plaintext_words: 279183360,
                 hbm_other_words: 0,
-                noc_words: 16094330880,
-                mod_mults: 296543846400,
+                noc_words: 15925248000,
+                mod_mults: 283721072640,
             },
         ),
         (

@@ -22,8 +22,19 @@
 //! would need is avoided by letting CoeffToSlot emit the coefficients in
 //! bit-reversed slot order and having SlotToCoeff consume that order;
 //! slot-wise EvalMod in between is order-agnostic.
+//!
+//! A *sparse* bootstrap transforms `n < N/2` slots whose message
+//! repeats with period `n` ([`crate::bootstrap`]). Its stages are the
+//! `n`-slot ones, tiled to the ciphertext's `N/2` slots: on
+//! `n`-periodic data a rotation only matters mod `n`. Between the
+//! transforms the real and imaginary halves share one ciphertext,
+//! `2n`-periodic: `real_imag_pack` masks CoeffToSlot's last stage so
+//! it emits `[w, −i·w]`, and `real_imag_unpack` folds the halves
+//! `x, y` back into `x + i·y` inside SlotToCoeff's last stage, whose
+//! butterflies ([`slot_to_coeff_stages`] over `2n` slots) keep the two
+//! halves apart until then.
 
-use crate::lintrans::LinearTransform;
+use crate::lintrans::{progression, LinearTransform};
 use ark_math::cfft::C64;
 use std::collections::BTreeMap;
 
@@ -101,6 +112,45 @@ impl SparseDiagonals {
             .collect();
         Self { n: self.n, diags }
     }
+
+    /// The same map on `slots`-long vectors that repeat with period
+    /// `n`: every diagonal is tiled, and every amount keeps its residue
+    /// mod `n` but is placed inside the progression window counted from
+    /// a start taken in `(−n/2, n/2]` — so the lifted map plans the same
+    /// stride, span and key-switches, and `±` amounts land on the same
+    /// keys whichever transform they come from. `slots = n` is the
+    /// same map.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `slots` is a multiple of `n`.
+    pub(crate) fn tiled(&self, slots: usize) -> Self {
+        assert!(
+            slots.is_multiple_of(self.n),
+            "{slots} slots do not tile {}",
+            self.n
+        );
+        let (stride, offset, _) = progression(self.n, &self.amounts());
+        let cycle = self.n / stride;
+        let start = if 2 * offset > cycle {
+            offset as i64 - cycle as i64
+        } else {
+            offset as i64
+        };
+        let diags = self
+            .diags
+            .iter()
+            .map(|(&d, v)| {
+                let w = (d / stride + cycle - offset) % cycle;
+                let amount = ((start + w as i64) * stride as i64).rem_euclid(slots as i64);
+                (
+                    amount as usize,
+                    v.iter().cycle().take(slots).copied().collect(),
+                )
+            })
+            .collect();
+        Self { n: slots, diags }
+    }
 }
 
 fn rot_group(n: usize) -> Vec<usize> {
@@ -148,10 +198,7 @@ pub fn coeff_to_slot_stages(n: usize) -> Vec<SparseDiagonals> {
         }
         stages.push(SparseDiagonals::new(
             n,
-            merge_diagonals(
-                n,
-                [(0usize, d0), (lenh % n, dplus), ((n - lenh) % n, dminus)],
-            ),
+            merge_diagonals([(0usize, d0), (lenh, dplus), (n - lenh, dminus)]),
         ));
         len >>= 1;
     }
@@ -160,20 +207,28 @@ pub fn coeff_to_slot_stages(n: usize) -> Vec<SparseDiagonals> {
     stages
 }
 
-/// SlotToCoeff stage maps, in application order. The product equals
-/// `U0 · P_br` — the forward special FFT consuming bit-reversed input.
-pub fn slot_to_coeff_stages(n: usize) -> Vec<SparseDiagonals> {
-    assert!(n.is_power_of_two() && n >= 2);
+/// SlotToCoeff stage maps of an `n`-slot transform over `slots`-long
+/// vectors, in application order: every aligned `n`-block is
+/// transformed on its own, its butterflies reading `±len/2` inside the
+/// block (`slots = n` is the plain transform). The product equals
+/// `U0 · P_br` per block — the forward special FFT consuming
+/// bit-reversed input.
+///
+/// # Panics
+///
+/// Panics unless `n ≥ 2` is a power of two dividing `slots`.
+pub fn slot_to_coeff_stages(n: usize, slots: usize) -> Vec<SparseDiagonals> {
+    assert!(n.is_power_of_two() && n >= 2 && slots.is_multiple_of(n));
     let rg = rot_group(n);
     let mut stages = Vec::new();
     let mut len = 2usize;
     while len <= n {
         let lenh = len >> 1;
         let lenq = len << 2;
-        let mut d0 = vec![C64::zero(); n];
-        let mut dplus = vec![C64::zero(); n];
-        let mut dminus = vec![C64::zero(); n];
-        for i in (0..n).step_by(len) {
+        let mut d0 = vec![C64::zero(); slots];
+        let mut dplus = vec![C64::zero(); slots];
+        let mut dminus = vec![C64::zero(); slots];
+        for i in (0..slots).step_by(len) {
             for j in 0..lenh {
                 let idx = (rg[j] % lenq) * (4 * n / lenq);
                 let w = ksi(n, idx);
@@ -186,21 +241,55 @@ pub fn slot_to_coeff_stages(n: usize) -> Vec<SparseDiagonals> {
             }
         }
         stages.push(SparseDiagonals::new(
-            n,
-            merge_diagonals(
-                n,
-                [(0usize, d0), (lenh % n, dplus), ((n - lenh) % n, dminus)],
-            ),
+            slots,
+            merge_diagonals([(0usize, d0), (lenh, dplus), (slots - lenh, dminus)]),
         ));
         len <<= 1;
     }
     stages
 }
 
-/// Merges diagonals additively: at the `len == n` stage the `+n/2` and
-/// `−n/2` rotation amounts coincide (their supports are disjoint halves),
-/// so a plain map insert would drop one of them.
-fn merge_diagonals(_n: usize, entries: [(usize, Vec<C64>); 3]) -> BTreeMap<usize, Vec<C64>> {
+/// CoeffToSlot's last-stage mask when the real and imaginary halves
+/// share one ciphertext (`2n ≤ slots`): `1` on the first `n` slots of
+/// every `2n`, `−i` on the second. Applied to an `n`-periodic `w` it
+/// gives `u = [w, −i·w]`, and `u + ū = [2·Re w, 2·Im w]`.
+pub(crate) fn real_imag_pack(n: usize, slots: usize) -> SparseDiagonals {
+    assert!(
+        slots.is_multiple_of(2 * n),
+        "{slots} slots hold no {n} pairs"
+    );
+    let mask = (0..slots)
+        .map(|k| match (k / n) % 2 {
+            0 => C64::new(1.0, 0.0),
+            _ => C64::new(0.0, -1.0),
+        })
+        .collect();
+    SparseDiagonals::new(slots, BTreeMap::from([(0, mask)]))
+}
+
+/// The fold back, on `2n` slots holding the halves `v = [x, y]`: every
+/// slot gets `x + i·y` of its class mod `n` — `v_k + i·v_{k+n}` on the
+/// first half, `i·v_k + v_{k+n}` on the second (rotations are cyclic on
+/// `2n`) — an `n`-periodic result from the amounts `{0, n}` alone.
+pub(crate) fn real_imag_unpack(n: usize) -> SparseDiagonals {
+    let one = C64::new(1.0, 0.0);
+    let i = C64::new(0.0, 1.0);
+    let half = |first: C64, second: C64| -> Vec<C64> {
+        (0..2 * n)
+            .map(|k| if k < n { first } else { second })
+            .collect()
+    };
+    SparseDiagonals::new(
+        2 * n,
+        BTreeMap::from([(0, half(one, i)), (n, half(i, one))]),
+    )
+}
+
+/// Merges diagonals additively: at the `len == n` stage of an `n`-slot
+/// transform the `+n/2` and `−n/2` rotation amounts coincide (their
+/// supports are disjoint halves), so a plain map insert would drop one
+/// of them.
+fn merge_diagonals(entries: [(usize, Vec<C64>); 3]) -> BTreeMap<usize, Vec<C64>> {
     let mut out: BTreeMap<usize, Vec<C64>> = BTreeMap::new();
     for (amount, diag) in entries {
         match out.entry(amount) {
@@ -284,7 +373,7 @@ mod tests {
     #[test]
     fn s2c_stages_equal_forward_special_fft_from_bit_reversed() {
         for n in [4usize, 16, 64] {
-            let stages = slot_to_coeff_stages(n);
+            let stages = slot_to_coeff_stages(n, n);
             let z = test_vec(n);
             // feed bit-reversed input; expect forward special FFT of z
             let got = apply_all(&stages, &bit_reverse_slots(&z));
@@ -300,7 +389,7 @@ mod tests {
         let n = 32;
         let z = test_vec(n);
         let after_c2s = apply_all(&coeff_to_slot_stages(n), &z);
-        let back = apply_all(&slot_to_coeff_stages(n), &after_c2s);
+        let back = apply_all(&slot_to_coeff_stages(n, n), &after_c2s);
         assert!(max_error(&z, &back) < 1e-9);
     }
 
@@ -324,7 +413,7 @@ mod tests {
     #[test]
     fn grouping_preserves_the_transform() {
         let n = 64; // 6 stages
-        let stages = slot_to_coeff_stages(n);
+        let stages = slot_to_coeff_stages(n, n);
         let z = test_vec(n);
         let want = apply_all(&stages, &z);
         for k in [2usize, 3, 6, 10] {
@@ -362,5 +451,53 @@ mod tests {
         let via_lt = lt.apply_clear(&z);
         let via_stages = apply_all(&stages, &z);
         assert!(max_error(&via_lt, &via_stages) < 1e-9);
+    }
+
+    fn tile(z: &[C64], slots: usize) -> Vec<C64> {
+        z.iter().cycle().take(slots).copied().collect()
+    }
+
+    #[test]
+    fn tiled_stages_act_per_period_with_the_same_plan() {
+        use crate::minks::KeyStrategy;
+        let (n, slots) = (16, 128);
+        let z = test_vec(n);
+        for k in [1usize, 2, 3] {
+            for group in group_stages(&coeff_to_slot_stages(n), k) {
+                let lifted = group.tiled(slots);
+                let want = tile(&group.apply_clear(&z), slots);
+                assert!(max_error(&lifted.apply_clear(&tile(&z, slots)), &want) < 1e-12);
+                let (a, b) = (
+                    group
+                        .to_linear_transform()
+                        .plan(KeyStrategy::HoistedMinimal),
+                    lifted
+                        .to_linear_transform()
+                        .plan(KeyStrategy::HoistedMinimal),
+                );
+                assert_eq!((a.stride, a.span), (b.stride, b.span), "radix 2^{k}");
+                assert_eq!(a.key_switches(), b.key_switches(), "radix 2^{k}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_halves_fold_back_through_slot_to_coeff() {
+        // CoeffToSlot's output w, packed as [w, −i·w] and conjugate-added
+        // to [2·Re w, 2·Im w], comes out of the 2n-slot SlotToCoeff
+        // with the fold as the n-slot SlotToCoeff of 2·w, tiled
+        let (n, slots) = (8, 64);
+        let w = test_vec(n);
+        let u = real_imag_pack(n, slots).apply_clear(&tile(&w, slots));
+        let v: Vec<C64> = u.iter().map(|&x| x + x.conj()).collect();
+        let mut stages = slot_to_coeff_stages(n, 2 * n);
+        let last = stages.pop().expect("log2 n stages");
+        stages.push(real_imag_unpack(n).compose(&last));
+        let got = stages
+            .iter()
+            .fold(v, |x, stage| stage.tiled(slots).apply_clear(&x));
+        let twice: Vec<C64> = w.iter().map(|&x| x.scale(2.0)).collect();
+        let want = tile(&apply_all(&slot_to_coeff_stages(n, n), &twice), slots);
+        assert!(max_error(&got, &want) < 1e-12);
     }
 }

@@ -106,6 +106,28 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
     a
 }
 
+/// The progression ascending rotation amounts on `Z_n` form, as
+/// `(stride s, window start k0, span)`: `s` is the gcd of `n` and every
+/// amount, and the window of `span` units on the cycle `Z_{n/s}` starts
+/// just after the units' largest cyclic gap. The gap that wraps past
+/// the cycle's end wins ties, so an index range that already starts at
+/// 0 keeps `k0 = 0`.
+pub(crate) fn progression(n: usize, amounts: &[usize]) -> (usize, usize, usize) {
+    let stride = amounts.iter().fold(n, |s, &d| gcd(s, d));
+    let cycle = n / stride;
+    let units: Vec<usize> = amounts.iter().map(|&d| d / stride).collect();
+    let (mut offset, mut gap) = match (units.first(), units.last()) {
+        (Some(&first), Some(&last)) => (first, first + cycle - last),
+        _ => (0, cycle),
+    };
+    for pair in units.windows(2) {
+        if pair[1] - pair[0] > gap {
+            (offset, gap) = (pair[1], pair[1] - pair[0]);
+        }
+    }
+    (stride, offset, cycle - gap + 1)
+}
+
 impl LinearTransform {
     /// Builds from an explicit diagonal map and plans the BSGS split
     /// over the indices' progression (stride, window, `g ≈ √span`; see
@@ -120,22 +142,8 @@ impl LinearTransform {
             assert!(d < n, "diagonal index {d} out of range");
             assert_eq!(v.len(), n, "diagonal {d} has wrong length");
         }
-        let stride = diagonals.keys().fold(n, |s, &d| gcd(s, d));
-        let cycle = n / stride;
-        let units: Vec<usize> = diagonals.keys().map(|&d| d / stride).collect();
-        // The window starts just after the largest cyclic gap. The gap
-        // that wraps past the cycle's end wins ties, so an index range
-        // that already starts at 0 keeps `k0 = 0`.
-        let (mut offset, mut gap) = match (units.first(), units.last()) {
-            (Some(&first), Some(&last)) => (first, first + cycle - last),
-            _ => (0, cycle),
-        };
-        for pair in units.windows(2) {
-            if pair[1] - pair[0] > gap {
-                (offset, gap) = (pair[1], pair[1] - pair[0]);
-            }
-        }
-        let span = cycle - gap + 1;
+        let amounts: Vec<usize> = diagonals.keys().copied().collect();
+        let (stride, offset, span) = progression(n, &amounts);
         let mut baby = 1usize;
         while baby * baby < span {
             baby <<= 1;

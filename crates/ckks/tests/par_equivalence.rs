@@ -170,8 +170,9 @@ proptest! {
         let f = fixtures();
         let m = to_c64(&m);
         let [a_s, a_p] = encrypt_pair(f, &m, 0, seed);
-        let raised_s = f.0.ctx.mod_raise(&a_s);
-        let raised_p = f.1.ctx.mod_raise(&a_p);
+        let top = f.0.ctx.params().max_level;
+        let raised_s = f.0.ctx.mod_raise(&a_s, top);
+        let raised_p = f.1.ctx.mod_raise(&a_p, top);
         prop_assert_eq!(raised_s, raised_p);
     }
 }

@@ -127,7 +127,9 @@ impl HelrScenario {
     /// derives for this scenario's setup (used to isolate the
     /// program's own op histogram in [`Scenario::check_trace`]).
     fn boot_trace_cfg(&self) -> BootstrapTraceConfig {
-        bootstrap_trace_config(&CkksParams::boot_test(), &BootstrapConfig::default())
+        let setup = self.setup();
+        let boot = setup.bootstrapping.expect("HELR bootstraps");
+        bootstrap_trace_config(&setup.params, &boot)
     }
 }
 
@@ -154,9 +156,15 @@ impl Scenario for HelrScenario {
             params: CkksParams::boot_test(),
             rotations: Vec::new(),
             conjugation: false,
-            // one bootstrap per iteration: the default sparse-secret
-            // EvalMod (degree 119) at radix-8 transforms, 15 levels
-            bootstrapping: Some(BootstrapConfig::default()),
+            // one bootstrap per iteration, of the FEATURES slots the
+            // tiled model holds: SubSum, radix-2^3 transforms of 16
+            // slots and one sparse-secret EvalMod (degree 119). ModRaise
+            // lands on level 18 instead of 20, and the output keeps the
+            // full-slot level 5
+            bootstrapping: Some(BootstrapConfig {
+                slots: Some(FEATURES),
+                ..BootstrapConfig::default()
+            }),
             // the paper's mechanism: every program rotation key is
             // derived on demand from the chain seed
             runtime_keys: true,

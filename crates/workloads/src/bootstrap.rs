@@ -1,4 +1,6 @@
-//! Full bootstrapping trace: ModRaise → H-IDFT → EvalMod → H-DFT.
+//! Full bootstrapping trace: ModRaise → (SubSum) → H-IDFT → EvalMod →
+//! H-DFT, with the SubSum projection and a single packed EvalMod when
+//! fewer than `N/2` slots are refreshed.
 //!
 //! Matches the paper's pipeline at ARK parameters: `L_boot = 15` levels
 //! consumed (3 per H-(I)DFT direction and ~9 by EvalMod), with the
@@ -58,6 +60,12 @@ impl BootstrapTraceConfig {
         (self.slots_log2 as usize).div_ceil(self.radix_log2 as usize)
     }
 
+    /// Whether the real and imaginary coefficient halves share one
+    /// ciphertext (`2n ≤ N/2`), so EvalMod runs once instead of twice.
+    fn packs_halves(&self, params: &CkksParams) -> bool {
+        self.slots_log2 + 2 <= params.log_n
+    }
+
     /// EvalMod depth for the level budget (affine + basis + recursion).
     pub fn evalmod_depth(&self) -> usize {
         let d = self.evalmod_degree;
@@ -84,9 +92,15 @@ impl BootstrapTraceConfig {
 /// Emits the EvalMod sub-trace at `start_level`, returning the level it
 /// ends at. Structure mirrors the BSGS Chebyshev evaluator of
 /// `ark-ckks`: baby/giant basis construction then recursive combines,
-/// doubled because the real and imaginary coefficient halves are reduced
-/// separately.
-fn evalmod_trace(t: &mut Trace, cfg: &BootstrapTraceConfig, start_level: usize) -> usize {
+/// once per ciphertext the split leaves — two when the real and
+/// imaginary coefficient halves are reduced separately, one when they
+/// are packed together.
+fn evalmod_trace(
+    t: &mut Trace,
+    cfg: &BootstrapTraceConfig,
+    start_level: usize,
+    halves: usize,
+) -> usize {
     let d = cfg.evalmod_degree;
     let mut m = 1usize;
     while m * m < d + 1 {
@@ -96,11 +110,13 @@ fn evalmod_trace(t: &mut Trace, cfg: &BootstrapTraceConfig, start_level: usize) 
     // conjugation + split (both halves share it)
     t.push(HeOp::HConj { level });
     t.push(HeOp::HAdd { level });
-    t.push(HeOp::CMult { level }); // ×(−i) monomial for the imaginary half
-    t.push(HeOp::HAdd { level });
+    if halves == 2 {
+        t.push(HeOp::CMult { level }); // ×(−i) monomial for the imaginary half
+        t.push(HeOp::HAdd { level });
+    }
 
     // affine map to [−1, 1] (shared basis, evaluated once per half)
-    for _half in 0..2 {
+    for _half in 0..halves {
         let mut l = level;
         t.push(HeOp::CMult { level: l });
         t.push(HeOp::HRescale { level: l });
@@ -139,13 +155,18 @@ fn evalmod_trace(t: &mut Trace, cfg: &BootstrapTraceConfig, start_level: usize) 
         }
     }
     level = start_level - cfg.evalmod_depth();
-    // recombine halves
-    t.push(HeOp::CMult { level });
-    t.push(HeOp::HAdd { level });
+    if halves == 2 {
+        // recombine halves
+        t.push(HeOp::CMult { level });
+        t.push(HeOp::HAdd { level });
+    }
     level
 }
 
-/// Emits the full bootstrapping trace for a parameter set.
+/// Emits the full bootstrapping trace for a parameter set. A sparse
+/// bootstrap (`n < N/2`) first sums `log2(N/2n)` rotations by `n·2^i`
+/// at the top (SubSum) and, as `2n ≤ N/2` packs both coefficient
+/// halves into one ciphertext, runs EvalMod once.
 pub fn bootstrap_trace(params: &CkksParams, cfg: &BootstrapTraceConfig) -> Trace {
     let mut t = Trace::new(format!("bootstrap-n{}", 1u64 << cfg.slots_log2));
     t.push(HeOp::ModRaise);
@@ -154,6 +175,16 @@ pub fn bootstrap_trace(params: &CkksParams, cfg: &BootstrapTraceConfig) -> Trace
         Some(spare) => (cfg.levels_consumed() + spare).min(params.max_level),
         None => params.max_level,
     };
+    // SubSum: rotate-and-add rounds, no level spent
+    for i in cfg.slots_log2..params.log_n - 1 {
+        let amount = 1i64 << i;
+        t.push(HeOp::HRot {
+            level: top,
+            amount,
+            key: KeyId::Rot(amount),
+        });
+        t.push(HeOp::HAdd { level: top });
+    }
     // H-IDFT at the top of the (possibly truncated) chain
     let hidft = hdft_trace(&HdftConfig {
         slots_log2: cfg.slots_log2,
@@ -167,7 +198,8 @@ pub fn bootstrap_trace(params: &CkksParams, cfg: &BootstrapTraceConfig) -> Trace
     });
     t.extend(&hidft);
     // EvalMod
-    let after_evalmod = evalmod_trace(&mut t, cfg, top - iters);
+    let halves = if cfg.packs_halves(params) { 1 } else { 2 };
+    let after_evalmod = evalmod_trace(&mut t, cfg, top - iters, halves);
     // H-DFT at the bottom
     let hdft = hdft_trace(&HdftConfig {
         slots_log2: cfg.slots_log2,
@@ -258,8 +290,38 @@ mod tests {
             &params,
             &BootstrapTraceConfig::sparse(8, KeyStrategy::MinKs),
         );
-        assert!(sparse.summary().hrot < full.summary().hrot / 2);
+        // SubSum's seven rotations are the price of 2^8 slots
+        assert!(sparse.summary().hrot < full.summary().hrot * 3 / 5);
         assert!(sparse.summary().pmult < full.summary().pmult / 2);
+    }
+
+    #[test]
+    fn sparse_bootstrap_sub_sums_and_packs_one_evalmod() {
+        let params = CkksParams::ark();
+        let full = BootstrapTraceConfig::full(&params, KeyStrategy::MinKs);
+        let half = BootstrapTraceConfig {
+            slots_log2: params.log_n - 2,
+            ..full
+        };
+        let t = bootstrap_trace(&params, &half);
+        // N/4 slots: one SubSum round, right after ModRaise at the top
+        let top = params.max_level;
+        let amount = 1 << (params.log_n - 2);
+        assert_eq!(
+            t.ops()[1..3],
+            [
+                HeOp::HRot {
+                    level: top,
+                    amount,
+                    key: KeyId::Rot(amount),
+                },
+                HeOp::HAdd { level: top },
+            ]
+        );
+        let (f, h) = (bootstrap_trace(&params, &full).summary(), t.summary());
+        // every HMult is EvalMod's, and it now runs once
+        assert_eq!(2 * h.hmult, f.hmult);
+        assert_eq!(h.hconj, 1);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //!
 //! Part 1 prints the software bootstrapper's H-(I)DFT plan — per stage:
 //! level, stride, window span, baby / giant key-switches, keys — next to
-//! the measured wall time of every pipeline step, and **exits non-zero**
-//! if one bootstrap spends more rotation key-switches than the cycle
-//! model's description of the same bootstrap counts `HRot`s.
+//! the measured wall time of every pipeline step, for the default
+//! full-slot configuration and for the HELR scenario's sparse one, and
+//! **exits non-zero** if either bootstrap spends more rotation
+//! key-switches than the cycle model's description of the same
+//! bootstrap counts `HRot`s.
 //!
 //! Part 2 runs one encrypted HELR training iteration: the model
 //! ciphertext runs a full forward pass (hoisted-BSGS inner products), a
@@ -19,6 +21,7 @@
 //! ```
 
 use ark_fhe::ckks::bootstrap::{BootstrapConfig, BootstrapStep, Bootstrapper};
+use ark_fhe::ckks::encoding::max_error;
 use ark_fhe::ckks::params::{CkksContext, CkksParams};
 use ark_fhe::engine::bootstrap_trace_config;
 use ark_fhe::error::ArkError;
@@ -28,11 +31,10 @@ use ark_fhe::workloads::bootstrap::bootstrap_trace;
 use ark_scenarios::{run_local, run_remote, run_trace, HelrScenario, Scenario};
 use rand::SeedableRng;
 
-/// One bootstrap at the HELR scenario's parameters (`boot-test`, default
-/// [`BootstrapConfig`], one thread): the plan beside the measured steps.
-fn stage_breakdown() -> Result<(), ArkError> {
+/// One bootstrap under `config` at the HELR scenario's parameters
+/// (`boot-test`, one thread): the plan beside the measured steps.
+fn stage_breakdown(config: BootstrapConfig) -> Result<(), ArkError> {
     let params = CkksParams::boot_test();
-    let config = BootstrapConfig::default();
     let ctx = CkksContext::with_pool(params.clone(), ThreadPool::serial());
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let sk = ctx.gen_secret_key(&mut rng);
@@ -46,16 +48,19 @@ fn stage_breakdown() -> Result<(), ArkError> {
 
     // the first pass warms arenas, converters and permutation tables
     let mut steps = Vec::new();
+    let mut refreshed = ct.clone();
     for _ in 0..2 {
         steps.clear();
-        boot.bootstrap_observed(&ctx, &ct, &evk, &keys, |step, level, elapsed| {
+        refreshed = boot.bootstrap_observed(&ctx, &ct, &evk, &keys, |step, level, elapsed| {
             steps.push((step, level, elapsed));
         })?;
     }
+    let err = max_error(&message, &ctx.decrypt_decode(&refreshed, &sk));
+    let slots = config.slots.unwrap_or(params.slots());
 
     let plans = boot.stage_plans();
     println!(
-        "bootstrap plan ({}, radix 2^{}, {:?}), one thread:",
+        "bootstrap plan ({}, {slots} slots, radix 2^{}, {:?}), one thread:",
         params.name, config.radix_log2, config.strategy
     );
     println!(
@@ -79,11 +84,17 @@ fn stage_breakdown() -> Result<(), ArkError> {
                 p.bsgs.key_switches(),
                 p.bsgs.keys
             ),
-            None if step == BootstrapStep::ClosingRotation => {
-                let key: Vec<i64> = boot.closing_rotation().into_iter().collect();
-                format!("{:>37} {:>4}  {key:?}", "", 1)
+            None => {
+                let key: Vec<i64> = match step {
+                    BootstrapStep::SubSum(i) => vec![(slots << i) as i64],
+                    BootstrapStep::ClosingRotation => boot.closing_rotation().into_iter().collect(),
+                    _ => Vec::new(),
+                };
+                match key.is_empty() {
+                    true => String::new(),
+                    false => format!("{:>37} {:>4}  {key:?}", "", 1),
+                }
             }
-            None => String::new(),
         };
         println!("  {name:<18} {plan:<58} {out_level:>4} {ms:>9.2}");
     }
@@ -92,8 +103,8 @@ fn stage_breakdown() -> Result<(), ArkError> {
         .summary()
         .hrot;
     println!(
-        "  total {total_ms:.1} ms; {spent} rotation key-switches on {} rotation keys \
-         (the cycle model's trace of this bootstrap counts {model} HRots)",
+        "  total {total_ms:.1} ms, max |err| {err:.2e}; {spent} rotation key-switches on {} \
+         rotation keys (the cycle model's trace of this bootstrap counts {model} HRots)",
         boot.required_rotations().len()
     );
     if spent > model {
@@ -106,9 +117,14 @@ fn stage_breakdown() -> Result<(), ArkError> {
 }
 
 fn main() -> Result<(), ArkError> {
-    stage_breakdown()?;
-
     let scenario = HelrScenario::default();
+    let helr = scenario
+        .setup()
+        .bootstrapping
+        .expect("the HELR iteration bootstraps");
+    stage_breakdown(BootstrapConfig::default())?;
+    stage_breakdown(helr)?;
+
     println!("scenario: {}", scenario.name());
 
     // software backend: full iteration + bootstrap, checked against the

@@ -18,13 +18,23 @@ use rand::SeedableRng;
 /// [`EngineBuilder::build`] performs, exposed so key-free consumers
 /// (static verification, the `ark-verify` CLI) can model bootstrap
 /// level consumption without constructing an engine.
+///
+/// The slot count changes what a bootstrap costs, never the level it
+/// returns: `spare_levels` is the full-slot pipeline's output level,
+/// so a sparse bootstrap mod-raises only as far as it consumes, and a
+/// full-slot one is traced exactly as on the untruncated chain.
 pub fn bootstrap_trace_config(params: &CkksParams, cfg: &BootstrapConfig) -> BootstrapTraceConfig {
-    BootstrapTraceConfig {
+    let full = BootstrapTraceConfig {
         slots_log2: params.log_n - 1,
         radix_log2: cfg.radix_log2.max(1) as u32,
         strategy: cfg.strategy,
         evalmod_degree: cfg.evalmod.degree,
         spare_levels: None,
+    };
+    BootstrapTraceConfig {
+        slots_log2: cfg.slots.map_or(full.slots_log2, |n| n.trailing_zeros()),
+        spare_levels: Some(params.max_level.saturating_sub(full.levels_consumed())),
+        ..full
     }
 }
 
@@ -155,7 +165,8 @@ impl EngineBuilder {
     /// [`ArkError::InvalidParams`] if no parameter set was given or the
     /// set is internally inconsistent (`dnum` must divide `L+1`, chain
     /// primes must be 3 to 61 bits wide, a bootstrap configuration must
-    /// fit the chain), or if a [`Backend::Simulated`] configuration
+    /// fit the chain and refresh a power-of-two slot count in
+    /// `[2, N/2]`), or if a [`Backend::Simulated`] configuration
     /// fails [`ArkConfig::validate`](crate::arch::ArkConfig::validate).
     pub fn build(self) -> ArkResult<Engine> {
         let params = self.params.ok_or(ArkError::InvalidParams {

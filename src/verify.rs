@@ -123,13 +123,14 @@ impl VerifyContext {
     /// A key-free session shape. This is the validation
     /// [`crate::engine::EngineBuilder::build`] runs (dnum must divide
     /// `L+1`; chain primes must be 3 to 61 bits wide; a bootstrap
-    /// configuration must fit the chain), so a context that constructs
-    /// here describes an engine that would build.
+    /// configuration must fit the chain and refresh a power-of-two slot
+    /// count in `[2, N/2]`), so a context that constructs here
+    /// describes an engine that would build.
     ///
     /// # Errors
     ///
     /// [`ArkError::InvalidParams`] on an inconsistent parameter set or
-    /// an over-deep bootstrap configuration.
+    /// an over-deep or ill-sized bootstrap configuration.
     pub fn new(
         params: CkksParams,
         rotations: &[i64],
@@ -160,13 +161,29 @@ impl VerifyContext {
             conjugation || bootstrapping.is_some(),
             params.slots(),
         );
+        let full_slots = params.slots();
+        if let Some(n) = bootstrapping.and_then(|cfg| cfg.slots) {
+            if !n.is_power_of_two() || !(2..=full_slots).contains(&n) {
+                return Err(ArkError::InvalidParams {
+                    reason: format!(
+                        "bootstrap slot count {n} must be a power of two in [2, {full_slots}]"
+                    ),
+                });
+            }
+        }
         let trace_cfg = bootstrapping.map(|cfg| bootstrap_trace_config(&params, cfg));
         if let Some(cfg) = &trace_cfg {
-            if cfg.levels_consumed() > params.max_level {
+            // the full-slot pipeline fixes the level every bootstrap
+            // returns, so it must fit whatever the slot count
+            let full = BootstrapTraceConfig {
+                slots_log2: full_slots.trailing_zeros(),
+                ..*cfg
+            };
+            if full.levels_consumed() > params.max_level {
                 return Err(ArkError::InvalidParams {
                     reason: format!(
                         "bootstrapping consumes {} levels but the chain has only {}",
-                        cfg.levels_consumed(),
+                        full.levels_consumed(),
                         params.max_level
                     ),
                 });

@@ -77,36 +77,52 @@ fn minks_preserves_messages_and_cuts_traffic() {
 /// Claim 1, the other direction: the software bootstrapper and the
 /// cycle model describe the *same* H-(I)DFT. At `boot-test`, radix 2^3
 /// and the `(k1, k2) = (2, 2)` split the engine's analytic trace uses,
-/// every full stage's plan equals `hdft_trace`'s stage — key-switches
-/// per key, keys per pass — the collapsed edge stage never exceeds it,
-/// and one bootstrap never spends more rotations than the model counts.
+/// no stage's plan spends more key-switches than `hdft_trace`'s stage at
+/// its level; at full slots every full stage's plan equals the model's
+/// — key-switches per key, keys per pass — and the collapsed edge stage
+/// never exceeds it. For the full-slot session and for HELR's 16-slot
+/// one, a bootstrap never spends more rotations than the model counts,
+/// SubSum's rounds included.
 #[test]
 fn software_bootstrap_plan_matches_the_hdft_model() {
     use ark_fhe::ckks::minks::keys_per_bsgs_pass;
     use ark_fhe::engine::bootstrap_trace_config;
     use ark_fhe::workloads::trace::HeOp;
+    use ark_scenarios::{HelrScenario, Scenario};
     use std::collections::BTreeMap;
 
     let params = CkksParams::boot_test();
     let ctx = CkksContext::new(params.clone());
-    // (strategy, model HRots per bootstrap, software key-switches)
-    for (strategy, model_total, software_total) in [
-        (KeyStrategy::MinKs, 36, 32 + 1),
-        (KeyStrategy::HoistedMinimal, 42, 32 + 4),
-        (KeyStrategy::Baseline, 36, 32 + 4),
+    let helr = HelrScenario::default()
+        .setup()
+        .bootstrapping
+        .expect("the HELR iteration bootstraps");
+    assert_eq!(helr.radix_log2, 3);
+    // (slots, strategy, model HRots per bootstrap, software key-switches)
+    for (slots, strategy, model_total, software_total) in [
+        (None, KeyStrategy::MinKs, 36, 32 + 1),
+        (None, KeyStrategy::HoistedMinimal, 42, 32 + 4),
+        (None, KeyStrategy::Baseline, 36, 32 + 4),
+        // SubSum's five rounds, then two stages per direction
+        (helr.slots, KeyStrategy::MinKs, 5 + 16, 5 + 14 + 1),
+        (helr.slots, KeyStrategy::HoistedMinimal, 5 + 20, 5 + 14 + 2),
+        (helr.slots, KeyStrategy::Baseline, 5 + 16, 5 + 15),
     ] {
         let config = BootstrapConfig {
-            radix_log2: 3,
             strategy,
-            ..BootstrapConfig::default()
+            slots,
+            ..helr.clone()
         };
+        let n = slots.unwrap_or(params.slots());
         let boot = Bootstrapper::new(&ctx, config.clone());
         let stages = boot.stage_plans();
-        assert_eq!(stages.len(), 6);
+        let per_direction = (n.trailing_zeros() as usize).div_ceil(3);
+        assert_eq!(stages.len(), 2 * per_direction);
 
-        for (direction, inverse) in [(&stages[..3], true), (&stages[3..], false)] {
+        let (c2s, s2c) = stages.split_at(per_direction);
+        for (direction, inverse) in [(c2s, true), (s2c, false)] {
             let model = hdft_trace(&HdftConfig {
-                slots_log2: params.log_n - 1,
+                slots_log2: n.trailing_zeros(),
                 radix_log2: 3,
                 k1: 2,
                 k2: 2,
@@ -127,12 +143,22 @@ fn software_bootstrap_plan_matches_the_hdft_model() {
                 }
                 let model_switches: usize = model_per_key.values().sum();
                 let plan = &stage.bsgs;
+                // Baseline folds the window offset into one more baby
+                // amount: the pre-rotation Fig. 1(a) counts and the
+                // trace omits
+                let slack = usize::from(strategy == KeyStrategy::Baseline);
+                assert!(
+                    plan.key_switches() <= model_switches + slack,
+                    "{n} slots, {strategy:?} {:?}",
+                    stage.step
+                );
+                if n != params.slots() {
+                    continue;
+                }
                 let full = stage.diagonals == 15;
                 assert!(full || stage.diagonals == 8, "{:?}", stage.step);
                 if strategy == KeyStrategy::Baseline {
-                    // one key per amount on both sides; the software
-                    // folds the window offset into a fourth baby amount,
-                    // the pre-rotation Fig. 1(a) counts and the trace omits
+                    // one key per amount on both sides
                     assert_eq!(plan.keys.len(), plan.key_switches());
                     assert_eq!(model_per_key.len(), model_switches);
                     let fig1 = keys_per_bsgs_pass(strategy, 4, 4);
@@ -155,7 +181,6 @@ fn software_bootstrap_plan_matches_the_hdft_model() {
                     // stride 64: ±k·64 mod 512 leaves 8 diagonals, a
                     // window that starts at zero under every strategy
                     assert_eq!((plan.stride, plan.span, plan.pre_rotations), (64, 8, 0));
-                    assert!(plan.key_switches() <= model_switches);
                     assert!(plan.keys.len() <= keys_per_bsgs_pass(strategy, 4, 4));
                 }
                 // (2^k1 − 1) + (2^k2 − 1), +1 only where [42] pre-rotates
@@ -166,16 +191,34 @@ fn software_bootstrap_plan_matches_the_hdft_model() {
 
         // per bootstrap, against the trace the engine records for it
         let recorded = bootstrap_trace(&params, &bootstrap_trace_config(&params, &config));
-        assert_eq!(recorded.summary().hrot, model_total, "{strategy:?}");
-        assert_eq!(boot.rotation_key_switches(), software_total, "{strategy:?}");
+        assert_eq!(
+            recorded.summary().hrot,
+            model_total,
+            "{n} slots, {strategy:?}"
+        );
+        assert_eq!(
+            boot.rotation_key_switches(),
+            software_total,
+            "{n} slots, {strategy:?}"
+        );
         assert!(software_total <= model_total);
-        if strategy == KeyStrategy::MinKs {
-            // two keys per pass, shared by the two directions, plus the
-            // one closing key: {1,4}, {8,32}, {64,256} and −126
-            assert_eq!(boot.closing_rotation(), Some(512 - 126));
-            assert_eq!(boot.required_rotations().len(), 6 + 1);
-        } else {
-            assert_eq!(boot.closing_rotation(), None);
+        match (strategy, slots) {
+            (KeyStrategy::MinKs, None) => {
+                // two keys per pass, shared by the two directions, plus
+                // the one closing key: {1,4}, {8,32}, {64,256} and −126
+                assert_eq!(boot.closing_rotation(), Some(512 - 126));
+                assert_eq!(boot.required_rotations().len(), 6 + 1);
+            }
+            (KeyStrategy::MinKs, Some(_)) => {
+                // SubSum's {16, …, 256}, the passes' {2,8}, {1,2}, {1,4},
+                // {8,16}, and a closing rotation that reuses a giant's key
+                assert_eq!(boot.closing_rotation(), Some(8));
+                assert_eq!(
+                    boot.required_rotations(),
+                    [1, 2, 4, 8, 16, 32, 64, 128, 256]
+                );
+            }
+            _ => assert_eq!(boot.closing_rotation(), None),
         }
     }
 }

@@ -254,6 +254,30 @@ fn simulated_backend_with_a_nonsense_config_is_invalid_params() {
 }
 
 #[test]
+fn bootstrap_slot_count_off_the_powers_of_two_up_to_half_n_is_invalid_params() {
+    use ark_fhe::ckks::bootstrap::BootstrapConfig;
+    let params = CkksParams::boot_test();
+    let n = params.n();
+    for slots in [3, 1, n] {
+        for backend in both_backends() {
+            let err = Engine::builder()
+                .params(params.clone())
+                .backend(backend)
+                .bootstrapping(BootstrapConfig {
+                    slots: Some(slots),
+                    ..BootstrapConfig::default()
+                })
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(&err, ArkError::InvalidParams { reason } if reason.contains("slot count")),
+                "{slots} slots: {err:?}"
+            );
+        }
+    }
+}
+
+#[test]
 fn bootstrap_without_config_is_key_chain_missing() {
     for backend in both_backends() {
         let mut engine = tiny_engine(backend);

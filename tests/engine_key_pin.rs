@@ -1,16 +1,21 @@
-//! Golden pin of the engine's key bits: the seed-compressed public,
-//! multiplication and rotation-key frames a seeded session generates
-//! are pinned by length and FNV-1a. Key generation refactors must not
-//! move a single bit — clients that fetched keys from a server expect
-//! the same-seed local session to hold the very same keys, and
-//! runtime-derived keys must stay bit-identical to eager ones.
+//! Golden pins of the engine's bits: the seed-compressed public,
+//! multiplication and rotation-key frames a seeded session generates,
+//! and the ciphertext a full-slot bootstrap returns, are pinned by
+//! length and FNV-1a. Key generation refactors must not move a single
+//! bit — clients that fetched keys from a server expect the same-seed
+//! local session to hold the very same keys, and runtime-derived keys
+//! must stay bit-identical to eager ones. Bootstrap refactors must not
+//! move the full-slot pipeline's output either.
 
 use ark_fhe::ckks::bootstrap::BootstrapConfig;
+use ark_fhe::ckks::minks::KeyStrategy;
 use ark_fhe::ckks::params::CkksParams;
 use ark_fhe::ckks::wire::{
-    write_compressed_eval_key, write_compressed_public_key, write_compressed_rotation_keys,
+    encode_ciphertext, write_compressed_eval_key, write_compressed_public_key,
+    write_compressed_rotation_keys,
 };
-use ark_fhe::engine::{Engine, EngineBuilder};
+use ark_fhe::engine::{Engine, EngineBuilder, HeEvaluator};
+use ark_fhe::math::cfft::C64;
 
 /// FNV-1a, implemented independently so the pin does not depend on
 /// library internals.
@@ -52,6 +57,61 @@ fn bootstrapping_session() -> EngineBuilder {
         .bootstrapping(BootstrapConfig::default())
 }
 
+/// `(len, fnv1a)` of the wire bytes of the ciphertext one full-slot
+/// bootstrap returns at `boot_test` under `strategy`, one thread.
+fn refreshed_frame(strategy: KeyStrategy) -> (usize, u64) {
+    let mut engine = Engine::builder()
+        .params(CkksParams::boot_test())
+        .seed(7)
+        .threads(1)
+        .bootstrapping(BootstrapConfig {
+            strategy,
+            ..BootstrapConfig::default()
+        })
+        .build()
+        .expect("engine builds");
+    let values: Vec<C64> = (0..engine.params().slots())
+        .map(|i| C64::new(0.3 * ((i % 16) as f64 / 16.0 - 0.5), 0.02 * (i % 5) as f64))
+        .collect();
+    let ct = engine.encrypt(&values, 0).expect("level 0 is on the chain");
+    let refreshed = engine
+        .evaluator()
+        .expect("software backend")
+        .bootstrap(&ct)
+        .expect("bootstrapping session");
+    let mut bytes = Vec::new();
+    encode_ciphertext(&mut bytes, &refreshed);
+    (bytes.len(), fnv1a(&bytes))
+}
+
+const STRATEGIES: [KeyStrategy; 3] = [
+    KeyStrategy::Baseline,
+    KeyStrategy::HoistedMinimal,
+    KeyStrategy::MinKs,
+];
+
+/// One test per strategy, so the three bootstraps run in parallel.
+fn assert_refreshed_pinned(strategy: KeyStrategy) {
+    let at = STRATEGIES.iter().position(|&s| s == strategy);
+    let golden = GOLDEN_REFRESHED[at.expect("a pinned strategy")];
+    assert_eq!(refreshed_frame(strategy), golden, "{strategy:?}");
+}
+
+#[test]
+fn full_slot_bootstrap_output_is_pinned_baseline() {
+    assert_refreshed_pinned(KeyStrategy::Baseline);
+}
+
+#[test]
+fn full_slot_bootstrap_output_is_pinned_hoisted_minimal() {
+    assert_refreshed_pinned(KeyStrategy::HoistedMinimal);
+}
+
+#[test]
+fn full_slot_bootstrap_output_is_pinned_minks() {
+    assert_refreshed_pinned(KeyStrategy::MinKs);
+}
+
 #[test]
 fn declared_session_keys_are_pinned() {
     assert_eq!(key_frames(declared_session()), GOLDEN_DECLARED);
@@ -76,15 +136,29 @@ const GOLDEN_BOOTSTRAPPING: [(usize, u64); 3] = [
     (688_527, 0x8fd5_2ffc_78e1_5731),
     (5_508_058, 0x72c9_a2e9_9d34_bd5c),
 ];
+// Recorded before bootstrapping learned sparse slot counts, in
+// `STRATEGIES` order: the default (full-slot) configuration must keep
+// computing today's pipeline bit for bit.
+const GOLDEN_REFRESHED: [(usize, u64); 3] = [
+    (98_378, 0x39fe_e65c_7643_cb0e),
+    (98_378, 0x2a36_8dbe_b980_166c),
+    (98_378, 0x0463_c98e_8b1f_5f15),
+];
 
 #[test]
 #[ignore = "utility: prints current golden values for re-pinning"]
 fn print_golden_values() {
+    let fmt = |(len, h): (usize, u64)| format!("({len}, {h:#018x})");
     for (name, builder) in [
         ("GOLDEN_DECLARED", declared_session()),
         ("GOLDEN_BOOTSTRAPPING", bootstrapping_session()),
     ] {
-        let frames = key_frames(builder).map(|(len, h)| format!("({len}, {h:#018x})"));
+        let frames = key_frames(builder).map(fmt);
         println!("const {name}: [(usize, u64); 3] = [{}];", frames.join(", "));
     }
+    let refreshed = STRATEGIES.map(refreshed_frame).map(fmt);
+    println!(
+        "const GOLDEN_REFRESHED: [(usize, u64); 3] = [{}];",
+        refreshed.join(", ")
+    );
 }
