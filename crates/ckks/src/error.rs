@@ -79,8 +79,8 @@ pub enum ArkError {
         /// Human-readable reason.
         reason: String,
     },
-    /// The server load-shed the request: every shard queue (or the
-    /// connection's pipeline window) was full. Transient by design —
+    /// The server load-shed the request: its job queue was full.
+    /// Transient by design —
     /// retry after the hinted delay instead of treating it as failure.
     Busy {
         /// Server-suggested backoff before retrying, in milliseconds.

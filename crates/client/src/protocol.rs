@@ -95,9 +95,8 @@ pub mod msg {
     /// Server-counter response (server → client): a wire-encoded
     /// name → value map.
     pub const STATS: u16 = 0x1E;
-    /// Typed load-shed response (server → client): every shard queue
-    /// was full; the payload hints how long to back off before
-    /// retrying.
+    /// Typed load-shed response (server → client): the job queue was
+    /// full; the payload hints how long to back off before retrying.
     pub const BUSY: u16 = 0x1F;
 }
 

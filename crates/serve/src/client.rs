@@ -334,8 +334,9 @@ impl Client {
     }
 
     /// Fetches the server's observability counters (accepted/active
-    /// sessions, per-shard queue depths and executed/stolen/shed jobs,
-    /// runtime-key-cache hits) as name → value pairs.
+    /// sessions, the job queue's high-water mark, executed jobs per
+    /// worker and shed jobs, runtime-key-cache hits, executed ops by
+    /// kind) as name → value pairs.
     pub fn stats(&mut self) -> ArkResult<Vec<(String, u64)>> {
         let ticket = self.core.submit_get_stats()?;
         self.flush_egress()?;

@@ -13,8 +13,8 @@
 //!   message enveloped with a request id so one connection can
 //!   pipeline. Its sans-I/O codecs are `ark_client::protocol`;
 //! - [`server::Server`] — an event-driven serving fabric: one
-//!   `ark-net` reactor thread owns every connection, N shard workers
-//!   (work-stealing, bounded queues, typed `BUSY` load-shedding)
+//!   `ark-net` reactor thread owns every connection, N workers pop one
+//!   bounded job queue (typed `BUSY` load-shedding when it is full) and
 //!   evaluate over one shared key chain per parameter set;
 //! - [`client::Client`] — a blocking client: encrypt locally, evaluate
 //!   remotely (serially or pipelined via tickets), decrypt locally.

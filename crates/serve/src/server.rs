@@ -1,6 +1,6 @@
 //! The serving runtime: one process hosting engines for several
 //! parameter sets, multiplexing client sessions through a readiness
-//! reactor onto sharded worker queues.
+//! reactor onto one pool of workers.
 //!
 //! # Architecture
 //!
@@ -14,31 +14,30 @@
 //!   ├─ control frames (HELLO, key fetches, STATS, SHUTDOWN):
 //!   │  answered inline — they are cheap and touch reactor state
 //!   │
-//!   └─ EVALUATE / SIMULATE: admitted to the shallowest shard queue
-//!        │  (bounded; admission control sheds with a typed BUSY
-//!        │  when every queue is full)
+//!   └─ EVALUATE / SIMULATE: pushed onto the one job queue
+//!        │  (bounded at shards × queue_capacity; admission control
+//!        │  sheds with a typed BUSY when it is full)
 //!        ▼
-//!      N shard workers: each pops its own queue first, then steals
-//!      the oldest job from the deepest sibling — verify and decode,
-//!      account the session budget, evaluate on a shared evaluator
-//!      over the ONE resident KeyChain, and push the response frame
-//!      onto the completion queue, waking the reactor to route it back
+//!      N workers pop it oldest first — verify and decode, account
+//!      the session budget, evaluate on a shared evaluator over the
+//!      ONE resident KeyChain, and push the response frame onto the
+//!      completion queue, waking the reactor to route it back
 //! ```
 //!
 //! The reactor hashes no job payload: it routes an `EVALUATE` /
-//! `SIMULATE` on the frame *header* and hands the assembled message to
-//! the shard, whose worker verifies the request's checksum and those of
+//! `SIMULATE` on the frame *header* and queues the assembled message;
+//! the worker that pops it verifies the request's checksum and those of
 //! the ciphertext frames nested in it in one pass
 //! ([`ark_math::wire::read_nested_frames`]). Hashing a request takes
 //! hundreds of microseconds, routing it none, and the reactor is one
 //! thread for every connection.
 //!
 //! Key material is the serving-layer analogue of ARK's inter-operation
-//! key reuse: the server holds **one** [`KeyChain`](ark_fhe::KeyChain)
+//! key reuse: the server holds **one** [`KeyChain`]
 //! per parameter set, resident for the process lifetime, and every
 //! session's requests resolve against it — no per-session key upload,
-//! no duplicate evk storage. Shards do not partition keys; they
-//! partition *execution*, all borrowing the same chain through
+//! no duplicate evk storage. Workers share the keys as they share the
+//! queue, all borrowing the same chain through
 //! [`Engine::shared_evaluator`](ark_fhe::engine::Engine::shared_evaluator).
 //!
 //! # Sessions and pipelining
@@ -59,11 +58,12 @@
 //!
 //! Graceful: a client `SHUTDOWN` frame or [`ServerHandle::shutdown`]
 //! flips one flag; the reactor stops admitting sessions, workers drain
-//! every shard queue to empty and exit, the reactor routes the last
+//! the job queue to empty and exit, the reactor routes the last
 //! completions, makes a bounded final flush pass, and every thread is
 //! joined before `shutdown` returns.
 
 use ark_ckks::error::{ArkError, ArkResult};
+use ark_ckks::params::CkksContext;
 use ark_ckks::wire as ckks_wire;
 use ark_ckks::Ciphertext;
 use ark_client::program::Program;
@@ -74,6 +74,7 @@ use ark_core::wire as core_wire;
 use ark_fhe::engine::Engine;
 use ark_fhe::verify::{AbstractInput, VerifyReport};
 use ark_fhe::workloads::trace::{Trace, TraceSummary};
+use ark_fhe::KeyChain;
 use ark_math::wire::{
     peek_frame, put_u16, read_frame, read_nested_frames, write_frame, Cursor, FrameWriter,
     CHECKSUM_LEN,
@@ -91,13 +92,13 @@ use std::time::{Duration, Instant};
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Execution shards (worker threads). `0` sizes to the host's
-    /// available parallelism. Every shard serves every hosted engine;
-    /// shards partition execution, not key material.
+    /// Worker threads, all popping the one job queue. `0` sizes to the
+    /// host's available parallelism. Every worker serves every hosted
+    /// engine over the same resident key material.
     pub shards: usize,
-    /// Jobs one shard queue holds before admission control starts
-    /// shedding (a request is shed only when *every* shard is full —
-    /// submission picks the shallowest queue and workers steal).
+    /// Queued jobs per worker, pooled: the one job queue holds
+    /// `shards × queue_capacity` jobs before admission control starts
+    /// shedding with `BUSY`.
     pub queue_capacity: usize,
     /// Largest wire frame a peer may send (allocation bound; a message
     /// may add the request-id envelope on top).
@@ -118,7 +119,7 @@ pub struct ServerConfig {
     /// connection at this window is not read until a completion frees
     /// a slot, so the excess waits in the peer's socket (TCP
     /// back-pressure), not in server memory; `BUSY` is sent only when
-    /// every shard queue is full.
+    /// the job queue is full.
     pub max_pipeline: usize,
     /// Unwritten response bytes one connection's outbox may hold. A
     /// peer that stops reading its responses gets its connection shed
@@ -134,8 +135,8 @@ pub struct ServerConfig {
     /// for loopback/dev setups that tear the server down from the
     /// client side.
     pub allow_remote_shutdown: bool,
-    /// Granularity at which blocked threads re-check the shutdown flag
-    /// (and the reactor's idle wait bound).
+    /// Granularity at which [`ServerHandle::wait`] re-checks the
+    /// shutdown flag (and the reactor's idle wait bound).
     pub poll_interval: Duration,
     /// How long the reactor keeps flushing pending outboxes after the
     /// last job completes during shutdown, before abandoning unread
@@ -178,8 +179,7 @@ impl ServerConfig {
 /// the session's behalf (decoded request inputs, the working set of
 /// peak live units × the largest input's size, produced outputs),
 /// bounded by [`ServerConfig::max_session_bytes`]. Atomic because a
-/// session's pipelined jobs charge concurrently from several shard
-/// workers.
+/// session's pipelined jobs charge concurrently from several workers.
 struct SessionState {
     in_flight_bytes: AtomicUsize,
 }
@@ -236,9 +236,9 @@ impl Drop for ChargeGuard<'_> {
     }
 }
 
-/// A routed request bound for a shard worker. It owns the message as
-/// the connection's inbox assembled it, still wire bytes: the reactor
-/// read the frame header to route it and nothing more — verifying and
+/// A routed request bound for a worker. It owns the message as the
+/// connection's inbox assembled it, still wire bytes: the reactor read
+/// the frame header to route it and nothing more — verifying and
 /// decoding happen on the worker.
 struct Job {
     conn_token: u64,
@@ -266,33 +266,24 @@ struct Completion {
     frame: Vec<u8>,
 }
 
-struct Shard {
-    queue: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-    /// Jobs whose request verified — its checksum and those of the
-    /// frames nested in it — and so ran, to a result or a typed error.
-    jobs_executed: AtomicU64,
-    jobs_stolen: AtomicU64,
-    queue_depth_hwm: AtomicU64,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Self {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            jobs_executed: AtomicU64::new(0),
-            jobs_stolen: AtomicU64::new(0),
-            queue_depth_hwm: AtomicU64::new(0),
-        }
-    }
-}
+const SHUTTING_DOWN: &str = "server is shutting down";
 
 struct Shared {
     engines: Vec<Engine>,
     info: Vec<EngineInfo>,
     config: ServerConfig,
-    shards: Vec<Shard>,
+    /// The one job queue every worker pops, oldest first, bounded at
+    /// `shards × queue_capacity`. The shutdown flag is set and read
+    /// under its lock, so a job is either queued before the workers can
+    /// see the flag or refused.
+    queue: Mutex<VecDeque<Job>>,
+    /// Signalled on every push and once at shutdown.
+    ready: Condvar,
+    queue_depth_hwm: AtomicU64,
+    /// Per worker: jobs whose request verified — its checksum and
+    /// those of the frames nested in it — and so ran, to a result or a
+    /// typed error.
+    jobs_executed: Vec<AtomicU64>,
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
     shutdown: AtomicBool,
@@ -302,79 +293,12 @@ struct Shared {
     sessions_accepted: AtomicU64,
     sessions_shed: AtomicU64,
     jobs_shed: AtomicU64,
-    ops: OpCounters,
-}
-
-/// Per-op execution counters across every job the server has run —
-/// the `ops.*` rows of `GET_STATS`. Workers accumulate each job's
-/// recorded trace histogram after evaluation (or trace recording), so
-/// remote scenario runs are observable: how many bootstraps actually
-/// executed, how much hoisted-rotation work a workload generated.
-#[derive(Debug, Default)]
-struct OpCounters {
-    hmult: AtomicU64,
-    pmult: AtomicU64,
-    padd: AtomicU64,
-    hadd: AtomicU64,
-    hrot: AtomicU64,
-    hrot_hoisted: AtomicU64,
-    hconj: AtomicU64,
-    cmult: AtomicU64,
-    cadd: AtomicU64,
-    hrescale: AtomicU64,
-    /// `ModRaise` count — one per executed bootstrap.
-    bootstraps: AtomicU64,
-    /// Total `RotateSum` terms across executed programs (the fused
-    /// rotations the hoisted groups above amortize).
-    rotate_sum_terms: AtomicU64,
-}
-
-impl OpCounters {
-    /// Folds one job's trace histogram (plus its program's fused
-    /// rotate-sum term count) into the process totals.
-    fn accumulate(&self, summary: &TraceSummary, rotate_sum_terms: u64) {
-        self.hmult
-            .fetch_add(summary.hmult as u64, Ordering::Relaxed);
-        self.pmult
-            .fetch_add(summary.pmult as u64, Ordering::Relaxed);
-        self.padd.fetch_add(summary.padd as u64, Ordering::Relaxed);
-        self.hadd.fetch_add(summary.hadd as u64, Ordering::Relaxed);
-        self.hrot.fetch_add(summary.hrot as u64, Ordering::Relaxed);
-        self.hrot_hoisted
-            .fetch_add(summary.hrot_hoisted as u64, Ordering::Relaxed);
-        self.hconj
-            .fetch_add(summary.hconj as u64, Ordering::Relaxed);
-        self.cmult
-            .fetch_add(summary.cmult as u64, Ordering::Relaxed);
-        self.cadd.fetch_add(summary.cadd as u64, Ordering::Relaxed);
-        self.hrescale
-            .fetch_add(summary.hrescale as u64, Ordering::Relaxed);
-        self.bootstraps
-            .fetch_add(summary.mod_raise as u64, Ordering::Relaxed);
-        self.rotate_sum_terms
-            .fetch_add(rotate_sum_terms, Ordering::Relaxed);
-    }
-
-    /// The `ops.*` stats rows, in a stable order.
-    fn snapshot(&self) -> Vec<(String, u64)> {
-        [
-            ("hmult", &self.hmult),
-            ("pmult", &self.pmult),
-            ("padd", &self.padd),
-            ("hadd", &self.hadd),
-            ("hrot", &self.hrot),
-            ("hrot_hoisted", &self.hrot_hoisted),
-            ("hconj", &self.hconj),
-            ("cmult", &self.cmult),
-            ("cadd", &self.cadd),
-            ("hrescale", &self.hrescale),
-            ("bootstraps", &self.bootstraps),
-            ("rotate_sum_terms", &self.rotate_sum_terms),
-        ]
-        .into_iter()
-        .map(|(name, v)| (format!("ops.{name}"), v.load(Ordering::Relaxed)))
-        .collect()
-    }
+    /// The op histogram of every job the server has run, plus their
+    /// programs' fused rotate-sum terms: the `ops.*` rows of
+    /// `GET_STATS`, so remote scenario runs are observable — how many
+    /// bootstraps actually executed, how much hoisted-rotation work a
+    /// workload generated.
+    ops: Mutex<(TraceSummary, usize)>,
 }
 
 impl Shared {
@@ -394,7 +318,10 @@ impl Shared {
             engines,
             info,
             config,
-            shards: (0..n_shards).map(|_| Shard::new()).collect(),
+            queue: Mutex::new(VecDeque::new()),
+            ready: Condvar::new(),
+            queue_depth_hwm: AtomicU64::new(0),
+            jobs_executed: (0..n_shards).map(|_| AtomicU64::new(0)).collect(),
             completions: Mutex::new(Vec::new()),
             waker,
             shutdown: AtomicBool::new(false),
@@ -402,7 +329,7 @@ impl Shared {
             sessions_accepted: AtomicU64::new(0),
             sessions_shed: AtomicU64::new(0),
             jobs_shed: AtomicU64::new(0),
-            ops: OpCounters::default(),
+            ops: Mutex::new((TraceSummary::default(), 0)),
         }
     }
 
@@ -411,44 +338,41 @@ impl Shared {
     }
 
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for shard in &self.shards {
-            shard.ready.notify_all();
+        {
+            let _queue = self.queue.lock().expect("job queue poisoned");
+            self.shutdown.store(true, Ordering::SeqCst);
         }
+        self.ready.notify_all();
         self.waker.wake();
     }
 
-    /// Admits a job to the shallowest shard queue, or hands it back
-    /// when every queue is at capacity (the caller sheds with `BUSY`).
-    fn submit(&self, job: Job) -> Result<(), Job> {
-        let mut best: Option<(usize, usize)> = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let depth = shard.queue.lock().expect("shard queue poisoned").len();
-            if depth < self.config.queue_capacity && best.is_none_or(|(d, _)| depth < d) {
-                best = Some((depth, i));
-            }
+    /// Queues a job, or hands back the frame that refuses it: `BUSY`
+    /// when `shards × queue_capacity` jobs are already queued, a typed
+    /// `EVALUATION` error once shutdown has begun (not counted as
+    /// shed).
+    fn submit(&self, job: Job) -> Result<(), Vec<u8>> {
+        let mut queue = self.queue.lock().expect("job queue poisoned");
+        if self.shutting_down() {
+            return Err(protocol::error_frame(code::EVALUATION, SHUTTING_DOWN));
         }
-        let Some((_, i)) = best else {
+        if queue.len() >= self.jobs_executed.len() * self.config.queue_capacity {
             self.jobs_shed.fetch_add(1, Ordering::Relaxed);
-            return Err(job);
-        };
-        let depth = {
-            let mut q = self.shards[i].queue.lock().expect("shard queue poisoned");
-            if q.len() >= self.config.queue_capacity {
-                // lost the race to another admission — with every other
-                // queue also full this round, shed rather than retry
-                drop(q);
-                self.jobs_shed.fetch_add(1, Ordering::Relaxed);
-                return Err(job);
-            }
-            q.push_back(job);
-            q.len() as u64
-        };
-        self.shards[i]
-            .queue_depth_hwm
-            .fetch_max(depth, Ordering::Relaxed);
-        self.shards[i].ready.notify_one();
+            return Err(protocol::busy_frame(self.config.busy_retry_after_ms));
+        }
+        queue.push_back(job);
+        self.queue_depth_hwm
+            .fetch_max(queue.len() as u64, Ordering::Relaxed);
+        drop(queue);
+        self.ready.notify_one();
         Ok(())
+    }
+
+    /// Adds one job's op histogram and its program's fused rotate-sum
+    /// terms to the `ops.*` totals.
+    fn record_ops(&self, summary: &TraceSummary, program: &Program) {
+        let mut ops = self.ops.lock().expect("op totals poisoned");
+        ops.0 = ops.0.zip_with(summary, usize::saturating_add);
+        ops.1 += program.rotate_sum_terms();
     }
 }
 
@@ -498,9 +422,8 @@ impl Server {
     }
 
     /// Binds `addr` and starts serving: spawns the reactor and the
-    /// shard workers, then returns immediately with a handle. Bind to
-    /// port 0 for an ephemeral port ([`ServerHandle::addr`] reports
-    /// it).
+    /// workers, then returns immediately with a handle. Bind to port 0
+    /// for an ephemeral port ([`ServerHandle::addr`] reports it).
     pub fn serve(self, addr: impl ToSocketAddrs) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -509,7 +432,7 @@ impl Server {
         poller.register(&listener, LISTENER_TOKEN, Interest::READ)?;
         let waker = poller.waker();
         let shared = Arc::new(Shared::new(self.engines, self.config, waker));
-        let n_shards = shared.shards.len();
+        let n_shards = shared.jobs_executed.len();
         let mut workers = Vec::with_capacity(n_shards);
         for i in 0..n_shards {
             let shared = Arc::clone(&shared);
@@ -569,13 +492,13 @@ impl ServerHandle {
         &self.shared.info
     }
 
-    /// The number of execution shards actually running.
+    /// The number of worker threads actually running.
     pub fn shards(&self) -> usize {
-        self.shared.shards.len()
+        self.shared.jobs_executed.len()
     }
 
     /// Gracefully stops the server: no new sessions, in-flight requests
-    /// complete, queues drain, all threads join.
+    /// complete, the queue drains, all threads join.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
@@ -610,7 +533,7 @@ impl Drop for ServerHandle {
 }
 
 // ---------------------------------------------------------------------
-// shard workers
+// workers
 // ---------------------------------------------------------------------
 
 fn worker_loop(shared: &Arc<Shared>, idx: usize) {
@@ -624,8 +547,8 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
         }
     }
     let _exit = ExitFlag(shared);
-    while let Some(job) = next_job(shared, idx) {
-        let frame = execute_job(shared, &shared.shards[idx], &job);
+    while let Some(job) = next_job(shared) {
+        let frame = execute_job(shared, &shared.jobs_executed[idx], &job);
         shared
             .completions
             .lock()
@@ -639,71 +562,30 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
     }
 }
 
-/// Pops the next job: own queue first, then the oldest job of the
-/// deepest sibling (work stealing). Returns `None` only at shutdown
-/// with every queue drained.
-fn next_job(shared: &Shared, idx: usize) -> Option<Job> {
-    loop {
-        if let Some(job) = shared.shards[idx]
-            .queue
-            .lock()
-            .expect("shard queue poisoned")
-            .pop_front()
-        {
-            return Some(job);
-        }
-        let mut best: Option<(usize, usize)> = None;
-        for (j, shard) in shared.shards.iter().enumerate() {
-            if j == idx {
-                continue;
-            }
-            let depth = shard.queue.lock().expect("shard queue poisoned").len();
-            if depth > 0 && best.is_none_or(|(d, _)| depth > d) {
-                best = Some((depth, j));
-            }
-        }
-        if let Some((_, j)) = best {
-            if let Some(job) = shared.shards[j]
-                .queue
-                .lock()
-                .expect("shard queue poisoned")
-                .pop_front()
-            {
-                shared.shards[idx]
-                    .jobs_stolen
-                    .fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-            continue; // raced with the owner; rescan
-        }
-        if shared.shutting_down() {
-            return None; // every queue drained, no producers left
-        }
-        let q = shared.shards[idx]
-            .queue
-            .lock()
-            .expect("shard queue poisoned");
-        if !q.is_empty() {
-            continue;
-        }
-        let _ = shared.shards[idx]
-            .ready
-            .wait_timeout(q, shared.config.poll_interval)
-            .expect("shard queue poisoned");
-    }
+/// Pops the oldest queued job, waiting for one. Returns `None` only
+/// when, under the queue lock, shutdown has begun and the queue is
+/// empty: `submit` refuses under the same lock, so no job is left
+/// behind.
+fn next_job(shared: &Shared) -> Option<Job> {
+    let queue = shared.queue.lock().expect("job queue poisoned");
+    shared
+        .ready
+        .wait_while(queue, |q| q.is_empty() && !shared.shutting_down())
+        .expect("job queue poisoned")
+        .pop_front()
 }
 
 /// Runs one job to a response frame. Every failure path — decode
 /// errors, evaluation errors, even panics the decode validators did
 /// not anticipate — degrades to a typed `ERROR` frame instead of
 /// killing the worker.
-fn execute_job(shared: &Shared, shard: &Shard, job: &Job) -> Vec<u8> {
+fn execute_job(shared: &Shared, executed: &AtomicU64, job: &Job) -> Vec<u8> {
     let charge = ChargeGuard::new(&job.session, shared.config.max_session_bytes);
     // AssertUnwindSafe: jobs borrow the engine immutably and its only
     // interior mutability (context caches) is Mutex-guarded
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match job.kind {
-        msg::EVALUATE => run_evaluate(shared, shard, job, &charge),
-        msg::SIMULATE => run_simulate(shared, shard, job),
+        msg::EVALUATE => run_evaluate(shared, executed, job, &charge),
+        msg::SIMULATE => run_simulate(shared, executed, job),
         k => Err((code::PROTOCOL, format!("unexpected job kind {k:#x}"))),
     }));
     match outcome {
@@ -785,7 +667,12 @@ fn check_program_size(shared: &Shared, program: &Program) -> Result<(), (u16, St
     Ok(())
 }
 
-fn run_evaluate(shared: &Shared, shard: &Shard, job: &Job, charge: &ChargeGuard<'_>) -> Handled {
+fn run_evaluate(
+    shared: &Shared,
+    executed: &AtomicU64,
+    job: &Job,
+    charge: &ChargeGuard<'_>,
+) -> Handled {
     // Finding the input frames takes reading the program in front of
     // them before its bytes are verified. The decoders are total, and
     // nothing read here is used unless the pass below then verifies
@@ -803,7 +690,7 @@ fn run_evaluate(shared: &Shared, shard: &Shard, job: &Job, charge: &ChargeGuard<
     // the request's checksum and its inputs' checksums, in one pass
     let request = read_nested_frames(job.frame_bytes(), first, n_inputs).map_err(wire_err)?;
     if request.nested.iter().all(Result::is_ok) {
-        shard.jobs_executed.fetch_add(1, Ordering::Relaxed);
+        executed.fetch_add(1, Ordering::Relaxed);
     }
     let engine = &shared.engines[job.engine_idx];
     let Some(ctx) = engine.context() else {
@@ -851,10 +738,7 @@ fn run_evaluate(shared: &Shared, shard: &Shard, job: &Job, charge: &ChargeGuard<
     charge.charge(report.peak_live_units.saturating_mul(max_input))?;
     let mut eval = engine.shared_evaluator().map_err(ark_err)?;
     let outputs = program.apply(&mut eval, &inputs).map_err(ark_err)?;
-    shared.ops.accumulate(
-        &eval.into_trace().summary(),
-        program.rotate_sum_terms() as u64,
-    );
+    shared.record_ops(&eval.into_trace().summary(), &program);
     // outputs count against the same budget until the response is off
     for ct in &outputs {
         charge.charge(ct.byte_len())?;
@@ -873,9 +757,9 @@ fn run_evaluate(shared: &Shared, shard: &Shard, job: &Job, charge: &ChargeGuard<
     Ok(out)
 }
 
-fn run_simulate(shared: &Shared, shard: &Shard, job: &Job) -> Handled {
+fn run_simulate(shared: &Shared, executed: &AtomicU64, job: &Job) -> Handled {
     let (request, _) = read_frame(job.frame_bytes()).map_err(wire_err)?;
-    shard.jobs_executed.fetch_add(1, Ordering::Relaxed);
+    executed.fetch_add(1, Ordering::Relaxed);
     let engine = &shared.engines[job.engine_idx];
     if engine.context().is_some() {
         return Err((
@@ -894,9 +778,7 @@ fn run_simulate(shared: &Shared, shard: &Shard, job: &Job) -> Handled {
     }
     cur.finish().map_err(|e| (code::PROTOCOL, e.to_string()))?;
     let (_, trace) = admit(engine, &program, specs.into_iter(), code::EVALUATION)?;
-    shared
-        .ops
-        .accumulate(&trace.summary(), program.rotate_sum_terms() as u64);
+    shared.record_ops(&trace.summary(), &program);
     let report = engine.simulate_trace(&trace).map_err(ark_err)?;
     let nested = core_wire::write_sim_report(&report, request.fingerprint);
     Ok(write_frame(
@@ -921,7 +803,7 @@ struct Conn {
     /// A `HELLO` carrying [`PROTOCOL_VERSION`] has been answered with
     /// `SERVER_INFO`: every later message is enveloped.
     handshaken: bool,
-    /// Jobs of this connection currently on shard queues or executing.
+    /// Jobs of this connection currently queued or executing.
     in_flight: usize,
     /// The peer half-closed its write side; finish in-flight work,
     /// flush, then close.
@@ -1172,9 +1054,9 @@ impl Reactor {
             self.close_conn(tok);
             return;
         };
-        // a job is routed on its header and verified by the shard worker
-        // that runs it; this thread hashes control frames only, which
-        // are all header
+        // a job is routed on its header and verified by the worker that
+        // runs it; this thread hashes control frames only, which are
+        // all header
         if let Ok((header, _)) = peek_frame(frame_bytes) {
             if matches!(header.kind, msg::EVALUATE | msg::SIMULATE) {
                 self.admit_job(tok, request_id, header.kind, header.fingerprint, message);
@@ -1199,11 +1081,26 @@ impl Reactor {
                 protocol::error_frame(code::PROTOCOL, "HELLO after the handshake"),
             ),
             msg::GET_PUBLIC_KEY => {
-                let response = self.handle_get_public_key(tok, frame.fingerprint);
+                let response =
+                    self.key_frame(tok, frame.fingerprint, msg::PUBLIC_KEY, |w, ctx, kc| {
+                        let public = kc.public_key().compress();
+                        ckks_wire::nest_compressed_public_key(w, ctx, &public);
+                        public.byte_len()
+                    });
                 self.respond(tok, request_id, response);
             }
             msg::GET_EVAL_KEYS => {
-                let response = self.handle_get_eval_keys(tok, frame.fingerprint);
+                // ship the declared surface only — a bootstrapping
+                // engine also holds internal transform keys, which stay
+                // server-side
+                let response =
+                    self.key_frame(tok, frame.fingerprint, msg::EVAL_KEYS, |w, ctx, kc| {
+                        let mult = kc.mult_key().compress();
+                        let rotations = kc.compressed_declared_keys();
+                        ckks_wire::nest_compressed_eval_key(w, ctx, &mult);
+                        ckks_wire::nest_compressed_rotation_keys(w, ctx, &rotations);
+                        mult.byte_len() + rotations.byte_len()
+                    });
                 self.respond(tok, request_id, response);
             }
             msg::GET_STATS => {
@@ -1269,10 +1166,17 @@ impl Reactor {
 
     /// Key distribution ships *seed-compressed* frames (runtime data
     /// generation on the wire): the uniform halves travel as one 64-bit
-    /// seed the client re-expands, halving key-download traffic — and
-    /// the session budget is charged at the compressed size actually
-    /// shipped.
-    fn handle_get_public_key(&self, tok: u64, fingerprint: u64) -> Vec<u8> {
+    /// seed the client re-expands, halving key-download traffic. The
+    /// reply is one `kind` frame of the keys `nest` writes, and the
+    /// session budget is charged at the compressed size `nest` reports
+    /// shipping.
+    fn key_frame(
+        &self,
+        tok: u64,
+        fingerprint: u64,
+        kind: u16,
+        nest: impl FnOnce(&mut FrameWriter<'_>, &CkksContext, &KeyChain) -> usize,
+    ) -> Vec<u8> {
         let shared = &self.shared;
         let result = (|| -> Handled {
             let (_, engine) = find_engine(shared, fingerprint)?;
@@ -1282,54 +1186,22 @@ impl Reactor {
                     "the simulated backend holds no key material".into(),
                 ));
             };
-            let compressed = kc.public_key().compress();
-            let session = &self.conns[&tok].session;
-            let charge = ChargeGuard::new(session, shared.config.max_session_bytes);
-            charge.charge(compressed.byte_len())?;
             let mut out = Vec::new();
-            let mut frame = FrameWriter::begin(&mut out, msg::PUBLIC_KEY, fingerprint);
-            ckks_wire::nest_compressed_public_key(&mut frame, ctx, &compressed);
+            let mut frame = FrameWriter::begin(&mut out, kind, fingerprint);
+            let shipped = nest(&mut frame, ctx, kc);
             frame.finish();
+            let session = &self.conns[&tok].session;
+            ChargeGuard::new(session, shared.config.max_session_bytes).charge(shipped)?;
             Ok(out)
         })();
         result.unwrap_or_else(|(c, m)| protocol::error_frame(c, &m))
     }
 
-    /// Ships the multiplication key plus the full rotation-key set,
-    /// seed-compressed, so a client can evaluate locally with the same
-    /// keys the server holds.
-    fn handle_get_eval_keys(&self, tok: u64, fingerprint: u64) -> Vec<u8> {
-        let shared = &self.shared;
-        let result = (|| -> Handled {
-            let (_, engine) = find_engine(shared, fingerprint)?;
-            let (Some(ctx), Some(kc)) = (engine.context(), engine.keychain()) else {
-                return Err((
-                    code::UNSUPPORTED,
-                    "the simulated backend holds no key material".into(),
-                ));
-            };
-            // ship the declared surface only — a bootstrapping engine
-            // also holds internal transform keys, which stay
-            // server-side
-            let mult = kc.mult_key().compress();
-            let rotations = kc.compressed_declared_keys();
-            let session = &self.conns[&tok].session;
-            let charge = ChargeGuard::new(session, shared.config.max_session_bytes);
-            charge.charge(mult.byte_len() + rotations.byte_len())?;
-            let mut out = Vec::new();
-            let mut frame = FrameWriter::begin(&mut out, msg::EVAL_KEYS, fingerprint);
-            ckks_wire::nest_compressed_eval_key(&mut frame, ctx, &mult);
-            ckks_wire::nest_compressed_rotation_keys(&mut frame, ctx, &rotations);
-            frame.finish();
-            Ok(out)
-        })();
-        result.unwrap_or_else(|(c, m)| protocol::error_frame(c, &m))
-    }
-
-    /// Admits an `EVALUATE`/`SIMULATE` to a shard queue, or sheds it
-    /// with a typed `BUSY` when every queue is full. (The connection's
-    /// pipeline window never sheds: `drive_inbox` stops popping
-    /// messages at the window, so a job only gets here under it.)
+    /// Admits an `EVALUATE`/`SIMULATE` to the job queue, or answers it
+    /// with the queue's refusal: a typed `BUSY` when the queue is full.
+    /// (The connection's pipeline window never sheds: `drive_inbox`
+    /// stops popping messages at the window, so a job only gets here
+    /// under it.)
     ///
     /// `kind` and `fingerprint` come from a header nobody has verified
     /// yet. A request turned away on them is therefore hashed first —
@@ -1343,7 +1215,7 @@ impl Reactor {
         message: Vec<u8>,
     ) {
         let routed = if self.shared.shutting_down() {
-            Err((code::EVALUATION, "server is shutting down".to_string()))
+            Err((code::EVALUATION, SHUTTING_DOWN.to_string()))
         } else {
             find_engine(&self.shared, fingerprint).map(|(idx, _)| idx)
         };
@@ -1378,10 +1250,7 @@ impl Reactor {
                     conn.in_flight += 1;
                 }
             }
-            Err(_) => {
-                let retry = self.shared.config.busy_retry_after_ms;
-                self.respond(tok, request_id, protocol::busy_frame(retry));
-            }
+            Err(refusal) => self.respond(tok, request_id, refusal),
         }
     }
 
@@ -1401,20 +1270,16 @@ impl Reactor {
                 "jobs_shed".to_string(),
                 shared.jobs_shed.load(Ordering::Relaxed),
             ),
-            ("shards".to_string(), shared.shards.len() as u64),
+            ("shards".to_string(), shared.jobs_executed.len() as u64),
+            (
+                "shards.queue_depth_hwm".to_string(),
+                shared.queue_depth_hwm.load(Ordering::Relaxed),
+            ),
         ];
-        for (i, s) in shared.shards.iter().enumerate() {
+        for (i, executed) in shared.jobs_executed.iter().enumerate() {
             out.push((
                 format!("shard{i}.jobs_executed"),
-                s.jobs_executed.load(Ordering::Relaxed),
-            ));
-            out.push((
-                format!("shard{i}.jobs_stolen"),
-                s.jobs_stolen.load(Ordering::Relaxed),
-            ));
-            out.push((
-                format!("shard{i}.queue_depth_hwm"),
-                s.queue_depth_hwm.load(Ordering::Relaxed),
+                executed.load(Ordering::Relaxed),
             ));
         }
         for (i, e) in shared.engines.iter().enumerate() {
@@ -1424,7 +1289,24 @@ impl Reactor {
                 out.push((format!("engine{i}.runtime_key_misses"), misses));
             }
         }
-        out.extend(shared.ops.snapshot());
+        let (ops, rotate_sum_terms) = *shared.ops.lock().expect("op totals poisoned");
+        out.extend(
+            [
+                ("hmult", ops.hmult),
+                ("pmult", ops.pmult),
+                ("padd", ops.padd),
+                ("hadd", ops.hadd),
+                ("hrot", ops.hrot),
+                ("hrot_hoisted", ops.hrot_hoisted),
+                ("hconj", ops.hconj),
+                ("cmult", ops.cmult),
+                ("cadd", ops.cadd),
+                ("hrescale", ops.hrescale),
+                ("bootstraps", ops.mod_raise),
+                ("rotate_sum_terms", rotate_sum_terms),
+            ]
+            .map(|(name, n)| (format!("ops.{name}"), n as u64)),
+        );
         out
     }
 
@@ -1547,6 +1429,31 @@ mod tests {
         }
     }
 
+    /// Server state hosting one simulated engine, with no thread
+    /// running: each test spawns the workers it wants.
+    fn simulated_shared(config: ServerConfig) -> Arc<Shared> {
+        let engine = Engine::builder()
+            .params(CkksParams::tiny())
+            .backend(Backend::Simulated(ArkConfig::base()))
+            .build()
+            .unwrap();
+        let waker = Poller::new().unwrap().waker();
+        Arc::new(Shared::new(vec![engine], config, waker))
+    }
+
+    fn spawn_worker(shared: &Arc<Shared>, idx: usize) -> thread::JoinHandle<()> {
+        let shared = Arc::clone(shared);
+        thread::spawn(move || worker_loop(&shared, idx))
+    }
+
+    fn wait_for_completions(shared: &Shared, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while shared.completions.lock().unwrap().len() < n {
+            assert!(Instant::now() < deadline, "worker stopped serving");
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
+
     fn frame_kind(frame: &[u8]) -> u16 {
         read_frame(frame).unwrap().0.kind
     }
@@ -1559,34 +1466,20 @@ mod tests {
 
     #[test]
     fn panicking_evaluation_degrades_to_typed_error_and_worker_survives() {
-        let engine = Engine::builder()
-            .params(CkksParams::tiny())
-            .backend(Backend::Simulated(ArkConfig::base()))
-            .build()
-            .unwrap();
-        let config = ServerConfig {
+        let shared = simulated_shared(ServerConfig {
             shards: 1,
             ..ServerConfig::default()
-        };
-        let waker = Poller::new().unwrap().waker();
-        let shared = Arc::new(Shared::new(vec![engine], config, waker));
-        let worker = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || worker_loop(&shared, 0))
-        };
+        });
+        let worker = spawn_worker(&shared, 0);
         // admission validates everything a wire Program can carry, so
         // the remaining way to make a handler panic is a job the
         // reactor would never build: one naming an engine slot that
         // does not exist (an index-out-of-bounds inside the handler)
-        shared.submit(simulate_job(7, 1, 2)).ok().unwrap();
+        shared.submit(simulate_job(7, 1, 2)).unwrap();
         // an input level beyond the chain is an ordinary typed failure
-        shared.submit(simulate_job(0, 2, 99)).ok().unwrap();
-        shared.submit(simulate_job(0, 3, 2)).ok().unwrap();
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while shared.completions.lock().unwrap().len() < 3 {
-            assert!(Instant::now() < deadline, "worker stopped serving");
-            thread::sleep(Duration::from_millis(2));
-        }
+        shared.submit(simulate_job(0, 2, 99)).unwrap();
+        shared.submit(simulate_job(0, 3, 2)).unwrap();
+        wait_for_completions(&shared, 3);
         shared.begin_shutdown();
         worker.join().expect("the panic must not escape the worker");
         let mut done = std::mem::take(&mut *shared.completions.lock().unwrap());
@@ -1603,7 +1496,82 @@ mod tests {
         assert!(!reason.contains("aborted"), "got {reason}");
         // the same worker went on to serve a good request
         assert_eq!(frame_kind(&done[2].frame), msg::RESULT_REPORT);
-        assert_eq!(shared.shards[0].jobs_executed.load(Ordering::Relaxed), 3);
+        assert_eq!(shared.jobs_executed[0].load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn full_queue_sheds_at_shards_times_capacity() {
+        // two workers' worth of one slot each, and nothing popping
+        let shared = simulated_shared(ServerConfig {
+            shards: 2,
+            queue_capacity: 1,
+            ..ServerConfig::default()
+        });
+        shared.submit(simulate_job(0, 1, 2)).unwrap();
+        shared.submit(simulate_job(0, 2, 2)).unwrap();
+        let refusal = shared.submit(simulate_job(0, 3, 2)).unwrap_err();
+        assert_eq!(frame_kind(&refusal), msg::BUSY);
+        assert_eq!(shared.jobs_shed.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.queue_depth_hwm.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn one_worker_completes_jobs_in_submission_order() {
+        let shared = simulated_shared(ServerConfig {
+            shards: 1,
+            ..ServerConfig::default()
+        });
+        for id in 1..=4 {
+            shared.submit(simulate_job(0, id, 2)).unwrap();
+        }
+        let worker = spawn_worker(&shared, 0);
+        wait_for_completions(&shared, 4);
+        shared.begin_shutdown();
+        worker.join().unwrap();
+        let ids: Vec<u64> = shared
+            .completions
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|c| c.request_id)
+            .collect();
+        assert_eq!(ids, [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn jobs_queued_before_shutdown_complete_before_workers_exit() {
+        let shared = simulated_shared(ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        });
+        for id in 1..=6 {
+            shared.submit(simulate_job(0, id, 2)).unwrap();
+        }
+        // the flag is up before either worker pops a job
+        shared.begin_shutdown();
+        let workers = [spawn_worker(&shared, 0), spawn_worker(&shared, 1)];
+        for w in workers {
+            w.join().unwrap();
+        }
+        let done = shared.completions.lock().unwrap();
+        assert_eq!(done.len(), 6);
+        assert!(done
+            .iter()
+            .all(|c| frame_kind(&c.frame) == msg::RESULT_REPORT));
+        assert_eq!(shared.active_workers.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn submit_after_shutdown_is_refused_without_shedding() {
+        let shared = simulated_shared(ServerConfig::default());
+        shared.begin_shutdown();
+        let refusal = shared.submit(simulate_job(0, 1, 2)).unwrap_err();
+        assert_eq!(
+            error_of(&refusal),
+            (code::EVALUATION, SHUTTING_DOWN.to_string())
+        );
+        assert_eq!(shared.jobs_shed.load(Ordering::Relaxed), 0);
+        assert!(shared.queue.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -455,6 +455,12 @@ fn stats_counters_track_work() {
         .map(|i| get(&format!("shard{i}.jobs_executed")))
         .sum();
     assert!(executed >= 4, "stats: {stats:?}");
+    // one job queue: one high-water row, and nothing steals
+    assert!(get("shards.queue_depth_hwm") >= 1, "stats: {stats:?}");
+    assert!(
+        !stats.iter().any(|(n, _)| n.ends_with("jobs_stolen")),
+        "stats: {stats:?}"
+    );
     // the sample program rotates, so the runtime key cache was
     // consulted: hits + misses > 0 for the software engine
     let key_traffic = get("engine0.runtime_key_hits") + get("engine0.runtime_key_misses");

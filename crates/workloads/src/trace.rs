@@ -242,40 +242,38 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
+    /// Combines two histograms kind by kind: `f(self.k, other.k)` for
+    /// every op kind `k`.
+    pub fn zip_with(
+        &self,
+        other: &TraceSummary,
+        f: impl Fn(usize, usize) -> usize,
+    ) -> TraceSummary {
+        TraceSummary {
+            hmult: f(self.hmult, other.hmult),
+            pmult: f(self.pmult, other.pmult),
+            padd: f(self.padd, other.padd),
+            hadd: f(self.hadd, other.hadd),
+            hrot: f(self.hrot, other.hrot),
+            hrot_hoisted: f(self.hrot_hoisted, other.hrot_hoisted),
+            hconj: f(self.hconj, other.hconj),
+            cmult: f(self.cmult, other.cmult),
+            cadd: f(self.cadd, other.cadd),
+            hrescale: f(self.hrescale, other.hrescale),
+            mod_raise: f(self.mod_raise, other.mod_raise),
+        }
+    }
+
     /// Per-kind saturating difference — subtracting a known sub-trace
     /// histogram (e.g. the analytic bootstrap trace) from a full run's
     /// histogram to isolate the remaining program's op counts.
     pub fn saturating_sub(&self, other: &TraceSummary) -> TraceSummary {
-        TraceSummary {
-            hmult: self.hmult.saturating_sub(other.hmult),
-            pmult: self.pmult.saturating_sub(other.pmult),
-            padd: self.padd.saturating_sub(other.padd),
-            hadd: self.hadd.saturating_sub(other.hadd),
-            hrot: self.hrot.saturating_sub(other.hrot),
-            hrot_hoisted: self.hrot_hoisted.saturating_sub(other.hrot_hoisted),
-            hconj: self.hconj.saturating_sub(other.hconj),
-            cmult: self.cmult.saturating_sub(other.cmult),
-            cadd: self.cadd.saturating_sub(other.cadd),
-            hrescale: self.hrescale.saturating_sub(other.hrescale),
-            mod_raise: self.mod_raise.saturating_sub(other.mod_raise),
-        }
+        self.zip_with(other, usize::saturating_sub)
     }
 
     /// Per-kind scaling — `n` repetitions of a sub-trace histogram.
     pub fn scaled(&self, n: usize) -> TraceSummary {
-        TraceSummary {
-            hmult: self.hmult * n,
-            pmult: self.pmult * n,
-            padd: self.padd * n,
-            hadd: self.hadd * n,
-            hrot: self.hrot * n,
-            hrot_hoisted: self.hrot_hoisted * n,
-            hconj: self.hconj * n,
-            cmult: self.cmult * n,
-            cadd: self.cadd * n,
-            hrescale: self.hrescale * n,
-            mod_raise: self.mod_raise * n,
-        }
+        self.zip_with(self, |count, _| count * n)
     }
 }
 
