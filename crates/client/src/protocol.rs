@@ -7,7 +7,7 @@
 //! Reassembling messages from a byte stream belongs to the two ends of
 //! the connection: the allocation-capped assembler inside
 //! [`ClientCore`](crate::core::ClientCore) on the client, `ark-net`'s
-//! `FrameBuf`/`OutBuf` under the server's reactor.
+//! `FrameBuf`/`OutBuf` in the server's connection threads.
 //!
 //! # Transport shape
 //!

@@ -1,6 +1,6 @@
 //! Interop: `ClientCore` round-tripped against the *real* server
 //! framing — `ark_net::OutBuf` on the way out, `ark_net::FrameBuf` on
-//! the way in, exactly what the reactor runs — byte-for-byte, plus the
+//! the way in, exactly what the server runs — byte-for-byte, plus the
 //! version-skew regression (a core refused by a server that speaks a
 //! different version must fail with a typed version error, never
 //! hang).
@@ -30,8 +30,8 @@ fn engines() -> Vec<EngineInfo> {
     }]
 }
 
-/// Server-side write of one message, exactly as the reactor does it:
-/// queued on the connection's outbox, flushed to the socket. Returns
+/// Server-side write of one message, exactly as the server does it:
+/// queued on the connection's outbox, flushed by its writer. Returns
 /// the bytes that reached the wire.
 fn server_send(body: Vec<u8>) -> Vec<u8> {
     let mut outbox = OutBuf::new();

@@ -2,33 +2,20 @@
 //! length-prefixed messages (`u32` little-endian byte count, then the
 //! message body — the `ark-serve` transport envelope).
 //!
-//! Nonblocking sockets deliver bytes in arbitrary splits; these
-//! buffers re-establish message boundaries on the read side
-//! ([`FrameBuf`]) and absorb partial writes on the write side
-//! ([`OutBuf`]) so a reactor never blocks on either direction. Both
-//! are transport-only: the message bodies they carry are opaque here
-//! (the `ARKW` frame validation lives a layer up).
+//! Sockets deliver bytes in arbitrary splits; these buffers
+//! re-establish message boundaries on the read side ([`FrameBuf`]) and
+//! absorb partial writes on the write side ([`OutBuf`]). Both are
+//! transport-only: the message bodies they carry are opaque here (the
+//! `ARKW` frame validation lives a layer up).
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-
-/// What one [`FrameBuf::fill`] pass observed on the socket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FillStatus {
-    /// The peer closed its write side (EOF seen after the buffered
-    /// bytes).
-    pub eof: bool,
-    /// Reading stopped at the buffer budget with the socket possibly
-    /// still readable — the caller must revisit without waiting for a
-    /// new readiness edge.
-    pub paused: bool,
-}
+use std::io::{self, Write};
 
 /// Reassembles length-prefixed messages from an arbitrary byte stream.
 ///
 /// `max_message` bounds a single message's claimed length (a hostile
-/// prefix must not drive the allocation); the fill budget bounds how
-/// many bytes buffer up when the consumer is slower than the peer.
+/// prefix must not drive the allocation); the caller bounds how many
+/// bytes buffer up by how much it reads before draining messages.
 #[derive(Debug)]
 pub struct FrameBuf {
     buf: Vec<u8>,
@@ -53,49 +40,7 @@ impl FrameBuf {
         self.buf.len() - self.start
     }
 
-    /// Drains a nonblocking reader until `WouldBlock`, EOF, or the
-    /// `budget` on buffered bytes is reached.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors other than `WouldBlock`/`Interrupted` pass
-    /// through; the connection is unusable after one.
-    pub fn fill(&mut self, r: &mut impl Read, budget: usize) -> io::Result<FillStatus> {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if self.buffered() >= budget {
-                return Ok(FillStatus {
-                    eof: false,
-                    paused: true,
-                });
-            }
-            match r.read(&mut chunk) {
-                Ok(0) => {
-                    return Ok(FillStatus {
-                        eof: true,
-                        paused: false,
-                    })
-                }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return Ok(FillStatus {
-                        eof: false,
-                        paused: false,
-                    })
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Appends raw bytes directly (the test/proptest path — production
-    /// code uses [`FrameBuf::fill`]).
+    /// Appends bytes as they were read off the stream.
     pub fn push_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
@@ -141,9 +86,9 @@ impl FrameBuf {
     }
 }
 
-/// Queues outbound messages and flushes them through a nonblocking
-/// writer, surviving partial writes. Each queued message gets the
-/// `u32` length prefix on its way in.
+/// Queues outbound messages and flushes them through a writer,
+/// surviving partial writes (and `WouldBlock` from a nonblocking one).
+/// Each queued message gets the `u32` length prefix on its way in.
 #[derive(Debug, Default)]
 pub struct OutBuf {
     /// Pending segments; the front one may be partially written.
@@ -161,8 +106,8 @@ impl OutBuf {
     }
 
     /// Unwritten bytes queued (the number a slow reader is holding
-    /// hostage — reactors bound this and shed the connection past a
-    /// budget).
+    /// hostage — the server bounds this and sheds the connection past
+    /// a budget).
     pub fn pending(&self) -> usize {
         self.pending
     }
@@ -193,8 +138,8 @@ impl OutBuf {
         Ok(())
     }
 
-    /// Writes as much as the socket accepts right now. Returns `true`
-    /// when the buffer fully drained.
+    /// Writes as much as the writer accepts: everything, on a blocking
+    /// one. Returns `true` when the buffer fully drained.
     ///
     /// # Errors
     ///
@@ -312,20 +257,5 @@ mod tests {
             assert_eq!(fb.next_message().unwrap().unwrap(), *b);
         }
         assert_eq!(fb.buffered(), 0);
-    }
-
-    #[test]
-    fn fill_honors_the_budget_and_reports_pause() {
-        let data = vec![0xaau8; 10_000];
-        let mut r = io::Cursor::new(data);
-        let mut fb = FrameBuf::new(1 << 20);
-        let status = fb.fill(&mut r, 1024).unwrap();
-        assert!(status.paused);
-        assert!(!status.eof);
-        assert!(fb.buffered() >= 1024);
-        // resume to EOF
-        let status = fb.fill(&mut r, usize::MAX).unwrap();
-        assert!(status.eof);
-        assert_eq!(fb.buffered(), 10_000);
     }
 }

@@ -1,36 +1,13 @@
-//! # ark-net — a std-only readiness reactor for the serving fabric
+//! # ark-net — length-prefixed message buffers
 //!
-//! The I/O substrate under `ark-serve`: nonblocking sockets driven by
-//! a readiness poller, with per-connection buffers that re-establish
-//! message boundaries. No dependencies, no `libc` — on Linux
-//! x86_64/aarch64 the poller is edge-triggered epoll through a thin
-//! inline-asm syscall wrapper ([`sys`]); everywhere else a portable
-//! timed-tick fallback presents the same edge-triggered contract with
-//! spurious (never missed) readiness.
-//!
-//! The pieces, bottom-up:
-//!
-//! - [`sys`] — raw `epoll_create1`/`epoll_ctl`/`epoll_pwait`/
-//!   `eventfd2` syscalls (Linux x86_64/aarch64 only);
-//! - [`poller`] — [`Poller`]: register/reregister/deregister fds under
-//!   [`Token`]s with read/write [`Interest`], wait for [`Event`]s, and
-//!   interrupt the wait cross-thread with a [`Waker`];
-//! - [`conn`] — [`FrameBuf`]/[`OutBuf`]: length-prefixed message
-//!   assembly from arbitrary byte splits, and write queues that absorb
-//!   partial writes so one slow reader never blocks the loop.
-//!
-//! The reactor *loop* itself lives in `ark-serve` (it is protocol
-//! logic); this crate only promises that the loop never blocks on a
-//! socket and never tears a message boundary.
+//! The transport framing under `ark-serve`: each message is a `u32`
+//! little-endian byte count, then the body. [`FrameBuf`] re-establishes
+//! message boundaries from bytes read in arbitrary splits, with the
+//! claimed length bounded before anything is allocated; [`OutBuf`]
+//! queues outbound messages and writes them out, surviving partial
+//! writes. No dependencies and no sockets: the caller owns the stream
+//! and hands bytes in and writers down.
 
-// the syscall layer is the one unsafe surface of the crate: every
-// unsafe operation must sit in an explicit block with a SAFETY
-// contract, even inside unsafe fns
-#![deny(unsafe_op_in_unsafe_fn)]
+mod conn;
 
-pub mod conn;
-pub mod poller;
-pub mod sys;
-
-pub use conn::{FillStatus, FrameBuf, OutBuf};
-pub use poller::{Event, Interest, Poller, Token, Waker};
+pub use conn::{FrameBuf, OutBuf};

@@ -12,10 +12,11 @@
 //!   only, like everything in this workspace), every post-handshake
 //!   message enveloped with a request id so one connection can
 //!   pipeline. Its sans-I/O codecs are `ark_client::protocol`;
-//! - [`server::Server`] — an event-driven serving fabric: one
-//!   `ark-net` reactor thread owns every connection, N workers pop one
-//!   bounded job queue (typed `BUSY` load-shedding when it is full) and
-//!   evaluate over one shared key chain per parameter set;
+//! - [`server::Server`] — the serving runtime: a blocking reader and
+//!   writer thread per connection (framing with `ark-net`'s buffers),
+//!   N workers popping one bounded job queue (typed `BUSY`
+//!   load-shedding when it is full) and evaluating over one shared key
+//!   chain per parameter set;
 //! - [`client::Client`] — a blocking client: encrypt locally, evaluate
 //!   remotely (serially or pipelined via tickets), decrypt locally.
 //!   A thin `TcpStream` adapter over the sans-I/O

@@ -1,18 +1,17 @@
 //! The serving runtime: one process hosting engines for several
-//! parameter sets, multiplexing client sessions through a readiness
-//! reactor onto one pool of workers.
+//! parameter sets, serving each client session with two blocking
+//! threads in front of one pool of workers.
 //!
 //! # Architecture
 //!
 //! ```text
-//! reactor thread (ark-net poller: epoll where available)
-//!   │  owns the listener and every connection; nonblocking reads
-//!   │  assemble length-prefixed messages (FrameBuf), nonblocking
-//!   │  writes drain per-connection outboxes (OutBuf) — no thread
-//!   │  ever blocks on a peer
+//! accept thread: blocking accept; each connection gets two threads
+//!
+//! reader (one per connection)
+//!   │  blocking reads assemble length-prefixed messages (FrameBuf)
 //!   │
 //!   ├─ control frames (HELLO, key fetches, STATS, SHUTDOWN):
-//!   │  answered inline — they are cheap and touch reactor state
+//!   │  answered inline — they are cheap and touch only this session
 //!   │
 //!   └─ EVALUATE / SIMULATE: pushed onto the one job queue
 //!        │  (bounded at shards × queue_capacity; admission control
@@ -20,17 +19,21 @@
 //!        ▼
 //!      N workers pop it oldest first — verify and decode, account
 //!      the session budget, evaluate on a shared evaluator over the
-//!      ONE resident KeyChain, and push the response frame onto the
-//!      completion queue, waking the reactor to route it back
+//!      ONE resident KeyChain, and hand the response frame straight to
+//!      its connection's outbox
+//!
+//! writer (one per connection)
+//!      drains the outbox (OutBuf) with blocking writes, holding no
+//!      lock a worker or another connection needs while it writes
 //! ```
 //!
-//! The reactor hashes no job payload: it routes an `EVALUATE` /
+//! A reader hashes no job payload: it routes an `EVALUATE` /
 //! `SIMULATE` on the frame *header* and queues the assembled message;
 //! the worker that pops it verifies the request's checksum and those of
 //! the ciphertext frames nested in it in one pass
 //! ([`ark_math::wire::read_nested_frames`]). Hashing a request takes
-//! hundreds of microseconds, routing it none, and the reactor is one
-//! thread for every connection.
+//! hundreds of microseconds, routing it none, so that work stays under
+//! the worker count that bounds evaluation, not the connection count.
 //!
 //! Key material is the serving-layer analogue of ARK's inter-operation
 //! key reuse: the server holds **one** [`KeyChain`]
@@ -50,17 +53,21 @@
 //! jobs, and responses come back in completion order, not submission
 //! order. A connection at its window is simply not read until a
 //! completion frees a slot (TCP back-pressure). A slow-reading peer
-//! cannot wedge anything: responses queue in that connection's outbox,
-//! and an outbox that outgrows
+//! pins only its own writer: responses queue in that connection's
+//! outbox, and an outbox that outgrows
 //! [`ServerConfig::max_conn_outbox_bytes`] sheds the connection.
 //!
 //! # Shutdown
 //!
 //! Graceful: a client `SHUTDOWN` frame or [`ServerHandle::shutdown`]
-//! flips one flag; the reactor stops admitting sessions, workers drain
-//! the job queue to empty and exit, the reactor routes the last
-//! completions, makes a bounded final flush pass, and every thread is
-//! joined before `shutdown` returns.
+//! flips one flag, after which jobs are refused, and the handle
+//! (`shutdown`, [`ServerHandle::wait`] or its drop) completes it. A
+//! connection to the listener's own address wakes the accept thread,
+//! which stops admitting sessions; workers drain the job queue to
+//! empty and exit; every writer flushes its outbox and closes its
+//! connection, a peer still not reading at
+//! [`ServerConfig::drain_grace`] is cut off, and every thread is joined
+//! before `shutdown` returns.
 
 use ark_ckks::error::{ArkError, ArkResult};
 use ark_ckks::params::CkksContext;
@@ -79,13 +86,13 @@ use ark_math::wire::{
     peek_frame, put_u16, read_frame, read_nested_frames, write_frame, Cursor, FrameWriter,
     CHECKSUM_LEN,
 };
-use ark_net::{FrameBuf, Interest, OutBuf, Poller, Token, Waker};
+use ark_net::{FrameBuf, OutBuf};
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::VecDeque;
+use std::io::{self, Read};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -121,11 +128,12 @@ pub struct ServerConfig {
     /// back-pressure), not in server memory; `BUSY` is sent only when
     /// the job queue is full.
     pub max_pipeline: usize,
-    /// Unwritten response bytes one connection's outbox may hold. A
-    /// peer that stops reading its responses gets its connection shed
-    /// at this budget instead of holding server memory hostage — and
-    /// since the reactor never blocks on a write, a stalled reader
-    /// cannot head-of-line-block other sessions either way.
+    /// Response bytes one connection's outbox may hold behind the write
+    /// in progress. A peer that stops reading its responses gets its
+    /// connection shed at this budget instead of holding server memory
+    /// hostage — and since only that connection's writer blocks on it,
+    /// a stalled reader cannot head-of-line-block other sessions either
+    /// way.
     pub max_conn_outbox_bytes: usize,
     /// The retry hint carried by `BUSY` load-shed responses.
     pub busy_retry_after_ms: u32,
@@ -135,10 +143,7 @@ pub struct ServerConfig {
     /// for loopback/dev setups that tear the server down from the
     /// client side.
     pub allow_remote_shutdown: bool,
-    /// Granularity at which [`ServerHandle::wait`] re-checks the
-    /// shutdown flag (and the reactor's idle wait bound).
-    pub poll_interval: Duration,
-    /// How long the reactor keeps flushing pending outboxes after the
+    /// How long connections keep flushing pending outboxes after the
     /// last job completes during shutdown, before abandoning unread
     /// responses.
     pub drain_grace: Duration,
@@ -156,7 +161,6 @@ impl Default for ServerConfig {
             max_conn_outbox_bytes: 256 << 20,
             busy_retry_after_ms: 50,
             allow_remote_shutdown: false,
-            poll_interval: Duration::from_millis(25),
             drain_grace: Duration::from_secs(1),
         }
     }
@@ -237,11 +241,12 @@ impl Drop for ChargeGuard<'_> {
 }
 
 /// A routed request bound for a worker. It owns the message as the
-/// connection's inbox assembled it, still wire bytes: the reactor read
+/// connection's inbox assembled it, still wire bytes: the reader read
 /// the frame header to route it and nothing more — verifying and
 /// decoding happen on the worker.
 struct Job {
-    conn_token: u64,
+    /// Where the response goes, and whose session budget it charges.
+    conn: Arc<Conn>,
     /// Echoed in the response envelope.
     request_id: u64,
     engine_idx: usize,
@@ -250,20 +255,12 @@ struct Job {
     kind: u16,
     /// `request id ‖ frame`.
     message: Vec<u8>,
-    session: Arc<SessionState>,
 }
 
 impl Job {
     fn frame_bytes(&self) -> &[u8] {
         &self.message[ENVELOPE_LEN..]
     }
-}
-
-/// A finished job's response frame, routed back through the reactor.
-struct Completion {
-    conn_token: u64,
-    request_id: u64,
-    frame: Vec<u8>,
 }
 
 const SHUTTING_DOWN: &str = "server is shutting down";
@@ -279,18 +276,17 @@ struct Shared {
     queue: Mutex<VecDeque<Job>>,
     /// Signalled on every push and once at shutdown.
     ready: Condvar,
+    /// Signalled once, at shutdown, for [`ServerHandle::wait`].
+    stopping: Condvar,
     queue_depth_hwm: AtomicU64,
     /// Per worker: jobs whose request verified — its checksum and
     /// those of the frames nested in it — and so ran, to a result or a
     /// typed error.
     jobs_executed: Vec<AtomicU64>,
-    completions: Mutex<Vec<Completion>>,
-    waker: Waker,
     shutdown: AtomicBool,
-    /// Workers still alive; the reactor exits only after the last one
-    /// (no completion can arrive once this hits zero).
-    active_workers: AtomicUsize,
     sessions_accepted: AtomicU64,
+    /// Connections accepted and not yet closed.
+    sessions_active: AtomicU64,
     sessions_shed: AtomicU64,
     jobs_shed: AtomicU64,
     /// The op histogram of every job the server has run, plus their
@@ -302,7 +298,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(engines: Vec<Engine>, config: ServerConfig, waker: Waker) -> Self {
+    fn new(engines: Vec<Engine>, config: ServerConfig) -> Self {
         let n_shards = config.effective_shards();
         let info = engines
             .iter()
@@ -320,13 +316,12 @@ impl Shared {
             config,
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
+            stopping: Condvar::new(),
             queue_depth_hwm: AtomicU64::new(0),
             jobs_executed: (0..n_shards).map(|_| AtomicU64::new(0)).collect(),
-            completions: Mutex::new(Vec::new()),
-            waker,
             shutdown: AtomicBool::new(false),
-            active_workers: AtomicUsize::new(n_shards),
             sessions_accepted: AtomicU64::new(0),
+            sessions_active: AtomicU64::new(0),
             sessions_shed: AtomicU64::new(0),
             jobs_shed: AtomicU64::new(0),
             ops: Mutex::new((TraceSummary::default(), 0)),
@@ -343,13 +338,14 @@ impl Shared {
             self.shutdown.store(true, Ordering::SeqCst);
         }
         self.ready.notify_all();
-        self.waker.wake();
+        self.stopping.notify_all();
     }
 
     /// Queues a job, or hands back the frame that refuses it: `BUSY`
     /// when `shards × queue_capacity` jobs are already queued, a typed
     /// `EVALUATION` error once shutdown has begun (not counted as
-    /// shed).
+    /// shed). A queued job counts against its connection's window from
+    /// before any worker can pop it.
     fn submit(&self, job: Job) -> Result<(), Vec<u8>> {
         let mut queue = self.queue.lock().expect("job queue poisoned");
         if self.shutting_down() {
@@ -359,6 +355,7 @@ impl Shared {
             self.jobs_shed.fetch_add(1, Ordering::Relaxed);
             return Err(protocol::busy_frame(self.config.busy_retry_after_ms));
         }
+        job.conn.lock().in_flight += 1;
         queue.push_back(job);
         self.queue_depth_hwm
             .fetch_max(queue.len() as u64, Ordering::Relaxed);
@@ -373,6 +370,65 @@ impl Shared {
         let mut ops = self.ops.lock().expect("op totals poisoned");
         ops.0 = ops.0.zip_with(summary, usize::saturating_add);
         ops.1 += program.rotate_sum_terms();
+    }
+
+    fn collect_stats(&self) -> Vec<(String, u64)> {
+        let shared = self;
+        let mut out = vec![
+            (
+                "sessions_accepted".to_string(),
+                shared.sessions_accepted.load(Ordering::Relaxed),
+            ),
+            (
+                "sessions_active".to_string(),
+                shared.sessions_active.load(Ordering::Relaxed),
+            ),
+            (
+                "sessions_shed".to_string(),
+                shared.sessions_shed.load(Ordering::Relaxed),
+            ),
+            (
+                "jobs_shed".to_string(),
+                shared.jobs_shed.load(Ordering::Relaxed),
+            ),
+            ("shards".to_string(), shared.jobs_executed.len() as u64),
+            (
+                "shards.queue_depth_hwm".to_string(),
+                shared.queue_depth_hwm.load(Ordering::Relaxed),
+            ),
+        ];
+        for (i, executed) in shared.jobs_executed.iter().enumerate() {
+            out.push((
+                format!("shard{i}.jobs_executed"),
+                executed.load(Ordering::Relaxed),
+            ));
+        }
+        for (i, e) in shared.engines.iter().enumerate() {
+            if let Some(kc) = e.keychain() {
+                let (hits, misses) = kc.runtime_key_cache_stats();
+                out.push((format!("engine{i}.runtime_key_hits"), hits));
+                out.push((format!("engine{i}.runtime_key_misses"), misses));
+            }
+        }
+        let (ops, rotate_sum_terms) = *shared.ops.lock().expect("op totals poisoned");
+        out.extend(
+            [
+                ("hmult", ops.hmult),
+                ("pmult", ops.pmult),
+                ("padd", ops.padd),
+                ("hadd", ops.hadd),
+                ("hrot", ops.hrot),
+                ("hrot_hoisted", ops.hrot_hoisted),
+                ("hconj", ops.hconj),
+                ("cmult", ops.cmult),
+                ("cadd", ops.cadd),
+                ("hrescale", ops.hrescale),
+                ("bootstraps", ops.mod_raise),
+                ("rotate_sum_terms", rotate_sum_terms),
+            ]
+            .map(|(name, n)| (format!("ops.{name}"), n as u64)),
+        );
+        out
     }
 }
 
@@ -421,17 +477,13 @@ impl Server {
         Ok(self)
     }
 
-    /// Binds `addr` and starts serving: spawns the reactor and the
+    /// Binds `addr` and starts serving: spawns the accept thread and the
     /// workers, then returns immediately with a handle. Bind to port 0
     /// for an ephemeral port ([`ServerHandle::addr`] reports it).
     pub fn serve(self, addr: impl ToSocketAddrs) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let mut poller = Poller::new()?;
-        poller.register(&listener, LISTENER_TOKEN, Interest::READ)?;
-        let waker = poller.waker();
-        let shared = Arc::new(Shared::new(self.engines, self.config, waker));
+        let shared = Arc::new(Shared::new(self.engines, self.config));
         let n_shards = shared.jobs_executed.len();
         let mut workers = Vec::with_capacity(n_shards);
         for i in 0..n_shards {
@@ -442,26 +494,16 @@ impl Server {
                     .spawn(move || worker_loop(&shared, i))?,
             );
         }
-        let reactor = {
+        let acceptor = {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
-                .name("ark-serve-reactor".into())
-                .spawn(move || {
-                    Reactor {
-                        shared,
-                        poller,
-                        listener,
-                        conns: HashMap::new(),
-                        next_token: FIRST_CONN_TOKEN,
-                        revisit: Vec::new(),
-                    }
-                    .run()
-                })?
+                .name("ark-serve-accept".into())
+                .spawn(move || accept_loop(&shared, &listener))?
         };
         Ok(ServerHandle {
             addr,
             shared,
-            reactor: Some(reactor),
+            acceptor: Some(acceptor),
             workers,
         })
     }
@@ -477,7 +519,8 @@ impl Default for Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    reactor: Option<thread::JoinHandle<()>>,
+    /// Hands back the connections still open when it stops accepting.
+    acceptor: Option<thread::JoinHandle<Vec<Session>>>,
     workers: Vec<thread::JoinHandle<()>>,
 }
 
@@ -505,23 +548,40 @@ impl ServerHandle {
 
     fn shutdown_in_place(&mut self) {
         self.shared.begin_shutdown();
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
+        wake_acceptor(self.addr);
+        let sessions = acceptor.join().unwrap_or_default();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        // the reactor keeps pumping completions while workers drain and
-        // exits once the last one is gone
-        self.shared.waker.wake();
-        if let Some(h) = self.reactor.take() {
-            let _ = h.join();
+        // every job is answered: each writer flushes what is queued and
+        // closes, and a peer that will not read is cut off at the
+        // deadline
+        for (conn, _) in &sessions {
+            conn.stop_reading();
+        }
+        let deadline = Instant::now() + self.shared.config.drain_grace;
+        while Instant::now() < deadline && sessions.iter().any(|(_, t)| !t.is_finished()) {
+            thread::sleep(Duration::from_millis(2));
+        }
+        for (conn, reader) in sessions {
+            conn.close(&self.shared, &mut conn.lock());
+            let _ = reader.join();
         }
     }
 
     /// Blocks until a shutdown is triggered by a client `SHUTDOWN`
     /// message, then completes it (joins all threads).
     pub fn wait(mut self) {
-        while !self.shared.shutting_down() {
-            thread::sleep(self.shared.config.poll_interval);
-        }
+        let queue = self.shared.queue.lock().expect("job queue poisoned");
+        drop(
+            self.shared
+                .stopping
+                .wait_while(queue, |_| !self.shared.shutting_down())
+                .expect("job queue poisoned"),
+        );
         self.shutdown_in_place();
     }
 }
@@ -536,29 +596,10 @@ impl Drop for ServerHandle {
 // workers
 // ---------------------------------------------------------------------
 
-fn worker_loop(shared: &Arc<Shared>, idx: usize) {
-    // announce the exit however it happens (return or unwind) and wake
-    // the reactor so its exit condition is re-evaluated
-    struct ExitFlag<'a>(&'a Shared);
-    impl Drop for ExitFlag<'_> {
-        fn drop(&mut self) {
-            self.0.active_workers.fetch_sub(1, Ordering::SeqCst);
-            self.0.waker.wake();
-        }
-    }
-    let _exit = ExitFlag(shared);
+fn worker_loop(shared: &Shared, idx: usize) {
     while let Some(job) = next_job(shared) {
         let frame = execute_job(shared, &shared.jobs_executed[idx], &job);
-        shared
-            .completions
-            .lock()
-            .expect("completion queue poisoned")
-            .push(Completion {
-                conn_token: job.conn_token,
-                request_id: job.request_id,
-                frame,
-            });
-        shared.waker.wake();
+        job.conn.complete(shared, job.request_id, &frame);
     }
 }
 
@@ -580,7 +621,7 @@ fn next_job(shared: &Shared) -> Option<Job> {
 /// not anticipate — degrades to a typed `ERROR` frame instead of
 /// killing the worker.
 fn execute_job(shared: &Shared, executed: &AtomicU64, job: &Job) -> Vec<u8> {
-    let charge = ChargeGuard::new(&job.session, shared.config.max_session_bytes);
+    let charge = ChargeGuard::new(&job.conn.session, shared.config.max_session_bytes);
     // AssertUnwindSafe: jobs borrow the engine immutably and its only
     // interior mutability (context caches) is Mutex-guarded
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match job.kind {
@@ -789,269 +830,284 @@ fn run_simulate(shared: &Shared, executed: &AtomicU64, job: &Job) -> Handled {
 }
 
 // ---------------------------------------------------------------------
-// the reactor
+// connections
 // ---------------------------------------------------------------------
 
-const LISTENER_TOKEN: Token = Token(0);
-const FIRST_CONN_TOKEN: u64 = 1;
+/// An open connection and its reader thread, which joins its writer.
+type Session = (Arc<Conn>, thread::JoinHandle<()>);
 
+/// Accepts connections until shutdown, giving each a reader and a
+/// writer thread. Returns the connections still open then.
+fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) -> Vec<Session> {
+    let mut sessions: Vec<Session> = Vec::new();
+    for stream in listener.incoming() {
+        if shared.shutting_down() {
+            break;
+        }
+        let Ok(stream) = stream else {
+            // out of descriptors, say: back off rather than spin
+            thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        let _ = stream.set_nodelay(true);
+        sessions.retain(|(_, reader)| !reader.is_finished());
+        let conn = Arc::new(Conn::new(stream));
+        shared.sessions_active.fetch_add(1, Ordering::Relaxed);
+        let reader = {
+            let (shared, conn) = (Arc::clone(shared), Arc::clone(&conn));
+            thread::Builder::new()
+                .name("ark-serve-read".into())
+                .spawn(move || serve_conn(&shared, &conn))
+        };
+        match reader {
+            Ok(reader) => {
+                shared.sessions_accepted.fetch_add(1, Ordering::Relaxed);
+                sessions.push((conn, reader));
+            }
+            Err(_) => conn.close(shared, &mut conn.lock()),
+        }
+    }
+    sessions
+}
+
+/// Connects to the listener, so that a blocked `accept` returns and
+/// sees the shutdown flag.
+fn wake_acceptor(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect(addr);
+}
+
+/// One connection, shared by its reader, its writer and the workers
+/// running its jobs.
 struct Conn {
+    /// Both threads do their I/O through `&TcpStream`; [`Conn::close`]
+    /// shuts it down under them, so a blocked read or write returns.
     stream: TcpStream,
-    session: Arc<SessionState>,
-    inbox: FrameBuf,
+    session: SessionState,
+    state: Mutex<ConnState>,
+    /// Signalled on every change of `state`.
+    changed: Condvar,
+}
+
+struct ConnState {
+    /// Responses the writer has not taken yet.
     outbox: OutBuf,
-    /// A `HELLO` carrying [`PROTOCOL_VERSION`] has been answered with
-    /// `SERVER_INFO`: every later message is enveloped.
-    handshaken: bool,
     /// Jobs of this connection currently queued or executing.
     in_flight: usize,
-    /// The peer half-closed its write side; finish in-flight work,
-    /// flush, then close.
-    eof: bool,
-    /// A fill pass stopped at the inbox budget: the socket may hold
-    /// more bytes with no new readiness edge coming — revisit.
-    paused: bool,
+    /// Cleared when the peer half-closes its write side, loses framing,
+    /// or the server shuts down: the writer then closes the connection
+    /// once every in-flight response is written.
+    reading: bool,
+    closed: bool,
 }
 
 impl Conn {
+    fn new(stream: TcpStream) -> Self {
+        Self {
+            stream,
+            session: SessionState {
+                in_flight_bytes: AtomicUsize::new(0),
+            },
+            state: Mutex::new(ConnState {
+                outbox: OutBuf::new(),
+                in_flight: 0,
+                reading: true,
+                closed: false,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, ConnState> {
+        self.state.lock().expect("connection state poisoned")
+    }
+
+    /// Waits until fewer than `window` jobs are in flight. False once
+    /// reading has stopped.
+    fn wait_for_slot(&self, window: usize) -> bool {
+        let state = self
+            .changed
+            .wait_while(self.lock(), |s| {
+                s.reading && !s.closed && s.in_flight >= window
+            })
+            .expect("connection state poisoned");
+        state.reading && !state.closed
+    }
+
+    /// Queues one message body for the writer.
+    fn send(&self, shared: &Shared, body: Vec<u8>) {
+        self.push(shared, &mut self.lock(), body);
+    }
+
+    /// Queues a finished job's response, freeing its window slot.
+    fn complete(&self, shared: &Shared, request_id: u64, frame: &[u8]) {
+        let mut state = self.lock();
+        state.in_flight -= 1;
+        self.push(shared, &mut state, protocol::envelope(request_id, frame));
+    }
+
+    /// An outbox past its budget sheds the connection: a peer that will
+    /// not read its responses does not get to hold server memory.
+    fn push(&self, shared: &Shared, state: &mut ConnState, body: Vec<u8>) {
+        if state.closed {
+            return;
+        }
+        if state.outbox.push_message(body).is_err() {
+            self.close(shared, state);
+        } else if state.outbox.pending() > shared.config.max_conn_outbox_bytes {
+            shared.sessions_shed.fetch_add(1, Ordering::Relaxed);
+            self.close(shared, state);
+        } else {
+            self.changed.notify_all();
+        }
+    }
+
+    fn stop_reading(&self) {
+        self.lock().reading = false;
+        self.changed.notify_all();
+    }
+
+    /// Closes the connection, once: both threads' blocked I/O returns
+    /// and later responses are dropped.
+    fn close(&self, shared: &Shared, state: &mut ConnState) {
+        if !state.closed {
+            state.closed = true;
+            shared.sessions_active.fetch_sub(1, Ordering::Relaxed);
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+        self.changed.notify_all();
+    }
+
+    /// The writer thread: drains the outbox with blocking writes until
+    /// the connection closes, or reading has stopped and every in-flight
+    /// response is written. It takes the queued bytes out before
+    /// writing them, so a write blocked on a stalled peer holds no lock
+    /// that a worker or another connection needs.
+    fn write_loop(&self, shared: &Shared) {
+        let mut state = self.lock();
+        loop {
+            state = self
+                .changed
+                .wait_while(state, |s| {
+                    s.outbox.is_empty() && !s.closed && (s.reading || s.in_flight > 0)
+                })
+                .expect("connection state poisoned");
+            if state.closed || state.outbox.is_empty() {
+                break;
+            }
+            let mut batch = std::mem::take(&mut state.outbox);
+            drop(state);
+            let written = batch.flush(&mut &self.stream);
+            state = self.lock();
+            if !matches!(written, Ok(true)) {
+                break;
+            }
+        }
+        self.close(shared, &mut state);
+    }
+}
+
+/// A connection's reader thread: starts its writer, dispatches messages
+/// until reading stops, then waits for the writer to close.
+fn serve_conn(shared: &Arc<Shared>, conn: &Arc<Conn>) {
+    let writer = {
+        let (shared, conn) = (Arc::clone(shared), Arc::clone(conn));
+        thread::Builder::new()
+            .name("ark-serve-write".into())
+            .spawn(move || conn.write_loop(&shared))
+    };
+    let Ok(writer) = writer else {
+        conn.close(shared, &mut conn.lock());
+        return;
+    };
+    Reader {
+        shared: Arc::clone(shared),
+        conn: Arc::clone(conn),
+        handshaken: false,
+    }
+    .run();
+    conn.stop_reading();
+    let _ = writer.join();
+}
+
+/// The protocol side of a connection's reader thread.
+struct Reader {
+    shared: Arc<Shared>,
+    conn: Arc<Conn>,
+    /// A `HELLO` carrying [`PROTOCOL_VERSION`] has been answered with
+    /// `SERVER_INFO`: every later message is enveloped.
+    handshaken: bool,
+}
+
+impl Reader {
     /// How many jobs this connection may have in flight: unbounded
     /// before `HELLO` (nothing dispatches then anyway), the pipeline
     /// window after.
-    fn window(&self, max_pipeline: usize) -> usize {
+    fn window(&self) -> usize {
         if self.handshaken {
-            max_pipeline
+            self.shared.config.max_pipeline
         } else {
             usize::MAX
         }
     }
-}
 
-struct Reactor {
-    shared: Arc<Shared>,
-    poller: Poller,
-    listener: TcpListener,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
-    /// Connections to drive again this or next iteration without
-    /// waiting for a kernel edge (messages buffered behind a full
-    /// window after a completion, paused fills).
-    revisit: Vec<u64>,
-}
-
-impl Reactor {
+    /// Feeds the inbox from blocking reads and dispatches each complete
+    /// message. At the pipeline window it neither dispatches nor reads
+    /// until a completion frees a slot, so the excess waits in the
+    /// peer's socket.
     fn run(&mut self) {
-        let mut events = Vec::new();
-        let mut accepting = true;
+        let mut inbox = FrameBuf::new(self.shared.config.max_frame_bytes + ENVELOPE_LEN);
+        let mut chunk = vec![0; 64 << 10];
         loop {
-            let draining = self.shared.shutting_down();
-            if draining && accepting {
-                // stop admitting sessions; existing ones drain
-                let _ = self.poller.deregister(&self.listener);
-                accepting = false;
-            }
-            if draining
-                && self.shared.active_workers.load(Ordering::SeqCst) == 0
-                && self
-                    .shared
-                    .completions
-                    .lock()
-                    .expect("completion queue poisoned")
-                    .is_empty()
-            {
-                self.final_flush();
-                return;
-            }
-            let timeout = if self.revisit.is_empty() {
-                Some(self.shared.config.poll_interval)
-            } else {
-                Some(Duration::ZERO)
-            };
-            if self.poller.wait(&mut events, timeout).is_err() {
-                return;
-            }
-            self.pump_completions();
-            for ev in events.drain(..) {
-                if ev.token == LISTENER_TOKEN {
-                    if accepting {
-                        self.accept_ready();
-                    }
-                    continue;
-                }
-                let tok = ev.token.0;
-                if ev.writable {
-                    self.conn_writable(tok);
-                }
-                if ev.readable {
-                    self.conn_readable(tok);
-                }
-            }
-            let revisit: Vec<u64> = {
-                let mut seen = std::mem::take(&mut self.revisit);
-                seen.sort_unstable();
-                seen.dedup();
-                seen
-            };
-            for tok in revisit {
-                self.conn_readable(tok);
-            }
-        }
-    }
-
-    /// Routes finished jobs' responses into their connections'
-    /// outboxes. A completion for a connection that died in the
-    /// meantime is dropped.
-    fn pump_completions(&mut self) {
-        let completions = std::mem::take(
-            &mut *self
-                .shared
-                .completions
-                .lock()
-                .expect("completion queue poisoned"),
-        );
-        for c in completions {
-            let Some(conn) = self.conns.get_mut(&c.conn_token) else {
-                continue;
-            };
-            conn.in_flight -= 1;
-            self.respond(c.conn_token, c.request_id, c.frame);
-            // messages may be buffered behind the window slot that just
-            // freed
-            self.revisit.push(c.conn_token);
-        }
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let tok = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
-                        .register(&stream, Token(tok), Interest::BOTH)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.shared
-                        .sessions_accepted
-                        .fetch_add(1, Ordering::Relaxed);
-                    let max_message = self.shared.config.max_frame_bytes + ENVELOPE_LEN;
-                    self.conns.insert(
-                        tok,
-                        Conn {
-                            stream,
-                            session: Arc::new(SessionState {
-                                in_flight_bytes: AtomicUsize::new(0),
-                            }),
-                            inbox: FrameBuf::new(max_message),
-                            outbox: OutBuf::new(),
-                            handshaken: false,
-                            in_flight: 0,
-                            eof: false,
-                            paused: false,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn conn_writable(&mut self, tok: u64) {
-        let Some(conn) = self.conns.get_mut(&tok) else {
-            return;
-        };
-        match conn.outbox.flush(&mut conn.stream) {
-            Ok(_) => self.maybe_close(tok),
-            Err(_) => self.close_conn(tok),
-        }
-    }
-
-    fn conn_readable(&mut self, tok: u64) {
-        let Some(conn) = self.conns.get_mut(&tok) else {
-            return;
-        };
-        // a connection at its request window cannot make progress until
-        // a completion frees a slot — and that completion schedules a
-        // revisit. Returning here (instead of filling and re-queueing)
-        // keeps a paused, window-blocked connection from busy-spinning
-        // the reactor at zero timeout.
-        if conn.in_flight >= conn.window(self.shared.config.max_pipeline) {
-            return;
-        }
-        // the budget leaves room for one maximal message plus the next
-        // prefix, so a pause can never starve an in-progress message
-        let budget = self.shared.config.max_frame_bytes + ENVELOPE_LEN + 64 * 1024;
-        match conn.inbox.fill(&mut conn.stream, budget) {
-            Ok(status) => {
-                if status.eof {
-                    conn.eof = true;
-                }
-                conn.paused = status.paused;
-                if status.paused {
-                    self.revisit.push(tok);
-                }
-            }
-            Err(_) => {
-                self.close_conn(tok);
-                return;
-            }
-        }
-        self.drive_inbox(tok);
-    }
-
-    /// Drains complete messages out of the connection's inbox,
-    /// dispatching each. Stops early at the pipeline window.
-    fn drive_inbox(&mut self, tok: u64) {
-        loop {
-            let message = {
-                let Some(conn) = self.conns.get_mut(&tok) else {
+            loop {
+                if !self.conn.wait_for_slot(self.window()) {
                     return;
-                };
-                if conn.in_flight >= conn.window(self.shared.config.max_pipeline) {
-                    // over the request window: stop popping; the
-                    // messages stay buffered (bounded by the fill
-                    // budget) until completions free slots
-                    break;
                 }
-                match conn.inbox.next_message() {
-                    Ok(Some(m)) => m,
+                match inbox.next_message() {
+                    Ok(Some(message)) => self.dispatch_message(message),
                     Ok(None) => break,
-                    Err(_) => {
-                        // the length prefix is hostile; no recoverable
-                        // message boundary remains on this stream
-                        self.close_conn(tok);
-                        return;
-                    }
+                    // the length prefix is hostile; no recoverable
+                    // message boundary remains on this stream
+                    Err(_) => return self.close(),
                 }
-            };
-            self.dispatch_message(tok, message);
+            }
+            match (&self.conn.stream).read(&mut chunk) {
+                // the peer half-closed: leftover inbox bytes are at most
+                // a torn partial message it can never complete
+                Ok(0) => return,
+                Ok(n) => inbox.push_bytes(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return self.close(),
+            }
         }
-        self.maybe_close(tok);
+    }
+
+    fn close(&self) {
+        self.conn.close(&self.shared, &mut self.conn.lock());
     }
 
     /// Handles one transport message: a bare frame until the handshake
     /// completes, `request id ‖ frame` after.
-    fn dispatch_message(&mut self, tok: u64, message: Vec<u8>) {
-        if !self.conns.get(&tok).is_some_and(|c| c.handshaken) {
-            self.handle_handshake(tok, &message);
+    fn dispatch_message(&mut self, message: Vec<u8>) {
+        if !self.handshaken {
+            self.handle_handshake(&message);
             return;
         }
         let Ok((request_id, frame_bytes)) = protocol::split_envelope(&message) else {
             // a peer that stops enveloping has lost framing; nothing
-            // later on the stream can be trusted
-            self.send(
-                tok,
-                protocol::error_frame(code::PROTOCOL, "missing v4 request-id envelope"),
-            );
-            self.close_conn(tok);
+            // later on the stream can be trusted: stop reading, and the
+            // writer closes once this error and any in-flight responses
+            // are out
+            self.send(protocol::error_frame(
+                code::PROTOCOL,
+                "missing v4 request-id envelope",
+            ));
+            self.conn.stop_reading();
             return;
         };
         // a job is routed on its header and verified by the worker that
@@ -1059,7 +1115,7 @@ impl Reactor {
         // all header
         if let Ok((header, _)) = peek_frame(frame_bytes) {
             if matches!(header.kind, msg::EVALUATE | msg::SIMULATE) {
-                self.admit_job(tok, request_id, header.kind, header.fingerprint, message);
+                self.admit_job(request_id, header.kind, header.fingerprint, message);
                 return;
             }
         }
@@ -1067,7 +1123,6 @@ impl Reactor {
             Ok((frame, _)) => frame,
             Err(e) => {
                 self.respond(
-                    tok,
                     request_id,
                     protocol::error_frame(code::WIRE, &e.to_string()),
                 );
@@ -1076,44 +1131,40 @@ impl Reactor {
         };
         match frame.kind {
             msg::HELLO => self.respond(
-                tok,
                 request_id,
                 protocol::error_frame(code::PROTOCOL, "HELLO after the handshake"),
             ),
             msg::GET_PUBLIC_KEY => {
-                let response =
-                    self.key_frame(tok, frame.fingerprint, msg::PUBLIC_KEY, |w, ctx, kc| {
-                        let public = kc.public_key().compress();
-                        ckks_wire::nest_compressed_public_key(w, ctx, &public);
-                        public.byte_len()
-                    });
-                self.respond(tok, request_id, response);
+                let response = self.key_frame(frame.fingerprint, msg::PUBLIC_KEY, |w, ctx, kc| {
+                    let public = kc.public_key().compress();
+                    ckks_wire::nest_compressed_public_key(w, ctx, &public);
+                    public.byte_len()
+                });
+                self.respond(request_id, response);
             }
             msg::GET_EVAL_KEYS => {
                 // ship the declared surface only — a bootstrapping
                 // engine also holds internal transform keys, which stay
                 // server-side
-                let response =
-                    self.key_frame(tok, frame.fingerprint, msg::EVAL_KEYS, |w, ctx, kc| {
-                        let mult = kc.mult_key().compress();
-                        let rotations = kc.compressed_declared_keys();
-                        ckks_wire::nest_compressed_eval_key(w, ctx, &mult);
-                        ckks_wire::nest_compressed_rotation_keys(w, ctx, &rotations);
-                        mult.byte_len() + rotations.byte_len()
-                    });
-                self.respond(tok, request_id, response);
+                let response = self.key_frame(frame.fingerprint, msg::EVAL_KEYS, |w, ctx, kc| {
+                    let mult = kc.mult_key().compress();
+                    let rotations = kc.compressed_declared_keys();
+                    ckks_wire::nest_compressed_eval_key(w, ctx, &mult);
+                    ckks_wire::nest_compressed_rotation_keys(w, ctx, &rotations);
+                    mult.byte_len() + rotations.byte_len()
+                });
+                self.respond(request_id, response);
             }
             msg::GET_STATS => {
-                let response = protocol::stats_frame(&self.collect_stats());
-                self.respond(tok, request_id, response);
+                let response = protocol::stats_frame(&self.shared.collect_stats());
+                self.respond(request_id, response);
             }
             msg::SHUTDOWN => {
                 if self.shared.config.allow_remote_shutdown {
-                    self.respond(tok, request_id, write_frame(msg::BYE, 0, &[]));
+                    self.respond(request_id, write_frame(msg::BYE, 0, &[]));
                     self.shared.begin_shutdown();
                 } else {
                     self.respond(
-                        tok,
                         request_id,
                         protocol::error_frame(
                             code::UNSUPPORTED,
@@ -1123,7 +1174,6 @@ impl Reactor {
                 }
             }
             k => self.respond(
-                tok,
                 request_id,
                 protocol::error_frame(code::PROTOCOL, &format!("unexpected frame kind {k:#x}")),
             ),
@@ -1134,7 +1184,7 @@ impl Reactor {
     /// [`PROTOCOL_VERSION`] is answered with `SERVER_INFO`, anything
     /// else with a typed `ERROR` — and the connection stays open and
     /// un-handshaken, so a peer may try again.
-    fn handle_handshake(&mut self, tok: u64, message: &[u8]) {
+    fn handle_handshake(&mut self, message: &[u8]) {
         let hello = read_frame(message)
             .map_err(wire_err)
             .and_then(|(frame, _)| {
@@ -1148,9 +1198,7 @@ impl Reactor {
             });
         let reply = match hello {
             Ok(PROTOCOL_VERSION) => {
-                if let Some(conn) = self.conns.get_mut(&tok) {
-                    conn.handshaken = true;
-                }
+                self.handshaken = true;
                 protocol::server_info_frame(&self.shared.info)
             }
             Ok(version) => protocol::error_frame(
@@ -1161,7 +1209,7 @@ impl Reactor {
             ),
             Err((c, m)) => protocol::error_frame(c, &m),
         };
-        self.send(tok, reply);
+        self.send(reply);
     }
 
     /// Key distribution ships *seed-compressed* frames (runtime data
@@ -1172,7 +1220,6 @@ impl Reactor {
     /// shipping.
     fn key_frame(
         &self,
-        tok: u64,
         fingerprint: u64,
         kind: u16,
         nest: impl FnOnce(&mut FrameWriter<'_>, &CkksContext, &KeyChain) -> usize,
@@ -1190,8 +1237,8 @@ impl Reactor {
             let mut frame = FrameWriter::begin(&mut out, kind, fingerprint);
             let shipped = nest(&mut frame, ctx, kc);
             frame.finish();
-            let session = &self.conns[&tok].session;
-            ChargeGuard::new(session, shared.config.max_session_bytes).charge(shipped)?;
+            ChargeGuard::new(&self.conn.session, shared.config.max_session_bytes)
+                .charge(shipped)?;
             Ok(out)
         })();
         result.unwrap_or_else(|(c, m)| protocol::error_frame(c, &m))
@@ -1199,21 +1246,14 @@ impl Reactor {
 
     /// Admits an `EVALUATE`/`SIMULATE` to the job queue, or answers it
     /// with the queue's refusal: a typed `BUSY` when the queue is full.
-    /// (The connection's pipeline window never sheds: `drive_inbox`
-    /// stops popping messages at the window, so a job only gets here
-    /// under it.)
+    /// (The connection's pipeline window never sheds: `run` stops
+    /// popping messages at the window, so a job only gets here under
+    /// it.)
     ///
     /// `kind` and `fingerprint` come from a header nobody has verified
     /// yet. A request turned away on them is therefore hashed first —
     /// corruption has always answered `WIRE`, whatever else is wrong.
-    fn admit_job(
-        &mut self,
-        tok: u64,
-        request_id: u64,
-        kind: u16,
-        fingerprint: u64,
-        message: Vec<u8>,
-    ) {
+    fn admit_job(&self, request_id: u64, kind: u16, fingerprint: u64, message: Vec<u8>) {
         let routed = if self.shared.shutting_down() {
             Err((code::EVALUATION, SHUTTING_DOWN.to_string()))
         } else {
@@ -1226,164 +1266,31 @@ impl Reactor {
                     Ok(_) => refusal,
                     Err(e) => wire_err(e),
                 };
-                self.respond(tok, request_id, protocol::error_frame(c, &m));
+                self.respond(request_id, protocol::error_frame(c, &m));
                 return;
             }
         };
-        let session = {
-            let Some(conn) = self.conns.get(&tok) else {
-                return;
-            };
-            Arc::clone(&conn.session)
-        };
         let job = Job {
-            conn_token: tok,
+            conn: Arc::clone(&self.conn),
             request_id,
             engine_idx,
             kind,
             message,
-            session,
         };
-        match self.shared.submit(job) {
-            Ok(()) => {
-                if let Some(conn) = self.conns.get_mut(&tok) {
-                    conn.in_flight += 1;
-                }
-            }
-            Err(refusal) => self.respond(tok, request_id, refusal),
+        if let Err(refusal) = self.shared.submit(job) {
+            self.respond(request_id, refusal);
         }
-    }
-
-    fn collect_stats(&self) -> Vec<(String, u64)> {
-        let shared = &self.shared;
-        let mut out = vec![
-            (
-                "sessions_accepted".to_string(),
-                shared.sessions_accepted.load(Ordering::Relaxed),
-            ),
-            ("sessions_active".to_string(), self.conns.len() as u64),
-            (
-                "sessions_shed".to_string(),
-                shared.sessions_shed.load(Ordering::Relaxed),
-            ),
-            (
-                "jobs_shed".to_string(),
-                shared.jobs_shed.load(Ordering::Relaxed),
-            ),
-            ("shards".to_string(), shared.jobs_executed.len() as u64),
-            (
-                "shards.queue_depth_hwm".to_string(),
-                shared.queue_depth_hwm.load(Ordering::Relaxed),
-            ),
-        ];
-        for (i, executed) in shared.jobs_executed.iter().enumerate() {
-            out.push((
-                format!("shard{i}.jobs_executed"),
-                executed.load(Ordering::Relaxed),
-            ));
-        }
-        for (i, e) in shared.engines.iter().enumerate() {
-            if let Some(kc) = e.keychain() {
-                let (hits, misses) = kc.runtime_key_cache_stats();
-                out.push((format!("engine{i}.runtime_key_hits"), hits));
-                out.push((format!("engine{i}.runtime_key_misses"), misses));
-            }
-        }
-        let (ops, rotate_sum_terms) = *shared.ops.lock().expect("op totals poisoned");
-        out.extend(
-            [
-                ("hmult", ops.hmult),
-                ("pmult", ops.pmult),
-                ("padd", ops.padd),
-                ("hadd", ops.hadd),
-                ("hrot", ops.hrot),
-                ("hrot_hoisted", ops.hrot_hoisted),
-                ("hconj", ops.hconj),
-                ("cmult", ops.cmult),
-                ("cadd", ops.cadd),
-                ("hrescale", ops.hrescale),
-                ("bootstraps", ops.mod_raise),
-                ("rotate_sum_terms", rotate_sum_terms),
-            ]
-            .map(|(name, n)| (format!("ops.{name}"), n as u64)),
-        );
-        out
     }
 
     /// Queues the response to request `request_id`, enveloped under it.
-    fn respond(&mut self, tok: u64, request_id: u64, frame: Vec<u8>) {
-        self.send(tok, protocol::envelope(request_id, &frame));
+    fn respond(&self, request_id: u64, frame: Vec<u8>) {
+        self.send(protocol::envelope(request_id, &frame));
     }
 
-    /// Queues one message body and flushes what the socket accepts.
-    /// Called directly only for the bare messages: the handshake
-    /// replies and the lost-framing error. An outbox past its budget
-    /// sheds the connection: a peer that will not read its responses
-    /// does not get to hold server memory.
-    fn send(&mut self, tok: u64, body: Vec<u8>) {
-        let Some(conn) = self.conns.get_mut(&tok) else {
-            return;
-        };
-        if conn.outbox.push_message(body).is_err() {
-            self.close_conn(tok);
-            return;
-        }
-        match conn.outbox.flush(&mut conn.stream) {
-            Ok(_) => {}
-            Err(_) => {
-                self.close_conn(tok);
-                return;
-            }
-        }
-        if self.conns[&tok].outbox.pending() > self.shared.config.max_conn_outbox_bytes {
-            self.shared.sessions_shed.fetch_add(1, Ordering::Relaxed);
-            self.close_conn(tok);
-        }
-    }
-
-    /// Closes a half-closed connection once nothing is left to do for
-    /// it.
-    fn maybe_close(&mut self, tok: u64) {
-        // leftover inbox bytes after the drive are at most a torn
-        // partial message, which an EOF'd peer can never complete
-        let done = self
-            .conns
-            .get(&tok)
-            .is_some_and(|c| c.eof && c.in_flight == 0 && c.outbox.is_empty());
-        if done {
-            self.close_conn(tok);
-        }
-    }
-
-    fn close_conn(&mut self, tok: u64) {
-        if let Some(conn) = self.conns.remove(&tok) {
-            let _ = self.poller.deregister(&conn.stream);
-        }
-    }
-
-    /// Bounded best-effort flush of the remaining outboxes at
-    /// shutdown, so in-flight responses (and the `BYE` of a
-    /// client-initiated shutdown) reach peers that are reading.
-    fn final_flush(&mut self) {
-        let deadline = Instant::now() + self.shared.config.drain_grace;
-        loop {
-            let mut pending = false;
-            let toks: Vec<u64> = self.conns.keys().copied().collect();
-            for tok in toks {
-                let Some(conn) = self.conns.get_mut(&tok) else {
-                    continue;
-                };
-                match conn.outbox.flush(&mut conn.stream) {
-                    Ok(true) => {}
-                    Ok(false) => pending = true,
-                    Err(_) => self.close_conn(tok),
-                }
-            }
-            if !pending || Instant::now() >= deadline {
-                return;
-            }
-            thread::sleep(Duration::from_millis(2));
-        }
+    /// Queues one message body. Called directly only for the bare
+    /// messages: the handshake replies and the lost-framing error.
+    fn send(&self, body: Vec<u8>) {
+        self.conn.send(&self.shared, body);
     }
 }
 
@@ -1407,8 +1314,16 @@ mod tests {
     use ark_fhe::engine::Backend;
     use ark_math::wire::put_u32;
 
+    /// A connection over a loopback socket nobody reads, with no
+    /// threads: the tests take its responses out of its outbox.
+    fn test_conn() -> Arc<Conn> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        Arc::new(Conn::new(listener.accept().unwrap().0))
+    }
+
     /// A SIMULATE job for `x + x` on one input at `level`.
-    fn simulate_job(engine_idx: usize, request_id: u64, level: u32) -> Job {
+    fn simulate_job(conn: &Arc<Conn>, engine_idx: usize, request_id: u64, level: u32) -> Job {
         let mut program = Program::new(1);
         let x = program.reg(0);
         let sum = program.add(x, x);
@@ -1418,14 +1333,11 @@ mod tests {
         put_u16(&mut payload, 1);
         put_u32(&mut payload, level);
         Job {
-            conn_token: 0,
+            conn: Arc::clone(conn),
             request_id,
             engine_idx,
             kind: msg::SIMULATE,
             message: protocol::envelope(request_id, &write_frame(msg::SIMULATE, 0, &payload)),
-            session: Arc::new(SessionState {
-                in_flight_bytes: AtomicUsize::new(0),
-            }),
         }
     }
 
@@ -1437,8 +1349,7 @@ mod tests {
             .backend(Backend::Simulated(ArkConfig::base()))
             .build()
             .unwrap();
-        let waker = Poller::new().unwrap().waker();
-        Arc::new(Shared::new(vec![engine], config, waker))
+        Arc::new(Shared::new(vec![engine], config))
     }
 
     fn spawn_worker(shared: &Arc<Shared>, idx: usize) -> thread::JoinHandle<()> {
@@ -1446,12 +1357,27 @@ mod tests {
         thread::spawn(move || worker_loop(&shared, idx))
     }
 
-    fn wait_for_completions(shared: &Shared, n: usize) {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while shared.completions.lock().unwrap().len() < n {
-            assert!(Instant::now() < deadline, "worker stopped serving");
-            thread::sleep(Duration::from_millis(2));
-        }
+    /// Waits until every job submitted on `conn` is answered.
+    fn wait_for_completions(conn: &Conn) {
+        let (_state, wait) = conn
+            .changed
+            .wait_timeout_while(conn.lock(), Duration::from_secs(30), |s| s.in_flight > 0)
+            .unwrap();
+        assert!(!wait.timed_out(), "worker stopped serving");
+    }
+
+    /// The responses queued on `conn`, as `(request id, frame)`.
+    fn completions(conn: &Conn) -> Vec<(u64, Vec<u8>)> {
+        let mut wire = Vec::new();
+        assert!(conn.lock().outbox.flush(&mut wire).unwrap());
+        let mut inbox = FrameBuf::new(wire.len());
+        inbox.push_bytes(&wire);
+        std::iter::from_fn(|| inbox.next_message().unwrap())
+            .map(|m| {
+                let (id, frame) = protocol::split_envelope(&m).unwrap();
+                (id, frame.to_vec())
+            })
+            .collect()
     }
 
     fn frame_kind(frame: &[u8]) -> u16 {
@@ -1470,32 +1396,33 @@ mod tests {
             shards: 1,
             ..ServerConfig::default()
         });
+        let conn = test_conn();
         let worker = spawn_worker(&shared, 0);
         // admission validates everything a wire Program can carry, so
-        // the remaining way to make a handler panic is a job the
-        // reactor would never build: one naming an engine slot that
+        // the remaining way to make a handler panic is a job a
+        // reader would never build: one naming an engine slot that
         // does not exist (an index-out-of-bounds inside the handler)
-        shared.submit(simulate_job(7, 1, 2)).unwrap();
+        shared.submit(simulate_job(&conn, 7, 1, 2)).unwrap();
         // an input level beyond the chain is an ordinary typed failure
-        shared.submit(simulate_job(0, 2, 99)).unwrap();
-        shared.submit(simulate_job(0, 3, 2)).unwrap();
-        wait_for_completions(&shared, 3);
+        shared.submit(simulate_job(&conn, 0, 2, 99)).unwrap();
+        shared.submit(simulate_job(&conn, 0, 3, 2)).unwrap();
+        wait_for_completions(&conn);
         shared.begin_shutdown();
         worker.join().expect("the panic must not escape the worker");
-        let mut done = std::mem::take(&mut *shared.completions.lock().unwrap());
-        done.sort_by_key(|c| c.request_id);
+        let mut done = completions(&conn);
+        done.sort_by_key(|c| c.0);
 
-        let (c, reason) = error_of(&done[0].frame);
+        let (c, reason) = error_of(&done[0].1);
         assert_eq!(c, code::EVALUATION);
         assert!(
             reason.starts_with("evaluation aborted: ") && reason.contains("index out of bounds"),
             "got {reason}"
         );
-        let (c, reason) = error_of(&done[1].frame);
+        let (c, reason) = error_of(&done[1].1);
         assert_eq!(c, code::EVALUATION);
         assert!(!reason.contains("aborted"), "got {reason}");
         // the same worker went on to serve a good request
-        assert_eq!(frame_kind(&done[2].frame), msg::RESULT_REPORT);
+        assert_eq!(frame_kind(&done[2].1), msg::RESULT_REPORT);
         assert_eq!(shared.jobs_executed[0].load(Ordering::Relaxed), 3);
     }
 
@@ -1507,9 +1434,10 @@ mod tests {
             queue_capacity: 1,
             ..ServerConfig::default()
         });
-        shared.submit(simulate_job(0, 1, 2)).unwrap();
-        shared.submit(simulate_job(0, 2, 2)).unwrap();
-        let refusal = shared.submit(simulate_job(0, 3, 2)).unwrap_err();
+        let conn = test_conn();
+        shared.submit(simulate_job(&conn, 0, 1, 2)).unwrap();
+        shared.submit(simulate_job(&conn, 0, 2, 2)).unwrap();
+        let refusal = shared.submit(simulate_job(&conn, 0, 3, 2)).unwrap_err();
         assert_eq!(frame_kind(&refusal), msg::BUSY);
         assert_eq!(shared.jobs_shed.load(Ordering::Relaxed), 1);
         assert_eq!(shared.queue_depth_hwm.load(Ordering::Relaxed), 2);
@@ -1521,20 +1449,15 @@ mod tests {
             shards: 1,
             ..ServerConfig::default()
         });
+        let conn = test_conn();
         for id in 1..=4 {
-            shared.submit(simulate_job(0, id, 2)).unwrap();
+            shared.submit(simulate_job(&conn, 0, id, 2)).unwrap();
         }
         let worker = spawn_worker(&shared, 0);
-        wait_for_completions(&shared, 4);
+        wait_for_completions(&conn);
         shared.begin_shutdown();
         worker.join().unwrap();
-        let ids: Vec<u64> = shared
-            .completions
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|c| c.request_id)
-            .collect();
+        let ids: Vec<u64> = completions(&conn).iter().map(|c| c.0).collect();
         assert_eq!(ids, [1, 2, 3, 4]);
     }
 
@@ -1544,8 +1467,9 @@ mod tests {
             shards: 2,
             ..ServerConfig::default()
         });
+        let conn = test_conn();
         for id in 1..=6 {
-            shared.submit(simulate_job(0, id, 2)).unwrap();
+            shared.submit(simulate_job(&conn, 0, id, 2)).unwrap();
         }
         // the flag is up before either worker pops a job
         shared.begin_shutdown();
@@ -1553,19 +1477,18 @@ mod tests {
         for w in workers {
             w.join().unwrap();
         }
-        let done = shared.completions.lock().unwrap();
+        let done = completions(&conn);
         assert_eq!(done.len(), 6);
-        assert!(done
-            .iter()
-            .all(|c| frame_kind(&c.frame) == msg::RESULT_REPORT));
-        assert_eq!(shared.active_workers.load(Ordering::SeqCst), 0);
+        assert!(done.iter().all(|c| frame_kind(&c.1) == msg::RESULT_REPORT));
+        assert_eq!(conn.lock().in_flight, 0);
     }
 
     #[test]
     fn submit_after_shutdown_is_refused_without_shedding() {
         let shared = simulated_shared(ServerConfig::default());
+        let conn = test_conn();
         shared.begin_shutdown();
-        let refusal = shared.submit(simulate_job(0, 1, 2)).unwrap_err();
+        let refusal = shared.submit(simulate_job(&conn, 0, 1, 2)).unwrap_err();
         assert_eq!(
             error_of(&refusal),
             (code::EVALUATION, SHUTTING_DOWN.to_string())

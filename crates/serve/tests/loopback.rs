@@ -17,7 +17,7 @@ use ark_serve::server::ServerConfig;
 use ark_serve::{Client, Program, Server, ServerHandle};
 use common::{recv, send};
 use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 const SEED: u64 = 97;
@@ -586,6 +586,47 @@ fn corrupted_evaluate_checksums_answer_wire_and_execute_nothing() {
     let got = local.decrypt(&outputs[0]).unwrap();
     assert!((got[0].re - 0.75).abs() < 1e-4, "got {}", got[0].re);
     assert_eq!(stats(&mut peer, 3), (1, 1));
+    handle.shutdown();
+}
+
+#[test]
+fn half_closed_peer_gets_every_pipelined_response_then_eof() {
+    let mut local = software_engine();
+    let ctx = CkksContext::new(CkksParams::tiny());
+    let ct_x = local.encrypt(&[C64::new(0.5, 0.0)], 2).unwrap();
+    let ct_y = local.encrypt(&[C64::new(0.25, 0.0)], 2).unwrap();
+    let (handle, sw_fp, _) = start_server(ServerConfig::default());
+    let request = evaluate_frame(sw_fp, &sample_program(), &[ct_x, ct_y], &ctx).unwrap();
+
+    // pipeline k jobs, then close the write side: the peer sends
+    // nothing more but still reads
+    let k = 6;
+    let mut peer = raw_peer(handle.addr());
+    handshake(&mut peer);
+    for id in 0..k {
+        send(&mut peer, &protocol::envelope(id, &request)).unwrap();
+    }
+    peer.shutdown(Shutdown::Write).unwrap();
+    let mut ids: Vec<u64> = (0..k)
+        .map(|_| {
+            let (id, frame) = recv_enveloped(&mut peer);
+            assert_eq!(read_frame(&frame).unwrap().0.kind, msg::RESULT_CTS);
+            id
+        })
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..k).collect::<Vec<_>>());
+    // every response is out, so the server closes its side
+    assert_eq!(
+        recv(&mut peer).unwrap_err().kind(),
+        ErrorKind::UnexpectedEof
+    );
+
+    // and the session is gone: the asking client is the only one left
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let stats = client.stats().unwrap();
+    let active = stats.iter().find(|(k, _)| k == "sessions_active").unwrap();
+    assert_eq!(active.1, 1, "stats: {stats:?}");
     handle.shutdown();
 }
 

@@ -21,6 +21,7 @@ use ark_serve::server::ServerConfig;
 use ark_serve::{Client, Program, Server, ServerHandle};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+use std::io::{ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -358,8 +359,8 @@ fn stalled_reader_does_not_block_other_sessions() {
     }
 
     // and the stalled session is eventually shed (observable in the
-    // counters); poll briefly — the shed happens on the reactor's next
-    // flush attempt for that connection
+    // counters); poll briefly — the shed happens on the next response
+    // queued behind that connection's blocked writer
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let stats = client.stats().unwrap();
@@ -378,6 +379,47 @@ fn stalled_reader_does_not_block_other_sessions() {
     }
     drop(stalled);
     handle.shutdown();
+}
+
+/// A handshaken peer that floods key fetches and never reads leaves
+/// the server with responses it cannot deliver. Shutdown still returns
+/// within `drain_grace` plus slack, with that connection closed.
+#[test]
+fn shutdown_is_bounded_by_drain_grace_under_a_peer_that_never_reads() {
+    let drain_grace = Duration::from_millis(300);
+    let (handle, sw_fp, _) = start_server(ServerConfig {
+        drain_grace,
+        ..ServerConfig::default()
+    });
+    let addr = handle.addr();
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    let mut hello = Vec::new();
+    put_u16(&mut hello, PROTOCOL_VERSION);
+    common::send(&mut stalled, &write_frame(msg::HELLO, 0, &hello)).unwrap();
+    // ~24 MiB of responses: more than loopback buffering absorbs, less
+    // than the default outbox budget, so nothing sheds the connection
+    let fetch = write_frame(msg::GET_EVAL_KEYS, sw_fp, &[]);
+    for id in 0..4096 {
+        common::send(&mut stalled, &protocol::envelope(id, &fetch)).unwrap();
+    }
+    // the server still answers everyone else
+    Client::connect(addr).unwrap().stats().unwrap();
+
+    let start = Instant::now();
+    handle.shutdown();
+    let took = start.elapsed();
+    assert!(
+        took < drain_grace + Duration::from_secs(2),
+        "shutdown took {took:?}"
+    );
+    // the server closed the connection: what it wrote drains, then EOF
+    // (or a reset for the requests it never read)
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    if let Err(e) = stalled.read_to_end(&mut Vec::new()) {
+        assert_eq!(e.kind(), ErrorKind::ConnectionReset, "{e}");
+    }
 }
 
 /// A dead server must not hang a read forever once a read timeout is
