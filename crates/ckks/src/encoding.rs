@@ -4,12 +4,13 @@
 //! `Δ`, and rounds into RNS limbs; `decode` CRT-reconstructs the signed
 //! coefficients, divides by the scale and applies the forward special
 //! FFT. Rounding replaces the paper's `≃` in Eq. 1; the error it adds is
-//! the standard encoding noise.
+//! the standard encoding noise. A vector holding one real value in every
+//! slot skips both transforms: it encodes to a constant polynomial.
 
 use crate::ciphertext::Plaintext;
 use crate::params::CkksContext;
 use ark_math::cfft::C64;
-use ark_math::poly::RnsPoly;
+use ark_math::poly::{Representation, RnsPoly};
 
 /// Magnitude bound on a scaled coefficient before it is rounded into
 /// `i64` (just under `2^63`). `encode`, `add_const` and `mul_const`
@@ -46,10 +47,48 @@ impl CkksContext {
     /// on the limb set, so the same values encoded on a superset agree
     /// limb for limb on the common ones.
     ///
+    /// A uniform real vector (see [`Self::uniform_coefficient`]) is the
+    /// constant polynomial `round(c·scale)`, which is that constant at
+    /// every evaluation point: it is written out directly, with no
+    /// inverse FFT and no NTT, bit for bit what the general path
+    /// computes.
+    ///
     /// # Panics
     ///
     /// As for [`Self::encode`].
     pub(crate) fn encode_on(&self, values: &[C64], limbs: &[usize], scale: f64) -> RnsPoly {
+        let Some(v) = self.uniform_coefficient(values, scale) else {
+            return self.encode_general_on(values, limbs, scale);
+        };
+        let n = self.params().n();
+        let mut data = Vec::with_capacity(limbs.len() * n);
+        for &i in limbs {
+            data.resize(data.len() + n, self.basis().modulus(i).from_i64(v));
+        }
+        RnsPoly::from_flat(self.basis(), limbs, Representation::Evaluation, data)
+    }
+
+    /// `Some(round(c·scale))` when `values` fills every slot with one
+    /// real `c`: the constant coefficient of its plaintext, whose other
+    /// coefficients are all zero. The general path agrees exactly: the
+    /// inverse special FFT of a constant vector is exact in floating
+    /// point (every butterfly doubles equal values or subtracts them to
+    /// an exact zero, and the final `1/slots` is a power of two), so it
+    /// rounds the very same `c·scale`.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Self::encode`], if `c·scale` overflows.
+    pub(crate) fn uniform_coefficient(&self, values: &[C64], scale: f64) -> Option<i64> {
+        let (&c, rest) = values.split_first()?;
+        let uniform =
+            values.len() == self.params().slots() && c.im == 0.0 && rest.iter().all(|&z| z == c);
+        uniform.then(|| round_scaled(c.re * scale))
+    }
+
+    /// The general encode: inverse special FFT, scale and round, reduce
+    /// into `limbs`, NTT.
+    fn encode_general_on(&self, values: &[C64], limbs: &[usize], scale: f64) -> RnsPoly {
         let slots = self.params().slots();
         assert!(values.len() <= slots, "too many values for {slots} slots");
         let mut v = vec![C64::zero(); slots];
@@ -58,14 +97,8 @@ impl CkksContext {
         let n = self.params().n();
         let mut coeffs = vec![0i64; n];
         for (j, z) in v.iter().enumerate() {
-            let re = z.re * scale;
-            let im = z.im * scale;
-            assert!(
-                re.abs() < ENCODE_LIMIT && im.abs() < ENCODE_LIMIT,
-                "scaled coefficient overflows i64; lower the scale"
-            );
-            coeffs[j] = re.round() as i64;
-            coeffs[j + slots] = im.round() as i64;
+            coeffs[j] = round_scaled(z.re * scale);
+            coeffs[j + slots] = round_scaled(z.im * scale);
         }
         let mut poly = RnsPoly::from_signed_coeffs(self.basis(), limbs, &coeffs);
         poly.to_eval(self.basis());
@@ -103,6 +136,19 @@ impl CkksContext {
     }
 }
 
+/// `x` rounded into an `i64`.
+///
+/// # Panics
+///
+/// Panics unless `|x| <` [`ENCODE_LIMIT`] (NaN included).
+fn round_scaled(x: f64) -> i64 {
+    assert!(
+        x.abs() < ENCODE_LIMIT,
+        "scaled coefficient overflows i64; lower the scale"
+    );
+    x.round() as i64
+}
+
 /// Maximum absolute slot error between two complex vectors.
 pub fn max_error(a: &[C64], b: &[C64]) -> f64 {
     a.iter()
@@ -118,6 +164,111 @@ mod tests {
 
     fn ctx() -> CkksContext {
         CkksContext::new(CkksParams::tiny())
+    }
+
+    /// Uniform real vectors take the constant path and encode bit for
+    /// bit as the general body does: on every functional parameter set,
+    /// at every level, on the chain and the extended limb set, at scale
+    /// `Δ` and at the level's top prime. The constants rotate through
+    /// the four (limb set, scale) pairs of a level; 4 and 7 are coprime,
+    /// so over seven levels every constant meets every pair.
+    #[test]
+    fn uniform_vectors_encode_exactly_as_the_general_body() {
+        let constants = [1.0 / 7.0, -0.3, 1.0, 0.0, -0.0, 3.0e-9, -123.25];
+        for params in [
+            CkksParams::tiny(),
+            CkksParams::small(),
+            CkksParams::boot_test(),
+        ] {
+            let ctx = CkksContext::new(params);
+            let slots = ctx.params().slots();
+            for level in 0..=ctx.params().max_level {
+                let q_top = ctx.basis().modulus(level).value() as f64;
+                let (chain, ext) = (ctx.chain_indices(level), ctx.extended_indices(level));
+                let delta = ctx.params().scale();
+                let pairs = [(chain, delta), (chain, q_top), (ext, delta), (ext, q_top)];
+                for (k, (limbs, scale)) in pairs.into_iter().enumerate() {
+                    let c = constants[(4 * level + k) % constants.len()];
+                    let values = vec![C64::new(c, 0.0); slots];
+                    assert!(ctx.uniform_coefficient(&values, scale).is_some());
+                    assert_eq!(
+                        ctx.encode_on(&values, limbs, scale),
+                        ctx.encode_general_on(&values, limbs, scale),
+                        "{}: c = {c}, level {level}, {} limbs, scale 2^{:.1}",
+                        ctx.params().name,
+                        limbs.len(),
+                        scale.log2()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Vectors that are not one real value in every slot take the
+    /// general body: a complex constant, a short (zero-padded) vector,
+    /// and a constant whose last slot is `0.0` or `−0.0`. All-`0.0` and
+    /// all-`−0.0` vectors are uniform and encode to the zero polynomial
+    /// either way.
+    #[test]
+    fn the_detector_takes_only_full_real_constants() {
+        let ctx = CkksContext::new(CkksParams::small());
+        let slots = ctx.params().slots();
+        let level = 4;
+        let scale = ctx.params().scale();
+        let c = C64::new(0.25, 0.0);
+        let ending_in = |z: C64| {
+            let mut v = vec![c; slots];
+            v[slots - 1] = z;
+            v
+        };
+        let not_taken = [
+            vec![C64::new(0.25, 0.5); slots],
+            vec![c; slots - 1],
+            ending_in(C64::new(0.0, 0.0)),
+            ending_in(C64::new(-0.0, 0.0)),
+        ];
+        let zeros = [0.0, -0.0].map(|z| vec![C64::new(z, z); slots]);
+        for limbs in [ctx.chain_indices(level), ctx.extended_indices(level)] {
+            for values in &not_taken {
+                assert_eq!(ctx.uniform_coefficient(values, scale), None);
+                assert_eq!(
+                    ctx.encode_on(values, limbs, scale),
+                    ctx.encode_general_on(values, limbs, scale)
+                );
+            }
+            for values in &zeros {
+                assert_eq!(ctx.uniform_coefficient(values, scale), Some(0));
+                let general = ctx.encode_general_on(values, limbs, scale);
+                assert!(general.flat().iter().all(|&x| x == 0));
+                assert_eq!(ctx.encode_on(values, limbs, scale), general);
+            }
+        }
+    }
+
+    /// NaN, ±inf and over-limit constants panic with the general
+    /// body's message on both paths.
+    #[test]
+    fn overflowing_uniform_vectors_panic_as_the_general_body_does() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let message = |f: &dyn Fn() -> RnsPoly| {
+            let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("encoding must panic");
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .expect("a string payload")
+        };
+        let ctx = ctx();
+        let slots = ctx.params().slots();
+        let limbs = ctx.chain_indices(2);
+        let scale = ctx.params().scale();
+        for c in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0e9] {
+            let values = vec![C64::new(c, 0.0); slots];
+            let fast = message(&|| ctx.encode(&values, 2, scale).poly);
+            let general = message(&|| ctx.encode_general_on(&values, limbs, scale));
+            assert_eq!(fast, "scaled coefficient overflows i64; lower the scale");
+            assert_eq!(fast, general, "c = {c}");
+        }
     }
 
     #[test]

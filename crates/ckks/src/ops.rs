@@ -16,6 +16,7 @@ use crate::params::CkksContext;
 use ark_math::automorphism::GaloisElement;
 use ark_math::cfft::C64;
 use ark_math::poly::{Representation, RnsPoly};
+use ark_math::rows;
 use ark_math::scratch::ScratchArena;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Deref;
@@ -203,19 +204,33 @@ impl CkksContext {
     /// `CMult` by the imaginary unit `i` (or `-i`): multiplies the
     /// underlying polynomial by the monomial `X^{N/2}` (resp. its
     /// negation), a scale-free exact operation used by bootstrapping.
+    /// In the NTT's bit-reversed output order `X^{N/2}` evaluates to
+    /// `ι = ψ^{N/2}` on the first half of the points and to `−ι` on the
+    /// second, so this is two scalar multiplies per limb.
     #[must_use = "returns a new ciphertext; the input is unchanged"]
     pub fn mul_i(&self, ct: &Ciphertext, negative: bool) -> Ciphertext {
-        let n = self.params().n();
-        // X^{N/2} in evaluation rep: encode once per call (cheap at test
-        // sizes). Monomial coefficients: coeff[N/2] = 1.
-        let mut coeffs = vec![0i64; n];
-        coeffs[n / 2] = if negative { -1 } else { 1 };
-        let idx = self.chain_indices(ct.level);
-        let mut mono = RnsPoly::from_signed_coeffs(self.basis(), idx, &coeffs);
-        mono.to_eval(self.basis());
+        let basis = self.basis();
+        let half = self.params().n() / 2;
         let mut out = ct.clone();
-        out.b.mul_assign(&mono, self.basis());
-        out.a.mul_assign(&mono, self.basis());
+        for poly in [&mut out.b, &mut out.a] {
+            assert_eq!(
+                poly.representation(),
+                Representation::Evaluation,
+                "mul needs evaluation rep"
+            );
+            poly.par_update_limbs(basis, |_pos, idx, row| {
+                let q = basis.modulus(idx);
+                let iota = q.pow(basis.table(idx).psi(), half as u64);
+                let (lo, hi) = if negative {
+                    (q.neg(iota), iota)
+                } else {
+                    (iota, q.neg(iota))
+                };
+                let (first, second) = row.split_at_mut(half);
+                rows::mul_shoup_rows(q, first, &q.shoup(lo));
+                rows::mul_shoup_rows(q, second, &q.shoup(hi));
+            });
+        }
         out
     }
 
@@ -447,14 +462,23 @@ impl CkksContext {
     ///
     /// Per distinct non-identity amount (ascending, aliases such as `r`
     /// and `r − n_slots` merged) the evk inner product `(u_b, u_a)`
-    /// stays in `R_PQ`; every term of that amount encodes its weights
-    /// over `C_ℓ ∪ B` and multiply-accumulates into one `R_PQ` pair,
-    /// while the key-switch-free parts — `pt ⊙ ψ_g(b)`, and `pt ⊙ (b, a)`
-    /// of identity terms — accumulate exactly in a `Q`-side pair that
-    /// never meets `P`. The result is numerically the
-    /// `rotate`/`mul_plain`/`add` spelling with one ModDown rounding in
-    /// place of `k` roundings that each got multiplied by a plaintext;
-    /// it is not bit-identical to that spelling.
+    /// stays in `R_PQ`; every term of that amount multiply-accumulates
+    /// its weights into one `R_PQ` pair, while the key-switch-free
+    /// parts — `pt ⊙ ψ_g(b)`, and `pt ⊙ (b, a)` of identity terms —
+    /// accumulate exactly in a `Q`-side pair that never meets `P`. The
+    /// result is numerically the `rotate`/`mul_plain`/`add` spelling
+    /// with one ModDown rounding in place of `k` roundings that each got
+    /// multiplied by a plaintext; it is not bit-identical to that
+    /// spelling.
+    ///
+    /// A term's weights are encoded once, before its multiply-adds, over
+    /// `C_ℓ ∪ B` (over `C_ℓ` for an identity term); uniform weights, one
+    /// real value in every slot, encode as a constant without a
+    /// transform. When every term carries the same uniform weight,
+    /// nothing is encoded over `C_ℓ ∪ B` at all: the terms just add, and
+    /// that weight multiplies the four accumulators once, as one scalar
+    /// per limb. This is exact mod `q`, so the output bits are those of
+    /// the per-term products.
     ///
     /// Keys resolve lazily through `key_for`, one amount at a time, so
     /// a bounded runtime-key cache never has to hold the whole set. The
@@ -477,11 +501,11 @@ impl CkksContext {
         terms: &[(i64, &[C64])],
         mut key_for: impl FnMut(GaloisElement) -> Option<K>,
     ) -> ArkResult<Ciphertext> {
-        if terms.is_empty() {
+        let Some(((_, first), rest)) = terms.split_first() else {
             return Err(ArkError::InvalidParams {
                 reason: "rotate_sum needs at least one term".into(),
             });
-        }
+        };
         let basis = self.basis();
         let level = ct.level;
         let chain = self.chain_indices(level);
@@ -493,16 +517,32 @@ impl CkksContext {
             let reduced = GaloisElement::normalize_rotation(*amount, self.params().slots());
             by_amount.entry(reduced).or_default().push(t);
         }
+        // a uniform weight every term shares factors out of the sum: its
+        // residues over `C_ℓ ∪ B`, whose prefix serves a `C_ℓ` pair
+        let shared: Option<Vec<u64>> = self
+            .uniform_coefficient(first, q_top)
+            .filter(|&v| {
+                rest.iter()
+                    .all(|(_, w)| self.uniform_coefficient(w, q_top) == Some(v))
+            })
+            .map(|v| ext.iter().map(|&i| basis.modulus(i).from_i64(v)).collect());
+        // term `t`'s plaintext over `limbs`; none in a shared-weight sum
+        let weight = |t: usize, limbs: &[usize]| {
+            shared
+                .is_none()
+                .then(|| self.encode_on(terms[t].1, limbs, q_top))
+        };
         let mut guard = self.arena();
         let arena = &mut *guard;
         // the Q-side pair: everything that needs no key-switch
         let mut sum_b = RnsPoly::zero_in(arena, basis, chain, Representation::Evaluation);
         let mut sum_a = RnsPoly::zero_in(arena, basis, chain, Representation::Evaluation);
         for t in by_amount.remove(&0).unwrap_or_default() {
-            let pt = self.encode_on(terms[t].1, chain, q_top);
-            sum_b.mul_add_assign(&ct.b, &pt, basis);
-            sum_a.mul_add_assign(&ct.a, &pt, basis);
+            let pt = weight(t, chain);
+            self.mul_add_weighted(&mut sum_b, &ct.b, pt.as_ref());
+            self.mul_add_weighted(&mut sum_a, &ct.a, pt.as_ref());
         }
+        let mut acc = None;
         if !by_amount.is_empty() {
             let digits = self.hoist_ciphertext_with(ct, arena);
             let mut acc_b = RnsPoly::zero_in(arena, basis, ext, Representation::Evaluation);
@@ -515,22 +555,35 @@ impl CkksContext {
                 let (ub, ua) = self.hoisted_inner_product_with(&digits, g, &key, arena);
                 let rb = ct.b.permute_eval_in(arena, &self.eval_perm(g), basis);
                 for &t in members {
-                    let pt = self.encode_on(terms[t].1, ext, q_top);
-                    acc_b.mul_add_assign(&ub, &pt, basis);
-                    acc_a.mul_add_assign(&ua, &pt, basis);
-                    sum_b.mul_add_assign_select(&rb, &pt, basis);
+                    let pt = weight(t, ext);
+                    self.mul_add_weighted(&mut acc_b, &ub, pt.as_ref());
+                    self.mul_add_weighted(&mut acc_a, &ua, pt.as_ref());
+                    self.mul_add_weighted(&mut sum_b, &rb, pt.as_ref());
                 }
                 ub.recycle(arena);
                 ua.recycle(arena);
                 rb.recycle(arena);
             }
             digits.recycle(arena);
-            for (sum, acc) in [(&mut sum_b, acc_b), (&mut sum_a, acc_a)] {
-                let down = self.mod_down_with(&acc, level, arena);
-                acc.recycle(arena);
-                sum.add_assign(&down, basis);
-                down.recycle(arena);
+            acc = Some([acc_b, acc_a]);
+        }
+        // before the ModDowns: the scalar must multiply what they round,
+        // exactly as the per-term products did
+        if let Some(residues) = &shared {
+            let accs = acc.iter_mut().flatten();
+            for poly in [&mut sum_b, &mut sum_a].into_iter().chain(accs) {
+                let limbs = poly.limb_indices().len();
+                poly.mul_scalar_per_limb(&residues[..limbs], basis);
             }
+        }
+        for (sum, acc) in [&mut sum_b, &mut sum_a]
+            .into_iter()
+            .zip(acc.into_iter().flatten())
+        {
+            let down = self.mod_down_with(&acc, level, arena);
+            acc.recycle(arena);
+            sum.add_assign(&down, basis);
+            down.recycle(arena);
         }
         Ok(Ciphertext {
             b: sum_b,
@@ -538,6 +591,16 @@ impl CkksContext {
             level,
             scale: ct.scale * q_top,
         })
+    }
+
+    /// `acc += u ⊙ pt` for one [`Self::rotate_sum`] term, or `acc += u`
+    /// in a shared-weight sum (no `pt`: the weight multiplies the sum
+    /// afterwards). `pt` may carry more limbs than `acc`.
+    fn mul_add_weighted(&self, acc: &mut RnsPoly, u: &RnsPoly, pt: Option<&RnsPoly>) {
+        match pt {
+            Some(pt) => acc.mul_add_assign_select(u, pt, self.basis()),
+            None => acc.add_assign(u, self.basis()),
+        }
     }
 
     /// `HRot`: circular left shift of the slots by `r` (negative `r`

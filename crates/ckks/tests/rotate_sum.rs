@@ -1,6 +1,8 @@
 //! The fused, ModDown-deferred `rotate_sum` against the
 //! `rotate`/`mul_plain`/`add` spelling it replaces: same message, never
-//! a worse one, and the same bits on every thread width.
+//! a worse one, and the same bits on every thread width. Uniform
+//! weights, which the fused op encodes without a transform or factors
+//! out of the sum, keep the bound and the bits.
 //!
 //! The two are *not* bit-identical. The spelling rounds once per
 //! rotation (its ModDown) and then multiplies every rounding by a
@@ -89,6 +91,17 @@ fn slots_strategy() -> impl Strategy<Value = Vec<(f64, f64)>> {
     proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 16)
 }
 
+/// Term weights: per-slot, or (one draw in two) one real constant in
+/// every slot, which `rotate_sum` encodes without a transform. Two
+/// constants only, so all-uniform sums often share one and take the
+/// factored path.
+fn weights_strategy() -> impl Strategy<Value = Vec<(f64, f64)>> {
+    prop_oneof![
+        slots_strategy(),
+        prop_oneof![Just(0.5), Just(-0.25)].prop_map(|c| vec![(c, 0.0); 16]),
+    ]
+}
+
 /// `Σ_t w_t ⊙ rot(m, r_t)` in the clear.
 fn clear_sum(m: &[C64], terms: &[(i64, &[C64])]) -> Vec<C64> {
     let n = m.len() as i64;
@@ -148,5 +161,34 @@ proptest! {
             "fused {} worse than spelled {} on {:?}", err_fused, err_spelled,
             terms.iter().map(|t| t.0).collect::<Vec<_>>()
         );
+    }
+
+    // Uniform weights take the constant encode and the shared-weight
+    // path. They keep the thread-width bit identity and the 1e-9 bound. "Never
+    // worse than the spelling" is not claimed for them: small uniform
+    // weights shrink the spelling's multiplied roundings too, and the
+    // two errors become comparable (one draw read fused 3.7e-10 against
+    // spelled 2.2e-10, with and without the shortcut).
+    #[test]
+    fn uniform_weights_keep_the_fused_bounds(
+        m in slots_strategy(),
+        picks in proptest::collection::vec(
+            (prop_oneof![Just(0i64), Just(16), Just(1), Just(-2), Just(14)], weights_strategy()),
+            1..=6,
+        ),
+        level in 1usize..=3,
+        seed in 0u64..1000,
+    ) {
+        let (serial, pooled) = fixtures();
+        let m = to_c64(&m);
+        let weights: Vec<Vec<C64>> = picks.iter().map(|(_, w)| to_c64(w)).collect();
+        let terms: Vec<(i64, &[C64])> =
+            picks.iter().zip(&weights).map(|((r, _), w)| (*r, w.as_slice())).collect();
+        let ct = serial.encrypt(&m, level, seed);
+        let fused = serial.fused(&ct, &terms);
+        prop_assert_eq!(&fused, &pooled.fused(&ct, &terms), "1 vs 4 threads diverged");
+        let held = serial.ctx.decrypt_decode(&ct, &serial.sk);
+        let err = max_error(&clear_sum(&held, &terms), &serial.decode_rescaled(&fused));
+        prop_assert!(err < 1e-9, "fused off the exact sum by {}", err);
     }
 }

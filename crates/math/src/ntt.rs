@@ -364,6 +364,23 @@ mod tests {
     }
 
     #[test]
+    fn monomial_x_half_n_is_plus_then_minus_iota() {
+        // X^{N/2} at ψ^{2k+1} is ι·(−1)^k with ι = ψ^{N/2}, and in the
+        // bit-reversed output order the even k fill the first half:
+        // what lets `mul_i` multiply by two scalars instead
+        for (n, bits) in [(16, 30), (1024, 50), (1 << 15, 55)] {
+            let t = table(n, bits);
+            let q = *t.modulus();
+            let mut a = vec![0u64; n];
+            a[n / 2] = 1;
+            t.forward(&mut a);
+            let iota = q.pow(t.psi(), n as u64 / 2);
+            assert!(a[..n / 2].iter().all(|&x| x == iota), "N = {n}");
+            assert!(a[n / 2..].iter().all(|&x| x == q.neg(iota)), "N = {n}");
+        }
+    }
+
+    #[test]
     fn linearity() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let n = 32;

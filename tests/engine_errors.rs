@@ -5,7 +5,7 @@
 
 use ark_fhe::arch::ArkConfig;
 use ark_fhe::ckks::params::{CkksContext, CkksParams};
-use ark_fhe::engine::{Backend, Engine, HeEvaluator, HeProgram, ProgramInput};
+use ark_fhe::engine::{Backend, Engine, HeEvaluator, HeProgram, ProgramInput, RotateSumTerm};
 use ark_fhe::error::{ArkError, ArkResult};
 use ark_fhe::math::cfft::C64;
 use rand::SeedableRng;
@@ -291,6 +291,54 @@ fn bootstrap_without_config_is_key_chain_missing() {
             .execute(&[ProgramInput::symbolic(0)], &Boot)
             .unwrap_err();
         assert!(matches!(err, ArkError::KeyChainMissing { .. }));
+    }
+}
+
+// -- uniform weights that overflow the encoding ----------------------
+
+/// One plaintext op with the weight `c` in every slot.
+enum UniformWeight {
+    MulPlain(f64),
+    AddPlain(f64),
+    RotateSum(f64),
+}
+
+impl HeProgram for UniformWeight {
+    fn run<E: HeEvaluator>(&self, e: &mut E, inputs: &[E::Ct]) -> ArkResult<Vec<E::Ct>> {
+        let w = |c: f64| vec![C64::new(c, 0.0); e.params().slots()];
+        let x = &inputs[0];
+        Ok(vec![match *self {
+            UniformWeight::MulPlain(c) => e.mul_plain(x, &w(c))?,
+            UniformWeight::AddPlain(c) => e.add_plain(x, &w(c))?,
+            UniformWeight::RotateSum(c) => {
+                let terms = [0, 1].map(|r| RotateSumTerm::new(r, w(c)));
+                e.rotate_sum(x, &terms)?
+            }
+        }])
+    }
+}
+
+#[test]
+fn overflowing_uniform_weights_are_invalid_params_on_both_backends() {
+    // NaN, ±inf, and 1e9 at tiny's 2^36 scales (past 2^63)
+    for c in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0e9] {
+        for program in [
+            UniformWeight::MulPlain(c),
+            UniformWeight::AddPlain(c),
+            UniformWeight::RotateSum(c),
+        ] {
+            for backend in both_backends() {
+                let mut engine = tiny_engine(backend);
+                let err = engine
+                    .execute(&[ProgramInput::symbolic(2)], &program)
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, ArkError::InvalidParams { reason } if reason.contains("overflows")),
+                    "c = {c}, backend {}: {err:?}",
+                    engine.backend_name()
+                );
+            }
+        }
     }
 }
 

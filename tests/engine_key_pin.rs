@@ -1,11 +1,13 @@
 //! Golden pins of the engine's bits: the seed-compressed public,
 //! multiplication and rotation-key frames a seeded session generates,
-//! and the ciphertext a full-slot bootstrap returns, are pinned by
-//! length and FNV-1a. Key generation refactors must not move a single
-//! bit — clients that fetched keys from a server expect the same-seed
-//! local session to hold the very same keys, and runtime-derived keys
-//! must stay bit-identical to eager ones. Bootstrap refactors must not
-//! move the full-slot pipeline's output either.
+//! the ciphertext a full-slot bootstrap returns, and the outputs of
+//! plaintext ops with constant (uniform) weights, are pinned by length
+//! and FNV-1a. Key generation refactors must not move a single bit —
+//! clients that fetched keys from a server expect the same-seed local
+//! session to hold the very same keys, and runtime-derived keys must
+//! stay bit-identical to eager ones. Bootstrap refactors must not move
+//! the full-slot pipeline's output either, and a shortcut for constant
+//! weights must compute exactly what the general encoding computes.
 
 use ark_fhe::ckks::bootstrap::BootstrapConfig;
 use ark_fhe::ckks::minks::KeyStrategy;
@@ -14,7 +16,7 @@ use ark_fhe::ckks::wire::{
     encode_ciphertext, write_compressed_eval_key, write_compressed_public_key,
     write_compressed_rotation_keys,
 };
-use ark_fhe::engine::{Engine, EngineBuilder, HeEvaluator};
+use ark_fhe::engine::{Engine, EngineBuilder, HeEvaluator, RotateSumTerm};
 use ark_fhe::math::cfft::C64;
 
 /// FNV-1a, implemented independently so the pin does not depend on
@@ -112,6 +114,78 @@ fn full_slot_bootstrap_output_is_pinned_minks() {
     assert_refreshed_pinned(KeyStrategy::MinKs);
 }
 
+/// `(len, fnv1a)` of the wire bytes of four plaintext ops with
+/// uniform weights, at `N = 2^10, L = 5, dnum = 3` on a level-4 input:
+/// an all-uniform `rotate_sum` with an identity term and an aliased
+/// pair (`3`, `3 − slots`); a `rotate_sum` mixing uniform, full and
+/// short non-uniform weights; a uniform `mul_plain`; a uniform
+/// `add_plain`.
+fn constant_weight_frames() -> [(usize, u64); 4] {
+    let params = CkksParams {
+        log_n: 10,
+        max_level: 5,
+        dnum: 3,
+        ..CkksParams::small()
+    };
+    let slots = params.slots() as i64;
+    let mut engine = Engine::builder()
+        .params(params)
+        .seed(11)
+        .threads(1)
+        .rotations(&[3, -1])
+        .build()
+        .expect("engine builds");
+    let values: Vec<C64> = (0..slots)
+        .map(|i| C64::new(((i % 23) as f64 / 23.0 - 0.5) * 0.8, 0.01 * (i % 7) as f64))
+        .collect();
+    let ct = engine.encrypt(&values, 4).expect("level 4 is on the chain");
+    let uniform = |c: f64| vec![C64::new(c, 0.0); slots as usize];
+    let ramp: Vec<C64> = (0..slots)
+        .map(|i| C64::new(0.001 * i as f64 - 0.2, 0.0))
+        .collect();
+    let short: Vec<C64> = (0..100).map(|i| C64::new(0.3, 0.002 * i as f64)).collect();
+    let sevenths = [0, 3, 3 - slots, -1]
+        .map(|r| RotateSumTerm::new(r, uniform(1.0 / 7.0)))
+        .to_vec();
+    let mixed = vec![
+        RotateSumTerm::new(3, uniform(0.25)),
+        RotateSumTerm::new(0, ramp.clone()),
+        RotateSumTerm::new(-1, uniform(-0.5)),
+        RotateSumTerm::new(3, short),
+        RotateSumTerm::new(0, uniform(2.0)),
+        RotateSumTerm::new(-1, ramp),
+    ];
+    let mut ev = engine.evaluator().expect("software backend");
+    [
+        ev.rotate_sum(&ct, &sevenths),
+        ev.rotate_sum(&ct, &mixed),
+        ev.mul_plain(&ct, &uniform(0.3)),
+        ev.add_plain(&ct, &uniform(-0.75)),
+    ]
+    .map(|out| {
+        let mut bytes = Vec::new();
+        encode_ciphertext(&mut bytes, &out.expect("admitted op"));
+        (bytes.len(), fnv1a(&bytes))
+    })
+}
+
+#[test]
+fn constant_weight_outputs_are_pinned() {
+    let names = [
+        "uniform rotate_sum",
+        "mixed rotate_sum",
+        "mul_plain",
+        "add_plain",
+    ];
+    for ((name, got), want) in names
+        .iter()
+        .zip(constant_weight_frames())
+        .zip(GOLDEN_CONSTANT_WEIGHTS)
+    {
+        assert_eq!(got, want, "{name}");
+    }
+}
+
 #[test]
 fn declared_session_keys_are_pinned() {
     assert_eq!(key_frames(declared_session()), GOLDEN_DECLARED);
@@ -144,6 +218,14 @@ const GOLDEN_REFRESHED: [(usize, u64); 3] = [
     (98_378, 0x2a36_8dbe_b980_166c),
     (98_378, 0x0463_c98e_8b1f_5f15),
 ];
+// Recorded while every plaintext weight still went through the general
+// encoding (iFFT, rounding, NTT), in `constant_weight_frames` order.
+const GOLDEN_CONSTANT_WEIGHTS: [(usize, u64); 4] = [
+    (81_986, 0xa9d0_5629_59c2_02d0),
+    (81_986, 0x90f2_4e82_64c0_f353),
+    (81_986, 0x5e0c_f01b_c3e0_518a),
+    (81_986, 0x4271_9554_7b03_5e90),
+];
 
 #[test]
 #[ignore = "utility: prints current golden values for re-pinning"]
@@ -160,5 +242,10 @@ fn print_golden_values() {
     println!(
         "const GOLDEN_REFRESHED: [(usize, u64); 3] = [{}];",
         refreshed.join(", ")
+    );
+    let constant = constant_weight_frames().map(fmt);
+    println!(
+        "const GOLDEN_CONSTANT_WEIGHTS: [(usize, u64); 4] = [{}];",
+        constant.join(", ")
     );
 }
