@@ -422,7 +422,6 @@ impl CkksContext {
         assert_eq!(ct.level, 0, "ModRaise expects a level-0 ciphertext");
         let target = self.chain_indices(level);
         let q0 = self.basis().modulus(0);
-        let half = q0.value() / 2;
         let raise = |poly: &RnsPoly| {
             let mut p = poly.clone();
             p.to_coeff(self.basis());
@@ -441,11 +440,7 @@ impl CkksContext {
                     } else {
                         let qi = self.basis().modulus(i);
                         for (c, &x) in row.iter_mut().zip(src) {
-                            *c = if x > half {
-                                qi.neg(qi.reduce(q0.value() - x))
-                            } else {
-                                qi.reduce(x)
-                            };
+                            *c = qi.lift_centered(x, q0.value());
                         }
                     }
                 });
@@ -575,6 +570,11 @@ mod tests {
         let full_out = full.stage_plans().last().expect("stages").level - 1;
         assert_eq!(refreshed.level, full_out);
         assert!(full_out >= 2, "bootstrapping must leave usable levels");
+        if config.radix_log2 == 3 {
+            // every caller runs boot-test: 20 − (2·3 transform levels +
+            // EvalMod's depth 8)
+            assert_eq!(full_out, 6, "boot-test, radix 2^3");
+        }
         let steps = observed.into_iter().map(|(step, _)| step).collect();
         (ctx.decrypt_decode(&refreshed, sk), steps)
     }

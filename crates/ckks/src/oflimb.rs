@@ -63,7 +63,6 @@ impl CkksContext {
     /// on-chip instead of loading limbs from HBM.
     pub fn expand_plaintext(&self, cpt: &CompressedPlaintext, level: usize) -> Plaintext {
         let q0 = self.basis().modulus(0);
-        let half = q0.value() / 2;
         let idx = self.chain_indices(level);
         let mut data = Vec::with_capacity(idx.len() * cpt.q0_limb.len());
         for &i in idx {
@@ -71,13 +70,7 @@ impl CkksContext {
                 data.extend_from_slice(&cpt.q0_limb);
             } else {
                 let qi = self.basis().modulus(i);
-                data.extend(cpt.q0_limb.iter().map(|&x| {
-                    if x > half {
-                        qi.neg(qi.reduce(q0.value() - x))
-                    } else {
-                        qi.reduce(x)
-                    }
-                }));
+                data.extend(cpt.q0_limb.iter().map(|&x| qi.lift_centered(x, q0.value())));
             }
         }
         let mut poly = RnsPoly::from_flat(self.basis(), idx, Representation::Coefficient, data);

@@ -673,7 +673,6 @@ impl CkksContext {
         arena: &mut ScratchArena,
     ) -> RnsPoly {
         let q_last = *self.basis().modulus(q_last_idx);
-        let half = q_last.value() / 2;
         let n = poly.n();
         let keep = self.chain_indices(out_level);
         // take the top limb to coefficient representation
@@ -691,11 +690,7 @@ impl CkksContext {
                     let j = keep[k];
                     let q = self.basis().modulus(j);
                     for (c, &x) in crow.iter_mut().zip(top_coeffs) {
-                        *c = if x > half {
-                            q.neg(q.reduce(q_last.value() - x))
-                        } else {
-                            q.reduce(x)
-                        };
+                        *c = q.lift_centered(x, q_last.value());
                     }
                     self.basis().table(j).forward(crow);
                 });

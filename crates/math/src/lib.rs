@@ -11,8 +11,10 @@
 //!   with on-the-fly twisting-factor generation (OF-Twist);
 //! - [`poly`] — RNS polynomials as flat limb-major `(limbs × N)` word
 //!   buffers with a borrowed limb-view API;
-//! - [`rows`] — branch-free fixed-width row kernels (the autovectorized
-//!   inner loops of every RNS op);
+//! - [`rows`] — fixed-width row kernels (the autovectorized inner loops
+//!   of every RNS op); like the NTT, they subtract conditionally with
+//!   the sign-mask [`modulus::csub`], because the compare-and-mask form
+//!   compiled to branches (see [`ntt`]'s "Lazy reduction");
 //! - [`scratch`] — recycling buffer arenas for allocation-free hot
 //!   paths;
 //! - [`bconv`] — fast base conversion (Eq. 4) and the BConvRoutine

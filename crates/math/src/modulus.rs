@@ -16,6 +16,24 @@
 /// Maximum supported modulus bit width.
 pub const MAX_MODULUS_BITS: u32 = 62;
 
+// `csub`'s precondition for the widest window it serves, `b = 2q`.
+const _: () = assert!(2 * ((1u64 << MAX_MODULUS_BITS) - 1) < 1 << 63);
+
+/// Conditional subtract: `x − b` if `x ≥ b`, else `x`, for `b ≤ 2^63`
+/// and `x < 2b` — the one subtraction of every lazy window.
+///
+/// The borrow of the wrapped difference is its sign bit, and the mask
+/// built from it adds `b` back. The compare-and-mask spelling
+/// `x - (b & mask(x >= b))` compiled to data-dependent `cmp; jb`
+/// branches in the NTT, which mispredict on residues spread uniformly
+/// over the window; a sign mask leaves the compiler no compare to lower.
+#[inline(always)]
+pub fn csub(x: u64, b: u64) -> u64 {
+    debug_assert!((x as u128) < 2 * b as u128, "csub needs x < 2b");
+    let d = x.wrapping_sub(b);
+    d.wrapping_add(b & ((d as i64 >> 63) as u64))
+}
+
 /// A word-sized prime modulus with precomputed Barrett constants.
 ///
 /// # Examples
@@ -244,6 +262,19 @@ impl Modulus {
         }
     }
 
+    /// Lifts `x`, a residue modulo `from` read as centered in
+    /// `(−from/2, from/2]`, into `Z_q` — the step behind rescaling,
+    /// ModRaise and OF-Limb's plaintext expansion.
+    #[inline(always)]
+    pub fn lift_centered(&self, x: u64, from: u64) -> u64 {
+        debug_assert!(x < from);
+        if x > from / 2 {
+            self.neg(self.reduce(from - x))
+        } else {
+            self.reduce(x)
+        }
+    }
+
     /// Precomputes a Shoup constant for repeated multiplication by `w`.
     #[inline]
     pub fn shoup(&self, w: u64) -> ShoupPrecomp {
@@ -258,12 +289,7 @@ impl Modulus {
     /// quotient. Roughly 2x faster than [`Modulus::mul`] in NTT loops.
     #[inline(always)]
     pub fn mul_shoup(&self, a: u64, pre: &ShoupPrecomp) -> u64 {
-        let r = self.mul_shoup_lazy(a, pre);
-        if r >= self.value {
-            r - self.value
-        } else {
-            r
-        }
+        csub(self.mul_shoup_lazy(a, pre), self.value)
     }
 
     /// Lazy Shoup multiplication: congruent to `a * pre.w mod q` but the
@@ -279,23 +305,27 @@ impl Modulus {
             .wrapping_sub(hi.wrapping_mul(self.value))
     }
 
-    /// Branch-free canonicalization of a lazy residue in `[0, 2q)`.
+    /// Canonicalization of a lazy residue in `[0, 2q)`: one [`csub`],
+    /// whose sign mask keeps it branch-free in the binary.
+    ///
+    /// Barrett [`Modulus::reduce`], [`Modulus::reduce_u128`],
+    /// [`Modulus::add`] and [`Modulus::sub`] keep their `if` form: it
+    /// already compiles to `cmov`, and the sign mask made `mul_rows` and
+    /// `mul_add_rows` slower. A change to these helpers is judged by
+    /// `math.ntt_{fwd,inv}.ns_per_coeff` and `math.mul_add.ns_per_coeff`
+    /// from a traced benchmark run.
     #[inline(always)]
     pub fn reduce_lazy2(&self, x: u64) -> u64 {
-        debug_assert!(x < 2 * self.value);
-        x - (self.value & ((x >= self.value) as u64).wrapping_neg())
+        csub(x, self.value)
     }
 
-    /// Branch-free canonicalization of a lazy residue in `[0, 4q)` —
-    /// the state a Harvey forward NTT leaves its outputs in. Safe
-    /// because moduli are capped at [`MAX_MODULUS_BITS`] bits, so `4q`
-    /// fits a `u64`.
+    /// Canonicalization of a lazy residue in `[0, 4q)` — the state a
+    /// Harvey forward NTT leaves its outputs in — as two [`csub`]s.
+    /// Safe because moduli are capped at [`MAX_MODULUS_BITS`] bits, so
+    /// `4q` fits a `u64`.
     #[inline(always)]
     pub fn reduce_lazy4(&self, x: u64) -> u64 {
-        let two_q = 2 * self.value;
-        debug_assert!(x < 2 * two_q);
-        let x = x - (two_q & ((x >= two_q) as u64).wrapping_neg());
-        self.reduce_lazy2(x)
+        self.reduce_lazy2(csub(x, 2 * self.value))
     }
 
     /// Maximum number of `(p − 1)·(q − 1)` products (with `p` at most
@@ -464,6 +494,18 @@ mod tests {
         }
         for x in 0..404 {
             assert_eq!(q.reduce_lazy4(x), x % 101);
+        }
+    }
+
+    #[test]
+    fn csub_at_the_window_edges() {
+        let q = (1u64 << 62) - 57; // the largest 62-bit prime
+        assert!(crate::primes::is_prime(q));
+        for b in [2, q, 2 * q] {
+            assert_eq!(csub(0, b), 0);
+            assert_eq!(csub(b - 1, b), b - 1);
+            assert_eq!(csub(b, b), 0);
+            assert_eq!(csub(2 * b - 1, b), b - 1);
         }
     }
 

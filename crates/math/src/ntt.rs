@@ -20,12 +20,21 @@
 //! outputs stay in the *redundant* ranges `[0, 4q)` (forward) and
 //! `[0, 2q)` (inverse), exploiting `mul_shoup_lazy`'s tolerance of any
 //! 64-bit operand, and a single normalization pass canonicalizes each
-//! limb at the end. With `q < 2^62` (the [`Modulus`] ceiling) every
-//! intermediate fits a `u64`, and because the final canonical residue of
-//! each element is unique, the lazy pipeline is bit-identical to eager
-//! per-butterfly reduction.
+//! limb at the end. With `q < 2^62` (the [`Modulus`] ceiling, checked by
+//! a `const` assertion) every intermediate fits a `u64`, and because the
+//! final canonical residue of each element is unique, the lazy pipeline
+//! is bit-identical to eager per-butterfly reduction.
+//!
+//! Every window subtraction is one [`csub`], a sign-mask conditional
+//! subtract. The compare-and-mask form `x - (b & mask(x >= b))` it
+//! replaced compiled to data-dependent `cmp; jb` branches in the final
+//! canonicalization loop, and those mispredict on residues spread over
+//! `[0, 4q)`. Barrett `reduce`/`reduce_u128` and `add`/`sub` keep their
+//! `if` form because it already compiles to `cmov`. A change to these
+//! helpers is judged by `math.ntt_{fwd,inv}.ns_per_coeff` and
+//! `math.mul_add.ns_per_coeff` from a traced benchmark run.
 
-use crate::modulus::{Modulus, ShoupPrecomp};
+use crate::modulus::{csub, Modulus, ShoupPrecomp};
 use crate::par::ThreadPool;
 use crate::primes::primitive_root_of_unity;
 
@@ -180,8 +189,8 @@ impl NttTable {
                 // vectorizes without bounds checks.
                 let (lo, hi) = a[base..base + 2 * t].split_at_mut(t);
                 for j in 0..t {
-                    // lo[j] < 4q → bring into [0, 2q) branch-free.
-                    let x = lo[j] - (two_q & ((lo[j] >= two_q) as u64).wrapping_neg());
+                    // lo[j] < 4q → bring into [0, 2q).
+                    let x = csub(lo[j], two_q);
                     // hi[j] < 4q < 2^64 is fine as a lazy Shoup operand;
                     // the product lands in [0, 2q).
                     let v = m.mul_shoup_lazy(hi[j], w);
@@ -220,7 +229,7 @@ impl NttTable {
                     let x = lo[j];
                     let y = hi[j];
                     let u = x + y; // < 4q
-                    lo[j] = u - (two_q & ((u >= two_q) as u64).wrapping_neg());
+                    lo[j] = csub(u, two_q);
                     // x + 2q − y < 4q < 2^64; lazy product lands < 2q.
                     hi[j] = m.mul_shoup_lazy(x + two_q - y, w);
                 }
@@ -463,6 +472,43 @@ mod tests {
             inverse_eager(&t, &mut eager);
             assert_eq!(lazy, eager, "inverse n={n} bits={bits}");
             assert_eq!(lazy, a, "roundtrip n={n} bits={bits}");
+        }
+    }
+
+    /// The largest prime below `2^bits` that is `1 mod 2n`.
+    fn largest_ntt_prime(n: usize, bits: u32) -> u64 {
+        let step = 2 * n as u64;
+        let mut p = (1u64 << bits) - step + 1;
+        while !crate::primes::is_prime(p) {
+            p -= step;
+        }
+        p
+    }
+
+    #[test]
+    fn every_input_at_q_minus_one_on_the_widest_primes() {
+        // the top of every lazy window: the largest residue through the
+        // largest 61- and 62-bit primes
+        for bits in [61, 62] {
+            for log_n in [4u32, 10, 15] {
+                let n = 1usize << log_n;
+                let q = Modulus::new(largest_ntt_prime(n, bits)).unwrap();
+                assert_eq!(q.bits(), bits);
+                let t = NttTable::new(q, n);
+                let a = vec![q.value() - 1; n];
+                let mut f = a.clone();
+                t.forward(&mut f);
+                assert!(f.iter().all(|&x| x < q.value()), "bits={bits} n={n}");
+                t.inverse(&mut f);
+                assert_eq!(f, a, "roundtrip bits={bits} n={n}");
+                if log_n == 4 {
+                    assert_eq!(
+                        t.negacyclic_mul(&a, &a),
+                        negacyclic_mul_naive(&a, &a, &q),
+                        "product bits={bits}"
+                    );
+                }
+            }
         }
     }
 

@@ -1,22 +1,21 @@
-//! Branch-free, fixed-width row kernels over contiguous limb slices.
+//! Fixed-width row kernels over contiguous limb slices.
 //!
 //! These are the element-wise inner loops of every RNS op, restructured
 //! for the flat limb-major layout: each kernel walks aligned slices in
-//! fixed-width chunks ([`LANES`] elements) with branch-free conditional
-//! subtraction, the shape LLVM autovectorizes. The arithmetic is
-//! identical to the scalar [`Modulus`] ops — the same canonical residue
-//! comes out of every element — only the control flow changed.
+//! fixed-width chunks ([`LANES`] elements), the shape LLVM
+//! autovectorizes. Their conditional subtractions are the sign-mask
+//! [`csub`], because the compare-and-mask form compiled to branches in
+//! the NTT; the Barrett multiplies keep [`Modulus::mul`]'s `if` form,
+//! which already compiles to `cmov`. A change to either is judged by
+//! `math.mul_add.ns_per_coeff` and `math.ntt_{fwd,inv}.ns_per_coeff`
+//! from a traced benchmark run. The arithmetic is identical to the
+//! scalar [`Modulus`] ops — the same canonical residue comes out of
+//! every element — only the control flow changed.
 
-use crate::modulus::{Modulus, ShoupPrecomp};
+use crate::modulus::{csub, Modulus, ShoupPrecomp};
 
 /// Fixed chunk width of the vectorizable inner loops.
 pub const LANES: usize = 8;
-
-/// Branch-free `x mod q` for `x` in `[0, 2q)`.
-#[inline(always)]
-fn csub(x: u64, q: u64) -> u64 {
-    x - (q & ((x >= q) as u64).wrapping_neg())
-}
 
 macro_rules! for_each_chunk {
     // Binary in-place: dst[i] = f(dst[i], src[i])
@@ -91,11 +90,10 @@ pub fn mul_add_rows(q: &Modulus, dst: &mut [u64], a: &[u64], b: &[u64]) {
     }
 }
 
-/// `dst[i] = dst[i] * pre.w mod q` (Shoup, branch-free final reduce).
+/// `dst[i] = dst[i] * pre.w mod q` (Shoup).
 pub fn mul_shoup_rows(q: &Modulus, dst: &mut [u64], pre: &ShoupPrecomp) {
-    let qv = q.value();
     for x in dst.iter_mut() {
-        *x = csub(q.mul_shoup_lazy(*x, pre), qv);
+        *x = q.mul_shoup(*x, pre);
     }
 }
 
@@ -103,9 +101,8 @@ pub fn mul_shoup_rows(q: &Modulus, dst: &mut [u64], pre: &ShoupPrecomp) {
 /// BConv step 1.
 pub fn scale_shoup_rows(q: &Modulus, dst: &mut [u64], src: &[u64], pre: &ShoupPrecomp) {
     debug_assert_eq!(dst.len(), src.len());
-    let qv = q.value();
     for (x, &y) in dst.iter_mut().zip(src) {
-        *x = csub(q.mul_shoup_lazy(y, pre), qv);
+        *x = q.mul_shoup(y, pre);
     }
 }
 

@@ -160,7 +160,7 @@ impl Scenario for HelrScenario {
             // tiled model holds: SubSum, radix-2^3 transforms of 16
             // slots and one sparse-secret EvalMod (degree 119). ModRaise
             // lands on level 18 instead of 20, and the output keeps the
-            // full-slot level 5
+            // full-slot level 6
             bootstrapping: Some(BootstrapConfig {
                 slots: Some(FEATURES),
                 ..BootstrapConfig::default()
