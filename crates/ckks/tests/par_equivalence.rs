@@ -176,3 +176,17 @@ proptest! {
         prop_assert_eq!(raised_s, raised_p);
     }
 }
+
+/// The default dispatch floor's two regimes: the widest polynomial of
+/// the boot-test set (every extended-basis limb at N = 2^10) stays on
+/// the caller, while the top level of an N = 2^15, L = 5 chain fans out.
+#[test]
+fn default_floor_separates_small_and_large_rings() {
+    let pool = ThreadPool::new(2);
+    let boot = CkksParams::boot_test();
+    let widest = (boot.max_level + 1 + boot.alpha()) * boot.n();
+    assert_eq!(widest, 28 << 10);
+    assert_eq!(pool.for_work(widest).threads(), 1, "N = 2^10 runs inline");
+    assert_eq!(pool.for_work(6 << 15).threads(), 2, "6 limbs at N = 2^15");
+    assert_eq!(pool.for_work(4 << 15).threads(), 2, "4 limbs at N = 2^15");
+}

@@ -21,9 +21,9 @@
 //!   (Alg. 1);
 //! - [`automorphism`] — the Galois maps behind `HRot`/conjugation and the
 //!   strided-permutation property exploited by ARK's AutoU;
-//! - [`par`] — a scoped thread pool exploiting the limb-level
-//!   parallelism of RNS on the host (the software counterpart of the
-//!   paper's parallel lanes);
+//! - [`par`] — limb-row fan-out on scoped threads, behind a work floor
+//!   that keeps small operands on the caller (the host counterpart of
+//!   the paper's parallel lanes);
 //! - [`crt`] — minimal big integers + CRT reconstruction (test oracles);
 //! - [`cfft`] — complex arithmetic and the CKKS special FFT (canonical
 //!   embedding).
@@ -42,10 +42,7 @@
 //! assert_eq!(p.limb(0)[0], 1);
 //! ```
 
-// the one unsafe operation in this crate (the scoped-pool lifetime
-// transmute in `par`) must sit in an explicit block with a SAFETY
-// contract, even if it ever moves inside an unsafe fn
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod automorphism;
 pub mod bconv;

@@ -91,9 +91,7 @@ impl RnsBasis {
             .iter()
             .map(|&p| Modulus::new(p).expect("valid modulus"))
             .collect();
-        let tables: Vec<NttTable> = pool
-            .for_work(moduli.len() * n)
-            .par_map_range(moduli.len(), |i| NttTable::new(moduli[i], n));
+        let tables: Vec<NttTable> = moduli.iter().map(|&q| NttTable::new(q, n)).collect();
         Self {
             n,
             moduli,

@@ -36,7 +36,13 @@ fn basis(threads: usize) -> RnsBasis {
     if threads <= 1 {
         RnsBasis::new(N, primes())
     } else {
-        RnsBasis::with_pool(N, primes(), ThreadPool::new(threads))
+        // floor 0: at N = 32 every loop is far below the default floor,
+        // which would run the threaded basis serially too
+        RnsBasis::with_pool(
+            N,
+            primes(),
+            ThreadPool::new(threads).with_min_dispatch_words(0),
+        )
     }
 }
 

@@ -4,7 +4,11 @@
 //! backend succeeds, and analyzer-rejects ⇒ the backend fails with the
 //! *same* [`ArkError`] class. Run at 1 and 4 software threads (the
 //! shared evaluator's limb fan-out must not change admission
-//! semantics).
+//! semantics). That checks the plumbing only: `CkksParams::tiny()`
+//! operands sit below the default dispatch floor, so both widths run
+//! every limb loop on the caller. The tests that force dispatch are
+//! the floor-0 equivalence suites (`crates/math/tests/flat_equivalence.rs`,
+//! `crates/ckks/tests/par_equivalence.rs`).
 //!
 //! All three run the same `(level, scale)` front, so the classes agree
 //! by construction; what this suite still earns is the other half —

@@ -141,8 +141,11 @@ impl EngineBuilder {
     /// Defaults to the host's available parallelism; `threads(1)` is the
     /// strictly serial path and any width is bit-identical to it —
     /// thread count changes throughput, never results or recorded
-    /// traces. The trace backend records symbolically and ignores the
-    /// setting.
+    /// traces. Threads are spawned per fan-out, only for loops above
+    /// [`ark_math::par::DEFAULT_MIN_DISPATCH_WORDS`] words (so at
+    /// `N = 2^10` every loop runs on the caller), and a spawn the OS
+    /// refuses runs its chunk on the caller. The trace backend records
+    /// symbolically and ignores the setting.
     ///
     /// `threads(0)` is **silently clamped to 1** rather than rejected:
     /// a zero often arrives from a computed value (host probing, a
@@ -179,13 +182,10 @@ impl EngineBuilder {
             self.bootstrapping.as_ref(),
             self.runtime_keys,
         )?;
-        let mut threads = self.threads.unwrap_or_else(par::available_parallelism);
+        let pool = ThreadPool::new(self.threads.unwrap_or_else(par::available_parallelism));
+        let threads = pool.threads();
         let state = match self.backend {
             Backend::Software => {
-                let pool = ThreadPool::new(threads);
-                // worker spawning is best-effort; report the width the
-                // pool actually obtained, not the one requested
-                threads = pool.threads();
                 let ctx = CkksContext::with_pool(shape.params().clone(), pool);
                 let mut rng = StdRng::seed_from_u64(self.seed);
                 let declared = shape.declared().clone();

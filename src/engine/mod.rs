@@ -340,10 +340,11 @@ impl Engine {
         self.shape.params()
     }
 
-    /// Threads the session fans limb-level work out on — the width the
-    /// pool actually obtained, which can be lower than the
-    /// [`EngineBuilder::threads`] request if worker spawning failed.
-    /// Informational on the trace backend.
+    /// Threads the session fans limb-level work out on: the
+    /// [`EngineBuilder::threads`] request (the host's available
+    /// parallelism if unset), with `0` clamped to `1`. It is an upper
+    /// bound per fan-out — a spawn the OS refuses runs its chunk on the
+    /// caller for that one batch. Informational on the trace backend.
     pub fn threads(&self) -> usize {
         self.threads
     }
