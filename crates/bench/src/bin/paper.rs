@@ -14,12 +14,10 @@ use ark_ckks::minks::KeyStrategy;
 use ark_ckks::params::CkksParams;
 use ark_core::area::Area;
 use ark_core::chiplet::ChipletPlan;
+use ark_core::config::twist_storage_words;
 use ark_core::f1::{paper_utilization_ceilings, ScaledF1};
 use ark_core::power::{average_power, PeakPower};
 use ark_core::{run, ArkConfig, CompileOptions};
-use ark_math::modulus::Modulus;
-use ark_math::ntt4step::FourStepNtt;
-use ark_math::primes::generate_ntt_primes;
 use ark_workloads::bootstrap::{bootstrap_trace, BootstrapTraceConfig};
 use ark_workloads::counts::hrot_breakdown;
 use ark_workloads::hdft::{hdft_trace, HdftConfig};
@@ -438,15 +436,12 @@ fn table7() {
 }
 
 fn oftwist() {
-    // storage accounting at a functional degree
     let n = 1 << 12;
-    let ntt = FourStepNtt::new(Modulus::new(generate_ntt_primes(n, 50, 1)[0]).unwrap(), n);
-    println!("OF-Twist — twisting-factor storage per limb (N = 2^12 functional check):");
+    let (baseline, of_twist) = (twist_storage_words(n, false), twist_storage_words(n, true));
+    println!("OF-Twist — twisting-factor storage per limb (N = 2^12):");
     println!(
-        "  baseline: {} words, OF-Twist: {} words ({:.1}% saved; paper: 99%)",
-        ntt.twist_storage_words_baseline(),
-        ntt.twist_storage_words_of_twist(),
-        100.0 * ntt.of_twist_storage_saving()
+        "  baseline: {baseline} words, OF-Twist: {of_twist} words ({:.1}% saved; paper: 99%)",
+        100.0 * (1.0 - of_twist as f64 / baseline as f64)
     );
     // paper-scale: 30 MB of scratchpad reclaimed — rerun bootstrapping
     // with OF-Twist off (storage charged against the evk cache)

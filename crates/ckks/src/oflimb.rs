@@ -12,7 +12,9 @@
 //! ```
 //!
 //! cutting plaintext traffic to `1/(ℓ+1)` at the cost of `ℓ` extra NTTs —
-//! the trade ARK's compute-rich design wins (Section VII-B).
+//! the trade ARK's compute-rich design wins (Section VII-B). The cycle
+//! model counts those words with
+//! `ark_workloads::counts::plaintext_words_at_level`.
 
 use crate::ciphertext::Plaintext;
 use crate::params::CkksContext;
@@ -95,16 +97,6 @@ impl CkksContext {
     }
 }
 
-/// Off-chip words loaded per `PMult` with and without OF-Limb, and the
-/// paper's traffic-reduction ratio `1/(ℓ+1)`.
-pub fn pmult_plaintext_words(n: usize, level: usize, of_limb: bool) -> usize {
-    if of_limb {
-        n
-    } else {
-        (level + 1) * n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,16 +156,6 @@ mod tests {
         let a = ctx.decrypt_decode(&via_full.unwrap(), &sk);
         let b = ctx.decrypt_decode(&via_comp.unwrap(), &sk);
         assert!(max_error(&a, &b) < 1e-9, "OF-Limb changed the result");
-    }
-
-    #[test]
-    fn traffic_reduction_ratio() {
-        // Paper: OF-Limb reduces PMult plaintext traffic to 1/(ℓ+1).
-        let n = 1 << 16;
-        let l = 23;
-        let with = pmult_plaintext_words(n, l, true);
-        let without = pmult_plaintext_words(n, l, false);
-        assert_eq!(without / with, l + 1);
     }
 
     #[test]

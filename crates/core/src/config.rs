@@ -197,11 +197,30 @@ impl ArkConfig {
         let poly_bytes = max_limbs * n * 8;
         let mut reserve = 12 * poly_bytes;
         if !self.of_twist {
-            // twisting-factor tables: 2·(α+L+1)·N words (≈30 MB at ARK
+            // twisting-factor tables for every limb (≈30 MB at ARK
             // params — the storage OF-Twist eliminates, Section V-C)
-            reserve += 2 * poly_bytes;
+            reserve += max_limbs * twist_storage_words(n, false) * 8;
         }
         (self.scratchpad_mib << 20).saturating_sub(reserve)
+    }
+}
+
+/// Words of twisting-factor storage per limb for ARK's 4-step NTTU
+/// (Section V-C), which runs a degree-`n` NTT as `n1`-point column
+/// NTTs, a twist, and `n / n1`-point row NTTs, with
+/// `n1 = 2^⌈log₂ n / 2⌉`.
+///
+/// Without OF-Twist the unit stores one factor per element for each of
+/// its two twists: `n` for the ψ-twist of the negacyclic input and `n`
+/// for the twist between the two passes, `2n` in all. Both twists are geometric progressions,
+/// so with OF-Twist the unit generates them from a start value and a
+/// common ratio per progression: one progression for the ψ-twist and
+/// `n1` for the mid-pass twist, `2·(1 + n1)` words.
+pub fn twist_storage_words(n: usize, of_twist: bool) -> usize {
+    if of_twist {
+        2 * (1 + (1 << n.trailing_zeros().div_ceil(2)))
+    } else {
+        2 * n
     }
 }
 
@@ -285,9 +304,28 @@ mod tests {
     fn of_twist_reserves_storage_when_off() {
         let mut c = ArkConfig::base();
         let with = c.evk_cache_bytes(1 << 16, 30);
+        // with OF-Twist on, only the 12-polynomial working set is reserved
+        assert_eq!(with, (512 << 20) - 12 * 30 * (1 << 16) * 8);
         c.of_twist = false;
         let without = c.evk_cache_bytes(1 << 16, 30);
         // 2 × 30 × 2^16 × 8 = 30 MiB difference (the paper's figure)
         assert_eq!(with - without, 30 << 20);
+        assert_eq!(with - without, 30 * twist_storage_words(1 << 16, false) * 8);
+    }
+
+    #[test]
+    fn of_twist_removes_nearly_all_twisting_factor_storage() {
+        let saving =
+            |n| 1.0 - twist_storage_words(n, true) as f64 / twist_storage_words(n, false) as f64;
+        // the figures `paper oftwist` prints
+        assert_eq!(twist_storage_words(1 << 12, false), 8192);
+        assert_eq!(twist_storage_words(1 << 12, true), 130);
+        assert_eq!(format!("{:.1}", 100.0 * saving(1 << 12)), "98.4");
+        // an odd log₂ N puts the larger half on the columns
+        assert_eq!(twist_storage_words(1 << 11, true), 2 * (1 + 64));
+        // the paper's claim at its own ring degree
+        let n = ark_ckks::params::CkksParams::ark().n();
+        assert_eq!(n, 1 << 16);
+        assert!(saving(n) >= 0.99, "saving was {}", saving(n));
     }
 }

@@ -111,14 +111,9 @@ impl BaseConverter {
         &self.to
     }
 
-    /// The flat base table `(p̂_j mod q_i)` — the matrix ARK's broadcast
-    /// units stream into the MAC lanes. Row-major `|to| × |from|`; row
-    /// `i` is [`BaseConverter::base_row`]`(i)`.
-    pub fn base_table(&self) -> &[u64] {
-        &self.base_table
-    }
-
-    /// Row `i` of the base table: `p̂_j mod q_i` for every source limb.
+    /// Row `i` of the base table `(p̂_j mod q_i)` — the matrix ARK's
+    /// broadcast units stream into the MAC lanes: `p̂_j mod q_i` for
+    /// every source limb.
     pub fn base_row(&self, i: usize) -> &[u64] {
         &self.base_table[i * self.from.len()..(i + 1) * self.from.len()]
     }

@@ -5,12 +5,11 @@
 //!
 //! - [`modulus`] — word-sized prime fields with Barrett/Shoup reduction;
 //! - [`primes`] — NTT-friendly prime generation (`q ≡ 1 mod 2N`);
-//! - [`ntt`] — in-place negacyclic NTT (the paper's evaluation
-//!   representation);
-//! - [`ntt4step`] — the Bailey 4-step NTT that ARK's NTTU implements,
-//!   with on-the-fly twisting-factor generation (OF-Twist);
+//! - [`ntt`] — in-place table-driven radix-2 negacyclic NTT (the
+//!   paper's evaluation representation; ARK's 4-step NTTU and its
+//!   OF-Twist storage live in the `ark-core` cycle model);
 //! - [`poly`] — RNS polynomials as flat limb-major `(limbs × N)` word
-//!   buffers with a borrowed limb-view API;
+//!   buffers, read by row and written by limb-wise kernels;
 //! - [`rows`] — fixed-width row kernels (the autovectorized inner loops
 //!   of every RNS op); like the NTT, they subtract conditionally with
 //!   the sign-mask [`modulus::csub`], because the compare-and-mask form
@@ -50,7 +49,6 @@ pub mod cfft;
 pub mod crt;
 pub mod modulus;
 pub mod ntt;
-pub mod ntt4step;
 pub mod par;
 pub mod poly;
 pub mod primes;

@@ -94,15 +94,14 @@ pub fn transform_limbs<'t, F>(
 pub struct NttTable {
     modulus: Modulus,
     n: usize,
-    log_n: u32,
     /// ψ^br(i) in bit-reversed order for the CT forward pass.
     root_powers: Vec<ShoupPrecomp>,
     /// ψ^{-br(i)} for the GS inverse pass.
     inv_root_powers: Vec<ShoupPrecomp>,
     /// n^{-1} mod q for the inverse scaling.
     n_inv: ShoupPrecomp,
-    /// The primitive 2N-th root ψ itself (for callers building twisting
-    /// factors, e.g. the 4-step NTT).
+    /// The primitive 2N-th root ψ itself (for callers that need a power
+    /// of it, e.g. the `i = ψ^{N/2}` of `mul_i`).
     psi: u64,
 }
 
@@ -141,7 +140,6 @@ impl NttTable {
         Self {
             modulus,
             n,
-            log_n,
             root_powers,
             inv_root_powers,
             n_inv,
@@ -257,13 +255,6 @@ impl NttTable {
         }
         self.inverse(&mut fa);
         fa
-    }
-
-    /// Number of butterfly operations in one forward or inverse pass:
-    /// `N/2 · log2 N`, each costing one modular multiply. This is the
-    /// figure the paper uses to size NTT units.
-    pub fn butterfly_count(&self) -> usize {
-        (self.n / 2) * self.log_n as usize
     }
 }
 
@@ -510,11 +501,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn butterfly_count_formula() {
-        let t = table(1 << 10, 30);
-        assert_eq!(t.butterfly_count(), (1 << 9) * 10);
     }
 }

@@ -12,12 +12,10 @@
 //! and base conversion are index juggling plus word arithmetic, never
 //! big-integer math.
 //!
-//! Access is through the borrowed *limb-view* API: [`RnsPoly::limb`] /
-//! [`RnsPoly::limb_mut`] slice one row, [`RnsPoly::limbs`] /
-//! [`RnsPoly::limbs_mut`] iterate rows as chunked views, and
-//! [`RnsPoly::limb_views_mut`] / [`RnsPoly::limb_pairs_mut`] pair rows
-//! with their basis indices ([`LimbView`] / [`LimbViewMut`]) for
-//! in-place binary ops. Nothing hands out `Vec<Vec<u64>>` any more.
+//! Callers read one row with [`RnsPoly::limb`] or the whole buffer with
+//! [`RnsPoly::flat`]; every write goes through the limb-wise kernels
+//! below, or through [`RnsPoly::par_update_limbs`] for a custom
+//! per-limb kernel (rescale, ModRaise).
 
 use crate::automorphism::{self, GaloisElement};
 use crate::modulus::Modulus;
@@ -125,38 +123,10 @@ impl RnsBasis {
         &self.moduli[idx]
     }
 
-    /// All moduli in order.
-    pub fn moduli(&self) -> &[Modulus] {
-        &self.moduli
-    }
-
     /// The NTT table at basis index `idx`.
     pub fn table(&self, idx: usize) -> &NttTable {
         &self.tables[idx]
     }
-}
-
-/// Borrowed view of one limb row plus its identity: storage position
-/// and basis index.
-#[derive(Debug)]
-pub struct LimbView<'a> {
-    /// Storage position within the polynomial.
-    pub pos: usize,
-    /// Basis index of the limb's prime.
-    pub idx: usize,
-    /// The `N` residues of this limb.
-    pub row: &'a [u64],
-}
-
-/// Mutable borrowed view of one limb row plus its identity.
-#[derive(Debug)]
-pub struct LimbViewMut<'a> {
-    /// Storage position within the polynomial.
-    pub pos: usize,
-    /// Basis index of the limb's prime.
-    pub idx: usize,
-    /// The `N` residues of this limb.
-    pub row: &'a mut [u64],
 }
 
 /// A polynomial as a set of RNS limbs over a shared [`RnsBasis`],
@@ -369,84 +339,6 @@ impl RnsPoly {
         &self.data[pos * self.n..(pos + 1) * self.n]
     }
 
-    /// Mutable raw limb row.
-    pub fn limb_mut(&mut self, pos: usize) -> &mut [u64] {
-        &mut self.data[pos * self.n..(pos + 1) * self.n]
-    }
-
-    /// Iterator over limb rows as borrowed chunked views.
-    pub fn limbs(&self) -> std::slice::ChunksExact<'_, u64> {
-        self.data.chunks_exact(self.n)
-    }
-
-    /// Iterator over mutable limb rows as borrowed chunked views.
-    pub fn limbs_mut(&mut self) -> std::slice::ChunksExactMut<'_, u64> {
-        let n = self.n;
-        self.data.chunks_exact_mut(n)
-    }
-
-    /// Iterator over [`LimbView`]s: each row paired with its storage
-    /// position and basis index.
-    pub fn limb_views(&self) -> impl Iterator<Item = LimbView<'_>> {
-        let idx = &self.limb_idx;
-        self.data
-            .chunks_exact(self.n)
-            .enumerate()
-            .map(move |(pos, row)| LimbView {
-                pos,
-                idx: idx[pos],
-                row,
-            })
-    }
-
-    /// Iterator over [`LimbViewMut`]s.
-    pub fn limb_views_mut(&mut self) -> impl Iterator<Item = LimbViewMut<'_>> {
-        let n = self.n;
-        let idx = &self.limb_idx;
-        self.data
-            .chunks_exact_mut(n)
-            .enumerate()
-            .map(move |(pos, row)| LimbViewMut {
-                pos,
-                idx: idx[pos],
-                row,
-            })
-    }
-
-    /// Pairs every mutable limb of `self` with the matching limb of
-    /// `other` — the view-level primitive for custom in-place binary
-    /// ops that the built-in `add/sub/mul` kernels don't cover.
-    ///
-    /// # Panics
-    ///
-    /// Panics if degrees, representations or limb sets differ.
-    pub fn limb_pairs_mut<'a>(
-        &'a mut self,
-        other: &'a Self,
-    ) -> impl Iterator<Item = (LimbViewMut<'a>, LimbView<'a>)> {
-        self.assert_compatible(other);
-        let n = self.n;
-        let idx = &self.limb_idx;
-        self.data
-            .chunks_exact_mut(n)
-            .zip(other.data.chunks_exact(n))
-            .enumerate()
-            .map(move |(pos, (a, b))| {
-                (
-                    LimbViewMut {
-                        pos,
-                        idx: idx[pos],
-                        row: a,
-                    },
-                    LimbView {
-                        pos,
-                        idx: idx[pos],
-                        row: b,
-                    },
-                )
-            })
-    }
-
     /// Storage position of the limb with basis index `idx`, if present.
     pub fn position_of(&self, idx: usize) -> Option<usize> {
         self.limb_idx.iter().position(|&i| i == idx)
@@ -593,16 +485,6 @@ impl RnsPoly {
         });
     }
 
-    /// Multiplies by one scalar (reduced into every limb).
-    pub fn mul_scalar(&mut self, scalar: u64, basis: &RnsBasis) {
-        self.par_update_limbs(basis, |_pos, idx, row| {
-            let q = basis.modulus(idx);
-            let s = q.reduce(scalar);
-            let pre = q.shoup(s);
-            rows::mul_shoup_rows(q, row, &pre);
-        });
-    }
-
     /// Converts to evaluation representation (no-op if already there).
     pub fn to_eval(&mut self, basis: &RnsBasis) {
         if self.rep == Representation::Evaluation {
@@ -640,50 +522,27 @@ impl RnsPoly {
     /// Applies the Galois automorphism `X ↦ X^g` in either representation.
     pub fn automorphism(&self, g: GaloisElement, basis: &RnsBasis) -> Self {
         let mut out = vec![0u64; self.data.len()];
-        self.automorphism_into(g, basis, &mut out);
-        Self {
-            n: self.n,
-            rep: self.rep,
-            limb_idx: self.limb_idx.clone(),
-            data: out,
-        }
-    }
-
-    /// [`RnsPoly::automorphism`] with output storage drawn from `arena`.
-    pub fn automorphism_in(
-        &self,
-        arena: &mut ScratchArena,
-        g: GaloisElement,
-        basis: &RnsBasis,
-    ) -> Self {
-        let mut out = arena.take(self.data.len());
-        self.automorphism_into(g, basis, &mut out);
-        let mut limb_idx = arena.take_indices(self.limb_idx.len());
-        limb_idx.extend_from_slice(&self.limb_idx);
-        Self {
-            n: self.n,
-            rep: self.rep,
-            limb_idx,
-            data: out,
-        }
-    }
-
-    fn automorphism_into(&self, g: GaloisElement, basis: &RnsBasis, out: &mut [u64]) {
         let n = self.n;
         let idx = &self.limb_idx;
         let pool = basis.pool().for_work(self.data.len());
         match self.rep {
             Representation::Coefficient => {
-                pool.par_zip_rows(out, &self.data, n, |pos, orow, irow| {
+                pool.par_zip_rows(&mut out, &self.data, n, |pos, orow, irow| {
                     automorphism::apply_coeff_into(irow, g, basis.modulus(idx[pos]), orow);
                 });
             }
             Representation::Evaluation => {
                 let perm = automorphism::eval_permutation(n, g);
-                pool.par_zip_rows(out, &self.data, n, |_pos, orow, irow| {
+                pool.par_zip_rows(&mut out, &self.data, n, |_pos, orow, irow| {
                     automorphism::apply_eval_into(irow, &perm, orow);
                 });
             }
+        }
+        Self {
+            n,
+            rep: self.rep,
+            limb_idx: self.limb_idx.clone(),
+            data: out,
         }
     }
 
@@ -771,18 +630,6 @@ impl RnsPoly {
             .par_for_each_row(&mut self.data, n, |pos, row| f(pos, idx[pos], row));
     }
 
-    /// Drops the last limb (the `HRescale` limb-elimination step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if only one limb remains.
-    pub fn drop_last_limb(&mut self) -> (usize, Vec<u64>) {
-        assert!(self.limb_idx.len() > 1, "cannot drop the final limb");
-        let idx = self.limb_idx.pop().expect("non-empty");
-        let row = self.data.split_off(self.limb_idx.len() * self.n);
-        (idx, row)
-    }
-
     /// Returns a new polynomial restricted to the given basis indices
     /// (which must all be present).
     ///
@@ -842,20 +689,6 @@ impl RnsPoly {
         }
     }
 
-    /// Appends limbs from `other` (indices must be disjoint, same rep).
-    ///
-    /// # Panics
-    ///
-    /// Panics on representation mismatch or overlapping limb sets.
-    pub fn extend_with(&mut self, other: &Self) {
-        assert_eq!(self.rep, other.rep, "representation mismatch");
-        for &i in &other.limb_idx {
-            assert!(self.position_of(i).is_none(), "limb {i} already present");
-        }
-        self.limb_idx.extend_from_slice(&other.limb_idx);
-        self.data.extend_from_slice(&other.data);
-    }
-
     /// Total words of storage, the unit of the paper's data-size and
     /// traffic accounting (`limbs × N`).
     pub fn words(&self) -> usize {
@@ -891,32 +724,6 @@ mod tests {
         for pos in 0..3 {
             assert_eq!(p.limb(pos), &p.flat()[pos * 16..(pos + 1) * 16]);
         }
-        // chunked iterators see the same rows
-        for (pos, row) in p.limbs().enumerate() {
-            assert_eq!(row, p.limb(pos));
-        }
-        for view in p.limb_views() {
-            assert_eq!(view.idx, view.pos, "identity limb set here");
-            assert_eq!(view.row, p.limb(view.pos));
-        }
-    }
-
-    #[test]
-    fn limb_pairs_mut_drives_custom_binary_ops() {
-        let b = basis(16, 2);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(78);
-        let idx = [0usize, 1];
-        let mut a = RnsPoly::random_uniform(&b, &idx, Representation::Coefficient, &mut rng);
-        let c = RnsPoly::random_uniform(&b, &idx, Representation::Coefficient, &mut rng);
-        let mut expect = a.clone();
-        expect.add_assign(&c, &b);
-        for (dst, src) in a.limb_pairs_mut(&c) {
-            let q = b.modulus(dst.idx);
-            for (x, &y) in dst.row.iter_mut().zip(src.row) {
-                *x = q.add(*x, y);
-            }
-        }
-        assert_eq!(a, expect);
     }
 
     #[test]
@@ -1051,30 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_extend_roundtrip() {
-        let b = basis(16, 4);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let a = RnsPoly::random_uniform(&b, &[0, 1, 2, 3], Representation::Coefficient, &mut rng);
-        let mut low = a.subset(&[0, 1]);
-        let high = a.subset(&[2, 3]);
-        low.extend_with(&high);
-        assert_eq!(low, a);
-    }
-
-    #[test]
-    fn drop_last_limb_pops_in_order() {
-        let b = basis(16, 3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let mut a = RnsPoly::random_uniform(&b, &[0, 1, 2], Representation::Coefficient, &mut rng);
-        let expect_last = a.limb(2).to_vec();
-        let (idx, row) = a.drop_last_limb();
-        assert_eq!(idx, 2);
-        assert_eq!(row, expect_last);
-        assert_eq!(a.level_count(), 2);
-        assert_eq!(a.flat().len(), 2 * 16);
-    }
-
-    #[test]
     #[should_panic(expected = "limb set mismatch")]
     fn mismatched_limb_sets_panic() {
         let b = basis(16, 3);
@@ -1140,11 +923,11 @@ mod tests {
         let c = RnsPoly::random_uniform(&b, &idx, Representation::Coefficient, &mut rng);
         let mut sum = a.clone();
         sum.add_assign(&c, &b);
-        sum.mul_scalar(7, &b);
+        sum.mul_scalar_per_limb(&[7, 7], &b);
         let mut a7 = a.clone();
-        a7.mul_scalar(7, &b);
+        a7.mul_scalar_per_limb(&[7, 7], &b);
         let mut c7 = c.clone();
-        c7.mul_scalar(7, &b);
+        c7.mul_scalar_per_limb(&[7, 7], &b);
         a7.add_assign(&c7, &b);
         assert_eq!(sum, a7);
     }
@@ -1161,7 +944,5 @@ mod tests {
         let pooled = a.permute_eval_in(&mut arena, &perm, &b);
         assert_eq!(plain, pooled);
         pooled.recycle(&mut arena);
-        let auto_in = a.automorphism_in(&mut arena, g, &b);
-        assert_eq!(auto_in, a.automorphism(g, &b));
     }
 }

@@ -20,8 +20,8 @@
 
 use crate::poly::RnsPoly;
 
-/// Recycling pool of flat scratch buffers (`u64` words, `u128`
-/// accumulators, `usize` index vectors, and [`RnsPoly`] spine vectors).
+/// Recycling pool of flat scratch buffers (`u64` words, `usize` index
+/// vectors, and [`RnsPoly`] spine vectors).
 ///
 /// # Examples
 ///
@@ -38,10 +38,9 @@ use crate::poly::RnsPoly;
 #[derive(Debug)]
 pub struct ScratchArena {
     bufs: Vec<Vec<u64>>,
-    accs: Vec<Vec<u128>>,
     idxs: Vec<Vec<usize>>,
     polys: Vec<Vec<RnsPoly>>,
-    /// Cap on total words retained across all pools (u128 counts as 2).
+    /// Cap on total words retained across all pools.
     cap_words: usize,
     pooled_words: usize,
     /// Words currently checked out (taken and not yet put back), and
@@ -84,7 +83,6 @@ impl ScratchArena {
     pub fn with_cap_words(cap_words: usize) -> Self {
         Self {
             bufs: Vec::new(),
-            accs: Vec::new(),
             idxs: Vec::new(),
             polys: Vec::new(),
             cap_words,
@@ -132,35 +130,6 @@ impl ScratchArena {
         }
         self.pooled_words += words;
         self.bufs.push(buf);
-    }
-
-    /// Takes a `u128` accumulator buffer of `len` elements, zeroed (MAC
-    /// kernels accumulate into it).
-    pub fn take_acc(&mut self, len: usize) -> Vec<u128> {
-        let buf = if let Some(i) = self.accs.iter().position(|b| b.capacity() >= len) {
-            let mut buf = self.accs.swap_remove(i);
-            self.pooled_words -= 2 * buf.capacity();
-            self.stats.reused += 1;
-            buf.clear();
-            buf.resize(len, 0);
-            buf
-        } else {
-            self.stats.fresh += 1;
-            vec![0u128; len]
-        };
-        self.checked_out(2 * buf.capacity());
-        buf
-    }
-
-    /// Returns a `u128` buffer to the pool.
-    pub fn put_acc(&mut self, buf: Vec<u128>) {
-        let words = 2 * buf.capacity();
-        self.in_use_words = self.in_use_words.saturating_sub(words);
-        if words == 0 || self.pooled_words + words > self.cap_words {
-            return;
-        }
-        self.pooled_words += words;
-        self.accs.push(buf);
     }
 
     /// Takes an empty `usize` index vector with capacity for at least
@@ -233,12 +202,12 @@ impl ScratchArena {
         self.pooled_words
     }
 
-    /// Test probe, not API: the high-water mark of the `u64`/`u128`
-    /// buffer words checked out at once (by capacity; a `u128` counts
-    /// as 2). Only meaningful on a *fresh* arena that has served one op
-    /// which returns exactly the buffers it took — the working-set
-    /// tests' case: a result that leaves for good stays counted for
-    /// ever, and putting a heap-born buffer lowers the figure.
+    /// Test probe, not API: the high-water mark of the `u64` buffer
+    /// words checked out at once (by capacity). Only meaningful on a
+    /// *fresh* arena that has served one op which returns exactly the
+    /// buffers it took — the working-set tests' case: a result that
+    /// leaves for good stays counted for ever, and putting a heap-born
+    /// buffer lowers the figure.
     #[doc(hidden)]
     pub fn peak_in_use_words(&self) -> usize {
         self.peak_in_use_words
@@ -252,7 +221,6 @@ impl ScratchArena {
     /// Drops every pooled buffer (counters are kept).
     pub fn clear(&mut self) {
         self.bufs.clear();
-        self.accs.clear();
         self.idxs.clear();
         self.polys.clear();
         self.pooled_words = 0;
@@ -287,11 +255,11 @@ mod tests {
     fn peak_in_use_is_the_high_water_mark_of_checked_out_words() {
         let mut arena = ScratchArena::new();
         let a = arena.take(100);
-        let acc = arena.take_acc(10);
-        let held = a.capacity() + 2 * acc.capacity();
+        let a2 = arena.take(10);
+        let held = a.capacity() + a2.capacity();
         assert_eq!(arena.peak_in_use_words(), held);
         arena.put(a);
-        arena.put_acc(acc);
+        arena.put(a2);
         // everything is back: a smaller take reuses and moves no peak
         let b = arena.take(50);
         assert_eq!(arena.peak_in_use_words(), held);
@@ -322,14 +290,8 @@ mod tests {
     }
 
     #[test]
-    fn acc_and_index_pools_are_independent() {
+    fn index_pool_recycles_empty_vectors() {
         let mut arena = ScratchArena::new();
-        let acc = arena.take_acc(8);
-        assert!(acc.iter().all(|&x| x == 0));
-        arena.put_acc(acc);
-        let acc2 = arena.take_acc(4);
-        assert!(acc2.iter().all(|&x| x == 0), "recycled accs re-zeroed");
-
         let mut idx = arena.take_indices(10);
         idx.extend(0..10);
         arena.put_indices(idx);

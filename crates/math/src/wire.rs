@@ -655,10 +655,8 @@ pub fn encode_poly(out: &mut Vec<u8>, poly: &RnsPoly) {
     for &idx in poly.limb_indices() {
         put_u32(out, idx as u32);
     }
-    for pos in 0..poly.level_count() {
-        for &w in poly.limb(pos) {
-            put_u64(out, w);
-        }
+    for &w in poly.flat() {
+        put_u64(out, w);
     }
 }
 

@@ -84,7 +84,8 @@ proptest! {
         flat.mul_assign(&z, &b);
         flat.mul_add_assign(&y, &z, &b);
         flat.sub_assign(&z, &b);
-        flat.mul_scalar(12345, &b);
+        let residues: Vec<u64> = idx.iter().map(|&i| b.modulus(i).reduce(12345)).collect();
+        flat.mul_scalar_per_limb(&residues, &b);
         flat.negate(&b);
 
         let mut nested = NestedPoly::from_poly(&x);
@@ -94,7 +95,7 @@ proptest! {
         nested.mul_assign(&nz, &b);
         nested.mul_add_assign(&ny, &nz, &b);
         nested.sub_assign(&nz, &b);
-        nested.mul_scalar(12345, &b);
+        nested.mul_scalar_per_limb(&residues, &b);
         nested.negate(&b);
 
         prop_assert_eq!(nested.to_poly(&b), flat);
@@ -158,10 +159,10 @@ proptest! {
         prop_assert_eq!(slow.to_poly(&b), fast);
     }
 
-    // Subset extraction and last-limb drops — the `mod_drop_to` and
-    // rescale shapes — keep flat and nested storage in lockstep.
+    // Subset extraction — the `mod_drop_to` and decomposition shapes —
+    // keeps flat and nested storage in lockstep.
     #[test]
-    fn subset_and_drop_match_nested(
+    fn subset_matches_nested(
         seed in any::<u64>(),
         threads in prop_oneof![Just(1usize), Just(4usize)],
     ) {
@@ -174,13 +175,6 @@ proptest! {
             let nested = nx.subset(&pick);
             prop_assert_eq!(nested.to_poly(&b), flat);
         }
-        let mut flat = x.subset(&[0, 1, 3]);
-        let mut nested = nx.subset(&[0, 1, 3]);
-        let dropped_flat = flat.drop_last_limb();
-        let dropped_nested = nested.drop_last_limb();
-        prop_assert_eq!(dropped_flat.0, dropped_nested.0);
-        prop_assert_eq!(dropped_flat.1, dropped_nested.1);
-        prop_assert_eq!(nested.to_poly(&b), flat);
     }
 }
 

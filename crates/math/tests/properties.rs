@@ -7,7 +7,6 @@ use ark_math::bconv::BaseConverter;
 use ark_math::crt::{BigUint, CrtContext};
 use ark_math::modulus::Modulus;
 use ark_math::ntt::{negacyclic_mul_naive, NttTable};
-use ark_math::ntt4step::FourStepNtt;
 use ark_math::par::ThreadPool;
 use ark_math::poly::{Representation, RnsBasis, RnsPoly};
 use ark_math::primes::generate_ntt_primes;
@@ -108,22 +107,6 @@ proptest! {
         let ra: Vec<u64> = a.iter().map(|&c| q.reduce(c)).collect();
         let rb: Vec<u64> = b.iter().map(|&c| q.reduce(c)).collect();
         prop_assert_eq!(t.negacyclic_mul(&ra, &rb), negacyclic_mul_naive(&ra, &rb, &q));
-    }
-
-    #[test]
-    fn four_step_matches_radix2(coeffs in proptest::collection::vec(0u64..(1 << 44), 64)) {
-        let t = ntt64();
-        let four = FourStepNtt::new(*t.modulus(), 64);
-        let reduced: Vec<u64> = coeffs.iter().map(|&c| t.modulus().reduce(c)).collect();
-        let mut f2 = reduced.clone();
-        t.forward(&mut f2);
-        let mut f4 = reduced;
-        four.forward(&mut f4);
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..64usize {
-            let br = i.reverse_bits() >> (usize::BITS - 6);
-            prop_assert_eq!(f4[i], f2[br]);
-        }
     }
 
     #[test]
@@ -284,7 +267,8 @@ proptest! {
             pa.add_assign(&pb, basis);
             pa.sub_assign(&pb, basis);
             pa.negate(basis);
-            pa.mul_scalar(scalar, basis);
+            let residues: Vec<u64> = idx.iter().map(|&i| basis.modulus(i).reduce(scalar)).collect();
+            pa.mul_scalar_per_limb(&residues, basis);
             pa.to_eval(basis);
             let mut pc = pb.clone();
             pc.to_eval(basis);

@@ -39,7 +39,7 @@ impl NestedPoly {
             n: p.n(),
             rep: p.representation(),
             limb_idx: p.limb_indices().to_vec(),
-            rows: p.limbs().map(<[u64]>::to_vec).collect(),
+            rows: p.flat().chunks_exact(p.n()).map(<[u64]>::to_vec).collect(),
         }
     }
 
@@ -112,9 +112,10 @@ impl NestedPoly {
         }
     }
 
-    /// Scalar multiplication (the scalar reduced into each limb).
-    pub fn mul_scalar(&mut self, scalar: u64, basis: &RnsBasis) {
-        for pos in 0..self.rows.len() {
+    /// Multiplies limb `pos` by `scalars[pos]` (reduced into the limb).
+    pub fn mul_scalar_per_limb(&mut self, scalars: &[u64], basis: &RnsBasis) {
+        assert_eq!(scalars.len(), self.rows.len());
+        for (pos, &scalar) in scalars.iter().enumerate() {
             let q = *self.modulus(basis, pos);
             let s = q.reduce(scalar);
             for x in self.rows[pos].iter_mut() {
@@ -192,15 +193,6 @@ impl NestedPoly {
             limb_idx: indices.to_vec(),
             rows,
         }
-    }
-
-    /// Drops the last limb row.
-    pub fn drop_last_limb(&mut self) -> (usize, Vec<u64>) {
-        assert!(self.limb_idx.len() > 1);
-        (
-            self.limb_idx.pop().expect("non-empty"),
-            self.rows.pop().expect("non-empty"),
-        )
     }
 }
 
