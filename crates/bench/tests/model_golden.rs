@@ -14,7 +14,7 @@ use ark_ckks::minks::KeyStrategy;
 use ark_ckks::params::CkksParams;
 use ark_core::pf::{DataKind, PfGraph, Resource};
 use ark_core::{compile, simulate, ArkConfig, CompileOptions};
-use ark_math::wire::{checksum, put_u64};
+use ark_math::wire::put_u64;
 use ark_workloads::hdft::{hdft_trace, HdftConfig};
 use ark_workloads::trace::{HeOp, KeyId, Trace};
 use Resource::{AutoU, BconvU, Hbm, Madu, Noc, Nttu};
@@ -38,6 +38,17 @@ struct Pin {
     mod_mults: u64,
 }
 
+/// FNV-1a 64, implemented here so the graph pins do not move with the
+/// wire layer's checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
 fn graph_fnv(g: &PfGraph) -> u64 {
     let mut bytes = Vec::new();
     for (id, node) in g.nodes().iter().enumerate() {
@@ -56,7 +67,7 @@ fn graph_fnv(g: &PfGraph) -> u64 {
             put_u64(&mut bytes, d as u64);
         }
     }
-    checksum(&bytes)
+    fnv1a(&bytes)
 }
 
 fn measure(trace: &Trace, p: &CkksParams, cfg: &ArkConfig, opts: CompileOptions) -> Pin {

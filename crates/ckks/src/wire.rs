@@ -12,7 +12,7 @@
 //!
 //! # Parameter fingerprint
 //!
-//! Every frame carries [`param_fingerprint`], an FNV-1a 64 hash of the
+//! Every frame carries [`param_fingerprint`], an XXH64 hash of the
 //! arithmetic-relevant [`CkksParams`] fields (`log N`, `L`, `dnum` and
 //! the three prime widths, plus the secret Hamming weight). Prime
 //! generation is deterministic in those fields, so equal fingerprints
@@ -46,7 +46,8 @@ use ark_math::wire::{
 /// field cannot drive large allocations.
 pub const MAX_ROTATION_KEYS: usize = 4096;
 
-/// FNV-1a 64 fingerprint of the arithmetic-relevant parameter fields.
+/// Fingerprint of the arithmetic-relevant parameter fields: the frame
+/// checksum ([`checksum`], XXH64) of their encoding.
 /// Equal fingerprints imply identical prime chains (generation is
 /// deterministic), hence wire-compatible ciphertexts and keys.
 pub fn param_fingerprint(params: &CkksParams) -> u64 {

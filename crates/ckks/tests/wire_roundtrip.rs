@@ -280,7 +280,7 @@ fn frame_header_layout_is_pinned() {
     // the layout constants are a cross-process contract — pin them so
     // an accidental change fails loudly
     assert_eq!(&MAGIC, b"ARKW");
-    assert_eq!(VERSION, 1);
+    assert_eq!(VERSION, 2);
     assert_eq!(HEADER_LEN, 24);
     let f = &fixtures().0;
     let ct = encrypt(f, &[(0.1, 0.2); 16], 2, 19);

@@ -851,9 +851,9 @@ mod tests {
     fn handshake_version_rejection_is_typed() {
         let mut core = ClientCore::new();
         let _ = core.take_egress();
-        let reject = protocol::error_frame(code::PROTOCOL, "server speaks protocol 5");
+        let reject = protocol::error_frame(code::PROTOCOL, "server speaks protocol 6");
         let err = core.ingest(&message(&reject)).unwrap_err();
-        assert!(matches!(err, ArkError::VersionMismatch { client: 4, .. }));
+        assert!(matches!(err, ArkError::VersionMismatch { client: 5, .. }));
         assert!(core.is_closed());
     }
 

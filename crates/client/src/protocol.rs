@@ -58,8 +58,12 @@ use ark_math::wire::{put_u16, put_u32, put_u64, write_frame, Cursor, WireError};
 /// serves exactly this number and refuses any other with a typed
 /// `PROTOCOL` error, so a wire-format change is a bump here and a clean
 /// handshake failure against an old peer, never a mid-session decode
-/// error.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// error. Version 5 replaced version 4's FNV-1a frame checksum with
+/// XXH64 (`ark_math::wire::VERSION` 2): the same messages, every field
+/// at the same offset, but other checksum and parameter-fingerprint
+/// values. A v4 peer's `HELLO` comes in a version-1 frame, which is
+/// refused as a typed `WIRE` error before its checksum is read.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Serve-namespace frame kinds.
 pub mod msg {

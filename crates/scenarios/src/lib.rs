@@ -18,7 +18,7 @@
 //! - [`run_remote`]: host the scenario's engine in an `ark-serve`
 //!   loopback server (seed-compressed key distribution, runtime
 //!   rotation keys), encrypt client-side, ship ciphertexts through the
-//!   pipelined v4 protocol, and verify the returned ciphertexts are
+//!   pipelined protocol, and verify the returned ciphertexts are
 //!   bit-identical to a local evaluation of the same inputs.
 //!
 //! The scenario *stages* are the trait methods: `setup` (parameters +
@@ -279,7 +279,7 @@ pub struct RemoteRun {
 
 /// Runs the scenario remotely: hosts its engine in a loopback
 /// `ark-serve` server, encrypts client-side under the same seed,
-/// ships ciphertexts through the pipelined v4 protocol, and verifies
+/// ships ciphertexts through the pipelined protocol, and verifies
 /// the results against both the plaintext reference and a local
 /// evaluation (bit-identical).
 pub fn run_remote(s: &dyn Scenario) -> ArkResult<RemoteRun> {
@@ -334,7 +334,7 @@ fn run_remote_inner(
         .collect::<ArkResult<Vec<_>>>()?;
     let program = s.program();
 
-    // pipelined v4 round-trip
+    // pipelined round-trip
     let start = Instant::now();
     let ticket = client.submit_evaluate(fingerprint, &program, &cts, &ctx)?;
     let remote_cts = client.wait_evaluate(ticket, &ctx)?;

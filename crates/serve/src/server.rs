@@ -1105,7 +1105,7 @@ impl Reader {
             // are out
             self.send(protocol::error_frame(
                 code::PROTOCOL,
-                "missing v4 request-id envelope",
+                "missing request-id envelope",
             ));
             self.conn.stop_reading();
             return;

@@ -403,6 +403,51 @@ fn error_of(frame: &[u8]) -> (u16, String) {
     protocol::decode_error(&mut Cursor::new(frame.payload)).unwrap()
 }
 
+/// FNV-1a 64, the frame checksum of protocol v4 (frame version 1),
+/// kept here only to forge what a v4 peer sends.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn a_v4_peer_is_refused_typed() {
+    let (handle, _, _) = start_server(ServerConfig::default());
+    let mut peer = raw_peer(handle.addr());
+
+    // HELLO(4) in a current frame: the version it names is refused
+    send(&mut peer, &hello(4)).unwrap();
+    let (c, reason) = error_of(&recv(&mut peer).expect("a refusal"));
+    assert_eq!(c, code::PROTOCOL);
+    assert_eq!(
+        reason, "client speaks protocol 4, server speaks protocol 5",
+        "reason: {reason}"
+    );
+
+    // the bytes a v4 client sends: HELLO(4) in a version-1 frame sealed
+    // with FNV-1a. The frame version is refused before the checksum.
+    let mut v4_hello = hello(4);
+    v4_hello[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let end = v4_hello.len() - CHECKSUM_LEN;
+    let sum = fnv1a(&v4_hello[..end]);
+    v4_hello[end..].copy_from_slice(&sum.to_le_bytes());
+    send(&mut peer, &v4_hello).unwrap();
+    let (c, reason) = error_of(&recv(&mut peer).expect("a refusal"));
+    assert_eq!(c, code::WIRE);
+    assert!(
+        reason.contains("unsupported wire version 1 (reader speaks 2)"),
+        "reason: {reason}"
+    );
+
+    // neither refusal cost the connection
+    handshake(&mut peer);
+    handle.shutdown();
+}
+
 #[test]
 fn other_protocol_versions_are_refused_typed_not_hung() {
     let (handle, sw_fp, _) = start_server(ServerConfig::default());
@@ -483,10 +528,7 @@ fn unenveloped_messages_after_the_handshake_are_typed() {
     send(&mut peer, &[0xab; ENVELOPE_LEN]).unwrap();
     let (c, reason) = error_of(&recv(&mut peer).unwrap());
     assert_eq!(c, code::PROTOCOL);
-    assert!(
-        reason.contains("missing v4 request-id envelope"),
-        "{reason}"
-    );
+    assert!(reason.contains("missing request-id envelope"), "{reason}");
     let closed = recv(&mut peer).unwrap_err().kind();
     assert!(
         matches!(

@@ -149,7 +149,7 @@ fn main() -> Result<(), ArkError> {
         traced.report.hbm_bytes() as f64 / 1e6
     );
 
-    // remote: the training step served over the pipelined v4 protocol
+    // remote: the training step served over the pipelined protocol
     let remote = run_remote(&scenario)?;
     println!(
         "remote: bit-identical to local evaluation = {}, round-trip {:.2?}",

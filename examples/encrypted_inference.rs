@@ -30,7 +30,7 @@ fn main() -> Result<(), ArkError> {
         traced.report.cycles
     );
 
-    // remote: loopback ark-serve server, pipelined v4 protocol
+    // remote: loopback ark-serve server, pipelined protocol
     let remote = run_remote(&scenario)?;
     println!(
         "remote: bit-identical to local evaluation = {}, max |err| {:.2e}, round-trip {:.2?}",

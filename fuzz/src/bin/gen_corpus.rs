@@ -14,6 +14,7 @@ use ark_client::core::{evaluate_frame, simulate_frame};
 use ark_client::program::Program;
 use ark_client::protocol::{
     busy_frame, code, envelope, error_frame, server_info_frame, stats_frame, EngineInfo,
+    PROTOCOL_VERSION,
 };
 use ark_fhe::engine::RotateSumTerm;
 use ark_math::cfft::C64;
@@ -153,7 +154,7 @@ fn main() {
         3,
         &error_frame(code::SESSION_LIMIT, "budget exceeded"),
     )));
-    write(&dir, "001-v4-session.bin", &session);
+    write(&dir, "001-v5-session.bin", &session);
 
     // a bare response on a handshaken session: hostile input that must
     // end in a typed error and a poisoned core
@@ -161,9 +162,13 @@ fn main() {
     bare.extend_from_slice(&message(&stats_frame(&counters)));
     write(&dir, "002-bare-after-handshake.bin", &bare);
 
+    // the server refusing a HELLO of the previous protocol version
     let reject = message(&error_frame(
         code::PROTOCOL,
-        "client speaks protocol 4, server speaks protocol 5",
+        &format!(
+            "client speaks protocol {}, server speaks protocol {PROTOCOL_VERSION}",
+            PROTOCOL_VERSION - 1
+        ),
     ));
     write(&dir, "003-version-reject.bin", &reject);
 }

@@ -198,17 +198,20 @@ fn bootstrapping_session_keys_are_pinned() {
 
 // Recorded before key generation moved into one seed schedule; the
 // engine's keys must never change silently. Regenerate only for an
-// intentional key-schedule change, with `--ignored --nocapture` on the
-// printing test below.
+// intentional key-schedule or frame-format change, with `--ignored
+// --nocapture` on the printing test below. Last regenerated when frame
+// version 2 replaced the FNV-1a checksum with XXH64: the frames' version,
+// fingerprint and checksum fields moved, their lengths and key bytes
+// did not.
 const GOLDEN_DECLARED: [(usize, u64); 3] = [
-    (1087, 0x79ab_f7a8_526d_43c4),
-    (3176, 0x695e_2619_a770_5d31),
-    (9490, 0xd717_c245_8836_4906),
+    (1087, 0xae7a_37e6_1160_0d23),
+    (3176, 0xa341_76be_75cf_9125),
+    (9490, 0xb658_d42f_738c_9df4),
 ];
 const GOLDEN_BOOTSTRAPPING: [(usize, u64); 3] = [
-    (172_163, 0x7067_c30d_b2d1_9cb8),
-    (688_527, 0x8fd5_2ffc_78e1_5731),
-    (5_508_058, 0x72c9_a2e9_9d34_bd5c),
+    (172_163, 0xb75e_f6f4_1bda_52e2),
+    (688_527, 0x9eb0_5739_0529_ee89),
+    (5_508_058, 0x7abb_e6a8_af34_2dbb),
 ];
 // Recorded before bootstrapping learned sparse slot counts, in
 // `STRATEGIES` order: the default (full-slot) configuration must keep
