@@ -288,7 +288,7 @@ fn other_lowering_branches_are_pinned() {
             "H-IDFT, baseline keys, no OF-Limb, half SRAM",
             hdft_trace(&hidft),
             ArkConfig::half_sram(),
-            CompileOptions::baseline(),
+            CompileOptions { of_limb: false },
             Pin {
                 nodes: 1782,
                 edges: 2153,

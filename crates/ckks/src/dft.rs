@@ -324,26 +324,26 @@ pub fn group_stages(stages: &[SparseDiagonals], k: usize) -> Vec<SparseDiagonals
         .collect()
 }
 
-/// Bit-reverses a slot vector (the order CoeffToSlot emits).
-pub fn bit_reverse_slots(z: &[C64]) -> Vec<C64> {
-    let n = z.len();
-    assert!(n.is_power_of_two());
-    let bits = n.trailing_zeros();
-    let mut out = z.to_vec();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if i < j {
-            out.swap(i, j);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoding::max_error;
     use ark_math::cfft::SpecialFft;
+
+    /// Bit-reverses a slot vector (the order CoeffToSlot emits).
+    fn bit_reverse_slots(z: &[C64]) -> Vec<C64> {
+        let n = z.len();
+        assert!(n.is_power_of_two());
+        let bits = n.trailing_zeros();
+        let mut out = z.to_vec();
+        for i in 0..n {
+            let j = i.reverse_bits() >> (usize::BITS - bits);
+            if i < j {
+                out.swap(i, j);
+            }
+        }
+        out
+    }
 
     fn test_vec(n: usize) -> Vec<C64> {
         (0..n)

@@ -97,16 +97,6 @@ impl ChebyshevPoly {
         }
         cheby_depth(&self.coeffs, &levels, plan.baby)
     }
-
-    /// Maximum interpolation error sampled on a grid (diagnostics).
-    pub fn max_error_on(&self, f: impl Fn(f64) -> f64, samples: usize) -> f64 {
-        (0..samples)
-            .map(|i| {
-                let x = self.a + (self.b - self.a) * i as f64 / (samples - 1) as f64;
-                (self.eval_clear(x) - f(x)).abs()
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Divides a Chebyshev-basis polynomial by `T_g`: returns `(q, r)` with
@@ -393,10 +383,21 @@ mod tests {
     use ark_math::cfft::C64;
     use rand::SeedableRng;
 
+    /// Maximum interpolation error of `p` against `f`, sampled on a
+    /// grid over `p`'s interval.
+    fn max_error_on(p: &ChebyshevPoly, f: impl Fn(f64) -> f64, samples: usize) -> f64 {
+        (0..samples)
+            .map(|i| {
+                let x = p.a + (p.b - p.a) * i as f64 / (samples - 1) as f64;
+                (p.eval_clear(x) - f(x)).abs()
+            })
+            .fold(0.0, f64::max)
+    }
+
     #[test]
     fn interpolation_converges_on_smooth_function() {
         let p = ChebyshevPoly::interpolate(f64::exp, -1.0, 1.0, 12);
-        assert!(p.max_error_on(f64::exp, 100) < 1e-10);
+        assert!(max_error_on(&p, f64::exp, 100) < 1e-10);
     }
 
     #[test]
@@ -529,7 +530,7 @@ mod tests {
         );
         let f = |x: f64| x.sin();
         let p = ChebyshevPoly::interpolate(f, -2.0, 2.0, 23);
-        assert!(p.max_error_on(f, 200) < 1e-8);
+        assert!(max_error_on(&p, f, 200) < 1e-8);
         let out_ct = ctx.eval_chebyshev(&ct, &p, &evk);
         assert_eq!(out_ct.level, ct.level - p.depth());
         let out = ctx.decrypt_decode(&out_ct, &sk);

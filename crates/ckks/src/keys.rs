@@ -33,13 +33,12 @@
 //! The `*_seeded` generators take the two masters (the generic
 //! [`CkksContext::gen_switching_key_seeded`] takes one key's seeds
 //! directly: its source key has no kind to tag). The RNG front
-//! (`gen_public_key`, `gen_mult_key`, `gen_galois_key`,
-//! `gen_rotation_keys`, `gen_switching_key`) draws `a_master` then
-//! `noise_master` from its RNG and calls its seeded twin, so a library
-//! caller and an engine session share one generator and one schedule.
-//! Key-generation noise therefore has the same posture on both fronts:
-//! each error is expanded from a 64-bit noise seed, not drawn from the
-//! caller's RNG stream.
+//! (`gen_public_key`, `gen_mult_key`, `gen_rotation_keys`) draws
+//! `a_master` then `noise_master` from its RNG and calls its seeded
+//! twin, so a library caller and an engine session share one generator
+//! and one schedule. Key-generation noise therefore has the same
+//! posture on both fronts: each error is expanded from a 64-bit noise
+//! seed, not drawn from the caller's RNG stream.
 //!
 //! Every [`EvalKey`]/[`PublicKey`] remembers its `a_seed`, so
 //! [`EvalKey::compress`] drops the `A_i` halves and
@@ -238,11 +237,6 @@ impl RotationKeys {
         let mut v: Vec<u64> = self.keys.keys().copied().collect();
         v.sort_unstable();
         v
-    }
-
-    /// Fetches a key by raw Galois element value.
-    pub fn get_raw(&self, g: u64) -> Option<&EvalKey> {
-        self.keys.get(&g)
     }
 
     /// Compresses every held key.
@@ -528,22 +522,10 @@ impl CkksContext {
     }
 
     /// Generates a key-switching key from source key `s'` (given in
-    /// evaluation representation over the full basis) to `sk`, from
-    /// seeds drawn from `rng` (see [`Self::gen_switching_key_seeded`]).
-    pub fn gen_switching_key<R: Rng>(
-        &self,
-        source: &RnsPoly,
-        sk: &SecretKey,
-        rng: &mut R,
-    ) -> EvalKey {
-        let (a_seed, noise_seed) = (rng.gen(), rng.gen());
-        self.gen_switching_key_seeded(source, sk, a_seed, noise_seed)
-    }
-
-    /// Seeded switching-key generation: piece `i`'s uniform `A_i`
-    /// expands from `derive_seed(a_seed, i)` (public — the key
-    /// compresses to seed + `B_i` limbs), its error from
-    /// `derive_seed(noise_seed, i)` (secret). Deterministic: the same
+    /// evaluation representation over the full basis) to `sk`. Piece
+    /// `i`'s uniform `A_i` expands from `derive_seed(a_seed, i)`
+    /// (public — the key compresses to seed + `B_i` limbs), its error
+    /// from `derive_seed(noise_seed, i)` (secret). Deterministic: the same
     /// `(source, sk, a_seed, noise_seed)` always yields bit-identical
     /// keys, which is what lets eval keys be *re-derived at runtime*
     /// instead of stored.
@@ -614,17 +596,11 @@ impl CkksContext {
         self.gen_switching_key_seeded(&s2, sk, a_seed, noise_seed)
     }
 
-    /// A Galois key for an arbitrary element (source key `ψ_g(s)`),
-    /// from masters drawn from `rng`.
-    pub fn gen_galois_key<R: Rng>(&self, g: GaloisElement, sk: &SecretKey, rng: &mut R) -> EvalKey {
-        let (a_master, noise_master) = draw_masters(rng);
-        self.gen_galois_key_seeded(g, sk, a_master, noise_master)
-    }
-
-    /// Seeded Galois key: the masters' children under `g` seed
-    /// [`Self::gen_switching_key_seeded`]. Each element's key derives
-    /// without any other key existing, so a key generated eagerly and
-    /// one derived on demand later are bit-identical.
+    /// A Galois key for an arbitrary element (source key `ψ_g(s)`): the
+    /// masters' children under `g` seed [`Self::gen_switching_key_seeded`].
+    /// Each element's key derives without any other key existing, so a
+    /// key generated eagerly and one derived on demand later are
+    /// bit-identical.
     pub fn gen_galois_key_seeded(
         &self,
         g: GaloisElement,
@@ -862,7 +838,7 @@ mod tests {
         let back = compressed.materialize(&ctx);
         assert_eq!(back.words(), set.words());
         for g in set.galois_elements() {
-            assert_eq!(back.get_raw(g), set.get_raw(g));
+            assert_eq!(back.get(GaloisElement(g)), set.get(GaloisElement(g)));
         }
     }
 

@@ -321,7 +321,7 @@ mod tests {
     use super::*;
     use crate::params::CkksParams;
     use ark_math::cfft::C64;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Largest centered coefficient magnitude of `poly` (any
     /// representation) over the chain limbs `chain`.
@@ -363,7 +363,7 @@ mod tests {
         let sk = ctx.gen_secret_key(&mut rng);
         // source key: an independent ternary key
         let other = ctx.gen_secret_key(&mut rng);
-        let evk = ctx.gen_switching_key(&other.s, &sk, &mut rng);
+        let evk = ctx.gen_switching_key_seeded(&other.s, &sk, rng.gen(), rng.gen());
 
         let level = ctx.params().max_level;
         let chain = ctx.chain_indices(level);
@@ -394,7 +394,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let sk = ctx.gen_secret_key(&mut rng);
         let other = ctx.gen_secret_key(&mut rng);
-        let evk = ctx.gen_switching_key(&other.s, &sk, &mut rng);
+        let evk = ctx.gen_switching_key_seeded(&other.s, &sk, rng.gen(), rng.gen());
         let level = 2; // groups {0,1},{2}
         let chain = ctx.chain_indices(level);
         let x = RnsPoly::random_uniform(ctx.basis(), chain, Representation::Evaluation, &mut rng);
@@ -421,7 +421,7 @@ mod tests {
         let digits = ctx.hoisted_decompose(&x, level);
         for r in [1i64, 2, -3] {
             let g = GaloisElement::from_rotation(r, ctx.params().n());
-            let key = ctx.gen_galois_key(g, &sk, &mut rng);
+            let key = ctx.gen_galois_key_seeded(g, &sk, rng.gen(), rng.gen());
             let (kb, ka) = ctx.hoisted_apply(&digits, g, &key);
 
             // expected = ψ(x) · ψ(s)
@@ -448,8 +448,8 @@ mod tests {
         let x = RnsPoly::random_uniform(ctx.basis(), chain, Representation::Evaluation, &mut rng);
         let g1 = GaloisElement::from_rotation(1, ctx.params().n());
         let g2 = GaloisElement::from_rotation(2, ctx.params().n());
-        let k1 = ctx.gen_galois_key(g1, &sk, &mut rng);
-        let k2 = ctx.gen_galois_key(g2, &sk, &mut rng);
+        let k1 = ctx.gen_galois_key_seeded(g1, &sk, rng.gen(), rng.gen());
+        let k2 = ctx.gen_galois_key_seeded(g2, &sk, rng.gen(), rng.gen());
 
         let shared = ctx.hoisted_decompose(&x, level);
         assert_eq!(shared.level(), level);
@@ -483,7 +483,7 @@ mod tests {
                 GaloisElement::from_rotation(3, ctx.params().n()),
                 GaloisElement::conjugation(ctx.params().n()),
             ] {
-                let key = ctx.gen_galois_key(g, &sk, &mut rng);
+                let key = ctx.gen_galois_key_seeded(g, &sk, rng.gen(), rng.gen());
                 let (ub, ua) = ctx.hoisted_inner_product_with(&digits, g, &key, &mut ctx.arena());
                 assert_eq!(ub.limb_indices(), ctx.extended_indices(level));
                 let composed = (ctx.mod_down(&ub, level), ctx.mod_down(&ua, level));

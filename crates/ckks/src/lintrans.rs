@@ -42,9 +42,9 @@
 //!   cancel against and pays the pre-rotation like `HoistedMinimal`.
 //!
 //! [`LinearTransform::plan`] is the one description of all of this: the
-//! evaluator executes it and [`LinearTransform::required_rotations`] /
-//! [`LinearTransform::evk_loads`] read it, so accounting cannot drift
-//! from execution.
+//! evaluator executes it, and key generation
+//! ([`LinearTransform::required_rotations`]) and the bootstrap's stage
+//! plans read it, so accounting cannot drift from execution.
 
 use crate::ciphertext::Ciphertext;
 use crate::keys::RotationKeys;
@@ -191,22 +191,9 @@ impl LinearTransform {
         self.n
     }
 
-    /// Baby-step count `g`, in progression units: the window positions
-    /// `0..g` are reached by baby rotations of `0..g` strides.
-    pub fn baby_count(&self) -> usize {
-        self.baby
-    }
-
     /// Number of stored (nonzero) diagonals.
     pub fn diagonal_count(&self) -> usize {
         self.diagonals.len()
-    }
-
-    /// Giant-step count `⌈span/g⌉` of the current split, in progression
-    /// units: giant `j` covers the window positions `j·g..(j+1)·g`, and
-    /// giant 0 needs no rotation.
-    pub fn giant_count(&self) -> usize {
-        self.span.div_ceil(self.baby)
     }
 
     /// Applies the transform to a clear vector (test oracle).
@@ -309,12 +296,6 @@ impl LinearTransform {
     /// `Baseline`. Feed this to [`CkksContext::gen_rotation_keys`].
     pub fn required_rotations(&self, strategy: KeyStrategy) -> Vec<i64> {
         self.plan(strategy).keys
-    }
-
-    /// Number of distinct evk loads the strategy incurs — the Fig. 2
-    /// accounting hook.
-    pub fn evk_loads(&self, strategy: KeyStrategy) -> usize {
-        self.plan(strategy).keys.len()
     }
 
     /// Min-KS's clear-side removal of the pre-rotation. Returns
@@ -545,11 +526,8 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let n = 16;
         let lt = LinearTransform::from_matrix(&random_matrix(n, &mut rng));
-        let g = lt.baby_count();
-        assert_eq!(g, 4); // sqrt(16)
-        assert_eq!(lt.giant_count(), 4);
         let minks = lt.required_rotations(KeyStrategy::MinKs);
-        assert_eq!(minks, vec![1, g as i64]);
+        assert_eq!(minks, vec![1, 4]); // s and g·s, g = sqrt(16)
         let baseline = lt.required_rotations(KeyStrategy::Baseline);
         assert_eq!(baseline, vec![1, 2, 3, 4, 8, 12]);
         // a dense transform's window starts at the main diagonal, so no
@@ -562,12 +540,12 @@ mod tests {
             let plan = lt.plan(strategy);
             assert_eq!((plan.stride, plan.offset, plan.span), (1, 0, 16));
             assert_eq!(plan.pre_rotations, 0);
+            // g = 4 babies and ⌈16/4⌉ = 4 giants, the first of each free
             assert_eq!((plan.babies, plan.giants), (3, 3));
-            assert_eq!(lt.evk_loads(strategy), plan.keys.len());
         }
-        assert_eq!(lt.evk_loads(KeyStrategy::MinKs), 2);
-        assert_eq!(lt.evk_loads(KeyStrategy::HoistedMinimal), 2);
-        assert_eq!(lt.evk_loads(KeyStrategy::Baseline), 6);
+        assert_eq!(lt.plan(KeyStrategy::MinKs).keys.len(), 2);
+        assert_eq!(lt.plan(KeyStrategy::HoistedMinimal).keys.len(), 2);
+        assert_eq!(lt.plan(KeyStrategy::Baseline).keys.len(), 6);
     }
 
     /// Diagonals `{u·s}` for the given units, deterministic values.
@@ -594,7 +572,6 @@ mod tests {
         let units: Vec<i64> = (-7..=7).collect();
         let lt = strided(512, 8, &units);
         assert_eq!(lt.diagonal_count(), 15);
-        assert_eq!((lt.baby_count(), lt.giant_count()), (4, 4));
         let minimal = lt.plan(KeyStrategy::HoistedMinimal);
         assert_eq!((minimal.stride, minimal.offset, minimal.span), (8, 57, 15));
         assert_eq!(
@@ -667,7 +644,7 @@ mod tests {
         ] {
             let rots = lt.required_rotations(strategy);
             let keys = ctx.gen_rotation_keys(&rots, false, &sk, &mut rng);
-            assert_eq!(keys.len(), lt.evk_loads(strategy));
+            assert_eq!(keys.len(), rots.len());
             let out =
                 ctx.decrypt_decode(&ctx.eval_linear_transform(&ct, &lt, strategy, &keys), &sk);
             let err = max_error(&want, &out);

@@ -232,9 +232,6 @@ impl CkksParams {
     }
 }
 
-/// Key describing a cached base converter (from-set, to-set).
-type ConvKey = (Vec<usize>, Vec<usize>);
-
 /// Basis-index sets precomputed for every level at context build time,
 /// so the hot paths borrow slices instead of collecting fresh `Vec`s
 /// per call.
@@ -291,7 +288,6 @@ pub struct CkksContext {
     basis: RnsBasis,
     special_fft: SpecialFft,
     indices: IndexCache,
-    converters: Mutex<HashMap<ConvKey, Arc<BaseConverter>>>,
     /// ModUp converters keyed by `(level, group_idx)` — the key-switch
     /// fast path, looked up without building `Vec` keys.
     modup_converters: Mutex<HashMap<(usize, usize), Arc<BaseConverter>>>,
@@ -339,7 +335,6 @@ impl CkksContext {
             basis,
             special_fft,
             indices,
-            converters: Mutex::new(HashMap::new()),
             modup_converters: Mutex::new(HashMap::new()),
             moddown_converters: Mutex::new(HashMap::new()),
             moddown_factors: Mutex::new(HashMap::new()),
@@ -425,20 +420,10 @@ impl CkksContext {
         &self.indices.groups[level]
     }
 
-    /// A cached base converter between two index sets.
-    pub fn converter(&self, from: &[usize], to: &[usize]) -> Arc<BaseConverter> {
-        let key = (from.to_vec(), to.to_vec());
-        let mut cache = self.converters.lock().expect("converter cache poisoned");
-        cache
-            .entry(key)
-            .or_insert_with(|| Arc::new(BaseConverter::new(&self.basis, from, to)))
-            .clone()
-    }
-
     /// The cached ModUp converter for decomposition group `group_idx`
     /// at `level` (from the group's limbs to the rest of `C_ℓ ∪ B`).
-    /// Unlike the generic [`Self::converter`], the cache key is a pair
-    /// of `usize`s, so steady-state lookups allocate nothing.
+    /// The cache key is a pair of `usize`s, so steady-state lookups
+    /// allocate nothing.
     pub fn modup_converter(&self, level: usize, group_idx: usize) -> Arc<BaseConverter> {
         let mut cache = self
             .modup_converters
@@ -607,8 +592,11 @@ mod tests {
     #[test]
     fn converter_cache_returns_same_instance() {
         let ctx = CkksContext::new(CkksParams::tiny());
-        let a = ctx.converter(&[0, 1], &[2, 3]);
-        let b = ctx.converter(&[0, 1], &[2, 3]);
+        let a = ctx.modup_converter(3, 1);
+        let b = ctx.modup_converter(3, 1);
+        assert!(std::sync::Arc::ptr_eq(&a, &b));
+        let a = ctx.moddown_converter(2);
+        let b = ctx.moddown_converter(2);
         assert!(std::sync::Arc::ptr_eq(&a, &b));
     }
 

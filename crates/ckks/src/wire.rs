@@ -237,110 +237,99 @@ pub fn decode_compressed_rotation_keys(
 }
 
 // ---------------------------------------------------------------------
-// frame-level convenience
+// standalone and nested frames
 // ---------------------------------------------------------------------
 
-macro_rules! frame_codec {
-    ($write:ident, $read:ident, $ty:ty, $kind:expr, $enc:ident, $dec:ident, $doc:expr) => {
-        #[doc = concat!("Serializes a ", $doc, " as a standalone frame.")]
-        pub fn $write(ctx: &CkksContext, value: &$ty) -> Vec<u8> {
-            let mut out = Vec::new();
-            let mut frame = FrameWriter::begin(&mut out, $kind, param_fingerprint(ctx.params()));
-            $enc(frame.payload(), value);
-            frame.finish();
-            out
-        }
-
-        #[doc = concat!("Reads a standalone ", $doc, " frame, verifying kind, ")]
-        #[doc = "fingerprint, checksum and payload invariants."]
-        pub fn $read(ctx: &CkksContext, bytes: &[u8]) -> ArkResult<$ty> {
-            let fp = param_fingerprint(ctx.params());
-            let (frame, _) = read_frame_expecting(bytes, $kind, fp)?;
-            let mut cur = Cursor::new(frame.payload);
-            let value = $dec(&mut cur, ctx)?;
-            cur.finish().map_err(ArkError::Wire)?;
-            Ok(value)
-        }
-    };
+/// Serializes a ciphertext as a standalone frame.
+pub fn write_ciphertext(ctx: &CkksContext, ct: &Ciphertext) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut frame = FrameWriter::begin(&mut out, kind::CIPHERTEXT, param_fingerprint(ctx.params()));
+    encode_ciphertext(frame.payload(), ct);
+    frame.finish();
+    out
 }
 
-frame_codec!(
-    write_ciphertext,
-    read_ciphertext,
-    Ciphertext,
-    kind::CIPHERTEXT,
-    encode_ciphertext,
-    decode_ciphertext,
-    "ciphertext"
-);
-frame_codec!(
-    write_compressed_eval_key,
-    read_compressed_eval_key,
-    CompressedEvalKey,
-    kind::COMPRESSED_EVAL_KEY,
-    encode_compressed_eval_key,
-    decode_compressed_eval_key,
-    "seed-compressed evaluation key"
-);
-frame_codec!(
-    write_compressed_public_key,
-    read_compressed_public_key,
-    CompressedPublicKey,
-    kind::COMPRESSED_PUBLIC_KEY,
-    encode_compressed_public_key,
-    decode_compressed_public_key,
-    "seed-compressed public key"
-);
-frame_codec!(
-    write_compressed_rotation_keys,
-    read_compressed_rotation_keys,
-    CompressedRotationKeys,
-    kind::COMPRESSED_ROTATION_KEYS,
-    encode_compressed_rotation_keys,
-    decode_compressed_rotation_keys,
-    "seed-compressed rotation key set"
-);
-
-macro_rules! nest_codec {
-    ($nest:ident, $ty:ty, $kind:expr, $enc:ident, $doc:expr) => {
-        #[doc = concat!("Nests a ", $doc, " frame in the payload of `frame`; it is ")]
-        #[doc = "sealed with the enclosing frame, in the same hashing pass."]
-        pub fn $nest(frame: &mut FrameWriter<'_>, ctx: &CkksContext, value: &$ty) {
-            frame.nest($kind, param_fingerprint(ctx.params()), |out| {
-                $enc(out, value)
-            });
-        }
-    };
+/// Decodes a whole frame payload with `decode`: trailing bytes are
+/// malformed.
+fn decode_exact<T>(
+    payload: &[u8],
+    decode: impl FnOnce(&mut Cursor<'_>) -> ArkResult<T>,
+) -> ArkResult<T> {
+    let mut cur = Cursor::new(payload);
+    let value = decode(&mut cur)?;
+    cur.finish().map_err(ArkError::Wire)?;
+    Ok(value)
 }
 
-nest_codec!(
-    nest_ciphertext,
-    Ciphertext,
-    kind::CIPHERTEXT,
-    encode_ciphertext,
-    "ciphertext"
-);
-nest_codec!(
-    nest_compressed_public_key,
-    CompressedPublicKey,
-    kind::COMPRESSED_PUBLIC_KEY,
-    encode_compressed_public_key,
-    "seed-compressed public key"
-);
-nest_codec!(
-    nest_compressed_eval_key,
-    CompressedEvalKey,
-    kind::COMPRESSED_EVAL_KEY,
-    encode_compressed_eval_key,
-    "seed-compressed evaluation key"
-);
-nest_codec!(
-    nest_compressed_rotation_keys,
-    CompressedRotationKeys,
-    kind::COMPRESSED_ROTATION_KEYS,
-    encode_compressed_rotation_keys,
-    "seed-compressed rotation key set"
-);
+/// Reads a standalone seed-compressed public key frame, verifying kind,
+/// fingerprint, checksum and payload invariants.
+pub fn read_compressed_public_key(
+    ctx: &CkksContext,
+    bytes: &[u8],
+) -> ArkResult<CompressedPublicKey> {
+    let fp = param_fingerprint(ctx.params());
+    let (frame, _) = read_frame_expecting(bytes, kind::COMPRESSED_PUBLIC_KEY, fp)?;
+    decode_exact(frame.payload, |cur| decode_compressed_public_key(cur, ctx))
+}
+
+/// Reads a standalone seed-compressed rotation key set frame, verifying
+/// kind, fingerprint, checksum and payload invariants.
+pub fn read_compressed_rotation_keys(
+    ctx: &CkksContext,
+    bytes: &[u8],
+) -> ArkResult<CompressedRotationKeys> {
+    let fp = param_fingerprint(ctx.params());
+    let (frame, _) = read_frame_expecting(bytes, kind::COMPRESSED_ROTATION_KEYS, fp)?;
+    decode_exact(frame.payload, |cur| {
+        decode_compressed_rotation_keys(cur, ctx)
+    })
+}
+
+/// Nests a ciphertext frame in the payload of `frame`; it is sealed
+/// with the enclosing frame, in the same hashing pass.
+pub fn nest_ciphertext(frame: &mut FrameWriter<'_>, ctx: &CkksContext, ct: &Ciphertext) {
+    let fp = param_fingerprint(ctx.params());
+    frame.nest(kind::CIPHERTEXT, fp, |out| encode_ciphertext(out, ct));
+}
+
+/// Nests a seed-compressed public key frame in the payload of `frame`,
+/// sealed with it like [`nest_ciphertext`].
+pub fn nest_compressed_public_key(
+    frame: &mut FrameWriter<'_>,
+    ctx: &CkksContext,
+    key: &CompressedPublicKey,
+) {
+    let fp = param_fingerprint(ctx.params());
+    frame.nest(kind::COMPRESSED_PUBLIC_KEY, fp, |out| {
+        encode_compressed_public_key(out, key)
+    });
+}
+
+/// Nests a seed-compressed evaluation key frame in the payload of
+/// `frame`, sealed with it like [`nest_ciphertext`].
+pub fn nest_compressed_eval_key(
+    frame: &mut FrameWriter<'_>,
+    ctx: &CkksContext,
+    key: &CompressedEvalKey,
+) {
+    let fp = param_fingerprint(ctx.params());
+    frame.nest(kind::COMPRESSED_EVAL_KEY, fp, |out| {
+        encode_compressed_eval_key(out, key)
+    });
+}
+
+/// Nests a seed-compressed rotation key set frame in the payload of
+/// `frame`, sealed with it like [`nest_ciphertext`].
+pub fn nest_compressed_rotation_keys(
+    frame: &mut FrameWriter<'_>,
+    ctx: &CkksContext,
+    keys: &CompressedRotationKeys,
+) {
+    let fp = param_fingerprint(ctx.params());
+    frame.nest(kind::COMPRESSED_ROTATION_KEYS, fp, |out| {
+        encode_compressed_rotation_keys(out, keys)
+    });
+}
 
 /// Reads a ciphertext frame from the *front* of `bytes`, returning the
 /// ciphertext and the bytes consumed — the shape `ark-serve` uses to
@@ -356,10 +345,7 @@ pub fn read_ciphertext_prefix(ctx: &CkksContext, bytes: &[u8]) -> ArkResult<(Cip
 /// fingerprint and payload invariants.
 pub fn ciphertext_from_frame(ctx: &CkksContext, frame: Frame<'_>) -> ArkResult<Ciphertext> {
     let frame = frame.expecting(kind::CIPHERTEXT, param_fingerprint(ctx.params()))?;
-    let mut cur = Cursor::new(frame.payload);
-    let ct = decode_ciphertext(&mut cur, ctx)?;
-    cur.finish().map_err(ArkError::Wire)?;
-    Ok(ct)
+    decode_exact(frame.payload, |cur| decode_ciphertext(cur, ctx))
 }
 
 /// Exact wire size of a ciphertext frame (header + payload + checksum).
@@ -415,7 +401,7 @@ mod tests {
         let ct = ctx.encrypt(&pt, &sk, &mut rng);
         let bytes = write_ciphertext(&ctx, &ct);
         assert_eq!(bytes.len(), ciphertext_frame_len(&ct));
-        let back = read_ciphertext(&ctx, &bytes).unwrap();
+        let back = read_ciphertext_prefix(&ctx, &bytes).unwrap().0;
         assert_eq!(back, ct);
         let out = ctx.decrypt_decode(&back, &sk);
         assert!(max_error(&msg, &out) < 1e-5);
@@ -431,7 +417,7 @@ mod tests {
         let ct = tiny.encrypt(&pt, &sk, &mut rng);
         let bytes = write_ciphertext(&tiny, &ct);
         assert!(matches!(
-            read_ciphertext(&small, &bytes).unwrap_err(),
+            read_ciphertext_prefix(&small, &bytes).unwrap_err(),
             ArkError::Wire(WireError::FingerprintMismatch { .. })
         ));
     }
@@ -442,9 +428,15 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let sk = ctx.gen_secret_key(&mut rng);
         let pk = ctx.gen_public_key_seeded(&sk, 0x5eed, 0x9015e);
-        let bytes = write_compressed_public_key(&ctx, &pk.compress());
+        let mut payload = Vec::new();
+        encode_compressed_public_key(&mut payload, &pk.compress());
+        let bytes = write_frame(
+            kind::COMPRESSED_PUBLIC_KEY,
+            param_fingerprint(ctx.params()),
+            &payload,
+        );
         assert!(matches!(
-            read_ciphertext(&ctx, &bytes).unwrap_err(),
+            read_ciphertext_prefix(&ctx, &bytes).unwrap_err(),
             ArkError::Wire(WireError::WrongKind { .. })
         ));
     }
@@ -463,7 +455,7 @@ mod tests {
         ct.a.to_coeff(ctx.basis());
         let bytes = write_ciphertext(&ctx, &ct);
         assert!(matches!(
-            read_ciphertext(&ctx, &bytes).unwrap_err(),
+            read_ciphertext_prefix(&ctx, &bytes).unwrap_err(),
             ArkError::Wire(WireError::Malformed { .. })
         ));
     }
@@ -484,7 +476,7 @@ mod tests {
         encode_poly(&mut payload, &ct.a);
         let framed = write_frame(kind::CIPHERTEXT, param_fingerprint(ctx.params()), &payload);
         assert!(matches!(
-            read_ciphertext(&ctx, &framed).unwrap_err(),
+            read_ciphertext_prefix(&ctx, &framed).unwrap_err(),
             ArkError::Wire(WireError::Malformed { .. })
         ));
     }

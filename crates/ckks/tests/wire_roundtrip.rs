@@ -3,16 +3,20 @@
 //! untrusted peer can produce — truncation, bad magic, wrong version,
 //! flipped checksum bytes, and cross-parameter-set decode.
 
-use ark_ckks::error::ArkError;
+use ark_ckks::error::{ArkError, ArkResult};
 use ark_ckks::params::{CkksContext, CkksParams};
 use ark_ckks::wire::{
-    param_fingerprint, read_ciphertext, read_compressed_eval_key, read_compressed_public_key,
-    read_compressed_rotation_keys, write_ciphertext, write_compressed_eval_key,
-    write_compressed_public_key, write_compressed_rotation_keys,
+    decode_compressed_eval_key, encode_compressed_eval_key, encode_compressed_public_key,
+    encode_compressed_rotation_keys, param_fingerprint, read_ciphertext_prefix,
+    read_compressed_public_key, read_compressed_rotation_keys, write_ciphertext,
 };
-use ark_ckks::{Ciphertext, SecretKey};
+use ark_ckks::{Ciphertext, CompressedEvalKey, SecretKey};
+use ark_math::automorphism::GaloisElement;
 use ark_math::cfft::C64;
-use ark_math::wire::{kind, write_frame, WireError, CHECKSUM_LEN, HEADER_LEN, MAGIC, VERSION};
+use ark_math::wire::{
+    kind, read_frame_expecting, write_frame, Cursor, WireError, CHECKSUM_LEN, HEADER_LEN, MAGIC,
+    VERSION,
+};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use std::sync::OnceLock;
@@ -50,6 +54,25 @@ fn encrypt(f: &Fixture, msg: &[(f64, f64)], level: usize, seed: u64) -> Cipherte
     f.ctx.encrypt(&pt, &f.sk, &mut rng)
 }
 
+/// A standalone frame of `kind` around the payload `encode` appends.
+fn frame(f: &Fixture, kind: u16, encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut payload = Vec::new();
+    encode(&mut payload);
+    write_frame(kind, param_fingerprint(f.ctx.params()), &payload)
+}
+
+/// Reads a standalone compressed-evaluation-key frame the way the
+/// typed readers do: kind, fingerprint, checksum, then the payload,
+/// consumed exactly.
+fn read_eval_key(f: &Fixture, bytes: &[u8]) -> ArkResult<CompressedEvalKey> {
+    let fp = param_fingerprint(f.ctx.params());
+    let (frame, _) = read_frame_expecting(bytes, kind::COMPRESSED_EVAL_KEY, fp)?;
+    let mut cur = Cursor::new(frame.payload);
+    let key = decode_compressed_eval_key(&mut cur, &f.ctx)?;
+    cur.finish()?;
+    Ok(key)
+}
+
 fn msg_strategy(slots: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
     proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), slots)
 }
@@ -68,7 +91,7 @@ proptest! {
         for f in [&fixtures().0, &fixtures().1] {
             let ct = encrypt(f, &m, level, seed);
             let bytes = write_ciphertext(&f.ctx, &ct);
-            let back = read_ciphertext(&f.ctx, &bytes).unwrap();
+            let (back, _) = read_ciphertext_prefix(&f.ctx, &bytes).unwrap();
             prop_assert_eq!(&back, &ct);
             // and the round-tripped ciphertext decrypts to the same bits
             let d1 = f.ctx.decrypt_decode(&ct, &f.sk);
@@ -91,7 +114,7 @@ proptest! {
         let ct = encrypt(f, &m, 2, 7);
         let bytes = write_ciphertext(&f.ctx, &ct);
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
-        let err = read_ciphertext(&f.ctx, &bytes[..cut]).unwrap_err();
+        let err = read_ciphertext_prefix(&f.ctx, &bytes[..cut]).unwrap_err();
         prop_assert!(matches!(err, ArkError::Wire(WireError::Truncated { .. })),
             "cut at {}: {:?}", cut, err);
     }
@@ -109,7 +132,7 @@ proptest! {
         let mut bytes = write_ciphertext(&f.ctx, &ct);
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= 1 << bit;
-        let err = read_ciphertext(&f.ctx, &bytes).unwrap_err();
+        let err = read_ciphertext_prefix(&f.ctx, &bytes).unwrap_err();
         prop_assert!(matches!(err, ArkError::Wire(_)), "flip at {}: {:?}", pos, err);
     }
 
@@ -124,7 +147,7 @@ proptest! {
         let (src, dst) = if direction == 0 { (a, b) } else { (b, a) };
         let ct = encrypt(src, &m, 1, 13);
         let bytes = write_ciphertext(&src.ctx, &ct);
-        let err = read_ciphertext(&dst.ctx, &bytes).unwrap_err();
+        let err = read_ciphertext_prefix(&dst.ctx, &bytes).unwrap_err();
         prop_assert!(matches!(
             err,
             ArkError::Wire(WireError::FingerprintMismatch { .. })
@@ -145,11 +168,13 @@ proptest! {
     ) {
         for f in [&fixtures().0, &fixtures().1] {
             let eager = f.ctx.gen_mult_key_seeded(&f.sk, a_master, noise_master);
-            let bytes = write_compressed_eval_key(&f.ctx, &eager.compress());
+            let bytes = frame(f, kind::COMPRESSED_EVAL_KEY, |out| {
+        encode_compressed_eval_key(out, &eager.compress())
+    });
             // the compressed frame is at most 55% of the in-memory key
             prop_assert!(bytes.len() * 100 <= eager.byte_len() * 55,
                 "{} vs {}", bytes.len(), eager.byte_len());
-            let back = read_compressed_eval_key(&f.ctx, &bytes).unwrap();
+            let back = read_eval_key(f, &bytes).unwrap();
             prop_assert_eq!(back.materialize(&f.ctx), eager);
         }
     }
@@ -162,15 +187,19 @@ proptest! {
     ) {
         for f in [&fixtures().0, &fixtures().1] {
             let set = f.ctx.gen_rotation_keys_seeded(&[1, 2], false, &f.sk, a_master, noise_master);
-            let bytes = write_compressed_rotation_keys(&f.ctx, &set.compress());
+            let bytes = frame(f, kind::COMPRESSED_ROTATION_KEYS, |out| {
+                encode_compressed_rotation_keys(out, &set.compress())
+            });
             let back = read_compressed_rotation_keys(&f.ctx, &bytes).unwrap().materialize(&f.ctx);
             prop_assert_eq!(back.galois_elements(), set.galois_elements());
             for g in set.galois_elements() {
-                prop_assert_eq!(back.get_raw(g), set.get_raw(g));
+                prop_assert_eq!(back.get(GaloisElement(g)), set.get(GaloisElement(g)));
             }
 
             let pk = f.ctx.gen_public_key_seeded(&f.sk, a_master, noise_master);
-            let pk_bytes = write_compressed_public_key(&f.ctx, &pk.compress());
+            let pk_bytes = frame(f, kind::COMPRESSED_PUBLIC_KEY, |out| {
+                encode_compressed_public_key(out, &pk.compress())
+            });
             let pk_back = read_compressed_public_key(&f.ctx, &pk_bytes).unwrap();
             prop_assert_eq!(pk_back.materialize(&f.ctx), pk);
         }
@@ -182,9 +211,11 @@ proptest! {
     fn compressed_eval_key_truncation_is_typed(cut_frac in 0.0f64..1.0) {
         let f = &fixtures().0;
         let key = f.ctx.gen_mult_key_seeded(&f.sk, 0x5eed, 0xe401);
-        let bytes = write_compressed_eval_key(&f.ctx, &key.compress());
+        let bytes = frame(f, kind::COMPRESSED_EVAL_KEY, |out| {
+        encode_compressed_eval_key(out, &key.compress())
+    });
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
-        let err = read_compressed_eval_key(&f.ctx, &bytes[..cut]).unwrap_err();
+        let err = read_eval_key(f, &bytes[..cut]).unwrap_err();
         prop_assert!(matches!(err, ArkError::Wire(WireError::Truncated { .. })),
             "cut at {}: {:?}", cut, err);
     }
@@ -198,10 +229,12 @@ proptest! {
     ) {
         let f = &fixtures().0;
         let key = f.ctx.gen_mult_key_seeded(&f.sk, 0x5eed, 0xe402);
-        let mut bytes = write_compressed_eval_key(&f.ctx, &key.compress());
+        let mut bytes = frame(f, kind::COMPRESSED_EVAL_KEY, |out| {
+        encode_compressed_eval_key(out, &key.compress())
+    });
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= 1 << bit;
-        let err = read_compressed_eval_key(&f.ctx, &bytes).unwrap_err();
+        let err = read_eval_key(f, &bytes).unwrap_err();
         prop_assert!(matches!(err, ArkError::Wire(_)), "flip at {}: {:?}", pos, err);
     }
 }
@@ -211,16 +244,18 @@ fn compressed_and_materialized_kinds_do_not_cross_decode() {
     let f = &fixtures().0;
     let fp = param_fingerprint(f.ctx.params());
     let key = f.ctx.gen_mult_key_seeded(&f.sk, 0xabcd, 0xef01);
-    let compressed = write_compressed_eval_key(&f.ctx, &key.compress());
+    let compressed = frame(f, kind::COMPRESSED_EVAL_KEY, |out| {
+        encode_compressed_eval_key(out, &key.compress())
+    });
     let ct = write_ciphertext(&f.ctx, &encrypt(f, &[(0.5, 0.0); 16], 2, 23));
     // a compressed frame is not a ciphertext, and vice versa: the kind
     // tags keep the decoders apart
     assert!(matches!(
-        read_ciphertext(&f.ctx, &compressed).unwrap_err(),
+        read_ciphertext_prefix(&f.ctx, &compressed).unwrap_err(),
         ArkError::Wire(WireError::WrongKind { .. })
     ));
     assert!(matches!(
-        read_compressed_eval_key(&f.ctx, &ct).unwrap_err(),
+        read_eval_key(f, &ct).unwrap_err(),
         ArkError::Wire(WireError::WrongKind { .. })
     ));
     // the retired materialized tags (2 plaintext, 4 public key, 5 eval
@@ -231,12 +266,12 @@ fn compressed_and_materialized_kinds_do_not_cross_decode() {
             let payload = &frame[HEADER_LEN..frame.len() - CHECKSUM_LEN];
             let bytes = write_frame(retired, fp, payload);
             assert!(matches!(
-                read_compressed_eval_key(&f.ctx, &bytes).unwrap_err(),
+                read_eval_key(f, &bytes).unwrap_err(),
                 ArkError::Wire(WireError::WrongKind { expected: kind::COMPRESSED_EVAL_KEY, found })
                     if found == retired
             ));
             assert!(matches!(
-                read_ciphertext(&f.ctx, &bytes).unwrap_err(),
+                read_ciphertext_prefix(&f.ctx, &bytes).unwrap_err(),
                 ArkError::Wire(WireError::WrongKind { expected: kind::CIPHERTEXT, found })
                     if found == retired
             ));
@@ -253,14 +288,14 @@ fn bad_magic_and_wrong_version_are_distinct_errors() {
     let mut bad_magic = good.clone();
     bad_magic[..4].copy_from_slice(b"NOPE");
     assert!(matches!(
-        read_ciphertext(&f.ctx, &bad_magic).unwrap_err(),
+        read_ciphertext_prefix(&f.ctx, &bad_magic).unwrap_err(),
         ArkError::Wire(WireError::BadMagic { found }) if &found == b"NOPE"
     ));
 
     let mut wrong_version = good.clone();
     wrong_version[4..6].copy_from_slice(&(VERSION + 1).to_le_bytes());
     assert!(matches!(
-        read_ciphertext(&f.ctx, &wrong_version).unwrap_err(),
+        read_ciphertext_prefix(&f.ctx, &wrong_version).unwrap_err(),
         ArkError::Wire(WireError::UnsupportedVersion { found, supported })
             if found == VERSION + 1 && supported == VERSION
     ));
@@ -270,7 +305,7 @@ fn bad_magic_and_wrong_version_are_distinct_errors() {
     let last = bad_sum.len() - 1;
     bad_sum[last] ^= 0x80;
     assert!(matches!(
-        read_ciphertext(&f.ctx, &bad_sum).unwrap_err(),
+        read_ciphertext_prefix(&f.ctx, &bad_sum).unwrap_err(),
         ArkError::Wire(WireError::ChecksumMismatch { .. })
     ));
 }

@@ -25,15 +25,3 @@ pub mod protocol;
 pub use crate::core::{ClientCore, CoreConfig, Event, Ticket};
 pub use crate::program::{Program, Reg};
 pub use crate::protocol::EngineInfo;
-
-/// One-line import for client code:
-/// `use ark_client::prelude::*;`.
-pub mod prelude {
-    pub use crate::core::{
-        decode_eval_keys, decode_public_key, decode_result_cts, ClientCore, CoreConfig, Event,
-        Ticket,
-    };
-    pub use crate::program::{Program, Reg};
-    pub use crate::protocol::{EngineInfo, PROTOCOL_VERSION};
-    pub use ark_ckks::error::{ArkError, ArkResult};
-}

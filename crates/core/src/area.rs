@@ -63,12 +63,6 @@ impl Area {
     }
 }
 
-/// Energy-delay-area product, the efficiency metric of Section VII-C
-/// (lower is better).
-pub fn edap(energy_j: f64, delay_s: f64, area_mm2: f64) -> f64 {
-    energy_j * delay_s * area_mm2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,10 +87,5 @@ mod tests {
         let base = Area::for_config(&ArkConfig::base());
         assert!((base.sram / small.sram - 2.0).abs() < 1e-9);
         assert!((base.nttu - small.nttu).abs() < 1e-9);
-    }
-
-    #[test]
-    fn edap_monotone() {
-        assert!(edap(2.0, 1.0, 400.0) > edap(1.0, 1.0, 400.0));
     }
 }

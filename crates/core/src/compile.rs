@@ -35,12 +35,6 @@ impl CompileOptions {
     pub fn all_on() -> Self {
         Self { of_limb: true }
     }
-
-    /// Algorithms off (the Fig. 7 baseline; key reuse still follows the
-    /// trace's key strategy).
-    pub fn baseline() -> Self {
-        Self { of_limb: false }
-    }
 }
 
 /// How far ahead evk prefetches may run, in key-switch ops
@@ -441,13 +435,13 @@ mod tests {
             &hdft_trace(&HdftConfig::paper_hidft(&p, KeyStrategy::Baseline)),
             &p,
             &cfg,
-            CompileOptions::baseline(),
+            CompileOptions { of_limb: false },
         );
         let minks = compile(
             &hdft_trace(&HdftConfig::paper_hidft(&p, KeyStrategy::MinKs)),
             &p,
             &cfg,
-            CompileOptions::baseline(),
+            CompileOptions { of_limb: false },
         );
         let b = base.hbm_words(DataKind::Evk);
         let m = minks.hbm_words(DataKind::Evk);
@@ -484,7 +478,7 @@ mod tests {
         );
     }
 
-    /// ROADMAP item 2, "scratchpad capacity never binds in the model":
+    /// An earlier ROADMAP claim, "scratchpad capacity never binds in the model":
     /// it does bind — but under the `Baseline` key order, the only one
     /// Fig. 7 pairs with ½ SRAM, it has almost nothing left to take
     /// away. The measured hit counts are the explanation (DESIGN.md
@@ -512,7 +506,7 @@ mod tests {
                 (t.key_switch_count(), t.distinct_keys()),
                 (125, keys(strategy))
             );
-            let g = compile(&t, &p, cfg, CompileOptions::baseline());
+            let g = compile(&t, &p, cfg, CompileOptions { of_limb: false });
             assert_eq!(g.evk_hits() + g.evk_misses(), 125);
             g.evk_hits()
         };

@@ -234,7 +234,7 @@ mod tests {
         let p = CkksParams::ark();
         let cfg = ArkConfig::base();
         let t = hdft_trace(&HdftConfig::paper_hidft(&p, KeyStrategy::Baseline));
-        let r = run(&t, &p, &cfg, CompileOptions::baseline());
+        let r = run(&t, &p, &cfg, CompileOptions { of_limb: false });
         let hbm_lower_bound =
             (r.hbm_evk_words + r.hbm_plaintext_words) as f64 / cfg.hbm_words_per_cycle();
         assert!(
@@ -271,13 +271,13 @@ mod tests {
             &hdft_trace(&HdftConfig::paper_hidft(&p, KeyStrategy::Baseline)),
             &p,
             &cfg,
-            CompileOptions::baseline(),
+            CompileOptions { of_limb: false },
         );
         let minks = run(
             &hdft_trace(&HdftConfig::paper_hidft(&p, KeyStrategy::MinKs)),
             &p,
             &cfg,
-            CompileOptions::baseline(),
+            CompileOptions { of_limb: false },
         );
         let both = run(
             &hdft_trace(&HdftConfig::paper_hidft(&p, KeyStrategy::MinKs)),

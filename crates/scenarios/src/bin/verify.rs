@@ -1,16 +1,16 @@
 //! CI-facing static verification of the scenario programs.
 //!
 //! ```text
-//! cargo run -p ark-verify --bin verify            # summary per scenario
-//! cargo run -p ark-verify --bin verify -- --schedule   # + per-op rows
+//! cargo run -p ark-scenarios --bin verify            # summary per scenario
+//! cargo run -p ark-scenarios --bin verify -- --schedule   # + per-op rows
 //! ```
 //!
 //! Exit code 0 iff every scenario program passes static verification;
 //! any diagnostic prints the op index and the typed runtime error the
 //! evaluation would have hit, and exits 1.
 
-use ark_scenarios::{HelrScenario, ResNetScenario, Scenario};
-use ark_verify::{verify_scenario, VerifyReport};
+use ark_fhe::verify::VerifyReport;
+use ark_scenarios::{verify_scenario, HelrScenario, ResNetScenario, Scenario};
 use std::process::ExitCode;
 
 fn print_report(s: &dyn Scenario, report: &VerifyReport, schedule: bool) {

@@ -25,6 +25,11 @@
 //! key policy) → `inputs` (encode/encrypt) → `program` (build) → run
 //! (one of the three runners) → verify (reference comparison +
 //! trace-shape check, enforced inside every runner).
+//!
+//! Before any run, [`verify_scenario`] checks a scenario's program
+//! statically with the `ark-fhe::verify` analyzer — no keys, no
+//! ciphertexts — and the crate's `verify` binary does so for both
+//! scenarios, printing the per-op level/liveness schedule.
 
 pub mod helr;
 pub mod resnet;
@@ -37,6 +42,7 @@ use ark_ckks::error::{ArkError, ArkResult};
 use ark_ckks::params::{CkksContext, CkksParams};
 use ark_fhe::arch::ArkConfig;
 use ark_fhe::engine::{Backend, Engine, HeProgram, ProgramInput};
+use ark_fhe::verify::{AbstractInput, VerifyContext, VerifyReport};
 use ark_fhe::workloads::trace::Trace;
 use ark_math::cfft::C64;
 use ark_serve::{Client, Program, Server, ServerConfig};
@@ -90,10 +96,10 @@ impl ScenarioSetup {
 
     /// A key-free static-verification context over this setup's
     /// declared key surface, bootstrap configuration and runtime-key
-    /// policy — what the `ark-verify` CLI checks scenario programs
-    /// against without generating a single key.
-    pub fn verify_context(&self) -> ArkResult<ark_fhe::verify::VerifyContext> {
-        ark_fhe::verify::VerifyContext::new(
+    /// policy — what [`verify_scenario`] and the `verify` CLI check
+    /// scenario programs against without generating a single key.
+    pub fn verify_context(&self) -> ArkResult<VerifyContext> {
+        VerifyContext::new(
             self.params.clone(),
             &self.rotations,
             self.conjugation,
@@ -101,6 +107,27 @@ impl ScenarioSetup {
             self.runtime_keys,
         )
     }
+}
+
+/// Statically verifies a scenario's program against its own setup:
+/// the declared key surface, bootstrap configuration, runtime-key
+/// policy, and the levels its inputs are encrypted at. No keys are
+/// generated and no ciphertext is touched.
+///
+/// # Errors
+///
+/// Propagates [`ArkError::InvalidParams`] if the setup itself is
+/// inconsistent (the same validation `Engine::builder().build()`
+/// performs). A program that fails verification still returns `Ok` —
+/// the rejection is in [`VerifyReport::finding`].
+pub fn verify_scenario(s: &dyn Scenario) -> ArkResult<VerifyReport> {
+    let ctx = s.setup().verify_context()?;
+    let specs: Vec<AbstractInput> = s
+        .inputs()
+        .iter()
+        .map(|i| AbstractInput::at_level(i.level))
+        .collect();
+    Ok(ctx.verify(&specs, &s.program()))
 }
 
 /// One encrypted application workload, described once and runnable on
@@ -377,5 +404,43 @@ mod tests {
         let b = vec![C64::new(1.5, 0.0), C64::new(0.0, 0.0)];
         assert!((max_abs_error(&a, &b, 1) - 0.5).abs() < 1e-12);
         assert!((max_abs_error(&a, &b, 2) - 9.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn both_scenario_programs_verify_cleanly() {
+        for s in [
+            &HelrScenario::default() as &dyn Scenario,
+            &ResNetScenario::default() as &dyn Scenario,
+        ] {
+            let report = verify_scenario(s).unwrap();
+            assert!(
+                report.is_ok(),
+                "{} failed static verification: {:?}",
+                s.name(),
+                report.finding
+            );
+            assert_eq!(report.bootstraps, s.expected_bootstraps(), "{}", s.name());
+        }
+    }
+
+    #[test]
+    fn liveness_peak_beats_worst_case_on_scenario_programs() {
+        for (s, peak) in [
+            (&HelrScenario::default() as &dyn Scenario, 13),
+            (&ResNetScenario::default() as &dyn Scenario, 12),
+        ] {
+            let report = verify_scenario(s).unwrap();
+            let p = s.program();
+            let worst = p.worst_case_units(report.digit_units);
+            assert!(
+                report.peak_live_units <= worst,
+                "{}: peak {} exceeds worst-case {}",
+                s.name(),
+                report.peak_live_units,
+                worst
+            );
+            // the session charge of one scenario job, in ciphertexts
+            assert_eq!(report.peak_live_units, peak, "{}", s.name());
+        }
     }
 }

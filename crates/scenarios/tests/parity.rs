@@ -25,9 +25,9 @@ use ark_ckks::error::ArkError;
 use ark_ckks::params::CkksParams;
 use ark_fhe::arch::ArkConfig;
 use ark_fhe::engine::{Backend, Engine, HeEvaluator, ProgramInput, RotateSumTerm};
+use ark_fhe::verify::{AbstractInput, VerifyContext};
 use ark_math::cfft::C64;
 use ark_serve::Program;
-use ark_verify::{AbstractInput, VerifyContext};
 use proptest::prelude::*;
 
 const N_INPUTS: u16 = 2;

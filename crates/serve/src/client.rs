@@ -149,7 +149,6 @@ impl ClientBuilder {
             read_timeout: self.read_timeout,
             busy_retries: self.busy_retries,
             sheds_absorbed: 0,
-            sheds_surfaced: 0,
             completed: HashMap::new(),
             rng: seed,
         };
@@ -174,8 +173,6 @@ pub struct Client {
     busy_retries: u32,
     /// `BUSY` sheds converted to a retry by the automatic backoff.
     sheds_absorbed: u64,
-    /// `BUSY` sheds surfaced as [`ArkError::Busy`] (budget exhausted).
-    sheds_surfaced: u64,
     /// Completion events received while waiting for a different
     /// ticket.
     completed: HashMap<u64, Event>,
@@ -209,12 +206,6 @@ impl Client {
     /// instead of surfacing ([`ClientBuilder::busy_retries`]).
     pub fn sheds_absorbed(&self) -> u64 {
         self.sheds_absorbed
-    }
-
-    /// `BUSY` sheds this session surfaced as [`ArkError::Busy`]
-    /// because the retry budget was exhausted (or zero).
-    pub fn sheds_surfaced(&self) -> u64 {
-        self.sheds_surfaced
     }
 
     /// Fetches the server's public key for a hosted software engine so
@@ -257,14 +248,8 @@ impl Client {
         inputs: &[Ciphertext],
         ctx: &CkksContext,
     ) -> ArkResult<Vec<Ciphertext>> {
-        let ticket = self
-            .core
-            .submit_evaluate(fingerprint, program, inputs, ctx)?;
-        self.flush_egress()?;
-        match self.wait_for(ticket)? {
-            Event::EvalResult { payload, .. } => decode_result_cts(ctx, &payload),
-            other => Err(unexpected_event(&other)),
-        }
+        let ticket = self.submit_evaluate(fingerprint, program, inputs, ctx)?;
+        self.wait_evaluate(ticket, ctx)
     }
 
     /// Costs `program` on the simulated engine `fingerprint` with
@@ -276,12 +261,8 @@ impl Client {
         program: &Program,
         levels: &[usize],
     ) -> ArkResult<SimReport> {
-        let ticket = self.core.submit_simulate(fingerprint, program, levels)?;
-        self.flush_egress()?;
-        match self.wait_for(ticket)? {
-            Event::SimReport { report, .. } => Ok(report),
-            other => Err(unexpected_event(&other)),
-        }
+        let ticket = self.submit_simulate(fingerprint, program, levels)?;
+        self.wait_simulate(ticket)
     }
 
     /// Submits an evaluation without waiting (pipelining). Redeem the
@@ -435,7 +416,6 @@ impl Client {
             match event {
                 Event::Busy { retry_after_ms, .. } => {
                     if attempts_left == 0 {
-                        self.sheds_surfaced += 1;
                         self.core.abandon(ticket);
                         return Err(ArkError::Busy { retry_after_ms });
                     }

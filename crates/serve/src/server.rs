@@ -105,7 +105,7 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Queued jobs per worker, pooled: the one job queue holds
     /// `shards × queue_capacity` jobs before admission control starts
-    /// shedding with `BUSY`.
+    /// shedding with `BUSY`. At least 1.
     pub queue_capacity: usize,
     /// Largest wire frame a peer may send (allocation bound; a message
     /// may add the request-id envelope on top).
@@ -126,7 +126,7 @@ pub struct ServerConfig {
     /// connection at this window is not read until a completion frees
     /// a slot, so the excess waits in the peer's socket (TCP
     /// back-pressure), not in server memory; `BUSY` is sent only when
-    /// the job queue is full.
+    /// the job queue is full. At least 1.
     pub max_pipeline: usize,
     /// Response bytes one connection's outbox may hold behind the write
     /// in progress. A peer that stops reading its responses gets its
@@ -480,7 +480,25 @@ impl Server {
     /// Binds `addr` and starts serving: spawns the accept thread and the
     /// workers, then returns immediately with a handle. Bind to port 0
     /// for an ephemeral port ([`ServerHandle::addr`] reports it).
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`], before binding, if
+    /// `queue_capacity` or `max_pipeline` is 0: the first would shed
+    /// every job with `BUSY`, the second would never read a request
+    /// after `HELLO`. Otherwise the bind's or a thread spawn's error.
     pub fn serve(self, addr: impl ToSocketAddrs) -> io::Result<ServerHandle> {
+        for (field, value) in [
+            ("queue_capacity", self.config.queue_capacity),
+            ("max_pipeline", self.config.max_pipeline),
+        ] {
+            if value == 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("ServerConfig::{field} is 0, so the server would serve nobody"),
+                ));
+            }
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared::new(self.engines, self.config));
@@ -1424,6 +1442,37 @@ mod tests {
         // the same worker went on to serve a good request
         assert_eq!(frame_kind(&done[2].1), msg::RESULT_REPORT);
         assert_eq!(shared.jobs_executed[0].load(Ordering::Relaxed), 3);
+    }
+
+    fn refused_before_binding(config: ServerConfig, field: &str) {
+        let err = Server::with_config(config)
+            .serve("127.0.0.1:0")
+            .map(ServerHandle::shutdown)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains(field), "got {err}");
+    }
+
+    #[test]
+    fn zero_queue_capacity_is_refused() {
+        refused_before_binding(
+            ServerConfig {
+                queue_capacity: 0,
+                ..ServerConfig::default()
+            },
+            "queue_capacity",
+        );
+    }
+
+    #[test]
+    fn zero_max_pipeline_is_refused() {
+        refused_before_binding(
+            ServerConfig {
+                max_pipeline: 0,
+                ..ServerConfig::default()
+            },
+            "max_pipeline",
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@ use ark_fhe::arch::ArkConfig;
 use ark_fhe::ckks::encoding::max_error;
 use ark_fhe::engine::{Backend, Engine};
 use ark_fhe::math::cfft::C64;
+use ark_math::automorphism::GaloisElement;
 use ark_math::wire::{checksum, put_u16, read_frame, write_frame, Cursor, CHECKSUM_LEN};
 use ark_serve::server::ServerConfig;
 use ark_serve::{Client, Program, Server, ServerHandle};
@@ -175,13 +176,21 @@ fn key_distribution_ships_compressed_and_materializes_bit_identically() {
         kc.rotation_keys().galois_elements()
     );
     for g in rotations.galois_elements() {
-        assert_eq!(rotations.get_raw(g), kc.rotation_keys().get_raw(g));
+        assert_eq!(
+            rotations.get(GaloisElement(g)),
+            kc.rotation_keys().get(GaloisElement(g))
+        );
     }
 
     // the compressed frame that traveled is at most 55% of the
     // in-memory key it materializes to
-    use ark_fhe::ckks::wire as ckks_wire2;
-    let compressed = ckks_wire2::write_compressed_eval_key(&ctx, &mult.compress());
+    let mut payload = Vec::new();
+    ckks_wire::encode_compressed_eval_key(&mut payload, &mult.compress());
+    let compressed = write_frame(
+        ark_math::wire::kind::COMPRESSED_EVAL_KEY,
+        ckks_wire::param_fingerprint(ctx.params()),
+        &payload,
+    );
     assert!(
         compressed.len() * 100 <= mult.byte_len() * 55,
         "{} vs {}",

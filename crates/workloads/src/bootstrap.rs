@@ -225,17 +225,6 @@ pub fn post_bootstrap_level(params: &CkksParams, cfg: &BootstrapTraceConfig) -> 
     }
 }
 
-/// Rotation keys the bootstrap needs under its strategy — for the
-/// working-set analysis: baseline needs ~40, Min-KS needs ~6 plus the
-/// mult/conjugation keys.
-pub fn distinct_bootstrap_keys(params: &CkksParams, cfg: &BootstrapTraceConfig) -> usize {
-    let t = bootstrap_trace(params, cfg);
-    let mut keys: Vec<KeyId> = t.ops().iter().filter_map(HeOp::key).collect();
-    keys.sort_unstable();
-    keys.dedup();
-    keys.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,14 +256,16 @@ mod tests {
     #[test]
     fn minks_needs_order_of_magnitude_fewer_keys() {
         let params = CkksParams::ark();
-        let base = distinct_bootstrap_keys(
+        let base = bootstrap_trace(
             &params,
             &BootstrapTraceConfig::full(&params, KeyStrategy::Baseline),
-        );
-        let minks = distinct_bootstrap_keys(
+        )
+        .distinct_keys();
+        let minks = bootstrap_trace(
             &params,
             &BootstrapTraceConfig::full(&params, KeyStrategy::MinKs),
-        );
+        )
+        .distinct_keys();
         assert!(base > 70, "baseline keys = {base}");
         assert!(minks < 16, "minks keys = {minks}");
     }

@@ -81,11 +81,6 @@ impl HdftConfig {
         self.hoisting = true;
         self
     }
-
-    /// Number of radix iterations.
-    pub fn iterations(&self) -> usize {
-        (self.slots_log2 as usize).div_ceil(self.radix_log2 as usize)
-    }
 }
 
 /// Emits the H-(I)DFT trace.
@@ -172,14 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn paper_iteration_count() {
-        assert_eq!(paper_cfg(KeyStrategy::MinKs).iterations(), 3);
-    }
-
-    #[test]
     fn rotation_and_pmult_counts_match_paper_scale() {
         // Paper reports 40 HRots and 158 PMults after boundary trims; the
-        // untrimmed structure is 42 and 192.
+        // untrimmed structure is 42 and 192, over 3 iterations of one
+        // rescale each.
         let t = hdft_trace(&paper_cfg(KeyStrategy::MinKs));
         let s = t.summary();
         assert_eq!(s.hrot, 42);

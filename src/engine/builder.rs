@@ -16,7 +16,7 @@ use rand::SeedableRng;
 /// Derives the analytic bootstrap sub-trace configuration a session
 /// with `cfg` would fix at build time — the same derivation
 /// [`EngineBuilder::build`] performs, exposed so key-free consumers
-/// (static verification, the `ark-verify` CLI) can model bootstrap
+/// (static verification, the scenario `verify` CLI) can model bootstrap
 /// level consumption without constructing an engine.
 ///
 /// The slot count changes what a bootstrap costs, never the level it

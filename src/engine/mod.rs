@@ -357,14 +357,6 @@ impl Engine {
         ark_ckks::wire::param_fingerprint(self.params())
     }
 
-    /// Short name of the active backend.
-    pub fn backend_name(&self) -> &'static str {
-        match &self.state {
-            BackendState::Software(_) => "software",
-            BackendState::Simulated(_) => "simulated",
-        }
-    }
-
     /// The software key chain, if this is a software session.
     pub fn keychain(&self) -> Option<&KeyChain> {
         match &self.state {

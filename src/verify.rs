@@ -106,7 +106,7 @@ pub(crate) struct CtMeta {
 /// The session shape every evaluator resolves against: parameter set,
 /// declared key surface, bootstrap trace configuration, and the
 /// runtime-key policy. Build one key-free via [`VerifyContext::new`]
-/// (the `ark-verify` CLI path) or borrow a live session's via
+/// (the scenario `verify` CLI path) or borrow a live session's via
 /// [`crate::engine::Engine::verify_context`].
 #[derive(Debug, Clone)]
 pub struct VerifyContext {

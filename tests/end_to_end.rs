@@ -56,7 +56,7 @@ fn minks_preserves_messages_and_cuts_traffic() {
         ),
         &params,
         &cfg,
-        CompileOptions::baseline(),
+        CompileOptions { of_limb: false },
     );
     let minks = run(
         &bootstrap_trace(
@@ -65,7 +65,7 @@ fn minks_preserves_messages_and_cuts_traffic() {
         ),
         &params,
         &cfg,
-        CompileOptions::baseline(),
+        CompileOptions { of_limb: false },
     );
     assert!(
         base.hbm_evk_words as f64 / minks.hbm_evk_words as f64 > 3.0,
@@ -261,7 +261,7 @@ fn fig2_headline_numbers() {
         &hdft_trace(&HdftConfig::paper_hidft(&params, KeyStrategy::Baseline)),
         &params,
         &cfg,
-        CompileOptions::baseline(),
+        CompileOptions { of_limb: false },
     );
     let both = run(
         &hdft_trace(&HdftConfig::paper_hidft(&params, KeyStrategy::MinKs)),
@@ -313,13 +313,13 @@ fn hidft_hdft_asymmetry() {
         &hdft_trace(&HdftConfig::paper_hidft(&params, KeyStrategy::Baseline)),
         &params,
         &cfg,
-        CompileOptions::baseline(),
+        CompileOptions { of_limb: false },
     );
     let hdft = run(
         &hdft_trace(&HdftConfig::paper_hdft(&params, KeyStrategy::Baseline)),
         &params,
         &cfg,
-        CompileOptions::baseline(),
+        CompileOptions { of_limb: false },
     );
     assert!(hidft.hbm_words(DataKind::Evk) > 2 * hdft.hbm_words(DataKind::Evk));
     assert!(hidft.cycles > hdft.cycles);

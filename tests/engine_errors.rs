@@ -37,7 +37,7 @@ impl HeProgram for AddAtMismatchedLevels {
 #[test]
 fn add_at_mismatched_levels_is_level_mismatch_on_both_backends() {
     for backend in both_backends() {
-        let mut engine = tiny_engine(backend);
+        let mut engine = tiny_engine(backend.clone());
         let err = engine
             .execute(
                 &[ProgramInput::symbolic(3), ProgramInput::symbolic(1)],
@@ -50,8 +50,7 @@ fn add_at_mismatched_levels_is_level_mismatch_on_both_backends() {
                 expected: 3,
                 found: 1
             },
-            "backend {}",
-            engine.backend_name()
+            "backend {backend:?}"
         );
     }
 }
@@ -69,15 +68,14 @@ impl HeProgram for RotateBy {
 #[test]
 fn rotate_without_key_is_missing_rotation_key_on_both_backends() {
     for backend in both_backends() {
-        let mut engine = tiny_engine(backend);
+        let mut engine = tiny_engine(backend.clone());
         let err = engine
             .execute(&[ProgramInput::symbolic(2)], &RotateBy(5))
             .unwrap_err();
         assert_eq!(
             err,
             ArkError::MissingRotationKey { amount: 5 },
-            "backend {}",
-            engine.backend_name()
+            "backend {backend:?}"
         );
     }
 }
@@ -157,16 +155,11 @@ impl HeProgram for RescaleForever {
 #[test]
 fn rescaling_past_the_chain_is_modulus_chain_exhausted_on_both_backends() {
     for backend in both_backends() {
-        let mut engine = tiny_engine(backend);
+        let mut engine = tiny_engine(backend.clone());
         let err = engine
             .execute(&[ProgramInput::symbolic(2)], &RescaleForever)
             .unwrap_err();
-        assert_eq!(
-            err,
-            ArkError::ModulusChainExhausted,
-            "backend {}",
-            engine.backend_name()
-        );
+        assert_eq!(err, ArkError::ModulusChainExhausted, "backend {backend:?}");
     }
 }
 
@@ -186,14 +179,13 @@ impl HeProgram for AddAtMismatchedScales {
 #[test]
 fn add_at_mismatched_scales_is_scale_mismatch_on_both_backends() {
     for backend in both_backends() {
-        let mut engine = tiny_engine(backend);
+        let mut engine = tiny_engine(backend.clone());
         let err = engine
             .execute(&[ProgramInput::symbolic(2)], &AddAtMismatchedScales)
             .unwrap_err();
         assert!(
             matches!(err, ArkError::ScaleMismatch { .. }),
-            "backend {}: {err:?}",
-            engine.backend_name()
+            "backend {backend:?}: {err:?}"
         );
     }
 }
@@ -328,14 +320,13 @@ fn overflowing_uniform_weights_are_invalid_params_on_both_backends() {
             UniformWeight::RotateSum(c),
         ] {
             for backend in both_backends() {
-                let mut engine = tiny_engine(backend);
+                let mut engine = tiny_engine(backend.clone());
                 let err = engine
                     .execute(&[ProgramInput::symbolic(2)], &program)
                     .unwrap_err();
                 assert!(
                     matches!(&err, ArkError::InvalidParams { reason } if reason.contains("overflows")),
-                    "c = {c}, backend {}: {err:?}",
-                    engine.backend_name()
+                    "c = {c}, backend {backend:?}: {err:?}"
                 );
             }
         }

@@ -13,11 +13,12 @@ use ark_fhe::ckks::bootstrap::BootstrapConfig;
 use ark_fhe::ckks::minks::KeyStrategy;
 use ark_fhe::ckks::params::CkksParams;
 use ark_fhe::ckks::wire::{
-    encode_ciphertext, write_compressed_eval_key, write_compressed_public_key,
-    write_compressed_rotation_keys,
+    encode_ciphertext, encode_compressed_eval_key, encode_compressed_public_key,
+    encode_compressed_rotation_keys, param_fingerprint,
 };
 use ark_fhe::engine::{Engine, EngineBuilder, HeEvaluator, RotateSumTerm};
 use ark_fhe::math::cfft::C64;
+use ark_fhe::math::wire::{kind, FrameWriter};
 
 /// FNV-1a, implemented independently so the pin does not depend on
 /// library internals.
@@ -36,12 +37,24 @@ fn key_frames(builder: EngineBuilder) -> [(usize, u64); 3] {
     let engine: Engine = builder.build().expect("engine builds");
     let ctx = engine.context().expect("software backend");
     let kc = engine.keychain().expect("software backend");
+    let frame = |kind: u16, encode: &dyn Fn(&mut Vec<u8>)| {
+        let mut out = Vec::new();
+        let mut w = FrameWriter::begin(&mut out, kind, param_fingerprint(ctx.params()));
+        encode(w.payload());
+        w.finish();
+        (out.len(), fnv1a(&out))
+    };
     [
-        write_compressed_public_key(ctx, &kc.public_key().compress()),
-        write_compressed_eval_key(ctx, &kc.mult_key().compress()),
-        write_compressed_rotation_keys(ctx, &kc.rotation_keys().compress()),
+        frame(kind::COMPRESSED_PUBLIC_KEY, &|out| {
+            encode_compressed_public_key(out, &kc.public_key().compress())
+        }),
+        frame(kind::COMPRESSED_EVAL_KEY, &|out| {
+            encode_compressed_eval_key(out, &kc.mult_key().compress())
+        }),
+        frame(kind::COMPRESSED_ROTATION_KEYS, &|out| {
+            encode_compressed_rotation_keys(out, &kc.rotation_keys().compress())
+        }),
     ]
-    .map(|frame| (frame.len(), fnv1a(&frame)))
 }
 
 fn declared_session() -> EngineBuilder {
