@@ -8,6 +8,8 @@
 //! reported (exactly as the paper does — they are inputs, not outputs,
 //! of the evaluation).
 
+#![forbid(unsafe_code)]
+
 use ark_ckks::minks::KeyStrategy;
 use ark_ckks::params::CkksParams;
 use ark_core::{run, ArkConfig, CompileOptions, SimReport};

@@ -13,7 +13,7 @@
 //!
 //! so key generation needs only word arithmetic.
 //!
-//! # Runtime data generation (seed-compressed keys)
+//! # Runtime data generation (the key holds only `B`)
 //!
 //! The `A_i` half of every RLWE pair is *uniform* — it carries no
 //! secret and no error, so it never needs to be stored or shipped: any
@@ -22,13 +22,13 @@
 //! Section IV-A). Every key here is generated from seeds, by one
 //! schedule. Two masters split the randomness: a **public**
 //! `a_master` (its children expand the uniform halves and ship inside
-//! compressed frames) and a **secret** `noise_master` (its children
-//! drive the error sampler; the error must never be derivable from
-//! shipped bytes, or `B − E = A·S` hands an attacker exact linear
-//! equations in the secret). [`derive_seed`] fans each master into
-//! one child per key — tagged by key kind: public key, multiplication
-//! key, or Galois element `g` — and each key's child into one seed per
-//! decomposition piece.
+//! key frames) and a **secret** `noise_master` (its children drive the
+//! error sampler; the error must never be derivable from shipped
+//! bytes, or `B − E = A·S` hands an attacker exact linear equations in
+//! the secret). [`derive_seed`] fans each master into one child per
+//! key — tagged by key kind: public key, multiplication key, or Galois
+//! element `g` — and each key's child into one seed per decomposition
+//! piece.
 //!
 //! The `*_seeded` generators take the two masters (the generic
 //! [`CkksContext::gen_switching_key_seeded`] takes one key's seeds
@@ -40,10 +40,15 @@
 //! posture on both fronts: each error is expanded from a 64-bit noise
 //! seed, not drawn from the caller's RNG stream.
 //!
-//! Every [`EvalKey`]/[`PublicKey`] remembers its `a_seed`, so
-//! [`EvalKey::compress`] drops the `A_i` halves and
-//! [`CompressedEvalKey::materialize`] regenerates them bit-exactly —
-//! halving key storage and wire traffic. `B_i` cannot be compressed
+//! Key generation expands each `A_i` to compute `B_i`, then drops it:
+//! an [`EvalKey`] is `{ a_seed, b_pieces }` and a [`PublicKey`] is
+//! `{ a_seed, b }`, the same bytes the wire carries, so the key that
+//! ships is the key that runs. Its consumers regenerate `A` where they
+//! use it: the key-switch inner product
+//! ([`CkksContext::hoisted_inner_product_with`]) draws each `A_i` row
+//! from [`ark_math::poly::seeded_row_rng`] inside its one pass, and
+//! [`CkksContext::encrypt_public`] expands the `A` limbs of its level.
+//! Resident and streamed key bytes halve; `B_i` cannot be compressed
 //! the same way: it is `A_i·s + e_i + gadget`, a secret- and
 //! error-dependent value with full entropy to the holder of `s` only.
 
@@ -52,7 +57,7 @@ use crate::params::CkksContext;
 use ark_math::automorphism::GaloisElement;
 use ark_math::poly::{derive_seed, Representation, RnsPoly};
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Standard deviation of the RLWE error distribution.
 pub const ERROR_STD_DEV: f64 = 3.2;
@@ -98,61 +103,27 @@ impl SecretKey {
 }
 
 /// One evaluation key: `dnum` RLWE pairs `(B_i, A_i)` over `R_PQ`,
-/// with `B_i = A_i·s + e_i + (P·T_i)·s'`.
+/// with `B_i = A_i·s + e_i + (P·T_i)·s'`, held as the public `a_seed`
+/// plus the `B_i` limbs. `A_i` is [`RnsPoly::from_seed`] of
+/// `derive_seed(a_seed, i)` over the extended basis; the key-switch
+/// regenerates each of its rows where it consumes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalKey {
-    pub(crate) pieces: Vec<(RnsPoly, RnsPoly)>,
-    /// Public seed the `A_i` halves were expanded from.
+    /// Public seed the `A_i` halves expand from.
     pub(crate) a_seed: u64,
+    /// The `B_i` halves, one per decomposition piece, over the full
+    /// extended basis.
+    pub(crate) b_pieces: Vec<RnsPoly>,
 }
 
 impl EvalKey {
     /// Number of decomposition pieces (`dnum`).
     pub fn dnum(&self) -> usize {
-        self.pieces.len()
-    }
-
-    /// Storage in words: `dnum · 2 · (α+L+1) · N` (Table III).
-    pub fn words(&self) -> usize {
-        self.pieces.iter().map(|(b, a)| b.words() + a.words()).sum()
-    }
-
-    /// Bytes of key storage (`words × 8`).
-    pub fn byte_len(&self) -> usize {
-        self.words() * 8
-    }
-
-    /// Drops the re-derivable `A_i` halves, keeping the seed and the
-    /// `B_i` limbs — the form that ships and sleeps.
-    pub fn compress(&self) -> CompressedEvalKey {
-        CompressedEvalKey {
-            a_seed: self.a_seed,
-            b_pieces: self.pieces.iter().map(|(b, _)| b.clone()).collect(),
-        }
-    }
-}
-
-/// A seed-compressed evaluation key: the public `a_seed` plus the
-/// `B_i` limbs only — roughly half an [`EvalKey`]'s bytes.
-/// [`Self::materialize`] re-derives the `A_i` halves bit-exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompressedEvalKey {
-    pub(crate) a_seed: u64,
-    pub(crate) b_pieces: Vec<RnsPoly>,
-}
-
-impl CompressedEvalKey {
-    /// The public seed the `A_i` halves expand from.
-    pub fn a_seed(&self) -> u64 {
-        self.a_seed
-    }
-
-    /// Number of decomposition pieces (`dnum`).
-    pub fn dnum(&self) -> usize {
         self.b_pieces.len()
     }
 
-    /// Stored words: only the `B_i` limbs (`dnum · (α+L+1) · N`).
+    /// Stored words: the `B_i` limbs only, `dnum · (α+L+1) · N` — half
+    /// of Table III's `dnum · 2 · (α+L+1) · N`.
     pub fn words(&self) -> usize {
         self.b_pieces.iter().map(RnsPoly::words).sum()
     }
@@ -161,30 +132,6 @@ impl CompressedEvalKey {
     pub fn byte_len(&self) -> usize {
         self.words() * 8 + 8
     }
-
-    /// Regenerates the full key: each `A_i` is expanded from
-    /// `derive_seed(a_seed, i)` over the `B_i` limb set — bit-identical
-    /// to the `A_i` the seeded generator produced.
-    pub fn materialize(&self, ctx: &CkksContext) -> EvalKey {
-        let pieces = self
-            .b_pieces
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let a = RnsPoly::from_seed(
-                    ctx.basis(),
-                    b.limb_indices(),
-                    Representation::Evaluation,
-                    derive_seed(self.a_seed, i as u64),
-                );
-                (b.clone(), a)
-            })
-            .collect();
-        EvalKey {
-            pieces,
-            a_seed: self.a_seed,
-        }
-    }
 }
 
 /// A set of rotation keys (`evk_rot^{(r)}` per rotation amount) plus the
@@ -192,7 +139,7 @@ impl CompressedEvalKey {
 /// these per transform; Min-KS shrinks the set to 2 per iteration.
 #[derive(Debug, Default)]
 pub struct RotationKeys {
-    keys: HashMap<u64, EvalKey>,
+    keys: BTreeMap<u64, EvalKey>,
 }
 
 impl RotationKeys {
@@ -226,151 +173,33 @@ impl RotationKeys {
         self.keys.values().map(EvalKey::words).sum()
     }
 
-    /// Total bytes of key storage across all keys (`words × 8`).
+    /// Total bytes of key storage across all keys.
     pub fn byte_len(&self) -> usize {
-        self.words() * 8
+        self.keys.values().map(EvalKey::byte_len).sum()
     }
 
-    /// The held Galois elements in ascending order — the stable
-    /// iteration the wire encoder and key-set comparisons rely on.
-    pub fn galois_elements(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.keys.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Compresses every held key.
-    pub fn compress(&self) -> CompressedRotationKeys {
-        self.compress_subset(&self.galois_elements())
-    }
-
-    /// Compresses only the keys for the given Galois elements — the
-    /// shape key distribution uses to ship a declared subset without
-    /// cloning the re-derivable `A` halves of the full set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a listed element holds no key: a partially compressed
-    /// set would silently ship at the wrong size.
-    pub fn compress_subset(&self, elements: &[u64]) -> CompressedRotationKeys {
-        let mut elements = elements.to_vec();
-        elements.sort_unstable();
-        elements.dedup();
-        let entries = elements
-            .into_iter()
-            .map(|g| {
-                let key = self
-                    .keys
-                    .get(&g)
-                    .expect("compress_subset: element holds no key");
-                (g, key.compress())
-            })
-            .collect();
-        CompressedRotationKeys { entries }
+    /// The held `(Galois element, key)` pairs in ascending element
+    /// order — the stable iteration the wire encoder relies on.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, &EvalKey)> {
+        self.keys.iter().map(|(&g, key)| (g, key))
     }
 }
 
-/// A seed-compressed [`RotationKeys`] set: per Galois element, the
-/// seed and `B_i` limbs only, sorted by element.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompressedRotationKeys {
-    pub(crate) entries: Vec<(u64, CompressedEvalKey)>,
-}
-
-impl CompressedRotationKeys {
-    /// Number of keys in the set.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the set holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The held Galois elements in ascending order.
-    pub fn galois_elements(&self) -> Vec<u64> {
-        self.entries.iter().map(|&(g, _)| g).collect()
-    }
-
-    /// Total bytes across all compressed keys.
-    pub fn byte_len(&self) -> usize {
-        self.entries.iter().map(|(_, k)| k.byte_len()).sum()
-    }
-
-    /// Regenerates the full key set (see
-    /// [`CompressedEvalKey::materialize`]).
-    pub fn materialize(&self, ctx: &CkksContext) -> RotationKeys {
-        let mut keys = RotationKeys::new();
-        for (g, ck) in &self.entries {
-            keys.insert(GaloisElement(*g), ck.materialize(ctx));
-        }
-        keys
-    }
-}
-
-/// An RLWE public key `(B, A)` with `B = A·s + e` over the full chain:
-/// anyone holding it can encrypt; only the secret key decrypts.
+/// An RLWE public key `(B, A)` with `B = A·s + e` over the full chain,
+/// held as the public `a_seed` plus the `B` limbs: anyone holding it
+/// can encrypt; only the secret key decrypts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PublicKey {
-    pub(crate) b: RnsPoly,
-    pub(crate) a: RnsPoly,
-    /// Public seed `A` was expanded from.
+    /// Public seed `A` expands from (`derive_seed(a_seed, 0)`).
     pub(crate) a_seed: u64,
+    pub(crate) b: RnsPoly,
 }
 
 impl PublicKey {
-    /// Words of storage (`2 · (L+1) · N`).
-    pub fn words(&self) -> usize {
-        self.b.words() + self.a.words()
-    }
-
-    /// Bytes of key storage (`words × 8`).
-    pub fn byte_len(&self) -> usize {
-        self.words() * 8
-    }
-
-    /// Drops the re-derivable `A` half.
-    pub fn compress(&self) -> CompressedPublicKey {
-        CompressedPublicKey {
-            a_seed: self.a_seed,
-            b: self.b.clone(),
-        }
-    }
-}
-
-/// A seed-compressed [`PublicKey`]: the public seed plus the `B` limbs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompressedPublicKey {
-    pub(crate) a_seed: u64,
-    pub(crate) b: RnsPoly,
-}
-
-impl CompressedPublicKey {
-    /// The public seed `A` expands from.
-    pub fn a_seed(&self) -> u64 {
-        self.a_seed
-    }
-
-    /// Bytes of key storage: the stored `B` limbs plus the 8-byte seed.
+    /// Bytes of key storage: the `B` limbs (`(L+1) · N` words) plus
+    /// the 8-byte seed.
     pub fn byte_len(&self) -> usize {
         self.b.words() * 8 + 8
-    }
-
-    /// Regenerates the full public key (bit-identical to the seeded
-    /// original).
-    pub fn materialize(&self, ctx: &CkksContext) -> PublicKey {
-        let a = RnsPoly::from_seed(
-            ctx.basis(),
-            self.b.limb_indices(),
-            Representation::Evaluation,
-            derive_seed(self.a_seed, 0),
-        );
-        PublicKey {
-            b: self.b.clone(),
-            a,
-            a_seed: self.a_seed,
-        }
     }
 }
 
@@ -447,7 +276,7 @@ impl CkksContext {
     }
 
     /// Seeded public-key generation: `A` expands from the **public**
-    /// `a_master`'s public-key child (so the key compresses to seed +
+    /// `a_master`'s public-key child (so the key is that seed plus
     /// `B`), the error from the **secret** `noise_master`'s. The same
     /// masters always yield bit-identical keys.
     pub fn gen_public_key_seeded(
@@ -466,10 +295,10 @@ impl CkksContext {
         );
         let mut erng = rand::rngs::StdRng::seed_from_u64(derive_seed(noise_seed, 0));
         let e = self.sample_error_poly(idx, &mut erng);
-        let mut b = a.clone();
+        let mut b = a;
         b.mul_assign(&sk.s.subset(idx), self.basis());
         b.add_assign(&e, self.basis());
-        PublicKey { b, a, a_seed }
+        PublicKey { a_seed, b }
     }
 
     /// Public-key encryption: `(v·B + e_0 + P_m, v·A + e_1)` for a fresh
@@ -489,7 +318,13 @@ impl CkksContext {
         b.mul_assign(&v, self.basis());
         b.add_assign(&pt.poly, self.basis());
         b.add_assign(&self.sample_error_poly(idx, rng), self.basis());
-        let mut a = pk.a.subset(idx);
+        // `A`'s limbs at this level, regenerated from the key's seed
+        let mut a = RnsPoly::from_seed(
+            self.basis(),
+            idx,
+            Representation::Evaluation,
+            derive_seed(pk.a_seed, 0),
+        );
         a.mul_assign(&v, self.basis());
         a.add_assign(&self.sample_error_poly(idx, rng), self.basis());
         Ciphertext {
@@ -524,7 +359,7 @@ impl CkksContext {
     /// Generates a key-switching key from source key `s'` (given in
     /// evaluation representation over the full basis) to `sk`. Piece
     /// `i`'s uniform `A_i` expands from `derive_seed(a_seed, i)`
-    /// (public — the key compresses to seed + `B_i` limbs), its error
+    /// (public — the key keeps the seed and the `B_i` limbs), its error
     /// from `derive_seed(noise_seed, i)` (secret). Deterministic: the same
     /// `(source, sk, a_seed, noise_seed)` always yields bit-identical
     /// keys, which is what lets eval keys be *re-derived at runtime*
@@ -550,7 +385,7 @@ impl CkksContext {
             })
             .collect();
         let s = sk.s.subset(ext);
-        let pieces = groups
+        let b_pieces = groups
             .iter()
             .enumerate()
             .map(|(i, group)| {
@@ -562,7 +397,8 @@ impl CkksContext {
                 );
                 let mut erng = rand::rngs::StdRng::seed_from_u64(derive_seed(noise_seed, i as u64));
                 let e = self.sample_error_poly(ext, &mut erng);
-                let mut b = a.clone();
+                // `A_i` is consumed here and dropped: only `B_i` is kept
+                let mut b = a;
                 b.mul_assign(&s, self.basis());
                 b.add_assign(&e, self.basis());
                 // Add (P·T_i)·s': per limb, P·s' on the group's own limbs,
@@ -574,10 +410,10 @@ impl CkksContext {
                     .collect();
                 gadget.mul_scalar_per_limb(&scalars, self.basis());
                 b.add_assign(&gadget, self.basis());
-                (b, a)
+                b
             })
             .collect();
-        EvalKey { pieces, a_seed }
+        EvalKey { a_seed, b_pieces }
     }
 
     /// The multiplication key `evk_mult` (source key `s²`), from
@@ -756,10 +592,9 @@ mod tests {
         let evk = ctx.gen_mult_key(&sk, &mut rng);
         let p = ctx.params();
         assert_eq!(evk.dnum(), p.dnum);
-        assert_eq!(
-            evk.words(),
-            p.dnum * 2 * (p.alpha() + p.max_level + 1) * p.n()
-        );
+        // only the `B_i` halves are stored: half of Table III's words
+        assert_eq!(evk.words(), p.dnum * (p.alpha() + p.max_level + 1) * p.n());
+        assert_eq!(evk.byte_len(), p.evk_bytes() / 2 + 8);
     }
 
     #[test]
@@ -770,27 +605,74 @@ mod tests {
         assert_eq!(keys.len(), 3); // {g(1), g(2), conj}
         assert!(!keys.is_empty());
         assert!(keys.words() > 0);
+        let elements: Vec<u64> = keys.iter().map(|(g, _)| g).collect();
+        assert!(elements.windows(2).all(|w| w[0] < w[1]), "ascending");
     }
 
     #[test]
-    fn seeded_keys_are_deterministic_and_compress_roundtrips() {
+    fn seeded_keys_are_deterministic() {
         let (ctx, sk, _) = setup();
         let k1 = ctx.gen_mult_key_seeded(&sk, 0xaaaa, 0xbbbb);
         let k2 = ctx.gen_mult_key_seeded(&sk, 0xaaaa, 0xbbbb);
         assert_eq!(k1, k2, "same seeds must yield bit-identical keys");
         assert_ne!(k1, ctx.gen_mult_key_seeded(&sk, 0xaaab, 0xbbbb));
+        assert_ne!(k1, ctx.gen_mult_key_seeded(&sk, 0xaaaa, 0xbbbc));
+        assert_eq!(
+            ctx.gen_public_key_seeded(&sk, 0x1111, 0x2222),
+            ctx.gen_public_key_seeded(&sk, 0x1111, 0x2222)
+        );
+    }
 
-        // an RNG-drawn key is seed-derived too: it compresses like one
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        let drawn = ctx.gen_mult_key(&sk, &mut rng);
-        for key in [k1, drawn] {
-            // compress → materialize is the identity
-            let ck = key.compress();
-            assert_eq!(ck.materialize(&ctx), key);
-            // materialize(compress) of a compressed key is also stable
-            assert_eq!(ck.materialize(&ctx).compress(), ck);
-            // the compressed form stores the b halves plus the seed only
-            assert_eq!(ck.byte_len(), key.byte_len() / 2 + 8);
+    /// `B_i − A_i·s` is `e_i` plus the gadget term, with `A_i` expanded
+    /// from the stored seed: the seed a key keeps is the one its `B_i`
+    /// was computed against.
+    #[test]
+    fn stored_seed_regenerates_the_a_halves_behind_b() {
+        let (ctx, sk, _) = setup();
+        let other = ctx.gen_secret_key(&mut rand::rngs::StdRng::seed_from_u64(3));
+        let key = ctx.gen_switching_key_seeded(&other.s, &sk, 0x5eed, 0x401e);
+        let l = ctx.params().max_level;
+        let ext = ctx.extended_indices(l);
+        let special = ctx.special_indices();
+        for (i, (b, group)) in key
+            .b_pieces
+            .iter()
+            .zip(ctx.decomposition_groups(l))
+            .enumerate()
+        {
+            let mut phase = RnsPoly::from_seed(
+                ctx.basis(),
+                ext,
+                Representation::Evaluation,
+                derive_seed(key.a_seed, i as u64),
+            );
+            phase.mul_assign(&sk.s.subset(ext), ctx.basis());
+            phase.negate(ctx.basis());
+            phase.add_assign(b, ctx.basis());
+            // remove the gadget: P·s' on the group's limbs
+            let mut gadget = other.s.subset(ext);
+            let scalars: Vec<u64> = ext
+                .iter()
+                .map(|&j| {
+                    let q = ctx.basis().modulus(j);
+                    let p = special.iter().fold(1u64, |acc, &pi| {
+                        q.mul(acc, q.reduce(ctx.basis().modulus(pi).value()))
+                    });
+                    if group.contains(&j) {
+                        p
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            gadget.mul_scalar_per_limb(&scalars, ctx.basis());
+            phase.sub_assign(&gadget, ctx.basis());
+            phase.to_coeff(ctx.basis());
+            let q0 = ctx.basis().modulus(0);
+            assert!(
+                phase.limb(0).iter().all(|&x| q0.to_signed(x).abs() < 64),
+                "piece {i}: B − A·s is not the small error"
+            );
         }
     }
 
@@ -800,8 +682,6 @@ mod tests {
         let slots = ctx.params().slots();
         let g = GaloisElement::from_rotation(1, ctx.params().n());
         let key = ctx.gen_galois_key_seeded(g, &sk, 0x5eed, 0x401e);
-        // round the key through compression before using it
-        let key = key.compress().materialize(&ctx);
         let msg: Vec<ark_math::cfft::C64> = (0..slots)
             .map(|i| ark_math::cfft::C64::new(0.01 * i as f64, 0.0))
             .collect();
@@ -814,31 +694,16 @@ mod tests {
     }
 
     #[test]
-    fn seeded_public_key_compresses_and_still_encrypts() {
+    fn seeded_public_key_stores_b_and_encrypts_at_every_level() {
         let (ctx, sk, mut rng) = setup();
         let pk = ctx.gen_public_key_seeded(&sk, 0x1111, 0x2222);
-        assert_eq!(pk, ctx.gen_public_key_seeded(&sk, 0x1111, 0x2222));
-        let cpk = pk.compress();
-        assert_eq!(cpk.byte_len(), pk.byte_len() / 2 + 8);
-        let back = cpk.materialize(&ctx);
-        assert_eq!(back, pk);
+        let chain = ctx.params().max_level + 1;
+        assert_eq!(pk.byte_len(), chain * ctx.params().n() * 8 + 8);
         let msg = vec![ark_math::cfft::C64::new(0.25, -0.5); ctx.params().slots()];
-        let pt = ctx.encode(&msg, 2, ctx.params().scale());
-        let ct = ctx.encrypt_public(&pt, &back, &mut rng);
-        assert!(max_error(&msg, &ctx.decrypt_decode(&ct, &sk)) < 1e-3);
-    }
-
-    #[test]
-    fn rotation_key_set_compresses_and_materializes() {
-        let (ctx, sk, _) = setup();
-        let set = ctx.gen_rotation_keys_seeded(&[1, 2], true, &sk, 100, 200);
-        let compressed = set.compress();
-        assert_eq!(compressed.len(), 3);
-        assert_eq!(compressed.galois_elements(), set.galois_elements());
-        let back = compressed.materialize(&ctx);
-        assert_eq!(back.words(), set.words());
-        for g in set.galois_elements() {
-            assert_eq!(back.get(GaloisElement(g)), set.get(GaloisElement(g)));
+        for level in 0..chain {
+            let pt = ctx.encode(&msg, level, ctx.params().scale());
+            let ct = ctx.encrypt_public(&pt, &pk, &mut rng);
+            assert!(max_error(&msg, &ctx.decrypt_decode(&ct, &sk)) < 1e-3);
         }
     }
 

@@ -38,8 +38,11 @@
 use crate::keys::EvalKey;
 use crate::params::CkksContext;
 use ark_math::automorphism::GaloisElement;
-use ark_math::poly::{Representation, RnsPoly};
+use ark_math::modulus::Modulus;
+use ark_math::poly::{derive_seed, seeded_row_rng, Representation, RnsPoly};
 use ark_math::scratch::ScratchArena;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 /// The shared state of a hoisted key-switch: the input's decomposition
 /// digits, already extended to `R_PQ` (ModUp done) in the evaluation
@@ -245,9 +248,14 @@ impl CkksContext {
     /// Returns `(ub, ua)` over `C_ℓ ∪ B` with
     /// `ub − ua·s ≈ P·ψ_g(x)·ψ_g(s')`; a [`Self::mod_down`] of each
     /// half finishes the key-switch, and a caller summing several
-    /// rotations may take it once, after the sum. The evk rows are read
-    /// *in place* through the digit's limb set (no per-digit subset
-    /// copies), and the returned pair is arena-backed.
+    /// rotations may take it once, after the sum. The returned pair is
+    /// arena-backed.
+    ///
+    /// One pass per output limb `j` (`InnerProductRow`) reads each
+    /// digit's row through the permutation in place (no rotated copy),
+    /// reads the key's `B_d` row, regenerates the key's `A_d` row from
+    /// its seed, and sums the `dnum'` products of each half in `u128`
+    /// before one reduction per output word.
     ///
     /// # Panics
     ///
@@ -260,27 +268,39 @@ impl CkksContext {
         arena: &mut ScratchArena,
     ) -> (RnsPoly, RnsPoly) {
         assert!(
-            digits.len() <= evk.pieces.len(),
+            digits.len() <= evk.dnum(),
             "evk has too few decomposition pieces"
         );
         let ext = &digits.ext;
-        // one permutation table serves every digit (identity skips the
-        // copy entirely)
+        let n = self.params().n();
+        let basis = self.basis();
+        // one permutation table serves every digit; the identity reads
+        // rows in order
         let perm = (g != GaloisElement::identity()).then(|| self.eval_perm(g));
-        let mut acc_b = RnsPoly::zero_in(arena, self.basis(), ext, Representation::Evaluation);
-        let mut acc_a = RnsPoly::zero_in(arena, self.basis(), ext, Representation::Evaluation);
-        for (digit, (kb, ka)) in digits.digits.iter().zip(&evk.pieces) {
-            let rotated = perm
-                .as_ref()
-                .map(|p| digit.permute_eval_in(arena, p, self.basis()));
-            let operand = rotated.as_ref().unwrap_or(digit);
-            acc_b.mul_add_assign_select(operand, kb, self.basis());
-            acc_a.mul_add_assign_select(operand, ka, self.basis());
-            if let Some(r) = rotated {
-                r.recycle(arena);
-            }
-        }
-        (acc_b, acc_a)
+        let perm = perm.as_deref().map(Vec::as_slice);
+        let mut out_b = arena.take(ext.len() * n);
+        let mut out_a = arena.take(ext.len() * n);
+        basis.pool().for_work(out_b.len()).par_for_each_row_pair(
+            &mut out_b,
+            &mut out_a,
+            n,
+            |pos, row_b, row_a| {
+                let row = InnerProductRow {
+                    q: basis.modulus(ext[pos]),
+                    pos,
+                    perm,
+                    digits,
+                    evk,
+                };
+                row.run(row_b, row_a);
+            },
+        );
+        let mut half = |data| {
+            let mut limb_idx = arena.take_indices(ext.len());
+            limb_idx.extend_from_slice(ext);
+            RnsPoly::from_parts(n, Representation::Evaluation, limb_idx, data)
+        };
+        (half(out_b), half(out_a))
     }
 
     /// Generalized key-switching: returns `(kb, ka)` over the chain at
@@ -313,6 +333,99 @@ impl CkksContext {
         let out = self.hoisted_apply_with(&digits, GaloisElement::identity(), evk, arena);
         digits.recycle(arena);
         out
+    }
+}
+
+/// Most digits one pass of [`InnerProductRow::group`] sums in a
+/// `u128` before it reduces, each drawing from its own `A` stream, the
+/// streams advanced in lockstep. One monomorph per group size keeps the
+/// group's generators and sums in registers (the functional parameter
+/// sets have `dnum ≤ 3`). A sum of `DIGIT_GROUP` products `(q−1)²` fits
+/// for any prime the basis admits (checked below at compile time), and
+/// the context asserts `dnum ≤ max_lazy_mac_terms(q − 1)` for each of
+/// its primes when it is built. A larger `dnum'` runs group by group,
+/// each group reduced and added onto the last.
+const DIGIT_GROUP: usize = 4;
+
+const _: () = {
+    let widest = (1u128 << ark_math::modulus::MAX_MODULUS_BITS) - 2; // q − 1 < 2^62 − 1
+    assert!(u128::MAX / (widest * widest) >= DIGIT_GROUP as u128);
+};
+
+/// Output limb `j = digits.ext[pos]` (modulus `q`) of
+/// [`CkksContext::hoisted_inner_product_with`]:
+///
+/// ```text
+/// ub[k] = Σ_d x_d[π(k)] · B_d[k]     ua[k] = Σ_d x_d[π(k)] · A_d[k]   (mod q_j)
+/// ```
+///
+/// with `x_d` digit `d`'s row, `π` the evaluation-side permutation
+/// (`perm`, `None` for the identity), `B_d` the key's stored row and
+/// `A_d` regenerated on the fly: `A_d[k]` is the `k`-th
+/// `gen_range(0..q_j)` draw of
+/// [`seeded_row_rng`]`(derive_seed(a_seed, d), j)`, the same stream
+/// [`RnsPoly::from_seed`] expands row `j` of `A_d` from.
+struct InnerProductRow<'a> {
+    q: &'a Modulus,
+    pos: usize,
+    perm: Option<&'a [usize]>,
+    digits: &'a HoistedDigits,
+    evk: &'a EvalKey,
+}
+
+impl InnerProductRow<'_> {
+    /// Writes the row's `ub` and `ua` words, [`DIGIT_GROUP`] digits at
+    /// a time.
+    fn run(&self, out_b: &mut [u64], out_a: &mut [u64]) {
+        let (count, mut first) = (self.digits.len(), 0);
+        while first < count {
+            first += match count - first {
+                1 => self.group::<1>(first, out_b, out_a),
+                2 => self.group::<2>(first, out_b, out_a),
+                3 => self.group::<3>(first, out_b, out_a),
+                _ => self.group::<DIGIT_GROUP>(first, out_b, out_a),
+            };
+        }
+    }
+
+    /// Digits `first..first + D`: sums their `D` products of each half
+    /// per output word in a `u128` and reduces once — written into the
+    /// output for the first group, added onto it for a later one.
+    /// Returns `D`.
+    fn group<const D: usize>(&self, first: usize, out_b: &mut [u64], out_a: &mut [u64]) -> usize {
+        let Self {
+            q,
+            pos,
+            perm,
+            digits,
+            evk,
+        } = *self;
+        let limb = digits.ext[pos];
+        let key_pos = evk.b_pieces[first]
+            .position_of(limb)
+            .expect("evaluation keys cover the extended basis");
+        let x: [&[u64]; D] = std::array::from_fn(|d| digits.digits[first + d].limb(pos));
+        let kb: [&[u64]; D] = std::array::from_fn(|d| evk.b_pieces[first + d].limb(key_pos));
+        let mut rngs: [StdRng; D] = std::array::from_fn(|d| {
+            seeded_row_rng(derive_seed(evk.a_seed, (first + d) as u64), limb)
+        });
+        let qv = q.value();
+        for (k, (b, a)) in out_b.iter_mut().zip(out_a.iter_mut()).enumerate() {
+            let src = perm.map_or(k, |p| p[k]);
+            let (mut sum_b, mut sum_a) = (0u128, 0u128);
+            for d in 0..D {
+                let xv = x[d][src] as u128;
+                sum_b += xv * kb[d][k] as u128;
+                sum_a += xv * rngs[d].gen_range(0..qv) as u128;
+            }
+            let (rb, ra) = (q.reduce_u128(sum_b), q.reduce_u128(sum_a));
+            (*b, *a) = if first == 0 {
+                (rb, ra)
+            } else {
+                (q.add(*b, rb), q.add(*a, ra))
+            };
+        }
+        D
     }
 }
 
@@ -557,6 +670,211 @@ mod tests {
             // magnitude, which `k` multiplied roundings are not
             assert!(max_mag < q_top, "noise 2^{}", max_mag.log2());
         }
+    }
+
+    /// The two-pass inner product the fused kernel replaced, kept here
+    /// as its reference: `A_d` materialized from the key's seed over
+    /// the extended basis, each digit permuted into a copy, then one
+    /// per-step-reduced `mul_add` pass per half and digit.
+    fn reference_inner_product(
+        ctx: &CkksContext,
+        digits: &HoistedDigits,
+        g: GaloisElement,
+        evk: &EvalKey,
+    ) -> (RnsPoly, RnsPoly) {
+        let basis = ctx.basis();
+        let full = ctx.extended_indices(ctx.params().max_level);
+        let mut acc_b = RnsPoly::zero(basis, &digits.ext, Representation::Evaluation);
+        let mut acc_a = RnsPoly::zero(basis, &digits.ext, Representation::Evaluation);
+        for (d, (digit, kb)) in digits.digits.iter().zip(&evk.b_pieces).enumerate() {
+            let seed = derive_seed(evk.a_seed, d as u64);
+            let ka = RnsPoly::from_seed(basis, full, Representation::Evaluation, seed);
+            let operand = if g == GaloisElement::identity() {
+                digit.clone()
+            } else {
+                digit.permute_eval(&ctx.eval_perm(g), basis)
+            };
+            acc_b.mul_add_assign(&operand, &kb.subset(&digits.ext), basis);
+            acc_a.mul_add_assign(&operand, &ka.subset(&digits.ext), basis);
+        }
+        (acc_b, acc_a)
+    }
+
+    /// Random digits over the extended set of `level`: as many as that
+    /// level's decomposition has groups.
+    fn random_digits(ctx: &CkksContext, level: usize, rng: &mut impl Rng) -> HoistedDigits {
+        let ext = ctx.extended_indices(level).to_vec();
+        let digits = (0..ctx.decomposition_groups(level).len())
+            .map(|_| RnsPoly::random_uniform(ctx.basis(), &ext, Representation::Evaluation, rng))
+            .collect();
+        HoistedDigits { level, ext, digits }
+    }
+
+    /// The fused pass equals the two-pass reference bit for bit: at
+    /// `tiny` and `boot-test`, for identity, rotation and conjugation,
+    /// at full and partial levels (`dnum' < dnum`), on pools of one
+    /// and two threads with no dispatch floor.
+    #[test]
+    fn fused_inner_product_matches_the_two_pass_reference() {
+        for params in [CkksParams::tiny(), CkksParams::boot_test()] {
+            let top = params.max_level;
+            let levels = [top, params.alpha(), 1];
+            for threads in [1, 2] {
+                let pool = ark_math::par::ThreadPool::new(threads).with_min_dispatch_words(0);
+                let ctx = CkksContext::with_pool(params.clone(), pool);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+                let sk = ctx.gen_secret_key(&mut rng);
+                let n = ctx.params().n();
+                for g in [
+                    GaloisElement::identity(),
+                    GaloisElement::from_rotation(3, n),
+                    GaloisElement::conjugation(n),
+                ] {
+                    let key = ctx.gen_galois_key_seeded(g, &sk, rng.gen(), rng.gen());
+                    for level in levels {
+                        let digits = random_digits(&ctx, level, &mut rng);
+                        assert!(digits.len() <= key.dnum());
+                        let fused =
+                            ctx.hoisted_inner_product_with(&digits, g, &key, &mut ctx.arena());
+                        let want = reference_inner_product(&ctx, &digits, g, &key);
+                        assert_eq!(
+                            fused, want,
+                            "{} level {level} g {} threads {threads}",
+                            params.name, g.0
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The stream contract: the `A_d` row the kernel regenerates for
+    /// limb `j` is row `j` of `RnsPoly::from_seed(derive_seed(a_seed, d))`.
+    /// A digit of ones against a zero `B` makes `ua` exactly `A_d`.
+    #[test]
+    fn regenerated_rows_are_from_seed_rows_for_every_limb() {
+        let ctx = CkksContext::new(CkksParams::boot_test());
+        let level = ctx.params().max_level;
+        let ext = ctx.extended_indices(level);
+        let basis = ctx.basis();
+        let dnum = ctx.params().dnum;
+        let zero = RnsPoly::zero(basis, ext, Representation::Evaluation);
+        let ones = RnsPoly::from_flat(
+            basis,
+            ext,
+            Representation::Evaluation,
+            vec![1; zero.words()],
+        );
+        let evk = EvalKey {
+            a_seed: 0xa5eed,
+            b_pieces: vec![zero.clone(); dnum],
+        };
+        for d in 0..dnum {
+            let mut one_hot = vec![zero.clone(); dnum];
+            one_hot[d] = ones.clone();
+            let digits = HoistedDigits {
+                level,
+                ext: ext.to_vec(),
+                digits: one_hot,
+            };
+            let (ub, ua) = ctx.hoisted_inner_product_with(
+                &digits,
+                GaloisElement::identity(),
+                &evk,
+                &mut ctx.arena(),
+            );
+            assert_eq!(ub, zero);
+            let want = RnsPoly::from_seed(
+                basis,
+                ext,
+                Representation::Evaluation,
+                derive_seed(evk.a_seed, d as u64),
+            );
+            for (pos, limb) in ext.iter().enumerate() {
+                assert_eq!(ua.limb(pos), want.limb(pos), "digit {d}, limb {limb}");
+            }
+        }
+    }
+
+    /// The lazy window with the widest primes the prime scan makes
+    /// (61/62-bit, around 2^61) and every digit and `B` word at `q − 1`:
+    /// `dnum = 4` fills one [`DIGIT_GROUP`] sum, `dnum = 6` adds a group
+    /// of two onto it and `dnum = 16` runs four full groups. Each must
+    /// equal per-step `mul_add` reduction.
+    #[test]
+    fn fused_sum_with_every_operand_at_q_minus_one_matches_per_step_reduction() {
+        for dnum in [DIGIT_GROUP, 6, 16] {
+            let ctx = CkksContext::new(CkksParams {
+                log_n: 4,
+                max_level: dnum - 1,
+                dnum,
+                q0_bits: 61,
+                scale_bits: 61,
+                special_bits: 61,
+                secret_hamming_weight: 0,
+                boot_levels: 0,
+                name: "lazy-window",
+            });
+            let basis = ctx.basis();
+            let level = ctx.params().max_level;
+            let ext = ctx.extended_indices(level);
+            let n = ctx.params().n();
+            for i in 0..basis.len() {
+                let q = basis.modulus(i);
+                assert!(q.value() > 1 << 60, "prime {q} is not 61/62-bit");
+                assert!(q.max_lazy_mac_terms(q.value() - 1) >= dnum);
+            }
+            let q_minus_one = RnsPoly::from_flat(
+                basis,
+                ext,
+                Representation::Evaluation,
+                ext.iter()
+                    .flat_map(|&i| std::iter::repeat_n(basis.modulus(i).value() - 1, n))
+                    .collect(),
+            );
+            let digits = HoistedDigits {
+                level,
+                ext: ext.to_vec(),
+                digits: vec![q_minus_one.clone(); dnum],
+            };
+            assert_eq!(digits.len(), ctx.decomposition_groups(level).len());
+            let evk = EvalKey {
+                a_seed: 0x1a2e,
+                b_pieces: vec![q_minus_one; dnum],
+            };
+            for g in [
+                GaloisElement::identity(),
+                GaloisElement::from_rotation(1, n),
+            ] {
+                let fused = ctx.hoisted_inner_product_with(&digits, g, &evk, &mut ctx.arena());
+                assert_eq!(
+                    fused,
+                    reference_inner_product(&ctx, &digits, g, &evk),
+                    "dnum {dnum}"
+                );
+                // every B product is (q−1)² ≡ 1, so ub is dnum everywhere
+                assert!(fused.0.flat().iter().all(|&x| x == dnum as u64));
+            }
+        }
+    }
+
+    /// A `dnum` whose digit sum could overflow a `u128` for the
+    /// context's primes is refused when the context is built: around
+    /// 2^61 the window holds 63 products.
+    #[test]
+    #[should_panic(expected = "lazy window")]
+    fn context_refuses_a_dnum_beyond_the_lazy_window() {
+        let _ = CkksContext::new(CkksParams {
+            log_n: 4,
+            max_level: 63,
+            dnum: 64,
+            q0_bits: 61,
+            scale_bits: 61,
+            special_bits: 61,
+            secret_hamming_weight: 0,
+            boot_levels: 0,
+            name: "beyond-the-window",
+        });
     }
 
     #[test]

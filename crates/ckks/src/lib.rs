@@ -13,6 +13,8 @@
 //! parameter sets exist for data-size analytics and the `ark-core`
 //! accelerator model.
 
+#![forbid(unsafe_code)]
+
 pub mod bootstrap;
 pub mod ciphertext;
 pub mod dft;
@@ -31,8 +33,5 @@ pub mod wire;
 
 pub use ciphertext::{Ciphertext, Plaintext};
 pub use error::{ArkError, ArkResult};
-pub use keys::{
-    CompressedEvalKey, CompressedPublicKey, CompressedRotationKeys, EvalKey, PublicKey,
-    RotationKeys, SecretKey,
-};
+pub use keys::{EvalKey, PublicKey, RotationKeys, SecretKey};
 pub use params::{CkksContext, CkksParams};

@@ -328,6 +328,18 @@ impl CkksContext {
         let mut all = chain;
         all.extend_from_slice(&special);
         let basis = RnsBasis::with_pool(n, &all, pool);
+        // the key-switch inner product sums one product of two canonical
+        // residues per digit in a `u128` before it reduces
+        // (`keyswitch::InnerProductRow`): `dnum` such terms must fit
+        for i in 0..basis.len() {
+            let q = basis.modulus(i);
+            let window = q.max_lazy_mac_terms(q.value() - 1);
+            assert!(
+                params.dnum <= window,
+                "dnum = {} exceeds the u128 lazy window ({window} terms) of prime {q}",
+                params.dnum
+            );
+        }
         let special_fft = SpecialFft::new(params.slots());
         let indices = Self::build_index_cache(&params);
         Self {

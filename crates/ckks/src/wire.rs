@@ -3,9 +3,10 @@
 //!
 //! Everything a CKKS deployment ships — the ciphertexts clients upload,
 //! the results they download, the public/evaluation/rotation keys a
-//! server hands out — encodes here. Keys travel only seed-compressed
-//! (the `A` halves re-derive from a seed on arrival); the materialized
-//! key and plaintext kinds are retired. The *secret* key has
+//! server hands out — encodes here. Keys travel seed-compressed, as
+//! they are held: the public seed of the `A` halves plus the `B`
+//! limbs (see [`crate::keys`]); the materialized key and plaintext
+//! kinds are retired. The *secret* key has
 //! deliberately no codec: secret material never crosses the wire in
 //! this system, and leaving the encoder out makes that a type-level
 //! property rather than a convention.
@@ -32,15 +33,16 @@
 
 use crate::ciphertext::Ciphertext;
 use crate::error::{ArkError, ArkResult};
-use crate::keys::{CompressedEvalKey, CompressedPublicKey, CompressedRotationKeys};
+use crate::keys::{EvalKey, PublicKey, RotationKeys};
 use crate::params::{CkksContext, CkksParams};
+use ark_math::automorphism::GaloisElement;
 use ark_math::poly::{Representation, RnsPoly};
 use ark_math::wire::{
     self, checksum, decode_poly, encode_poly, kind, put_f64, put_u16, put_u32, put_u64, read_frame,
     read_frame_expecting, Cursor, Frame, FrameWriter, WireError,
 };
 
-/// Upper bound on rotation keys in one [`CompressedRotationKeys`] frame — far
+/// Upper bound on rotation keys in one rotation-key-set frame — far
 /// above any real set (Min-KS needs ~2 per transform iteration, the
 /// baseline ~40 per transform) but low enough that a hostile count
 /// field cannot drive large allocations.
@@ -122,7 +124,7 @@ pub fn decode_ciphertext(cur: &mut Cursor<'_>, ctx: &CkksContext) -> ArkResult<C
 
 // ---------------------------------------------------------------------
 // seed-compressed key codecs (runtime data generation on the wire:
-// only the seed and the B halves ship; A halves re-derive on arrival)
+// only the seed and the B halves exist, in memory and on the wire)
 // ---------------------------------------------------------------------
 
 /// Decodes one `B` half of a key over the expected limb set, in
@@ -146,7 +148,7 @@ fn decode_key_b(
 
 /// Appends the compressed-evaluation-key payload:
 /// `u64 a_seed | u16 dnum | dnum × poly B` over the extended basis.
-pub fn encode_compressed_eval_key(out: &mut Vec<u8>, key: &CompressedEvalKey) {
+pub fn encode_compressed_eval_key(out: &mut Vec<u8>, key: &EvalKey) {
     put_u64(out, key.a_seed);
     put_u16(out, key.b_pieces.len() as u16);
     for b in &key.b_pieces {
@@ -156,10 +158,7 @@ pub fn encode_compressed_eval_key(out: &mut Vec<u8>, key: &CompressedEvalKey) {
 
 /// Decodes and validates a compressed-evaluation-key payload (`dnum`
 /// `B` halves over the full extended basis).
-pub fn decode_compressed_eval_key(
-    cur: &mut Cursor<'_>,
-    ctx: &CkksContext,
-) -> ArkResult<CompressedEvalKey> {
+pub fn decode_compressed_eval_key(cur: &mut Cursor<'_>, ctx: &CkksContext) -> ArkResult<EvalKey> {
     let a_seed = cur.u64()?;
     let count = cur.u16()? as usize;
     if count != ctx.params().dnum {
@@ -173,12 +172,12 @@ pub fn decode_compressed_eval_key(
     for _ in 0..count {
         b_pieces.push(decode_key_b(cur, ctx, expect)?);
     }
-    Ok(CompressedEvalKey { a_seed, b_pieces })
+    Ok(EvalKey { a_seed, b_pieces })
 }
 
 /// Appends the compressed-public-key payload: `u64 a_seed | poly B`
 /// over the full chain.
-pub fn encode_compressed_public_key(out: &mut Vec<u8>, key: &CompressedPublicKey) {
+pub fn encode_compressed_public_key(out: &mut Vec<u8>, key: &PublicKey) {
     put_u64(out, key.a_seed);
     encode_poly(out, &key.b);
 }
@@ -187,20 +186,26 @@ pub fn encode_compressed_public_key(out: &mut Vec<u8>, key: &CompressedPublicKey
 pub fn decode_compressed_public_key(
     cur: &mut Cursor<'_>,
     ctx: &CkksContext,
-) -> ArkResult<CompressedPublicKey> {
+) -> ArkResult<PublicKey> {
     let a_seed = cur.u64()?;
     let expect = ctx.chain_indices(ctx.params().max_level);
     let b = decode_key_b(cur, ctx, expect)?;
-    Ok(CompressedPublicKey { a_seed, b })
+    Ok(PublicKey { a_seed, b })
 }
 
 /// Appends the compressed-rotation-key-set payload:
-/// `u16 count | count × (u64 galois | compressed eval-key payload)`,
-/// sorted by Galois element.
-pub fn encode_compressed_rotation_keys(out: &mut Vec<u8>, keys: &CompressedRotationKeys) {
-    put_u16(out, keys.entries.len() as u16);
-    for (g, key) in &keys.entries {
-        put_u64(out, *g);
+/// `u16 count | count × (u64 galois | compressed eval-key payload)`.
+/// `keys` must yield strictly ascending Galois elements, as
+/// [`RotationKeys::iter`] does: the decoder rejects any other order.
+pub fn encode_compressed_rotation_keys<'a, I>(out: &mut Vec<u8>, keys: I)
+where
+    I: IntoIterator<Item = (u64, &'a EvalKey)>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let keys = keys.into_iter();
+    put_u16(out, keys.len() as u16);
+    for (g, key) in keys {
+        put_u64(out, g);
         encode_compressed_eval_key(out, key);
     }
 }
@@ -210,7 +215,7 @@ pub fn encode_compressed_rotation_keys(out: &mut Vec<u8>, keys: &CompressedRotat
 pub fn decode_compressed_rotation_keys(
     cur: &mut Cursor<'_>,
     ctx: &CkksContext,
-) -> ArkResult<CompressedRotationKeys> {
+) -> ArkResult<RotationKeys> {
     let count = cur.u16()? as usize;
     if count > MAX_ROTATION_KEYS {
         return Err(malformed(format!(
@@ -218,7 +223,7 @@ pub fn decode_compressed_rotation_keys(
         )));
     }
     let two_n = 2 * ctx.params().n() as u64;
-    let mut entries = Vec::with_capacity(count);
+    let mut keys = RotationKeys::new();
     let mut prev: Option<u64> = None;
     for _ in 0..count {
         let g = cur.u64()?;
@@ -231,9 +236,9 @@ pub fn decode_compressed_rotation_keys(
             return Err(malformed("Galois elements must be strictly ascending"));
         }
         prev = Some(g);
-        entries.push((g, decode_compressed_eval_key(cur, ctx)?));
+        keys.insert(GaloisElement(g), decode_compressed_eval_key(cur, ctx)?);
     }
-    Ok(CompressedRotationKeys { entries })
+    Ok(keys)
 }
 
 // ---------------------------------------------------------------------
@@ -263,10 +268,7 @@ fn decode_exact<T>(
 
 /// Reads a standalone seed-compressed public key frame, verifying kind,
 /// fingerprint, checksum and payload invariants.
-pub fn read_compressed_public_key(
-    ctx: &CkksContext,
-    bytes: &[u8],
-) -> ArkResult<CompressedPublicKey> {
+pub fn read_compressed_public_key(ctx: &CkksContext, bytes: &[u8]) -> ArkResult<PublicKey> {
     let fp = param_fingerprint(ctx.params());
     let (frame, _) = read_frame_expecting(bytes, kind::COMPRESSED_PUBLIC_KEY, fp)?;
     decode_exact(frame.payload, |cur| decode_compressed_public_key(cur, ctx))
@@ -274,10 +276,7 @@ pub fn read_compressed_public_key(
 
 /// Reads a standalone seed-compressed rotation key set frame, verifying
 /// kind, fingerprint, checksum and payload invariants.
-pub fn read_compressed_rotation_keys(
-    ctx: &CkksContext,
-    bytes: &[u8],
-) -> ArkResult<CompressedRotationKeys> {
+pub fn read_compressed_rotation_keys(ctx: &CkksContext, bytes: &[u8]) -> ArkResult<RotationKeys> {
     let fp = param_fingerprint(ctx.params());
     let (frame, _) = read_frame_expecting(bytes, kind::COMPRESSED_ROTATION_KEYS, fp)?;
     decode_exact(frame.payload, |cur| {
@@ -294,11 +293,7 @@ pub fn nest_ciphertext(frame: &mut FrameWriter<'_>, ctx: &CkksContext, ct: &Ciph
 
 /// Nests a seed-compressed public key frame in the payload of `frame`,
 /// sealed with it like [`nest_ciphertext`].
-pub fn nest_compressed_public_key(
-    frame: &mut FrameWriter<'_>,
-    ctx: &CkksContext,
-    key: &CompressedPublicKey,
-) {
+pub fn nest_compressed_public_key(frame: &mut FrameWriter<'_>, ctx: &CkksContext, key: &PublicKey) {
     let fp = param_fingerprint(ctx.params());
     frame.nest(kind::COMPRESSED_PUBLIC_KEY, fp, |out| {
         encode_compressed_public_key(out, key)
@@ -307,11 +302,7 @@ pub fn nest_compressed_public_key(
 
 /// Nests a seed-compressed evaluation key frame in the payload of
 /// `frame`, sealed with it like [`nest_ciphertext`].
-pub fn nest_compressed_eval_key(
-    frame: &mut FrameWriter<'_>,
-    ctx: &CkksContext,
-    key: &CompressedEvalKey,
-) {
+pub fn nest_compressed_eval_key(frame: &mut FrameWriter<'_>, ctx: &CkksContext, key: &EvalKey) {
     let fp = param_fingerprint(ctx.params());
     frame.nest(kind::COMPRESSED_EVAL_KEY, fp, |out| {
         encode_compressed_eval_key(out, key)
@@ -320,11 +311,11 @@ pub fn nest_compressed_eval_key(
 
 /// Nests a seed-compressed rotation key set frame in the payload of
 /// `frame`, sealed with it like [`nest_ciphertext`].
-pub fn nest_compressed_rotation_keys(
-    frame: &mut FrameWriter<'_>,
-    ctx: &CkksContext,
-    keys: &CompressedRotationKeys,
-) {
+pub fn nest_compressed_rotation_keys<'a, I>(frame: &mut FrameWriter<'_>, ctx: &CkksContext, keys: I)
+where
+    I: IntoIterator<Item = (u64, &'a EvalKey)>,
+    I::IntoIter: ExactSizeIterator,
+{
     let fp = param_fingerprint(ctx.params());
     frame.nest(kind::COMPRESSED_ROTATION_KEYS, fp, |out| {
         encode_compressed_rotation_keys(out, keys)
@@ -429,7 +420,7 @@ mod tests {
         let sk = ctx.gen_secret_key(&mut rng);
         let pk = ctx.gen_public_key_seeded(&sk, 0x5eed, 0x9015e);
         let mut payload = Vec::new();
-        encode_compressed_public_key(&mut payload, &pk.compress());
+        encode_compressed_public_key(&mut payload, &pk);
         let bytes = write_frame(
             kind::COMPRESSED_PUBLIC_KEY,
             param_fingerprint(ctx.params()),

@@ -10,8 +10,7 @@ use ark_ckks::wire::{
     encode_compressed_rotation_keys, param_fingerprint, read_ciphertext_prefix,
     read_compressed_public_key, read_compressed_rotation_keys, write_ciphertext,
 };
-use ark_ckks::{Ciphertext, CompressedEvalKey, SecretKey};
-use ark_math::automorphism::GaloisElement;
+use ark_ckks::{Ciphertext, EvalKey, SecretKey};
 use ark_math::cfft::C64;
 use ark_math::wire::{
     kind, read_frame_expecting, write_frame, Cursor, WireError, CHECKSUM_LEN, HEADER_LEN, MAGIC,
@@ -64,7 +63,7 @@ fn frame(f: &Fixture, kind: u16, encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
 /// Reads a standalone compressed-evaluation-key frame the way the
 /// typed readers do: kind, fingerprint, checksum, then the payload,
 /// consumed exactly.
-fn read_eval_key(f: &Fixture, bytes: &[u8]) -> ArkResult<CompressedEvalKey> {
+fn read_eval_key(f: &Fixture, bytes: &[u8]) -> ArkResult<EvalKey> {
     let fp = param_fingerprint(f.ctx.params());
     let (frame, _) = read_frame_expecting(bytes, kind::COMPRESSED_EVAL_KEY, fp)?;
     let mut cur = Cursor::new(frame.payload);
@@ -158,9 +157,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    // compress → wire encode → decode → materialize is bit-identical
-    // to the eagerly generated key, on both parameter sets and for
-    // arbitrary master pairs.
+    // wire encode → decode is bit-identical to the generated key (its
+    // seed and `B` halves), on both parameter sets and for arbitrary
+    // master pairs.
     #[test]
     fn compressed_eval_key_roundtrips_on_both_parameter_sets(
         a_master in 0u64..u64::MAX,
@@ -169,13 +168,14 @@ proptest! {
         for f in [&fixtures().0, &fixtures().1] {
             let eager = f.ctx.gen_mult_key_seeded(&f.sk, a_master, noise_master);
             let bytes = frame(f, kind::COMPRESSED_EVAL_KEY, |out| {
-        encode_compressed_eval_key(out, &eager.compress())
-    });
-            // the compressed frame is at most 55% of the in-memory key
-            prop_assert!(bytes.len() * 100 <= eager.byte_len() * 55,
-                "{} vs {}", bytes.len(), eager.byte_len());
+                encode_compressed_eval_key(out, &eager)
+            });
+            // the frame is at most 55% of a key that stores its `A`
+            // halves (Table III's evk size)
+            let full = f.ctx.params().evk_bytes();
+            prop_assert!(bytes.len() * 100 <= full * 55, "{} vs {}", bytes.len(), full);
             let back = read_eval_key(f, &bytes).unwrap();
-            prop_assert_eq!(back.materialize(&f.ctx), eager);
+            prop_assert_eq!(back, eager);
         }
     }
 
@@ -188,20 +188,17 @@ proptest! {
         for f in [&fixtures().0, &fixtures().1] {
             let set = f.ctx.gen_rotation_keys_seeded(&[1, 2], false, &f.sk, a_master, noise_master);
             let bytes = frame(f, kind::COMPRESSED_ROTATION_KEYS, |out| {
-                encode_compressed_rotation_keys(out, &set.compress())
+                encode_compressed_rotation_keys(out, set.iter())
             });
-            let back = read_compressed_rotation_keys(&f.ctx, &bytes).unwrap().materialize(&f.ctx);
-            prop_assert_eq!(back.galois_elements(), set.galois_elements());
-            for g in set.galois_elements() {
-                prop_assert_eq!(back.get(GaloisElement(g)), set.get(GaloisElement(g)));
-            }
+            let back = read_compressed_rotation_keys(&f.ctx, &bytes).unwrap();
+            prop_assert_eq!(back.iter().collect::<Vec<_>>(), set.iter().collect::<Vec<_>>());
 
             let pk = f.ctx.gen_public_key_seeded(&f.sk, a_master, noise_master);
             let pk_bytes = frame(f, kind::COMPRESSED_PUBLIC_KEY, |out| {
-                encode_compressed_public_key(out, &pk.compress())
+                encode_compressed_public_key(out, &pk)
             });
             let pk_back = read_compressed_public_key(&f.ctx, &pk_bytes).unwrap();
-            prop_assert_eq!(pk_back.materialize(&f.ctx), pk);
+            prop_assert_eq!(pk_back, pk);
         }
     }
 
@@ -212,8 +209,8 @@ proptest! {
         let f = &fixtures().0;
         let key = f.ctx.gen_mult_key_seeded(&f.sk, 0x5eed, 0xe401);
         let bytes = frame(f, kind::COMPRESSED_EVAL_KEY, |out| {
-        encode_compressed_eval_key(out, &key.compress())
-    });
+            encode_compressed_eval_key(out, &key)
+        });
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
         let err = read_eval_key(f, &bytes[..cut]).unwrap_err();
         prop_assert!(matches!(err, ArkError::Wire(WireError::Truncated { .. })),
@@ -230,8 +227,8 @@ proptest! {
         let f = &fixtures().0;
         let key = f.ctx.gen_mult_key_seeded(&f.sk, 0x5eed, 0xe402);
         let mut bytes = frame(f, kind::COMPRESSED_EVAL_KEY, |out| {
-        encode_compressed_eval_key(out, &key.compress())
-    });
+            encode_compressed_eval_key(out, &key)
+        });
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= 1 << bit;
         let err = read_eval_key(f, &bytes).unwrap_err();
@@ -245,7 +242,7 @@ fn compressed_and_materialized_kinds_do_not_cross_decode() {
     let fp = param_fingerprint(f.ctx.params());
     let key = f.ctx.gen_mult_key_seeded(&f.sk, 0xabcd, 0xef01);
     let compressed = frame(f, kind::COMPRESSED_EVAL_KEY, |out| {
-        encode_compressed_eval_key(out, &key.compress())
+        encode_compressed_eval_key(out, &key)
     });
     let ct = write_ciphertext(&f.ctx, &encrypt(f, &[(0.5, 0.0); 16], 2, 23));
     // a compressed frame is not a ciphertext, and vice versa: the kind

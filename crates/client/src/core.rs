@@ -780,16 +780,15 @@ pub fn decode_result_cts(ctx: &CkksContext, payload: &[u8]) -> ArkResult<Vec<Cip
     Ok(outputs)
 }
 
-/// Decodes a `PUBLIC_KEY` payload (seed-compressed) and materializes
-/// the key — bit-identical to the key the server holds.
+/// Decodes a `PUBLIC_KEY` payload: the seed-compressed key, which is
+/// the key itself — bit-identical to the key the server holds.
 pub fn decode_public_key(ctx: &CkksContext, payload: &[u8]) -> ArkResult<PublicKey> {
-    let compressed = ckks_wire::read_compressed_public_key(ctx, payload)?;
-    Ok(compressed.materialize(ctx))
+    ckks_wire::read_compressed_public_key(ctx, payload)
 }
 
 /// Decodes an `EVAL_KEYS` payload — two concatenated nested frames:
-/// the seed-compressed mult key, then the rotation-key set — and
-/// materializes both.
+/// the seed-compressed mult key, then the rotation-key set — into the
+/// keys the server holds, bit for bit.
 pub fn decode_eval_keys(ctx: &CkksContext, payload: &[u8]) -> ArkResult<(EvalKey, RotationKeys)> {
     let fp = ckks_wire::param_fingerprint(ctx.params());
     let (mult_frame, used) = ark_math::wire::read_frame_expecting(
@@ -801,7 +800,7 @@ pub fn decode_eval_keys(ctx: &CkksContext, payload: &[u8]) -> ArkResult<(EvalKey
     let mult = ckks_wire::decode_compressed_eval_key(&mut cur, ctx)?;
     cur.finish().map_err(ArkError::Wire)?;
     let rotations = ckks_wire::read_compressed_rotation_keys(ctx, &payload[used..])?;
-    Ok((mult.materialize(ctx), rotations.materialize(ctx)))
+    Ok((mult, rotations))
 }
 
 #[cfg(test)]

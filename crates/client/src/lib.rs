@@ -18,6 +18,8 @@
 //! a panic, and declared lengths are bounded before any allocation.
 //! The workspace `fuzz/` harness drives these entry points directly.
 
+#![forbid(unsafe_code)]
+
 pub mod core;
 pub mod program;
 pub mod protocol;

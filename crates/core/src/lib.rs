@@ -20,6 +20,8 @@
 //! implements the paper's stated future work (chiplet partitioning with
 //! a fabrication-cost model).
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod chiplet;
 pub mod compile;

@@ -191,6 +191,38 @@ impl ThreadPool {
         }
     }
 
+    /// Two-destination variant of [`Self::par_for_each_row`]:
+    /// `f(row_index, a_row, b_row)` over the aligned rows of `a` and `b`
+    /// — the shape of a kernel that writes both halves of an RLWE pair
+    /// in one pass. A serial pool allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row_len` is zero or the buffers disagree in length, or
+    /// re-raises a panic of `f`.
+    pub fn par_for_each_row_pair<T, F>(&self, a: &mut [T], b: &mut [T], row_len: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T], &mut [T]) + Sync,
+    {
+        assert!(row_len > 0, "row length must be positive");
+        assert_eq!(a.len(), b.len(), "paired buffers must match");
+        if self.threads == 1 {
+            let rows = a.chunks_mut(row_len).zip(b.chunks_mut(row_len));
+            for (i, (ra, rb)) in rows.enumerate() {
+                f(i, ra, rb);
+            }
+            return;
+        }
+        // one uncontended lock per row of `b`, taken by whichever chunk
+        // runs the matching row of `a`
+        let b_rows: Vec<Mutex<&mut [T]>> = b.chunks_mut(row_len).map(Mutex::new).collect();
+        self.par_for_each_row(a, row_len, |i, ra| {
+            let mut rb = b_rows[i].lock().unwrap_or_else(PoisonError::into_inner);
+            f(i, ra, &mut rb);
+        });
+    }
+
     /// Splits `dst` and `src` into aligned rows of `row_len` elements and
     /// applies `f(row_index, dst_row, src_row)` to each pair in parallel —
     /// the primitive behind in-place binary limb ops on the flat
@@ -313,6 +345,24 @@ mod tests {
         let mut b: Vec<u64> = (0..96).collect();
         par.par_zip_rows(&mut b, &src, 8, f);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn row_pairs_run_aligned_rows_on_two_threads() {
+        let pool = ThreadPool::new(2).with_min_dispatch_words(0);
+        let ids = Mutex::new(HashSet::new());
+        let mut a = vec![0u64; 5 * 4];
+        let mut b = vec![0u64; 5 * 4];
+        pool.par_for_each_row_pair(&mut a, &mut b, 4, |r, ra, rb| {
+            ids.lock().unwrap().insert(thread::current().id());
+            ra.fill(r as u64);
+            rb.fill(10 * r as u64);
+        });
+        assert_eq!(ids.into_inner().unwrap().len(), 2);
+        for r in 0..5 {
+            assert!(a[4 * r..4 * r + 4].iter().all(|&x| x == r as u64));
+            assert!(b[4 * r..4 * r + 4].iter().all(|&x| x == 10 * r as u64));
+        }
     }
 
     #[test]

@@ -39,6 +39,15 @@ pub fn derive_seed(seed: u64, tweak: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The generator behind the row of basis limb `idx` in
+/// [`RnsPoly::from_seed`]`(.., seed)`: that row is `N` successive
+/// `gen_range(0..q_idx)` draws from it. A kernel that regenerates a
+/// uniform row where it consumes it (the key-switch inner product)
+/// draws from this same generator, so its words are the row's words.
+pub fn seeded_row_rng(seed: u64, idx: usize) -> rand::rngs::StdRng {
+    rand::rngs::StdRng::seed_from_u64(derive_seed(seed, idx as u64))
+}
+
 /// Whether limb data is in coefficient or evaluation (NTT) order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Representation {
@@ -253,10 +262,10 @@ impl RnsPoly {
     /// or shipped because any party can re-derive it from the seed.
     ///
     /// The row for basis limb `i` depends only on `(seed, i)`: each
-    /// limb draws from its own child generator
-    /// (`derive_seed(seed, i)`), so the expansion is identical
-    /// regardless of which other limbs are requested, in what order,
-    /// or how wide the basis thread pool is. In particular
+    /// limb draws from its own child generator ([`seeded_row_rng`]),
+    /// so the expansion is identical regardless of which other limbs
+    /// are requested, in what order, or how wide the basis thread pool
+    /// is. In particular
     /// `from_seed(.., &[0, 1, 2], ..).subset(&[0, 2])` equals
     /// `from_seed(.., &[0, 2], ..)`.
     pub fn from_seed(basis: &RnsBasis, indices: &[usize], rep: Representation, seed: u64) -> Self {
@@ -268,7 +277,7 @@ impl RnsPoly {
             .par_for_each_row(&mut data, n, |pos, row| {
                 let idx = indices[pos];
                 let q = basis.modulus(idx).value();
-                let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(seed, idx as u64));
+                let mut rng = seeded_row_rng(seed, idx);
                 for x in row.iter_mut() {
                     *x = rng.gen_range(0..q);
                 }

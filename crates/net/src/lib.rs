@@ -8,6 +8,8 @@
 //! writes. No dependencies and no sockets: the caller owns the stream
 //! and hands bytes in and writers down.
 
+#![forbid(unsafe_code)]
+
 mod conn;
 
 pub use conn::{FrameBuf, OutBuf};

@@ -31,6 +31,8 @@
 //! ciphertexts — and the crate's `verify` binary does so for both
 //! scenarios, printing the per-op level/liveness schedule.
 
+#![forbid(unsafe_code)]
+
 pub mod helr;
 pub mod resnet;
 

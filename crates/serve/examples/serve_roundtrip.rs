@@ -100,22 +100,19 @@ fn main() -> Result<(), ArkError> {
         "same-seed sessions must derive the same public key"
     );
     println!(
-        "\nfetched server public key: {} bytes materialized, {} bytes on the wire \
-         (seed-compressed), matches the local session",
-        remote_pk.byte_len(),
-        remote_pk.compress().byte_len()
+        "\nfetched server public key: {} bytes (seed + B limbs, as held and as shipped), \
+         matches the local session",
+        remote_pk.byte_len()
     );
 
-    // evaluation keys travel the same way: seed + B halves only,
-    // re-expanded here to the very keys the server evaluates with
+    // evaluation keys travel the same way: seed + B halves only, the
+    // very keys the server evaluates with (no expansion on arrival)
     let (remote_mult, remote_rot) = client.eval_keys(sw_fp, &ctx)?;
     println!(
-        "fetched eval keys: mult {} KiB + {} rotation keys {} KiB materialized \
-         ({} KiB on the wire)",
+        "fetched eval keys: mult {} KiB + {} rotation keys {} KiB (seed + B halves)",
         remote_mult.byte_len() >> 10,
         remote_rot.len(),
         remote_rot.byte_len() >> 10,
-        (remote_mult.compress().byte_len() + remote_rot.compress().byte_len()) >> 10
     );
 
     // the program, written once, serialized for the wire:

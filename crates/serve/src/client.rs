@@ -210,9 +210,9 @@ impl Client {
 
     /// Fetches the server's public key for a hosted software engine so
     /// the session can encrypt inputs under the server's key chain.
-    /// The key travels seed-compressed (half the materialized bytes);
-    /// the uniform half is re-expanded locally, bit-identical to the
-    /// key the server holds.
+    /// The key travels as it is held — the seed of its uniform half
+    /// plus its `B` limbs — so the decoded key is bit-identical to the
+    /// server's.
     pub fn public_key(&mut self, fingerprint: u64, ctx: &CkksContext) -> ArkResult<PublicKey> {
         let ticket = self.core.submit_get_public_key(fingerprint)?;
         self.flush_egress()?;
@@ -223,8 +223,8 @@ impl Client {
     }
 
     /// Fetches the server's evaluation keys (multiplication key plus
-    /// the full rotation/conjugation set) for local evaluation. Both
-    /// travel seed-compressed and are materialized here.
+    /// the declared rotation/conjugation set) for local evaluation.
+    /// Both travel as they are held, seed plus `B` limbs.
     pub fn eval_keys(
         &mut self,
         fingerprint: u64,

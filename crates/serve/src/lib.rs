@@ -28,6 +28,8 @@
 //! fabric" and "Client core" sections of `DESIGN.md` for the
 //! architecture.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod server;
 

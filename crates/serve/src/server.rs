@@ -1154,9 +1154,8 @@ impl Reader {
             ),
             msg::GET_PUBLIC_KEY => {
                 let response = self.key_frame(frame.fingerprint, msg::PUBLIC_KEY, |w, ctx, kc| {
-                    let public = kc.public_key().compress();
-                    ckks_wire::nest_compressed_public_key(w, ctx, &public);
-                    public.byte_len()
+                    ckks_wire::nest_compressed_public_key(w, ctx, kc.public_key());
+                    kc.public_key().byte_len()
                 });
                 self.respond(request_id, response);
             }
@@ -1165,11 +1164,11 @@ impl Reader {
                 // engine also holds internal transform keys, which stay
                 // server-side
                 let response = self.key_frame(frame.fingerprint, msg::EVAL_KEYS, |w, ctx, kc| {
-                    let mult = kc.mult_key().compress();
-                    let rotations = kc.compressed_declared_keys();
-                    ckks_wire::nest_compressed_eval_key(w, ctx, &mult);
-                    ckks_wire::nest_compressed_rotation_keys(w, ctx, &rotations);
-                    mult.byte_len() + rotations.byte_len()
+                    let rotations = kc.declared_rotation_keys();
+                    let rotation_bytes: usize = rotations.iter().map(|(_, k)| k.byte_len()).sum();
+                    ckks_wire::nest_compressed_eval_key(w, ctx, kc.mult_key());
+                    ckks_wire::nest_compressed_rotation_keys(w, ctx, rotations);
+                    kc.mult_key().byte_len() + rotation_bytes
                 });
                 self.respond(request_id, response);
             }

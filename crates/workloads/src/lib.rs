@@ -10,6 +10,8 @@
 //!
 //! The traces feed the cycle-level accelerator model in `ark-core`.
 
+#![forbid(unsafe_code)]
+
 pub mod bootstrap;
 pub mod counts;
 pub mod hdft;

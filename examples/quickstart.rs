@@ -47,21 +47,17 @@ fn main() -> Result<(), ArkError> {
     // the byte sizes a deployment moves and holds: key material is
     // generated once per session (and, under ark-serve, shared by every
     // client session), ciphertexts travel per request
+    // keys hold their uniform `A` halves as one 64-bit seed each (the
+    // key-switch regenerates them at use), so these are also the bytes
+    // key distribution ships
     let kc = engine.keychain().expect("software session has keys");
     println!(
-        "key material: public {} KiB, mult {} KiB, rotations {} KiB (chain total {:.1} MiB)",
+        "key material (seed + B halves): public {} KiB, mult {} KiB, rotations {} KiB \
+         (chain total {:.1} MiB)",
         kc.public_key().byte_len() >> 10,
         kc.mult_key().byte_len() >> 10,
         kc.rotation_keys().byte_len() >> 10,
         kc.byte_len() as f64 / (1 << 20) as f64
-    );
-    // seed-compressed forms — what key distribution actually ships:
-    // the uniform halves travel as one 64-bit seed each
-    println!(
-        "  seed-compressed: public {} KiB, mult {} KiB, rotations {} KiB",
-        kc.public_key().compress().byte_len() >> 10,
-        kc.mult_key().compress().byte_len() >> 10,
-        kc.rotation_keys().compress().byte_len() >> 10,
     );
 
     let x: Vec<C64> = (0..slots)

@@ -19,6 +19,8 @@
 //! over the checked-in corpus (`fuzz-smoke`); longer local runs just
 //! raise the bound.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 

@@ -12,9 +12,12 @@
 # nor inside `#[cfg(test)]` code, other than the item's own definition
 # line.
 #
-# A reference to a fn is a call or a path (`name(`, `::name`), or the
-# bare name as an argument of a macro invocation (`m!(.., name, ..)`);
-# to any other item, the bare word. Matching is textual, so a common
+# A reference to a fn is a call or a path (`name(`, `::name`), the
+# bare name as an argument of a macro invocation (`m!(.., name, ..)`),
+# or, in the file that defines the fn, the bare name as a call argument
+# (`f(x, name)`, `.map(name)`: the fn passed by value; elsewhere such a
+# name is a local, and a fn imported to be passed is named by its `use`
+# path); to any other item, the bare word. Matching is textual, so a common
 # method name (`new`, `len`) always finds one, and two methods that
 # share a name look used if either is: the check catches dead specific
 # names, not every dead method. An allow-list line whose item is gone,
@@ -117,14 +120,18 @@ MACRO_CALL = re.compile(r"\b(?!macro_rules\b)[A-Za-z_]\w*!\s*[(\[{]")
 OPEN, CLOSE = "([{", ")]}"
 
 
-def mentions(is_fn, name, text, macro_args):
+def mentions(is_fn, name, text, macro_args, same_file):
     """Whether `text` refers to the item: any word match for a type,
     const or field; for a fn a call or a path (a field or local of the
-    same name is not a use of the method), or an argument of a macro
-    invocation that is the bare name (`macro_args`, literals removed)."""
+    same name is not a use of the method), an argument of a macro
+    invocation that is the bare name (`macro_args`, literals removed),
+    or, on a line of the fn's own file (`same_file`), the bare name as
+    a call argument."""
     if not is_fn:
         return True
     if re.search(rf"\b{name}\s*(?:::\s*<[^>]*>\s*)?\(|::\s*{name}\b", text):
+        return True
+    if same_file and re.search(rf"[(,]\s*{name}\s*[,)]", LITERAL.sub("", text.split("//")[0])):
         return True
     return re.search(rf"(?:^|[,(\[{{])\s*{name}\s*(?:[,)\]}}]|$)", macro_args) is not None
 
@@ -225,7 +232,7 @@ def audit(root, allow_text, crates):
         name = key.rsplit("::", 1)[1]
         is_fn = re.search(r"\bfn\s", text) is not None
         used = any(
-            site != (path, no) and mentions(is_fn, name, line, args)
+            site != (path, no) and mentions(is_fn, name, line, args, site[0] == path)
             for site, (line, args) in refs.get(name, {}).items()
         )
         dead = dead_by_key.setdefault(key, [])
@@ -254,26 +261,34 @@ pub fn dead_fn() {}
 pub fn by_macro() {}
 pub fn by_example() {}
 pub fn oracle() {}
+pub fn by_value() {}
+pub fn shadowed() {}
+fn route(xs: &[u8]) { apply(xs, by_value); }
 #[cfg(test)]
 mod tests {
     #[test]
     fn t() { super::oracle(); super::dead_fn(); }
 }
 """
-    user = "fn main() { demo::live(); run!(by_macro); }\n"
+    user = "fn main() { demo::live(); run!(by_macro); let shadowed = 1; show(0, shadowed); }\n"
     example = "fn main() { demo::by_example(); }\n"
     oracle = "demo::oracle  test oracle: the reference the tests compare against"
     probe = "\ndemo::dead_fn  test probe: read by a test"
+    shadow = "\ndemo::shadowed  test probe: read by a test"
     # (what, allow-list, a substring of each expected failure, names no
     # failure may mention)
+    base = oracle + shadow
     cases = [
-        ("a dead pub fn fails", oracle, ["`pub fn dead_fn() {}` has no product reference"], []),
-        ("a stale allow-list line fails", oracle + probe + "\ndemo::live  test probe: read by tests",
+        ("a dead pub fn fails", base, ["`pub fn dead_fn() {}` has no product reference"], []),
+        ("a stale allow-list line fails", base + probe + "\ndemo::live  test probe: read by tests",
          ["stale allow-list line `demo::live`"], []),
-        ("a line with an unknown role fails", oracle + "\ndemo::dead_fn  test helper: called by a test",
+        ("a line with an unknown role fails", base + "\ndemo::dead_fn  test helper: called by a test",
          ["allow-list line `demo::dead_fn` names no role"], []),
-        ("a fn used only as a macro argument passes", oracle + probe, [], ["by_macro"]),
-        ("an item used only by an example passes", oracle + probe, [], ["by_example"]),
+        ("a fn used only as a macro argument passes", base + probe, [], ["by_macro"]),
+        ("an item used only by an example passes", base + probe, [], ["by_example"]),
+        ("a fn passed by value in its own file passes", base + probe, [], ["by_value"]),
+        ("a same-named local in another file is no reference", oracle + probe,
+         ["`pub fn shadowed() {}` has no product reference"], []),
     ]
     ok = True
     with tempfile.TemporaryDirectory() as tmp:

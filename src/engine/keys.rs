@@ -2,7 +2,7 @@
 //! generated [`KeyChain`], and the bounded runtime cache of
 //! seed-derived Galois keys.
 
-use ark_ckks::keys::{CompressedRotationKeys, EvalKey, PublicKey, RotationKeys, SecretKey};
+use ark_ckks::keys::{EvalKey, PublicKey, RotationKeys, SecretKey};
 use ark_ckks::params::CkksContext;
 use ark_math::automorphism::GaloisElement;
 use std::collections::{BTreeSet, HashMap};
@@ -326,25 +326,30 @@ impl KeyChain {
     }
 
     /// The *declared*, user-visible subset of the rotation/conjugation
-    /// keys in seed-compressed form — what key distribution ships. A
-    /// bootstrapping session also holds internal transform keys in
-    /// [`Self::rotation_keys`]; those never appear here (they are not
-    /// part of the declared surface, and exporting them would balloon
-    /// key downloads far beyond what the session asked for).
-    /// Compresses straight off the eager material, so only the `B`
-    /// halves are copied — the re-derivable `A` halves never are.
-    /// Declared keys are generated eagerly, so every one is held.
-    pub fn compressed_declared_keys(&self) -> CompressedRotationKeys {
+    /// keys as `(Galois element, key)` pairs in ascending element order
+    /// — what key distribution ships, borrowed straight from the
+    /// resident keys. A bootstrapping session also holds internal
+    /// transform keys in [`Self::rotation_keys`]; those never appear
+    /// here (they are not part of the declared surface, and exporting
+    /// them would balloon key downloads far beyond what the session
+    /// asked for).
+    pub fn declared_rotation_keys(&self) -> Vec<(u64, &EvalKey)> {
         let n = 2 * self.declared.slots.max(1); // slots = N/2
-        let mut elements: Vec<u64> = self
+        let conjugation = self
+            .declared
+            .conjugation
+            .then(|| GaloisElement::conjugation(n));
+        let declared: Vec<u64> = self
             .declared
             .rotations()
-            .map(|r| GaloisElement::from_rotation(r, n).0)
+            .map(|r| GaloisElement::from_rotation(r, n))
+            .chain(conjugation)
+            .map(|g| g.0)
             .collect();
-        if self.declared.conjugation {
-            elements.push(GaloisElement::conjugation(n).0);
-        }
-        self.rotations.compress_subset(&elements)
+        self.rotations
+            .iter()
+            .filter(|(g, _)| declared.contains(g))
+            .collect()
     }
 
     /// The declared key set this chain was generated from.

@@ -21,6 +21,8 @@
 //!
 //! See `README.md` for a tour and `DESIGN.md` for the system inventory.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod error;
 pub mod verify;

@@ -1,8 +1,8 @@
-//! Golden pins of the engine's bits: the seed-compressed public,
-//! multiplication and rotation-key frames a seeded session generates,
-//! the ciphertext a full-slot bootstrap returns, and the outputs of
-//! plaintext ops with constant (uniform) weights, are pinned by length
-//! and FNV-1a. Key generation refactors must not move a single bit —
+//! Golden pins of the engine's bits: the public, multiplication and
+//! rotation-key frames a seeded session generates (each key encoded as
+//! it is held, seed plus `B` limbs), the ciphertext a full-slot
+//! bootstrap returns, and the outputs of plaintext ops with constant
+//! (uniform) weights, are pinned by length and FNV-1a. Key generation refactors must not move a single bit —
 //! clients that fetched keys from a server expect the same-seed local
 //! session to hold the very same keys, and runtime-derived keys must
 //! stay bit-identical to eager ones. Bootstrap refactors must not move
@@ -46,13 +46,13 @@ fn key_frames(builder: EngineBuilder) -> [(usize, u64); 3] {
     };
     [
         frame(kind::COMPRESSED_PUBLIC_KEY, &|out| {
-            encode_compressed_public_key(out, &kc.public_key().compress())
+            encode_compressed_public_key(out, kc.public_key())
         }),
         frame(kind::COMPRESSED_EVAL_KEY, &|out| {
-            encode_compressed_eval_key(out, &kc.mult_key().compress())
+            encode_compressed_eval_key(out, kc.mult_key())
         }),
         frame(kind::COMPRESSED_ROTATION_KEYS, &|out| {
-            encode_compressed_rotation_keys(out, &kc.rotation_keys().compress())
+            encode_compressed_rotation_keys(out, kc.rotation_keys().iter())
         }),
     ]
 }
