@@ -1,8 +1,10 @@
 //! Golden pins of the engine's bits: the public, multiplication and
 //! rotation-key frames a seeded session generates (each key encoded as
-//! it is held, seed plus `B` limbs), the ciphertext a full-slot
-//! bootstrap returns, and the outputs of plaintext ops with constant
-//! (uniform) weights, are pinned by length and FNV-1a. Key generation refactors must not move a single bit —
+//! it is held, seed plus `B` limbs) are pinned by frame length and
+//! FNV-1a; the ciphertext a full-slot bootstrap returns and the outputs
+//! of plaintext ops with constant (uniform) weights are pinned by their
+//! residues, independently of the wire codec. Key generation refactors
+//! must not move a single bit —
 //! clients that fetched keys from a server expect the same-seed local
 //! session to hold the very same keys, and runtime-derived keys must
 //! stay bit-identical to eager ones. Bootstrap refactors must not move
@@ -13,9 +15,10 @@ use ark_fhe::ckks::bootstrap::BootstrapConfig;
 use ark_fhe::ckks::minks::KeyStrategy;
 use ark_fhe::ckks::params::CkksParams;
 use ark_fhe::ckks::wire::{
-    encode_ciphertext, encode_compressed_eval_key, encode_compressed_public_key,
-    encode_compressed_rotation_keys, param_fingerprint,
+    encode_compressed_eval_key, encode_compressed_public_key, encode_compressed_rotation_keys,
+    param_fingerprint,
 };
+use ark_fhe::ckks::Ciphertext;
 use ark_fhe::engine::{Engine, EngineBuilder, HeEvaluator, RotateSumTerm};
 use ark_fhe::math::cfft::C64;
 use ark_fhe::math::wire::{kind, FrameWriter};
@@ -29,6 +32,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// `(residue words, fnv1a)` of a ciphertext's arithmetic content: its
+/// level and scale bits, then every residue word of `B` and of `A` in
+/// limb order, each little-endian. No wire codec is involved, so a
+/// change of frame layout cannot move it.
+fn residue_hash(ct: &Ciphertext) -> (usize, u64) {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&(ct.level as u64).to_le_bytes());
+    bytes.extend_from_slice(&ct.scale.to_bits().to_le_bytes());
+    for w in ct.b.flat().iter().chain(ct.a.flat()) {
+        bytes.extend_from_slice(&w.to_le_bytes());
+    }
+    (ct.b.words() + ct.a.words(), fnv1a(&bytes))
 }
 
 /// `(len, fnv1a)` of the public-key, mult-key and full rotation-key
@@ -72,9 +89,9 @@ fn bootstrapping_session() -> EngineBuilder {
         .bootstrapping(BootstrapConfig::default())
 }
 
-/// `(len, fnv1a)` of the wire bytes of the ciphertext one full-slot
-/// bootstrap returns at `boot_test` under `strategy`, one thread.
-fn refreshed_frame(strategy: KeyStrategy) -> (usize, u64) {
+/// [`residue_hash`] of the ciphertext one full-slot bootstrap returns
+/// at `boot_test` under `strategy`, one thread.
+fn refreshed_residues(strategy: KeyStrategy) -> (usize, u64) {
     let mut engine = Engine::builder()
         .params(CkksParams::boot_test())
         .seed(7)
@@ -94,9 +111,7 @@ fn refreshed_frame(strategy: KeyStrategy) -> (usize, u64) {
         .expect("software backend")
         .bootstrap(&ct)
         .expect("bootstrapping session");
-    let mut bytes = Vec::new();
-    encode_ciphertext(&mut bytes, &refreshed);
-    (bytes.len(), fnv1a(&bytes))
+    residue_hash(&refreshed)
 }
 
 const STRATEGIES: [KeyStrategy; 3] = [
@@ -109,7 +124,7 @@ const STRATEGIES: [KeyStrategy; 3] = [
 fn assert_refreshed_pinned(strategy: KeyStrategy) {
     let at = STRATEGIES.iter().position(|&s| s == strategy);
     let golden = GOLDEN_REFRESHED[at.expect("a pinned strategy")];
-    assert_eq!(refreshed_frame(strategy), golden, "{strategy:?}");
+    assert_eq!(refreshed_residues(strategy), golden, "{strategy:?}");
 }
 
 #[test]
@@ -127,13 +142,13 @@ fn full_slot_bootstrap_output_is_pinned_minks() {
     assert_refreshed_pinned(KeyStrategy::MinKs);
 }
 
-/// `(len, fnv1a)` of the wire bytes of four plaintext ops with
+/// [`residue_hash`] of the outputs of four plaintext ops with
 /// uniform weights, at `N = 2^10, L = 5, dnum = 3` on a level-4 input:
 /// an all-uniform `rotate_sum` with an identity term and an aliased
 /// pair (`3`, `3 − slots`); a `rotate_sum` mixing uniform, full and
 /// short non-uniform weights; a uniform `mul_plain`; a uniform
 /// `add_plain`.
-fn constant_weight_frames() -> [(usize, u64); 4] {
+fn constant_weight_residues() -> [(usize, u64); 4] {
     let params = CkksParams {
         log_n: 10,
         max_level: 5,
@@ -175,11 +190,7 @@ fn constant_weight_frames() -> [(usize, u64); 4] {
         ev.mul_plain(&ct, &uniform(0.3)),
         ev.add_plain(&ct, &uniform(-0.75)),
     ]
-    .map(|out| {
-        let mut bytes = Vec::new();
-        encode_ciphertext(&mut bytes, &out.expect("admitted op"));
-        (bytes.len(), fnv1a(&bytes))
-    })
+    .map(|out| residue_hash(&out.expect("admitted op")))
 }
 
 #[test]
@@ -192,7 +203,7 @@ fn constant_weight_outputs_are_pinned() {
     ];
     for ((name, got), want) in names
         .iter()
-        .zip(constant_weight_frames())
+        .zip(constant_weight_residues())
         .zip(GOLDEN_CONSTANT_WEIGHTS)
     {
         assert_eq!(got, want, "{name}");
@@ -228,19 +239,21 @@ const GOLDEN_BOOTSTRAPPING: [(usize, u64); 3] = [
 ];
 // Recorded before bootstrapping learned sparse slot counts, in
 // `STRATEGIES` order: the default (full-slot) configuration must keep
-// computing today's pipeline bit for bit.
+// computing today's pipeline bit for bit. This pin and the next hash
+// residues, not frame bytes (re-recorded in that form under frame
+// version 2 from the same outputs), so no codec change may move them.
 const GOLDEN_REFRESHED: [(usize, u64); 3] = [
-    (98_378, 0x39fe_e65c_7643_cb0e),
-    (98_378, 0x2a36_8dbe_b980_166c),
-    (98_378, 0x0463_c98e_8b1f_5f15),
+    (12_288, 0xf79f_c21e_67de_c7e6),
+    (12_288, 0xa758_9b0f_abf0_554c),
+    (12_288, 0xf133_c9ff_1def_f615),
 ];
 // Recorded while every plaintext weight still went through the general
-// encoding (iFFT, rounding, NTT), in `constant_weight_frames` order.
+// encoding (iFFT, rounding, NTT), in `constant_weight_residues` order.
 const GOLDEN_CONSTANT_WEIGHTS: [(usize, u64); 4] = [
-    (81_986, 0xa9d0_5629_59c2_02d0),
-    (81_986, 0x90f2_4e82_64c0_f353),
-    (81_986, 0x5e0c_f01b_c3e0_518a),
-    (81_986, 0x4271_9554_7b03_5e90),
+    (10_240, 0x69b7_20e2_6e21_aecc),
+    (10_240, 0x407f_9d6f_c9ed_d01b),
+    (10_240, 0xc719_c19c_636e_e7a6),
+    (10_240, 0x8958_1450_c43b_7a7a),
 ];
 
 #[test]
@@ -254,12 +267,12 @@ fn print_golden_values() {
         let frames = key_frames(builder).map(fmt);
         println!("const {name}: [(usize, u64); 3] = [{}];", frames.join(", "));
     }
-    let refreshed = STRATEGIES.map(refreshed_frame).map(fmt);
+    let refreshed = STRATEGIES.map(refreshed_residues).map(fmt);
     println!(
         "const GOLDEN_REFRESHED: [(usize, u64); 3] = [{}];",
         refreshed.join(", ")
     );
-    let constant = constant_weight_frames().map(fmt);
+    let constant = constant_weight_residues().map(fmt);
     println!(
         "const GOLDEN_CONSTANT_WEIGHTS: [(usize, u64); 4] = [{}];",
         constant.join(", ")
