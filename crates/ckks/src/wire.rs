@@ -104,11 +104,11 @@ fn check_chain_poly(ctx: &CkksContext, poly: &RnsPoly, level: usize, scale: f64)
 // ---------------------------------------------------------------------
 
 /// Appends the ciphertext payload: `u32 level | f64 scale | poly B | poly A`.
-pub fn encode_ciphertext(out: &mut Vec<u8>, ct: &Ciphertext) {
+pub fn encode_ciphertext(out: &mut Vec<u8>, ctx: &CkksContext, ct: &Ciphertext) {
     put_u32(out, ct.level as u32);
     put_f64(out, ct.scale);
-    encode_poly(out, &ct.b);
-    encode_poly(out, &ct.a);
+    encode_poly(out, &ct.b, ctx.basis());
+    encode_poly(out, &ct.a, ctx.basis());
 }
 
 /// Decodes and validates a ciphertext payload.
@@ -148,11 +148,11 @@ fn decode_key_b(
 
 /// Appends the compressed-evaluation-key payload:
 /// `u64 a_seed | u16 dnum | dnum × poly B` over the extended basis.
-pub fn encode_compressed_eval_key(out: &mut Vec<u8>, key: &EvalKey) {
+pub fn encode_compressed_eval_key(out: &mut Vec<u8>, ctx: &CkksContext, key: &EvalKey) {
     put_u64(out, key.a_seed);
     put_u16(out, key.b_pieces.len() as u16);
     for b in &key.b_pieces {
-        encode_poly(out, b);
+        encode_poly(out, b, ctx.basis());
     }
 }
 
@@ -177,9 +177,9 @@ pub fn decode_compressed_eval_key(cur: &mut Cursor<'_>, ctx: &CkksContext) -> Ar
 
 /// Appends the compressed-public-key payload: `u64 a_seed | poly B`
 /// over the full chain.
-pub fn encode_compressed_public_key(out: &mut Vec<u8>, key: &PublicKey) {
+pub fn encode_compressed_public_key(out: &mut Vec<u8>, ctx: &CkksContext, key: &PublicKey) {
     put_u64(out, key.a_seed);
-    encode_poly(out, &key.b);
+    encode_poly(out, &key.b, ctx.basis());
 }
 
 /// Decodes and validates a compressed-public-key payload.
@@ -197,7 +197,7 @@ pub fn decode_compressed_public_key(
 /// `u16 count | count × (u64 galois | compressed eval-key payload)`.
 /// `keys` must yield strictly ascending Galois elements, as
 /// [`RotationKeys::iter`] does: the decoder rejects any other order.
-pub fn encode_compressed_rotation_keys<'a, I>(out: &mut Vec<u8>, keys: I)
+pub fn encode_compressed_rotation_keys<'a, I>(out: &mut Vec<u8>, ctx: &CkksContext, keys: I)
 where
     I: IntoIterator<Item = (u64, &'a EvalKey)>,
     I::IntoIter: ExactSizeIterator,
@@ -206,7 +206,7 @@ where
     put_u16(out, keys.len() as u16);
     for (g, key) in keys {
         put_u64(out, g);
-        encode_compressed_eval_key(out, key);
+        encode_compressed_eval_key(out, ctx, key);
     }
 }
 
@@ -249,7 +249,7 @@ pub fn decode_compressed_rotation_keys(
 pub fn write_ciphertext(ctx: &CkksContext, ct: &Ciphertext) -> Vec<u8> {
     let mut out = Vec::new();
     let mut frame = FrameWriter::begin(&mut out, kind::CIPHERTEXT, param_fingerprint(ctx.params()));
-    encode_ciphertext(frame.payload(), ct);
+    encode_ciphertext(frame.payload(), ctx, ct);
     frame.finish();
     out
 }
@@ -288,7 +288,7 @@ pub fn read_compressed_rotation_keys(ctx: &CkksContext, bytes: &[u8]) -> ArkResu
 /// with the enclosing frame, in the same hashing pass.
 pub fn nest_ciphertext(frame: &mut FrameWriter<'_>, ctx: &CkksContext, ct: &Ciphertext) {
     let fp = param_fingerprint(ctx.params());
-    frame.nest(kind::CIPHERTEXT, fp, |out| encode_ciphertext(out, ct));
+    frame.nest(kind::CIPHERTEXT, fp, |out| encode_ciphertext(out, ctx, ct));
 }
 
 /// Nests a seed-compressed public key frame in the payload of `frame`,
@@ -296,7 +296,7 @@ pub fn nest_ciphertext(frame: &mut FrameWriter<'_>, ctx: &CkksContext, ct: &Ciph
 pub fn nest_compressed_public_key(frame: &mut FrameWriter<'_>, ctx: &CkksContext, key: &PublicKey) {
     let fp = param_fingerprint(ctx.params());
     frame.nest(kind::COMPRESSED_PUBLIC_KEY, fp, |out| {
-        encode_compressed_public_key(out, key)
+        encode_compressed_public_key(out, ctx, key)
     });
 }
 
@@ -305,7 +305,7 @@ pub fn nest_compressed_public_key(frame: &mut FrameWriter<'_>, ctx: &CkksContext
 pub fn nest_compressed_eval_key(frame: &mut FrameWriter<'_>, ctx: &CkksContext, key: &EvalKey) {
     let fp = param_fingerprint(ctx.params());
     frame.nest(kind::COMPRESSED_EVAL_KEY, fp, |out| {
-        encode_compressed_eval_key(out, key)
+        encode_compressed_eval_key(out, ctx, key)
     });
 }
 
@@ -318,7 +318,7 @@ where
 {
     let fp = param_fingerprint(ctx.params());
     frame.nest(kind::COMPRESSED_ROTATION_KEYS, fp, |out| {
-        encode_compressed_rotation_keys(out, keys)
+        encode_compressed_rotation_keys(out, ctx, keys)
     });
 }
 
@@ -339,9 +339,12 @@ pub fn ciphertext_from_frame(ctx: &CkksContext, frame: Frame<'_>) -> ArkResult<C
     decode_exact(frame.payload, |cur| decode_ciphertext(cur, ctx))
 }
 
-/// Exact wire size of a ciphertext frame (header + payload + checksum).
-pub fn ciphertext_frame_len(ct: &Ciphertext) -> usize {
-    let payload = 4 + 8 + wire::poly_encoded_len(&ct.b) + wire::poly_encoded_len(&ct.a);
+/// Exact wire size of a ciphertext frame (header + payload + checksum):
+/// a function of its level and the context's primes alone.
+pub fn ciphertext_frame_len(ctx: &CkksContext, ct: &Ciphertext) -> usize {
+    let basis = ctx.basis();
+    let payload =
+        4 + 8 + wire::poly_encoded_len(&ct.b, basis) + wire::poly_encoded_len(&ct.a, basis);
     wire::HEADER_LEN + payload + wire::CHECKSUM_LEN
 }
 
@@ -391,7 +394,7 @@ mod tests {
         let pt = ctx.encode(&msg, 2, ctx.params().scale());
         let ct = ctx.encrypt(&pt, &sk, &mut rng);
         let bytes = write_ciphertext(&ctx, &ct);
-        assert_eq!(bytes.len(), ciphertext_frame_len(&ct));
+        assert_eq!(bytes.len(), ciphertext_frame_len(&ctx, &ct));
         let back = read_ciphertext_prefix(&ctx, &bytes).unwrap().0;
         assert_eq!(back, ct);
         let out = ctx.decrypt_decode(&back, &sk);
@@ -420,7 +423,7 @@ mod tests {
         let sk = ctx.gen_secret_key(&mut rng);
         let pk = ctx.gen_public_key_seeded(&sk, 0x5eed, 0x9015e);
         let mut payload = Vec::new();
-        encode_compressed_public_key(&mut payload, &pk);
+        encode_compressed_public_key(&mut payload, &ctx, &pk);
         let bytes = write_frame(
             kind::COMPRESSED_PUBLIC_KEY,
             param_fingerprint(ctx.params()),
@@ -463,8 +466,8 @@ mod tests {
         let mut payload = Vec::new();
         put_u32(&mut payload, 3);
         put_f64(&mut payload, ct.scale);
-        encode_poly(&mut payload, &ct.b);
-        encode_poly(&mut payload, &ct.a);
+        encode_poly(&mut payload, &ct.b, ctx.basis());
+        encode_poly(&mut payload, &ct.a, ctx.basis());
         let framed = write_frame(kind::CIPHERTEXT, param_fingerprint(ctx.params()), &payload);
         assert!(matches!(
             read_ciphertext_prefix(&ctx, &framed).unwrap_err(),

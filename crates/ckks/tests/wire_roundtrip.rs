@@ -6,15 +6,17 @@
 use ark_ckks::error::{ArkError, ArkResult};
 use ark_ckks::params::{CkksContext, CkksParams};
 use ark_ckks::wire::{
-    decode_compressed_eval_key, encode_compressed_eval_key, encode_compressed_public_key,
-    encode_compressed_rotation_keys, param_fingerprint, read_ciphertext_prefix,
-    read_compressed_public_key, read_compressed_rotation_keys, write_ciphertext,
+    ciphertext_frame_len, decode_compressed_eval_key, encode_compressed_eval_key,
+    encode_compressed_public_key, encode_compressed_rotation_keys, param_fingerprint,
+    read_ciphertext_prefix, read_compressed_public_key, read_compressed_rotation_keys,
+    write_ciphertext,
 };
 use ark_ckks::{Ciphertext, EvalKey, SecretKey};
 use ark_math::cfft::C64;
+use ark_math::poly::{Representation, RnsPoly};
 use ark_math::wire::{
-    kind, read_frame_expecting, write_frame, Cursor, WireError, CHECKSUM_LEN, HEADER_LEN, MAGIC,
-    VERSION,
+    decode_poly, encode_poly, kind, poly_encoded_len, read_frame_expecting, write_frame, Cursor,
+    WireError, CHECKSUM_LEN, HEADER_LEN, MAGIC, VERSION,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -51,6 +53,21 @@ fn encrypt(f: &Fixture, msg: &[(f64, f64)], level: usize, seed: u64) -> Cipherte
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let pt = f.ctx.encode(&m, level, f.ctx.params().scale());
     f.ctx.encrypt(&pt, &f.sk, &mut rng)
+}
+
+/// Bytes of a residue modulo `q`, worked out here from the prime alone.
+fn width(q: u64) -> usize {
+    (64 - q.leading_zeros() as usize).div_ceil(8)
+}
+
+/// Payload bytes of a poly over `indices`: its header and `Σ N·k_i`.
+fn poly_len(ctx: &CkksContext, indices: &[usize]) -> usize {
+    let basis = ctx.basis();
+    let widths: usize = indices
+        .iter()
+        .map(|&i| width(basis.modulus(i).value()))
+        .sum();
+    4 + 1 + 2 + 4 * indices.len() + basis.n() * widths
 }
 
 /// A standalone frame of `kind` around the payload `encode` appends.
@@ -168,12 +185,15 @@ proptest! {
         for f in [&fixtures().0, &fixtures().1] {
             let eager = f.ctx.gen_mult_key_seeded(&f.sk, a_master, noise_master);
             let bytes = frame(f, kind::COMPRESSED_EVAL_KEY, |out| {
-                encode_compressed_eval_key(out, &eager)
+                encode_compressed_eval_key(out, &f.ctx, &eager)
             });
-            // the frame is at most 55% of a key that stores its `A`
-            // halves (Table III's evk size)
-            let full = f.ctx.params().evk_bytes();
-            prop_assert!(bytes.len() * 100 <= full * 55, "{} vs {}", bytes.len(), full);
+            // the frame is exactly the seed and `dnum` `B` halves over
+            // the extended basis, each residue in its prime's byte width
+            let ctx = &f.ctx;
+            let extended = ctx.extended_indices(ctx.params().max_level);
+            let piece = poly_len(ctx, extended);
+            let exact = HEADER_LEN + 8 + 2 + ctx.params().dnum * piece + CHECKSUM_LEN;
+            prop_assert_eq!(bytes.len(), exact);
             let back = read_eval_key(f, &bytes).unwrap();
             prop_assert_eq!(back, eager);
         }
@@ -188,14 +208,14 @@ proptest! {
         for f in [&fixtures().0, &fixtures().1] {
             let set = f.ctx.gen_rotation_keys_seeded(&[1, 2], false, &f.sk, a_master, noise_master);
             let bytes = frame(f, kind::COMPRESSED_ROTATION_KEYS, |out| {
-                encode_compressed_rotation_keys(out, set.iter())
+                encode_compressed_rotation_keys(out, &f.ctx, set.iter())
             });
             let back = read_compressed_rotation_keys(&f.ctx, &bytes).unwrap();
             prop_assert_eq!(back.iter().collect::<Vec<_>>(), set.iter().collect::<Vec<_>>());
 
             let pk = f.ctx.gen_public_key_seeded(&f.sk, a_master, noise_master);
             let pk_bytes = frame(f, kind::COMPRESSED_PUBLIC_KEY, |out| {
-                encode_compressed_public_key(out, &pk)
+                encode_compressed_public_key(out, &f.ctx, &pk)
             });
             let pk_back = read_compressed_public_key(&f.ctx, &pk_bytes).unwrap();
             prop_assert_eq!(pk_back, pk);
@@ -209,7 +229,7 @@ proptest! {
         let f = &fixtures().0;
         let key = f.ctx.gen_mult_key_seeded(&f.sk, 0x5eed, 0xe401);
         let bytes = frame(f, kind::COMPRESSED_EVAL_KEY, |out| {
-            encode_compressed_eval_key(out, &key)
+            encode_compressed_eval_key(out, &f.ctx, &key)
         });
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
         let err = read_eval_key(f, &bytes[..cut]).unwrap_err();
@@ -227,7 +247,7 @@ proptest! {
         let f = &fixtures().0;
         let key = f.ctx.gen_mult_key_seeded(&f.sk, 0x5eed, 0xe402);
         let mut bytes = frame(f, kind::COMPRESSED_EVAL_KEY, |out| {
-            encode_compressed_eval_key(out, &key)
+            encode_compressed_eval_key(out, &f.ctx, &key)
         });
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= 1 << bit;
@@ -236,13 +256,81 @@ proptest! {
     }
 }
 
+/// `rotate_large`'s parameters: `N = 2^15`, six limbs.
+fn rotate_large_params() -> CkksParams {
+    CkksParams {
+        log_n: 15,
+        max_level: 5,
+        dnum: 3,
+        q0_bits: 55,
+        scale_bits: 45,
+        special_bits: 55,
+        ..CkksParams::small()
+    }
+}
+
+#[test]
+fn ciphertext_length_is_the_sum_of_prime_widths_at_every_level() {
+    for (params, per_coeff) in [
+        (CkksParams::tiny(), 22),
+        (CkksParams::small(), 54),
+        (CkksParams::boot_test(), 127),
+        (rotate_large_params(), 37),
+    ] {
+        let ctx = CkksContext::new(params);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let max = ctx.params().max_level;
+        let top = ctx.chain_indices(max);
+        let widths: usize = top
+            .iter()
+            .map(|&i| width(ctx.basis().modulus(i).value()))
+            .sum();
+        assert_eq!(widths, per_coeff, "{}", ctx.params().name);
+        for level in 0..=max {
+            let indices = ctx.chain_indices(level);
+            let random = |rng: &mut rand::rngs::StdRng| {
+                RnsPoly::random_uniform(ctx.basis(), indices, Representation::Evaluation, rng)
+            };
+            let ct = Ciphertext {
+                b: random(&mut rng),
+                a: random(&mut rng),
+                level,
+                scale: ctx.params().scale(),
+            };
+            let bytes = write_ciphertext(&ctx, &ct);
+            let exact = HEADER_LEN + 4 + 8 + 2 * poly_len(&ctx, indices) + CHECKSUM_LEN;
+            assert_eq!(bytes.len(), exact, "{} level {level}", ctx.params().name);
+            assert_eq!(ciphertext_frame_len(&ctx, &ct), exact);
+            assert_eq!(read_ciphertext_prefix(&ctx, &bytes).unwrap(), (ct, exact));
+        }
+    }
+}
+
+#[test]
+fn a_poly_over_the_ark_basis_is_the_sum_of_its_prime_widths() {
+    // Table III's ARK set: 24 chain primes (60 and 44 bits) and 6
+    // special ones (60 bits) at N = 2^16
+    let ctx = CkksContext::new(CkksParams::ark());
+    let all: Vec<usize> = (0..ctx.basis().len()).collect();
+    assert_eq!(all.len(), 30);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(37);
+    let p = RnsPoly::random_uniform(ctx.basis(), &all, Representation::Evaluation, &mut rng);
+    let mut payload = Vec::new();
+    encode_poly(&mut payload, &p, ctx.basis());
+    assert_eq!(payload.len(), poly_len(&ctx, &all));
+    assert_eq!(poly_encoded_len(&p, ctx.basis()), payload.len());
+    let mut cur = Cursor::new(&payload);
+    assert_eq!(decode_poly(&mut cur, ctx.basis()).unwrap(), p);
+    cur.finish().unwrap();
+}
+
 #[test]
 fn compressed_and_materialized_kinds_do_not_cross_decode() {
     let f = &fixtures().0;
     let fp = param_fingerprint(f.ctx.params());
     let key = f.ctx.gen_mult_key_seeded(&f.sk, 0xabcd, 0xef01);
     let compressed = frame(f, kind::COMPRESSED_EVAL_KEY, |out| {
-        encode_compressed_eval_key(out, &key)
+        encode_compressed_eval_key(out, &f.ctx, &key)
     });
     let ct = write_ciphertext(&f.ctx, &encrypt(f, &[(0.5, 0.0); 16], 2, 23));
     // a compressed frame is not a ciphertext, and vice versa: the kind
@@ -312,7 +400,7 @@ fn frame_header_layout_is_pinned() {
     // the layout constants are a cross-process contract — pin them so
     // an accidental change fails loudly
     assert_eq!(&MAGIC, b"ARKW");
-    assert_eq!(VERSION, 2);
+    assert_eq!(VERSION, 3);
     assert_eq!(HEADER_LEN, 24);
     let f = &fixtures().0;
     let ct = encrypt(f, &[(0.1, 0.2); 16], 2, 19);

@@ -744,7 +744,10 @@ fn write_evaluate(
     let mut frame = FrameWriter::begin(out, msg::EVALUATE, fingerprint);
     program.encode(frame.payload());
     put_u16(frame.payload(), count);
-    let input_bytes: usize = inputs.iter().map(ckks_wire::ciphertext_frame_len).sum();
+    let input_bytes: usize = inputs
+        .iter()
+        .map(|ct| ckks_wire::ciphertext_frame_len(ctx, ct))
+        .sum();
     frame.payload().reserve(input_bytes + CHECKSUM_LEN);
     for ct in inputs {
         ckks_wire::nest_ciphertext(&mut frame, ctx, ct);
@@ -850,9 +853,9 @@ mod tests {
     fn handshake_version_rejection_is_typed() {
         let mut core = ClientCore::new();
         let _ = core.take_egress();
-        let reject = protocol::error_frame(code::PROTOCOL, "server speaks protocol 6");
+        let reject = protocol::error_frame(code::PROTOCOL, "server speaks protocol 7");
         let err = core.ingest(&message(&reject)).unwrap_err();
-        assert!(matches!(err, ArkError::VersionMismatch { client: 5, .. }));
+        assert!(matches!(err, ArkError::VersionMismatch { client: 6, .. }));
         assert!(core.is_closed());
     }
 

@@ -29,6 +29,13 @@ pub struct Reg(pub u16);
 /// field must not drive large allocations; real slot counts are ≤ 2^16).
 pub const MAX_PLAIN_LEN: usize = 1 << 17;
 
+/// Form tags of a plaintext vector on the wire: every slot complex
+/// (`re`, `im`), or every slot real (`re`; `im` is +0.0). There is
+/// deliberately no uniform form: a few bytes must not expand to
+/// [`MAX_PLAIN_LEN`] slots of server memory.
+const PLAIN_COMPLEX: u8 = 0;
+const PLAIN_REAL: u8 = 1;
+
 /// Cap on the term count of one fused `RotateSum` op (a hostile count
 /// must not drive large allocations; real BSGS inner loops are `O(√n)`,
 /// far below this).
@@ -409,11 +416,21 @@ impl Program {
 
     /// Appends the wire encoding (see the opcode table in the source).
     pub fn encode(&self, out: &mut Vec<u8>) {
+        // only +0.0 imaginary parts ship real: −0.0 stays complex, so
+        // both forms decode bit-exact
         let plain = |out: &mut Vec<u8>, v: &[C64]| {
             put_u32(out, v.len() as u32);
-            for z in v {
-                put_f64(out, z.re);
-                put_f64(out, z.im);
+            if v.iter().all(|z| z.im.to_bits() == 0) {
+                out.push(PLAIN_REAL);
+                for z in v {
+                    put_f64(out, z.re);
+                }
+            } else {
+                out.push(PLAIN_COMPLEX);
+                for z in v {
+                    put_f64(out, z.re);
+                    put_f64(out, z.im);
+                }
             }
         };
         put_u16(out, self.n_inputs);
@@ -550,18 +567,20 @@ impl Program {
                         "plaintext vector of {len} exceeds the {MAX_PLAIN_LEN} cap"
                     )));
                 }
-                // bounds-check against the actual payload before reserving
-                if cur.remaining() < len * 16 {
-                    return Err(ArkError::Wire(WireError::Truncated {
-                        needed: len * 16,
-                        available: cur.remaining(),
-                    }));
-                }
+                let slot = match cur.u8()? {
+                    PLAIN_COMPLEX => 16,
+                    PLAIN_REAL => 8,
+                    t => return Err(malformed(format!("unknown plaintext form {t}"))),
+                };
+                // bounds-checked against the actual payload before reserving
+                let bytes = cur.take(len * slot)?;
+                let f64_at = |z: &[u8], at: usize| {
+                    finite(f64::from_le_bytes(z[at..at + 8].try_into().expect("len 8")))
+                };
                 let mut v = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let re = finite(cur.f64()?)?;
-                    let im = finite(cur.f64()?)?;
-                    v.push(C64::new(re, im));
+                for z in bytes.chunks_exact(slot) {
+                    let im = if slot == 16 { f64_at(z, 8)? } else { 0.0 };
+                    v.push(C64::new(f64_at(z, 0)?, im));
                 }
                 Ok(v)
             };
@@ -696,6 +715,70 @@ mod tests {
         assert!(Program::decode(&mut cur).is_err());
     }
 
+    /// A one-op program `mul_plain(x, values)` and its encoding.
+    fn one_plain(values: Vec<C64>) -> (Program, Vec<u8>) {
+        let mut p = Program::new(1);
+        let x = p.reg(0);
+        let v = p.mul_plain(x, values);
+        p.output(v);
+        let mut bytes = Vec::new();
+        p.encode(&mut bytes);
+        (p, bytes)
+    }
+
+    #[test]
+    fn plain_vectors_ship_in_their_narrowest_exact_form() {
+        // n_inputs, n_ops, opcode, operand, plain-len, form, slots, then
+        // n_outputs and one output
+        let len = |slot: usize| 2 + 2 + 1 + 2 + 4 + 1 + 64 * slot + 2 + 2;
+        let real: Vec<C64> = (0..64).map(|i| C64::new(0.5 - i as f64, 0.0)).collect();
+        let mut complex = real.clone();
+        complex[63].im = 1e-300;
+        // −0.0 is not +0.0: it stays complex so it decodes bit-exact
+        let mut negative_zero = real.clone();
+        negative_zero[0].im = -0.0;
+        for (values, form, slot) in [(real, 1, 8), (complex, 0, 16), (negative_zero, 0, 16)] {
+            let (p, bytes) = one_plain(values);
+            assert_eq!(bytes.len(), len(slot));
+            assert_eq!(bytes[2 + 2 + 1 + 2 + 4], form);
+            let mut cur = Cursor::new(&bytes);
+            let q = Program::decode(&mut cur).unwrap();
+            cur.finish().unwrap();
+            let (Op::MulPlain(_, a), Op::MulPlain(_, b)) = (&p.ops[0], &q.ops[0]) else {
+                unreachable!("one mul_plain")
+            };
+            let bits = |v: &[C64]| -> Vec<(u64, u64)> {
+                v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+            };
+            assert_eq!(bits(a), bits(b));
+        }
+    }
+
+    #[test]
+    fn decode_rejects_unknown_plain_forms_and_short_bodies() {
+        let (_, bytes) = one_plain(vec![C64::new(0.25, 0.0); 8]);
+        let form = 2 + 2 + 1 + 2 + 4;
+        for evil in [2u8, 0xff] {
+            let mut b = bytes.clone();
+            b[form] = evil;
+            assert!(matches!(
+                Program::decode(&mut Cursor::new(&b)).unwrap_err(),
+                ArkError::Wire(WireError::Malformed { .. })
+            ));
+        }
+        // a real vector relabelled complex claims twice its bytes: the
+        // whole body is checked against the buffer, before any slot
+        let mut b = bytes.clone();
+        b[form] = 0;
+        assert_eq!(
+            Program::decode(&mut Cursor::new(&b)).unwrap_err(),
+            ArkError::Wire(WireError::Truncated {
+                needed: 8 * 16,
+                available: 8 * 8 + 2 + 2
+            })
+        );
+    }
+
     #[test]
     #[should_panic(expected = "not yet defined")]
     fn builder_rejects_undefined_register() {
@@ -802,8 +885,8 @@ mod tests {
         let mut bytes = Vec::new();
         p.encode(&mut bytes);
         // first weight's re: n_inputs, n_ops, opcode, operand, n_terms,
-        // amount, plain-len
-        let off = 2 + 2 + 1 + 2 + 2 + 8 + 4;
+        // amount, plain-len, form
+        let off = 2 + 2 + 1 + 2 + 2 + 8 + 4 + 1;
         bytes[off..off + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         let mut cur = Cursor::new(&bytes);
         assert!(matches!(

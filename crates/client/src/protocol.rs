@@ -58,12 +58,13 @@ use ark_math::wire::{put_u16, put_u32, put_u64, write_frame, Cursor, WireError};
 /// serves exactly this number and refuses any other with a typed
 /// `PROTOCOL` error, so a wire-format change is a bump here and a clean
 /// handshake failure against an old peer, never a mid-session decode
-/// error. Version 5 replaced version 4's FNV-1a frame checksum with
-/// XXH64 (`ark_math::wire::VERSION` 2): the same messages, every field
-/// at the same offset, but other checksum and parameter-fingerprint
-/// values. A v4 peer's `HELLO` comes in a version-1 frame, which is
-/// refused as a typed `WIRE` error before its checksum is read.
-pub const PROTOCOL_VERSION: u16 = 5;
+/// error. Version 6 (`ark_math::wire::VERSION` 3) ships each residue
+/// of a ciphertext or key in its prime's byte width and each program
+/// plaintext vector in its narrowest exact form (real or complex);
+/// version 5 replaced version 4's FNV-1a frame checksum with XXH64. A
+/// v5 peer's `HELLO` comes in a version-2 frame, which is refused as a
+/// typed `WIRE` error before its checksum is read.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Serve-namespace frame kinds.
 pub mod msg {

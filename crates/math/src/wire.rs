@@ -14,7 +14,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  b"ARKW"
-//!      4     2  format version (currently 2)
+//!      4     2  format version (currently 3)
 //!      6     2  kind tag (what the payload encodes; see `kind`)
 //!      8     8  parameter-set fingerprint (0 if not parameter-bound)
 //!     16     8  payload length `len` in bytes
@@ -37,6 +37,20 @@
 //! them in one pass, and [`checksum`], [`write_frame`] and
 //! [`read_frame`] are the same pass with nothing nested.
 //!
+//! # Residues at their prime's byte width
+//!
+//! A limb row of an [`RnsPoly`] holds `N` residues modulo one prime
+//! `q_i`, and only `bits(q_i)` of each residue's 64 bits carry
+//! information. [`encode_poly`] ships each in `k_i = ⌈bits(q_i)/8⌉`
+//! bytes, with `k_i` read from the basis both ends share (the parameter
+//! fingerprint binds it), not from the data: every length stays a
+//! function of shape and the header has no width field. A ciphertext
+//! over the `small` chain (one 55-bit and nine 40- or 41-bit primes)
+//! takes 54 bytes per coefficient instead of 80. The packing is by
+//! whole bytes: each residue is one unaligned 8-byte store or load, and
+//! a bit-granular form cost more codec time than its few extra saved
+//! bytes were worth.
+//!
 //! # Versioning rules
 //!
 //! The version covers the *frame container and every payload codec*: any
@@ -58,9 +72,11 @@ use std::ops::Range;
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"ARKW";
 
-/// Current (and only) wire-format version. Version 2 replaced version
-/// 1's FNV-1a checksum with XXH64; every byte position is unchanged.
-pub const VERSION: u16 = 2;
+/// Current (and only) wire-format version. Version 3 ships each
+/// residue of an [`RnsPoly`] limb row in its prime's byte width
+/// ([`encode_poly`]) instead of a full `u64`; version 2 replaced version
+/// 1's FNV-1a checksum with XXH64.
+pub const VERSION: u16 = 3;
 
 /// Fixed bytes before the payload: magic + version + kind + fingerprint
 /// + payload length.
@@ -778,20 +794,43 @@ pub fn read_frame_expecting(
 // RnsPoly codec
 // ---------------------------------------------------------------------
 
-/// Payload bytes [`encode_poly`] will emit for `poly`.
-pub fn poly_encoded_len(poly: &RnsPoly) -> usize {
-    // n, rep, limb count, per-limb basis index, then the limb rows
-    4 + 1 + 2 + poly.level_count() * 4 + poly.words() * 8
+/// Bytes one residue modulo `q` occupies in a limb row: `⌈bits(q)/8⌉`.
+fn residue_width(q: u64) -> usize {
+    (64 - q.leading_zeros() as usize).div_ceil(8)
 }
 
-/// Appends the payload encoding of `poly`:
+/// Bytes of the limb rows of a degree-`n` poly over `indices`.
+fn rows_len(n: usize, indices: &[usize], basis: &RnsBasis) -> usize {
+    let widths: usize = indices
+        .iter()
+        .map(|&idx| residue_width(basis.modulus(idx).value()))
+        .sum();
+    n * widths
+}
+
+/// Payload bytes [`encode_poly`] will emit for `poly` over `basis`: a
+/// function of the poly's shape and the basis, never of its residues.
+pub fn poly_encoded_len(poly: &RnsPoly, basis: &RnsBasis) -> usize {
+    // n, rep, limb count, per-limb basis index, then the limb rows
+    4 + 1 + 2 + poly.level_count() * 4 + rows_len(poly.n(), poly.limb_indices(), basis)
+}
+
+/// Appends the payload encoding of `poly`, whose limbs are over
+/// `basis`:
 ///
 /// ```text
 /// u32 n | u8 representation | u16 limb_count
 /// limb_count × u32 basis index
-/// limb_count × n × u64 residue words
+/// limb_count × n × k_i-byte residues, k_i = ⌈bits(q_i)/8⌉
 /// ```
-pub fn encode_poly(out: &mut Vec<u8>, poly: &RnsPoly) {
+///
+/// Each limb row is its `n` residues back to back, little-endian, each
+/// in the `k_i` bytes its prime needs: a 40-bit prime's residues take 5
+/// bytes, not 8. The width comes from the basis, so the row lengths are
+/// known from the header alone. The output is sized once; every residue
+/// is one 8-byte store at stride `k_i`, the next store overwriting its
+/// zero high bytes, and the slack past the last one is cut off.
+pub fn encode_poly(out: &mut Vec<u8>, poly: &RnsPoly, basis: &RnsBasis) {
     put_u32(out, poly.n() as u32);
     out.push(match poly.representation() {
         Representation::Coefficient => 0,
@@ -801,16 +840,54 @@ pub fn encode_poly(out: &mut Vec<u8>, poly: &RnsPoly) {
     for &idx in poly.limb_indices() {
         put_u32(out, idx as u32);
     }
-    for &w in poly.flat() {
-        put_u64(out, w);
+    let mut at = out.len();
+    let end = at + rows_len(poly.n(), poly.limb_indices(), basis);
+    out.resize(end + 8, 0);
+    let rows = poly.flat().chunks_exact(poly.n());
+    for (&idx, row) in poly.limb_indices().iter().zip(rows) {
+        let k = residue_width(basis.modulus(idx).value());
+        for &w in row {
+            out[at..at + 8].copy_from_slice(&w.to_le_bytes());
+            at += k;
+        }
     }
+    out.truncate(end);
+}
+
+/// Reads one limb row of `n` residues `k` bytes wide from the front of
+/// `bytes` into `data`, returning whether any was `≥ q`. A residue is
+/// one 8-byte load, masked to `k` bytes; only the last few of the
+/// buffer, whose load would run past its end, are copied out first.
+fn read_row(bytes: &[u8], n: usize, k: usize, q: u64, data: &mut Vec<u64>) -> bool {
+    let mask = u64::MAX >> (64 - 8 * k);
+    let whole = if bytes.len() >= 8 {
+        ((bytes.len() - 8) / k + 1).min(n)
+    } else {
+        0
+    };
+    let mut unreduced = false;
+    data.extend((0..whole).map(|j| {
+        let w = le_u64(&bytes[j * k..j * k + 8]) & mask;
+        unreduced |= w >= q;
+        w
+    }));
+    data.extend(bytes[whole * k..n * k].chunks_exact(k).map(|r| {
+        let mut word = [0; 8];
+        word[..k].copy_from_slice(r);
+        let w = u64::from_le_bytes(word);
+        unreduced |= w >= q;
+        w
+    }));
+    unreduced
 }
 
 /// Decodes a polynomial, validating every field against `basis`: the
 /// degree must match, each limb index must name a basis prime (no
 /// duplicates), and every residue must be reduced modulo its prime.
 /// Attacker-controlled bytes can therefore never materialize a poly
-/// that violates the invariants the panic-checking ops rely on.
+/// that violates the invariants the panic-checking ops rely on. The
+/// rows' bytes are bounds-checked before the residue buffer is
+/// allocated; it holds at most `8 / min k_i` times the row bytes.
 pub fn decode_poly(cur: &mut Cursor<'_>, basis: &RnsBasis) -> WireResult<RnsPoly> {
     let n = cur.u32()? as usize;
     if n != basis.n() {
@@ -852,10 +929,10 @@ pub fn decode_poly(cur: &mut Cursor<'_>, basis: &RnsBasis) -> WireResult<RnsPoly
         indices.push(idx);
     }
     // remaining payload must cover the rows before any allocation
-    let words_needed = limb_count * n * 8;
-    if cur.remaining() < words_needed {
+    let rows_needed = rows_len(n, &indices, basis);
+    if cur.remaining() < rows_needed {
         return Err(WireError::Truncated {
-            needed: words_needed,
+            needed: rows_needed,
             available: cur.remaining(),
         });
     }
@@ -864,23 +941,23 @@ pub fn decode_poly(cur: &mut Cursor<'_>, basis: &RnsBasis) -> WireResult<RnsPoly
     let mut data = Vec::with_capacity(limb_count * n);
     for &idx in &indices {
         let q = basis.modulus(idx).value();
-        for _ in 0..n {
-            let w = cur.u64()?;
-            if w >= q {
-                return Err(WireError::Malformed {
-                    what: format!("residue {w} not reduced modulo q_{idx} = {q}"),
-                });
-            }
-            data.push(w);
+        let k = residue_width(q);
+        let row = data.len();
+        if read_row(&cur.bytes[cur.pos..], n, k, q, &mut data) {
+            let w = data[row..].iter().find(|&&w| w >= q).expect("flagged row");
+            return Err(WireError::Malformed {
+                what: format!("residue {w} not reduced modulo q_{idx} = {q}"),
+            });
         }
+        cur.pos += n * k;
     }
     Ok(RnsPoly::from_flat(basis, &indices, rep, data))
 }
 
 /// Convenience: a standalone single-poly frame.
-pub fn poly_to_frame(poly: &RnsPoly, fingerprint: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(poly_encoded_len(poly));
-    encode_poly(&mut payload, poly);
+pub fn poly_to_frame(poly: &RnsPoly, basis: &RnsBasis, fingerprint: u64) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(poly_encoded_len(poly, basis));
+    encode_poly(&mut payload, poly, basis);
     write_frame(kind::RNS_POLY, fingerprint, &payload)
 }
 
@@ -913,7 +990,7 @@ mod tests {
     fn poly_roundtrips() {
         let b = basis();
         let p = sample_poly(&b, 1);
-        let bytes = poly_to_frame(&p, 0xfeed);
+        let bytes = poly_to_frame(&p, &b, 0xfeed);
         let q = poly_from_frame(&bytes, &b, 0xfeed).unwrap();
         assert_eq!(p, q);
     }
@@ -922,9 +999,9 @@ mod tests {
     fn frames_concatenate() {
         let b = basis();
         let p = sample_poly(&b, 2);
-        let mut bytes = poly_to_frame(&p, 7);
+        let mut bytes = poly_to_frame(&p, &b, 7);
         let first_len = bytes.len();
-        bytes.extend_from_slice(&poly_to_frame(&p, 7));
+        bytes.extend_from_slice(&poly_to_frame(&p, &b, 7));
         let (f1, used) = read_frame(&bytes).unwrap();
         assert_eq!(used, first_len);
         assert_eq!(f1.kind, kind::RNS_POLY);
@@ -935,7 +1012,7 @@ mod tests {
     #[test]
     fn truncation_is_typed() {
         let b = basis();
-        let bytes = poly_to_frame(&sample_poly(&b, 3), 0);
+        let bytes = poly_to_frame(&sample_poly(&b, 3), &b, 0);
         for cut in [0, 3, HEADER_LEN - 1, HEADER_LEN + 5, bytes.len() - 1] {
             let err = poly_from_frame(&bytes[..cut], &b, 0).unwrap_err();
             assert!(
@@ -951,7 +1028,7 @@ mod tests {
         // a buffer of HEADER_LEN..HEADER_LEN+CHECKSUM_LEN bytes declaring
         // payload_len 0 used to slice past the end reading the checksum
         let b = basis();
-        let bytes = poly_to_frame(&sample_poly(&b, 10), 0);
+        let bytes = poly_to_frame(&sample_poly(&b, 10), &b, 0);
         for cut in HEADER_LEN..HEADER_LEN + CHECKSUM_LEN {
             let mut short = bytes[..cut].to_vec();
             short[16..24].copy_from_slice(&0u64.to_le_bytes());
@@ -965,7 +1042,7 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let b = basis();
-        let mut bytes = poly_to_frame(&sample_poly(&b, 4), 0);
+        let mut bytes = poly_to_frame(&sample_poly(&b, 4), &b, 0);
         bytes[0] ^= 0xff;
         assert!(matches!(
             poly_from_frame(&bytes, &b, 0).unwrap_err(),
@@ -998,19 +1075,20 @@ mod tests {
 
     #[test]
     fn wrong_version_rejected() {
-        // version 1 is the FNV-1a frame of protocol v4 and before: the
-        // same layout under another checksum, so the version alone tells
-        // them apart, and it does before a byte is hashed
+        // version 1 is the FNV-1a frame of protocol v4 and before, and
+        // version 2 the full-word residue rows of protocol v5: the
+        // version alone tells them apart, and it does before a byte is
+        // hashed
         let b = basis();
-        for found in [1u16, 0x7f] {
-            let mut bytes = poly_to_frame(&sample_poly(&b, 5), 0);
+        for found in [1u16, 2, 0x7f] {
+            let mut bytes = poly_to_frame(&sample_poly(&b, 5), &b, 0);
             bytes[4..6].copy_from_slice(&found.to_le_bytes());
             let hashed = ledger(|| {
                 assert_eq!(
                     poly_from_frame(&bytes, &b, 0).unwrap_err(),
                     WireError::UnsupportedVersion {
                         found,
-                        supported: 2
+                        supported: 3
                     }
                 )
             });
@@ -1021,7 +1099,7 @@ mod tests {
     #[test]
     fn flipped_payload_byte_fails_checksum() {
         let b = basis();
-        let mut bytes = poly_to_frame(&sample_poly(&b, 6), 0);
+        let mut bytes = poly_to_frame(&sample_poly(&b, 6), &b, 0);
         let mid = HEADER_LEN + 10;
         bytes[mid] ^= 0x01;
         assert!(matches!(
@@ -1033,7 +1111,7 @@ mod tests {
     #[test]
     fn fingerprint_mismatch_rejected() {
         let b = basis();
-        let bytes = poly_to_frame(&sample_poly(&b, 7), 1);
+        let bytes = poly_to_frame(&sample_poly(&b, 7), &b, 1);
         assert!(matches!(
             poly_from_frame(&bytes, &b, 2).unwrap_err(),
             WireError::FingerprintMismatch {
@@ -1046,7 +1124,7 @@ mod tests {
     #[test]
     fn oversized_length_field_cannot_inflate_allocation() {
         let b = basis();
-        let mut bytes = poly_to_frame(&sample_poly(&b, 8), 0);
+        let mut bytes = poly_to_frame(&sample_poly(&b, 8), &b, 0);
         // claim a payload of 2^60 bytes; the reader must reject against
         // the actual buffer size, not trust the field
         bytes[16..24].copy_from_slice(&(1u64 << 60).to_le_bytes());
@@ -1061,7 +1139,7 @@ mod tests {
         let b = basis();
         let p = sample_poly(&b, 9);
         let mut payload = Vec::new();
-        encode_poly(&mut payload, &p);
+        encode_poly(&mut payload, &p, &b);
         // first residue word sits after n/rep/count and 3 limb indices
         let off = 4 + 1 + 2 + 3 * 4;
         payload[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
@@ -1072,12 +1150,114 @@ mod tests {
         ));
     }
 
+    /// A prime `≡ 1 mod 64` of exactly `bits` bits.
+    fn prime_of_bits(bits: u32) -> u64 {
+        [bits, bits - 1]
+            .into_iter()
+            .flat_map(|center| generate_ntt_primes(32, center, 4))
+            .find(|q| 64 - q.leading_zeros() == bits)
+            .expect("a prime of that width near 2^bits")
+    }
+
+    #[test]
+    fn limb_rows_take_their_primes_byte_width() {
+        let primes = [40, 41, 46, 56].map(prime_of_bits);
+        assert_eq!(primes.map(residue_width), [5, 6, 6, 7]);
+        let b = RnsBasis::new(32, &primes);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        for indices in [&[0usize, 1, 2, 3][..], &[3, 0], &[2]] {
+            let p = RnsPoly::random_uniform(&b, indices, Representation::Coefficient, &mut rng);
+            let rows: usize = indices.iter().map(|&i| 32 * residue_width(primes[i])).sum();
+            let len = 4 + 1 + 2 + 4 * indices.len() + rows;
+            let mut payload = vec![0xee];
+            encode_poly(&mut payload, &p, &b);
+            assert_eq!(payload.len(), 1 + len);
+            assert_eq!(poly_encoded_len(&p, &b), len);
+            let mut cur = Cursor::new(&payload[1..]);
+            assert_eq!(decode_poly(&mut cur, &b).unwrap(), p);
+            cur.finish().unwrap();
+        }
+    }
+
+    #[test]
+    fn q_minus_one_roundtrips_and_q_is_refused_in_every_residue_slot() {
+        // every limb of a four-prime basis, as the last row of the
+        // buffer (whose last residues are loaded padded) and in front of
+        // another row; first, middle and last residue of the row
+        let primes = [40, 41, 46, 56].map(prime_of_bits);
+        let b = RnsBasis::new(32, &primes);
+        for indices in [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]] {
+            for at_pos in [3, 0] {
+                let at_idx = indices[at_pos];
+                let q = primes[at_idx];
+                let k = residue_width(q);
+                for j in [0, 17, 31] {
+                    let mut data = vec![0; 4 * 32];
+                    data[at_pos * 32 + j] = q - 1;
+                    let p = RnsPoly::from_flat(&b, &indices, Representation::Evaluation, data);
+                    let mut payload = Vec::new();
+                    encode_poly(&mut payload, &p, &b);
+                    assert_eq!(
+                        decode_poly(&mut Cursor::new(&payload), &b).unwrap(),
+                        p,
+                        "q - 1 at limb {at_idx} residue {j}"
+                    );
+                    let row = 4
+                        + 1
+                        + 2
+                        + 4 * 4
+                        + (0..at_pos)
+                            .map(|r| 32 * residue_width(primes[indices[r]]))
+                            .sum::<usize>();
+                    payload[row + j * k..row + (j + 1) * k].copy_from_slice(&q.to_le_bytes()[..k]);
+                    assert_eq!(
+                        decode_poly(&mut Cursor::new(&payload), &b).unwrap_err(),
+                        WireError::Malformed {
+                            what: format!("residue {q} not reduced modulo q_{at_idx} = {q}")
+                        },
+                        "q at limb {at_idx} residue {j}"
+                    );
+                }
+            }
+            // the widest value the last residue's bytes can spell
+            let mut payload = Vec::new();
+            let p = RnsPoly::zero(&b, &indices, Representation::Evaluation);
+            encode_poly(&mut payload, &p, &b);
+            let end = payload.len();
+            payload[end - residue_width(primes[indices[3]])..].fill(0xff);
+            assert!(matches!(
+                decode_poly(&mut Cursor::new(&payload), &b).unwrap_err(),
+                WireError::Malformed { .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn a_row_short_by_one_byte_is_truncated_before_any_residue_is_read() {
+        let primes = [40, 41, 46, 56].map(prime_of_bits);
+        let b = RnsBasis::new(32, &primes);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let p = RnsPoly::random_uniform(&b, &[0, 1, 2, 3], Representation::Evaluation, &mut rng);
+        let mut payload = Vec::new();
+        encode_poly(&mut payload, &p, &b);
+        let rows = 32 * (5 + 6 + 6 + 7);
+        // the whole rows are checked against the buffer up front: the
+        // error names all of them, not the one residue that ran out
+        assert_eq!(
+            decode_poly(&mut Cursor::new(&payload[..payload.len() - 1]), &b).unwrap_err(),
+            WireError::Truncated {
+                needed: rows,
+                available: rows - 1
+            }
+        );
+    }
+
     #[test]
     fn trailing_garbage_rejected() {
         let b = basis();
         let p = sample_poly(&b, 10);
         let mut payload = Vec::new();
-        encode_poly(&mut payload, &p);
+        encode_poly(&mut payload, &p, &b);
         payload.push(0);
         let framed = write_frame(kind::RNS_POLY, 0, &payload);
         assert!(matches!(

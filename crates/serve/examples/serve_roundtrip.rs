@@ -136,7 +136,7 @@ fn main() -> Result<(), ArkError> {
     let ct_y = local.encrypt(&ys, level)?;
     println!(
         "shipping 2 ciphertexts ({} bytes each on the wire)",
-        ckks_wire::ciphertext_frame_len(&ct_x)
+        ckks_wire::ciphertext_frame_len(&ctx, &ct_x)
     );
     let results = client.evaluate(sw_fp, &program, &[ct_x, ct_y], &ctx)?;
 

@@ -807,7 +807,10 @@ fn run_evaluate(
     let mut out = Vec::new();
     let mut response = FrameWriter::begin(&mut out, msg::RESULT_CTS, request.frame.fingerprint);
     put_u16(response.payload(), outputs.len() as u16);
-    let output_bytes: usize = outputs.iter().map(ckks_wire::ciphertext_frame_len).sum();
+    let output_bytes: usize = outputs
+        .iter()
+        .map(|ct| ckks_wire::ciphertext_frame_len(ctx, ct))
+        .sum();
     response.payload().reserve(output_bytes + CHECKSUM_LEN);
     for ct in &outputs {
         ckks_wire::nest_ciphertext(&mut response, ctx, ct);

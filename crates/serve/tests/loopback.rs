@@ -177,7 +177,7 @@ fn key_distribution_ships_the_held_keys_bit_identically() {
     // the frame that traveled carries the seed and the `B` halves only:
     // at most 55% of a key that stores its `A` halves (Table III)
     let mut payload = Vec::new();
-    ckks_wire::encode_compressed_eval_key(&mut payload, &mult);
+    ckks_wire::encode_compressed_eval_key(&mut payload, &ctx, &mult);
     let frame = write_frame(
         ark_math::wire::kind::COMPRESSED_EVAL_KEY,
         ckks_wire::param_fingerprint(ctx.params()),
@@ -404,43 +404,33 @@ fn error_of(frame: &[u8]) -> (u16, String) {
     protocol::decode_error(&mut Cursor::new(frame.payload)).unwrap()
 }
 
-/// FNV-1a 64, the frame checksum of protocol v4 (frame version 1),
-/// kept here only to forge what a v4 peer sends.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 #[test]
-fn a_v4_peer_is_refused_typed() {
+fn a_v5_peer_is_refused_typed() {
     let (handle, _, _) = start_server(ServerConfig::default());
     let mut peer = raw_peer(handle.addr());
 
-    // HELLO(4) in a current frame: the version it names is refused
-    send(&mut peer, &hello(4)).unwrap();
+    // HELLO(5) in a current frame: the version it names is refused
+    send(&mut peer, &hello(5)).unwrap();
     let (c, reason) = error_of(&recv(&mut peer).expect("a refusal"));
     assert_eq!(c, code::PROTOCOL);
     assert_eq!(
-        reason, "client speaks protocol 4, server speaks protocol 5",
+        reason, "client speaks protocol 5, server speaks protocol 6",
         "reason: {reason}"
     );
 
-    // the bytes a v4 client sends: HELLO(4) in a version-1 frame sealed
-    // with FNV-1a. The frame version is refused before the checksum.
-    let mut v4_hello = hello(4);
-    v4_hello[4..6].copy_from_slice(&1u16.to_le_bytes());
-    let end = v4_hello.len() - CHECKSUM_LEN;
-    let sum = fnv1a(&v4_hello[..end]);
-    v4_hello[end..].copy_from_slice(&sum.to_le_bytes());
-    send(&mut peer, &v4_hello).unwrap();
+    // the bytes a v5 client sends: HELLO(5) in a version-2 frame, whose
+    // checksum is the same XXH64. The frame version is refused before
+    // the checksum is read.
+    let mut v5_hello = hello(5);
+    v5_hello[4..6].copy_from_slice(&2u16.to_le_bytes());
+    let end = v5_hello.len() - CHECKSUM_LEN;
+    let sum = checksum(&v5_hello[..end]);
+    v5_hello[end..].copy_from_slice(&sum.to_le_bytes());
+    send(&mut peer, &v5_hello).unwrap();
     let (c, reason) = error_of(&recv(&mut peer).expect("a refusal"));
     assert_eq!(c, code::WIRE);
     assert!(
-        reason.contains("unsupported wire version 1 (reader speaks 2)"),
+        reason.contains("unsupported wire version 2 (reader speaks 3)"),
         "reason: {reason}"
     );
 
@@ -577,7 +567,7 @@ fn corrupted_evaluate_checksums_answer_wire_and_execute_nothing() {
 
     // one flipped residue byte in the second input: as it is, the
     // request's checksum fails; resealed, only the nested frame's does
-    let second_input = good.len() - CHECKSUM_LEN - ckks_wire::ciphertext_frame_len(&ct_y);
+    let second_input = good.len() - CHECKSUM_LEN - ckks_wire::ciphertext_frame_len(&ctx, &ct_y);
     let mut outer_bad = good.clone();
     outer_bad[good.len() - 2 * CHECKSUM_LEN - 5] ^= 0x10;
     let mut inner_bad = outer_bad.clone();

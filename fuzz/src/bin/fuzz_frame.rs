@@ -70,6 +70,11 @@ fn main() {
             0,
             3,
         );
+        // the input as a bare payload: a frame's checksum stops every
+        // mutation of its payload, so only here do hostile limb rows
+        // reach the row decoder
+        let _ = wire::decode_poly(&mut Cursor::new(data), ctx.basis());
+        let _ = ckks_wire::decode_ciphertext(&mut Cursor::new(data), &ctx);
         // nested typed payloads, each total over hostile bytes
         let _ = wire::poly_from_frame(data, ctx.basis(), fp);
         let _ = ckks_wire::read_ciphertext_prefix(&ctx, data);

@@ -10,6 +10,7 @@
 
 use ark_ckks::params::{CkksContext, CkksParams};
 use ark_ckks::wire as ckks_wire;
+use ark_ckks::Ciphertext;
 use ark_client::core::{evaluate_frame, simulate_frame};
 use ark_client::program::Program;
 use ark_client::protocol::{
@@ -18,6 +19,7 @@ use ark_client::protocol::{
 };
 use ark_fhe::engine::RotateSumTerm;
 use ark_math::cfft::C64;
+use ark_math::poly::{Representation, RnsPoly};
 use ark_math::wire::write_frame;
 use std::path::Path;
 
@@ -54,9 +56,41 @@ fn wide_program() -> Program {
         ],
     );
     let b = p.bootstrap(rs);
-    let pl = p.mul_plain_rescale(b, vec![Default::default(); 4]);
+    // a complex vector: the others ship in the real form
+    let pl = p.mul_plain_rescale(b, vec![C64::new(0.25, -0.5); 4]);
     p.output(pl);
     p
+}
+
+/// One input through a real-weighted plaintext product and a rotation.
+fn one_input_program() -> Program {
+    let mut p = Program::new(1);
+    let x = p.reg(0);
+    let weights = (0..8).map(|i| C64::new(0.125 * i as f64, 0.0)).collect();
+    let m = p.mul_plain_rescale(x, weights);
+    let r = p.rotate(m, 3);
+    p.output(r);
+    p
+}
+
+/// A well-formed top-level ciphertext of `ctx` with seeded uniform
+/// residues: the shape a client uploads, without an RNG dependency.
+fn seeded_ciphertext(ctx: &CkksContext) -> Ciphertext {
+    let level = ctx.params().max_level;
+    let poly = |seed| {
+        RnsPoly::from_seed(
+            ctx.basis(),
+            ctx.chain_indices(level),
+            Representation::Evaluation,
+            seed,
+        )
+    };
+    Ciphertext {
+        b: poly(0xb),
+        a: poly(0xa),
+        level,
+        scale: ctx.params().scale(),
+    }
 }
 
 fn message(body: &[u8]) -> Vec<u8> {
@@ -129,6 +163,17 @@ fn main() {
         "006-empty-payload.bin",
         &write_frame(ark_math::wire::kind::RNS_POLY, fp, &[]),
     );
+    // a bare ciphertext payload, which `fuzz_frame` also decodes as
+    // one: its mutations reach the limb-row decoder, not a checksum
+    let ct = seeded_ciphertext(&ctx);
+    let mut payload = Vec::new();
+    ckks_wire::encode_ciphertext(&mut payload, &ctx, &ct);
+    write(&dir, "007-ciphertext-payload.bin", &payload);
+    write(
+        &dir,
+        "008-evaluate-one-input.bin",
+        &evaluate_frame(fp, &one_input_program(), &[ct], &ctx).expect("encodes"),
+    );
 
     // --- program: encoded IR ----------------------------------------
     let dir = root.join("program");
@@ -154,7 +199,7 @@ fn main() {
         3,
         &error_frame(code::SESSION_LIMIT, "budget exceeded"),
     )));
-    write(&dir, "001-v5-session.bin", &session);
+    write(&dir, "001-session.bin", &session);
 
     // a bare response on a handshaken session: hostile input that must
     // end in a typed error and a poisoned core
