@@ -26,11 +26,13 @@
 //! typed [`ArkError`] from `ingest`, after which the core is *closed*
 //! (every further call fails fast). `max_frame_bytes` bounds one wire
 //! *frame*, so a message may be [`ENVELOPE_LEN`] bytes longer — the
-//! same definition the server applies. Buffered reassembly bytes are
-//! bounded by `4 + max_frame_bytes + ENVELOPE_LEN` plus the largest
-//! single `ingest` chunk, observable via
-//! [`ClientCore::buffered_bytes`] — a hostile length prefix is rejected
-//! before any proportional allocation.
+//! same definition the server applies. Messages are reassembled by the
+//! protocol's one [`MessageAssembler`], the one the server reads with:
+//! buffered bytes are bounded by `4 + max_frame_bytes + ENVELOPE_LEN`
+//! plus the largest single `ingest` chunk, observable via
+//! [`ClientCore::buffered_bytes`], and the backing allocation by about
+//! twice that — a hostile length prefix is rejected before any
+//! proportional allocation.
 //!
 //! Responses that carry ciphertexts or keys are returned as validated
 //! frame payloads (the event holds raw bytes); decode them against the
@@ -42,7 +44,8 @@
 
 use crate::program::Program;
 use crate::protocol::{
-    self, code, msg, EngineInfo, DEFAULT_MAX_FRAME_BYTES, ENVELOPE_LEN, PROTOCOL_VERSION,
+    self, close_message, code, msg, open_message, EngineInfo, MessageAssembler,
+    DEFAULT_MAX_FRAME_BYTES, ENVELOPE_LEN, PROTOCOL_VERSION,
 };
 use ark_ckks::error::{ArkError, ArkResult};
 use ark_ckks::params::CkksContext;
@@ -51,8 +54,7 @@ use ark_ckks::{Ciphertext, EvalKey, PublicKey, RotationKeys};
 use ark_core::sched::SimReport;
 use ark_core::wire as core_wire;
 use ark_math::wire::{
-    put_u16, put_u32, put_u64, read_frame, write_frame, Cursor, FrameWriter, WireError,
-    CHECKSUM_LEN,
+    put_u16, put_u32, read_frame, write_frame, Cursor, FrameWriter, CHECKSUM_LEN,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -167,73 +169,6 @@ impl Event {
     }
 }
 
-/// Incremental reassembly of `u32`-length-prefixed messages with the
-/// length bound enforced *before* any proportional allocation.
-#[derive(Debug)]
-struct FrameAssembler {
-    max_message_bytes: usize,
-    buf: Vec<u8>,
-    /// Bytes of `buf` already consumed (compacted between ingests).
-    pos: usize,
-}
-
-impl FrameAssembler {
-    fn new(max_message_bytes: usize) -> Self {
-        Self {
-            max_message_bytes,
-            buf: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Pops the next complete message, or `None` if more bytes are
-    /// needed. A declared length outside `1..=max_message_bytes` is a
-    /// typed error — the declared size is attacker-controlled and must
-    /// never drive an allocation.
-    fn next_message(&mut self) -> ArkResult<Option<Vec<u8>>> {
-        let avail = self.buf.len() - self.pos;
-        if avail < 4 {
-            self.compact();
-            return Ok(None);
-        }
-        let len_bytes: [u8; 4] = self.buf[self.pos..self.pos + 4]
-            .try_into()
-            .expect("4 bytes checked");
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if len == 0 || len > self.max_message_bytes {
-            return Err(ArkError::Wire(WireError::Malformed {
-                what: format!(
-                    "message length {len} outside 1..={}",
-                    self.max_message_bytes
-                ),
-            }));
-        }
-        if avail < 4 + len {
-            self.compact();
-            return Ok(None);
-        }
-        let start = self.pos + 4;
-        let message = self.buf[start..start + len].to_vec();
-        self.pos += 4 + len;
-        Ok(Some(message))
-    }
-
-    fn compact(&mut self) {
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-    }
-
-    fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// `HELLO` queued; waiting for the bare `SERVER_INFO`.
@@ -289,7 +224,7 @@ impl CoreConfig {
             max_frame_bytes: self.max_frame_bytes,
             phase: Phase::AwaitServerInfo,
             engines: Vec::new(),
-            assembler: FrameAssembler::new(self.max_frame_bytes + ENVELOPE_LEN),
+            assembler: MessageAssembler::new(self.max_frame_bytes + ENVELOPE_LEN),
             egress: Vec::new(),
             events: VecDeque::new(),
             next_request_id: 1,
@@ -301,7 +236,7 @@ impl CoreConfig {
         let mut hello = FrameWriter::begin(&mut core.egress, msg::HELLO, 0);
         put_u16(hello.payload(), PROTOCOL_VERSION);
         hello.finish();
-        close_message(&mut core.egress, at);
+        close_message(&mut core.egress, at).expect("HELLO fits a message");
         core
     }
 }
@@ -313,7 +248,7 @@ pub struct ClientCore {
     max_frame_bytes: usize,
     phase: Phase,
     engines: Vec<EngineInfo>,
-    assembler: FrameAssembler,
+    assembler: MessageAssembler,
     egress: Vec<u8>,
     events: VecDeque<Event>,
     next_request_id: u64,
@@ -367,8 +302,8 @@ impl ClientCore {
 
     /// Reassembly bytes currently buffered. Bounded by
     /// `4 + max_frame_bytes + ENVELOPE_LEN` plus the largest single
-    /// [`ingest`] chunk (hostile length prefixes are rejected before
-    /// allocation).
+    /// [`ingest`] chunk, in an allocation of about twice that (hostile
+    /// length prefixes are rejected before allocation).
     ///
     /// [`ingest`]: ClientCore::ingest
     pub fn buffered_bytes(&self) -> usize {
@@ -395,21 +330,26 @@ impl ClientCore {
     /// every further call fails fast.
     pub fn ingest(&mut self, bytes: &[u8]) -> ArkResult<()> {
         self.fail_if_closed()?;
-        self.assembler.push(bytes);
-        loop {
-            let message = match self.assembler.next_message() {
-                Ok(Some(m)) => m,
-                Ok(None) => return Ok(()),
-                Err(e) => {
-                    self.phase = Phase::Closed;
-                    return Err(e);
+        // the handlers borrow each message straight out of the
+        // assembler's buffer, so it leaves `self` while they run
+        let mut assembler = std::mem::replace(&mut self.assembler, MessageAssembler::new(0));
+        assembler.push_bytes(bytes);
+        let handled = loop {
+            match assembler.next_message() {
+                Ok(Some(message)) => {
+                    if let Err(e) = self.handle_message(message) {
+                        break Err(e);
+                    }
                 }
-            };
-            if let Err(e) = self.handle_message(&message) {
-                self.phase = Phase::Closed;
-                return Err(e);
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
             }
+        };
+        self.assembler = assembler;
+        if handled.is_err() {
+            self.phase = Phase::Closed;
         }
+        handled
     }
 
     /// The next queued event, if any.
@@ -576,7 +516,7 @@ impl ClientCore {
             self.egress.truncate(at);
             return Err(e);
         }
-        close_message(&mut self.egress, at);
+        close_message(&mut self.egress, at)?;
         self.next_request_id += 1;
         self.pending.insert(
             id,
@@ -669,8 +609,7 @@ impl ClientCore {
         pending.parked = false;
         let at = open_message(&mut self.egress, Some(ticket.id));
         self.egress.extend_from_slice(&pending.frame);
-        close_message(&mut self.egress, at);
-        Ok(())
+        close_message(&mut self.egress, at)
     }
 
     /// Drops a parked (or in-flight) request, freeing its retained
@@ -698,24 +637,6 @@ fn count_u16(n: usize) -> ArkResult<u16> {
     u16::try_from(n).map_err(|_| ArkError::Serve {
         reason: format!("{n} inputs exceed the wire's u16 count"),
     })
-}
-
-/// Opens one transport message at the end of `egress`: the `u32`
-/// length prefix ([`close_message`] fills it in) and, past the
-/// handshake, the request id. The frame is appended after it.
-fn open_message(egress: &mut Vec<u8>, request_id: Option<u64>) -> usize {
-    let at = egress.len();
-    egress.extend_from_slice(&[0; 4]);
-    if let Some(id) = request_id {
-        put_u64(egress, id);
-    }
-    at
-}
-
-/// Fills in the length prefix of the message opened at `at`.
-fn close_message(egress: &mut [u8], at: usize) {
-    let len = u32::try_from(egress.len() - at - 4).expect("encoder bounds message length");
-    egress[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Encodes an `EVALUATE` request frame.
@@ -810,6 +731,7 @@ pub fn decode_eval_keys(ctx: &CkksContext, payload: &[u8]) -> ArkResult<(EvalKey
 mod tests {
     use super::*;
     use crate::protocol::{server_info_frame, stats_frame};
+    use ark_math::wire::WireError;
 
     fn message(body: &[u8]) -> Vec<u8> {
         let mut out = (body.len() as u32).to_le_bytes().to_vec();

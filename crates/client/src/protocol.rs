@@ -4,10 +4,12 @@
 //!
 //! Everything here is sans-I/O — functions map byte slices to typed
 //! values and back, so the module compiles anywhere (wasm32 included).
-//! Reassembling messages from a byte stream belongs to the two ends of
-//! the connection: the allocation-capped assembler inside
-//! [`ClientCore`](crate::core::ClientCore) on the client, `ark-net`'s
-//! `FrameBuf`/`OutBuf` in the server's connection threads.
+//! That includes the one transport framing layer both ends of a
+//! connection run: [`MessageAssembler`] takes messages off the byte
+//! stream (in [`ClientCore`](crate::core::ClientCore) and in the
+//! server's reader threads), and [`open_message`]/[`close_message`]
+//! write one in place (into the core's egress and the server's
+//! outboxes).
 //!
 //! # Transport shape
 //!
@@ -128,6 +130,126 @@ pub mod code {
 /// Default cap on one wire frame's bytes (64 MiB — a full-chain
 /// `small`-params rotation-key set fits with room to spare).
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 64 << 20;
+
+// ---------------------------------------------------------------------
+// transport framing
+// ---------------------------------------------------------------------
+
+/// Bytes of the length prefix in front of every message.
+const PREFIX_LEN: usize = 4;
+
+/// Reassembles `u32`-length-prefixed messages from bytes read in any
+/// split.
+///
+/// A declared length outside `1..=max_message` is a typed error found
+/// on the prefix alone, before any proportional allocation: the length
+/// is attacker-controlled. A caller that drains every complete message
+/// after each [`push_bytes`](Self::push_bytes) holds at most
+/// `4 + max_message` bytes plus the last push
+/// ([`buffered`](Self::buffered)), in a backing buffer of at most
+/// `2 × (4 + max_message)` plus the last push.
+#[derive(Debug)]
+pub struct MessageAssembler {
+    max_message: usize,
+    buf: Vec<u8>,
+    /// Bytes of `buf` already handed out as messages.
+    pos: usize,
+}
+
+impl MessageAssembler {
+    /// An empty assembler accepting messages of up to `max_message`
+    /// bytes.
+    pub fn new(max_message: usize) -> Self {
+        Self {
+            max_message,
+            buf: Vec::new(),
+            pos: 0,
+        }
+    }
+
+    /// Bytes buffered and not yet returned as messages.
+    pub fn buffered(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Appends bytes read off the stream. The consumed prefix is
+    /// reclaimed first once it is at least half the buffer, and the
+    /// buffer grows geometrically but never past what a draining
+    /// caller can need.
+    pub fn push_bytes(&mut self, bytes: &[u8]) {
+        if self.pos > 0 && 2 * self.pos >= self.buf.len() {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+        let needed = self.buf.len() + bytes.len();
+        if needed > self.buf.capacity() {
+            let bound = (PREFIX_LEN.saturating_add(self.max_message))
+                .saturating_mul(2)
+                .saturating_add(bytes.len());
+            let cap = (2 * self.buf.capacity()).min(bound).max(needed);
+            self.buf.reserve_exact(cap - self.buf.len());
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The next complete message, or `None` if more bytes are needed.
+    /// The message is borrowed from the buffer until the next push.
+    ///
+    /// # Errors
+    ///
+    /// [`ArkError::Wire`] when a length prefix is zero or exceeds
+    /// `max_message`: the stream has no recoverable message boundary
+    /// after that.
+    pub fn next_message(&mut self) -> ArkResult<Option<&[u8]>> {
+        let rest = &self.buf[self.pos..];
+        let Some(prefix) = rest.first_chunk::<PREFIX_LEN>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*prefix) as usize;
+        if len == 0 || len > self.max_message {
+            return Err(ArkError::Wire(WireError::Malformed {
+                what: format!("message length {len} outside 1..={}", self.max_message),
+            }));
+        }
+        if rest.len() < PREFIX_LEN + len {
+            return Ok(None);
+        }
+        let start = self.pos + PREFIX_LEN;
+        self.pos = start + len;
+        Ok(Some(&self.buf[start..start + len]))
+    }
+}
+
+/// Opens one message at the end of `out`: the length prefix
+/// ([`close_message`] fills it in) and, past the handshake, the
+/// request id. The frame is then written after it, in place. Returns
+/// where the message starts.
+pub fn open_message(out: &mut Vec<u8>, request_id: Option<u64>) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; PREFIX_LEN]);
+    if let Some(id) = request_id {
+        put_u64(out, id);
+    }
+    at
+}
+
+/// Fills in the length prefix of the message opened at `at`.
+///
+/// # Errors
+///
+/// [`ArkError::Wire`] if the message outgrew the `u32` prefix; it is
+/// then removed from `out`.
+pub fn close_message(out: &mut Vec<u8>, at: usize) -> ArkResult<()> {
+    let body = out.len() - at - PREFIX_LEN;
+    let Ok(len) = u32::try_from(body) else {
+        out.truncate(at);
+        return Err(ArkError::Wire(WireError::Malformed {
+            what: format!("a message of {body} bytes exceeds the u32 length prefix"),
+        }));
+    };
+    out[at..at + PREFIX_LEN].copy_from_slice(&len.to_le_bytes());
+    Ok(())
+}
 
 // ---------------------------------------------------------------------
 // request-id envelope
@@ -320,6 +442,57 @@ pub fn decode_server_info(cur: &mut Cursor<'_>) -> ArkResult<Vec<EngineInfo>> {
 mod tests {
     use super::*;
     use ark_math::wire::read_frame;
+
+    #[test]
+    fn assembler_memory_stays_bounded_and_messages_come_back_exact() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const MAX_MESSAGE: usize = 1000;
+        const CHUNK: usize = 1500;
+        let mut rng = StdRng::seed_from_u64(46);
+        let mut wire = Vec::new();
+        let mut sent = Vec::new();
+        for i in 0..10_000u32 {
+            let len = rng.gen_range(1..=MAX_MESSAGE);
+            let at = open_message(&mut wire, None);
+            let body_at = wire.len();
+            wire.extend((0..len).map(|j| (i as usize * 31 + j) as u8));
+            sent.push(body_at..wire.len());
+            close_message(&mut wire, at).unwrap();
+        }
+        let mut assembler = MessageAssembler::new(MAX_MESSAGE);
+        let (mut off, mut got) = (0, 0);
+        while off < wire.len() {
+            let n = rng.gen_range(1..=CHUNK).min(wire.len() - off);
+            assembler.push_bytes(&wire[off..off + n]);
+            off += n;
+            assert!(
+                assembler.buf.capacity() <= 2 * (4 + MAX_MESSAGE) + CHUNK,
+                "backing buffer grew to {} bytes",
+                assembler.buf.capacity()
+            );
+            while let Some(message) = assembler.next_message().unwrap() {
+                assert_eq!(message, &wire[sent[got].clone()], "message {got}");
+                got += 1;
+            }
+        }
+        assert_eq!(got, sent.len());
+        assert_eq!(assembler.buffered(), 0);
+    }
+
+    #[test]
+    fn assembler_refuses_a_hostile_prefix_before_buffering_its_body() {
+        for len in [0, 1025, u32::MAX] {
+            let mut assembler = MessageAssembler::new(1024);
+            assembler.push_bytes(&len.to_le_bytes());
+            assert!(matches!(
+                assembler.next_message(),
+                Err(ArkError::Wire(WireError::Malformed { .. }))
+            ));
+            // nothing proportional to the claimed length was allocated
+            assert_eq!(assembler.buf.capacity(), 4);
+        }
+    }
 
     #[test]
     fn envelope_roundtrips_and_rejects_truncation() {

@@ -1,21 +1,19 @@
-//! Interop: `ClientCore` round-tripped against the *real* server
-//! framing — `ark_net::OutBuf` on the way out, `ark_net::FrameBuf` on
-//! the way in, exactly what the server runs — byte-for-byte, plus the
-//! version-skew regression (a core refused by a server that speaks a
-//! different version must fail with a typed version error, never
-//! hang).
-//!
-//! `ark-net` is a dev-only dependency here: the library under test
-//! stays sans-I/O, the tests borrow the server's transport buffers.
+//! Interop: `ClientCore` round-tripped against the server's framing —
+//! `protocol::{open_message, close_message}` on the way out,
+//! `protocol::MessageAssembler` on the way in, the one framing layer
+//! the server runs — byte-for-byte, plus the version-skew regression (a
+//! core refused by a server that speaks a different version must fail
+//! with a typed version error, never hang), and the assembler under
+//! arbitrary chunking of the byte stream.
 
 use ark_ckks::error::ArkError;
 use ark_client::core::{ClientCore, Event};
 use ark_client::protocol::{
-    busy_frame, code, envelope, error_frame, msg, server_info_frame, stats_frame, EngineInfo,
-    DEFAULT_MAX_FRAME_BYTES, ENVELOPE_LEN, PROTOCOL_VERSION,
+    busy_frame, close_message, code, envelope, error_frame, msg, open_message, server_info_frame,
+    stats_frame, EngineInfo, MessageAssembler, DEFAULT_MAX_FRAME_BYTES, ENVELOPE_LEN,
+    PROTOCOL_VERSION,
 };
 use ark_math::wire::write_frame;
-use ark_net::{FrameBuf, OutBuf};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,31 +28,29 @@ fn engines() -> Vec<EngineInfo> {
     }]
 }
 
-/// Server-side write of one message, exactly as the server does it:
-/// queued on the connection's outbox, flushed by its writer. Returns
-/// the bytes that reached the wire.
-fn server_send(body: Vec<u8>) -> Vec<u8> {
-    let mut outbox = OutBuf::new();
-    outbox.push_message(body).expect("within the u32 prefix");
-    let mut wire = Vec::new();
-    assert!(outbox
-        .flush(&mut wire)
-        .expect("Vec<u8> writes are infallible"));
-    wire
+/// Server-side write of one frame, as the server's outbox does it:
+/// written in place behind its length prefix and, past the handshake,
+/// its request id. Returns the bytes that reach the wire.
+fn server_send(request_id: Option<u64>, frame: &[u8]) -> Vec<u8> {
+    let mut outbox = Vec::new();
+    let at = open_message(&mut outbox, request_id);
+    outbox.extend_from_slice(frame);
+    close_message(&mut outbox, at).expect("within the u32 prefix");
+    outbox
 }
 
 /// Reads every complete message the core queued, through the server's
-/// own receive path (prefix parse + allocation bound), and checks no
-/// torn tail is left.
+/// receive path (prefix parse + allocation bound), and checks no torn
+/// tail is left.
 fn server_recv_all(egress: &[u8]) -> Vec<Vec<u8>> {
-    let mut inbox = FrameBuf::new(DEFAULT_MAX_FRAME_BYTES + ENVELOPE_LEN);
+    let mut inbox = MessageAssembler::new(DEFAULT_MAX_FRAME_BYTES + ENVELOPE_LEN);
     inbox.push_bytes(egress);
     let mut out = Vec::new();
     while let Some(message) = inbox
         .next_message()
         .expect("core egress parses as server messages")
     {
-        out.push(message);
+        out.push(message.to_vec());
     }
     assert_eq!(inbox.buffered(), 0, "core egress ends mid-message");
     out
@@ -68,7 +64,7 @@ fn handshaken() -> ClientCore {
     assert_eq!(hello.len(), 1);
     let (frame, _) = ark_math::wire::read_frame(&hello[0]).expect("well-formed HELLO");
     assert_eq!(frame.kind, msg::HELLO);
-    core.ingest(&server_send(server_info_frame(&engines())))
+    core.ingest(&server_send(None, &server_info_frame(&engines())))
         .expect("valid handshake");
     assert!(matches!(core.next_event(), Some(Event::Handshake { .. })));
     assert!(core.is_ready());
@@ -119,12 +115,6 @@ fn ingest_chunked(core: &mut ClientCore, wire: &[u8], rng: &mut StdRng) {
     }
 }
 
-/// Sends a response frame the way the server does: enveloped under the
-/// request id.
-fn respond(id: u64, frame: &[u8]) -> Vec<u8> {
-    server_send(envelope(id, frame))
-}
-
 fn expect_stats(core: &mut ClientCore, id: u64, counters: &[(String, u64)]) {
     match core.next_event().expect("reply produced an event") {
         Event::Stats {
@@ -154,7 +144,7 @@ fn exchange(core: &mut ClientCore, reply: &Reply, chunk_rng: &mut StdRng) {
         "request bytes diverge from server framing"
     );
 
-    let wire = respond(ticket.id(), &reply_frame(reply));
+    let wire = server_send(Some(ticket.id()), &reply_frame(reply));
     ingest_chunked(core, &wire, chunk_rng);
 
     match reply {
@@ -188,7 +178,7 @@ fn exchange(core: &mut ClientCore, reply: &Reply, chunk_rng: &mut StdRng) {
             core.retry(ticket).expect("parked request retries");
             let resent = server_recv_all(&core.take_egress());
             assert_eq!(resent, vec![expect_msg], "retry re-emits the same bytes");
-            let wire = respond(ticket.id(), &stats_frame(counters));
+            let wire = server_send(Some(ticket.id()), &stats_frame(counters));
             ingest_chunked(core, &wire, chunk_rng);
             expect_stats(core, ticket.id(), counters);
         }
@@ -199,6 +189,37 @@ fn exchange(core: &mut ClientCore, reply: &Reply, chunk_rng: &mut StdRng) {
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    // Length-prefixed messages reassemble exactly under arbitrary
+    // interleaved partial reads (any chunking of the byte stream).
+    #[test]
+    fn messages_survive_arbitrary_chunking(
+        raw_bodies in proptest::collection::vec(
+            proptest::collection::vec(0u32..256, 1..300usize),
+            1..8usize,
+        ),
+        chunk_seed in any::<u64>(),
+    ) {
+        let bodies: Vec<Vec<u8>> = raw_bodies
+            .iter()
+            .map(|b| b.iter().map(|&x| x as u8).collect())
+            .collect();
+        let wire: Vec<u8> = bodies.iter().flat_map(|b| server_send(None, b)).collect();
+        let mut rng = StdRng::seed_from_u64(chunk_seed);
+        let mut inbox = MessageAssembler::new(1 << 20);
+        let mut got: Vec<Vec<u8>> = Vec::new();
+        let mut off = 0;
+        while off < wire.len() {
+            let n = 1 + rng.gen_range(0usize..64).min(wire.len() - off - 1);
+            inbox.push_bytes(&wire[off..off + n]);
+            off += n;
+            while let Some(m) = inbox.next_message().unwrap() {
+                got.push(m.to_vec());
+            }
+        }
+        prop_assert_eq!(got, bodies);
+        prop_assert_eq!(inbox.buffered(), 0);
+    }
 
     // scripted request/reply sequences round-trip through the server
     // transport byte-for-byte, under arbitrary chunking, with
@@ -225,10 +246,13 @@ proptest! {
 fn v4_core_rejected_by_other_version_server_is_typed() {
     let mut core = ClientCore::new();
     let _ = core.take_egress();
-    let wire = server_send(error_frame(
-        code::PROTOCOL,
-        "client speaks protocol 4, server speaks protocol 5",
-    ));
+    let wire = server_send(
+        None,
+        &error_frame(
+            code::PROTOCOL,
+            "client speaks protocol 4, server speaks protocol 5",
+        ),
+    );
     match core.ingest(&wire) {
         Err(ArkError::VersionMismatch { client, reason }) => {
             assert_eq!(client, PROTOCOL_VERSION);

@@ -105,13 +105,6 @@ impl OutBuf {
         Self::default()
     }
 
-    /// Unwritten bytes queued (the number a slow reader is holding
-    /// hostage — the server bounds this and sheds the connection past
-    /// a budget).
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
     /// True when everything queued has been written.
     pub fn is_empty(&self) -> bool {
         self.pending == 0

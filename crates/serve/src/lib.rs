@@ -13,7 +13,8 @@
 //!   message enveloped with a request id so one connection can
 //!   pipeline. Its sans-I/O codecs are `ark_client::protocol`;
 //! - [`server::Server`] — the serving runtime: a blocking reader and
-//!   writer thread per connection (framing with `ark-net`'s buffers),
+//!   writer thread per connection (framing with the client's own
+//!   `ark_client::protocol::MessageAssembler` and message writer),
 //!   N workers popping one bounded job queue (typed `BUSY`
 //!   load-shedding when it is full) and evaluating over one shared key
 //!   chain per parameter set;

@@ -8,7 +8,8 @@
 //! accept thread: blocking accept; each connection gets two threads
 //!
 //! reader (one per connection)
-//!   │  blocking reads assemble length-prefixed messages (FrameBuf)
+//!   │  blocking reads assemble length-prefixed messages
+//!   │  (ark_client::protocol::MessageAssembler, the client's too)
 //!   │
 //!   ├─ control frames (HELLO, key fetches, STATS, SHUTDOWN):
 //!   │  answered inline — they are cheap and touch only this session
@@ -23,7 +24,8 @@
 //!      its connection's outbox
 //!
 //! writer (one per connection)
-//!      drains the outbox (OutBuf) with blocking writes, holding no
+//!      drains the outbox (the bytes of every queued message, each
+//!      written into it in place) with one blocking write, holding no
 //!      lock a worker or another connection needs while it writes
 //! ```
 //!
@@ -75,7 +77,8 @@ use ark_ckks::wire as ckks_wire;
 use ark_ckks::Ciphertext;
 use ark_client::program::Program;
 use ark_client::protocol::{
-    self, code, msg, EngineInfo, DEFAULT_MAX_FRAME_BYTES, ENVELOPE_LEN, PROTOCOL_VERSION,
+    self, close_message, code, msg, open_message, EngineInfo, MessageAssembler,
+    DEFAULT_MAX_FRAME_BYTES, ENVELOPE_LEN, PROTOCOL_VERSION,
 };
 use ark_core::wire as core_wire;
 use ark_fhe::engine::Engine;
@@ -86,10 +89,9 @@ use ark_math::wire::{
     peek_frame, put_u16, read_frame, read_nested_frames, write_frame, Cursor, FrameWriter,
     CHECKSUM_LEN,
 };
-use ark_net::{FrameBuf, OutBuf};
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -240,8 +242,8 @@ impl Drop for ChargeGuard<'_> {
     }
 }
 
-/// A routed request bound for a worker. It owns the message as the
-/// connection's inbox assembled it, still wire bytes: the reader read
+/// A routed request bound for a worker. It owns a copy of the message
+/// the connection's inbox assembled, still wire bytes: the reader read
 /// the frame header to route it and nothing more — verifying and
 /// decoding happen on the worker.
 struct Job {
@@ -916,8 +918,9 @@ struct Conn {
 }
 
 struct ConnState {
-    /// Responses the writer has not taken yet.
-    outbox: OutBuf,
+    /// Responses the writer has not taken yet: whole messages, length
+    /// prefix and all, as they go on the wire.
+    outbox: Vec<u8>,
     /// Jobs of this connection currently queued or executing.
     in_flight: usize,
     /// Cleared when the peer half-closes its write side, loses framing,
@@ -935,7 +938,7 @@ impl Conn {
                 in_flight_bytes: AtomicUsize::new(0),
             },
             state: Mutex::new(ConnState {
-                outbox: OutBuf::new(),
+                outbox: Vec::new(),
                 in_flight: 0,
                 reading: true,
                 closed: false,
@@ -960,27 +963,31 @@ impl Conn {
         state.reading && !state.closed
     }
 
-    /// Queues one message body for the writer.
-    fn send(&self, shared: &Shared, body: Vec<u8>) {
-        self.push(shared, &mut self.lock(), body);
+    /// Queues one frame for the writer, enveloped under `request_id`
+    /// (`None` for the bare messages).
+    fn send(&self, shared: &Shared, request_id: Option<u64>, frame: &[u8]) {
+        self.push(shared, &mut self.lock(), request_id, frame);
     }
 
     /// Queues a finished job's response, freeing its window slot.
     fn complete(&self, shared: &Shared, request_id: u64, frame: &[u8]) {
         let mut state = self.lock();
         state.in_flight -= 1;
-        self.push(shared, &mut state, protocol::envelope(request_id, frame));
+        self.push(shared, &mut state, Some(request_id), frame);
     }
 
-    /// An outbox past its budget sheds the connection: a peer that will
-    /// not read its responses does not get to hold server memory.
-    fn push(&self, shared: &Shared, state: &mut ConnState, body: Vec<u8>) {
+    /// Writes one message into the outbox in place. An outbox past its
+    /// budget sheds the connection: a peer that will not read its
+    /// responses does not get to hold server memory.
+    fn push(&self, shared: &Shared, state: &mut ConnState, request_id: Option<u64>, frame: &[u8]) {
         if state.closed {
             return;
         }
-        if state.outbox.push_message(body).is_err() {
+        let at = open_message(&mut state.outbox, request_id);
+        state.outbox.extend_from_slice(frame);
+        if close_message(&mut state.outbox, at).is_err() {
             self.close(shared, state);
-        } else if state.outbox.pending() > shared.config.max_conn_outbox_bytes {
+        } else if state.outbox.len() > shared.config.max_conn_outbox_bytes {
             shared.sessions_shed.fetch_add(1, Ordering::Relaxed);
             self.close(shared, state);
         } else {
@@ -1021,11 +1028,11 @@ impl Conn {
             if state.closed || state.outbox.is_empty() {
                 break;
             }
-            let mut batch = std::mem::take(&mut state.outbox);
+            let batch = std::mem::take(&mut state.outbox);
             drop(state);
-            let written = batch.flush(&mut &self.stream);
+            let written = (&self.stream).write_all(&batch);
             state = self.lock();
-            if !matches!(written, Ok(true)) {
+            if written.is_err() {
                 break;
             }
         }
@@ -1082,7 +1089,7 @@ impl Reader {
     /// until a completion frees a slot, so the excess waits in the
     /// peer's socket.
     fn run(&mut self) {
-        let mut inbox = FrameBuf::new(self.shared.config.max_frame_bytes + ENVELOPE_LEN);
+        let mut inbox = MessageAssembler::new(self.shared.config.max_frame_bytes + ENVELOPE_LEN);
         let mut chunk = vec![0; 64 << 10];
         loop {
             loop {
@@ -1114,17 +1121,17 @@ impl Reader {
 
     /// Handles one transport message: a bare frame until the handshake
     /// completes, `request id ‖ frame` after.
-    fn dispatch_message(&mut self, message: Vec<u8>) {
+    fn dispatch_message(&mut self, message: &[u8]) {
         if !self.handshaken {
-            self.handle_handshake(&message);
+            self.handle_handshake(message);
             return;
         }
-        let Ok((request_id, frame_bytes)) = protocol::split_envelope(&message) else {
+        let Ok((request_id, frame_bytes)) = protocol::split_envelope(message) else {
             // a peer that stops enveloping has lost framing; nothing
             // later on the stream can be trusted: stop reading, and the
             // writer closes once this error and any in-flight responses
             // are out
-            self.send(protocol::error_frame(
+            self.send(&protocol::error_frame(
                 code::PROTOCOL,
                 "missing request-id envelope",
             ));
@@ -1229,7 +1236,7 @@ impl Reader {
             ),
             Err((c, m)) => protocol::error_frame(c, &m),
         };
-        self.send(reply);
+        self.send(&reply);
     }
 
     /// Key distribution ships *seed-compressed* frames (runtime data
@@ -1273,7 +1280,7 @@ impl Reader {
     /// `kind` and `fingerprint` come from a header nobody has verified
     /// yet. A request turned away on them is therefore hashed first —
     /// corruption has always answered `WIRE`, whatever else is wrong.
-    fn admit_job(&self, request_id: u64, kind: u16, fingerprint: u64, message: Vec<u8>) {
+    fn admit_job(&self, request_id: u64, kind: u16, fingerprint: u64, message: &[u8]) {
         let routed = if self.shared.shutting_down() {
             Err((code::EVALUATION, SHUTTING_DOWN.to_string()))
         } else {
@@ -1295,7 +1302,7 @@ impl Reader {
             request_id,
             engine_idx,
             kind,
-            message,
+            message: message.to_vec(),
         };
         if let Err(refusal) = self.shared.submit(job) {
             self.respond(request_id, refusal);
@@ -1304,13 +1311,13 @@ impl Reader {
 
     /// Queues the response to request `request_id`, enveloped under it.
     fn respond(&self, request_id: u64, frame: Vec<u8>) {
-        self.send(protocol::envelope(request_id, &frame));
+        self.conn.send(&self.shared, Some(request_id), &frame);
     }
 
-    /// Queues one message body. Called directly only for the bare
-    /// messages: the handshake replies and the lost-framing error.
-    fn send(&self, body: Vec<u8>) {
-        self.conn.send(&self.shared, body);
+    /// Queues one bare frame: the handshake replies and the
+    /// lost-framing error.
+    fn send(&self, frame: &[u8]) {
+        self.conn.send(&self.shared, None, frame);
     }
 }
 
@@ -1352,12 +1359,14 @@ mod tests {
         program.encode(&mut payload);
         put_u16(&mut payload, 1);
         put_u32(&mut payload, level);
+        let mut message = request_id.to_le_bytes().to_vec();
+        message.extend_from_slice(&write_frame(msg::SIMULATE, 0, &payload));
         Job {
             conn: Arc::clone(conn),
             request_id,
             engine_idx,
             kind: msg::SIMULATE,
-            message: protocol::envelope(request_id, &write_frame(msg::SIMULATE, 0, &payload)),
+            message,
         }
     }
 
@@ -1388,16 +1397,15 @@ mod tests {
 
     /// The responses queued on `conn`, as `(request id, frame)`.
     fn completions(conn: &Conn) -> Vec<(u64, Vec<u8>)> {
-        let mut wire = Vec::new();
-        assert!(conn.lock().outbox.flush(&mut wire).unwrap());
-        let mut inbox = FrameBuf::new(wire.len());
+        let wire = std::mem::take(&mut conn.lock().outbox);
+        let mut inbox = MessageAssembler::new(wire.len());
         inbox.push_bytes(&wire);
-        std::iter::from_fn(|| inbox.next_message().unwrap())
-            .map(|m| {
-                let (id, frame) = protocol::split_envelope(&m).unwrap();
-                (id, frame.to_vec())
-            })
-            .collect()
+        let mut out = Vec::new();
+        while let Some(m) = inbox.next_message().unwrap() {
+            let (id, frame) = protocol::split_envelope(m).unwrap();
+            out.push((id, frame.to_vec()));
+        }
+        out
     }
 
     fn frame_kind(frame: &[u8]) -> u16 {

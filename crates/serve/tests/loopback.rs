@@ -16,7 +16,7 @@ use ark_math::wire::{checksum, put_u16, read_frame, write_frame, Cursor, CHECKSU
 use ark_serve::server::ServerConfig;
 use ark_serve::{Client, Program, Server, ServerHandle};
 use common::{recv, send};
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -535,6 +535,65 @@ fn unenveloped_messages_after_the_handshake_are_typed() {
         .simulate(sim_fp, &sample_program(), &[23, 23])
         .unwrap();
     assert!(report.cycles > 0);
+    handle.shutdown();
+}
+
+/// The server's read path enforces `max_frame_bytes` on the message
+/// length prefix: a frame of exactly the cap (its message one envelope
+/// longer) is served, and one byte more closes that connection on the
+/// prefix alone, touching no other session.
+#[test]
+fn frame_cap_bounds_the_servers_read_path() {
+    let max_frame_bytes = 4096;
+    let (handle, _, sim_fp) = start_server(ServerConfig {
+        max_frame_bytes,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let active = |client: &mut Client| {
+        let stats = client.stats().unwrap();
+        stats
+            .iter()
+            .find(|(k, _)| k == "sessions_active")
+            .unwrap()
+            .1
+    };
+    let before = active(&mut client);
+
+    let mut peer = raw_peer(handle.addr());
+    handshake(&mut peer);
+    assert_eq!(active(&mut client), before + 1);
+    // a GET_STATS frame padded to exactly the cap is answered
+    let header_and_checksum = write_frame(msg::GET_STATS, 0, &[]).len();
+    let at_cap = write_frame(
+        msg::GET_STATS,
+        0,
+        &vec![0; max_frame_bytes - header_and_checksum],
+    );
+    assert_eq!(at_cap.len(), max_frame_bytes);
+    let response = exchange(&mut peer, 5, &at_cap);
+    assert_eq!(read_frame(&response).unwrap().0.kind, msg::STATS);
+
+    // one byte more: the prefix alone, with no body byte behind it,
+    // closes the connection unanswered
+    let over = (max_frame_bytes + ENVELOPE_LEN + 1) as u32;
+    peer.write_all(&over.to_le_bytes()).unwrap();
+    let closed = recv(&mut peer).unwrap_err().kind();
+    assert!(
+        matches!(
+            closed,
+            ErrorKind::UnexpectedEof | ErrorKind::ConnectionReset
+        ),
+        "expected a closed connection with no reply, got {closed:?}"
+    );
+
+    // the other session still completes a job, and the closed one is
+    // no longer counted
+    let report = client
+        .simulate(sim_fp, &sample_program(), &[23, 23])
+        .unwrap();
+    assert!(report.cycles > 0);
+    assert_eq!(active(&mut client), before);
     handle.shutdown();
 }
 

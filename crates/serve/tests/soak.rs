@@ -1,7 +1,6 @@
 //! Soak and stress tests of the sharded serving fabric: many
 //! concurrent pipelined sessions, induced overload, stalled readers,
-//! dead servers — plus property tests of the request-id framing and
-//! the transport's partial-frame reassembly.
+//! dead servers — plus a property test of the request-id envelope.
 //!
 //! The quick variants run in the normal suite; the 64-session soak is
 //! `#[ignore]`d and runs in the nightly slow-tests lane
@@ -16,11 +15,9 @@ use ark_fhe::arch::ArkConfig;
 use ark_fhe::engine::{Backend, Engine};
 use ark_fhe::math::cfft::C64;
 use ark_math::wire::{put_u16, write_frame};
-use ark_net::FrameBuf;
 use ark_serve::server::ServerConfig;
 use ark_serve::{Client, Program, Server, ServerHandle};
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
 use std::io::{ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -518,7 +515,7 @@ fn stats_counters_track_work() {
 }
 
 // ---------------------------------------------------------------------
-// property tests: request-id framing and partial-frame reassembly
+// property test: the request-id envelope
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -535,40 +532,5 @@ proptest! {
         let (rid, frame) = protocol::split_envelope(&enveloped).unwrap();
         prop_assert_eq!(rid, id);
         prop_assert_eq!(frame, &body[..]);
-    }
-
-    // Length-prefixed messages reassemble exactly under arbitrary
-    // interleaved partial reads (any chunking of the byte stream).
-    #[test]
-    fn messages_survive_arbitrary_chunking(
-        raw_bodies in proptest::collection::vec(
-            proptest::collection::vec(0u32..256, 1..300usize),
-            1..8usize,
-        ),
-        chunk_seed in proptest::prelude::any::<u64>(),
-    ) {
-        let bodies: Vec<Vec<u8>> = raw_bodies
-            .iter()
-            .map(|b| b.iter().map(|&x| x as u8).collect())
-            .collect();
-        let mut wire = Vec::new();
-        for b in &bodies {
-            wire.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            wire.extend_from_slice(b);
-        }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(chunk_seed);
-        let mut fb = FrameBuf::new(1 << 20);
-        let mut got: Vec<Vec<u8>> = Vec::new();
-        let mut off = 0;
-        while off < wire.len() {
-            let n = 1 + rng.gen_range(0usize..64).min(wire.len() - off - 1);
-            fb.push_bytes(&wire[off..off + n]);
-            off += n;
-            while let Some(m) = fb.next_message().unwrap() {
-                got.push(m);
-            }
-        }
-        prop_assert_eq!(got, bodies);
-        prop_assert_eq!(fb.buffered(), 0);
     }
 }

@@ -3,9 +3,14 @@
 //! Every outcome must be a typed error or a typed event; the
 //! reassembly buffer must stay under its documented cap (a hostile
 //! length prefix must not drive allocation).
+//!
+//! Each input also goes, in the same chunks, through a bare
+//! `MessageAssembler` at the cap the server reads with
+//! (`max_frame_bytes + ENVELOPE_LEN`): the server's read path before
+//! any dispatch.
 
 use ark_client::core::ClientCore;
-use ark_client::protocol::{server_info_frame, EngineInfo, ENVELOPE_LEN};
+use ark_client::protocol::{server_info_frame, EngineInfo, MessageAssembler, ENVELOPE_LEN};
 
 const MAX_FRAME: usize = 1 << 16;
 const CHUNK: usize = 4096;
@@ -23,12 +28,40 @@ fn handshake_bytes() -> Vec<u8> {
     bytes
 }
 
+/// Feeds `data` to a bare assembler chunk by chunk, draining after
+/// each push: every message is within `1..=cap`, the buffer within
+/// one chunk of the cap, and the first error ends the stream.
+fn assemble(data: &[u8]) {
+    let cap = MAX_FRAME + ENVELOPE_LEN;
+    let mut assembler = MessageAssembler::new(cap);
+    for chunk in data.chunks(CHUNK) {
+        assembler.push_bytes(chunk);
+        loop {
+            match assembler.next_message() {
+                Ok(Some(message)) => assert!(
+                    (1..=cap).contains(&message.len()),
+                    "assembler yielded a {}-byte message",
+                    message.len()
+                ),
+                Ok(None) => break,
+                Err(_) => return,
+            }
+        }
+        assert!(
+            assembler.buffered() <= 4 + cap + CHUNK,
+            "assembler buffered {} bytes",
+            assembler.buffered()
+        );
+    }
+}
+
 fn main() {
     let opts = ark_fuzz::parse_args("ingest");
     let handshake = handshake_bytes();
     let mut round = 0u64;
     ark_fuzz::run("ingest", &opts, |data| {
         round += 1;
+        assemble(data);
         let mut core = ClientCore::config().max_frame_bytes(MAX_FRAME).build();
         let _ = core.take_egress();
         // half the rounds start from a completed handshake with a few
@@ -43,7 +76,7 @@ fn main() {
             }
             let _ = core.take_egress();
         }
-        for chunk in data.chunks(CHUNK.max(1)) {
+        for chunk in data.chunks(CHUNK) {
             let before_ok = !core.is_closed();
             let result = core.ingest(chunk);
             // the buffer never exceeds the cap by more than one
