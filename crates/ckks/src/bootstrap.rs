@@ -36,8 +36,9 @@
 //!   `ℤ[X^{N/2n}]` times `N/2n`. That factor is folded into
 //!   CoeffToSlot's `Δ/(2·q_0)` constant.
 //! - The transforms are the `n`-slot ones, tiled to `N/2` slots
-//!   (`SparseDiagonals::tiled`): `⌈log₂ n / k⌉` levels
-//!   each instead of `⌈log₂(N/2) / k⌉`.
+//!   (`LinearTransform::tiled`, which keeps each stage's stride, span
+//!   and key-switches): `⌈log₂ n / k⌉` levels each instead of
+//!   `⌈log₂(N/2) / k⌉`.
 //! - As `2n ≤ N/2`, CoeffToSlot's last stage emits `[w, −i·w]`
 //!   (`dft::real_imag_pack`), so `u + ū` holds the real and
 //!   then the imaginary coefficients, and **one** EvalMod reduces both.
@@ -58,7 +59,6 @@
 use crate::ciphertext::Ciphertext;
 use crate::dft::{
     coeff_to_slot_stages, group_stages, real_imag_pack, real_imag_unpack, slot_to_coeff_stages,
-    SparseDiagonals,
 };
 use crate::error::ArkResult;
 use crate::evalmod::{ChebyshevPoly, EvalModParams};
@@ -190,7 +190,7 @@ impl Bootstrapper {
         let mut s2c_stages = slot_to_coeff_stages(n, if packed { 2 * n } else { n });
         s2c_stages[0] = s2c_stages[0].scaled(q0 / delta);
 
-        let mut c2s: Vec<SparseDiagonals> = group_stages(&c2s_stages, k)
+        let mut c2s: Vec<LinearTransform> = group_stages(&c2s_stages, k)
             .iter()
             .map(|stage| stage.tiled(full))
             .collect();
@@ -201,28 +201,26 @@ impl Bootstrapper {
             let last = s2c.last_mut().expect("n ≥ 2 has a stage");
             *last = real_imag_unpack(n).compose(last);
         }
-        let s2c: Vec<SparseDiagonals> = s2c.iter().map(|stage| stage.tiled(full)).collect();
+        let s2c = s2c.iter().map(|stage| stage.tiled(full)).collect();
 
         // the pending rotation threads through both transforms, in
         // application order
         let mut pending = 0usize;
-        let mut lower = |stages: &[SparseDiagonals]| -> Vec<LinearTransform> {
+        let mut lower = |stages: Vec<LinearTransform>| -> Vec<LinearTransform> {
+            if config.strategy != KeyStrategy::MinKs {
+                return stages;
+            }
             stages
                 .iter()
                 .map(|stage| {
-                    let lt = stage.to_linear_transform();
-                    if config.strategy == KeyStrategy::MinKs {
-                        let (anchored, c) = lt.re_anchored(pending);
-                        pending = c;
-                        anchored
-                    } else {
-                        lt
-                    }
+                    let (anchored, c) = stage.re_anchored(pending);
+                    pending = c;
+                    anchored
                 })
                 .collect()
         };
-        let c2s = lower(&c2s);
-        let s2c = lower(&s2c);
+        let c2s = lower(c2s);
+        let s2c = lower(s2c);
 
         let mut boot = Self {
             c2s,
@@ -757,6 +755,130 @@ mod tests {
             }
         }
     }
+
+    /// One line per stage plan (step, level, diagonals, stride, offset,
+    /// span, pre/baby/giant key-switches, keys), then the pipeline's
+    /// rotation keys, closing rotation and rotation key-switches.
+    fn render_plans(boot: &Bootstrapper) -> String {
+        let mut out = String::new();
+        for stage in boot.stage_plans() {
+            let p = &stage.bsgs;
+            out += &format!(
+                "{:?} L{} d{} s{} k{} w{} ks{}/{}/{} {:?}\n",
+                stage.step,
+                stage.level,
+                stage.diagonals,
+                p.stride,
+                p.offset,
+                p.span,
+                p.pre_rotations,
+                p.babies,
+                p.giants,
+                p.keys
+            );
+        }
+        out += &format!(
+            "rots {:?} close {:?} ks {}\n",
+            boot.required_rotations(),
+            boot.closing_rotation(),
+            boot.rotation_key_switches()
+        );
+        out
+    }
+
+    /// The stage plans of both shipped configurations under every
+    /// strategy, at boot-test and radix 2^3, recorded before the H-(I)DFT
+    /// factors and their BSGS plans became one type. A planning change
+    /// that keeps outputs decryptable (another window, key or level)
+    /// moves a line here.
+    #[test]
+    fn stage_plans_are_pinned() {
+        let ctx = CkksContext::new(CkksParams::boot_test());
+        for (slots, strategy, want) in PINNED_PLANS {
+            let config = BootstrapConfig {
+                strategy,
+                slots,
+                ..BootstrapConfig::default()
+            };
+            let got = render_plans(&Bootstrapper::new(&ctx, config));
+            assert_eq!(got, want, "slots {slots:?}, {strategy:?}:\n{got}");
+        }
+    }
+
+    const PINNED_PLANS: [(Option<usize>, KeyStrategy, &str); 6] = [
+        (
+            None,
+            KeyStrategy::Baseline,
+            "\
+                CoeffToSlot(0) L20 d8 s64 k0 w8 ks0/3/1 [64, 128, 192, 256]\n\
+                CoeffToSlot(1) L19 d15 s8 k57 w15 ks0/4/3 [32, 64, 96, 456, 464, 472, 480]\n\
+                CoeffToSlot(2) L18 d15 s1 k505 w15 ks0/4/3 [4, 8, 12, 505, 506, 507, 508]\n\
+                SlotToCoeff(0) L9 d15 s1 k505 w15 ks0/4/3 [4, 8, 12, 505, 506, 507, 508]\n\
+                SlotToCoeff(1) L8 d15 s8 k57 w15 ks0/4/3 [32, 64, 96, 456, 464, 472, 480]\n\
+                SlotToCoeff(2) L7 d8 s64 k0 w8 ks0/3/1 [64, 128, 192, 256]\n\
+                rots [4, 8, 12, 32, 64, 96, 128, 192, 256, 456, 464, 472, 480, 505, 506, 507, 508] close None ks 36\n\
+            ",
+        ),
+        (
+            None,
+            KeyStrategy::HoistedMinimal,
+            "\
+                CoeffToSlot(0) L20 d8 s64 k0 w8 ks0/3/1 [64, 256]\n\
+                CoeffToSlot(1) L19 d15 s8 k57 w15 ks1/3/3 [8, 32, 456]\n\
+                CoeffToSlot(2) L18 d15 s1 k505 w15 ks1/3/3 [1, 4, 505]\n\
+                SlotToCoeff(0) L9 d15 s1 k505 w15 ks1/3/3 [1, 4, 505]\n\
+                SlotToCoeff(1) L8 d15 s8 k57 w15 ks1/3/3 [8, 32, 456]\n\
+                SlotToCoeff(2) L7 d8 s64 k0 w8 ks0/3/1 [64, 256]\n\
+                rots [1, 4, 8, 32, 64, 256, 456, 505] close None ks 36\n\
+            ",
+        ),
+        (
+            None,
+            KeyStrategy::MinKs,
+            "\
+                CoeffToSlot(0) L20 d8 s64 k0 w8 ks0/3/1 [64, 256]\n\
+                CoeffToSlot(1) L19 d15 s8 k0 w15 ks0/3/3 [8, 32]\n\
+                CoeffToSlot(2) L18 d15 s1 k0 w15 ks0/3/3 [1, 4]\n\
+                SlotToCoeff(0) L9 d15 s1 k0 w15 ks0/3/3 [1, 4]\n\
+                SlotToCoeff(1) L8 d15 s8 k0 w15 ks0/3/3 [8, 32]\n\
+                SlotToCoeff(2) L7 d8 s64 k0 w8 ks0/3/1 [64, 256]\n\
+                rots [1, 4, 8, 32, 64, 256, 386] close Some(386) ks 33\n\
+            ",
+        ),
+        (
+            Some(16),
+            KeyStrategy::Baseline,
+            "\
+                CoeffToSlot(0) L18 d8 s2 k0 w8 ks0/3/1 [2, 4, 6, 8]\n\
+                CoeffToSlot(1) L17 d3 s1 k511 w3 ks0/1/1 [2, 511]\n\
+                SlotToCoeff(0) L8 d15 s1 k505 w15 ks0/4/3 [4, 8, 12, 505, 506, 507, 508]\n\
+                SlotToCoeff(1) L7 d4 s8 k0 w4 ks0/1/1 [8, 16]\n\
+                rots [2, 4, 6, 8, 12, 16, 32, 64, 128, 256, 505, 506, 507, 508, 511] close None ks 20\n\
+            ",
+        ),
+        (
+            Some(16),
+            KeyStrategy::HoistedMinimal,
+            "\
+                CoeffToSlot(0) L18 d8 s2 k0 w8 ks0/3/1 [2, 8]\n\
+                CoeffToSlot(1) L17 d3 s1 k511 w3 ks1/1/1 [1, 2, 511]\n\
+                SlotToCoeff(0) L8 d15 s1 k505 w15 ks1/3/3 [1, 4, 505]\n\
+                SlotToCoeff(1) L7 d4 s8 k0 w4 ks0/1/1 [8, 16]\n\
+                rots [1, 2, 4, 8, 16, 32, 64, 128, 256, 505, 511] close None ks 21\n\
+            ",
+        ),
+        (
+            Some(16),
+            KeyStrategy::MinKs,
+            "\
+                CoeffToSlot(0) L18 d8 s2 k0 w8 ks0/3/1 [2, 8]\n\
+                CoeffToSlot(1) L17 d3 s1 k0 w3 ks0/1/1 [1, 2]\n\
+                SlotToCoeff(0) L8 d15 s1 k0 w15 ks0/3/3 [1, 4]\n\
+                SlotToCoeff(1) L7 d4 s8 k0 w4 ks0/1/1 [8, 16]\n\
+                rots [1, 2, 4, 8, 16, 32, 64, 128, 256] close Some(8) ks 20\n\
+            ",
+        ),
+    ];
 
     #[test]
     fn bootstrapped_ciphertext_supports_further_ops() {

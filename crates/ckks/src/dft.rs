@@ -23,6 +23,11 @@
 //! bit-reversed slot order and having SlotToCoeff consume that order;
 //! slot-wise EvalMod in between is order-agnostic.
 //!
+//! One type carries each map from factor to evaluation: a stage is a
+//! [`LinearTransform`] from the moment it is generated here, and the
+//! same value is grouped, scaled, tiled, planned and evaluated by that
+//! type's methods in [`crate::lintrans`], with no conversion in between.
+//!
 //! A *sparse* bootstrap transforms `n < N/2` slots whose message
 //! repeats with period `n` ([`crate::bootstrap`]). Its stages are the
 //! `n`-slot ones, tiled to the ciphertext's `N/2` slots: on
@@ -34,124 +39,9 @@
 //! butterflies ([`slot_to_coeff_stages`] over `2n` slots) keep the two
 //! halves apart until then.
 
-use crate::lintrans::{progression, LinearTransform};
+use crate::lintrans::LinearTransform;
 use ark_math::cfft::C64;
 use std::collections::BTreeMap;
-
-/// A linear map stored as rotation diagonals (`amount → vector`),
-/// composable before being lowered to a [`LinearTransform`].
-#[derive(Debug, Clone)]
-pub struct SparseDiagonals {
-    n: usize,
-    diags: BTreeMap<usize, Vec<C64>>,
-}
-
-impl SparseDiagonals {
-    /// Builds from explicit diagonals.
-    pub fn new(n: usize, diags: BTreeMap<usize, Vec<C64>>) -> Self {
-        for (&d, v) in &diags {
-            assert!(d < n && v.len() == n, "bad diagonal shape");
-        }
-        Self { n, diags }
-    }
-
-    /// Slot count.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Rotation amounts present.
-    pub fn amounts(&self) -> Vec<usize> {
-        self.diags.keys().copied().collect()
-    }
-
-    /// `Σ_d diag_d ⊙ rot(z, d)` on a clear vector.
-    pub fn apply_clear(&self, z: &[C64]) -> Vec<C64> {
-        assert_eq!(z.len(), self.n);
-        let mut out = vec![C64::zero(); self.n];
-        for (&d, diag) in &self.diags {
-            for k in 0..self.n {
-                out[k] = out[k] + diag[k] * z[(k + d) % self.n];
-            }
-        }
-        out
-    }
-
-    /// Composition `self ∘ inner` (apply `inner` first):
-    /// `diag^{out}_{a+b} += diag^{self}_a ⊙ rot(diag^{inner}_b, a)`.
-    pub fn compose(&self, inner: &Self) -> Self {
-        assert_eq!(self.n, inner.n);
-        let n = self.n;
-        let mut out: BTreeMap<usize, Vec<C64>> = BTreeMap::new();
-        for (&a, da) in &self.diags {
-            for (&b, db) in &inner.diags {
-                let amount = (a + b) % n;
-                let entry = out.entry(amount).or_insert_with(|| vec![C64::zero(); n]);
-                for k in 0..n {
-                    entry[k] = entry[k] + da[k] * db[(k + a) % n];
-                }
-            }
-        }
-        // prune numerically-zero diagonals created by cancellation
-        out.retain(|_, v| v.iter().any(|z| z.abs() > 1e-12));
-        Self { n, diags: out }
-    }
-
-    /// Lowers to a BSGS-evaluable [`LinearTransform`], which plans the
-    /// split over the amounts' progression.
-    pub fn to_linear_transform(&self) -> LinearTransform {
-        LinearTransform::from_diagonals(self.n, self.diags.clone())
-    }
-
-    /// Scales every diagonal by a real factor.
-    pub fn scaled(&self, s: f64) -> Self {
-        let diags = self
-            .diags
-            .iter()
-            .map(|(&d, v)| (d, v.iter().map(|z| z.scale(s)).collect()))
-            .collect();
-        Self { n: self.n, diags }
-    }
-
-    /// The same map on `slots`-long vectors that repeat with period
-    /// `n`: every diagonal is tiled, and every amount keeps its residue
-    /// mod `n` but is placed inside the progression window counted from
-    /// a start taken in `(−n/2, n/2]` — so the lifted map plans the same
-    /// stride, span and key-switches, and `±` amounts land on the same
-    /// keys whichever transform they come from. `slots = n` is the
-    /// same map.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `slots` is a multiple of `n`.
-    pub(crate) fn tiled(&self, slots: usize) -> Self {
-        assert!(
-            slots.is_multiple_of(self.n),
-            "{slots} slots do not tile {}",
-            self.n
-        );
-        let (stride, offset, _) = progression(self.n, &self.amounts());
-        let cycle = self.n / stride;
-        let start = if 2 * offset > cycle {
-            offset as i64 - cycle as i64
-        } else {
-            offset as i64
-        };
-        let diags = self
-            .diags
-            .iter()
-            .map(|(&d, v)| {
-                let w = (d / stride + cycle - offset) % cycle;
-                let amount = ((start + w as i64) * stride as i64).rem_euclid(slots as i64);
-                (
-                    amount as usize,
-                    v.iter().cycle().take(slots).copied().collect(),
-                )
-            })
-            .collect();
-        Self { n: slots, diags }
-    }
-}
 
 fn rot_group(n: usize) -> Vec<usize> {
     let m = 4 * n;
@@ -173,7 +63,7 @@ fn ksi(n: usize, idx: usize) -> C64 {
 /// product of all stages equals `P_br · U0^{-1}` — the inverse special
 /// FFT with its output left in bit-reversed order; the `1/n` factor is
 /// folded into the first stage.
-pub fn coeff_to_slot_stages(n: usize) -> Vec<SparseDiagonals> {
+pub fn coeff_to_slot_stages(n: usize) -> Vec<LinearTransform> {
     assert!(n.is_power_of_two() && n >= 2);
     let rg = rot_group(n);
     let mut stages = Vec::new();
@@ -196,9 +86,9 @@ pub fn coeff_to_slot_stages(n: usize) -> Vec<SparseDiagonals> {
                 dminus[i + j + lenh] = w;
             }
         }
-        stages.push(SparseDiagonals::new(
+        stages.push(merge_diagonals(
             n,
-            merge_diagonals([(0usize, d0), (lenh, dplus), (n - lenh, dminus)]),
+            [(0, d0), (lenh, dplus), (n - lenh, dminus)],
         ));
         len >>= 1;
     }
@@ -217,7 +107,7 @@ pub fn coeff_to_slot_stages(n: usize) -> Vec<SparseDiagonals> {
 /// # Panics
 ///
 /// Panics unless `n ≥ 2` is a power of two dividing `slots`.
-pub fn slot_to_coeff_stages(n: usize, slots: usize) -> Vec<SparseDiagonals> {
+pub fn slot_to_coeff_stages(n: usize, slots: usize) -> Vec<LinearTransform> {
     assert!(n.is_power_of_two() && n >= 2 && slots.is_multiple_of(n));
     let rg = rot_group(n);
     let mut stages = Vec::new();
@@ -240,9 +130,9 @@ pub fn slot_to_coeff_stages(n: usize, slots: usize) -> Vec<SparseDiagonals> {
                 dminus[i + j + lenh] = C64::new(1.0, 0.0);
             }
         }
-        stages.push(SparseDiagonals::new(
+        stages.push(merge_diagonals(
             slots,
-            merge_diagonals([(0usize, d0), (lenh, dplus), (slots - lenh, dminus)]),
+            [(0, d0), (lenh, dplus), (slots - lenh, dminus)],
         ));
         len <<= 1;
     }
@@ -253,7 +143,7 @@ pub fn slot_to_coeff_stages(n: usize, slots: usize) -> Vec<SparseDiagonals> {
 /// share one ciphertext (`2n ≤ slots`): `1` on the first `n` slots of
 /// every `2n`, `−i` on the second. Applied to an `n`-periodic `w` it
 /// gives `u = [w, −i·w]`, and `u + ū = [2·Re w, 2·Im w]`.
-pub(crate) fn real_imag_pack(n: usize, slots: usize) -> SparseDiagonals {
+pub(crate) fn real_imag_pack(n: usize, slots: usize) -> LinearTransform {
     assert!(
         slots.is_multiple_of(2 * n),
         "{slots} slots hold no {n} pairs"
@@ -264,14 +154,14 @@ pub(crate) fn real_imag_pack(n: usize, slots: usize) -> SparseDiagonals {
             _ => C64::new(0.0, -1.0),
         })
         .collect();
-    SparseDiagonals::new(slots, BTreeMap::from([(0, mask)]))
+    LinearTransform::from_diagonals(slots, BTreeMap::from([(0, mask)]))
 }
 
 /// The fold back, on `2n` slots holding the halves `v = [x, y]`: every
 /// slot gets `x + i·y` of its class mod `n` — `v_k + i·v_{k+n}` on the
 /// first half, `i·v_k + v_{k+n}` on the second (rotations are cyclic on
 /// `2n`) — an `n`-periodic result from the amounts `{0, n}` alone.
-pub(crate) fn real_imag_unpack(n: usize) -> SparseDiagonals {
+pub(crate) fn real_imag_unpack(n: usize) -> LinearTransform {
     let one = C64::new(1.0, 0.0);
     let i = C64::new(0.0, 1.0);
     let half = |first: C64, second: C64| -> Vec<C64> {
@@ -279,17 +169,17 @@ pub(crate) fn real_imag_unpack(n: usize) -> SparseDiagonals {
             .map(|k| if k < n { first } else { second })
             .collect()
     };
-    SparseDiagonals::new(
+    LinearTransform::from_diagonals(
         2 * n,
         BTreeMap::from([(0, half(one, i)), (n, half(i, one))]),
     )
 }
 
-/// Merges diagonals additively: at the `len == n` stage of an `n`-slot
-/// transform the `+n/2` and `−n/2` rotation amounts coincide (their
-/// supports are disjoint halves), so a plain map insert would drop one
-/// of them.
-fn merge_diagonals(entries: [(usize, Vec<C64>); 3]) -> BTreeMap<usize, Vec<C64>> {
+/// A butterfly stage from its diagonals, merged additively: at the
+/// `len == n` stage of an `n`-slot transform the `+n/2` and `−n/2`
+/// rotation amounts coincide (their supports are disjoint halves), so a
+/// plain map insert would drop one of them.
+fn merge_diagonals(n: usize, entries: [(usize, Vec<C64>); 3]) -> LinearTransform {
     let mut out: BTreeMap<usize, Vec<C64>> = BTreeMap::new();
     for (amount, diag) in entries {
         match out.entry(amount) {
@@ -303,23 +193,21 @@ fn merge_diagonals(entries: [(usize, Vec<C64>); 3]) -> BTreeMap<usize, Vec<C64>>
             }
         }
     }
-    out.retain(|_, v| v.iter().any(|z| z.abs() > 1e-12));
-    out
+    LinearTransform::from_nonzero_diagonals(n, out)
 }
 
 /// Groups consecutive stages into radix-`2^k` super-stages by
 /// composition; the last group may be smaller. Grouping with
 /// `k >= log2(n)` yields the dense single-stage transform.
-pub fn group_stages(stages: &[SparseDiagonals], k: usize) -> Vec<SparseDiagonals> {
+pub fn group_stages(stages: &[LinearTransform], k: usize) -> Vec<LinearTransform> {
     assert!(k >= 1);
     stages
         .chunks(k)
         .map(|chunk| {
-            let mut acc = chunk[0].clone();
-            for s in &chunk[1..] {
-                acc = s.compose(&acc);
-            }
-            acc
+            let first = chunk[0].clone();
+            chunk[1..]
+                .iter()
+                .fold(first, |acc, stage| stage.compose(&acc))
         })
         .collect()
 }
@@ -351,7 +239,7 @@ mod tests {
             .collect()
     }
 
-    fn apply_all(stages: &[SparseDiagonals], z: &[C64]) -> Vec<C64> {
+    fn apply_all(stages: &[LinearTransform], z: &[C64]) -> Vec<C64> {
         stages.iter().fold(z.to_vec(), |v, s| s.apply_clear(&v))
     }
 
@@ -416,7 +304,8 @@ mod tests {
         let stages = slot_to_coeff_stages(n, n);
         let z = test_vec(n);
         let want = apply_all(&stages, &z);
-        for k in [2usize, 3, 6, 10] {
+        // k = stages.len() is the dense single-stage transform
+        for k in [2usize, 3, stages.len(), 10] {
             let grouped = group_stages(&stages, k);
             let got = apply_all(&grouped, &z);
             assert!(max_error(&want, &got) < 1e-8, "radix 2^{k}");
@@ -431,26 +320,12 @@ mod tests {
         for k in [1usize, 2, 3] {
             for g in group_stages(&stages, k) {
                 assert!(
-                    g.amounts().len() < (1 << (k + 1)),
+                    g.diagonal_count() < (1 << (k + 1)),
                     "radix 2^{k}: {} diagonals",
-                    g.amounts().len()
+                    g.diagonal_count()
                 );
             }
         }
-    }
-
-    #[test]
-    fn dense_grouping_matches_lintrans_oracle() {
-        let n = 16;
-        let stages = coeff_to_slot_stages(n);
-        let dense = group_stages(&stages, stages.len())
-            .pop()
-            .expect("one group");
-        let lt = dense.to_linear_transform();
-        let z = test_vec(n);
-        let via_lt = lt.apply_clear(&z);
-        let via_stages = apply_all(&stages, &z);
-        assert!(max_error(&via_lt, &via_stages) < 1e-9);
     }
 
     fn tile(z: &[C64], slots: usize) -> Vec<C64> {
@@ -468,12 +343,8 @@ mod tests {
                 let want = tile(&group.apply_clear(&z), slots);
                 assert!(max_error(&lifted.apply_clear(&tile(&z, slots)), &want) < 1e-12);
                 let (a, b) = (
-                    group
-                        .to_linear_transform()
-                        .plan(KeyStrategy::HoistedMinimal),
-                    lifted
-                        .to_linear_transform()
-                        .plan(KeyStrategy::HoistedMinimal),
+                    group.plan(KeyStrategy::HoistedMinimal),
+                    lifted.plan(KeyStrategy::HoistedMinimal),
                 );
                 assert_eq!((a.stride, a.span), (b.stride, b.span), "radix 2^{k}");
                 assert_eq!(a.key_switches(), b.key_switches(), "radix 2^{k}");

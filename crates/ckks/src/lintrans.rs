@@ -45,6 +45,12 @@
 //! evaluator executes it, and key generation
 //! ([`LinearTransform::required_rotations`]) and the bootstrap's stage
 //! plans read it, so accounting cannot drift from execution.
+//!
+//! [`LinearTransform`] is the crate's one diagonal-form map: the
+//! bootstrap's H-(I)DFT factors are built as transforms by
+//! [`crate::dft`], which composes, scales and tiles them with this
+//! type's crate-internal methods, and the same values are re-anchored,
+//! planned and evaluated here.
 
 use crate::ciphertext::Ciphertext;
 use crate::keys::RotationKeys;
@@ -112,7 +118,7 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
 /// just after the units' largest cyclic gap. The gap that wraps past
 /// the cycle's end wins ties, so an index range that already starts at
 /// 0 keeps `k0 = 0`.
-pub(crate) fn progression(n: usize, amounts: &[usize]) -> (usize, usize, usize) {
+fn progression(n: usize, amounts: &[usize]) -> (usize, usize, usize) {
     let stride = amounts.iter().fold(n, |s, &d| gcd(s, d));
     let cycle = n / stride;
     let units: Vec<usize> = amounts.iter().map(|&d| d / stride).collect();
@@ -158,6 +164,16 @@ impl LinearTransform {
         }
     }
 
+    /// [`Self::from_diagonals`] without the numerically zero diagonals
+    /// that cancellation or a sparse matrix leaves behind.
+    pub(crate) fn from_nonzero_diagonals(
+        n: usize,
+        mut diagonals: BTreeMap<usize, Vec<C64>>,
+    ) -> Self {
+        diagonals.retain(|_, v| v.iter().any(|z| z.abs() > 1e-12));
+        Self::from_diagonals(n, diagonals)
+    }
+
     /// Extracts diagonals from a dense matrix (`rows[k][j] = M[k][j]`),
     /// dropping all-zero diagonals.
     ///
@@ -176,14 +192,10 @@ impl LinearTransform {
                 row.len()
             );
         }
-        let mut diagonals = BTreeMap::new();
-        for d in 0..n {
-            let diag: Vec<C64> = (0..n).map(|k| rows[k][(k + d) % n]).collect();
-            if diag.iter().any(|z| z.abs() > 1e-12) {
-                diagonals.insert(d, diag);
-            }
-        }
-        Self::from_diagonals(n, diagonals)
+        let diagonals = (0..n)
+            .map(|d| (d, (0..n).map(|k| rows[k][(k + d) % n]).collect()))
+            .collect();
+        Self::from_nonzero_diagonals(n, diagonals)
     }
 
     /// Slot count.
@@ -196,8 +208,15 @@ impl LinearTransform {
         self.diagonals.len()
     }
 
+    /// Rotation amounts of the stored diagonals, ascending.
+    #[cfg(test)]
+    pub(crate) fn amounts(&self) -> Vec<usize> {
+        self.diagonals.keys().copied().collect()
+    }
+
     /// Applies the transform to a clear vector (test oracle).
-    pub fn apply_clear(&self, z: &[C64]) -> Vec<C64> {
+    #[cfg(test)]
+    pub(crate) fn apply_clear(&self, z: &[C64]) -> Vec<C64> {
         assert_eq!(z.len(), self.n);
         let mut out = vec![C64::zero(); self.n];
         for (&d, diag) in &self.diagonals {
@@ -208,11 +227,76 @@ impl LinearTransform {
         out
     }
 
+    /// Composition `self ∘ inner` (apply `inner` first):
+    /// `D^{out}_{a+b} += D^{self}_a ⊙ rot(D^{inner}_b, a)`.
+    pub(crate) fn compose(&self, inner: &Self) -> Self {
+        assert_eq!(self.n, inner.n);
+        let n = self.n;
+        let mut out = BTreeMap::new();
+        for (&a, da) in &self.diagonals {
+            for (&b, db) in &inner.diagonals {
+                let entry = out
+                    .entry((a + b) % n)
+                    .or_insert_with(|| vec![C64::zero(); n]);
+                for k in 0..n {
+                    entry[k] = entry[k] + da[k] * db[(k + a) % n];
+                }
+            }
+        }
+        Self::from_nonzero_diagonals(n, out)
+    }
+
+    /// Every diagonal scaled by a real factor.
+    pub(crate) fn scaled(&self, factor: f64) -> Self {
+        let diagonals = self
+            .diagonals
+            .iter()
+            .map(|(&d, v)| (d, v.iter().map(|z| z.scale(factor)).collect()))
+            .collect();
+        Self::from_diagonals(self.n, diagonals)
+    }
+
+    /// The same map on `slots`-long vectors that repeat with period
+    /// `n`: every diagonal is tiled, and every amount keeps its residue
+    /// mod `n` but is placed at its window unit counted from a start
+    /// taken in `(−n/2, n/2]` — so the tiled map plans the same stride,
+    /// span and key-switches, and `±` amounts land on the same keys
+    /// whichever transform they come from. `slots = n` is the same map.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `slots` is a multiple of `n`.
+    pub(crate) fn tiled(&self, slots: usize) -> Self {
+        assert!(
+            slots.is_multiple_of(self.n),
+            "{slots} slots do not tile {}",
+            self.n
+        );
+        let (cycle, offset) = ((self.n / self.stride) as i64, self.offset as i64);
+        let start = offset - if 2 * offset > cycle { cycle } else { 0 };
+        let diagonals = self
+            .diagonals
+            .iter()
+            .map(|(&d, v)| {
+                let amount = (start + self.window_unit(d) as i64) * self.stride as i64;
+                let tiled = v.iter().cycle().take(slots).copied().collect();
+                (amount.rem_euclid(slots as i64) as usize, tiled)
+            })
+            .collect();
+        Self::from_diagonals(slots, diagonals)
+    }
+
+    /// Position `w` of diagonal `d` inside the window, in units of `s`:
+    /// `d = (k0 + w)·s mod n`.
+    fn window_unit(&self, d: usize) -> usize {
+        let cycle = self.n / self.stride;
+        (d / self.stride + cycle - self.offset) % cycle
+    }
+
     /// Window position of diagonal `d` as `(baby i, giant j)`:
     /// `d = (k0 + i + g·j)·s mod n`.
     fn cell(&self, d: usize) -> (usize, usize) {
-        let cycle = self.n / self.stride;
-        let w = (d / self.stride + cycle - self.offset) % cycle;
+        let w = self.window_unit(d);
         (w % self.baby, w / self.baby)
     }
 

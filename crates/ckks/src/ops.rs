@@ -268,21 +268,7 @@ impl CkksContext {
             tb.recycle(arena);
             ta.recycle(arena);
         }
-        // (kb, ka) ≈ d2 · s²
-        let (kb, ka) = self.key_switch_with(&d2, evk_mult, level, arena);
-        d2.recycle(arena);
-        let mut b = d0;
-        b.add_assign(&kb, self.basis());
-        kb.recycle(arena);
-        let mut a = d1;
-        a.add_assign(&ka, self.basis());
-        ka.recycle(arena);
-        Ciphertext {
-            b,
-            a,
-            level,
-            scale: x.scale * y.scale,
-        }
+        self.relinearize([d0, d1, d2], evk_mult, level, x.scale * y.scale, arena)
     }
 
     /// Squares a ciphertext (saves one of HMult's three products).
@@ -300,20 +286,27 @@ impl CkksContext {
         two.recycle(arena);
         let mut d2 = x.a.clone_in(arena);
         d2.mul_assign(&x.a, self.basis());
+        self.relinearize([d0, d1, d2], evk_mult, level, x.scale * x.scale, arena)
+    }
+
+    /// HMult's tail on `[d0, d1, d2]`: key-switches `d2` (≈ `d2·s²`
+    /// under `evk_mult`) and adds it into `(d0, d1)`, recycling every
+    /// temporary.
+    fn relinearize(
+        &self,
+        [mut b, mut a, d2]: [RnsPoly; 3],
+        evk_mult: &EvalKey,
+        level: usize,
+        scale: f64,
+        arena: &mut ScratchArena,
+    ) -> Ciphertext {
         let (kb, ka) = self.key_switch_with(&d2, evk_mult, level, arena);
         d2.recycle(arena);
-        let mut b = d0;
         b.add_assign(&kb, self.basis());
         kb.recycle(arena);
-        let mut a = d1;
         a.add_assign(&ka, self.basis());
         ka.recycle(arena);
-        Ciphertext {
-            b,
-            a,
-            level,
-            scale: x.scale * x.scale,
-        }
+        Ciphertext { b, a, level, scale }
     }
 
     /// Phase 1 of a hoisted Galois application: decomposes `−a` (the

@@ -18,6 +18,7 @@ use ark_math::cfft::C64;
 use ark_math::par::ThreadPool;
 use proptest::prelude::*;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 struct Fixture {
@@ -106,10 +107,25 @@ fn encrypt_pair(
     })
 }
 
-/// A random sparse transform over `n` slots whose diagonals come from
-/// the generated index/value material (sparse so baby sets vary).
-fn transform_from(n: usize, picks: &[(usize, (f64, f64))]) -> LinearTransform {
-    let mut diagonals = std::collections::BTreeMap::new();
+/// A transform's diagonals: rotation amount → vector.
+type Diagonals = BTreeMap<usize, Vec<C64>>;
+
+/// `Σ_d D_d ⊙ rot(z, d)` in the clear: what a homomorphic evaluation of
+/// the transform on these diagonals must decrypt to.
+fn clear_product(diagonals: &Diagonals, z: &[C64]) -> Vec<C64> {
+    let n = z.len();
+    (0..n)
+        .map(|k| {
+            let terms = diagonals.iter().map(|(&d, diag)| diag[k] * z[(k + d) % n]);
+            terms.fold(C64::zero(), |acc, term| acc + term)
+        })
+        .collect()
+}
+
+/// Random sparse diagonals over `n` slots from the generated
+/// index/value material (sparse so baby sets vary).
+fn diagonals_from(n: usize, picks: &[(usize, (f64, f64))]) -> Diagonals {
+    let mut diagonals = BTreeMap::new();
     for &(d, (re, im)) in picks {
         diagonals.insert(d % n, vec![C64::new(re, im); n]);
     }
@@ -117,17 +133,17 @@ fn transform_from(n: usize, picks: &[(usize, (f64, f64))]) -> LinearTransform {
     diagonals
         .entry(0)
         .or_insert_with(|| vec![C64::new(1.0, 0.0); n]);
-    LinearTransform::from_diagonals(n, diagonals)
+    diagonals
 }
 
 /// A strided, wrapped diagonal set on 16 slots: stride `2^a`, a window
 /// of up to `2^{k+1} − 1 = 7` units starting anywhere on the cycle
 /// (wrap-around past `n` included), and a non-empty subset of it.
-fn strided_transform(a: u32, offset: usize, mask: u32, values: &[(f64, f64)]) -> LinearTransform {
+fn strided_diagonals(a: u32, offset: usize, mask: u32, values: &[(f64, f64)]) -> Diagonals {
     let n = 16usize;
     let s = 1usize << a;
     let cycle = n / s;
-    let mut diagonals = std::collections::BTreeMap::new();
+    let mut diagonals = BTreeMap::new();
     for w in (0..7usize).filter(|w| mask >> w & 1 == 1) {
         let (re, im) = values[w];
         let d = (offset + w) % cycle * s;
@@ -136,7 +152,7 @@ fn strided_transform(a: u32, offset: usize, mask: u32, values: &[(f64, f64)]) ->
             .collect();
         diagonals.insert(d, v);
     }
-    LinearTransform::from_diagonals(n, diagonals)
+    diagonals
 }
 
 proptest! {
@@ -158,8 +174,9 @@ proptest! {
     ) {
         let f = fixtures();
         let m = to_c64(&m);
-        let lt = strided_transform(a, offset, mask, &values);
-        let want = lt.apply_clear(&m);
+        let diagonals = strided_diagonals(a, offset, mask, &values);
+        let lt = LinearTransform::from_diagonals(16, diagonals.clone());
+        let want = clear_product(&diagonals, &m);
         let [ct_s, ct_p] = encrypt_pair(f, &m, 2, seed);
         for strategy in [KeyStrategy::Baseline, KeyStrategy::HoistedMinimal, KeyStrategy::MinKs] {
             let rots = lt.required_rotations(strategy);
@@ -217,7 +234,7 @@ proptest! {
     ) {
         let f = fixtures();
         let m = to_c64(&m);
-        let lt = transform_from(16, &picks);
+        let lt = LinearTransform::from_diagonals(16, diagonals_from(16, &picks));
         let [ct_s, ct_p] = encrypt_pair(f, &m, 2, seed);
         let hoisted_s = f.0.ctx.eval_linear_transform(&ct_s, &lt, strategy, &f.0.keys);
         let per_rot_s = f.0.ctx.eval_linear_transform_per_rotation(&ct_s, &lt, strategy, &f.0.keys);
@@ -240,11 +257,12 @@ proptest! {
     ) {
         let f = fixtures();
         let m = to_c64(&m);
-        let lt = transform_from(16, &picks);
+        let diagonals = diagonals_from(16, &picks);
+        let lt = LinearTransform::from_diagonals(16, diagonals.clone());
         let [ct, _] = encrypt_pair(f, &m, 2, seed);
         let base = f.0.ctx.eval_linear_transform(&ct, &lt, KeyStrategy::Baseline, &f.0.keys);
         let minks = f.0.ctx.eval_linear_transform(&ct, &lt, KeyStrategy::MinKs, &f.0.keys);
-        let want = lt.apply_clear(&m);
+        let want = clear_product(&diagonals, &m);
         let got_base = f.0.ctx.decrypt_decode(&base, &f.0.sk);
         let got_minks = f.0.ctx.decrypt_decode(&minks, &f.0.sk);
         let err = ark_ckks::encoding::max_error(&want, &got_base);

@@ -13,7 +13,7 @@ use ark_ckks::minks::KeyStrategy;
 use ark_ckks::params::CkksParams;
 use ark_workloads::counts::{
     evk_words_at_level, hmult_breakdown, hrot_breakdown, hrot_hoisted_breakdown,
-    plaintext_words_at_level, rescale_breakdown,
+    plaintext_words_at_level, pmult_breakdown, rescale_breakdown,
 };
 use ark_workloads::hdft::{hdft_trace, HdftConfig};
 use ark_workloads::trace::{HeOp, Trace};
@@ -86,7 +86,7 @@ pub fn trace_mults_and_single_use_bytes(params: &CkksParams, trace: &Trace) -> (
                 level,
                 fresh_plaintext,
             } => {
-                mults += 2 * (level as u64 + 1) * params.n() as u64;
+                mults += pmult_breakdown(params, level, false).total() as u64;
                 if fresh_plaintext {
                     bytes += 8 * plaintext_words_at_level(params, level, false) as u64;
                 }
