@@ -236,7 +236,10 @@ fn other_lowering_branches_are_pinned() {
     let cases = [
         (
             "hoisted H-IDFT, baseline keys",
-            hdft_trace(&hidft.with_hoisting()),
+            hdft_trace(&HdftConfig {
+                hoisting: true,
+                ..hidft
+            }),
             ArkConfig::base(),
             CompileOptions::all_on(),
             Pin {

@@ -451,12 +451,7 @@ impl CkksContext {
             out.to_eval(self.basis());
             out
         };
-        Ciphertext {
-            b: raise(&ct.b),
-            a: raise(&ct.a),
-            level,
-            scale: ct.scale,
-        }
+        Ciphertext::new(raise(&ct.b), raise(&ct.a), level, ct.scale)
     }
 }
 

@@ -30,7 +30,14 @@ impl Plaintext {
 }
 
 /// A CKKS ciphertext `(B, A)` with `B = A·S + P_m + E` (Eq. 2).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `a_seed` is a hint, not part of the value: a fresh symmetric
+/// encryption records the seed its `A` expanded from
+/// ([`ark_math::poly::RnsPoly::from_seed`]), and ops that rewrite `A`
+/// may carry it along stale. Equality ignores it, and the wire codec
+/// ships `A` as the seed only after regenerating `A` from it and
+/// finding it equal (see [`crate::wire::encode_ciphertext`]).
+#[derive(Debug, Clone)]
 pub struct Ciphertext {
     /// The `B` component.
     pub b: RnsPoly,
@@ -40,9 +47,31 @@ pub struct Ciphertext {
     pub level: usize,
     /// Current scale.
     pub scale: f64,
+    /// The seed `A` may have been expanded from (unverified).
+    pub a_seed: Option<u64>,
+}
+
+impl PartialEq for Ciphertext {
+    fn eq(&self, other: &Self) -> bool {
+        self.b == other.b
+            && self.a == other.a
+            && self.level == other.level
+            && self.scale == other.scale
+    }
 }
 
 impl Ciphertext {
+    /// A ciphertext with no seed hint.
+    pub fn new(b: RnsPoly, a: RnsPoly, level: usize, scale: f64) -> Self {
+        Self {
+            b,
+            a,
+            level,
+            scale,
+            a_seed: None,
+        }
+    }
+
     /// Words of storage (`2 · (ℓ+1) · N`), the unit of the paper's
     /// data-size accounting.
     pub fn words(&self) -> usize {
@@ -80,13 +109,26 @@ mod tests {
         let n = 16;
         let basis = RnsBasis::new(n, &generate_ntt_primes(n, 30, 3));
         let idx = [0usize, 1, 2];
-        let ct = Ciphertext {
-            b: RnsPoly::zero(&basis, &idx, Representation::Evaluation),
-            a: RnsPoly::zero(&basis, &idx, Representation::Evaluation),
-            level: 2,
-            scale: 2f64.powi(20),
-        };
+        let ct = Ciphertext::new(
+            RnsPoly::zero(&basis, &idx, Representation::Evaluation),
+            RnsPoly::zero(&basis, &idx, Representation::Evaluation),
+            2,
+            2f64.powi(20),
+        );
         ct.assert_well_formed();
         assert_eq!(ct.words(), 2 * 3 * 16);
+    }
+
+    #[test]
+    fn equality_ignores_the_seed_hint() {
+        let basis = RnsBasis::new(16, &generate_ntt_primes(16, 30, 2));
+        let idx = [0usize, 1];
+        let zero = RnsPoly::zero(&basis, &idx, Representation::Evaluation);
+        let plain = Ciphertext::new(zero.clone(), zero, 1, 2f64.powi(20));
+        let hinted = Ciphertext {
+            a_seed: Some(7),
+            ..plain.clone()
+        };
+        assert_eq!(plain, hinted);
     }
 }

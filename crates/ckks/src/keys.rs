@@ -250,13 +250,18 @@ impl CkksContext {
     }
 
     /// Encrypts a plaintext under the secret key (symmetric RLWE,
-    /// Eq. 2: `B = A·S + P_m + E`).
+    /// Eq. 2: `B = A·S + P_m + E`). `A` expands from a fresh 64-bit
+    /// seed drawn from `rng` ([`RnsPoly::from_seed`]), which the
+    /// ciphertext records, so the wire can ship `A` as those 8 bytes;
+    /// the error comes from `rng` after it. Seeds must never repeat
+    /// under one secret key: two ciphertexts sharing `A` leak the
+    /// difference of their messages.
     pub fn encrypt<R: Rng>(&self, pt: &Plaintext, sk: &SecretKey, rng: &mut R) -> Ciphertext {
         let idx = self.chain_indices(pt.level);
-        let a = RnsPoly::random_uniform(self.basis(), idx, Representation::Evaluation, rng);
-        let s = sk.s.subset(idx);
-        let mut b = a.clone();
-        b.mul_assign(&s, self.basis());
+        let seed: u64 = rng.gen();
+        let a = RnsPoly::from_seed(self.basis(), idx, Representation::Evaluation, seed);
+        let mut b = sk.s.subset(idx);
+        b.mul_assign(&a, self.basis());
         b.add_assign(&pt.poly, self.basis());
         let e = self.sample_error_poly(idx, rng);
         b.add_assign(&e, self.basis());
@@ -265,6 +270,7 @@ impl CkksContext {
             a,
             level: pt.level,
             scale: pt.scale,
+            a_seed: Some(seed),
         }
     }
 
@@ -327,12 +333,7 @@ impl CkksContext {
         );
         a.mul_assign(&v, self.basis());
         a.add_assign(&self.sample_error_poly(idx, rng), self.basis());
-        Ciphertext {
-            b,
-            a,
-            level: pt.level,
-            scale: pt.scale,
-        }
+        Ciphertext::new(b, a, pt.level, pt.scale)
     }
 
     /// Decrypts: `P_m + E = B − A·S` (Eq. 3 before decoding).
@@ -521,6 +522,36 @@ mod tests {
         let out = ctx.decrypt_decode(&ct, &sk);
         let err = max_error(&msg, &out);
         assert!(err < 1e-5, "decryption error {err}");
+    }
+
+    /// A session's shape: `sk`, then the masters, from one generator,
+    /// then encryptions from the same stream. No two of 10 000
+    /// ciphertexts share an `A` seed, and none is a seed any key of
+    /// the chain expands an `A` from.
+    #[test]
+    fn fresh_seeds_never_repeat_or_meet_a_key_seed() {
+        let ctx = CkksContext::new(CkksParams::tiny());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        let sk = ctx.gen_secret_key(&mut rng);
+        let (a_master, noise_master) = draw_masters(&mut rng);
+        let pk = ctx.gen_public_key_seeded(&sk, a_master, noise_master);
+        let evk = ctx.gen_mult_key_seeded(&sk, a_master, noise_master);
+        let rot = ctx.gen_rotation_keys_seeded(&[1, 2, -3], true, &sk, a_master, noise_master);
+        let mut key_seeds = vec![a_master, noise_master, pk.a_seed, derive_seed(pk.a_seed, 0)];
+        for key in std::iter::once(&evk).chain(rot.iter().map(|(_, key)| key)) {
+            key_seeds.push(key.a_seed);
+            key_seeds.extend((0..key.dnum() as u64).map(|i| derive_seed(key.a_seed, i)));
+        }
+        let pt = ctx.encode(&[C64::new(0.5, 0.0)], 0, ctx.params().scale());
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..10_000 {
+            let seed = ctx
+                .encrypt(&pt, &sk, &mut rng)
+                .a_seed
+                .expect("a fresh seed");
+            assert!(seen.insert(seed), "seed {seed:#x} repeated");
+            assert!(!key_seeds.contains(&seed), "seed {seed:#x} is a key's");
+        }
     }
 
     #[test]

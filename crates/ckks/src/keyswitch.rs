@@ -637,12 +637,7 @@ mod tests {
             let mut uniform = || {
                 RnsPoly::random_uniform(ctx.basis(), chain, Representation::Evaluation, &mut rng)
             };
-            let ct = crate::Ciphertext {
-                b: uniform(),
-                a: uniform(),
-                level,
-                scale: ctx.params().scale(),
-            };
+            let ct = crate::Ciphertext::new(uniform(), uniform(), level, ctx.params().scale());
             let m = phase(&ctx, &ct.b, &ct.a, &sk.s, chain);
             let out = ctx.rotate_sum(&ct, &terms, |g| keys.get(g)).unwrap();
             assert_eq!((out.level, out.b.limb_indices()), (level, chain));

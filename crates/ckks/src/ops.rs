@@ -67,6 +67,8 @@ impl CkksContext {
     }
 
     /// Infallible limb drop for callers that already checked the level.
+    /// The seed hint survives: a seed's row for a limb does not depend
+    /// on which other limbs it is expanded over.
     fn drop_limbs(&self, ct: &Ciphertext, level: usize) -> Ciphertext {
         let idx = self.chain_indices(level);
         Ciphertext {
@@ -74,6 +76,7 @@ impl CkksContext {
             a: ct.a.subset(idx),
             level,
             scale: ct.scale,
+            a_seed: ct.a_seed,
         }
     }
 
@@ -306,7 +309,7 @@ impl CkksContext {
         kb.recycle(arena);
         a.add_assign(&ka, self.basis());
         ka.recycle(arena);
-        Ciphertext { b, a, level, scale }
+        Ciphertext::new(b, a, level, scale)
     }
 
     /// Phase 1 of a hoisted Galois application: decomposes `−a` (the
@@ -358,12 +361,7 @@ impl CkksContext {
             ct.b.permute_eval_in(&mut arena, &self.eval_perm(g), self.basis());
         b.add_assign(&kb, self.basis());
         kb.recycle(&mut arena);
-        Ciphertext {
-            b,
-            a: ka,
-            level: ct.level,
-            scale: ct.scale,
-        }
+        Ciphertext::new(b, ka, ct.level, ct.scale)
     }
 
     /// Applies a Galois automorphism with its key: the common core of
@@ -578,12 +576,7 @@ impl CkksContext {
             sum.add_assign(&down, basis);
             down.recycle(arena);
         }
-        Ok(Ciphertext {
-            b: sum_b,
-            a: sum_a,
-            level,
-            scale: ct.scale * q_top,
-        })
+        Ok(Ciphertext::new(sum_b, sum_a, level, ct.scale * q_top))
     }
 
     /// `acc += u ⊙ pt` for one [`Self::rotate_sum`] term, or `acc += u`
@@ -646,12 +639,12 @@ impl CkksContext {
         let q_last_idx = ct.level;
         let q_last = *self.basis().modulus(q_last_idx);
         let mut arena = self.arena();
-        Ok(Ciphertext {
-            b: self.rescale_poly_with(&ct.b, out_level, q_last_idx, &mut arena),
-            a: self.rescale_poly_with(&ct.a, out_level, q_last_idx, &mut arena),
-            level: out_level,
-            scale: ct.scale / q_last.value() as f64,
-        })
+        Ok(Ciphertext::new(
+            self.rescale_poly_with(&ct.b, out_level, q_last_idx, &mut arena),
+            self.rescale_poly_with(&ct.a, out_level, q_last_idx, &mut arena),
+            out_level,
+            ct.scale / q_last.value() as f64,
+        ))
     }
 
     /// One polynomial of an `HRescale`, every temporary drawn from

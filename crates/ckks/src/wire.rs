@@ -6,7 +6,9 @@
 //! server hands out — encodes here. Keys travel seed-compressed, as
 //! they are held: the public seed of the `A` halves plus the `B`
 //! limbs (see [`crate::keys`]); the materialized key and plaintext
-//! kinds are retired. The *secret* key has
+//! kinds are retired. A fresh symmetric ciphertext travels the same
+//! way, its `A` as the seed it expands from ([`SEEDED_A`]), once the
+//! encoder has checked that the seed regenerates `A`. The *secret* key has
 //! deliberately no codec: secret material never crosses the wire in
 //! this system, and leaving the encoder out makes that a type-level
 //! property rather than a convention.
@@ -103,23 +105,103 @@ fn check_chain_poly(ctx: &CkksContext, poly: &RnsPoly, level: usize, scale: f64)
 // payload codecs (embeddable inside larger frames, e.g. ark-serve)
 // ---------------------------------------------------------------------
 
-/// Appends the ciphertext payload: `u32 level | f64 scale | poly B | poly A`.
-pub fn encode_ciphertext(out: &mut Vec<u8>, ctx: &CkksContext, ct: &Ciphertext) {
+/// Representation code of a ciphertext's `A` slot that carries a seed
+/// instead of limb rows: `u32 n | u8 2 | u64 seed`. It sits where
+/// [`decode_poly`] reads its representation byte, whose codes are 0
+/// (coefficient) and 1 (evaluation), so [`decode_poly`] refuses it as
+/// an unknown tag; only [`decode_ciphertext`] reads it, in the `A` slot.
+pub const SEEDED_A: u8 = 2;
+
+/// Bytes of a seeded `A` slot: `u32 n | u8 code | u64 seed`.
+const SEEDED_A_LEN: usize = 4 + 1 + 8;
+
+/// The seed `ct`'s `A` ships as, if it has one: its `a_seed` hint,
+/// kept only if regenerating `A` from it over `A`'s own limb set gives
+/// `A` word for word, in evaluation representation and over `B`'s
+/// limbs (what the decoder expands). A stale or hand-set hint is
+/// dropped here, so a wrong `A` never reaches the wire. The check
+/// stops at the first word that differs.
+fn shipped_seed(ctx: &CkksContext, ct: &Ciphertext) -> Option<u64> {
+    ct.a_seed.filter(|&seed| {
+        ct.a.representation() == Representation::Evaluation
+            && ct.a.limb_indices() == ct.b.limb_indices()
+            && ct.a.matches_seed(ctx.basis(), seed)
+    })
+}
+
+/// Appends the ciphertext payload with `A` in the form `seed` decided:
+/// `u32 level | f64 scale | poly B | A`, where `A` is a full poly, or
+/// the seeded slot when `seed` is `Some`.
+fn encode_ciphertext_as(out: &mut Vec<u8>, ctx: &CkksContext, ct: &Ciphertext, seed: Option<u64>) {
     put_u32(out, ct.level as u32);
     put_f64(out, ct.scale);
     encode_poly(out, &ct.b, ctx.basis());
-    encode_poly(out, &ct.a, ctx.basis());
+    match seed {
+        Some(seed) => {
+            put_u32(out, ct.a.n() as u32);
+            out.push(SEEDED_A);
+            put_u64(out, seed);
+        }
+        None => encode_poly(out, &ct.a, ctx.basis()),
+    }
 }
 
-/// Decodes and validates a ciphertext payload.
+/// Frame bytes [`encode_ciphertext_as`] with `seed` produces, header
+/// and checksum included.
+fn frame_len_as(ctx: &CkksContext, ct: &Ciphertext, seed: Option<u64>) -> usize {
+    let basis = ctx.basis();
+    let a = match seed {
+        Some(_) => SEEDED_A_LEN,
+        None => wire::poly_encoded_len(&ct.a, basis),
+    };
+    let payload = 4 + 8 + wire::poly_encoded_len(&ct.b, basis) + a;
+    wire::HEADER_LEN + payload + wire::CHECKSUM_LEN
+}
+
+/// Appends the ciphertext payload: `u32 level | f64 scale | poly B | A`.
+/// `A` is the 13-byte seeded slot ([`SEEDED_A`]) when the ciphertext's
+/// seed hint regenerates its `A` exactly, and a full poly otherwise.
+pub fn encode_ciphertext(out: &mut Vec<u8>, ctx: &CkksContext, ct: &Ciphertext) {
+    encode_ciphertext_as(out, ctx, ct, shipped_seed(ctx, ct));
+}
+
+/// Decodes and validates a ciphertext payload. A seeded `A` slot is
+/// read only after `B` has passed validation, and expands over `B`'s
+/// limb set in evaluation representation; the ciphertext keeps the
+/// seed as its hint.
 pub fn decode_ciphertext(cur: &mut Cursor<'_>, ctx: &CkksContext) -> ArkResult<Ciphertext> {
     let level = cur.u32()? as usize;
     let scale = cur.f64()?;
     let b = decode_poly(cur, ctx.basis())?;
-    let a = decode_poly(cur, ctx.basis())?;
     check_chain_poly(ctx, &b, level, scale)?;
+    let mut slot = *cur;
+    let n = slot.u32()? as usize;
+    if slot.u8()? == SEEDED_A {
+        if n != ctx.params().n() {
+            return Err(malformed(format!(
+                "seeded A degree {n} does not match basis degree {}",
+                ctx.params().n()
+            )));
+        }
+        let seed = slot.u64()?;
+        *cur = slot;
+        let a = RnsPoly::from_seed(
+            ctx.basis(),
+            b.limb_indices(),
+            Representation::Evaluation,
+            seed,
+        );
+        return Ok(Ciphertext {
+            b,
+            a,
+            level,
+            scale,
+            a_seed: Some(seed),
+        });
+    }
+    let a = decode_poly(cur, ctx.basis())?;
     check_chain_poly(ctx, &a, level, scale)?;
-    Ok(Ciphertext { b, a, level, scale })
+    Ok(Ciphertext::new(b, a, level, scale))
 }
 
 // ---------------------------------------------------------------------
@@ -247,9 +329,10 @@ pub fn decode_compressed_rotation_keys(
 
 /// Serializes a ciphertext as a standalone frame.
 pub fn write_ciphertext(ctx: &CkksContext, ct: &Ciphertext) -> Vec<u8> {
-    let mut out = Vec::new();
+    let seed = shipped_seed(ctx, ct);
+    let mut out = Vec::with_capacity(frame_len_as(ctx, ct, seed));
     let mut frame = FrameWriter::begin(&mut out, kind::CIPHERTEXT, param_fingerprint(ctx.params()));
-    encode_ciphertext(frame.payload(), ctx, ct);
+    encode_ciphertext_as(frame.payload(), ctx, ct, seed);
     frame.finish();
     out
 }
@@ -284,15 +367,28 @@ pub fn read_compressed_rotation_keys(ctx: &CkksContext, bytes: &[u8]) -> ArkResu
     })
 }
 
-/// Nests a ciphertext frame in the payload of `frame`; it is sealed
-/// with the enclosing frame, in the same hashing pass.
-pub fn nest_ciphertext(frame: &mut FrameWriter<'_>, ctx: &CkksContext, ct: &Ciphertext) {
+/// Nests one ciphertext frame per element of `cts` in the payload of
+/// `frame`, each sealed with the enclosing frame in the same hashing
+/// pass. Each ciphertext's wire form is decided once; the payload is
+/// reserved for all of them and the enclosing checksum up front.
+pub fn nest_ciphertexts(frame: &mut FrameWriter<'_>, ctx: &CkksContext, cts: &[Ciphertext]) {
     let fp = param_fingerprint(ctx.params());
-    frame.nest(kind::CIPHERTEXT, fp, |out| encode_ciphertext(out, ctx, ct));
+    let seeds: Vec<Option<u64>> = cts.iter().map(|ct| shipped_seed(ctx, ct)).collect();
+    let bytes: usize = cts
+        .iter()
+        .zip(&seeds)
+        .map(|(ct, &seed)| frame_len_as(ctx, ct, seed))
+        .sum();
+    frame.payload().reserve(bytes + wire::CHECKSUM_LEN);
+    for (ct, seed) in cts.iter().zip(seeds) {
+        frame.nest(kind::CIPHERTEXT, fp, |out| {
+            encode_ciphertext_as(out, ctx, ct, seed)
+        });
+    }
 }
 
 /// Nests a seed-compressed public key frame in the payload of `frame`,
-/// sealed with it like [`nest_ciphertext`].
+/// sealed with it like [`nest_ciphertexts`].
 pub fn nest_compressed_public_key(frame: &mut FrameWriter<'_>, ctx: &CkksContext, key: &PublicKey) {
     let fp = param_fingerprint(ctx.params());
     frame.nest(kind::COMPRESSED_PUBLIC_KEY, fp, |out| {
@@ -301,7 +397,7 @@ pub fn nest_compressed_public_key(frame: &mut FrameWriter<'_>, ctx: &CkksContext
 }
 
 /// Nests a seed-compressed evaluation key frame in the payload of
-/// `frame`, sealed with it like [`nest_ciphertext`].
+/// `frame`, sealed with it like [`nest_ciphertexts`].
 pub fn nest_compressed_eval_key(frame: &mut FrameWriter<'_>, ctx: &CkksContext, key: &EvalKey) {
     let fp = param_fingerprint(ctx.params());
     frame.nest(kind::COMPRESSED_EVAL_KEY, fp, |out| {
@@ -310,7 +406,7 @@ pub fn nest_compressed_eval_key(frame: &mut FrameWriter<'_>, ctx: &CkksContext, 
 }
 
 /// Nests a seed-compressed rotation key set frame in the payload of
-/// `frame`, sealed with it like [`nest_ciphertext`].
+/// `frame`, sealed with it like [`nest_ciphertexts`].
 pub fn nest_compressed_rotation_keys<'a, I>(frame: &mut FrameWriter<'_>, ctx: &CkksContext, keys: I)
 where
     I: IntoIterator<Item = (u64, &'a EvalKey)>,
@@ -340,12 +436,10 @@ pub fn ciphertext_from_frame(ctx: &CkksContext, frame: Frame<'_>) -> ArkResult<C
 }
 
 /// Exact wire size of a ciphertext frame (header + payload + checksum):
-/// a function of its level and the context's primes alone.
+/// a function of its level, the context's primes and whether its `A`
+/// ships seeded (which this decides as [`encode_ciphertext`] does).
 pub fn ciphertext_frame_len(ctx: &CkksContext, ct: &Ciphertext) -> usize {
-    let basis = ctx.basis();
-    let payload =
-        4 + 8 + wire::poly_encoded_len(&ct.b, basis) + wire::poly_encoded_len(&ct.a, basis);
-    wire::HEADER_LEN + payload + wire::CHECKSUM_LEN
+    frame_len_as(ctx, ct, shipped_seed(ctx, ct))
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 
 use ark_ckks::params::{CkksContext, CkksParams};
 use ark_ckks::wire::{param_fingerprint, read_ciphertext_prefix, write_ciphertext};
+use ark_ckks::Ciphertext;
 use ark_math::cfft::C64;
 use ark_math::wire::{MAGIC, VERSION};
 use rand::SeedableRng;
@@ -24,7 +25,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn golden_ciphertext_bytes() -> (CkksContext, Vec<u8>) {
+/// The golden ciphertext's frame in the full form (seed hint cleared)
+/// and in the seeded form (`A` as its 8-byte seed).
+fn golden_ciphertext_bytes() -> (CkksContext, [Vec<u8>; 2]) {
     let ctx = CkksContext::new(CkksParams::tiny());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xA12C);
     let sk = ctx.gen_secret_key(&mut rng);
@@ -32,26 +35,40 @@ fn golden_ciphertext_bytes() -> (CkksContext, Vec<u8>) {
         .map(|i| C64::new(0.125 * i as f64, -0.0625 * i as f64))
         .collect();
     let ct = ctx.encrypt(&ctx.encode(&m, 2, ctx.params().scale()), &sk, &mut rng);
-    let bytes = write_ciphertext(&ctx, &ct);
+    let full = Ciphertext {
+        a_seed: None,
+        ..ct.clone()
+    };
+    let bytes = [write_ciphertext(&ctx, &full), write_ciphertext(&ctx, &ct)];
     (ctx, bytes)
 }
 
 #[test]
 fn ciphertext_wire_bytes_are_pinned() {
-    let (ctx, bytes) = golden_ciphertext_bytes();
-    // Header invariants of every ARKW frame.
-    assert_eq!(&bytes[..4], MAGIC);
-    assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), VERSION);
-    // The full-stream pin: any byte change (layout leak, field reorder,
-    // width change) lands here.
+    let (ctx, [full, seeded]) = golden_ciphertext_bytes();
+    for (bytes, golden) in [
+        (&full, (GOLDEN_CT_LEN, GOLDEN_CT_FNV)),
+        (&seeded, (GOLDEN_CT_SEEDED_LEN, GOLDEN_CT_SEEDED_FNV)),
+    ] {
+        // Header invariants of every ARKW frame.
+        assert_eq!(&bytes[..4], MAGIC);
+        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), VERSION);
+        // The full-stream pin: any byte change (layout leak, field
+        // reorder, width change) lands here.
+        assert_eq!(
+            (bytes.len(), fnv1a(bytes)),
+            golden,
+            "ARKW ciphertext byte stream changed — wire compatibility broken"
+        );
+        // And it still round-trips, in the same form.
+        let (back, _) = read_ciphertext_prefix(&ctx, bytes).expect("golden bytes decode");
+        assert_eq!(&write_ciphertext(&ctx, &back), bytes);
+    }
+    // both forms are one ciphertext
     assert_eq!(
-        (bytes.len(), fnv1a(&bytes)),
-        (GOLDEN_CT_LEN, GOLDEN_CT_FNV),
-        "ARKW ciphertext byte stream changed — wire compatibility broken"
+        read_ciphertext_prefix(&ctx, &full).unwrap().0,
+        read_ciphertext_prefix(&ctx, &seeded).unwrap().0
     );
-    // And it still round-trips to a decryptable ciphertext.
-    let (back, _) = read_ciphertext_prefix(&ctx, &bytes).expect("golden bytes decode");
-    assert_eq!(write_ciphertext(&ctx, &back), bytes);
 }
 
 #[test]
@@ -69,9 +86,14 @@ fn param_fingerprints_are_pinned() {
 // whose residues take their prime's byte width (7 + 5 + 5 bytes a
 // coefficient at level 2 of `tiny`, not 24): the stream shrank from
 // 1618 to 1170 bytes; the fingerprints, which hash the parameters with
-// the unchanged XXH64, did not move.
+// the unchanged XXH64, did not move. The hashes moved again, not the
+// full form's length, when symmetric encryption began expanding `A`
+// from a seed drawn from the RNG; the seeded form ships that `A` as a
+// 13-byte slot in place of its poly.
 const GOLDEN_CT_LEN: usize = 1170;
-const GOLDEN_CT_FNV: u64 = 0xfccb_7646_7bba_e969;
+const GOLDEN_CT_FNV: u64 = 0x8bcb_d2f9_ea91_9748;
+const GOLDEN_CT_SEEDED_LEN: usize = 620;
+const GOLDEN_CT_SEEDED_FNV: u64 = 0x0a18_dd53_1df0_5da0;
 const GOLDEN_FP_TINY: u64 = 0x7789_dffd_a8e0_349d;
 const GOLDEN_FP_SMALL: u64 = 0xc920_5ff1_a1f7_6919;
 const GOLDEN_FP_ARK: u64 = 0x55f6_ad47_c8c6_150d;
@@ -79,9 +101,11 @@ const GOLDEN_FP_ARK: u64 = 0x55f6_ad47_c8c6_150d;
 #[test]
 #[ignore = "utility: prints current golden values for re-pinning"]
 fn print_golden_values() {
-    let (_, ct_bytes) = golden_ciphertext_bytes();
-    println!("GOLDEN_CT_LEN: usize = {};", ct_bytes.len());
-    println!("GOLDEN_CT_FNV: u64 = {:#018x};", fnv1a(&ct_bytes));
+    let (_, [full, seeded]) = golden_ciphertext_bytes();
+    println!("GOLDEN_CT_LEN: usize = {};", full.len());
+    println!("GOLDEN_CT_FNV: u64 = {:#018x};", fnv1a(&full));
+    println!("GOLDEN_CT_SEEDED_LEN: usize = {};", seeded.len());
+    println!("GOLDEN_CT_SEEDED_FNV: u64 = {:#018x};", fnv1a(&seeded));
     println!(
         "GOLDEN_FP_TINY: u64 = {:#018x};",
         param_fingerprint(&CkksParams::tiny())

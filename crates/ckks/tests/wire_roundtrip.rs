@@ -291,12 +291,12 @@ fn ciphertext_length_is_the_sum_of_prime_widths_at_every_level() {
             let random = |rng: &mut rand::rngs::StdRng| {
                 RnsPoly::random_uniform(ctx.basis(), indices, Representation::Evaluation, rng)
             };
-            let ct = Ciphertext {
-                b: random(&mut rng),
-                a: random(&mut rng),
+            let ct = Ciphertext::new(
+                random(&mut rng),
+                random(&mut rng),
                 level,
-                scale: ctx.params().scale(),
-            };
+                ctx.params().scale(),
+            );
             let bytes = write_ciphertext(&ctx, &ct);
             let exact = HEADER_LEN + 4 + 8 + 2 * poly_len(&ctx, indices) + CHECKSUM_LEN;
             assert_eq!(bytes.len(), exact, "{} level {level}", ctx.params().name);
@@ -408,4 +408,136 @@ fn frame_header_layout_is_pinned() {
     assert_eq!(&bytes[..4], b"ARKW");
     let fp = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
     assert_eq!(fp, param_fingerprint(f.ctx.params()));
+}
+
+/// Bytes of the seeded `A` slot: `u32 n | u8 2 | u64 seed`.
+const SEEDED_SLOT: usize = 13;
+
+#[test]
+fn a_fresh_ciphertext_ships_its_a_as_the_seeded_slot() {
+    for params in [
+        CkksParams::tiny(),
+        CkksParams::small(),
+        CkksParams::boot_test(),
+        rotate_large_params(),
+    ] {
+        let ctx = CkksContext::new(params);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let sk = ctx.gen_secret_key(&mut rng);
+        let max = ctx.params().max_level;
+        for level in [0, max] {
+            let name = format!("{} level {level}", ctx.params().name);
+            let pt = ctx.encode(&[C64::new(0.25, -0.5)], level, ctx.params().scale());
+            let ct = ctx.encrypt(&pt, &sk, &mut rng);
+            let full = Ciphertext {
+                a_seed: None,
+                ..ct.clone()
+            };
+            let seeded_bytes = write_ciphertext(&ctx, &ct);
+            let full_bytes = write_ciphertext(&ctx, &full);
+            let a_poly = poly_len(&ctx, ctx.chain_indices(level));
+            assert_eq!(
+                seeded_bytes.len(),
+                full_bytes.len() - a_poly + SEEDED_SLOT,
+                "{name}"
+            );
+            assert_eq!(ciphertext_frame_len(&ctx, &ct), seeded_bytes.len());
+            assert_eq!(ciphertext_frame_len(&ctx, &full), full_bytes.len());
+            let (back, used) = read_ciphertext_prefix(&ctx, &seeded_bytes).unwrap();
+            assert_eq!((&back, used), (&ct, seeded_bytes.len()), "{name}");
+            assert_eq!(back.a_seed, ct.a_seed);
+            assert_eq!(write_ciphertext(&ctx, &back), seeded_bytes);
+            assert_eq!(read_ciphertext_prefix(&ctx, &full_bytes).unwrap().0, ct);
+        }
+    }
+    // `rotate_large`'s full-level `A` slot: 31 header bytes and 37
+    // bytes a coefficient, 1 212 447 bytes in all
+    let ctx = CkksContext::new(rotate_large_params());
+    assert_eq!(poly_len(&ctx, ctx.chain_indices(5)), 1_212_447);
+}
+
+#[test]
+fn an_overwritten_or_hand_set_seed_ships_the_full_a() {
+    let f = &fixtures().0;
+    let ct = encrypt(f, &[(0.5, 0.25); 16], 2, 43);
+    let pk = f.ctx.gen_public_key_seeded(&f.sk, 0x5eed, 0x9015e);
+    let pt = f
+        .ctx
+        .encode(&[C64::new(0.5, 0.25)], 2, f.ctx.params().scale());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(47);
+    let public = f.ctx.encrypt_public(&pt, &pk, &mut rng);
+    assert_eq!(public.a_seed, None);
+    let full_len = write_ciphertext(&f.ctx, &public).len();
+    // `negate` rewrites `A` and carries the seed along, stale
+    let negated = f.ctx.negate(&ct);
+    assert_eq!(negated.a_seed, ct.a_seed);
+    let hand_set = Ciphertext {
+        a_seed: Some(ct.a_seed.unwrap() ^ 1),
+        ..ct.clone()
+    };
+    for stale in [negated, hand_set] {
+        let bytes = write_ciphertext(&f.ctx, &stale);
+        assert_eq!(bytes.len(), full_len);
+        assert_eq!(ciphertext_frame_len(&f.ctx, &stale), full_len);
+        let (back, _) = read_ciphertext_prefix(&f.ctx, &bytes).unwrap();
+        assert_eq!(back, stale);
+        assert_eq!(back.a_seed, None);
+    }
+}
+
+#[test]
+fn a_dropped_seeded_ciphertext_still_ships_seeded() {
+    let f = &fixtures().1;
+    let ct = encrypt(f, &[(0.5, 0.25); 16], 5, 53);
+    for level in [4, 1, 0] {
+        let dropped = f.ctx.mod_drop_to(&ct, level).unwrap();
+        let bytes = write_ciphertext(&f.ctx, &dropped);
+        let full = Ciphertext {
+            a_seed: None,
+            ..dropped.clone()
+        };
+        let a_poly = poly_len(&f.ctx, f.ctx.chain_indices(level));
+        assert_eq!(
+            bytes.len(),
+            write_ciphertext(&f.ctx, &full).len() - a_poly + SEEDED_SLOT
+        );
+        let (back, _) = read_ciphertext_prefix(&f.ctx, &bytes).unwrap();
+        assert_eq!(back, dropped);
+        assert_eq!(back.a_seed, ct.a_seed);
+    }
+}
+
+#[test]
+fn the_seeded_code_is_refused_where_a_poly_is_read_and_bad_slots_are_typed() {
+    let f = &fixtures().0;
+    let ct = encrypt(f, &[(0.5, 0.0); 16], 2, 59);
+    let mut payload = Vec::new();
+    ark_ckks::wire::encode_ciphertext(&mut payload, &f.ctx, &ct);
+    let slot = payload.len() - SEEDED_SLOT;
+    assert_eq!(payload[slot + 4], ark_ckks::wire::SEEDED_A);
+    // the poly decoder knows codes 0 and 1 only
+    let err = decode_poly(&mut Cursor::new(&payload[slot..]), f.ctx.basis()).unwrap_err();
+    assert!(
+        matches!(&err, WireError::Malformed { what } if what == "unknown representation tag 2"),
+        "{err:?}"
+    );
+    let decode = |bytes: &[u8]| {
+        let mut cur = Cursor::new(bytes);
+        ark_ckks::wire::decode_ciphertext(&mut cur, &f.ctx)
+    };
+    assert_eq!(decode(&payload).unwrap(), ct);
+    // a seeded slot of the wrong degree
+    let mut wrong_n = payload.clone();
+    wrong_n[slot..slot + 4].copy_from_slice(&64u32.to_le_bytes());
+    assert!(matches!(
+        decode(&wrong_n).unwrap_err(),
+        ArkError::Wire(WireError::Malformed { .. })
+    ));
+    // cut anywhere inside the seed
+    for cut in slot + 5..payload.len() {
+        assert!(matches!(
+            decode(&payload[..cut]).unwrap_err(),
+            ArkError::Wire(WireError::Truncated { .. })
+        ));
+    }
 }

@@ -53,9 +53,7 @@ use ark_ckks::wire as ckks_wire;
 use ark_ckks::{Ciphertext, EvalKey, PublicKey, RotationKeys};
 use ark_core::sched::SimReport;
 use ark_core::wire as core_wire;
-use ark_math::wire::{
-    put_u16, put_u32, read_frame, write_frame, Cursor, FrameWriter, CHECKSUM_LEN,
-};
+use ark_math::wire::{put_u16, put_u32, read_frame, write_frame, Cursor, FrameWriter};
 use std::collections::{HashMap, VecDeque};
 
 /// A ticket for a request in flight; redeem it against the matching
@@ -665,14 +663,7 @@ fn write_evaluate(
     let mut frame = FrameWriter::begin(out, msg::EVALUATE, fingerprint);
     program.encode(frame.payload());
     put_u16(frame.payload(), count);
-    let input_bytes: usize = inputs
-        .iter()
-        .map(|ct| ckks_wire::ciphertext_frame_len(ctx, ct))
-        .sum();
-    frame.payload().reserve(input_bytes + CHECKSUM_LEN);
-    for ct in inputs {
-        ckks_wire::nest_ciphertext(&mut frame, ctx, ct);
-    }
+    ckks_wire::nest_ciphertexts(&mut frame, ctx, inputs);
     frame.finish();
     Ok(())
 }
@@ -775,9 +766,15 @@ mod tests {
     fn handshake_version_rejection_is_typed() {
         let mut core = ClientCore::new();
         let _ = core.take_egress();
-        let reject = protocol::error_frame(code::PROTOCOL, "server speaks protocol 7");
+        let reject = protocol::error_frame(code::PROTOCOL, "server speaks protocol 8");
         let err = core.ingest(&message(&reject)).unwrap_err();
-        assert!(matches!(err, ArkError::VersionMismatch { client: 6, .. }));
+        assert!(matches!(
+            err,
+            ArkError::VersionMismatch {
+                client: PROTOCOL_VERSION,
+                ..
+            }
+        ));
         assert!(core.is_closed());
     }
 

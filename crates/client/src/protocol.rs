@@ -60,13 +60,17 @@ use ark_math::wire::{put_u16, put_u32, put_u64, write_frame, Cursor, WireError};
 /// serves exactly this number and refuses any other with a typed
 /// `PROTOCOL` error, so a wire-format change is a bump here and a clean
 /// handshake failure against an old peer, never a mid-session decode
-/// error. Version 6 (`ark_math::wire::VERSION` 3) ships each residue
+/// error. Version 7 lets a ciphertext's `A` travel as the 8-byte seed
+/// it expands from (representation code 2 in its `A` slot, see
+/// `ark_ckks::wire::SEEDED_A`) in the same frame version 3, so a v6
+/// peer's `HELLO(6)` is refused as a typed `PROTOCOL` error.
+/// Version 6 (`ark_math::wire::VERSION` 3) ships each residue
 /// of a ciphertext or key in its prime's byte width and each program
 /// plaintext vector in its narrowest exact form (real or complex);
 /// version 5 replaced version 4's FNV-1a frame checksum with XXH64. A
 /// v5 peer's `HELLO` comes in a version-2 frame, which is refused as a
 /// typed `WIRE` error before its checksum is read.
-pub const PROTOCOL_VERSION: u16 = 6;
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Serve-namespace frame kinds.
 pub mod msg {

@@ -564,7 +564,10 @@ mod tests {
         let base_cfg = HdftConfig::paper_hidft(&p, KeyStrategy::Baseline);
         let plain = compile(&hdft_trace(&base_cfg), &p, &cfg, CompileOptions::all_on());
         let hoisted = compile(
-            &hdft_trace(&base_cfg.with_hoisting()),
+            &hdft_trace(&HdftConfig {
+                hoisting: true,
+                ..base_cfg
+            }),
             &p,
             &cfg,
             CompileOptions::all_on(),
@@ -597,7 +600,10 @@ mod tests {
         // that itself is a paper-faithful outcome the model reproduces.
         let r_plain = crate::sched::run(&hdft_trace(&base_cfg), &p, &cfg, CompileOptions::all_on());
         let r_hoisted = crate::sched::run(
-            &hdft_trace(&base_cfg.with_hoisting()),
+            &hdft_trace(&HdftConfig {
+                hoisting: true,
+                ..base_cfg
+            }),
             &p,
             &cfg,
             CompileOptions::all_on(),
@@ -618,7 +624,10 @@ mod tests {
         let f_plain =
             crate::sched::run(&hdft_trace(&base_cfg), &p, &fast, CompileOptions::all_on());
         let f_hoisted = crate::sched::run(
-            &hdft_trace(&base_cfg.with_hoisting()),
+            &hdft_trace(&HdftConfig {
+                hoisting: true,
+                ..base_cfg
+            }),
             &p,
             &fast,
             CompileOptions::all_on(),

@@ -149,8 +149,13 @@ mod tests {
         let params = CkksParams::ark();
         let cfg = HdftConfig::paper_hidft(&params, KeyStrategy::Baseline);
         let (m_plain, b_plain) = trace_mults_and_single_use_bytes(&params, &hdft_trace(&cfg));
-        let (m_hoisted, b_hoisted) =
-            trace_mults_and_single_use_bytes(&params, &hdft_trace(&cfg.with_hoisting()));
+        let (m_hoisted, b_hoisted) = trace_mults_and_single_use_bytes(
+            &params,
+            &hdft_trace(&HdftConfig {
+                hoisting: true,
+                ..cfg
+            }),
+        );
         assert!(m_hoisted < m_plain, "{m_hoisted} vs {m_plain} mults");
         assert_eq!(b_hoisted, b_plain, "key traffic is unchanged");
     }

@@ -45,7 +45,8 @@ impl BigUint {
     }
 
     /// Number of significant bits.
-    pub fn bits(&self) -> u64 {
+    #[cfg(test)]
+    fn bits(&self) -> u64 {
         match self.limbs.last() {
             None => 0,
             Some(&top) => (self.limbs.len() as u64 - 1) * 64 + (64 - top.leading_zeros() as u64),

@@ -125,8 +125,8 @@ impl Modulus {
     }
 
     /// Number of significant bits in `q`.
-    #[inline]
-    pub fn bits(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> u32 {
         64 - self.value.leading_zeros()
     }
 

@@ -290,6 +290,20 @@ impl RnsPoly {
         }
     }
 
+    /// Whether this polynomial's words are exactly those of
+    /// [`Self::from_seed`]`(basis, self.limb_indices(), .., seed)`.
+    /// Each row is compared against its own generator and the check
+    /// stops at the first word that differs, so a wrong seed costs a
+    /// draw or two, not a regeneration.
+    pub fn matches_seed(&self, basis: &RnsBasis, seed: u64) -> bool {
+        let rows = self.data.chunks_exact(self.n);
+        self.limb_idx.iter().zip(rows).all(|(&idx, row)| {
+            let q = basis.modulus(idx).value();
+            let mut rng = seeded_row_rng(seed, idx);
+            row.iter().all(|&w| rng.gen_range(0..q) == w)
+        })
+    }
+
     /// Degree `N`.
     pub fn n(&self) -> usize {
         self.n
@@ -894,6 +908,21 @@ mod tests {
         // different seeds diverge
         let other = RnsPoly::from_seed(&b, &[0, 1, 2, 3], Representation::Evaluation, 0xfeee);
         assert_ne!(other, p);
+    }
+
+    #[test]
+    fn matches_seed_accepts_exactly_the_expansion() {
+        let b = basis(32, 4);
+        let p = RnsPoly::from_seed(&b, &[0, 1, 3], Representation::Evaluation, 0xfeed);
+        assert!(p.matches_seed(&b, 0xfeed));
+        assert!(p.subset(&[0, 3]).matches_seed(&b, 0xfeed));
+        assert!(!p.matches_seed(&b, 0xfeee));
+        // one word off, in the last row's last slot
+        let mut data = p.flat().to_vec();
+        let last = data.len() - 1;
+        data[last] = (data[last] + 1) % b.modulus(3).value();
+        let off = RnsPoly::from_flat(&b, &[0, 1, 3], Representation::Evaluation, data);
+        assert!(!off.matches_seed(&b, 0xfeed));
     }
 
     #[test]

@@ -87,7 +87,6 @@ use ark_fhe::workloads::trace::{Trace, TraceSummary};
 use ark_fhe::KeyChain;
 use ark_math::wire::{
     peek_frame, put_u16, read_frame, read_nested_frames, write_frame, Cursor, FrameWriter,
-    CHECKSUM_LEN,
 };
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -809,14 +808,7 @@ fn run_evaluate(
     let mut out = Vec::new();
     let mut response = FrameWriter::begin(&mut out, msg::RESULT_CTS, request.frame.fingerprint);
     put_u16(response.payload(), outputs.len() as u16);
-    let output_bytes: usize = outputs
-        .iter()
-        .map(|ct| ckks_wire::ciphertext_frame_len(ctx, ct))
-        .sum();
-    response.payload().reserve(output_bytes + CHECKSUM_LEN);
-    for ct in &outputs {
-        ckks_wire::nest_ciphertext(&mut response, ctx, ct);
-    }
+    ckks_wire::nest_ciphertexts(&mut response, ctx, &outputs);
     response.finish();
     Ok(out)
 }

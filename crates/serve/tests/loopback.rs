@@ -338,6 +338,44 @@ fn session_memory_budget_is_enforced() {
 }
 
 #[test]
+fn a_seeded_input_is_charged_at_its_expanded_size() {
+    let mut local = software_engine();
+    let ctx = CkksContext::new(CkksParams::tiny());
+    let ct = local.encrypt(&[C64::new(0.5, 0.0)], 2).unwrap();
+    // room for one two-input request's charges, as below, and for 12
+    // expanded inputs; 13 seeded ones are well inside it on the wire
+    let budget = 12 * ct.byte_len();
+    let (handle, sw_fp, _) = start_server(ServerConfig {
+        max_session_bytes: budget,
+        ..ServerConfig::default()
+    });
+    let mut wide = Program::new(13);
+    let x = wide.reg(0);
+    wide.output(x);
+    let inputs = vec![ct.clone(); 13];
+    assert!(evaluate_frame(sw_fp, &wide, &inputs, &ctx).unwrap().len() < budget / 2);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for _ in 0..3 {
+        let err = client.evaluate(sw_fp, &wide, &inputs, &ctx).unwrap_err();
+        assert!(
+            matches!(err, ArkError::Serve { ref reason } if reason.contains("session-limit")),
+            "got {err}"
+        );
+    }
+    // every refused request gave its charges back: one that needs
+    // nearly the whole budget still runs on the same session
+    let mut sum = Program::new(2);
+    let total = sum.add(sum.reg(0), sum.reg(1));
+    sum.output(total);
+    let outs = client
+        .evaluate(sw_fp, &sum, &[ct.clone(), ct], &ctx)
+        .unwrap();
+    let got = local.decrypt(&outs[0]).unwrap();
+    assert!((got[0].re - 1.0).abs() < 1e-4, "got {}", got[0].re);
+    handle.shutdown();
+}
+
+#[test]
 fn oversized_program_is_rejected_before_execution() {
     let (handle, sw_fp, _) = start_server(ServerConfig {
         max_program_ops: 16,
@@ -405,18 +443,22 @@ fn error_of(frame: &[u8]) -> (u16, String) {
 }
 
 #[test]
-fn a_v5_peer_is_refused_typed() {
+fn a_v6_peer_is_refused_typed() {
     let (handle, _, _) = start_server(ServerConfig::default());
     let mut peer = raw_peer(handle.addr());
 
-    // HELLO(5) in a current frame: the version it names is refused
-    send(&mut peer, &hello(5)).unwrap();
-    let (c, reason) = error_of(&recv(&mut peer).expect("a refusal"));
-    assert_eq!(c, code::PROTOCOL);
-    assert_eq!(
-        reason, "client speaks protocol 5, server speaks protocol 6",
-        "reason: {reason}"
-    );
+    // a v6 peer frames exactly as today (frame version 3), so only the
+    // version its HELLO names tells it apart: refused, typed
+    for old in [6, 5] {
+        send(&mut peer, &hello(old)).unwrap();
+        let (c, reason) = error_of(&recv(&mut peer).expect("a refusal"));
+        assert_eq!(c, code::PROTOCOL);
+        assert_eq!(
+            reason,
+            format!("client speaks protocol {old}, server speaks protocol 7"),
+            "reason: {reason}"
+        );
+    }
 
     // the bytes a v5 client sends: HELLO(5) in a version-2 frame, whose
     // checksum is the same XXH64. The frame version is refused before
@@ -624,8 +666,9 @@ fn corrupted_evaluate_checksums_answer_wire_and_execute_nothing() {
     program.output(sum);
     let good = evaluate_frame(sw_fp, &program, &[ct_x, ct_y.clone()], &ctx).unwrap();
 
-    // one flipped residue byte in the second input: as it is, the
-    // request's checksum fails; resealed, only the nested frame's does
+    // one flipped byte in the second input (of its `A` seed): as it
+    // is, the request's checksum fails; resealed, only the nested
+    // frame's does
     let second_input = good.len() - CHECKSUM_LEN - ckks_wire::ciphertext_frame_len(&ctx, &ct_y);
     let mut outer_bad = good.clone();
     outer_bad[good.len() - 2 * CHECKSUM_LEN - 5] ^= 0x10;

@@ -75,12 +75,6 @@ impl HdftConfig {
             hoisting: false,
         }
     }
-
-    /// The same configuration with hoisted baby loops.
-    pub fn with_hoisting(mut self) -> Self {
-        self.hoisting = true;
-        self
-    }
 }
 
 /// Emits the H-(I)DFT trace.
@@ -195,7 +189,10 @@ mod tests {
     #[test]
     fn hoisted_baseline_shares_baby_decompositions() {
         let plain = hdft_trace(&paper_cfg(KeyStrategy::Baseline));
-        let hoisted = hdft_trace(&paper_cfg(KeyStrategy::Baseline).with_hoisting());
+        let hoisted = hdft_trace(&HdftConfig {
+            hoisting: true,
+            ..paper_cfg(KeyStrategy::Baseline)
+        });
         // same op count, same key surface, same rotation structure
         assert_eq!(plain.len(), hoisted.len());
         assert_eq!(plain.distinct_keys(), hoisted.distinct_keys());
@@ -213,7 +210,10 @@ mod tests {
     fn hoisting_flag_is_inert_for_iterated_strategies() {
         // Min-KS babies chain off the previous result — nothing to hoist
         let plain = hdft_trace(&paper_cfg(KeyStrategy::MinKs));
-        let flagged = hdft_trace(&paper_cfg(KeyStrategy::MinKs).with_hoisting());
+        let flagged = hdft_trace(&HdftConfig {
+            hoisting: true,
+            ..paper_cfg(KeyStrategy::MinKs)
+        });
         assert_eq!(plain.ops(), flagged.ops());
     }
 

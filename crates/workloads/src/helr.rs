@@ -50,12 +50,6 @@ impl HelrConfig {
         }
     }
 
-    /// The same configuration with hoisted inner-product trees.
-    pub fn with_hoisting(mut self) -> Self {
-        self.hoisting = true;
-        self
-    }
-
     /// Data ciphertexts needed to pack the batch.
     pub fn data_ciphertexts(&self, params: &CkksParams) -> usize {
         (self.batch * self.features).div_ceil(params.slots())
@@ -223,7 +217,13 @@ mod tests {
             ..HelrConfig::paper(KeyStrategy::MinKs)
         };
         let plain = helr_trace(&params, &base);
-        let hoisted = helr_trace(&params, &base.with_hoisting());
+        let hoisted = helr_trace(
+            &params,
+            &HelrConfig {
+                hoisting: true,
+                ..base
+            },
+        );
         // 196 features ⇒ 8 radix-2 rounds become 4 radix-4 rounds: per
         // tree 4 ModUps instead of 8, three trees per iteration
         assert_eq!(

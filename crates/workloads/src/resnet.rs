@@ -159,7 +159,8 @@ pub fn resnet_trace(params: &CkksParams, cfg: &ResNetConfig) -> Trace {
 
 /// Number of bootstraps in the trace — the quantity that dominates the
 /// 0.125 s inference time.
-pub fn bootstrap_count(cfg: &ResNetConfig) -> usize {
+#[cfg(test)]
+fn bootstrap_count(cfg: &ResNetConfig) -> usize {
     cfg.conv_layers + cfg.conv_layers / 3
 }
 

@@ -108,7 +108,8 @@ pub fn sorting_trace(params: &CkksParams, cfg: &SortingConfig) -> Trace {
 }
 
 /// Total bootstraps — the dominant cost (~90% of sorting time, Fig. 7(b)).
-pub fn bootstrap_count(cfg: &SortingConfig) -> usize {
+#[cfg(test)]
+fn bootstrap_count(cfg: &SortingConfig) -> usize {
     cfg.stages() * cfg.boots_per_stage
 }
 

@@ -74,8 +74,9 @@ fn one_input_program() -> Program {
 }
 
 /// A well-formed top-level ciphertext of `ctx` with seeded uniform
-/// residues: the shape a client uploads, without an RNG dependency.
-fn seeded_ciphertext(ctx: &CkksContext) -> Ciphertext {
+/// residues, without an RNG dependency: the shape a client uploads,
+/// with no seed hint, so its `A` ships in full.
+fn full_ciphertext(ctx: &CkksContext) -> Ciphertext {
     let level = ctx.params().max_level;
     let poly = |seed| {
         RnsPoly::from_seed(
@@ -85,11 +86,15 @@ fn seeded_ciphertext(ctx: &CkksContext) -> Ciphertext {
             seed,
         )
     };
+    Ciphertext::new(poly(0xb), poly(0xa), level, ctx.params().scale())
+}
+
+/// [`full_ciphertext`] with the seed its `A` expanded from: what a
+/// fresh symmetric encryption uploads, `A` as 8 bytes.
+fn seeded_ciphertext(ctx: &CkksContext) -> Ciphertext {
     Ciphertext {
-        b: poly(0xb),
-        a: poly(0xa),
-        level,
-        scale: ctx.params().scale(),
+        a_seed: Some(0xa),
+        ..full_ciphertext(ctx)
     }
 }
 
@@ -165,13 +170,24 @@ fn main() {
     );
     // a bare ciphertext payload, which `fuzz_frame` also decodes as
     // one: its mutations reach the limb-row decoder, not a checksum
-    let ct = seeded_ciphertext(&ctx);
+    let ct = full_ciphertext(&ctx);
     let mut payload = Vec::new();
     ckks_wire::encode_ciphertext(&mut payload, &ctx, &ct);
     write(&dir, "007-ciphertext-payload.bin", &payload);
     write(
         &dir,
         "008-evaluate-one-input.bin",
+        &evaluate_frame(fp, &one_input_program(), &[ct], &ctx).expect("encodes"),
+    );
+    // the same two with `A` in the seeded slot: the bare payload's
+    // mutations reach `decode_ciphertext`'s seeded branch
+    let ct = seeded_ciphertext(&ctx);
+    let mut payload = Vec::new();
+    ckks_wire::encode_ciphertext(&mut payload, &ctx, &ct);
+    write(&dir, "009-seeded-ciphertext-payload.bin", &payload);
+    write(
+        &dir,
+        "010-evaluate-seeded-input.bin",
         &evaluate_frame(fp, &one_input_program(), &[ct], &ctx).expect("encodes"),
     );
 

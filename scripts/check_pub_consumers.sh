@@ -9,8 +9,8 @@
 # client,serve,scenarios,bench}/src, binaries under src/bin excepted.
 # Product code is every line of src/, crates/*/src, benchmark/src,
 # fuzz/src, examples/ and crates/*/examples that is neither a comment
-# nor inside `#[cfg(test)]` code, other than the item's own definition
-# line.
+# nor inside `#[cfg(test)]` code, other than the definition line of an
+# audited item of the same name (the item's own, or a namesake's).
 #
 # A reference to a fn is a call or a path (`name(`, `::name`), the
 # bare name as an argument of a macro invocation (`m!(.., name, ..)`),
@@ -19,8 +19,8 @@
 # name is a local, and a fn imported to be passed is named by its `use`
 # path); to any other item, the bare word. Matching is textual, so a common
 # method name (`new`, `len`) always finds one, and two methods that
-# share a name look used if either is: the check catches dead specific
-# names, not every dead method. An allow-list line whose item is gone,
+# share a name look used if either is used: the check catches dead
+# specific names, not every dead method. An allow-list line whose item is gone,
 # or has gained a product reference, is stale and fails the check too.
 # CI runs this, and its `--self-test`, in the lint job.
 #
@@ -227,12 +227,17 @@ def audit(root, allow_text, crates):
         if not role.startswith(ROLES):
             failures.append(f"allow-list line `{key}` names no role ({', '.join(ROLES)})")
 
+    # name -> every audited definition line of that name: a namesake's
+    # definition is no more a use than the item's own
+    definitions = {}
+    for key, path, no, _ in items:
+        definitions.setdefault(key.rsplit("::", 1)[1], set()).add((path, no))
     dead_by_key = {}  # key -> [(path, line number, text)] of its items without a reference
     for key, path, no, text in items:
         name = key.rsplit("::", 1)[1]
         is_fn = re.search(r"\bfn\s", text) is not None
         used = any(
-            site != (path, no) and mentions(is_fn, name, line, args, site[0] == path)
+            site not in definitions[name] and mentions(is_fn, name, line, args, site[0] == path)
             for site, (line, args) in refs.get(name, {}).items()
         )
         dead = dead_by_key.setdefault(key, [])
@@ -263,6 +268,14 @@ pub fn by_example() {}
 pub fn oracle() {}
 pub fn by_value() {}
 pub fn shadowed() {}
+pub struct One;
+pub struct Two;
+impl One {
+    pub fn twin(&self) {}
+}
+impl Two {
+    pub fn twin(&self) {}
+}
 fn route(xs: &[u8]) { apply(xs, by_value); }
 #[cfg(test)]
 mod tests {
@@ -277,9 +290,13 @@ mod tests {
     shadow = "\ndemo::shadowed  test probe: read by a test"
     # (what, allow-list, a substring of each expected failure, names no
     # failure may mention)
-    base = oracle + shadow
+    twins = "\ndemo::twin  test probe: read by a test"
+    base = oracle + shadow + twins
     cases = [
         ("a dead pub fn fails", base, ["`pub fn dead_fn() {}` has no product reference"], []),
+        ("two same-named unused methods both fail", oracle + shadow + probe,
+         ["crates/demo/src/lib.rs:11: `pub fn twin(&self) {}`",
+          "crates/demo/src/lib.rs:14: `pub fn twin(&self) {}`"], []),
         ("a stale allow-list line fails", base + probe + "\ndemo::live  test probe: read by tests",
          ["stale allow-list line `demo::live`"], []),
         ("a line with an unknown role fails", base + "\ndemo::dead_fn  test helper: called by a test",
@@ -287,7 +304,7 @@ mod tests {
         ("a fn used only as a macro argument passes", base + probe, [], ["by_macro"]),
         ("an item used only by an example passes", base + probe, [], ["by_example"]),
         ("a fn passed by value in its own file passes", base + probe, [], ["by_value"]),
-        ("a same-named local in another file is no reference", oracle + probe,
+        ("a same-named local in another file is no reference", oracle + probe + twins,
          ["`pub fn shadowed() {}` has no product reference"], []),
     ]
     ok = True

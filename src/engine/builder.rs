@@ -12,6 +12,8 @@ use ark_math::par::{self, ThreadPool};
 use ark_workloads::bootstrap::BootstrapTraceConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fs::File;
+use std::io::Read;
 
 /// Derives the analytic bootstrap sub-trace configuration a session
 /// with `cfg` would fix at build time — the same derivation
@@ -38,6 +40,18 @@ pub fn bootstrap_trace_config(params: &CkksParams, cfg: &BootstrapConfig) -> Boo
     }
 }
 
+/// Eight bytes of operating-system entropy: the seed of a software
+/// session built without [`EngineBuilder::seed`].
+fn entropy_seed() -> ArkResult<u64> {
+    let mut bytes = [0u8; 8];
+    File::open("/dev/urandom")
+        .and_then(|mut urandom| urandom.read_exact(&mut bytes))
+        .map_err(|_| ArkError::KeyChainMissing {
+            what: "a session seed: /dev/urandom could not be read (set EngineBuilder::seed)",
+        })?;
+    Ok(u64::from_le_bytes(bytes))
+}
+
 /// Builder for [`Engine`] — declare the parameter set, backend, key
 /// set and (optionally) bootstrapping support, then [`build`](Self::build).
 #[derive(Debug, Clone)]
@@ -45,7 +59,7 @@ pub fn bootstrap_trace_config(params: &CkksParams, cfg: &BootstrapConfig) -> Boo
 pub struct EngineBuilder {
     params: Option<CkksParams>,
     backend: Backend,
-    seed: u64,
+    seed: Option<u64>,
     rotations: Vec<i64>,
     conjugation: bool,
     runtime_keys: bool,
@@ -59,7 +73,7 @@ impl Default for EngineBuilder {
         Self {
             params: None,
             backend: Backend::Software,
-            seed: 0,
+            seed: None,
             rotations: Vec::new(),
             conjugation: false,
             runtime_keys: false,
@@ -83,9 +97,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Seeds key generation and encryption randomness (default 0).
+    /// Seeds key generation and encryption randomness, for a
+    /// reproducible session. Without it a software session seeds
+    /// itself from 8 bytes of `/dev/urandom`, so no two default
+    /// sessions share a secret key or a stream of ciphertext seeds.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.seed = Some(seed);
         self
     }
 
@@ -165,6 +182,8 @@ impl EngineBuilder {
     ///
     /// # Errors
     ///
+    /// [`ArkError::KeyChainMissing`] if a software session has no
+    /// [`Self::seed`] and `/dev/urandom` cannot be read;
     /// [`ArkError::InvalidParams`] if no parameter set was given or the
     /// set is internally inconsistent (`dnum` must divide `L+1`, chain
     /// primes must be 3 to 61 bits wide, a bootstrap configuration must
@@ -186,8 +205,12 @@ impl EngineBuilder {
         let threads = pool.threads();
         let state = match self.backend {
             Backend::Software => {
+                let seed = match self.seed {
+                    Some(seed) => seed,
+                    None => entropy_seed()?,
+                };
                 let ctx = CkksContext::with_pool(shape.params().clone(), pool);
-                let mut rng = StdRng::seed_from_u64(self.seed);
+                let mut rng = StdRng::seed_from_u64(seed);
                 let declared = shape.declared().clone();
                 let mut keygen_rotations: Vec<i64> = declared.rotations().collect();
                 let boot = self.bootstrapping.map(|cfg| {

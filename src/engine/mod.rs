@@ -374,7 +374,12 @@ impl Engine {
         }
     }
 
-    /// Encrypts slot values at `level` under the session public key.
+    /// Encrypts slot values at `level` under the session secret key.
+    /// `A` expands from a fresh 64-bit seed drawn from the session's
+    /// generator, which the ciphertext records, so the wire codec ships
+    /// `A` as those 8 bytes ([`ark_ckks::wire::encode_ciphertext`]).
+    /// A third party holding only the public key encrypts with
+    /// [`CkksContext::encrypt_public`] instead.
     ///
     /// # Errors
     ///
@@ -588,6 +593,32 @@ mod tests {
         assert_eq!(
             run(Backend::Software),
             run(Backend::Simulated(ArkConfig::base()))
+        );
+    }
+
+    /// Without `.seed()` a session seeds itself from the OS: two such
+    /// sessions hold different keys (and so different seed streams),
+    /// while one explicit seed still reproduces a session exactly.
+    #[test]
+    fn default_sessions_do_not_share_keys() {
+        let public_key_frame = |builder: EngineBuilder| {
+            let engine = builder.params(CkksParams::tiny()).build().unwrap();
+            let ctx = engine.context().unwrap();
+            let mut out = Vec::new();
+            ark_ckks::wire::encode_compressed_public_key(
+                &mut out,
+                ctx,
+                engine.keychain().unwrap().public_key(),
+            );
+            out
+        };
+        assert_ne!(
+            public_key_frame(Engine::builder()),
+            public_key_frame(Engine::builder())
+        );
+        assert_eq!(
+            public_key_frame(Engine::builder().seed(0)),
+            public_key_frame(Engine::builder().seed(0))
         );
     }
 

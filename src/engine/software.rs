@@ -106,7 +106,7 @@ impl HeEvaluator for SoftwareEvaluator<'_> {
             what: "encryption randomness (shared evaluators are evaluation-only; \
                    encrypt on the owning session or client-side)",
         })?;
-        Ok(self.ctx.encrypt_public(&pt, self.keys.public_key(), rng))
+        Ok(self.ctx.encrypt(&pt, &self.keys.sk, rng))
     }
 
     fn level(&self, ct: &Self::Ct) -> usize {
