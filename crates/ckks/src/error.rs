@@ -70,6 +70,12 @@ pub enum ArkError {
         /// Human-readable reason.
         reason: String,
     },
+    /// A session built without an explicit seed could not read the
+    /// operating system's entropy source to seed itself.
+    EntropyUnavailable {
+        /// Human-readable reason.
+        reason: String,
+    },
     /// A wire-format read failed: truncation, corruption, version or
     /// parameter-set mismatch (see [`ark_math::wire::WireError`]).
     Wire(ark_math::wire::WireError),
@@ -134,6 +140,9 @@ impl std::fmt::Display for ArkError {
                 )
             }
             ArkError::InvalidParams { reason } => write!(f, "invalid parameters: {reason}"),
+            ArkError::EntropyUnavailable { reason } => {
+                write!(f, "no entropy to seed the session: {reason}")
+            }
             ArkError::Wire(e) => write!(f, "wire format error: {e}"),
             ArkError::Serve { reason } => write!(f, "serving error: {reason}"),
             ArkError::Busy { retry_after_ms } => {

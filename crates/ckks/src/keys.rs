@@ -38,7 +38,9 @@
 //! twin, so a library caller and an engine session share one generator
 //! and one schedule. Key-generation noise therefore has the same
 //! posture on both fronts: each error is expanded from a 64-bit noise
-//! seed, not drawn from the caller's RNG stream.
+//! seed, not drawn from the caller's RNG stream. Fresh ciphertexts
+//! join the schedule too: [`ciphertext_seed`] numbers their `A` seeds
+//! off the public `a_master` ([`CkksContext::encrypt_seeded`]).
 //!
 //! Key generation expands each `A_i` to compute `B_i`, then drops it:
 //! an [`EvalKey`] is `{ a_seed, b_pieces }` and a [`PublicKey`] is
@@ -67,6 +69,21 @@ pub const ERROR_STD_DEV: f64 = 3.2;
 // at or above `1 << 32` cannot collide with them.
 const SEED_TAG_PUBLIC_KEY: u64 = 1 << 32;
 const SEED_TAG_MULT_KEY: u64 = (1 << 32) + 1;
+// Fresh ciphertexts' tweaks: the top bit set, above every key tweak.
+const SEED_TAG_CIPHERTEXT: u64 = 1 << 63;
+
+/// The public `A` seed of the `n`-th fresh ciphertext encrypted under
+/// the keys generated from `a_master`: `a_master`'s child under the
+/// tweak `2^63 | n`. For a fixed master [`derive_seed`] is a bijection
+/// of the tweak, so the seeds of distinct `n < 2^63` are distinct and
+/// none is the child of a key (public key, multiplication key, Galois
+/// element). They are computed from the already public master, so
+/// shipping them reveals no output of the generator behind `sk` and
+/// the errors.
+pub fn ciphertext_seed(a_master: u64, n: u64) -> u64 {
+    debug_assert!(n < SEED_TAG_CIPHERTEXT, "ciphertext counter overflow");
+    derive_seed(a_master, SEED_TAG_CIPHERTEXT | n)
+}
 
 /// Draws the two masters the RNG front generates from: `a_master`
 /// first, then `noise_master`.
@@ -250,16 +267,49 @@ impl CkksContext {
     }
 
     /// Encrypts a plaintext under the secret key (symmetric RLWE,
-    /// Eq. 2: `B = A·S + P_m + E`). `A` expands from a fresh 64-bit
-    /// seed drawn from `rng` ([`RnsPoly::from_seed`]), which the
-    /// ciphertext records, so the wire can ship `A` as those 8 bytes;
-    /// the error comes from `rng` after it. Seeds must never repeat
-    /// under one secret key: two ciphertexts sharing `A` leak the
-    /// difference of their messages.
+    /// Eq. 2: `B = A·S + P_m + E`) with a uniform `A` and the error
+    /// both drawn from `rng`. The ciphertext records no seed, so its
+    /// `A` ships in full; [`Self::encrypt_seeded`] is the form whose
+    /// `A` travels as 8 bytes.
     pub fn encrypt<R: Rng>(&self, pt: &Plaintext, sk: &SecretKey, rng: &mut R) -> Ciphertext {
         let idx = self.chain_indices(pt.level);
-        let seed: u64 = rng.gen();
-        let a = RnsPoly::from_seed(self.basis(), idx, Representation::Evaluation, seed);
+        let a = RnsPoly::random_uniform(self.basis(), idx, Representation::Evaluation, rng);
+        self.encrypt_with_a(pt, sk, a, None, rng)
+    }
+
+    /// Symmetric encryption whose `A` expands from the public `a_seed`
+    /// ([`RnsPoly::from_seed`]); the ciphertext records the seed, so
+    /// the wire codec can ship `A` as those 8 bytes. Only the error is
+    /// drawn from `rng`.
+    ///
+    /// `a_seed` is published with the ciphertext, so it must not be an
+    /// output of the generator that drew `sk` or draws the errors, and
+    /// it must never repeat under one secret key: two ciphertexts that
+    /// share `A` leak the difference of their messages.
+    /// [`ciphertext_seed`] numbers seeds off a key chain's public
+    /// master so that neither can happen.
+    pub fn encrypt_seeded<R: Rng>(
+        &self,
+        pt: &Plaintext,
+        sk: &SecretKey,
+        a_seed: u64,
+        rng: &mut R,
+    ) -> Ciphertext {
+        let idx = self.chain_indices(pt.level);
+        let a = RnsPoly::from_seed(self.basis(), idx, Representation::Evaluation, a_seed);
+        self.encrypt_with_a(pt, sk, a, Some(a_seed), rng)
+    }
+
+    /// `B = A·S + P_m + E` for a given `A`, the error drawn from `rng`.
+    fn encrypt_with_a<R: Rng>(
+        &self,
+        pt: &Plaintext,
+        sk: &SecretKey,
+        a: RnsPoly,
+        a_seed: Option<u64>,
+        rng: &mut R,
+    ) -> Ciphertext {
+        let idx = self.chain_indices(pt.level);
         let mut b = sk.s.subset(idx);
         b.mul_assign(&a, self.basis());
         b.add_assign(&pt.poly, self.basis());
@@ -270,7 +320,7 @@ impl CkksContext {
             a,
             level: pt.level,
             scale: pt.scale,
-            a_seed: Some(seed),
+            a_seed,
         }
     }
 
@@ -524,10 +574,9 @@ mod tests {
         assert!(err < 1e-5, "decryption error {err}");
     }
 
-    /// A session's shape: `sk`, then the masters, from one generator,
-    /// then encryptions from the same stream. No two of 10 000
-    /// ciphertexts share an `A` seed, and none is a seed any key of
-    /// the chain expands an `A` from.
+    /// The seeds of 10 000 fresh ciphertexts of one chain are pairwise
+    /// distinct, none is a seed any key of the chain expands an `A`
+    /// from, and a seeded encryption decrypts and records its seed.
     #[test]
     fn fresh_seeds_never_repeat_or_meet_a_key_seed() {
         let ctx = CkksContext::new(CkksParams::tiny());
@@ -542,16 +591,20 @@ mod tests {
             key_seeds.push(key.a_seed);
             key_seeds.extend((0..key.dnum() as u64).map(|i| derive_seed(key.a_seed, i)));
         }
-        let pt = ctx.encode(&[C64::new(0.5, 0.0)], 0, ctx.params().scale());
         let mut seen = std::collections::HashSet::new();
-        for _ in 0..10_000 {
-            let seed = ctx
-                .encrypt(&pt, &sk, &mut rng)
-                .a_seed
-                .expect("a fresh seed");
+        for n in 0..10_000 {
+            let seed = ciphertext_seed(a_master, n);
             assert!(seen.insert(seed), "seed {seed:#x} repeated");
             assert!(!key_seeds.contains(&seed), "seed {seed:#x} is a key's");
         }
+        let msg = [C64::new(0.5, -0.25)];
+        let pt = ctx.encode(&msg, 1, ctx.params().scale());
+        let seed = ciphertext_seed(a_master, 0);
+        let ct = ctx.encrypt_seeded(&pt, &sk, seed, &mut rng);
+        assert_eq!(ct.a_seed, Some(seed));
+        assert!(ct.a.matches_seed(ctx.basis(), seed));
+        assert!(max_error(&msg, &ctx.decrypt_decode(&ct, &sk)[..1]) < 1e-5);
+        assert_eq!(ctx.encrypt(&pt, &sk, &mut rng).a_seed, None);
     }
 
     #[test]

@@ -25,27 +25,29 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The golden ciphertext's frame in the full form (seed hint cleared)
-/// and in the seeded form (`A` as its 8-byte seed).
-fn golden_ciphertext_bytes() -> (CkksContext, [Vec<u8>; 2]) {
+/// The golden ciphertexts' frames: a uniform-`A` encryption (full
+/// form) and then a seeded one (`A` as its 8-byte seed), with the
+/// seeded ciphertext itself.
+fn golden_ciphertext_bytes() -> (CkksContext, [Vec<u8>; 2], Ciphertext) {
     let ctx = CkksContext::new(CkksParams::tiny());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xA12C);
     let sk = ctx.gen_secret_key(&mut rng);
     let m: Vec<C64> = (0..ctx.params().slots())
         .map(|i| C64::new(0.125 * i as f64, -0.0625 * i as f64))
         .collect();
-    let ct = ctx.encrypt(&ctx.encode(&m, 2, ctx.params().scale()), &sk, &mut rng);
-    let full = Ciphertext {
-        a_seed: None,
-        ..ct.clone()
-    };
-    let bytes = [write_ciphertext(&ctx, &full), write_ciphertext(&ctx, &ct)];
-    (ctx, bytes)
+    let pt = ctx.encode(&m, 2, ctx.params().scale());
+    let full = ctx.encrypt(&pt, &sk, &mut rng);
+    let seeded = ctx.encrypt_seeded(&pt, &sk, 0x5eed, &mut rng);
+    let bytes = [
+        write_ciphertext(&ctx, &full),
+        write_ciphertext(&ctx, &seeded),
+    ];
+    (ctx, bytes, seeded)
 }
 
 #[test]
 fn ciphertext_wire_bytes_are_pinned() {
-    let (ctx, [full, seeded]) = golden_ciphertext_bytes();
+    let (ctx, [full, seeded], seeded_ct) = golden_ciphertext_bytes();
     for (bytes, golden) in [
         (&full, (GOLDEN_CT_LEN, GOLDEN_CT_FNV)),
         (&seeded, (GOLDEN_CT_SEEDED_LEN, GOLDEN_CT_SEEDED_FNV)),
@@ -64,11 +66,14 @@ fn ciphertext_wire_bytes_are_pinned() {
         let (back, _) = read_ciphertext_prefix(&ctx, bytes).expect("golden bytes decode");
         assert_eq!(&write_ciphertext(&ctx, &back), bytes);
     }
-    // both forms are one ciphertext
-    assert_eq!(
-        read_ciphertext_prefix(&ctx, &full).unwrap().0,
-        read_ciphertext_prefix(&ctx, &seeded).unwrap().0
-    );
+    // the seeded frame carries the seeded ciphertext, whose full form
+    // is as long as any other ciphertext's at that level
+    assert_eq!(read_ciphertext_prefix(&ctx, &seeded).unwrap().0, seeded_ct);
+    let unseeded = Ciphertext {
+        a_seed: None,
+        ..seeded_ct
+    };
+    assert_eq!(write_ciphertext(&ctx, &unseeded).len(), GOLDEN_CT_LEN);
 }
 
 #[test]
@@ -86,14 +91,13 @@ fn param_fingerprints_are_pinned() {
 // whose residues take their prime's byte width (7 + 5 + 5 bytes a
 // coefficient at level 2 of `tiny`, not 24): the stream shrank from
 // 1618 to 1170 bytes; the fingerprints, which hash the parameters with
-// the unchanged XXH64, did not move. The hashes moved again, not the
-// full form's length, when symmetric encryption began expanding `A`
-// from a seed drawn from the RNG; the seeded form ships that `A` as a
-// 13-byte slot in place of its poly.
+// the unchanged XXH64, did not move. The seeded form, a second
+// encryption whose `A` expands from the seed 0x5eed, ships that `A` as
+// a 13-byte slot in place of its poly.
 const GOLDEN_CT_LEN: usize = 1170;
-const GOLDEN_CT_FNV: u64 = 0x8bcb_d2f9_ea91_9748;
+const GOLDEN_CT_FNV: u64 = 0xfccb_7646_7bba_e969;
 const GOLDEN_CT_SEEDED_LEN: usize = 620;
-const GOLDEN_CT_SEEDED_FNV: u64 = 0x0a18_dd53_1df0_5da0;
+const GOLDEN_CT_SEEDED_FNV: u64 = 0x9f10_67e3_c838_b7d3;
 const GOLDEN_FP_TINY: u64 = 0x7789_dffd_a8e0_349d;
 const GOLDEN_FP_SMALL: u64 = 0xc920_5ff1_a1f7_6919;
 const GOLDEN_FP_ARK: u64 = 0x55f6_ad47_c8c6_150d;
@@ -101,7 +105,7 @@ const GOLDEN_FP_ARK: u64 = 0x55f6_ad47_c8c6_150d;
 #[test]
 #[ignore = "utility: prints current golden values for re-pinning"]
 fn print_golden_values() {
-    let (_, [full, seeded]) = golden_ciphertext_bytes();
+    let (_, [full, seeded], _) = golden_ciphertext_bytes();
     println!("GOLDEN_CT_LEN: usize = {};", full.len());
     println!("GOLDEN_CT_FNV: u64 = {:#018x};", fnv1a(&full));
     println!("GOLDEN_CT_SEEDED_LEN: usize = {};", seeded.len());

@@ -48,11 +48,13 @@ fn fixtures() -> &'static (Fixture, Fixture) {
     })
 }
 
+/// A fresh seeded encryption: `seed` seeds the error generator and is
+/// the `A` seed (distinct per call site, so no two share `A`).
 fn encrypt(f: &Fixture, msg: &[(f64, f64)], level: usize, seed: u64) -> Ciphertext {
     let m: Vec<C64> = msg.iter().map(|&(re, im)| C64::new(re, im)).collect();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let pt = f.ctx.encode(&m, level, f.ctx.params().scale());
-    f.ctx.encrypt(&pt, &f.sk, &mut rng)
+    f.ctx.encrypt_seeded(&pt, &f.sk, seed, &mut rng)
 }
 
 /// Bytes of a residue modulo `q`, worked out here from the prime alone.
@@ -428,7 +430,7 @@ fn a_fresh_ciphertext_ships_its_a_as_the_seeded_slot() {
         for level in [0, max] {
             let name = format!("{} level {level}", ctx.params().name);
             let pt = ctx.encode(&[C64::new(0.25, -0.5)], level, ctx.params().scale());
-            let ct = ctx.encrypt(&pt, &sk, &mut rng);
+            let ct = ctx.encrypt_seeded(&pt, &sk, 0x5eed + level as u64, &mut rng);
             let full = Ciphertext {
                 a_seed: None,
                 ..ct.clone()

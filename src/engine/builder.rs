@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs::File;
 use std::io::Read;
+use std::path::Path;
 
 /// Derives the analytic bootstrap sub-trace configuration a session
 /// with `cfg` would fix at build time — the same derivation
@@ -43,11 +44,19 @@ pub fn bootstrap_trace_config(params: &CkksParams, cfg: &BootstrapConfig) -> Boo
 /// Eight bytes of operating-system entropy: the seed of a software
 /// session built without [`EngineBuilder::seed`].
 fn entropy_seed() -> ArkResult<u64> {
+    read_seed(Path::new("/dev/urandom"))
+}
+
+/// The first eight bytes of `source` as a little-endian seed.
+fn read_seed(source: &Path) -> ArkResult<u64> {
     let mut bytes = [0u8; 8];
-    File::open("/dev/urandom")
-        .and_then(|mut urandom| urandom.read_exact(&mut bytes))
-        .map_err(|_| ArkError::KeyChainMissing {
-            what: "a session seed: /dev/urandom could not be read (set EngineBuilder::seed)",
+    File::open(source)
+        .and_then(|mut file| file.read_exact(&mut bytes))
+        .map_err(|e| ArkError::EntropyUnavailable {
+            reason: format!(
+                "{} could not be read ({e}); set EngineBuilder::seed",
+                source.display()
+            ),
         })?;
     Ok(u64::from_le_bytes(bytes))
 }
@@ -182,7 +191,7 @@ impl EngineBuilder {
     ///
     /// # Errors
     ///
-    /// [`ArkError::KeyChainMissing`] if a software session has no
+    /// [`ArkError::EntropyUnavailable`] if a software session has no
     /// [`Self::seed`] and `/dev/urandom` cannot be read;
     /// [`ArkError::InvalidParams`] if no parameter set was given or the
     /// set is internally inconsistent (`dnum` must divide `L+1`, chain
@@ -247,5 +256,28 @@ impl EngineBuilder {
             state,
             threads,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unreadable_entropy_source_is_its_own_typed_error() {
+        let missing = Path::new(env!("CARGO_MANIFEST_DIR")).join("no-such-entropy-source");
+        let err = read_seed(&missing).unwrap_err();
+        assert!(
+            matches!(err, ArkError::EntropyUnavailable { .. }),
+            "{err:?}"
+        );
+        let msg = err.to_string();
+        assert!(msg.starts_with("no entropy to seed the session: "), "{msg}");
+        assert!(msg.contains("no-such-entropy-source"), "{msg}");
+        assert!(msg.contains("set EngineBuilder::seed"), "{msg}");
+        // a readable source yields its first eight bytes
+        let manifest = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
+        let head: [u8; 8] = std::fs::read(&manifest).unwrap()[..8].try_into().unwrap();
+        assert_eq!(read_seed(&manifest).unwrap(), u64::from_le_bytes(head));
     }
 }

@@ -6,6 +6,7 @@ use ark_ckks::keys::{EvalKey, PublicKey, RotationKeys, SecretKey};
 use ark_ckks::params::CkksContext;
 use ark_math::automorphism::GaloisElement;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The rotation amounts and conjugation flag a session was declared
@@ -87,9 +88,9 @@ struct RuntimeKeyCache {
     inner: Mutex<RuntimeCacheInner>,
     /// Lookups answered from the cache (atomic: shared evaluators hit
     /// this concurrently; `ark-serve` exports it through `STATS`).
-    hits: std::sync::atomic::AtomicU64,
+    hits: AtomicU64,
     /// Lookups that had to derive the key.
-    misses: std::sync::atomic::AtomicU64,
+    misses: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -105,8 +106,8 @@ impl RuntimeKeyCache {
         Self {
             capacity: capacity.max(1),
             inner: Mutex::new(RuntimeCacheInner::default()),
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -125,12 +126,11 @@ impl RuntimeKeyCache {
             let tick = inner.tick;
             if let Some((stamp, key)) = inner.keys.get_mut(&g.0) {
                 *stamp = tick;
-                self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.hits.fetch_add(1, Ordering::Relaxed);
                 return Arc::clone(key);
             }
         }
-        self.misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.misses.fetch_add(1, Ordering::Relaxed);
         let key = Arc::new(derive()); // no lock held across the keygen
         let mut inner = self.inner.lock().expect("runtime key cache poisoned");
         inner.tick += 1;
@@ -210,6 +210,9 @@ pub struct KeyChain {
     noise_master: u64,
     /// Runtime-derived Galois keys, present iff `runtime_keys(true)`.
     runtime: Option<RuntimeKeyCache>,
+    /// Fresh ciphertexts encrypted under `sk` so far: numbers the next
+    /// one's public `A` seed.
+    fresh_ciphertexts: AtomicU64,
 }
 
 impl KeyChain {
@@ -259,7 +262,17 @@ impl KeyChain {
             a_master,
             noise_master,
             runtime: runtime_capacity.map(RuntimeKeyCache::new),
+            fresh_ciphertexts: AtomicU64::new(0),
         }
+    }
+
+    /// The `A` seed of the next fresh ciphertext under `sk`:
+    /// [`ark_ckks::keys::ciphertext_seed`] of the public `a_master` and
+    /// a per-chain counter, so no two ciphertexts of the chain share
+    /// `A` and no seed is an output of the generator behind `sk`.
+    pub(super) fn next_ciphertext_seed(&self) -> u64 {
+        let n = self.fresh_ciphertexts.fetch_add(1, Ordering::Relaxed);
+        ark_ckks::keys::ciphertext_seed(self.a_master, n)
     }
 
     /// True if rotation keys are derived on demand instead of erroring
@@ -281,8 +294,8 @@ impl KeyChain {
     pub fn runtime_key_cache_stats(&self) -> (u64, u64) {
         self.runtime.as_ref().map_or((0, 0), |c| {
             (
-                c.hits.load(std::sync::atomic::Ordering::Relaxed),
-                c.misses.load(std::sync::atomic::Ordering::Relaxed),
+                c.hits.load(Ordering::Relaxed),
+                c.misses.load(Ordering::Relaxed),
             )
         })
     }
@@ -373,5 +386,46 @@ impl KeyChain {
             + self.evk_mult.byte_len()
             + self.rotations.byte_len()
             + self.sk.byte_len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::Engine;
+    use ark_ckks::params::CkksParams;
+    use ark_math::cfft::C64;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A session numbers its fresh ciphertexts' seeds off its chain's
+    /// public master, and none of them is an output of the generator
+    /// that drew `sk` and goes on to draw the errors: a seed on the
+    /// wire tells a reader nothing about that stream.
+    #[test]
+    fn fresh_seeds_are_numbered_off_the_public_master() {
+        let mut engine = Engine::builder()
+            .params(CkksParams::tiny())
+            .seed(5)
+            .build()
+            .unwrap();
+        let seeds: Vec<u64> = (0..16)
+            .map(|_| {
+                let ct = engine.encrypt(&[C64::new(0.5, 0.0)], 1).unwrap();
+                ct.a_seed.expect("a seeded ciphertext")
+            })
+            .collect();
+        let a_master = engine.keychain().unwrap().a_master;
+        let numbered: Vec<u64> = (0..16)
+            .map(|n| ark_ckks::keys::ciphertext_seed(a_master, n))
+            .collect();
+        assert_eq!(seeds, numbered);
+        // `sk`, the two masters and 16 encryptions' errors (12 draws a
+        // coefficient) take fewer than 13·16·N + 2N outputs
+        let mut stream = StdRng::seed_from_u64(5);
+        let outputs: std::collections::HashSet<u64> = (0..16 * 16 * engine.params().n())
+            .map(|_| stream.gen::<u64>())
+            .collect();
+        assert!(outputs.contains(&a_master));
+        assert!(seeds.iter().all(|seed| !outputs.contains(seed)));
     }
 }

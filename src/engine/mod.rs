@@ -375,9 +375,13 @@ impl Engine {
     }
 
     /// Encrypts slot values at `level` under the session secret key.
-    /// `A` expands from a fresh 64-bit seed drawn from the session's
-    /// generator, which the ciphertext records, so the wire codec ships
-    /// `A` as those 8 bytes ([`ark_ckks::wire::encode_ciphertext`]).
+    /// `A` expands from a public 64-bit seed that the session numbers
+    /// off its key chain's public master
+    /// ([`ark_ckks::keys::ciphertext_seed`]), so no two of its
+    /// ciphertexts share `A`; the ciphertext records the seed, and the
+    /// wire codec ships `A` as those 8 bytes
+    /// ([`ark_ckks::wire::encode_ciphertext`]). The error comes from
+    /// the session's generator, none of whose outputs the seed reveals.
     /// A third party holding only the public key encrypts with
     /// [`CkksContext::encrypt_public`] instead.
     ///

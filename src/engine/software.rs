@@ -106,7 +106,8 @@ impl HeEvaluator for SoftwareEvaluator<'_> {
             what: "encryption randomness (shared evaluators are evaluation-only; \
                    encrypt on the owning session or client-side)",
         })?;
-        Ok(self.ctx.encrypt(&pt, &self.keys.sk, rng))
+        let a_seed = self.keys.next_ciphertext_seed();
+        Ok(self.ctx.encrypt_seeded(&pt, &self.keys.sk, a_seed, rng))
     }
 
     fn level(&self, ct: &Self::Ct) -> usize {

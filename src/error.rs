@@ -18,7 +18,8 @@
 //!   [`ArkError::UnsupportedOnBackend`] — raised by [`crate::engine::Engine`]
 //!   when an operation needs material or a backend the session was not
 //!   built with;
-//! - **construction errors** — [`ArkError::InvalidParams`] — raised by
+//! - **construction errors** — [`ArkError::InvalidParams`],
+//!   [`ArkError::EntropyUnavailable`] — raised by
 //!   [`crate::engine::EngineBuilder::build`].
 
 pub use ark_ckks::error::{ArkError, ArkResult};

@@ -245,22 +245,23 @@ const GOLDEN_BOOTSTRAPPING: [(usize, u64); 3] = [
 // residues, not frame bytes (re-recorded in that form under frame
 // version 2 from the same outputs), so no codec change may move them.
 // Both moved, with their inputs, when `Engine::encrypt` switched from
-// public-key to seeded secret-key encryption; bootstrapping the old
-// public-key input still reproduces the values recorded before.
+// public-key to secret-key encryption with `A` seeds numbered off the
+// chain's public master; bootstrapping the old public-key input still
+// reproduces the values recorded before.
 const GOLDEN_REFRESHED: [(usize, u64); 3] = [
-    (12_288, 0x4689_3133_11d1_473c),
-    (12_288, 0xaf6a_998a_91a0_eca3),
-    (12_288, 0x71e7_b8b5_6c86_91f1),
+    (12_288, 0x9f2b_5eb2_d4dc_6009),
+    (12_288, 0x7fd0_6a6d_cc37_3877),
+    (12_288, 0x168c_0fb8_f25f_37a8),
 ];
 // Recorded while every plaintext weight still went through the general
 // encoding (iFFT, rounding, NTT), in `constant_weight_residues` order;
-// re-recorded for the seeded secret-key input (the old public-key input
-// still reproduces the values recorded before).
+// re-recorded for the numbered-seed secret-key input (the old
+// public-key input still reproduces the values recorded before).
 const GOLDEN_CONSTANT_WEIGHTS: [(usize, u64); 4] = [
-    (10_240, 0x502f_9dc7_a2bb_81db),
-    (10_240, 0xd013_b904_fc2e_508b),
-    (10_240, 0xe26c_00ba_bc31_56b3),
-    (10_240, 0xa27d_fae0_62e1_232e),
+    (10_240, 0xf946_cea8_763f_fa31),
+    (10_240, 0xcd35_0dca_a2ba_5f6b),
+    (10_240, 0x2561_66ad_540d_5967),
+    (10_240, 0xdf47_437d_b1eb_f6a7),
 ];
 
 #[test]
