@@ -109,15 +109,24 @@ impl CkksContext {
     ///
     /// Works at any level; reconstruction uses the CRT over the
     /// plaintext's chain limbs and interprets coefficients centered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plaintext's limbs are not the chain of its level.
     pub fn decode(&self, pt: &Plaintext) -> Vec<C64> {
+        assert_eq!(
+            pt.poly.limb_indices(),
+            self.chain_indices(pt.level),
+            "plaintext limbs are not the chain of level {}",
+            pt.level
+        );
         let mut poly = pt.poly.clone();
         poly.to_coeff(self.basis());
-        let idx: Vec<usize> = poly.limb_indices().to_vec();
-        let crt = self.crt(&idx);
+        let crt = self.crt(pt.level);
         let n = self.params().n();
         let slots = self.params().slots();
         let mut folded = vec![C64::zero(); slots];
-        let mut residues = vec![0u64; idx.len()];
+        let mut residues = vec![0u64; pt.level + 1];
         let mut reals = vec![0f64; n];
         #[allow(clippy::needless_range_loop)]
         for k in 0..n {
@@ -369,5 +378,22 @@ mod tests {
         let out = ctx.decode(&conj);
         let expect: Vec<C64> = msg.iter().map(|z| z.conj()).collect();
         assert!(max_error(&expect, &out) < 1e-5);
+    }
+
+    /// `Plaintext`'s fields are public, so its limbs can disagree with
+    /// its level; decoding such a plaintext against the level's CRT
+    /// would read the residues under the wrong moduli.
+    #[test]
+    #[should_panic(expected = "plaintext limbs are not the chain of level 2")]
+    fn decode_rejects_limbs_off_the_chain_of_its_level() {
+        let ctx = ctx();
+        let values = vec![C64::new(0.5, 0.0); ctx.params().slots()];
+        let scale = ctx.params().scale();
+        let pt = Plaintext {
+            poly: ctx.encode_on(&values, &[0, 1, 3], scale),
+            level: 2,
+            scale,
+        };
+        ctx.decode(&pt);
     }
 }

@@ -159,8 +159,8 @@ impl CkksContext {
         let mut out = y.subset_in(arena, self.chain_indices(level));
         out.sub_assign(&down, self.basis());
         down.recycle(arena);
-        // multiply by P^{-1} mod q_j (cached scalars)
-        out.mul_scalar_per_limb(&self.moddown_factors(level), self.basis());
+        // multiply by P^{-1} mod q_j (the level's precomputed scalars)
+        out.mul_scalar_per_limb(self.moddown_factors(level), self.basis());
         out
     }
 
@@ -440,7 +440,7 @@ mod tests {
     /// representation) over the chain limbs `chain`.
     fn max_magnitude(ctx: &CkksContext, mut poly: RnsPoly, chain: &[usize]) -> f64 {
         poly.to_coeff(ctx.basis());
-        let crt = ctx.crt(chain);
+        let crt = ctx.crt(chain.len() - 1);
         let mut residues = vec![0u64; chain.len()];
         let mut max_mag = 0f64;
         for k in 0..ctx.params().n() {

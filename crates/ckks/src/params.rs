@@ -4,7 +4,7 @@
 //! the maximum multiplicative level `L`, the decomposition number `dnum`
 //! (hence `α = (L+1)/dnum` special primes), and the scale `Δ`. The
 //! *context* materializes the RNS basis `D = C ∪ B`, NTT tables and
-//! cached base converters shared by every operation.
+//! the per-level base converters shared by every operation.
 //!
 //! Two families of presets exist:
 //!
@@ -232,19 +232,62 @@ impl CkksParams {
     }
 }
 
-/// Basis-index sets precomputed for every level at context build time,
-/// so the hot paths borrow slices instead of collecting fresh `Vec`s
-/// per call.
+/// Everything key-switching and decoding need at one level `ℓ`,
+/// built with the context: the basis-index sets the hot paths borrow,
+/// and the constants of Alg. 1–2 that depend only on the parameters
+/// and `ℓ`.
 #[derive(Debug)]
-struct IndexCache {
-    /// `{0, …, L}`; the chain at level `ℓ` is the prefix `[..=ℓ]`.
-    chain: Vec<usize>,
-    /// The special limb indices `B`.
-    special: Vec<usize>,
-    /// `C_ℓ ∪ B` per level.
-    extended: Vec<Vec<usize>>,
-    /// The decomposition groups `C_i ∩ C_ℓ` per level.
-    groups: Vec<Vec<Vec<usize>>>,
+struct LevelTables {
+    /// `C_ℓ ∪ B`, chain limbs first.
+    extended: Vec<usize>,
+    /// The decomposition groups `C_i ∩ C_ℓ`.
+    groups: Vec<Vec<usize>>,
+    /// One ModUp converter per group: its limbs to the rest of `C_ℓ ∪ B`.
+    modup: Vec<BaseConverter>,
+    /// The ModDown converter `B → C_ℓ`.
+    moddown: BaseConverter,
+    /// `P^{-1} mod q_j` for every chain limb `j ≤ ℓ`.
+    moddown_factors: Vec<u64>,
+    /// CRT reconstruction over `C_ℓ`.
+    crt: CrtContext,
+}
+
+impl LevelTables {
+    fn new(basis: &RnsBasis, level: usize, special: &[usize], alpha: usize) -> Self {
+        let chain: Vec<usize> = (0..=level).collect();
+        let extended = [&chain, special].concat();
+        let groups: Vec<Vec<usize>> = chain.chunks(alpha).map(<[usize]>::to_vec).collect();
+        let modup = groups
+            .iter()
+            .map(|group| {
+                let others: Vec<usize> = extended
+                    .iter()
+                    .copied()
+                    .filter(|i| !group.contains(i))
+                    .collect();
+                BaseConverter::new(basis, group, &others)
+            })
+            .collect();
+        let moddown_factors = chain
+            .iter()
+            .map(|&j| {
+                let q = basis.modulus(j);
+                let p_mod = special.iter().fold(1u64, |acc, &pi| {
+                    q.mul(acc, q.reduce(basis.modulus(pi).value()))
+                });
+                q.inv(p_mod)
+            })
+            .collect();
+        let moduli: Vec<_> = chain.iter().map(|&i| *basis.modulus(i)).collect();
+        Self {
+            modup,
+            moddown: BaseConverter::new(basis, special, &chain),
+            moddown_factors,
+            crt: CrtContext::new(&moduli),
+            extended,
+            groups,
+        }
+    }
 }
 
 /// A scratch arena checked out of [`CkksContext::arena`]. Dropping the
@@ -280,27 +323,22 @@ impl Drop for ArenaGuard<'_> {
     }
 }
 
-/// The shared CKKS evaluation context: basis, FFT tables, converter and
-/// CRT caches.
+/// The shared CKKS evaluation context: basis, FFT tables, and the
+/// converter, `P^{-1}` and CRT tables of every level.
 #[derive(Debug)]
 pub struct CkksContext {
     params: CkksParams,
     basis: RnsBasis,
     special_fft: SpecialFft,
-    indices: IndexCache,
-    /// ModUp converters keyed by `(level, group_idx)` — the key-switch
-    /// fast path, looked up without building `Vec` keys.
-    modup_converters: Mutex<HashMap<(usize, usize), Arc<BaseConverter>>>,
-    /// ModDown converters (`B → C_ℓ`) keyed by level.
-    moddown_converters: Mutex<HashMap<usize, Arc<BaseConverter>>>,
-    /// `P^{-1} mod q_j` for the chain of each level.
-    moddown_factors: Mutex<HashMap<usize, Arc<Vec<u64>>>>,
+    /// The special limb indices `B`.
+    special: Vec<usize>,
+    /// The tables of level `ℓ` at index `ℓ`.
+    levels: Vec<LevelTables>,
     /// Evaluation-representation Galois permutations keyed by the
     /// element `g` (one table serves every limb of every digit).
     perms: Mutex<HashMap<u64, Arc<Vec<usize>>>>,
     /// Checked-in scratch arenas (see [`CkksContext::arena`]).
     arenas: Mutex<Vec<ScratchArena>>,
-    crt_cache: Mutex<HashMap<Vec<usize>, Arc<CrtContext>>>,
 }
 
 impl CkksContext {
@@ -340,51 +378,19 @@ impl CkksContext {
                 params.dnum
             );
         }
-        let special_fft = SpecialFft::new(params.slots());
-        let indices = Self::build_index_cache(&params);
+        let l = params.max_level;
+        let special: Vec<usize> = (l + 1..=l + alpha).collect();
+        let levels = (0..=l)
+            .map(|level| LevelTables::new(&basis, level, &special, alpha))
+            .collect();
         Self {
+            special_fft: SpecialFft::new(params.slots()),
             params,
             basis,
-            special_fft,
-            indices,
-            modup_converters: Mutex::new(HashMap::new()),
-            moddown_converters: Mutex::new(HashMap::new()),
-            moddown_factors: Mutex::new(HashMap::new()),
+            special,
+            levels,
             perms: Mutex::new(HashMap::new()),
             arenas: Mutex::new(Vec::new()),
-            crt_cache: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn build_index_cache(params: &CkksParams) -> IndexCache {
-        let l = params.max_level;
-        let alpha = params.alpha();
-        let chain: Vec<usize> = (0..=l).collect();
-        let special: Vec<usize> = (l + 1..=l + alpha).collect();
-        let extended = (0..=l)
-            .map(|level| {
-                let mut v: Vec<usize> = (0..=level).collect();
-                v.extend_from_slice(&special);
-                v
-            })
-            .collect();
-        let groups = (0..=l)
-            .map(|level| {
-                let mut groups = Vec::new();
-                let mut start = 0usize;
-                while start <= level {
-                    let end = (start + alpha - 1).min(level);
-                    groups.push((start..=end).collect());
-                    start += alpha;
-                }
-                groups
-            })
-            .collect();
-        IndexCache {
-            chain,
-            special,
-            extended,
-            groups,
         }
     }
 
@@ -410,98 +416,53 @@ impl CkksContext {
 
     /// Basis indices of the chain limbs at level `ℓ`: `{0, …, ℓ}`.
     pub fn chain_indices(&self, level: usize) -> &[usize] {
-        assert!(level <= self.params.max_level, "level out of range");
-        &self.indices.chain[..=level]
+        &self.levels[level].extended[..=level]
     }
 
     /// Basis indices of the special limbs `B`.
     pub fn special_indices(&self) -> &[usize] {
-        &self.indices.special
+        &self.special
     }
 
     /// Basis indices of `D = C_ℓ ∪ B` for key-switching at level `ℓ`.
     pub fn extended_indices(&self, level: usize) -> &[usize] {
-        assert!(level <= self.params.max_level, "level out of range");
-        &self.indices.extended[level]
+        &self.levels[level].extended
     }
 
     /// The decomposition groups `C_i` intersected with the current level:
     /// `C_i = {q_{αi}, …, q_{α(i+1)−1}} ∩ {q_0..q_ℓ}`.
     pub fn decomposition_groups(&self, level: usize) -> &[Vec<usize>] {
-        assert!(level <= self.params.max_level, "level out of range");
-        &self.indices.groups[level]
+        &self.levels[level].groups
     }
 
-    /// The cached ModUp converter for decomposition group `group_idx`
-    /// at `level` (from the group's limbs to the rest of `C_ℓ ∪ B`).
-    /// The cache key is a pair of `usize`s, so steady-state lookups
-    /// allocate nothing.
-    pub fn modup_converter(&self, level: usize, group_idx: usize) -> Arc<BaseConverter> {
-        let mut cache = self
-            .modup_converters
-            .lock()
-            .expect("modup converter cache poisoned");
-        if let Some(conv) = cache.get(&(level, group_idx)) {
-            return conv.clone();
-        }
-        let group = &self.decomposition_groups(level)[group_idx];
-        let others: Vec<usize> = self
-            .extended_indices(level)
-            .iter()
-            .copied()
-            .filter(|i| !group.contains(i))
-            .collect();
-        let conv = Arc::new(BaseConverter::new(&self.basis, group, &others));
-        cache.insert((level, group_idx), conv.clone());
-        conv
+    /// The ModUp converter for decomposition group `group_idx` at
+    /// `level` (from the group's limbs to the rest of `C_ℓ ∪ B`).
+    pub fn modup_converter(&self, level: usize, group_idx: usize) -> &BaseConverter {
+        &self.levels[level].modup[group_idx]
     }
 
-    /// The cached ModDown converter (`B → C_ℓ`) for `level`.
-    pub fn moddown_converter(&self, level: usize) -> Arc<BaseConverter> {
-        let mut cache = self
-            .moddown_converters
-            .lock()
-            .expect("moddown converter cache poisoned");
-        if let Some(conv) = cache.get(&level) {
-            return conv.clone();
-        }
-        let conv = Arc::new(BaseConverter::new(
-            &self.basis,
-            self.special_indices(),
-            self.chain_indices(level),
-        ));
-        cache.insert(level, conv.clone());
-        conv
+    /// The ModDown converter (`B → C_ℓ`) for `level`.
+    pub fn moddown_converter(&self, level: usize) -> &BaseConverter {
+        &self.levels[level].moddown
     }
 
-    /// `P^{-1} mod q_j` for every chain limb of `level`, cached — the
-    /// scalar sweep that finishes a ModDown.
-    pub fn moddown_factors(&self, level: usize) -> Arc<Vec<u64>> {
-        let mut cache = self
-            .moddown_factors
-            .lock()
-            .expect("moddown factor cache poisoned");
-        if let Some(inv) = cache.get(&level) {
-            return inv.clone();
-        }
-        let inv: Vec<u64> = self
-            .chain_indices(level)
-            .iter()
-            .map(|&j| {
-                let q = self.basis.modulus(j);
-                let p_mod = self.special_indices().iter().fold(1u64, |acc, &pi| {
-                    q.mul(acc, q.reduce(self.basis.modulus(pi).value()))
-                });
-                q.inv(p_mod)
-            })
-            .collect();
-        let inv = Arc::new(inv);
-        cache.insert(level, inv.clone());
-        inv
+    /// `P^{-1} mod q_j` for every chain limb of `level` — the scalar
+    /// sweep that finishes a ModDown.
+    pub fn moddown_factors(&self, level: usize) -> &[u64] {
+        &self.levels[level].moddown_factors
     }
 
-    /// The cached evaluation-representation permutation of the Galois
-    /// element `g` (see [`eval_permutation`]).
+    /// The CRT reconstruction context over the chain limbs of `level`.
+    pub fn crt(&self, level: usize) -> &CrtContext {
+        &self.levels[level].crt
+    }
+
+    /// The evaluation-representation permutation of the Galois element
+    /// `g` (see [`eval_permutation`]), built on first use and kept. It is
+    /// the one table filled on demand: the per-level tables have a key
+    /// set the parameters fix, but the Galois elements in use are an
+    /// open set that the rotation keys decide, and each table is `N`
+    /// words.
     pub fn eval_perm(&self, g: GaloisElement) -> Arc<Vec<usize>> {
         let mut cache = self.perms.lock().expect("permutation cache poisoned");
         if let Some(perm) = cache.get(&g.0) {
@@ -530,24 +491,13 @@ impl CkksContext {
             slot: &self.arenas,
         }
     }
-
-    /// A cached CRT reconstruction context over the given basis indices.
-    pub fn crt(&self, indices: &[usize]) -> Arc<CrtContext> {
-        let key = indices.to_vec();
-        let mut cache = self.crt_cache.lock().expect("crt cache poisoned");
-        cache
-            .entry(key)
-            .or_insert_with(|| {
-                let moduli: Vec<_> = indices.iter().map(|&i| *self.basis.modulus(i)).collect();
-                Arc::new(CrtContext::new(&moduli))
-            })
-            .clone()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ark_math::crt::BigUint;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn ark_params_match_table_iii() {
@@ -602,14 +552,63 @@ mod tests {
     }
 
     #[test]
-    fn converter_cache_returns_same_instance() {
-        let ctx = CkksContext::new(CkksParams::tiny());
-        let a = ctx.modup_converter(3, 1);
-        let b = ctx.modup_converter(3, 1);
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
-        let a = ctx.moddown_converter(2);
-        let b = ctx.moddown_converter(2);
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
+    fn level_tables_are_exact_at_every_level() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for params in [
+            CkksParams::tiny(),
+            CkksParams::small(),
+            CkksParams::boot_test(),
+        ] {
+            let ctx = CkksContext::new(params.clone());
+            let basis = ctx.basis();
+            for level in 0..=params.max_level {
+                let ext = ctx.extended_indices(level);
+                for (i, group) in ctx.decomposition_groups(level).iter().enumerate() {
+                    let conv = ctx.modup_converter(level, i);
+                    let rest: Vec<usize> =
+                        ext.iter().copied().filter(|j| !group.contains(j)).collect();
+                    assert_eq!(
+                        (conv.from_indices(), conv.to_indices()),
+                        (&group[..], &rest[..])
+                    );
+                }
+                let down = ctx.moddown_converter(level);
+                assert_eq!(down.from_indices(), ctx.special_indices());
+                assert_eq!(down.to_indices(), ctx.chain_indices(level));
+
+                let factors = ctx.moddown_factors(level);
+                assert_eq!(factors.len(), level + 1);
+                for (&j, &inv) in ctx.chain_indices(level).iter().zip(factors) {
+                    let q = basis.modulus(j);
+                    let p_mod = ctx.special_indices().iter().fold(1, |acc, &i| {
+                        q.mul(acc, basis.modulus(i).value() % q.value())
+                    });
+                    assert_eq!(
+                        q.mul(inv, p_mod),
+                        1,
+                        "{}: P⁻¹ mod q_{j} at level {level}",
+                        params.name
+                    );
+                }
+
+                // ±v for a random v below 2^40 (under Q/2 at every level),
+                // its residues taken over the chain's own moduli
+                let crt = ctx.crt(level);
+                let v: u64 = rng.gen_range(1..1 << 40);
+                let chain = ctx.chain_indices(level).iter().map(|&j| basis.modulus(j));
+                let residues: Vec<u64> = chain.clone().map(|q| v % q.value()).collect();
+                let negated: Vec<u64> = chain.map(|q| q.neg(v % q.value())).collect();
+                assert_eq!(crt.decompose(&BigUint::from_u64(v)), residues);
+                assert_eq!(
+                    crt.reconstruct_signed(&residues),
+                    (false, BigUint::from_u64(v))
+                );
+                assert_eq!(
+                    crt.reconstruct_signed(&negated),
+                    (true, BigUint::from_u64(v))
+                );
+            }
+        }
     }
 
     #[test]

@@ -493,8 +493,10 @@ impl ClientCore {
     /// Queues the request frame `write` appends under a fresh id,
     /// returning its ticket. The request is written once, where the
     /// transport takes it from: prefix, id, then the frame, sealed in
-    /// place. (The copy retained for a `BUSY` retry costs a fiftieth of
-    /// what hashing the frame does.)
+    /// place. (The copy retained for a `BUSY` retry costs about a quarter
+    /// of what hashing the frame does: for a 216 KiB frame, best of 200
+    /// in release on a 2-core Xeon host, `to_vec` took 6.5–7.9 µs and
+    /// `ark_math::wire::checksum` 23–26 µs.)
     fn submit(
         &mut self,
         expect: u16,

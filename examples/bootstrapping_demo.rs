@@ -46,7 +46,7 @@ fn stage_breakdown(config: BootstrapConfig) -> Result<(), ArkError> {
         .collect();
     let ct = ctx.encrypt(&ctx.encode(&message, 0, params.scale()), &sk, &mut rng);
 
-    // the first pass warms arenas, converters and permutation tables
+    // the first pass warms the scratch arenas and the permutation tables
     let mut steps = Vec::new();
     let mut refreshed = ct.clone();
     for _ in 0..2 {

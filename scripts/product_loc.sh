@@ -9,14 +9,20 @@
 # Each PATH, a file or directory relative to REPO_ROOT, gets a row of
 # its own instead; `.rs` files under a directory are counted.
 #
+# `--self-test` counts a fixture (comments, a `#[cfg(test)]` module
+# whose strings hold `{` and `//`, a one-line `#[cfg(test)]` item, char
+# literals and lifetimes) and checks that exactly its product lines are
+# counted. CI runs it, and the count, in the lint job.
+#
 # Usage: scripts/product_loc.sh [REPO_ROOT [PATH...]]   (default: cwd)
+#        scripts/product_loc.sh --self-test
 set -euo pipefail
 
 root="${1:-.}"
 if [ "$#" -gt 0 ]; then shift; fi
 
 python3 - "$root" "$@" <<'EOF'
-import glob, os, re, sys
+import glob, os, re, sys, tempfile
 
 CFG_TEST = re.compile(r"^\s*#\[cfg\((?:all\()?test\b")
 
@@ -58,6 +64,7 @@ def code_events(text):
 
 
 def product_lines(path):
+    """The 1-based numbers of the product lines of the file `path`."""
     with open(path, encoding="utf-8") as f:
         text = f.read()
     lines = text.split("\n")
@@ -70,11 +77,14 @@ def product_lines(path):
     skip = [False] * len(lines)
     events = list(code_events(text))
     for number, line in enumerate(lines):
-        if skip[number] or not CFG_TEST.match(line):
+        attribute = CFG_TEST.match(line)
+        if skip[number] or not attribute:
             continue
+        # the item starts after the attribute's `]`, on its line or below
+        item = text.find("]", starts[number] + attribute.end())
         depth, end = 0, len(text)
         for at, c in events:
-            if at < starts[number] + len(line):
+            if at < item:
                 continue
             if c == ";" and depth == 0:
                 end = at
@@ -91,24 +101,83 @@ def product_lines(path):
             last += 1
         for k in range(number, last + 1):
             skip[k] = True
-    return sum(
-        1
+    return [
+        number + 1
         for number, line in enumerate(lines)
         if not skip[number] and line.strip() and not line.strip().startswith("//")
-    )
+    ]
 
 
 def count(root, rel):
     path = os.path.join(root, rel)
     if os.path.isfile(path):
-        return product_lines(path)
+        return len(product_lines(path))
     files = glob.glob(os.path.join(path, "**", "*.rs"), recursive=True)
     if not files:
         sys.exit(f"product_loc: no .rs file under {rel}")
-    return sum(product_lines(f) for f in files)
+    return sum(len(product_lines(f)) for f in files)
+
+
+# Every product line of the fixture, and no other line, ends in `// +`.
+FIXTURE = """\
+//! A crate doc line.
+
+/// A doc line.
+pub fn open() -> char { // +
+    // a comment holding a brace {
+    '{' // +
+} // +
+
+pub struct Holder<'a> { // +
+    name: &'a str, // +
+} // +
+
+#[cfg(all(test, feature = "slow"))]
+fn helper<'a>(s: &'a str) -> usize {
+    if s.is_empty() { '}' as usize } else { s.len() }
+}
+
+#[cfg(test)] use std::fmt::Debug;
+
+pub fn two() -> usize { // +
+    2 // +
+} // +
+
+#[cfg(test)]
+mod tests {
+    const BRACE: &str = "{ // not a comment";
+    const RAW: &str = r#"a quoted "{" // {"#;
+    // a closing brace in a comment: }
+
+    #[test]
+    fn t() {
+        assert_eq!(super::open(), '{');
+    }
+}
+
+pub fn three<'b>(x: &'b u8) -> &'b u8 { // +
+    x // +
+} // +
+"""
+
+
+def self_test():
+    expect = [k + 1 for k, line in enumerate(FIXTURE.split("\n")) if line.endswith("// +")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lib.rs")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(FIXTURE)
+        got = product_lines(path)
+    if got != expect:
+        print(f"FAIL self-test: counted lines {got}, expected {expect}")
+        sys.exit(1)
+    print(f"ok   self-test: {len(got)} product lines of the fixture counted, no other")
+    sys.exit(0)
 
 
 root, paths = sys.argv[1], sys.argv[2:]
+if root == "--self-test":
+    self_test()
 if not paths:
     crates = sorted(glob.glob(os.path.join(root, "crates", "*", "src")))
     paths = ["src"] + [os.path.relpath(c, root) for c in crates]
