@@ -5,7 +5,8 @@
 //! (`LevelRecover`/ModRaise), which silently adds `q_0·I` to the
 //! plaintext polynomial. CoeffToSlot moves the *coefficients* into the
 //! slots (homomorphic inverse DFT), EvalMod removes the `q_0·I` term by
-//! a scaled-sine approximation, and SlotToCoeff moves the cleaned
+//! a cosine interpolant and three angle doublings that land on
+//! `sin(2πu)` ([`crate::evalmod`]), and SlotToCoeff moves the cleaned
 //! coefficients back (homomorphic DFT). The two transforms are the
 //! memory-bound H-(I)DFT kernels the whole paper is about; here they are
 //! built from the radix-`2^k` stage factors of [`crate::dft`], each
@@ -61,7 +62,7 @@ use crate::dft::{
     coeff_to_slot_stages, group_stages, real_imag_pack, real_imag_unpack, slot_to_coeff_stages,
 };
 use crate::error::ArkResult;
-use crate::evalmod::{ChebyshevPoly, EvalModParams};
+use crate::evalmod::{EvalMod, EvalModParams};
 use crate::keys::{EvalKey, RotationKeys};
 use crate::lintrans::{BsgsPlan, LinearTransform};
 use crate::minks::KeyStrategy;
@@ -137,12 +138,12 @@ pub struct StagePlan {
 }
 
 /// Precomputed bootstrapping state: the grouped transform factors with
-/// their scaling constants folded in, and the sine interpolant.
+/// their scaling constants folded in, and the EvalMod interpolant.
 #[derive(Debug)]
 pub struct Bootstrapper {
     c2s: Vec<LinearTransform>,
     s2c: Vec<LinearTransform>,
-    sine: ChebyshevPoly,
+    evalmod: EvalMod,
     strategy: KeyStrategy,
     /// SubSum's rotation amounts `n·2^i`; empty at `n = N/2`, the one
     /// slot count whose real and imaginary halves cannot share a
@@ -158,11 +159,12 @@ pub struct Bootstrapper {
 impl Bootstrapper {
     /// Builds transform factors for the configured slot count.
     ///
-    /// Scaling constants are folded into the linear maps: CoeffToSlot
-    /// additionally multiplies by `Δ/(2·q_0)` (so slots land on the
-    /// EvalMod interval in units of `q_0`, pre-halved for the
-    /// real/imaginary split) and by `2n/N` (taking back SubSum's gain),
-    /// and SlotToCoeff multiplies by `q_0/Δ` (restoring message scale).
+    /// Scaling constants are folded into the linear maps: CoeffToSlot's
+    /// first stage additionally multiplies by `Δ/(2·q_0)` (so slots land
+    /// in units of `q_0`, pre-halved for the real/imaginary split) and
+    /// by `2n/N` (taking back SubSum's gain), its last stage by EvalMod's
+    /// `1/w`, and SlotToCoeff's first stage multiplies by `q_0/(2π·Δ)`
+    /// (taking `sin(2πu) ≈ 2πu` back to the message scale).
     /// Under [`KeyStrategy::MinKs`] the stages are re-anchored (see the
     /// module docs).
     ///
@@ -182,13 +184,14 @@ impl Bootstrapper {
         let q0 = ctx.basis().modulus(0).value() as f64;
         let delta = ctx.params().scale();
         let k = config.radix_log2.max(1);
+        let evalmod = EvalMod::new(&config.evalmod);
 
         let mut c2s_stages = coeff_to_slot_stages(n);
         // fold Δ/(2 q0) and SubSum's N/2n into the first applied stage
         c2s_stages[0] = c2s_stages[0].scaled(delta / (2.0 * q0 * (full / n) as f64));
         // SlotToCoeff keeps the packed halves apart: its blocks tile 2n
         let mut s2c_stages = slot_to_coeff_stages(n, if packed { 2 * n } else { n });
-        s2c_stages[0] = s2c_stages[0].scaled(q0 / delta);
+        s2c_stages[0] = s2c_stages[0].scaled(q0 / (2.0 * std::f64::consts::PI * delta));
 
         let mut c2s: Vec<LinearTransform> = group_stages(&c2s_stages, k)
             .iter()
@@ -201,6 +204,10 @@ impl Bootstrapper {
             let last = s2c.last_mut().expect("n ≥ 2 has a stage");
             *last = real_imag_unpack(n).compose(last);
         }
+        // EvalMod's 1/w rides in the last stage: in the first, the later
+        // stages' noise would sit on a signal w times smaller
+        let last = c2s.last_mut().expect("n ≥ 2 has a stage");
+        *last = last.scaled(1.0 / evalmod.width());
         let s2c = s2c.iter().map(|stage| stage.tiled(full)).collect();
 
         // the pending rotation threads through both transforms, in
@@ -225,7 +232,7 @@ impl Bootstrapper {
         let mut boot = Self {
             c2s,
             s2c,
-            sine: config.evalmod.sine_poly(),
+            evalmod,
             strategy: config.strategy,
             sub_sum: (0..(full / n).trailing_zeros())
                 .map(|i| (n << i) as i64)
@@ -236,7 +243,7 @@ impl Bootstrapper {
         };
         // the full-slot pipeline's output level, plus this one's depth
         let max_level = ctx.params().max_level;
-        let full_depth = 2 * (full.trailing_zeros() as usize).div_ceil(k) + boot.sine.depth();
+        let full_depth = 2 * (full.trailing_zeros() as usize).div_ceil(k) + boot.evalmod.depth();
         boot.top_level =
             (max_level.saturating_sub(full_depth) + boot.levels_consumed()).min(max_level);
         boot
@@ -266,7 +273,7 @@ impl Bootstrapper {
     /// progression, key-switches and keys under the pipeline's strategy.
     /// CoeffToSlot's first stage runs at the level ModRaise lands on.
     pub fn stage_plans(&self) -> Vec<StagePlan> {
-        let s2c_top = self.top_level - self.c2s.len() - self.sine.depth();
+        let s2c_top = self.top_level - self.c2s.len() - self.evalmod.depth();
         let plans = |stages: &[LinearTransform], top: usize, step: fn(usize) -> BootstrapStep| {
             stages
                 .iter()
@@ -300,7 +307,7 @@ impl Bootstrapper {
     /// transforms and EvalMod. ModRaise lands this far above the level
     /// the full-slot pipeline returns.
     pub fn levels_consumed(&self) -> usize {
-        self.c2s.len() + self.s2c.len() + self.sine.depth()
+        self.c2s.len() + self.s2c.len() + self.evalmod.depth()
     }
 
     /// Runs the full pipeline on a low-level ciphertext.
@@ -352,15 +359,15 @@ impl Bootstrapper {
             t = ctx.add(&t, &rotated).expect("rotation preserves the scale");
             done(BootstrapStep::SubSum(i), &t);
         }
-        // 3. CoeffToSlot: slots ← coefficients·Δ/(2q0), bit-reversed.
+        // 3. CoeffToSlot: slots ← coefficients·Δ/(2q0·w), bit-reversed.
         for (i, lt) in self.c2s.iter().enumerate() {
             t = ctx.eval_linear_transform(&t, lt, self.strategy, keys);
             done(BootstrapStep::CoeffToSlot(i), &t);
         }
         let conj = ctx.conjugate(&t, keys)?;
         let mut t = if self.sub_sum.is_empty() {
-            // 4. real/imag split: z1 = w + w̄ (real coeffs / q0),
-            //    z2 = −i·(w − w̄) (imag coeffs / q0).
+            // 4. real/imag split: z1 = t + t̄ (real coeffs / (q0·w)),
+            //    z2 = −i·(t − t̄) (imag coeffs / (q0·w)).
             let z1 = ctx.add(&t, &conj).expect("conjugate preserves the scale");
             let z2 = ctx.mul_i(
                 &ctx.sub(&t, &conj).expect("conjugate preserves the scale"),
@@ -368,22 +375,22 @@ impl Bootstrapper {
             );
             done(BootstrapStep::Split, &z2);
             // 5. EvalMod on both halves.
-            let z1 = ctx.eval_chebyshev(&z1, &self.sine, evk_mult);
+            let z1 = ctx.eval_mod(&z1, &self.evalmod, evk_mult);
             done(BootstrapStep::EvalMod(0), &z1);
-            let z2 = ctx.eval_chebyshev(&z2, &self.sine, evk_mult);
+            let z2 = ctx.eval_mod(&z2, &self.evalmod, evk_mult);
             done(BootstrapStep::EvalMod(1), &z2);
-            // 6. recombine w' = z1 + i·z2.
+            // 6. recombine t' = z1 + i·z2.
             let t = ctx
                 .add(&z1, &ctx.mul_i(&z2, false))
                 .expect("EvalMod halves share one scale");
             done(BootstrapStep::Recombine, &t);
             t
         } else {
-            // 4. u = [w, −i·w]: u + ū = [real coeffs, imag coeffs] / q0.
+            // 4. t = [c, −i·c]: t + t̄ = [real coeffs, imag coeffs] / (q0·w).
             let z = ctx.add(&t, &conj).expect("conjugate preserves the scale");
             done(BootstrapStep::Split, &z);
             // 5. one EvalMod reduces both halves.
-            let z = ctx.eval_chebyshev(&z, &self.sine, evk_mult);
+            let z = ctx.eval_mod(&z, &self.evalmod, evk_mult);
             done(BootstrapStep::EvalMod(0), &z);
             z
         };
@@ -399,10 +406,8 @@ impl Bootstrapper {
                 .expect("caller provides the closing-rotation key");
             done(BootstrapStep::ClosingRotation, &t);
         }
-        // scale bookkeeping: the pipeline preserves the message at Δ up
-        // to the folded constants; snap the tracked scale to the ideal
-        // value (drift is far below noise).
-        t.scale = ct.scale;
+        // every stage lands on its input's scale, EvalMod included, so
+        // the output is at `ct.scale` with no bookkeeping left to do
         Ok(t)
     }
 }
@@ -519,7 +524,8 @@ mod tests {
     /// decrypted result, after checking that every step ran where the
     /// plan says: SubSum and the first stage at ModRaise's level, every
     /// stage at its planned level, the closing rotation iff planned, and
-    /// the output at the full-slot pipeline's level.
+    /// the output at the full-slot pipeline's level and at the input's
+    /// scale (no step may leave a drift behind).
     fn refresh(
         ctx: &CkksContext,
         (config, boot): (&BootstrapConfig, &Bootstrapper),
@@ -562,6 +568,8 @@ mod tests {
         let full = Bootstrapper::new(ctx, full);
         let full_out = full.stage_plans().last().expect("stages").level - 1;
         assert_eq!(refreshed.level, full_out);
+        let drift = refreshed.scale / ct0.scale - 1.0;
+        assert!(drift.abs() < 1e-12, "output scale drifts by {drift:e}");
         assert!(full_out >= 2, "bootstrapping must leave usable levels");
         if config.radix_log2 == 3 {
             // every caller runs boot-test: 20 − (2·3 transform levels +
@@ -682,9 +690,10 @@ mod tests {
     /// followed by the one closing rotation, are the same linear map as
     /// the un-anchored stages (EvalMod and the split act per slot, so
     /// between the two transforms the pending rotation just rides along).
-    /// Without EvalMod, the transforms around the split give back an
-    /// `n`-periodic message scaled by `2n/N` — SubSum's gain, which a
-    /// bootstrap pays before CoeffToSlot.
+    /// With EvalMod replaced by its linearisation `sin(2π·w·v) ≈ 2π·w·v`
+    /// on its input `v = u/w`, the transforms around the split give
+    /// back an `n`-periodic message scaled by `2n/N` — SubSum's gain,
+    /// which a bootstrap pays before CoeffToSlot.
     #[test]
     fn re_anchored_stages_compose_to_the_unanchored_pipeline() {
         let ctx = CkksContext::new(CkksParams::boot_test());
@@ -708,14 +717,16 @@ mod tests {
                 .collect();
             let run = |boot: &Bootstrapper| {
                 let u = boot.c2s.iter().fold(z.clone(), |v, lt| lt.apply_clear(&v));
-                // the split and the recombination with EvalMod left out:
-                // z1 + i·z2 = 2u for two halves, u + ū for one
+                // the split and the recombination with EvalMod linearised:
+                // z1 + i·z2 = 2u for two halves, u + ū for one, times 2π·w
+                let linear = 2.0 * std::f64::consts::PI * boot.evalmod.width();
                 let split: Vec<C64> = u
                     .iter()
                     .map(|&x| match boot.sub_sum.is_empty() {
                         true => x.scale(2.0),
                         false => x + x.conj(),
                     })
+                    .map(|x| x.scale(linear))
                     .collect();
                 boot.s2c.iter().fold(split, |v, lt| lt.apply_clear(&v))
             };

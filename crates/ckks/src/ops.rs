@@ -21,8 +21,13 @@ use ark_math::scratch::ScratchArena;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Deref;
 
-/// Relative scale mismatch tolerated by additive ops. Scale drift from
-/// `q_i ≈ Δ` is ~2^-30 per level; anything larger is a usage bug.
+/// Relative scale mismatch tolerated by additive ops. A rescale by
+/// `q_i ≠ Δ` moves a scale by `q_i/Δ − 1` (about 2^-30 on the shipped
+/// chains), and a product of two drifted operands adds their drifts, so
+/// a chain of squarings doubles the drift at every level: a program
+/// that squares its way down a chain and then adds ciphertexts from
+/// different levels can approach this bound. The library's own
+/// pipelines (EvalMod, the H-(I)DFT) add only scales they made equal.
 pub const SCALE_TOLERANCE: f64 = 1e-6;
 
 /// Ciphertext-units of [`CkksContext::rotate_sum`]'s working set beyond
@@ -188,10 +193,15 @@ impl CkksContext {
     #[must_use = "returns a new ciphertext; the input is unchanged"]
     pub fn mul_const(&self, ct: &Ciphertext, c: f64) -> Ciphertext {
         let q_top = self.basis().modulus(ct.level).value() as f64;
-        let v = c * q_top;
+        self.mul_const_at(ct.clone(), c, q_top)
+    }
+
+    /// `CMult` in place, with the constant encoded at `scale`: the
+    /// result's scale is `ct.scale · scale`.
+    pub(crate) fn mul_const_at(&self, mut out: Ciphertext, c: f64, scale: f64) -> Ciphertext {
+        let v = c * scale;
         assert!(v.abs() < ENCODE_LIMIT, "constant overflows at this scale");
         let vi = v.round() as i64;
-        let mut out = ct.clone();
         let scalars: Vec<u64> = out
             .b
             .limb_indices()
@@ -200,7 +210,7 @@ impl CkksContext {
             .collect();
         out.b.mul_scalar_per_limb(&scalars, self.basis());
         out.a.mul_scalar_per_limb(&scalars, self.basis());
-        out.scale = ct.scale * q_top;
+        out.scale *= scale;
         out
     }
 

@@ -158,9 +158,10 @@ impl Scenario for HelrScenario {
             conjugation: false,
             // one bootstrap per iteration, of the FEATURES slots the
             // tiled model holds: SubSum, radix-2^3 transforms of 16
-            // slots and one sparse-secret EvalMod (degree 119). ModRaise
-            // lands on level 18 instead of 20, and the output keeps the
-            // full-slot level 6
+            // slots and one sparse-secret EvalMod (degree-29 cosine,
+            // three doublings). ModRaise lands on level 18 instead of
+            // 20; the software finishes on the full-slot level 6 and the
+            // engine drops the result to the analytic model's level 5
             bootstrapping: Some(BootstrapConfig {
                 slots: Some(FEATURES),
                 ..BootstrapConfig::default()

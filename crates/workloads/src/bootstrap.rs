@@ -23,8 +23,12 @@ pub struct BootstrapTraceConfig {
     pub radix_log2: u32,
     /// Key strategy for the transforms.
     pub strategy: KeyStrategy,
-    /// Chebyshev degree of EvalMod's sine interpolant.
+    /// Chebyshev degree of EvalMod's interpolant.
     pub evalmod_degree: usize,
+    /// Angle doublings `c ← 2c² − 1` after the interpolant: the
+    /// software's cosine EvalMod takes 3; the paper-scale traces model
+    /// one sine interpolant and take none.
+    pub evalmod_doublings: usize,
     /// Levels to keep above the bootstrap's own consumption when the
     /// chain is truncated (sparse bootstrapping mod-raises only as far
     /// as the workload needs, keeping every op on short limbs).
@@ -39,6 +43,7 @@ impl BootstrapTraceConfig {
             radix_log2: 5,
             strategy,
             evalmod_degree: 119,
+            evalmod_doublings: 0,
             spare_levels: None,
         }
     }
@@ -52,6 +57,7 @@ impl BootstrapTraceConfig {
             radix_log2: 4,
             strategy,
             evalmod_degree: 63,
+            evalmod_doublings: 0,
             spare_levels: Some(8),
         }
     }
@@ -66,7 +72,8 @@ impl BootstrapTraceConfig {
         self.slots_log2 + 2 <= params.log_n
     }
 
-    /// EvalMod depth for the level budget (affine + basis + recursion).
+    /// EvalMod depth for the level budget (affine + basis + recursion,
+    /// then one level per doubling).
     pub fn evalmod_depth(&self) -> usize {
         let d = self.evalmod_degree;
         let mut m = 1usize;
@@ -80,7 +87,7 @@ impl BootstrapTraceConfig {
             giants += 1;
             g <<= 1;
         }
-        1 + baby_depth + giants + giants.min(2)
+        1 + baby_depth + giants + giants.min(2) + self.evalmod_doublings
     }
 
     /// Total levels the bootstrap consumes (`L_boot`).
@@ -91,8 +98,8 @@ impl BootstrapTraceConfig {
 
 /// Emits the EvalMod sub-trace at `start_level`, returning the level it
 /// ends at. Structure mirrors the BSGS Chebyshev evaluator of
-/// `ark-ckks`: baby/giant basis construction then recursive combines,
-/// once per ciphertext the split leaves — two when the real and
+/// `ark-ckks`: baby/giant basis construction, recursive combines, then
+/// the angle doublings, once per ciphertext the split leaves — two when the real and
 /// imaginary coefficient halves are reduced separately, one when they
 /// are packed together.
 fn evalmod_trace(
@@ -152,6 +159,12 @@ fn evalmod_trace(
             t.push(HeOp::HRescale {
                 level: (l2 - c.min(l2)).max(1),
             });
+        }
+        // angle doublings on EvalMod's last levels
+        let end = start_level - cfg.evalmod_depth();
+        for k in (1..=cfg.evalmod_doublings).rev() {
+            t.push(HeOp::HMult { level: end + k });
+            t.push(HeOp::HRescale { level: end + k });
         }
     }
     level = start_level - cfg.evalmod_depth();

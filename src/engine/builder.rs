@@ -32,6 +32,7 @@ pub fn bootstrap_trace_config(params: &CkksParams, cfg: &BootstrapConfig) -> Boo
         radix_log2: cfg.radix_log2.max(1) as u32,
         strategy: cfg.strategy,
         evalmod_degree: cfg.evalmod.degree,
+        evalmod_doublings: cfg.evalmod.doublings,
         spare_levels: None,
     };
     BootstrapTraceConfig {
@@ -262,6 +263,8 @@ impl EngineBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ark_ckks::evalmod::EvalMod;
+    use ark_workloads::bootstrap::post_bootstrap_level;
 
     #[test]
     fn an_unreadable_entropy_source_is_its_own_typed_error() {
@@ -279,5 +282,26 @@ mod tests {
         let manifest = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
         let head: [u8; 8] = std::fs::read(&manifest).unwrap()[..8].try_into().unwrap();
         assert_eq!(read_seed(&manifest).unwrap(), u64::from_le_bytes(head));
+    }
+
+    /// The analytic model fixes the level a bootstrap returns, and with
+    /// it the size of HELR's refreshed model: it stays at 5 on
+    /// boot-test for the full-slot and the 16-slot pipeline. The
+    /// model's EvalMod depth must cover the software's, or the software
+    /// would finish below the analytic level, which
+    /// `SoftwareEvaluator::bootstrap` refuses.
+    #[test]
+    fn analytic_bootstrap_level_holds_and_covers_the_software() {
+        let params = CkksParams::boot_test();
+        for slots in [None, Some(16)] {
+            let cfg = BootstrapConfig {
+                slots,
+                ..BootstrapConfig::default()
+            };
+            let trace = bootstrap_trace_config(&params, &cfg);
+            assert_eq!(post_bootstrap_level(&params, &trace), 5, "{slots:?}");
+            let software = EvalMod::new(&cfg.evalmod).depth();
+            assert!(trace.evalmod_depth() >= software, "{slots:?}");
+        }
     }
 }

@@ -247,11 +247,13 @@ const GOLDEN_BOOTSTRAPPING: [(usize, u64); 3] = [
 // Both moved, with their inputs, when `Engine::encrypt` switched from
 // public-key to secret-key encryption with `A` seeds numbered off the
 // chain's public master; bootstrapping the old public-key input still
-// reproduces the values recorded before.
+// reproduces the values recorded before. They moved again, alone, when
+// EvalMod became a cosine interpolant with three angle doublings on a
+// scale-exact Chebyshev evaluator (the key frames above held across it).
 const GOLDEN_REFRESHED: [(usize, u64); 3] = [
-    (12_288, 0x9f2b_5eb2_d4dc_6009),
-    (12_288, 0x7fd0_6a6d_cc37_3877),
-    (12_288, 0x168c_0fb8_f25f_37a8),
+    (12_288, 0x7ad6_e85a_1f28_573f),
+    (12_288, 0x25ff_784d_d37c_a5f5),
+    (12_288, 0x8067_d694_49bf_b61d),
 ];
 // Recorded while every plaintext weight still went through the general
 // encoding (iFFT, rounding, NTT), in `constant_weight_residues` order;
