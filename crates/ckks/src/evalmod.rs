@@ -368,15 +368,15 @@ impl CkksContext {
     pub fn eval_mod(&self, ct: &Ciphertext, evalmod: &EvalMod, evk: &EvalKey) -> Ciphertext {
         let v = self.add_const(ct, -0.25 / evalmod.width);
         let cosine_level = ct.level.checked_sub(evalmod.cosine.depth()).expect(DEPTH);
-        assert!(cosine_level >= evalmod.doublings, "{DEPTH}");
+        assert!(cosine_level >= EvalMod::DOUBLINGS, "{DEPTH}");
         // doubling k rescales by q at `cosine_level + 1 − k`; walk them
         // backwards from the output scale to the interpolant's target
-        let scale = (1..=evalmod.doublings).rev().fold(ct.scale, |s, k| {
+        let scale = (1..=EvalMod::DOUBLINGS).rev().fold(ct.scale, |s, k| {
             let q = self.basis().modulus(cosine_level + 1 - k).value() as f64;
             (s * q).sqrt()
         });
         let c = self.eval_chebyshev(&v, &evalmod.cosine, scale, evk);
-        (0..evalmod.doublings).fold(c, |c, _| self.double_angle(&c, evk))
+        (0..EvalMod::DOUBLINGS).fold(c, |c, _| self.double_angle(&c, evk))
     }
 }
 
@@ -388,38 +388,34 @@ pub struct EvalModParams {
     pub k: usize,
     /// Degree of the cosine interpolant.
     pub degree: usize,
-    /// Angle doublings `r` after the interpolant.
-    pub doublings: usize,
 }
 
 impl EvalModParams {
     /// A default sized for sparse secrets (`h ≤ 64`).
     pub fn for_sparse_secret() -> Self {
-        Self {
-            k: 12,
-            degree: 29,
-            doublings: 3,
-        }
+        Self { k: 12, degree: 29 }
     }
 }
 
-/// EvalMod, ready to run: the interval width `w = K + 1/4`, the even
-/// interpolant of `cos(2π·w·v/2^r)` on `[−1, 1]` and the doubling count
-/// `r`.
+/// EvalMod, ready to run: the interval width `w = K + 1/4` and the even
+/// interpolant of `cos(2π·w·v/2^r)` on `[−1, 1]`.
 #[derive(Debug, Clone)]
 pub struct EvalMod {
     width: f64,
     cosine: ChebyshevPoly,
-    doublings: usize,
 }
 
 impl EvalMod {
+    /// Angle doublings `r` after the interpolant. Fixed: the
+    /// interpolant's degree is sized for the angle `2^r` narrows.
+    pub const DOUBLINGS: usize = 3;
+
     /// Interpolates the cosine of `params`. Its odd coefficients vanish
     /// in exact arithmetic and are set to zero, so the evaluator builds
     /// no odd basis entry it would only multiply by rounding noise.
     pub fn new(params: &EvalModParams) -> Self {
         let width = params.k as f64 + 0.25;
-        let turn = 2.0 * std::f64::consts::PI * width / (1u64 << params.doublings) as f64;
+        let turn = 2.0 * std::f64::consts::PI * width / (1u64 << Self::DOUBLINGS) as f64;
         let mut cosine = ChebyshevPoly::interpolate(|v| (turn * v).cos(), params.degree);
         cosine
             .coeffs
@@ -427,11 +423,7 @@ impl EvalMod {
             .skip(1)
             .step_by(2)
             .for_each(|c| *c = 0.0);
-        Self {
-            width,
-            cosine,
-            doublings: params.doublings,
-        }
+        Self { width, cosine }
     }
 
     /// `w = K + 1/4`: EvalMod's input is `u/w`, so the caller folds
@@ -443,7 +435,7 @@ impl EvalMod {
     /// Levels [`CkksContext::eval_mod`] consumes: the interpolant's
     /// depth plus one per doubling.
     pub fn depth(&self) -> usize {
-        self.cosine.depth() + self.doublings
+        self.cosine.depth() + Self::DOUBLINGS
     }
 }
 
@@ -508,7 +500,7 @@ mod tests {
     /// interpolant at `(u − 1/4)/w`, then the doublings.
     fn eval_mod_clear(em: &EvalMod, u: f64) -> f64 {
         let c = em.cosine.eval_clear((u - 0.25) / em.width);
-        (0..em.doublings).fold(c, |c, _| 2.0 * c * c - 1.0)
+        (0..EvalMod::DOUBLINGS).fold(c, |c, _| 2.0 * c * c - 1.0)
     }
 
     #[test]
@@ -558,7 +550,7 @@ mod tests {
         let em = EvalMod::new(&EvalModParams::for_sparse_secret());
         assert_eq!(em.cosine.depth(), 5);
         assert_eq!(em.depth(), 8);
-        assert_eq!(relinearisations(&em.cosine, em.doublings), 9 + 3);
+        assert_eq!(relinearisations(&em.cosine, EvalMod::DOUBLINGS), 9 + 3);
         // the degree-119 sine on [−12, 12] it replaced: 21 products, at
         // the same depth once its affine map's level is counted
         let two_pi = 2.0 * std::f64::consts::PI;

@@ -7,6 +7,7 @@ use super::{Backend, BackendState, Engine};
 use crate::error::{ArkError, ArkResult};
 use crate::verify::VerifyContext;
 use ark_ckks::bootstrap::{BootstrapConfig, Bootstrapper};
+use ark_ckks::evalmod::EvalMod;
 use ark_ckks::params::{CkksContext, CkksParams};
 use ark_math::par::{self, ThreadPool};
 use ark_workloads::bootstrap::BootstrapTraceConfig;
@@ -32,7 +33,7 @@ pub fn bootstrap_trace_config(params: &CkksParams, cfg: &BootstrapConfig) -> Boo
         radix_log2: cfg.radix_log2.max(1) as u32,
         strategy: cfg.strategy,
         evalmod_degree: cfg.evalmod.degree,
-        evalmod_doublings: cfg.evalmod.doublings,
+        evalmod_doublings: EvalMod::DOUBLINGS,
         spare_levels: None,
     };
     BootstrapTraceConfig {
